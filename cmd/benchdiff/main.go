@@ -35,8 +35,7 @@
 //
 // -scale selects which swept scale entry to compare; 0 (the default)
 // picks the smallest scale present in both files, which for CI is the
-// smoke scale. Snapshots in the pre-sweep single-scale schema (top-level
-// scale/perf/traces, as in BENCH_baseline.json) are understood too.
+// smoke scale.
 package main
 
 import (
@@ -46,15 +45,12 @@ import (
 	"os"
 )
 
-// snapshot covers both cesrm-bench schemas: the current multi-scale one
-// (runs) and the legacy single-scale one (top-level scale/perf/traces).
+// snapshot is the cesrm-bench -json schema: one run entry per swept
+// scale.
 type snapshot struct {
-	Seed        int64      `json:"seed"`
-	Fingerprint string     `json:"fingerprint_version"`
-	Runs        []diffRun  `json:"runs"`
-	Scale       float64    `json:"scale"`
-	Perf        diffPerf   `json:"perf"`
-	Traces      []diffItem `json:"traces"`
+	Seed        int64     `json:"seed"`
+	Fingerprint string    `json:"fingerprint_version"`
+	Runs        []diffRun `json:"runs"`
 }
 
 type diffRun struct {
@@ -123,7 +119,7 @@ type diffItem struct {
 	WallNS           int64  `json:"wall_ns"`
 }
 
-// load reads a snapshot, normalizing the legacy schema to one run.
+// load reads a snapshot.
 func load(path string) (*snapshot, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -132,9 +128,6 @@ func load(path string) (*snapshot, error) {
 	var s snapshot
 	if err := json.Unmarshal(data, &s); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if len(s.Runs) == 0 && len(s.Traces) > 0 {
-		s.Runs = []diffRun{{Scale: s.Scale, Perf: s.Perf, Traces: s.Traces}}
 	}
 	if len(s.Runs) == 0 {
 		return nil, fmt.Errorf("%s: no runs recorded", path)

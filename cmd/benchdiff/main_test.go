@@ -123,22 +123,6 @@ func TestWallGateSkippedAcrossDispatchConfigs(t *testing.T) {
 	}
 }
 
-func TestLegacySingleScaleSchema(t *testing.T) {
-	legacy := `{
-  "seed": 1, "fingerprint_version": "v1",
-  "scale": 0.01,
-  "perf": {"suite_elapsed_ns": 1000000000, "parallel": 1},
-  "traces": [
-    {"index": 1, "name": "A", "srm_fingerprint": "v1:aa", "cesrm_fingerprint": "v1:bb"}
-  ]
-}`
-	c := write(t, "committed.json", legacy)
-	f := write(t, "fresh.json", freshBody(1_100_000_000, "v1:aa"))
-	if err := run([]string{"-committed", c, "-fresh", f}); err != nil {
-		t.Fatalf("legacy schema comparison failed: %v", err)
-	}
-}
-
 func TestRejectsDisjointScalesAndSeeds(t *testing.T) {
 	c := write(t, "committed.json", committedBody)
 	other := `{

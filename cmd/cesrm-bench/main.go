@@ -408,7 +408,6 @@ func run(args []string) error {
 	parallel := fs.Int("parallel", runtime.NumCPU(), "max traces simulating concurrently (1 = serial)")
 	shards := fs.Int("shards", 0, "intra-run dispatch shards per simulation (0 or 1 = serial, < 0 = GOMAXPROCS); fingerprints are identical at any value")
 	repeat := fs.Int("repeat", 1, "suite passes per scale; the JSON perf block records the median wall time")
-	planBudget := fs.Int("plan-budget", 0, "flood plan cache budget in tour entries (0 = default, < 0 = disable the cache); fingerprints are identical at any value")
 	chaosMatrix := fs.Bool("chaos-matrix", false, "run the deterministic fault-injection scenario matrix per selected trace (instead of the figure suite) and report per-scenario fingerprints")
 	jsonPath := fs.String("json", "", "also write a machine-readable summary (fingerprints + headline metrics + perf, one entry per scale) to this file")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the suite run(s) to this file")
@@ -476,11 +475,10 @@ func run(args []string) error {
 			Traces:   indices,
 			Parallel: *parallel,
 			Base: experiment.RunConfig{
-				Net:             netCfg,
-				CESRM:           cesrmCfg,
-				LossyRecovery:   *lossy,
-				Shards:          shardsVal,
-				FloodPlanBudget: *planBudget,
+				Net:           netCfg,
+				CESRM:         cesrmCfg,
+				LossyRecovery: *lossy,
+				Shards:        shardsVal,
 			},
 		}
 		if si > 0 {

@@ -153,14 +153,6 @@ type RunConfig struct {
 	// Fingerprints are byte-identical for every value of Shards; values
 	// below 2 (and trees whose root has one child) run serially.
 	Shards int
-	// FloodPlanBudget sizes the netsim flood plan cache in total tour
-	// entries across all cached plans. Zero (the default) enables the
-	// cache at netsim.DefaultFloodPlanEntries; positive values set the
-	// budget explicitly; negative values disable the cache (pure DFS
-	// floods, for A/B measurement). Plans never change observable
-	// behavior — replay performs the identical call and RNG-draw
-	// sequence — so fingerprints are byte-identical for every value.
-	FloodPlanBudget int
 	// HeapProbe, when non-nil, is invoked on every monitor tick (once
 	// per session period of virtual time); cesrm-bench installs a heap
 	// high-watermark sampler so peak-memory reporting cannot miss spikes
@@ -226,9 +218,7 @@ type RunResult struct {
 	RTT stats.RTTFunc
 	// Receivers lists the receiver nodes in trace order.
 	Receivers []topology.NodeID
-	// PlanStats snapshots the flood plan cache counters (hits, misses,
-	// evictions); all-zero when RunConfig.FloodPlanBudget disabled the
-	// cache.
+	// PlanStats snapshots the flood plan cache's hit/miss/evict counters.
 	PlanStats netsim.PlanStats
 	// BarrierEvents counts events the sharded dispatch loop executed as
 	// serial barriers; zero for serial runs. A proxy for how much of the
@@ -433,9 +423,6 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	net, err := netsim.New(eng, tree, cfg.Net)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: %w", err)
-	}
-	if cfg.FloodPlanBudget >= 0 {
-		net.EnableFloodPlans(cfg.FloodPlanBudget)
 	}
 	// Sharded dispatch: partition the root subtrees, label deliveries
 	// with their receiving node's shard, and hand each host shard-local

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"cesrm/internal/netsim"
+	"cesrm/internal/seqwin"
 	"cesrm/internal/sim"
 	"cesrm/internal/srm"
 	"cesrm/internal/topology"
@@ -102,23 +103,16 @@ type Agent struct {
 	cfg    Config
 	obs    srm.Observer
 
-	// base is the release watermark: per-packet state for sequence
-	// numbers below it has been discarded mid-run (see ReleaseThrough).
-	// received, losses and pending are indexed by seq-base. held is the
-	// length of the contiguous received prefix; base ≤ held ≤ cursor.
-	base          int
-	held          int
-	received      []bool
+	// received, losses and pending are sliding seqwin windows released
+	// together (see ReleaseThrough), so they share one base; base ≤ held
+	// ≤ cursor. losses and pending hold nil for packets with no such
+	// state.
+	received      seqwin.Prefix
+	losses        seqwin.Window[*lossState]
+	pending       seqwin.Window[[]pendingNAK]
 	cursor        int
 	highestKnown  int
 	advertPending int
-
-	// losses and pending are dense seq-indexed windows (nil/empty = no
-	// state for that packet), mirroring the srm.Agent slice conversion:
-	// per-packet map hashing is avoidable because sequence numbers are
-	// contiguous from 0.
-	losses  []*lossState
-	pending [][]pendingNAK
 	// outstanding counts detected-but-unrecovered losses, keeping the
 	// monitor's per-period Outstanding polls O(1).
 	outstanding int
@@ -204,7 +198,7 @@ func (a *Agent) Crash() {
 // cancelTimers cancels the heartbeat tick and every armed NAK retry.
 func (a *Agent) cancelTimers() {
 	a.eng.Cancel(a.heartbeatTimer)
-	for _, ls := range a.losses {
+	for _, ls := range a.losses.Cells() {
 		if ls != nil {
 			a.eng.Cancel(ls.timer)
 		}
@@ -225,18 +219,29 @@ func (a *Agent) Restart() {
 		panic(fmt.Sprintf("lms: restarting host %d that never crashed", a.id))
 	}
 	a.crashed = false
+	a.rejoin()
+}
+
+// rejoin is the tail Restart and Join share: reception and loss state
+// restarts empty, the fabric is told the host is back, and the session
+// exchange resumes.
+func (a *Agent) rejoin() {
 	a.stopped = false
-	a.base = 0
-	a.held = 0
-	a.received = nil
-	a.cursor = 0
+	a.openAt(0)
 	a.highestKnown = -1
 	a.advertPending = -1
-	a.losses = nil
-	a.pending = nil
 	a.outstanding = 0
 	a.fabric.ReportRestart(a.id)
 	a.StartSessions()
+}
+
+// openAt empties the per-packet windows and rebases them at floor:
+// everything below it reads as held and loss detection begins there.
+func (a *Agent) openAt(floor int) {
+	a.received.OpenAt(floor)
+	a.losses.OpenAt(floor)
+	a.pending.OpenAt(floor)
+	a.cursor = floor
 }
 
 // Leave makes the host depart gracefully: it goes silent (no NAKs, no
@@ -267,19 +272,8 @@ func (a *Agent) Join() {
 		panic(fmt.Sprintf("lms: present host %d joining", a.id))
 	}
 	a.absent = false
-	a.stopped = false
 	a.lateJoin = true
-	a.base = 0
-	a.held = 0
-	a.received = nil
-	a.cursor = 0
-	a.highestKnown = -1
-	a.advertPending = -1
-	a.losses = nil
-	a.pending = nil
-	a.outstanding = 0
-	a.fabric.ReportRestart(a.id)
-	a.StartSessions()
+	a.rejoin()
 }
 
 // Absent reports whether the host has left and not rejoined.
@@ -292,20 +286,16 @@ func (a *Agent) Absent() bool { return a.absent }
 func (a *Agent) AbandonedIn(source topology.NodeID) int { return 0 }
 
 // floorTo applies the one-shot late-join reliability floor: sequence
-// numbers below floor are treated as held (Has is true below base, the
-// same convention state release uses), so detection starts at the first
-// post-join packet rather than seq 0.
+// numbers below floor are treated as held (see openAt), so detection
+// starts at the first post-join packet rather than seq 0.
 func (a *Agent) floorTo(floor int) {
 	if !a.lateJoin || a.id == a.source {
 		return
 	}
 	a.lateJoin = false
-	if floor <= 0 {
-		return
+	if floor > 0 {
+		a.openAt(floor)
 	}
-	a.base = floor
-	a.held = floor
-	a.cursor = floor
 }
 
 // Transmit multicasts original packet seq; only the source may call it.
@@ -313,7 +303,7 @@ func (a *Agent) Transmit(seq int) {
 	if a.id != a.source {
 		panic(fmt.Sprintf("lms: non-source host %d transmitting", a.id))
 	}
-	a.markReceived(seq)
+	a.received.Mark(seq)
 	a.noteExists(seq)
 	a.cursor = seq + 1
 	a.net.Multicast(a.id, &netsim.Packet{Class: netsim.Payload, Msg: &srm.DataMsg{Source: a.id, Seq: seq}})
@@ -321,16 +311,7 @@ func (a *Agent) Transmit(seq int) {
 
 // Has reports possession of packet seq. Released sequence numbers
 // report true: release is gated on every live host holding them.
-func (a *Agent) Has(seq int) bool {
-	if seq < 0 {
-		return false
-	}
-	if seq < a.base {
-		return true
-	}
-	idx := seq - a.base
-	return idx < len(a.received) && a.received[idx]
-}
+func (a *Agent) Has(seq int) bool { return a.received.Has(seq) }
 
 // ReleasableThrough returns the watermark through which this host's
 // per-packet state could be discarded right now: the contiguous
@@ -340,9 +321,10 @@ func (a *Agent) Has(seq int) bool {
 // are flushed the moment it arrives — so holding a packet is the whole
 // safety condition. The source parameter exists for interface symmetry
 // with srm.Agent and is ignored (LMS is single-stream).
-func (a *Agent) ReleasableThrough(source topology.NodeID) int { return a.held }
+func (a *Agent) ReleasableThrough(source topology.NodeID) int { return a.received.Held() }
 
-// ReleaseThrough discards per-packet state below n. The experiment
+// ReleaseThrough discards per-packet state below n, clamped to the held
+// prefix. The experiment
 // layer calls it only after every live host reported ReleasableThrough
 // ≥ n and a drain lag covered in-flight traffic. A NAK straggling in
 // for a released sequence is still served correctly: Has reports true,
@@ -350,34 +332,15 @@ func (a *Agent) ReleasableThrough(source topology.NodeID) int { return a.held }
 // engine operations happen here, so release is invisible to the run's
 // event stream and fingerprint.
 func (a *Agent) ReleaseThrough(source topology.NodeID, n int) {
-	if n > a.held {
-		n = a.held
-	}
-	if n <= a.base {
-		return
-	}
-	drop := n - a.base
-	a.received = dropPrefix(a.received, drop)
-	a.losses = dropPrefix(a.losses, drop)
-	a.pending = dropPrefix(a.pending, drop)
-	a.base = n
-}
-
-// dropPrefix returns s without its first drop elements, in a fresh
-// exact-size backing array (nil when nothing survives).
-func dropPrefix[T any](s []T, drop int) []T {
-	if drop >= len(s) {
-		return nil
-	}
-	tail := make([]T, len(s)-drop)
-	copy(tail, s[drop:])
-	return tail
+	a.received.ReleaseThrough(n)
+	a.losses.ReleaseThrough(a.received.Base())
+	a.pending.ReleaseThrough(a.received.Base())
 }
 
 // PacketWindow returns the number of per-seq state cells currently
 // retained; tests pin release effectiveness with it.
 func (a *Agent) PacketWindow() int {
-	return len(a.received) + len(a.losses) + len(a.pending)
+	return a.received.Len() + a.losses.Len() + a.pending.Len()
 }
 
 // MissingIn returns how many of [0, n) the agent lacks. The source
@@ -399,7 +362,7 @@ func (a *Agent) ClassifiedThrough(source topology.NodeID) int { return a.cursor 
 // RecoveryTime returns when packet seq was recovered, if this host
 // detected its loss and has since recovered it.
 func (a *Agent) RecoveryTime(seq int) (sim.Time, bool) {
-	ls := a.loss(seq)
+	ls := a.losses.At(seq)
 	if ls == nil || !ls.recovered {
 		return 0, false
 	}
@@ -408,30 +371,6 @@ func (a *Agent) RecoveryTime(seq int) (sim.Time, bool) {
 
 // Outstanding returns the number of unrecovered detected losses.
 func (a *Agent) Outstanding() int { return a.outstanding }
-
-// loss returns the loss state for seq, nil when never detected lost or
-// released.
-func (a *Agent) loss(seq int) *lossState {
-	idx := seq - a.base
-	if idx < 0 || idx >= len(a.losses) {
-		return nil
-	}
-	return a.losses[idx]
-}
-
-// markReceived records possession of seq and advances the held prefix.
-// seq is never below base: Has(seq < base) is true, so every arrival
-// path deduplicates released packets first.
-func (a *Agent) markReceived(seq int) {
-	idx := seq - a.base
-	for len(a.received) <= idx {
-		a.received = append(a.received, false)
-	}
-	a.received[idx] = true
-	for a.held-a.base < len(a.received) && a.received[a.held-a.base] {
-		a.held++
-	}
-}
 
 func (a *Agent) noteExists(seq int) {
 	if seq > a.highestKnown {
@@ -464,8 +403,8 @@ func (a *Agent) receivePacket(now sim.Time, seq int, requestor, replier topology
 	if a.Has(seq) {
 		return
 	}
-	a.markReceived(seq)
-	if ls := a.loss(seq); ls != nil && !ls.recovered {
+	a.received.Mark(seq)
+	if ls := a.losses.At(seq); ls != nil && !ls.recovered {
 		ls.recovered = true
 		ls.recoveredAt = now
 		a.outstanding--
@@ -481,9 +420,9 @@ func (a *Agent) receivePacket(now sim.Time, seq int, requestor, replier topology
 		a.cursor = seq + 1
 	}
 	// Serve NAKs that were waiting on this packet.
-	if idx := seq - a.base; idx < len(a.pending) && len(a.pending[idx]) > 0 {
-		waiting := a.pending[idx]
-		a.pending[idx] = nil
+	if c := a.pending.Get(seq); c != nil {
+		waiting := *c
+		*c = nil
 		for _, w := range waiting {
 			a.sendRepair(seq, w)
 		}
@@ -505,17 +444,13 @@ func (a *Agent) detectThrough(now sim.Time, x int) {
 // suppression delay, the point of router-assisted recovery — and
 // retries with exponential back-off until the repair arrives.
 func (a *Agent) detectLoss(now sim.Time, seq int) {
-	if a.loss(seq) != nil {
+	if a.losses.At(seq) != nil {
 		return
 	}
 	ls := &lossState{detectedAt: now}
 	// seq is never below base: losses are detected at the cursor, which
 	// never trails the release watermark.
-	idx := seq - a.base
-	for len(a.losses) <= idx {
-		a.losses = append(a.losses, nil)
-	}
-	a.losses[idx] = ls
+	*a.losses.Ensure(seq) = ls
 	a.outstanding++
 	a.obs.LossDetected(a.id, a.source, seq, now)
 	a.sendNAK(now, seq, ls)
@@ -551,16 +486,13 @@ func (a *Agent) onNAK(now sim.Time, m *NAKMsg) {
 	// Deduplicate by origin subtree: one repair per subtree suffices.
 	// m.Seq is never below base here: Has(seq < base) is true, so a
 	// straggling NAK for a released packet took the sendRepair path above.
-	idx := m.Seq - a.base
-	for len(a.pending) <= idx {
-		a.pending = append(a.pending, nil)
-	}
-	for _, p := range a.pending[idx] {
+	waiting := a.pending.Ensure(m.Seq)
+	for _, p := range *waiting {
 		if p.originChild == w.originChild {
 			return
 		}
 	}
-	a.pending[idx] = append(a.pending[idx], w)
+	*waiting = append(*waiting, w)
 	a.noteExists(m.Seq)
 	// The replier shares the loss: make sure its own recovery is under
 	// way (it may not have detected the gap yet).

@@ -80,3 +80,32 @@ func TestWatermarkReleaseRespectsCrash(t *testing.T) {
 	_ = a.ReleasableThrough(topology.NodeID(0))
 	a.ReleaseThrough(0, 2)
 }
+
+// TestReleaseRefillAllocationFree pins the drift fix: the per-packet
+// windows keep their backing arrays across a release, so once they have
+// reached the peak in-flight size a receiver's steady receive→release
+// cycle performs no heap allocations (the old copy-to-a-fresh-array
+// release allocated per window per host per release).
+func TestReleaseRefillAllocationFree(t *testing.T) {
+	b := newBed(t, time.Second)
+	a := b.agents[4]
+	msg := &srm.DataMsg{Source: 0}
+	pkt := &netsim.Packet{Class: netsim.Payload, Msg: msg}
+	next := 0
+	cycle := func() {
+		for i := 0; i < 32; i++ {
+			msg.Seq = next
+			a.Deliver(b.eng.Now(), pkt)
+			next++
+		}
+		a.ReleaseThrough(0, next-4)
+	}
+	cycle()
+	cycle()
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Fatalf("receive→release cycle allocates %.1f objects, want 0", avg)
+	}
+	if a.MissingIn(0, next) != 0 || a.PacketWindow() != 4 {
+		t.Fatalf("window corrupted: missing %d, cells %d (want 0, 4)", a.MissingIn(0, next), a.PacketWindow())
+	}
+}

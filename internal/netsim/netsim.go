@@ -315,22 +315,12 @@ type Network struct {
 	txPayload time.Duration
 	txControl time.Duration
 
-	// Flood scratch state, reused across floods so the fast path
-	// allocates nothing per packet. visited holds per-node epoch stamps:
-	// a node is visited in the current flood iff visited[node] ==
-	// visitGen. stack is the DFS worklist. The fast flood path runs
-	// synchronously — Deliver callbacks fire later, from scheduled
-	// events — so the scratch state is never re-entered.
-	visited  []uint64
-	visitGen uint64
-	stack    []floodVisit
-
-	// plans is the per-origin flood plan cache (nil until
-	// EnableFloodPlans); skipMark is the replay's region-skip scratch,
-	// epoch-stamped with visitGen like visited and grown to the largest
-	// replayed plan.
-	plans    *planCache
+	// plans is the per-origin flood plan cache. skipMark is the replay's
+	// region-skip scratch, grown to the largest replayed plan and
+	// epoch-stamped: entry i is skipped iff skipMark[i] == skipGen.
+	plans    planCache
 	skipMark []uint64
+	skipGen  uint64
 
 	// deliveryPools and freeHops pool the reusable event structs that
 	// replaced the closure-per-delivery and closure-per-hop allocations.
@@ -364,12 +354,6 @@ type Network struct {
 	counts CrossingCounts
 }
 
-// floodVisit is one DFS worklist entry of the fast flood path.
-type floodVisit struct {
-	node topology.NodeID
-	hops int
-}
-
 // New builds a network over tree using engine eng. It returns a
 // *ConfigError when cfg fails Validate.
 func New(eng *sim.Engine, tree *topology.Tree, cfg Config) (*Network, error) {
@@ -383,8 +367,7 @@ func New(eng *sim.Engine, tree *topology.Tree, cfg Config) (*Network, error) {
 		hostAt:    make([]Host, tree.NumNodes()),
 		txPayload: serializeTime(cfg.PayloadBytes, cfg.Bandwidth),
 		txControl: serializeTime(cfg.ControlBytes, cfg.Bandwidth),
-		visited:   make([]uint64, tree.NumNodes()),
-		stack:     make([]floodVisit, 0, tree.NumNodes()),
+		plans:     newPlanCache(tree),
 
 		deliveryPools: make([][]*deliveryEvent, 1),
 		groupPools:    make([][]*groupDeliveryEvent, 1),
@@ -420,8 +403,8 @@ func (n *Network) Counts() CrossingCounts { return n.counts }
 
 // AttachHost registers h as the protocol agent at node id. Only
 // registered nodes receive deliveries; routers forward silently.
-// Attaching after EnableFloodPlans invalidates any cached plans (their
-// host flags are baked in at compile time).
+// Attaching invalidates any cached flood plans (their host flags are
+// baked in at compile time).
 func (n *Network) AttachHost(id topology.NodeID, h Host) {
 	if h == nil {
 		panic("netsim: AttachHost with nil host")
@@ -489,7 +472,7 @@ func (n *Network) SetLinkUp(link topology.LinkID, up bool) {
 // link-queue bound at runtime — the chaos harness's qcap windows. While
 // a cap is active every flood takes the event-per-hop queuing path even
 // if the network was built without Queuing, so FIFO occupancy is
-// actually modelled; lifting the cap restores the fast path. Engaging
+// actually modelled; lifting the cap restores plan replay. Engaging
 // lazily allocates the serialization state, so cap-free runs pay
 // nothing.
 func (n *Network) SetQueueCap(cap int) {
@@ -762,12 +745,6 @@ func (n *Network) canGroupDeliveries(perHop time.Duration) bool {
 	return n.maxJitter == 0 && n.dup == nil && perHop > 0
 }
 
-// beginGrouping arms the per-flood grouping scratch.
-func (n *Network) beginGrouping(now sim.Time, perHop time.Duration, p *Packet) {
-	n.gNow, n.gPerHop, n.gPkt = now, perHop, p
-	n.maxHop = 0
-}
-
 // groupDeliver adds one delivery to the flood's cohort group for its
 // hop distance, opening a new group on first use or when the cohort
 // crosses a shard boundary. Floods visit hosts in DFS pop order, so
@@ -823,85 +800,15 @@ func (n *Network) flushGroups() {
 }
 
 // flood walks the tree outward from origin. downOnly restricts the walk
-// to descendants (subcast). Without queuing this performs the whole
-// reachability walk immediately and schedules the deliveries — one
-// hop-cohort group event per arrival instant when grouping applies
-// (see canGroupDeliveries), one event per reached host otherwise; with
-// queuing it simulates each hop as its own event.
-//
-// The fast path reuses the network's scratch buffers (visited stamps,
-// DFS stack) and pooled delivery events, so it allocates nothing. The
-// traversal order — children in tree order, then the parent — and the
-// LIFO worklist are load-bearing: they fix the FIFO tie-break sequence
-// of the scheduled deliveries and must match what the old
-// map-and-slice implementation produced.
+// to descendants (subcast). With queuing (or an active queue cap) each
+// hop is simulated as its own event; otherwise the origin's compiled
+// plan performs the whole walk now and schedules the deliveries.
 func (n *Network) flood(origin topology.NodeID, p *Packet, downOnly bool) {
 	if n.cfg.Queuing || n.queueCap > 0 {
 		n.floodHop(origin, origin, topology.None, p, downOnly, n.eng.Now())
 		return
 	}
-	if n.plans != nil {
-		if pl := n.planFor(origin, downOnly); pl != nil {
-			n.replayPlan(pl, p)
-			return
-		}
-	}
-	perHop := n.cfg.LinkDelay + n.txTime(p)
-	now := n.eng.Now()
-	grouped := n.canGroupDeliveries(perHop)
-	if grouped {
-		n.beginGrouping(now, perHop, p)
-	}
-	n.visitGen++
-	gen := n.visitGen
-	stack := n.stack[:0]
-	stack = append(stack, floodVisit{origin, 0})
-	n.visited[origin] = gen
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if v.node != origin {
-			if h := n.hostAt[v.node]; h != nil {
-				if grouped {
-					n.groupDeliver(v.node, v.hops)
-				} else {
-					n.scheduleDelivery(now.Add(time.Duration(v.hops)*perHop+n.jitter()), v.node, h, p)
-				}
-			}
-		}
-		for _, next := range n.tree.Children(v.node) {
-			if n.visited[next] == gen {
-				continue
-			}
-			n.visited[next] = gen
-			if n.linkSevered(next) {
-				continue
-			}
-			n.countCrossing(p)
-			// Moving to a child crosses the child's inbound link downward.
-			if n.drop != nil && n.drop(p, next, true) {
-				continue
-			}
-			stack = append(stack, floodVisit{next, v.hops + 1})
-		}
-		if !downOnly {
-			if parent := n.tree.Parent(v.node); parent != topology.None && n.visited[parent] != gen {
-				n.visited[parent] = gen
-				if n.linkSevered(v.node) {
-					continue
-				}
-				n.countCrossing(p)
-				// Climbing crosses our own inbound link upward.
-				if n.drop == nil || !n.drop(p, v.node, false) {
-					stack = append(stack, floodVisit{parent, v.hops + 1})
-				}
-			}
-		}
-	}
-	n.stack = stack[:0]
-	if grouped {
-		n.flushGroups()
-	}
+	n.replayPlan(n.planFor(origin, downOnly), p)
 }
 
 // hopEvent is the pooled per-hop forwarding event of the queuing flood
@@ -939,7 +846,7 @@ func (n *Network) scheduleHop(at sim.Time, origin, next, from topology.NodeID, p
 }
 
 // floodHop is the event-per-hop variant used when Queuing is enabled.
-// Like flood, it visits children in tree order before the parent.
+// Like replayPlan, it visits children in tree order before the parent.
 func (n *Network) floodHop(origin, node, cameFrom topology.NodeID, p *Packet, downOnly bool, at sim.Time) {
 	if node != origin {
 		if h := n.hostAt[node]; h != nil {
@@ -977,41 +884,49 @@ func (n *Network) Unicast(from, to topology.NodeID, p *Packet) {
 	p.From = from
 	p.To = to
 	p.Mode = ModeUnicast
-	links := n.tree.PathLinks(from, to)
-	tx := n.txTime(p)
-	cur := from
-	at := n.eng.Now()
-	for _, link := range links {
-		var next topology.NodeID
-		var down bool
-		if link == cur {
-			// Climbing: the link's downstream endpoint is where we are.
-			next = n.tree.Parent(cur)
-			down = false
-		} else {
-			next = link
-			down = true
-		}
-		if n.linkSevered(link) {
-			return
-		}
-		n.countCrossing(p)
-		if n.drop != nil && n.drop(p, link, down) {
-			return
-		}
-		if n.cfg.Queuing || n.queueCap > 0 {
-			var ok bool
-			if at, ok = n.hopArrival(link, down, at, p); !ok {
-				return
-			}
-		} else {
-			at = at.Add(n.cfg.LinkDelay + tx)
-		}
-		cur = next
+	at, ok := n.walkLeg(from, to, p)
+	if !ok {
+		return
 	}
 	if h := n.hostAt[to]; h != nil && to != from {
 		n.scheduleDelivery(at.Add(n.jitter()), to, h, p)
 	}
+}
+
+// walkLeg carries p along the tree path from `from` to `to`,
+// accumulating delay and crossing cost — per link sever-test →
+// crossing-count → drop-test, then the queuing or fixed per-hop delay.
+// ok is false when a severed link, a drop or a full queue stopped p.
+func (n *Network) walkLeg(from, to topology.NodeID, p *Packet) (at sim.Time, ok bool) {
+	perHop := n.cfg.LinkDelay + n.txTime(p)
+	queuing := n.cfg.Queuing || n.queueCap > 0
+	cur := from
+	at = n.eng.Now()
+	for _, link := range n.tree.PathLinks(from, to) {
+		// Climbing crosses the inbound link of where we are; descending
+		// crosses the inbound link of where we are going.
+		down := link != cur
+		if n.linkSevered(link) {
+			return at, false
+		}
+		n.countCrossing(p)
+		if n.drop != nil && n.drop(p, link, down) {
+			return at, false
+		}
+		if queuing {
+			if at, ok = n.hopArrival(link, down, at, p); !ok {
+				return at, false
+			}
+		} else {
+			at = at.Add(perHop)
+		}
+		if down {
+			cur = link
+		} else {
+			cur = n.tree.Parent(cur)
+		}
+	}
+	return at, true
 }
 
 // UnicastThenSubcast implements the router-assisted expedited reply of
@@ -1025,39 +940,11 @@ func (n *Network) UnicastThenSubcast(from, via topology.NodeID, p *Packet) {
 	p.From = from
 	p.To = topology.None
 
-	// Walk the unicast leg accumulating delay and cost, as in Unicast,
-	// but classified as unicast crossings.
+	// The leg to the turning point is classified as unicast crossings.
 	p.Mode = ModeUnicast
-	links := n.tree.PathLinks(from, via)
-	tx := n.txTime(p)
-	cur := from
-	at := n.eng.Now()
-	for _, link := range links {
-		var down bool
-		var next topology.NodeID
-		if link == cur {
-			next = n.tree.Parent(cur)
-			down = false
-		} else {
-			next = link
-			down = true
-		}
-		if n.linkSevered(link) {
-			return
-		}
-		n.countCrossing(p)
-		if n.drop != nil && n.drop(p, link, down) {
-			return
-		}
-		if n.cfg.Queuing || n.queueCap > 0 {
-			var ok bool
-			if at, ok = n.hopArrival(link, down, at, p); !ok {
-				return
-			}
-		} else {
-			at = at.Add(n.cfg.LinkDelay + tx)
-		}
-		cur = next
+	at, ok := n.walkLeg(from, via, p)
+	if !ok {
+		return
 	}
 	// Subcast downstream once the packet reaches the turning point. When
 	// the subcast head is itself an attached host (the origin subtree is
@@ -1083,27 +970,21 @@ func (n *Network) hopArrival(link topology.LinkID, down bool, at sim.Time, p *Pa
 		dir = 0
 	}
 	tx := n.txTime(p)
-	if cap := n.queueCap; cap > 0 && tx > 0 {
+	capped := n.queueCap > 0 && tx > 0
+	var q []sim.Time
+	if capped {
 		// Prune transmissions that finished by the arrival instant; the
 		// finish times are appended in non-decreasing order, so the live
 		// suffix is contiguous.
-		q := n.queued[dir][link]
+		q = n.queued[dir][link]
 		for len(q) > 0 && !q[0].After(at) {
 			q = q[1:]
 		}
-		if len(q) >= cap {
+		if len(q) >= n.queueCap {
 			n.queued[dir][link] = q
 			n.queueDrops++
 			return at, false
 		}
-		start := at
-		if b := n.busyUntil[dir][link]; b.After(start) {
-			start = b
-		}
-		finish := start.Add(tx)
-		n.busyUntil[dir][link] = finish
-		n.queued[dir][link] = append(q, finish)
-		return finish.Add(n.cfg.LinkDelay), true
 	}
 	start := at
 	if b := n.busyUntil[dir][link]; b.After(start) {
@@ -1111,5 +992,8 @@ func (n *Network) hopArrival(link topology.LinkID, down bool, at sim.Time, p *Pa
 	}
 	finish := start.Add(tx)
 	n.busyUntil[dir][link] = finish
+	if capped {
+		n.queued[dir][link] = append(q, finish)
+	}
 	return finish.Add(n.cfg.LinkDelay), true
 }

@@ -373,20 +373,6 @@ func TestClassAndModeStrings(t *testing.T) {
 	}
 }
 
-func BenchmarkMulticastFlood(b *testing.B) {
-	eng := sim.NewEngine()
-	tree := topology.MustGenerate(sim.NewRNG(1), topology.GenSpec{Receivers: 15, Depth: 5})
-	net := MustNew(eng, tree, DefaultConfig())
-	for _, r := range tree.Receivers() {
-		net.AttachHost(r, &recorder{})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.Multicast(tree.Root(), &Packet{Class: Payload, Msg: dataMsg{}})
-		eng.Run()
-	}
-}
-
 func BenchmarkUnicastPath(b *testing.B) {
 	eng := sim.NewEngine()
 	tree := topology.MustGenerate(sim.NewRNG(1), topology.GenSpec{Receivers: 15, Depth: 5})
@@ -465,28 +451,27 @@ func TestSubcastControlCountsInRecoveryTotal(t *testing.T) {
 	}
 }
 
-// floodMode selects which flood implementation TestFloodPathEquivalence
-// exercises.
+// floodMode selects which flood path TestFloodPathEquivalence exercises.
 type floodMode int
 
 const (
-	fastDFS   floodMode = iota // non-queuing DFS, no plan cache
-	queuing                    // event-per-hop floodHop (conformance oracle)
-	planCache_                 // non-queuing with the flood plan cache enabled
+	queuing     floodMode = iota // event-per-hop floodHop (conformance oracle)
+	cachedPlan                   // plan replay, every origin admitted to the cache
+	scratchPlan                  // plan replay under budget pressure: scratch plan, then eviction
 )
 
 func (m floodMode) String() string {
-	return [...]string{"fastDFS", "queuing", "plan"}[m]
+	return [...]string{"queuing", "cachedPlan", "scratchPlan"}[m]
 }
 
-// TestFloodPathEquivalence is the property test for the three flood
+// TestFloodPathEquivalence is the property test for the two flood
 // implementations: on random trees, with a deterministic link-local
-// drop function and optionally severed links, the fast (non-queuing)
-// DFS, the event-per-hop queuing path, and plan-cache replay must
-// deliver to exactly the same hosts and cross exactly the same links
-// the same number of times. Only timing may differ (and only for the
-// queuing path; plan replay's timing is byte-identical to the DFS,
-// pinned separately by TestFloodPlanReplayIdenticalSchedule).
+// drop function and optionally severed links, plan replay — from the
+// cache and, on a budget-pressured network, from the scratch plan a
+// refused origin is compiled into — must deliver to exactly the same
+// hosts and cross exactly the same links the same number of times as
+// the event-per-hop queuing path. Only timing may differ (replay's own
+// schedule is pinned by TestFloodPlanReplayIdenticalSchedule).
 func TestFloodPathEquivalence(t *testing.T) {
 	type linkDir struct {
 		link topology.LinkID
@@ -500,9 +485,6 @@ func TestFloodPathEquivalence(t *testing.T) {
 		cfg.Queuing = mode == queuing
 		eng := sim.NewEngine()
 		net := MustNew(eng, tree, cfg)
-		if mode == planCache_ {
-			net.EnableFloodPlans(0)
-		}
 		recs := make(map[topology.NodeID]*recorder)
 		for _, r := range tree.Receivers() {
 			rec := &recorder{}
@@ -532,7 +514,24 @@ func TestFloodPathEquivalence(t *testing.T) {
 				return false
 			})
 		}
-		// Flood twice so the plan mode exercises both the compile-miss
+		if mode == scratchPlan {
+			// A budget of exactly one plan, filled by another origin: the
+			// first flood below is refused admission and replays the
+			// scratch plan, the second re-misses inside the recency
+			// window, is admitted and evicts the resident.
+			net.EnableFloodPlans(tree.NumNodes())
+			primer := tree.Root()
+			if origin == primer {
+				primer = tree.Receivers()[0]
+			}
+			net.Multicast(primer, &Packet{Class: Payload, Msg: reqMsg{}})
+			eng.Run()
+			clear(crossed)
+			for _, rec := range recs {
+				rec.got = nil
+			}
+		}
+		// Flood twice so the cached mode exercises both the compile-miss
 		// and the cache-hit replay; all modes flood twice to keep the
 		// delivery counts comparable.
 		for i := 0; i < 2; i++ {
@@ -542,6 +541,9 @@ func TestFloodPathEquivalence(t *testing.T) {
 				net.Multicast(origin, &Packet{Class: Payload, Msg: reqMsg{}})
 			}
 			eng.Run()
+		}
+		if s := net.PlanStats(); mode == scratchPlan && (s.Hits != 0 || s.Misses != 3 || s.Evictions != 1) {
+			t.Fatalf("scratch mode: stats = %+v, want refusal then admission (0 hits, 3 misses, 1 eviction)", s)
 		}
 		hosts := make(map[topology.NodeID]int)
 		for id, rec := range recs {
@@ -560,26 +562,26 @@ func TestFloodPathEquivalence(t *testing.T) {
 			for _, subcast := range []bool{false, true} {
 				for _, dropMod := range []int{0, 3, 5} {
 					for _, sevMod := range []int{0, 4} {
-						refHosts, refLinks := run(tree, fastDFS, origin, subcast, dropMod, sevMod)
-						for _, mode := range []floodMode{queuing, planCache_} {
+						refHosts, refLinks := run(tree, queuing, origin, subcast, dropMod, sevMod)
+						for _, mode := range []floodMode{cachedPlan, scratchPlan} {
 							gotHosts, gotLinks := run(tree, mode, origin, subcast, dropMod, sevMod)
 							if len(refHosts) != len(gotHosts) {
-								t.Fatalf("seed=%d origin=%d subcast=%v drop=%d sev=%d: host sets differ: fast=%v %v=%v",
+								t.Fatalf("seed=%d origin=%d subcast=%v drop=%d sev=%d: host sets differ: queuing=%v %v=%v",
 									seed, origin, subcast, dropMod, sevMod, refHosts, mode, gotHosts)
 							}
 							for id, nf := range refHosts {
 								if gotHosts[id] != nf {
-									t.Fatalf("seed=%d origin=%d subcast=%v drop=%d sev=%d: host %d deliveries fast=%d %v=%d",
+									t.Fatalf("seed=%d origin=%d subcast=%v drop=%d sev=%d: host %d deliveries queuing=%d %v=%d",
 										seed, origin, subcast, dropMod, sevMod, id, nf, mode, gotHosts[id])
 								}
 							}
 							if len(refLinks) != len(gotLinks) {
-								t.Fatalf("seed=%d origin=%d subcast=%v drop=%d sev=%d: crossed link sets differ: fast=%v %v=%v",
+								t.Fatalf("seed=%d origin=%d subcast=%v drop=%d sev=%d: crossed link sets differ: queuing=%v %v=%v",
 									seed, origin, subcast, dropMod, sevMod, refLinks, mode, gotLinks)
 							}
 							for ld, nf := range refLinks {
 								if gotLinks[ld] != nf {
-									t.Fatalf("seed=%d origin=%d subcast=%v drop=%d sev=%d: link %v crossings fast=%d %v=%d",
+									t.Fatalf("seed=%d origin=%d subcast=%v drop=%d sev=%d: link %v crossings queuing=%d %v=%d",
 										seed, origin, subcast, dropMod, sevMod, ld, nf, mode, gotLinks[ld])
 								}
 							}
@@ -672,28 +674,39 @@ func TestGroupedDeliveryOrderMatchesPerHost(t *testing.T) {
 
 // TestFloodFastPathAllocationFree pins the tentpole property: once the
 // scratch buffers and pools are warm, a multicast flood performs no
-// per-packet heap allocations beyond the packet itself.
+// heap allocations — whether the plan is replayed from the cache or, on
+// a network whose budget admits nothing, recompiled into the reused
+// scratch plan on every flood.
 func TestFloodFastPathAllocationFree(t *testing.T) {
-	eng := sim.NewEngine()
-	tree := topology.MustGenerate(sim.NewRNG(1), topology.GenSpec{Receivers: 15, Depth: 5})
-	net := MustNew(eng, tree, DefaultConfig())
-	for _, r := range tree.Receivers() {
-		net.AttachHost(r, &recorder{})
-	}
-	pkt := &Packet{Class: Payload, Msg: dataMsg{}}
-	// Warm-up: grow scratch, pools, heap and recorder slices.
-	for i := 0; i < 8; i++ {
-		net.Multicast(tree.Root(), pkt)
-		eng.Run()
-	}
-	avg := testing.AllocsPerRun(50, func() {
-		net.Multicast(tree.Root(), pkt)
-		eng.Run()
-	})
-	// The recorder appends to its deliveries slice, which occasionally
-	// reallocates; everything else must be allocation-free.
-	if avg > 1 {
-		t.Fatalf("flood allocates %.1f objects per packet, want <= 1", avg)
+	for _, refuseAll := range []bool{false, true} {
+		eng := sim.NewEngine()
+		tree := topology.MustGenerate(sim.NewRNG(1), topology.GenSpec{Receivers: 15, Depth: 5})
+		net := MustNew(eng, tree, DefaultConfig())
+		if refuseAll {
+			net.EnableFloodPlans(tree.NumNodes() - 1)
+		}
+		for _, r := range tree.Receivers() {
+			net.AttachHost(r, nullHost{})
+		}
+		pkt := &Packet{Class: Payload, Msg: dataMsg{}}
+		origins := []topology.NodeID{tree.Root(), tree.Receivers()[0]}
+		// Warm-up: grow scratch, pools and the engine's wheel.
+		for i := 0; i < 8; i++ {
+			net.Multicast(origins[i%2], pkt)
+			eng.Run()
+		}
+		i := 0
+		avg := testing.AllocsPerRun(50, func() {
+			net.Multicast(origins[i%2], pkt)
+			eng.Run()
+			i++
+		})
+		if avg != 0 {
+			t.Fatalf("refuseAll=%v: flood allocates %.1f objects per packet, want 0", refuseAll, avg)
+		}
+		if s := net.PlanStats(); refuseAll && s.Hits != 0 {
+			t.Fatalf("refuseAll network cached a plan: %+v", s)
+		}
 	}
 }
 

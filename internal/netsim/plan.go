@@ -1,25 +1,26 @@
-// Flood plan cache: the per-origin compiled fan-out (tentpole of the
-// "cache the multicast fan-out" optimization). A plan pairs a
-// topology.Tour — the flattened Euler-tour of the fast flood's DFS from
-// one origin — with the host flag of every visited entry. Replaying the
-// plan performs the same deliveries, the same sever → count → drop call
-// sequence per link, and the same jitter/drop/duplicate RNG draws in the
-// same order as the DFS, so a run with plans enabled is byte-identical
-// (fingerprint and all) to one without; see topology/tour.go for the
-// order-preservation argument and DESIGN.md §14 for the full design.
+// Flood plans: the per-origin compiled fan-out every non-queuing flood
+// replays. A plan pairs a topology.Tour — the flattened Euler-tour of a
+// LIFO depth-first flood from one origin — with the host flag of every
+// visited entry. Replaying the plan performs the deliveries, the sever →
+// count → drop call sequence per link, and the jitter/drop/duplicate RNG
+// draws in exactly the order that walk would; see topology/tour.go for
+// the order-preservation argument and DESIGN.md §14 for the full design.
 //
 // Plans are compiled lazily on first use and held in a size-capped LRU
 // keyed by (origin, downOnly). The cap is a total entry budget across
 // all cached plans, bounding worst-case cache heap at roughly
-// budget × ~40 bytes regardless of tree size or origin diversity.
-// Origins past the cap fall back to the plain DFS; admission under
-// pressure is scan-resistant (an origin must re-miss within a recency
-// window before it may evict residents), so a one-shot sweep over many
-// origins — the session-message round-robin at SYN10K scale — never
-// thrashes the resident working set.
+// budget × ~40 bytes regardless of tree size or origin diversity. An
+// origin the cache refuses is compiled into one reused scratch plan and
+// replayed from there — same path, nothing inserted, no garbage.
+// Admission under pressure is scan-resistant (an origin must re-miss
+// within a recency window before it may evict residents), so a one-shot
+// sweep over many origins — the session-message round-robin at SYN10K
+// scale — never thrashes the resident working set.
 package netsim
 
 import (
+	"container/list"
+	"slices"
 	"time"
 
 	"cesrm/internal/topology"
@@ -36,8 +37,8 @@ type PlanStats struct {
 	// Hits counts floods replayed from a cached plan.
 	Hits uint64
 	// Misses counts floods that found no cached plan; a miss compiles
-	// and caches the plan when the budget and admission policy allow,
-	// and falls back to the DFS otherwise.
+	// the plan, and caches it when the budget and admission policy
+	// allow.
 	Misses uint64
 	// Evictions counts plans removed to make room (plus plans discarded
 	// by a cache invalidation, e.g. a post-setup AttachHost).
@@ -57,24 +58,37 @@ type floodPlan struct {
 	key  int64
 	tour topology.Tour
 	host []bool
-	// prev/next chain the cache's LRU list, most recent at head.
-	prev, next *floodPlan
 }
 
 // planCache is the size-capped LRU of compiled flood plans.
 type planCache struct {
-	byKey      map[int64]*floodPlan
-	head, tail *floodPlan
+	// byKey finds a plan's element in lru, whose values are *floodPlan,
+	// most recently used at the front.
+	byKey map[int64]*list.Element
+	lru   list.List
 	// budget and used count tour entries, not plans: the unit that
 	// actually bounds heap.
 	budget, used int
 	stats        PlanStats
+	// builder compiles every miss; scratch is the plan a refused origin
+	// is compiled into, its slices reused from one refusal to the next.
+	builder topology.TourBuilder
+	scratch floodPlan
 	// lastMiss and tick implement scan-resistant admission: lastMiss[k]
 	// is the miss tick at which plan key k last failed a lookup. When
 	// inserting would evict, the key must have re-missed within the
 	// admission window to be admitted.
 	lastMiss []int64
 	tick     int64
+}
+
+// newPlanCache returns an empty cache at the default budget.
+func newPlanCache(tree *topology.Tree) planCache {
+	return planCache{
+		byKey:    make(map[int64]*list.Element),
+		budget:   DefaultFloodPlanEntries,
+		lastMiss: make([]int64, 2*tree.NumNodes()),
+	}
 }
 
 // planKey encodes (origin, downOnly): full floods and subcasts from the
@@ -87,118 +101,66 @@ func planKey(origin topology.NodeID, downOnly bool) int64 {
 	return k
 }
 
-// EnableFloodPlans turns on the flood plan cache with the given total
-// entry budget (<= 0 selects DefaultFloodPlanEntries). Enable once,
-// before the run; plans never change observable behavior — only the
-// cost of the fast flood path — so fingerprints are byte-identical with
-// the cache on or off. The queuing flood path ignores plans entirely
-// and remains the conformance oracle.
+// EnableFloodPlans sets the plan cache's total entry budget (<= 0
+// selects DefaultFloodPlanEntries, New's default), evicting down to it.
+// The budget only decides how many floods recompile their plan, so
+// fingerprints are byte-identical at any value. The queuing flood path
+// ignores plans entirely and remains the conformance oracle.
 func (n *Network) EnableFloodPlans(budgetEntries int) {
 	if budgetEntries <= 0 {
 		budgetEntries = DefaultFloodPlanEntries
 	}
-	n.plans = &planCache{
-		byKey:    make(map[int64]*floodPlan),
-		budget:   budgetEntries,
-		lastMiss: make([]int64, 2*n.tree.NumNodes()),
+	c := &n.plans
+	c.budget = budgetEntries
+	for c.used > c.budget {
+		c.evictLRU()
 	}
 }
 
-// PlanStats returns a snapshot of the plan cache counters; zero when
-// the cache is disabled.
-func (n *Network) PlanStats() PlanStats {
-	if n.plans == nil {
-		return PlanStats{}
-	}
-	return n.plans.stats
-}
+// PlanStats returns a snapshot of the plan cache counters.
+func (n *Network) PlanStats() PlanStats { return n.plans.stats }
 
 // invalidatePlans discards every cached plan (host flags are baked into
-// plans, so AttachHost after enabling must purge). Counted as
+// plans, so AttachHost after the first flood must purge). Counted as
 // evictions.
 func (n *Network) invalidatePlans() {
-	c := n.plans
-	if c == nil || len(c.byKey) == 0 {
+	c := &n.plans
+	if len(c.byKey) == 0 {
 		return
 	}
 	c.stats.Evictions += uint64(len(c.byKey))
-	c.byKey = make(map[int64]*floodPlan)
-	c.head, c.tail = nil, nil
+	clear(c.byKey)
+	c.lru.Init()
 	c.used = 0
-}
-
-// moveToFront marks pl most recently used.
-func (c *planCache) moveToFront(pl *floodPlan) {
-	if c.head == pl {
-		return
-	}
-	// Unlink (pl is in the list and is not head, so pl.prev != nil).
-	pl.prev.next = pl.next
-	if pl.next != nil {
-		pl.next.prev = pl.prev
-	} else {
-		c.tail = pl.prev
-	}
-	// Relink at head.
-	pl.prev = nil
-	pl.next = c.head
-	c.head.prev = pl
-	c.head = pl
-}
-
-// insertFront links a fresh plan at the head of the LRU list.
-func (c *planCache) insertFront(pl *floodPlan) {
-	pl.prev = nil
-	pl.next = c.head
-	if c.head != nil {
-		c.head.prev = pl
-	}
-	c.head = pl
-	if c.tail == nil {
-		c.tail = pl
-	}
-	c.byKey[pl.key] = pl
-	c.used += len(pl.tour.Entries)
 }
 
 // evictLRU removes the least recently used plan.
 func (c *planCache) evictLRU() {
-	pl := c.tail
-	if pl == nil {
-		return
-	}
-	c.tail = pl.prev
-	if c.tail != nil {
-		c.tail.next = nil
-	} else {
-		c.head = nil
-	}
+	pl := c.lru.Remove(c.lru.Back()).(*floodPlan)
 	delete(c.byKey, pl.key)
 	c.used -= len(pl.tour.Entries)
 	c.stats.Evictions++
-	pl.prev, pl.next = nil, nil
 }
 
-// planFor returns the cached plan for (origin, downOnly), compiling and
-// caching it on a miss when the budget allows. A nil return means the
-// flood should take the plain DFS path.
+// planFor returns the plan for (origin, downOnly): the cached one, or
+// on a miss a freshly compiled one — inserted when budget and admission
+// policy allow, otherwise the scratch plan, valid until the next miss.
 func (n *Network) planFor(origin topology.NodeID, downOnly bool) *floodPlan {
-	c := n.plans
+	c := &n.plans
 	key := planKey(origin, downOnly)
-	if pl := c.byKey[key]; pl != nil {
+	if el := c.byKey[key]; el != nil {
 		c.stats.Hits++
-		c.moveToFront(pl)
-		return pl
+		c.lru.MoveToFront(el)
+		return el.Value.(*floodPlan)
 	}
 	c.stats.Misses++
 	c.tick++
 	// Admission is decided before compiling, using the tree size as the
-	// plan-size bound, so a rejected origin costs one map probe — not a
-	// wasted tree walk.
+	// plan-size bound, so a refused origin never allocates a plan.
 	bound := n.tree.NumNodes()
 	if bound > c.budget {
 		// A full plan could exceed the whole budget: never cache.
-		return nil
+		return n.compilePlan(&c.scratch, origin, downOnly)
 	}
 	if c.used+bound > c.budget {
 		// Inserting may evict residents. Scan resistance: only an origin
@@ -211,51 +173,54 @@ func (n *Network) planFor(origin topology.NodeID, downOnly bool) *floodPlan {
 		c.lastMiss[key] = c.tick
 		window := int64(4*len(c.byKey)) + 64
 		if last == 0 || c.tick-last > window {
-			return nil
+			return n.compilePlan(&c.scratch, origin, downOnly)
 		}
 	}
-	pl := n.compilePlan(key, origin, downOnly)
+	pl := n.compilePlan(&floodPlan{key: key}, origin, downOnly)
 	for c.used+len(pl.tour.Entries) > c.budget {
 		c.evictLRU()
 	}
-	c.insertFront(pl)
+	c.byKey[key] = c.lru.PushFront(pl)
+	c.used += len(pl.tour.Entries)
 	return pl
 }
 
-// compilePlan builds the plan: the pure-topology tour plus the host
-// flags at compile time.
-func (n *Network) compilePlan(key int64, origin topology.NodeID, downOnly bool) *floodPlan {
-	tour := n.tree.FloodTour(origin, downOnly)
-	host := make([]bool, len(tour.Entries))
-	for i := range tour.Entries {
-		host[i] = n.hostAt[tour.Entries[i].Node] != nil
+// compilePlan builds the plan into pl, reusing its slices: the
+// pure-topology tour plus the host flags at compile time.
+func (n *Network) compilePlan(pl *floodPlan, origin topology.NodeID, downOnly bool) *floodPlan {
+	n.plans.builder.Build(n.tree, origin, downOnly, &pl.tour)
+	pl.host = slices.Grow(pl.host[:0], len(pl.tour.Entries))[:len(pl.tour.Entries)]
+	for i := range pl.tour.Entries {
+		pl.host[i] = n.hostAt[pl.tour.Entries[i].Node] != nil
 	}
-	return &floodPlan{key: key, tour: tour, host: host}
+	return pl
 }
 
-// replayPlan reenacts the flood from a compiled plan: a linear scan of
-// the pop-order entries, each delivering (when hosting) and running its
-// link checks exactly as the DFS would, with severed or dropped links
-// marking the neighbor's region start so the scan jumps its whole span.
-// The call sequence — jitter draw, linkSevered, countCrossing, drop,
-// delivery scheduling (hop-cohort groups or per-host events, chosen by
-// the same canGroupDeliveries predicate the DFS uses) — is identical
-// to the DFS's by the region-contiguity argument in topology/tour.go,
-// so fingerprints cannot move. Allocation-free once the skip-mark
-// scratch has grown to the largest replayed plan.
+// replayPlan is the non-queuing flood: a linear scan of the plan's
+// pop-order entries, each delivering (when hosting) and then running
+// its link checks — children in tree order, then the parent; per link
+// sever-test → crossing-count → drop-test — with a severed or dropped
+// link marking the neighbor's region start so the scan jumps its whole
+// span. That order is load-bearing: it fixes the jitter/drop RNG draw
+// order and the FIFO tie-break sequence of the scheduled deliveries
+// (hop-cohort groups or per-host events, see canGroupDeliveries), and
+// is the LIFO depth-first order every pinned fingerprint was produced
+// by (region-contiguity argument in topology/tour.go). Deliveries fire
+// later, from scheduled events, so the scratch state is never
+// re-entered; allocation-free once skipMark fits the largest plan.
 func (n *Network) replayPlan(pl *floodPlan, p *Packet) {
 	entries, ops := pl.tour.Entries, pl.tour.Ops
 	if len(n.skipMark) < len(entries) {
 		n.skipMark = make([]uint64, len(entries))
 	}
 	mark := n.skipMark
-	n.visitGen++
-	gen := n.visitGen
+	n.skipGen++
+	gen := n.skipGen
 	perHop := n.cfg.LinkDelay + n.txTime(p)
 	now := n.eng.Now()
 	grouped := n.canGroupDeliveries(perHop)
 	if grouped {
-		n.beginGrouping(now, perHop, p)
+		n.gNow, n.gPerHop, n.gPkt = now, perHop, p
 	}
 	for i := 0; i < len(entries); {
 		if mark[i] == gen {

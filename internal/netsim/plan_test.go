@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"fmt"
+	"sort"
 	"testing"
 	"time"
 
@@ -15,59 +17,189 @@ type nullHost struct{}
 
 func (nullHost) Deliver(sim.Time, *Packet) {}
 
-// TestFloodPlanReplayIdenticalSchedule pins the tentpole property at
-// its strongest: with jitter enabled (so every delivery consumes an RNG
-// draw), a run with the plan cache enabled must produce byte-identical
-// delivery schedules — same hosts, same timestamps, same order — as the
-// plain DFS, across random trees, origins, subcast roots, deterministic
-// drops and severed links. Identical timestamps under jitter can only
-// happen if replay draws the RNG in exactly the DFS's order.
+// refFlood is the reference TestFloodPlanReplayIdenticalSchedule pins
+// plan replay against: the non-queuing flood written as the plain
+// recursive walk it is defined to be, with no tours, plans or skip
+// marks. A visited node first delivers (drawing jitter, then consulting
+// the duplicate rule), then checks its links — children in tree order,
+// then the parent; per link sever-test → crossing-count → drop-test —
+// and then descends into the survivors last-checked first (the order a
+// LIFO worklist pops them).
+type refFlood struct {
+	tree      *topology.Tree
+	isHost    func(topology.NodeID) bool
+	severed   func(topology.LinkID) bool
+	drop      func(link topology.LinkID, down bool) bool
+	dup       func(id uint64, at sim.Time) (time.Duration, bool)
+	jitter    *sim.RNG
+	maxJitter time.Duration
+	perHop    time.Duration
+
+	// checks is every counted link crossing, in call order; sched is
+	// every delivery in scheduling order (the engine's FIFO tie-break).
+	checks []refCheck
+	sched  []orderEntry
+}
+
+type refCheck struct {
+	link topology.LinkID
+	down bool
+}
+
+func (r *refFlood) visit(node, from, origin topology.NodeID, hops int, downOnly bool, now sim.Time, id uint64) {
+	if node != origin && r.isHost(node) {
+		at := now.Add(time.Duration(hops)*r.perHop + r.jitter.UniformDuration(0, r.maxJitter))
+		r.sched = append(r.sched, orderEntry{node, at, id})
+		if extra, dup := r.dup(id, at); dup {
+			r.sched = append(r.sched, orderEntry{node, at.Add(extra), id})
+		}
+	}
+	var next []topology.NodeID
+	for _, c := range r.tree.Children(node) {
+		if c == from || r.severed(c) {
+			continue
+		}
+		r.checks = append(r.checks, refCheck{c, true})
+		if !r.drop(c, true) {
+			next = append(next, c)
+		}
+	}
+	if p := r.tree.Parent(node); !downOnly && p != topology.None && p != from && !r.severed(node) {
+		r.checks = append(r.checks, refCheck{node, false})
+		if !r.drop(node, false) {
+			next = append(next, p)
+		}
+	}
+	for i := len(next) - 1; i >= 0; i-- {
+		r.visit(next[i], node, origin, hops+1, downOnly, now, id)
+	}
+}
+
+// TestFloodPlanReplayIdenticalSchedule pins plan replay at its
+// strongest: with jitter enabled (so every delivery consumes an RNG
+// draw) and a duplicate hook installed, replay — from the cache and
+// from the scratch plan of a network whose budget admits nothing — must
+// produce exactly the reference walk's cross-host (host, instant)
+// delivery order, its link-check sequence with the crossing counter
+// advancing once before each drop test, and its duplicate-hook call
+// order, across random trees, origins, subcast roots, deterministic
+// drops and severed links. Identical instants under jitter can only
+// happen if replay draws the RNG in exactly the reference's order.
 func TestFloodPlanReplayIdenticalSchedule(t *testing.T) {
-	run := func(tree *topology.Tree, plans bool, origin topology.NodeID, subcast bool, dropMod, sevMod int) map[topology.NodeID][]sim.Time {
+	const maxJitter = 3 * time.Millisecond
+	dupRule := func(id uint64, at sim.Time) (time.Duration, bool) {
+		return time.Duration(id+1) * time.Millisecond, (uint64(at)+id)%3 == 0
+	}
+	check := func(tree *topology.Tree, seed int64, refuseAll bool, origin topology.NodeID, subcast bool, dropMod, sevMod int) {
+		t.Helper()
+		where := fmt.Sprintf("seed=%d origin=%d subcast=%v drop=%d sev=%d refuseAll=%v", seed, origin, subcast, dropMod, sevMod, refuseAll)
+		dropRule := func(link topology.LinkID, down bool) bool {
+			if dropMod == 0 {
+				return false
+			}
+			k := int(link) * 2
+			if down {
+				k++
+			}
+			return k%dropMod == 0
+		}
+		severed := func(link topology.LinkID) bool {
+			return sevMod > 0 && int(link) >= 1 && (int(link)-1)%sevMod == 0
+		}
+
 		eng := sim.NewEngine()
-		net := MustNew(eng, tree, DefaultConfig())
-		if plans {
-			net.EnableFloodPlans(0)
+		cfg := DefaultConfig()
+		net := MustNew(eng, tree, cfg)
+		if refuseAll {
+			net.EnableFloodPlans(tree.NumNodes() - 1)
 		}
-		net.EnableJitter(sim.NewRNG(42), 3*time.Millisecond)
-		recs := make(map[topology.NodeID]*recorder)
+		net.EnableJitter(sim.NewRNG(42), maxJitter)
+		log := &orderLog{}
 		for _, r := range tree.Receivers() {
-			rec := &recorder{}
-			recs[r] = rec
-			net.AttachHost(r, rec)
+			net.AttachHost(r, &orderTap{log: log, node: r})
 		}
-		if sevMod > 0 {
-			for l := 1; l < tree.NumNodes(); l += sevMod {
+		for l := 1; l < tree.NumNodes(); l++ {
+			if severed(topology.LinkID(l)) {
 				net.SetLinkUp(topology.LinkID(l), false)
 			}
 		}
-		if dropMod > 0 {
-			net.SetDropFunc(func(p *Packet, link topology.LinkID, down bool) bool {
-				k := int(link) * 2
-				if down {
-					k++
-				}
-				return k%dropMod == 0
-			})
+		var checks []refCheck
+		net.SetDropFunc(func(p *Packet, link topology.LinkID, down bool) bool {
+			checks = append(checks, refCheck{link, down})
+			// sever → count → drop: the crossing is counted before the
+			// drop test and a severed link is never counted, so the k-th
+			// drop test sees exactly k crossings.
+			if c := net.Counts(); c.PayloadMulticast+c.PayloadSubcast != uint64(len(checks)) {
+				t.Fatalf("%s: drop test %d saw %d crossings counted", where, len(checks), c.PayloadMulticast+c.PayloadSubcast)
+			}
+			return dropRule(link, down)
+		})
+		var dupCalls []orderEntry
+		net.SetDupFunc(func(p *Packet, at sim.Time) (time.Duration, bool) {
+			dupCalls = append(dupCalls, orderEntry{0, at, p.ID})
+			return dupRule(p.ID, at)
+		})
+
+		ref := &refFlood{
+			tree:      tree,
+			isHost:    tree.IsReceiver,
+			severed:   severed,
+			drop:      dropRule,
+			dup:       dupRule,
+			jitter:    sim.NewRNG(42),
+			maxJitter: maxJitter,
+			perHop:    cfg.LinkDelay + serializeTime(cfg.PayloadBytes, cfg.Bandwidth),
 		}
 		// Several floods per run: the first compiles (miss), the rest
-		// replay (hits), and every flood advances the shared jitter RNG,
-		// so any draw-order divergence compounds into later floods.
-		for i := 0; i < 3; i++ {
+		// replay (hits, or recompiles into the reused scratch plan), and
+		// every flood advances the shared jitter RNG, so any draw-order
+		// divergence compounds into later floods.
+		for id := uint64(0); id < 3; id++ {
+			ref.visit(origin, topology.None, origin, 0, subcast, eng.Now(), id)
 			if subcast {
 				net.Subcast(origin, &Packet{Class: Payload, From: origin, Msg: reqMsg{}})
 			} else {
-				net.Multicast(origin, &Packet{Class: Payload, Msg: dataMsg{}})
+				net.Multicast(origin, &Packet{Class: Payload, Msg: reqMsg{}})
 			}
 			eng.Run()
 		}
-		out := make(map[topology.NodeID][]sim.Time)
-		for id, rec := range recs {
-			for _, d := range rec.got {
-				out[id] = append(out[id], d.at)
+
+		if len(checks) != len(ref.checks) {
+			t.Fatalf("%s: %d link checks, reference %d", where, len(checks), len(ref.checks))
+		}
+		for i := range checks {
+			if checks[i] != ref.checks[i] {
+				t.Fatalf("%s: link check %d = %+v, reference %+v", where, i, checks[i], ref.checks[i])
 			}
 		}
-		return out
+		// The duplicate hook is consulted once per first-copy delivery,
+		// in scheduling order.
+		var firsts []orderEntry
+		for i, e := range ref.sched {
+			if i == 0 || ref.sched[i-1].node != e.node || ref.sched[i-1].pkt != e.pkt {
+				firsts = append(firsts, orderEntry{0, e.at, e.pkt})
+			}
+		}
+		if len(dupCalls) != len(firsts) {
+			t.Fatalf("%s: %d duplicate-hook calls, reference %d", where, len(dupCalls), len(firsts))
+		}
+		for i := range dupCalls {
+			if dupCalls[i] != firsts[i] {
+				t.Fatalf("%s: duplicate-hook call %d = %+v, reference %+v", where, i, dupCalls[i], firsts[i])
+			}
+		}
+		// The engine dispatches by instant, FIFO among equals: a stable
+		// sort of the scheduling order.
+		want := append([]orderEntry(nil), ref.sched...)
+		sort.SliceStable(want, func(i, j int) bool { return want[i].at.Before(want[j].at) })
+		if len(log.events) != len(want) {
+			t.Fatalf("%s: %d deliveries, reference %d", where, len(log.events), len(want))
+		}
+		for i := range want {
+			if log.events[i] != want[i] {
+				t.Fatalf("%s: delivery %d = %+v, reference %+v", where, i, log.events[i], want[i])
+			}
+		}
 	}
 
 	for seed := int64(0); seed < 6; seed++ {
@@ -78,24 +210,8 @@ func TestFloodPlanReplayIdenticalSchedule(t *testing.T) {
 			for _, subcast := range []bool{false, true} {
 				for _, dropMod := range []int{0, 3} {
 					for _, sevMod := range []int{0, 5} {
-						want := run(tree, false, origin, subcast, dropMod, sevMod)
-						got := run(tree, true, origin, subcast, dropMod, sevMod)
-						if len(want) != len(got) {
-							t.Fatalf("seed=%d origin=%d subcast=%v drop=%d sev=%d: delivered host sets differ: dfs=%d plan=%d",
-								seed, origin, subcast, dropMod, sevMod, len(want), len(got))
-						}
-						for id, ts := range want {
-							gts := got[id]
-							if len(ts) != len(gts) {
-								t.Fatalf("seed=%d origin=%d subcast=%v drop=%d sev=%d host=%d: delivery counts dfs=%d plan=%d",
-									seed, origin, subcast, dropMod, sevMod, id, len(ts), len(gts))
-							}
-							for i := range ts {
-								if ts[i] != gts[i] {
-									t.Fatalf("seed=%d origin=%d subcast=%v drop=%d sev=%d host=%d delivery %d: dfs at %v, plan at %v",
-										seed, origin, subcast, dropMod, sevMod, id, i, ts[i], gts[i])
-								}
-							}
+						for _, refuseAll := range []bool{false, true} {
+							check(tree, seed, refuseAll, origin, subcast, dropMod, sevMod)
 						}
 					}
 				}
@@ -167,7 +283,7 @@ func TestFloodPlanScanResistance(t *testing.T) {
 }
 
 // TestFloodPlanTooLargeNeverCached: a budget below the tree size can
-// never hold a plan; every flood falls back to the DFS and still
+// never hold a plan; every flood replays the scratch plan and still
 // delivers.
 func TestFloodPlanTooLargeNeverCached(t *testing.T) {
 	eng := sim.NewEngine()
@@ -184,7 +300,7 @@ func TestFloodPlanTooLargeNeverCached(t *testing.T) {
 		t.Fatalf("stats = %+v, want pure misses", s)
 	}
 	if len(rec.got) != 4 {
-		t.Fatalf("DFS fallback delivered %d packets, want 4", len(rec.got))
+		t.Fatalf("scratch-plan replay delivered %d packets, want 4", len(rec.got))
 	}
 }
 
@@ -212,9 +328,8 @@ func TestFloodPlanAttachHostInvalidates(t *testing.T) {
 	}
 }
 
-// TestFloodPlanAllocationFree is the strict version of
-// TestFloodFastPathAllocationFree for plan replay: with no-op hosts a
-// warm cached flood performs zero heap allocations.
+// TestFloodPlanAllocationFree: with no-op hosts a warm cached flood
+// performs zero heap allocations.
 func TestFloodPlanAllocationFree(t *testing.T) {
 	eng := sim.NewEngine()
 	tree := topology.MustGenerate(sim.NewRNG(1), topology.GenSpec{Receivers: 15, Depth: 5})
@@ -237,57 +352,38 @@ func TestFloodPlanAllocationFree(t *testing.T) {
 	}
 }
 
-// BenchmarkFloodPlan measures a warm cached flood end to end
-// (replay + engine dispatch of the deliveries); compare against
-// BenchmarkMulticastFlood, the identical workload on the DFS path.
+// BenchmarkFloodPlan measures a warm flood end to end (replay + engine
+// dispatch of the deliveries) on the paper-sized tree and on a
+// 1000-receiver one, from the cache and — "scratch" — on a network whose
+// budget admits nothing, where every flood also recompiles its plan.
 func BenchmarkFloodPlan(b *testing.B) {
-	eng := sim.NewEngine()
-	tree := topology.MustGenerate(sim.NewRNG(1), topology.GenSpec{Receivers: 15, Depth: 5})
-	net := MustNew(eng, tree, DefaultConfig())
-	net.EnableFloodPlans(0)
-	for _, r := range tree.Receivers() {
-		net.AttachHost(r, &recorder{})
-	}
-	pkt := &Packet{Class: Payload, Msg: dataMsg{}}
-	net.Multicast(tree.Root(), pkt)
-	eng.Run()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.Multicast(tree.Root(), pkt)
-		eng.Run()
-	}
-}
-
-// BenchmarkFloodPlanLarge is the same comparison on a 1000-receiver
-// tree, where the DFS's per-node stack traffic and visited stamps cost
-// the most.
-func BenchmarkFloodPlanLarge(b *testing.B) {
-	for _, plans := range []bool{false, true} {
-		name := "dfs"
-		if plans {
-			name = "plan"
-		}
-		b.Run(name, func(b *testing.B) {
-			eng := sim.NewEngine()
-			tree := topology.MustGenerate(sim.NewRNG(1), topology.GenSpec{Receivers: 1000, Depth: 8})
-			net := MustNew(eng, tree, DefaultConfig())
-			if plans {
-				net.EnableFloodPlans(0)
+	for _, receivers := range []int{15, 1000} {
+		for _, scratch := range []bool{false, true} {
+			name := fmt.Sprintf("receivers=%d/cached", receivers)
+			if scratch {
+				name = fmt.Sprintf("receivers=%d/scratch", receivers)
 			}
-			for _, r := range tree.Receivers() {
-				net.AttachHost(r, nullHost{})
-			}
-			pkt := &Packet{Class: Payload, Msg: dataMsg{}}
-			net.Multicast(tree.Root(), pkt)
-			eng.Run()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			b.Run(name, func(b *testing.B) {
+				eng := sim.NewEngine()
+				tree := topology.MustGenerate(sim.NewRNG(1), topology.GenSpec{Receivers: receivers, Depth: 5 + receivers/300})
+				net := MustNew(eng, tree, DefaultConfig())
+				if scratch {
+					net.EnableFloodPlans(tree.NumNodes() - 1)
+				}
+				for _, r := range tree.Receivers() {
+					net.AttachHost(r, nullHost{})
+				}
+				pkt := &Packet{Class: Payload, Msg: dataMsg{}}
 				net.Multicast(tree.Root(), pkt)
 				eng.Run()
-			}
-		})
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					net.Multicast(tree.Root(), pkt)
+					eng.Run()
+				}
+			})
+		}
 	}
 }
 

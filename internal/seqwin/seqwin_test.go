@@ -1,0 +1,194 @@
+package seqwin
+
+import (
+	"math/rand"
+	"testing"
+)
+
+// model is the obviously-right reference the property test compares
+// against: a map of stored cells, the set of marked sequence numbers,
+// and the release watermark.
+type model struct {
+	base   int
+	top    int // one past the highest cell ever ensured at or above base
+	cells  map[int]int
+	marked map[int]bool
+}
+
+func (m *model) get(seq int) (int, bool) {
+	if seq < m.base || seq >= m.top {
+		return 0, false
+	}
+	return m.cells[seq], true
+}
+
+func (m *model) has(seq int) bool {
+	return seq >= 0 && (seq < m.base || m.marked[seq])
+}
+
+func (m *model) held() int {
+	h := m.base
+	for m.marked[h] {
+		h++
+	}
+	return h
+}
+
+func (m *model) release(n int) {
+	if n <= m.base {
+		return
+	}
+	for seq := range m.cells {
+		if seq < n {
+			delete(m.cells, seq)
+		}
+	}
+	for seq := range m.marked {
+		if seq < n {
+			delete(m.marked, seq)
+		}
+	}
+	m.base = n
+	if m.top < n {
+		m.top = n
+	}
+}
+
+func (m *model) openAt(floor int) {
+	*m = model{base: floor, top: floor, cells: map[int]int{}, marked: map[int]bool{}}
+}
+
+// TestWindowMatchesMapModel drives a Window[int] and a Prefix through
+// seeded random Ensure/Get/Mark/ReleaseThrough/OpenAt sequences and
+// checks every observable against the map-and-watermark model: writes
+// below the base never become visible, the scratch cell is zeroed per
+// use, reads outside [Base, Base+Len) are nil, Has below the base is
+// true, Held is the contiguous marked prefix, and release clamps to it.
+func TestWindowMatchesMapModel(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var w Window[int]
+		var p Prefix
+		m := &model{}
+		m.openAt(0)
+		// Both structures share the model's watermark: the agents release
+		// their reception prefix and cell windows together.
+		check := func(op string) {
+			t.Helper()
+			if w.Base() != m.base || p.Base() != m.base {
+				t.Fatalf("seed %d after %s: Base = %d/%d, want %d", seed, op, w.Base(), p.Base(), m.base)
+			}
+			if w.Len() != m.top-m.base {
+				t.Fatalf("seed %d after %s: Len = %d, want %d", seed, op, w.Len(), m.top-m.base)
+			}
+			if p.Held() != m.held() {
+				t.Fatalf("seed %d after %s: Held = %d, want %d", seed, op, p.Held(), m.held())
+			}
+			for seq := -2; seq < m.top+3; seq++ {
+				want, ok := m.get(seq)
+				got := w.Get(seq)
+				if (got != nil) != ok || (ok && *got != want) {
+					t.Fatalf("seed %d after %s: Get(%d) = %v, want %d present=%v", seed, op, seq, got, want, ok)
+				}
+				if w.At(seq) != want {
+					t.Fatalf("seed %d after %s: At(%d) = %d, want %d", seed, op, seq, w.At(seq), want)
+				}
+				if p.Has(seq) != m.has(seq) {
+					t.Fatalf("seed %d after %s: Has(%d) = %v, want %v", seed, op, seq, p.Has(seq), m.has(seq))
+				}
+			}
+			for i, c := range w.Cells() {
+				if want, _ := m.get(w.Base() + i); c != want {
+					t.Fatalf("seed %d after %s: Cells()[%d] = %d, want %d", seed, op, i, c, want)
+				}
+			}
+		}
+		for step := 0; step < 400; step++ {
+			seq := m.base - 3 + rng.Intn(12)
+			switch r := rng.Intn(10); {
+			case r < 4:
+				c := w.Ensure(seq)
+				if *c != m.cells[seq] && seq >= m.base {
+					t.Fatalf("seed %d: Ensure(%d) = %d, want %d", seed, seq, *c, m.cells[seq])
+				}
+				if seq < m.base && *c != 0 {
+					t.Fatalf("seed %d: scratch cell for released seq %d not zeroed: %d", seed, seq, *c)
+				}
+				*c = step + 1
+				if seq >= m.base {
+					m.cells[seq] = step + 1
+					if seq+1 > m.top {
+						m.top = seq + 1
+					}
+				}
+				check("Ensure")
+			case r < 7:
+				if seq < 0 {
+					continue
+				}
+				p.Mark(seq)
+				if seq >= m.base {
+					m.marked[seq] = true
+				}
+				check("Mark")
+			case r < 9:
+				// The agents clamp every release to the held prefix and
+				// apply the reached watermark to the sibling windows.
+				p.ReleaseThrough(seq + 2)
+				w.ReleaseThrough(p.Base())
+				if n := seq + 2; n > m.held() {
+					m.release(m.held())
+				} else {
+					m.release(n)
+				}
+				check("ReleaseThrough")
+			default:
+				floor := rng.Intn(30)
+				w.OpenAt(floor)
+				p.OpenAt(floor)
+				m.openAt(floor)
+				check("OpenAt")
+			}
+		}
+	}
+}
+
+// TestReleaseZeroesVacatedCells pins the reclaimability half of the
+// contract: after a release or reset nothing in the retained backing
+// array still references the dropped cells' contents.
+func TestReleaseZeroesVacatedCells(t *testing.T) {
+	var w Window[*int]
+	for seq := 0; seq < 8; seq++ {
+		*w.Ensure(seq) = new(int)
+	}
+	w.ReleaseThrough(5)
+	w.OpenAt(2)
+	for i, c := range w.cells[:cap(w.cells)] {
+		if c != nil {
+			t.Fatalf("backing cell %d still holds a pointer after release and reset", i)
+		}
+	}
+}
+
+// TestReleaseRefillAllocationFree pins the capacity-retention half: once
+// the window has reached its peak in-flight size, the steady
+// release→refill cycle performs no heap allocations.
+func TestReleaseRefillAllocationFree(t *testing.T) {
+	var w Window[int]
+	var p Prefix
+	next := 0
+	cycle := func() {
+		for i := 0; i < 32; i++ {
+			*w.Ensure(next) = next
+			p.Mark(next)
+			next++
+		}
+		p.ReleaseThrough(next - 4)
+		w.ReleaseThrough(p.Base())
+	}
+	cycle()
+	cycle()
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Fatalf("release→refill cycle allocates %.1f objects, want 0", avg)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"cesrm/internal/netsim"
+	"cesrm/internal/seqwin"
 	"cesrm/internal/sim"
 	"cesrm/internal/topology"
 )
@@ -56,16 +57,15 @@ type replyState struct {
 // the shared multicast group (§2); every stream recovers independently.
 type streamState struct {
 	source topology.NodeID
-	// base is the release watermark: per-packet state for sequence
-	// numbers below it has been discarded mid-run (see releaseThrough).
-	// received, losses and replies are indexed by seq-base. Invariant:
-	// base ≤ held ≤ cursor, so the classification and detection paths
-	// never index below the window.
-	base int
-	// held is the length of the contiguous received prefix: this host
-	// holds every sequence number below held.
-	held     int
-	received []bool
+	// received, losses and replies are sliding windows released together
+	// (see releaseThrough), so they share one base. Invariant: base ≤
+	// held ≤ cursor, so classification and detection never touch the
+	// released prefix. Three windows, not one fat cell: received.Has is
+	// on the per-delivery path and must stay a one-byte probe. losses
+	// and replies hold nil for packets with no such state.
+	received seqwin.Prefix
+	losses   seqwin.Window[*lossRecord]
+	replies  seqwin.Window[*replyState]
 	// cursor: every sequence number below it has been classified as
 	// received or detected lost.
 	cursor int
@@ -81,13 +81,6 @@ type streamState struct {
 	// reconciliation balances MissingIn against it.
 	abandonedOpen int
 
-	// losses and replies are dense seq-indexed windows (nil = no state
-	// for that packet), not maps: both sit on the per-packet request and
-	// reply paths, where hashing every lookup dominated full-scale runs,
-	// and sequence numbers are contiguous from 0 by construction.
-	losses  []*lossRecord
-	replies []*replyState
-
 	// replyArena and lossArena are chunk allocators for the records the
 	// windows point at: one record is created per classified sequence
 	// number, and allocating them individually made these two sites the
@@ -96,6 +89,8 @@ type streamState struct {
 	// drops the last pointer into it, a lag bounded by the chunk size.
 	replyArena []replyState
 	lossArena  []lossRecord
+	// scratchReply is what ensureReply hands out below the watermark.
+	scratchReply replyState
 }
 
 // arenaChunk is the record-arena chunk size: large enough to cut the
@@ -131,82 +126,29 @@ func newStreamState(source topology.NodeID) *streamState {
 	}
 }
 
-// has reports possession of seq within the stream. Released sequence
-// numbers report true: release is gated on every live host holding
-// them.
-func (st *streamState) has(seq int) bool {
-	if seq < 0 {
-		return false
-	}
-	if seq < st.base {
-		return true
-	}
-	idx := seq - st.base
-	return idx < len(st.received) && st.received[idx]
-}
-
-// loss returns the loss record for seq, nil when the packet was never
-// classified lost or its record was released.
-func (st *streamState) loss(seq int) *lossRecord {
-	idx := seq - st.base
-	if idx < 0 || idx >= len(st.losses) {
-		return nil
-	}
-	return st.losses[idx]
-}
-
-// setLoss installs the loss record for seq, growing the window. seq is
-// never below base: losses are detected at the cursor, which never
-// trails the release watermark.
-func (st *streamState) setLoss(seq int, ls *lossRecord) {
-	idx := seq - st.base
-	for len(st.losses) <= idx {
-		st.losses = append(st.losses, nil)
-	}
-	st.losses[idx] = ls
-}
-
-// reply returns the reply state for seq, nil when absent or released.
-func (st *streamState) reply(seq int) *replyState {
-	idx := seq - st.base
-	if idx < 0 || idx >= len(st.replies) {
-		return nil
-	}
-	return st.replies[idx]
+// openAt rebases an empty stream at the late-join reliability floor:
+// everything below it reads as held and loss detection begins there.
+func (st *streamState) openAt(floor int) {
+	st.received.OpenAt(floor)
+	st.losses.OpenAt(floor)
+	st.replies.OpenAt(floor)
+	st.cursor = floor
 }
 
 // ensureReply returns the reply state for seq, creating it on first
-// use. A released coordinate yields a throwaway so a straggling control
-// message mutates nothing live — release lag makes that unreachable in
-// a correct run, and memory-safe in a buggy one.
+// use. A released coordinate yields a zeroed throwaway so a straggling
+// control message mutates nothing live — release lag makes that
+// unreachable in a correct run, and memory-safe in a buggy one.
 func (st *streamState) ensureReply(seq int) *replyState {
-	idx := seq - st.base
-	if idx < 0 {
-		return &replyState{}
+	if seq < st.replies.Base() {
+		st.scratchReply = replyState{}
+		return &st.scratchReply
 	}
-	for len(st.replies) <= idx {
-		st.replies = append(st.replies, nil)
+	c := st.replies.Ensure(seq)
+	if *c == nil {
+		*c = st.newReply()
 	}
-	rs := st.replies[idx]
-	if rs == nil {
-		rs = st.newReply()
-		st.replies[idx] = rs
-	}
-	return rs
-}
-
-// markReceived records possession of seq and advances the held prefix.
-// seq is never below base: has(seq < base) is true, so every arrival
-// path deduplicates released packets before marking.
-func (st *streamState) markReceived(seq int) {
-	idx := seq - st.base
-	for len(st.received) <= idx {
-		st.received = append(st.received, false)
-	}
-	st.received[idx] = true
-	for st.held-st.base < len(st.received) && st.received[st.held-st.base] {
-		st.held++
-	}
+	return *c
 }
 
 // releasableThrough returns the highest watermark n ≤ held such that
@@ -217,59 +159,30 @@ func (st *streamState) markReceived(seq int) {
 // reply-abstinence period must stay so a late request keeps being
 // suppressed rather than answered by fresh zero state.
 func (st *streamState) releasableThrough(now sim.Time) int {
-	n := st.base
-	for ; n < st.held; n++ {
-		if rs := st.reply(n); rs != nil && (rs.timer.Active() || now.Before(rs.pendingUntil)) {
+	n := st.received.Base()
+	for ; n < st.received.Held(); n++ {
+		if rs := st.replies.At(n); rs != nil && (rs.timer.Active() || now.Before(rs.pendingUntil)) {
 			break
 		}
 	}
 	return n
 }
 
-// releaseThrough discards per-packet state below n. The caller
-// guarantees n is releasable on every live host, so nothing live is
-// dropped; surviving tails shift to the front of their arrays and the
-// vacated cells are zeroed so everything they referenced is
-// reclaimable. No engine operations happen here — timers are never
-// cancelled — so release is invisible to the run's event stream,
-// finish time and fingerprint.
+// releaseThrough discards per-packet state below n, clamped to the held
+// prefix. The caller guarantees n is releasable on every live host, so
+// nothing live is dropped. No engine operations happen here — timers
+// are never cancelled — so release is invisible to the run's event
+// stream, finish time and fingerprint.
 func (st *streamState) releaseThrough(n int) {
-	if n > st.held {
-		n = st.held
-	}
-	if n <= st.base {
-		return
-	}
-	drop := n - st.base
-	st.received = dropPrefix(st.received, drop)
-	st.losses = dropPrefix(st.losses, drop)
-	st.replies = dropPrefix(st.replies, drop)
-	st.base = n
-}
-
-// dropPrefix returns s without its first drop elements, shifting the
-// survivors to the front in place and zeroing the vacated tail so
-// anything it referenced is reclaimable. The backing array is kept:
-// its capacity is bounded by the peak in-flight window, not the run
-// length, and retaining it lets the steady release→refill cycle run
-// allocation-free — the old copy-to-a-fresh-exact-size-array strategy
-// made every release allocate a tail that the very next window append
-// had to grow again, churn that ranked among the top allocators of a
-// full-scale run.
-func dropPrefix[T any](s []T, drop int) []T {
-	if drop >= len(s) {
-		clear(s)
-		return s[:0]
-	}
-	n := copy(s, s[drop:])
-	clear(s[n:])
-	return s[:n]
+	st.received.ReleaseThrough(n)
+	st.losses.ReleaseThrough(st.received.Base())
+	st.replies.ReleaseThrough(st.received.Base())
 }
 
 // window returns the number of per-seq cells currently retained across
 // the stream's received, loss and reply windows.
 func (st *streamState) window() int {
-	return len(st.received) + len(st.losses) + len(st.replies)
+	return st.received.Len() + st.losses.Len() + st.replies.Len()
 }
 
 func (st *streamState) noteExists(seq int) {
@@ -414,12 +327,12 @@ func (a *Agent) cancelProtocolTimers() {
 		if st == nil {
 			continue
 		}
-		for _, ls := range st.losses {
+		for _, ls := range st.losses.Cells() {
 			if ls != nil {
 				a.eng.Cancel(ls.timer)
 			}
 		}
-		for _, rs := range st.replies {
+		for _, rs := range st.replies.Cells() {
 			if rs != nil {
 				a.eng.Cancel(rs.timer)
 			}
@@ -550,7 +463,7 @@ func (a *Agent) peek(source topology.NodeID) *streamState {
 // (received it, recovered it, or originally sent it).
 func (a *Agent) Has(source topology.NodeID, seq int) bool {
 	st := a.peek(source)
-	return st != nil && st.has(seq)
+	return st != nil && st.received.Has(seq)
 }
 
 // MissingIn returns how many of the packets [0, n) of the source's
@@ -570,7 +483,7 @@ func (a *Agent) MissingIn(source topology.NodeID, n int) int {
 // source's stream as lost, regardless of later recovery.
 func (a *Agent) EverLost(source topology.NodeID, seq int) bool {
 	st := a.peek(source)
-	return st != nil && st.loss(seq) != nil
+	return st != nil && st.losses.At(seq) != nil
 }
 
 // newDistTable returns a distance table with every entry marked
@@ -641,7 +554,7 @@ func (a *Agent) Transmit(seq int) {
 		panic(fmt.Sprintf("srm: crashed host %d transmitting", a.id))
 	}
 	st := a.stream(a.id)
-	st.markReceived(seq)
+	st.received.Mark(seq)
 	st.noteExists(seq)
 	st.cursor = seq + 1
 	a.net.Multicast(a.id, &netsim.Packet{Class: netsim.Payload, Msg: &DataMsg{Source: a.id, Seq: seq}})
@@ -677,10 +590,9 @@ func (a *Agent) onData(now sim.Time, m *DataMsg) {
 
 // streamFloored returns the stream state for source, creating it on
 // first use. On a host that joined mid-session, a stream first seen
-// after the join opens at the given reliability floor: base, held and
-// cursor start at floor, so everything below it reads as held
-// (has(seq < base) is true) and loss detection begins at floor — the
-// first post-join evidence of the stream — rather than seq 0. The
+// after the join opens at the given reliability floor (see openAt), so
+// loss detection begins at floor — the first post-join evidence of the
+// stream — rather than seq 0. The
 // floor depends on what that evidence is: a data or reply packet is
 // itself owed (floor = its seq), while a session advert or foreign
 // request only proves older data existed (floor = one past it).
@@ -690,7 +602,7 @@ func (a *Agent) streamFloored(source topology.NodeID, floor int) *streamState {
 	}
 	st := a.stream(source)
 	if a.lateJoin && source != a.id && floor > 0 {
-		st.base, st.held, st.cursor = floor, floor, floor
+		st.openAt(floor)
 	}
 	return st
 }
@@ -699,11 +611,11 @@ func (a *Agent) streamFloored(source topology.NodeID, floor int) *streamState {
 // (reply == nil) or a repair reply.
 func (a *Agent) receivePacket(now sim.Time, st *streamState, seq int, reply *ReplyMsg) {
 	st.noteExists(seq)
-	if st.has(seq) {
+	if st.received.Has(seq) {
 		return // duplicate
 	}
-	st.markReceived(seq)
-	if ls := st.loss(seq); ls != nil && !ls.recovered {
+	st.received.Mark(seq)
+	if ls := st.losses.At(seq); ls != nil && !ls.recovered {
 		ls.recovered = true
 		ls.recoveredAt = now
 		if ls.abandoned {
@@ -747,7 +659,7 @@ func (a *Agent) detectThrough(now sim.Time, st *streamState, x int) {
 		return
 	}
 	for ; st.cursor <= x; st.cursor++ {
-		if !st.has(st.cursor) {
+		if !st.received.Has(st.cursor) {
 			a.detectLoss(now, st, st.cursor)
 		}
 	}
@@ -757,12 +669,14 @@ func (a *Agent) detectThrough(now sim.Time, st *streamState, x int) {
 // timer uniformly within [C1*d, (C1+C2)*d] of the distance to the
 // source, and give the CESRM extension its chance to expedite.
 func (a *Agent) detectLoss(now sim.Time, st *streamState, seq int) {
-	if st.loss(seq) != nil {
+	if st.losses.At(seq) != nil {
 		return
 	}
 	ls := st.newLoss()
 	ls.detectedAt = now
-	st.setLoss(seq, ls)
+	// seq is never below base: losses are detected at the cursor, which
+	// never trails the release watermark.
+	*st.losses.Ensure(seq) = ls
 	a.outstanding++
 	a.scheduleRequest(st, ls, seq)
 	ls.k = 1
@@ -794,7 +708,7 @@ func (a *Agent) backoffFactor(k int) float64 {
 // requestTimerFired multicasts a repair request for seq and schedules
 // the next round (§2.1).
 func (a *Agent) requestTimerFired(now sim.Time, st *streamState, seq int) {
-	ls := st.loss(seq)
+	ls := st.losses.At(seq)
 	if ls == nil || ls.recovered {
 		return
 	}
@@ -865,7 +779,7 @@ func (a *Agent) AbandonedIn(source topology.NodeID) int {
 func (a *Agent) onRequest(now sim.Time, m *RequestMsg) {
 	st := a.streamFloored(m.Source, m.Seq+1)
 	st.noteExists(m.Seq)
-	if ls := st.loss(m.Seq); ls != nil && !ls.recovered {
+	if ls := st.losses.At(m.Seq); ls != nil && !ls.recovered {
 		// We share the loss. If our own request is scheduled and we are
 		// outside the back-off abstinence period, this request
 		// suppresses ours: back off to the next round.
@@ -880,7 +794,7 @@ func (a *Agent) onRequest(now sim.Time, m *RequestMsg) {
 		ls.info.Reschedules++
 		return
 	}
-	if !st.has(m.Seq) {
+	if !st.received.Has(m.Seq) {
 		// We neither have the packet nor have classified it lost yet;
 		// SRM detects losses from data gaps and session messages only.
 		return
@@ -914,8 +828,8 @@ func (a *Agent) considerReply(now sim.Time, st *streamState, m *RequestMsg) {
 // replyTimerFired multicasts the scheduled repair reply and starts the
 // reply abstinence period.
 func (a *Agent) replyTimerFired(now sim.Time, st *streamState, seq int) {
-	rs := st.reply(seq)
-	if rs == nil || !st.has(seq) {
+	rs := st.replies.At(seq)
+	if rs == nil || !st.received.Has(seq) {
 		return
 	}
 	m := &ReplyMsg{
@@ -1041,13 +955,13 @@ func (a *Agent) Losses() []LossReport {
 		if st == nil {
 			continue
 		}
-		for idx, ls := range st.losses {
+		for idx, ls := range st.losses.Cells() {
 			if ls == nil {
 				continue
 			}
 			out = append(out, LossReport{
 				Source:      topology.NodeID(src),
-				Seq:         st.base + idx,
+				Seq:         st.losses.Base() + idx,
 				DetectedAt:  ls.detectedAt,
 				Recovered:   ls.recovered,
 				RecoveredAt: ls.recoveredAt,
@@ -1068,7 +982,7 @@ func (a *Agent) ReplyBlocked(now sim.Time, source topology.NodeID, seq int) bool
 	if st == nil {
 		return false
 	}
-	rs := st.reply(seq)
+	rs := st.replies.At(seq)
 	if rs == nil {
 		return false
 	}
@@ -1106,7 +1020,7 @@ func (a *Agent) SendExpeditedReply(now sim.Time, m *RequestMsg, subcast bool) bo
 		panic(fmt.Sprintf("srm: crashed host %d sending expedited reply", a.id))
 	}
 	st := a.stream(m.Source)
-	if !st.has(m.Seq) || a.ReplyBlocked(now, m.Source, m.Seq) {
+	if !st.received.Has(m.Seq) || a.ReplyBlocked(now, m.Source, m.Seq) {
 		return false
 	}
 	reply := &ReplyMsg{

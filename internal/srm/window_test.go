@@ -14,10 +14,10 @@ import (
 func TestStreamStateWatermarkRelease(t *testing.T) {
 	st := newStreamState(0)
 	for i := 0; i < 10; i++ {
-		st.markReceived(i)
+		st.received.Mark(i)
 	}
-	if st.held != 10 {
-		t.Fatalf("held = %d after 10 contiguous receipts, want 10", st.held)
+	if st.received.Held() != 10 {
+		t.Fatalf("held = %d after 10 contiguous receipts, want 10", st.received.Held())
 	}
 
 	// A packet inside its reply-abstinence period pins the watermark.
@@ -32,15 +32,15 @@ func TestStreamStateWatermarkRelease(t *testing.T) {
 	}
 
 	st.releaseThrough(6)
-	if st.base != 6 {
-		t.Fatalf("base = %d after releaseThrough(6), want 6", st.base)
+	if st.received.Base() != 6 {
+		t.Fatalf("base = %d after releaseThrough(6), want 6", st.received.Base())
 	}
 	// Released sequence numbers still read as held — release is gated on
 	// every live host holding them — with no live loss or reply state.
-	if !st.has(3) {
+	if !st.received.Has(3) {
 		t.Fatal("released seq 3 must report held")
 	}
-	if st.loss(3) != nil || st.reply(4) != nil {
+	if st.losses.At(3) != nil || st.replies.At(4) != nil {
 		t.Fatal("released seqs must have nil loss/reply records")
 	}
 	// A straggler touching a released coordinate mutates nothing live.
@@ -51,14 +51,14 @@ func TestStreamStateWatermarkRelease(t *testing.T) {
 	}
 
 	// The window keeps sliding after a release.
-	st.markReceived(10)
-	if st.held != 11 || !st.has(10) {
-		t.Fatalf("held = %d has(10) = %v after post-release receipt", st.held, st.has(10))
+	st.received.Mark(10)
+	if st.received.Held() != 11 || !st.received.Has(10) {
+		t.Fatalf("held = %d has(10) = %v after post-release receipt", st.received.Held(), st.received.Has(10))
 	}
 	// releaseThrough clamps to held and frees everything retained.
 	st.releaseThrough(50)
-	if st.base != 11 {
-		t.Fatalf("base = %d after clamped release, want 11", st.base)
+	if st.received.Base() != 11 {
+		t.Fatalf("base = %d after clamped release, want 11", st.received.Base())
 	}
 	if st.window() != 0 {
 		t.Fatalf("window = %d after full release, want 0", st.window())
@@ -69,16 +69,37 @@ func TestStreamStateWatermarkRelease(t *testing.T) {
 // releasable watermark never passes it.
 func TestStreamStateHeldGap(t *testing.T) {
 	st := newStreamState(0)
-	st.markReceived(0)
-	st.markReceived(2) // gap at 1
-	if st.held != 1 {
-		t.Fatalf("held = %d with a gap at 1, want 1", st.held)
+	st.received.Mark(0)
+	st.received.Mark(2) // gap at 1
+	if st.received.Held() != 1 {
+		t.Fatalf("held = %d with a gap at 1, want 1", st.received.Held())
 	}
 	if got := st.releasableThrough(sim.Time(1 << 40)); got != 1 {
 		t.Fatalf("releasableThrough = %d with a gap at 1, want 1", got)
 	}
-	st.markReceived(1)
-	if st.held != 3 {
-		t.Fatalf("held = %d after the gap filled, want 3", st.held)
+	st.received.Mark(1)
+	if st.received.Held() != 3 {
+		t.Fatalf("held = %d after the gap filled, want 3", st.received.Held())
+	}
+}
+
+// TestEnsureReplyBelowBaseAllocationFree: a straggler touching a
+// released coordinate gets the stream's scratch record, not a fresh
+// heap object, and the scratch is zeroed between uses.
+func TestEnsureReplyBelowBaseAllocationFree(t *testing.T) {
+	st := newStreamState(0)
+	for i := 0; i < 10; i++ {
+		st.received.Mark(i)
+	}
+	st.releaseThrough(8)
+	avg := testing.AllocsPerRun(100, func() {
+		rs := st.ensureReply(2)
+		if rs.pendingUntil != 0 {
+			t.Fatal("scratch reply state not zeroed between uses")
+		}
+		rs.pendingUntil = sim.Time(999)
+	})
+	if avg != 0 {
+		t.Fatalf("ensureReply below the watermark allocates %.1f objects, want 0", avg)
 	}
 }

@@ -1,6 +1,9 @@
 package stats
 
-import "cesrm/internal/topology"
+import (
+	"cesrm/internal/seqwin"
+	"cesrm/internal/topology"
+)
 
 // seqTable is a dense replacement for map[hostSeq]T: per-host, per-source
 // slices indexed by sequence number. Host IDs are dense (tree node
@@ -9,27 +12,18 @@ import "cesrm/internal/topology"
 // hashing a 3-field key on every per-packet observation. The zero value
 // is empty and usable.
 //
-// Each stream carries a release watermark (base): cells below it have
-// been discarded mid-run once the experiment layer proved no further
-// event can reference them (see releaseThrough). This is what keeps a
-// full-scale run's per-packet audit state bounded by the in-flight
+// Each stream is a seqwin.Window, whose released-prefix contract (reads
+// below the watermark are absent, writes land in a scratch cell) keeps
+// a full-scale run's per-packet audit state bounded by the in-flight
 // window instead of the whole transmission.
 type seqTable[T any] struct {
 	hosts [][]seqStream[T]
-	// scratch absorbs writes for released coordinates: ensure hands out a
-	// zeroed throwaway cell instead of resurrecting freed state. A
-	// correct run never writes below a stream's base (release happens
-	// only after global quiescence of the prefix); the scratch cell keeps
-	// a buggy late event memory-safe while the validator flags it.
-	scratch T
 }
 
-// seqStream holds one (host, source) stream's per-seq values. vals is
-// indexed by seq-base; sequence numbers below base were released.
+// seqStream holds one (host, source) stream's per-seq values.
 type seqStream[T any] struct {
 	source topology.NodeID
-	base   int
-	vals   []T
+	vals   seqwin.Window[T]
 }
 
 // get returns a pointer to the value for (host, source, seq), or nil
@@ -42,10 +36,7 @@ func (t *seqTable[T]) get(host, source topology.NodeID, seq int) *T {
 	for i := range t.hosts[host] {
 		s := &t.hosts[host][i]
 		if s.source == source {
-			if idx := seq - s.base; idx >= 0 && idx < len(s.vals) {
-				return &s.vals[idx]
-			}
-			return nil
+			return s.vals.Get(seq)
 		}
 	}
 	return nil
@@ -58,29 +49,13 @@ func (t *seqTable[T]) ensure(host, source topology.NodeID, seq int) *T {
 	for int(host) >= len(t.hosts) {
 		t.hosts = append(t.hosts, nil)
 	}
-	idx := -1
 	for i := range t.hosts[host] {
-		if t.hosts[host][i].source == source {
-			idx = i
-			break
+		if s := &t.hosts[host][i]; s.source == source {
+			return s.vals.Ensure(seq)
 		}
 	}
-	if idx == -1 {
-		t.hosts[host] = append(t.hosts[host], seqStream[T]{source: source})
-		idx = len(t.hosts[host]) - 1
-	}
-	s := &t.hosts[host][idx]
-	if seq < s.base {
-		var zero T
-		t.scratch = zero
-		return &t.scratch
-	}
-	off := seq - s.base
-	for len(s.vals) <= off {
-		var zero T
-		s.vals = append(s.vals, zero)
-	}
-	return &s.vals[off]
+	t.hosts[host] = append(t.hosts[host], seqStream[T]{source: source})
+	return t.hosts[host][len(t.hosts[host])-1].vals.Ensure(seq)
 }
 
 // forEach visits every live (unreleased) cell in deterministic order:
@@ -90,38 +65,22 @@ func (t *seqTable[T]) forEach(fn func(host, source topology.NodeID, seq int, v *
 	for h := range t.hosts {
 		for i := range t.hosts[h] {
 			s := &t.hosts[h][i]
-			for off := range s.vals {
-				fn(topology.NodeID(h), s.source, s.base+off, &s.vals[off])
+			cells := s.vals.Cells()
+			for off := range cells {
+				fn(topology.NodeID(h), s.source, s.vals.Base()+off, &cells[off])
 			}
 		}
 	}
 }
 
 // releaseThrough discards, on every host, the cells of the given
-// source's stream with sequence numbers below n. The surviving tail
-// shifts to the front in place and the vacated cells are zeroed so
-// their contents are reclaimable; the backing array is kept, since its
-// capacity is bounded by the peak in-flight window and reusing it
-// keeps the steady release→refill cycle allocation-free (copying to a
-// fresh exact-size array made every release allocate a tail the next
-// ensure had to grow again).
+// source's stream with sequence numbers below n.
 func (t *seqTable[T]) releaseThrough(source topology.NodeID, n int) {
 	for h := range t.hosts {
 		for i := range t.hosts[h] {
-			s := &t.hosts[h][i]
-			if s.source != source || n <= s.base {
-				continue
+			if s := &t.hosts[h][i]; s.source == source {
+				s.vals.ReleaseThrough(n)
 			}
-			drop := n - s.base
-			if drop >= len(s.vals) {
-				clear(s.vals)
-				s.vals = s.vals[:0]
-			} else {
-				k := copy(s.vals, s.vals[drop:])
-				clear(s.vals[k:])
-				s.vals = s.vals[:k]
-			}
-			s.base = n
 		}
 	}
 }
@@ -131,7 +90,7 @@ func (t *seqTable[T]) liveCells() int {
 	n := 0
 	for h := range t.hosts {
 		for i := range t.hosts[h] {
-			n += len(t.hosts[h][i].vals)
+			n += t.hosts[h][i].vals.Len()
 		}
 	}
 	return n

@@ -69,69 +69,85 @@ type Tour struct {
 
 // FloodTour computes the flood tour from origin. downOnly restricts the
 // walk to descendants (the subcast primitive); otherwise the walk covers
-// the whole tree. The builder mirrors the fast flood's traversal with
-// every sever and drop test answering "pass", so the tour is a pure
-// function of the topology.
+// the whole tree. The tour is a pure function of the topology.
 func (t *Tree) FloodTour(origin NodeID, downOnly bool) Tour {
-	n := t.NumNodes()
-	// item is one worklist entry: the node, its hop count, the index of
-	// the op that pushed it (-1 for the origin) and the entry index of
-	// the node that issued that op (-1 for the origin).
-	type item struct {
-		node          NodeID
-		hops          int32
-		opIdx, parent int32
+	var b TourBuilder
+	var tour Tour
+	b.Build(t, origin, downOnly, &tour)
+	return tour
+}
+
+// TourBuilder compiles flood tours, keeping its worklist scratch across
+// builds; a caller that also reuses the destination Tour compiles
+// without allocating once both have grown to the tree. The zero value
+// is ready to use.
+type TourBuilder struct {
+	stack []tourItem
+	// pusher[i] is the entry index of the node whose link check pushed
+	// entry i (-1 for the origin).
+	pusher []int32
+}
+
+// tourItem is one worklist entry: the node, its hop count, and the
+// indices of the op that pushed it and of the entry that issued that op
+// (both -1 for the origin).
+type tourItem struct {
+	node          NodeID
+	hops          int32
+	opIdx, pusher int32
+}
+
+// Build compiles the flood tour from origin into tour, overwriting it
+// and reusing its slices' capacity: the flood's traversal with every
+// sever and drop test answering "pass". In a tree the only visited
+// neighbor of a popped node is the one that pushed it, so "skip the
+// pusher" stands in for a visited set.
+func (b *TourBuilder) Build(t *Tree, origin NodeID, downOnly bool, tour *Tour) {
+	if !downOnly && cap(tour.Entries) < t.NumNodes() {
+		// A full flood visits every node and checks every link exactly
+		// once; subcast tours are subtree-sized and grow by appending.
+		tour.Entries = make([]TourEntry, 0, t.NumNodes())
+		tour.Ops = make([]TourOp, 0, t.NumNodes()-1)
 	}
-	sizeHint := n
-	if downOnly {
-		// Subcast tours cover only the subtree; still a fine upper bound
-		// for shallow roots, and exact for the full-tree case.
-		sizeHint = len(t.NodesBelow(origin))
-	}
-	tour := Tour{
-		Entries: make([]TourEntry, 0, sizeHint),
-		Ops:     make([]TourOp, 0, sizeHint),
-	}
-	parentEntry := make([]int32, 0, sizeHint)
-	visited := make([]bool, n)
-	stack := make([]item, 0, sizeHint)
-	stack = append(stack, item{origin, 0, -1, -1})
-	visited[origin] = true
+	entries, ops := tour.Entries[:0], tour.Ops[:0]
+	pusher := b.pusher[:0]
+	stack := append(b.stack[:0], tourItem{origin, 0, -1, -1})
 	for len(stack) > 0 {
 		it := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		idx := int32(len(tour.Entries))
+		idx := int32(len(entries))
+		from := None
 		if it.opIdx >= 0 {
-			tour.Ops[it.opIdx].Region = idx
+			ops[it.opIdx].Region = idx
+			from = entries[it.pusher].Node
 		}
-		parentEntry = append(parentEntry, it.parent)
+		pusher = append(pusher, it.pusher)
 		for _, c := range t.children[it.node] {
-			if visited[c] {
+			if c == from {
 				continue
 			}
-			visited[c] = true
-			tour.Ops = append(tour.Ops, TourOp{Link: c, Down: true})
-			stack = append(stack, item{c, it.hops + 1, int32(len(tour.Ops) - 1), idx})
+			ops = append(ops, TourOp{Link: c, Down: true})
+			stack = append(stack, tourItem{c, it.hops + 1, int32(len(ops) - 1), idx})
 		}
 		if !downOnly {
-			if p := t.parent[it.node]; p != None && !visited[p] {
-				visited[p] = true
-				tour.Ops = append(tour.Ops, TourOp{Link: it.node, Down: false})
-				stack = append(stack, item{p, it.hops + 1, int32(len(tour.Ops) - 1), idx})
+			if p := t.parent[it.node]; p != None && p != from {
+				ops = append(ops, TourOp{Link: it.node, Down: false})
+				stack = append(stack, tourItem{p, it.hops + 1, int32(len(ops) - 1), idx})
 			}
 		}
-		tour.Entries = append(tour.Entries, TourEntry{
+		entries = append(entries, TourEntry{
 			Node:   it.node,
 			Hops:   it.hops,
 			Span:   1,
-			OpsEnd: int32(len(tour.Ops)),
+			OpsEnd: int32(len(ops)),
 		})
 	}
 	// Regions nest: a node's region contains its pushees' regions, and
 	// every pushee has a higher entry index than its pusher, so one
 	// reverse accumulation computes all spans.
-	for i := len(tour.Entries) - 1; i >= 1; i-- {
-		tour.Entries[parentEntry[i]].Span += tour.Entries[i].Span
+	for i := len(entries) - 1; i >= 1; i-- {
+		entries[pusher[i]].Span += entries[i].Span
 	}
-	return tour
+	tour.Entries, tour.Ops = entries, ops
+	b.stack, b.pusher = stack, pusher
 }
