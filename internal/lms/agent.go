@@ -127,6 +127,8 @@ type Agent struct {
 	// heartbeatTimer is the pending self-rescheduling heartbeat tick
 	// (source only), retained so Crash can cancel it.
 	heartbeatTimer sim.Timer
+	// freeSlack pools fired advertDetection handlers.
+	freeSlack *advertDetection
 }
 
 var _ netsim.Host = (*Agent)(nil)
@@ -172,11 +174,11 @@ func (a *Agent) heartbeatTick(now sim.Time) {
 	if a.stopped {
 		return
 	}
-	m := &srm.SessionMsg{From: a.id, SentAt: now}
+	pkt, m := srm.NewSessionPacket(a.id, now)
 	if a.highestKnown >= 0 {
-		m.Highest = map[topology.NodeID]int{a.source: a.highestKnown}
+		m.Highest = []srm.Advert{{Source: a.source, Highest: a.highestKnown}}
 	}
-	a.net.Multicast(a.id, &netsim.Packet{Class: netsim.Control, Session: true, Msg: m})
+	a.net.Multicast(a.id, pkt)
 	a.obs.SessionSent(a.id)
 	a.heartbeatTimer = a.eng.Schedule(a.cfg.HeartbeatPeriod, a.heartbeatTick)
 }
@@ -511,7 +513,7 @@ func (a *Agent) sendRepair(seq int, w pendingNAK) {
 // onHeartbeat performs heartbeat-advertised tail-loss detection with
 // serialization slack, mirroring the SRM session mechanism.
 func (a *Agent) onHeartbeat(now sim.Time, m *srm.SessionMsg) {
-	highest, ok := m.Highest[a.source]
+	highest, ok := m.HighestFor(a.source)
 	if !ok || highest < 0 {
 		return
 	}
@@ -521,18 +523,44 @@ func (a *Agent) onHeartbeat(now sim.Time, m *srm.SessionMsg) {
 		return
 	}
 	a.advertPending = highest
-	h := highest
-	a.eng.Schedule(a.cfg.DetectionSlack, func(now sim.Time) {
-		// Fire-and-forget, so Crash cannot cancel it: a crashed host
-		// must not detect losses (the NAK timers it would arm are not
-		// covered by Crash's cancel sweep and would retry forever). A
-		// post-restart firing is harmless — state lives on the agent and
-		// re-detection is exactly what a restarted host does anyway.
-		if a.crashed || a.absent {
-			return
-		}
-		a.detectThrough(now, h)
-	})
+	a.eng.ScheduleHandler(a.cfg.DetectionSlack, a.newAdvertDetection(highest))
+}
+
+// advertDetection is the deferred, heartbeat-triggered detection pass:
+// the closure-free form of "after DetectionSlack, detect through
+// highest". Handlers are pooled on the agent; one returns to the pool as
+// it fires.
+type advertDetection struct {
+	a       *Agent
+	highest int
+	next    *advertDetection
+}
+
+func (a *Agent) newAdvertDetection(highest int) *advertDetection {
+	d := a.freeSlack
+	if d == nil {
+		d = &advertDetection{a: a}
+	} else {
+		a.freeSlack = d.next
+	}
+	d.highest = highest
+	return d
+}
+
+// Fire implements sim.EventHandler.
+func (d *advertDetection) Fire(now sim.Time) {
+	a, h := d.a, d.highest
+	d.next = a.freeSlack
+	a.freeSlack = d
+	// Fire-and-forget, so Crash cannot cancel it: a crashed host must not
+	// detect losses (the NAK timers it would arm are not covered by
+	// Crash's cancel sweep and would retry forever). A post-restart
+	// firing is harmless — state lives on the agent and re-detection is
+	// exactly what a restarted host does anyway.
+	if a.crashed || a.absent {
+		return
+	}
+	a.detectThrough(now, h)
 }
 
 func min(a, b int) int {

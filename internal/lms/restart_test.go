@@ -7,7 +7,6 @@ import (
 	"cesrm/internal/netsim"
 	"cesrm/internal/sim"
 	"cesrm/internal/srm"
-	"cesrm/internal/topology"
 )
 
 // TestCrashCancelsHeartbeatTimer pins the fail-stop cleanup: the
@@ -99,7 +98,7 @@ func TestCrashSilencesPendingHeartbeatDetection(t *testing.T) {
 		a.Deliver(now, &netsim.Packet{Msg: &srm.SessionMsg{
 			From:    0,
 			SentAt:  now,
-			Highest: map[topology.NodeID]int{0: 4},
+			Highest: []srm.Advert{{Source: 0, Highest: 4}},
 		}})
 	})
 	b.eng.ScheduleAt(sim.Time(120*time.Millisecond), func(sim.Time) { a.Crash() })

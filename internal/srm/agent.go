@@ -230,6 +230,12 @@ type Agent struct {
 	// session tick, retained so Crash can cancel it (a crashed host must
 	// contribute zero pending events, not an inert one per period).
 	sessionTimer sim.Timer
+	// sessionRejects counts session messages dropped for an out-of-tree
+	// sender plus adverts skipped for an out-of-tree source: only input
+	// from outside the program (the wire tier) can produce either.
+	sessionRejects int
+	// freeSlack pools fired advertDetection handlers.
+	freeSlack    *advertDetection
 	missingDists int
 	// outstanding counts detected-but-unrecovered losses across all
 	// streams, so the monitor's per-period Outstanding polls are O(1)
@@ -260,7 +266,7 @@ func NewAgent(eng sim.Sched, net netsim.Endpoint, rng *sim.RNG, id topology.Node
 		obs:     obs,
 		ext:     ext,
 		dist:    newDistTable(net.Tree().NumNodes()),
-		echo:    newEchoState(),
+		echo:    newEchoState(net.Tree().NumNodes()),
 		streams: make([]*streamState, net.Tree().NumNodes()),
 	}
 	net.AttachHost(id, a)
@@ -400,7 +406,7 @@ func (a *Agent) Restart() {
 	a.stopped = false
 	n := a.net.Tree().NumNodes()
 	a.dist = newDistTable(n)
-	a.echo = newEchoState()
+	a.echo = newEchoState(n)
 	a.streams = make([]*streamState, n)
 	a.outstanding = 0
 	a.adaptive = adaptiveState{}
@@ -533,17 +539,26 @@ func (a *Agent) sessionTick(now sim.Time) {
 	if a.stopped {
 		return
 	}
-	highest := make(map[topology.NodeID]int, 2)
-	for src, st := range a.streams {
+	pkt, m := NewSessionPacket(a.id, now)
+	// a.streams is NodeID-indexed, so walking it emits adverts in the
+	// ascending order SessionMsg promises; counting first sizes the
+	// slice exactly.
+	n := 0
+	for _, st := range a.streams {
 		if st != nil && st.highestKnown >= 0 {
-			highest[topology.NodeID(src)] = st.highestKnown
+			n++
 		}
 	}
-	m := &SessionMsg{From: a.id, SentAt: now, Highest: highest}
+	m.Highest = make([]Advert, 0, n)
+	for src, st := range a.streams {
+		if st != nil && st.highestKnown >= 0 {
+			m.Highest = append(m.Highest, Advert{Source: topology.NodeID(src), Highest: st.highestKnown})
+		}
+	}
 	if a.p.DistanceMode == DistEchoRTT {
 		m.Echoes = a.echo.echoes(now)
 	}
-	a.net.Multicast(a.id, &netsim.Packet{Class: netsim.Control, Session: true, Msg: m})
+	a.net.Multicast(a.id, pkt)
 	a.obs.SessionSent(a.id)
 	a.sessionTimer = a.eng.Schedule(a.p.SessionPeriod, a.sessionTick)
 }
@@ -889,50 +904,91 @@ func (a *Agent) noteReplyEvent(now sim.Time, rs *replyState) {
 // the sender's highest known sequence numbers. Detection is deferred by
 // DetectionSlack: session messages are 0-byte control packets that can
 // outrun in-flight data packets, which pay per-hop serialization delay.
+//
+// Every member runs this for every other member's message each period,
+// so the steady state neither allocates nor sorts. Node IDs are checked
+// against the tree here because a well-formed datagram can carry any
+// ID up to MaxInt32 (netsim.Decoder.Node bounds nothing tighter).
 func (a *Agent) onSession(now sim.Time, m *SessionMsg) {
+	nodes := uint(len(a.dist))
+	if uint(m.From) >= nodes {
+		a.sessionRejects++
+		return
+	}
 	switch a.p.DistanceMode {
 	case DistOneWay:
 		a.dist[m.From] = time.Duration(now.Sub(m.SentAt))
 	case DistEchoRTT:
 		a.echo.record(m.From, m.SentAt, now)
-		if e, ok := m.Echoes[a.id]; ok {
+		if e, ok := m.EchoFor(a.id); ok {
 			if rtt, ok := rttFromEcho(now, e); ok {
 				a.dist[m.From] = rtt / 2
 			}
 		}
 	}
-	// Iterate sources in sorted order: each iteration may schedule an
-	// engine event, and Go map order would make event sequence numbers —
-	// and therefore the run fingerprint — nondeterministic as soon as a
-	// session message advertises two or more sources. (The wire mode's
-	// replay oracle turned this sim-only latent assumption into a
-	// hard requirement.)
-	for _, src := range sortedNodeKeys(m.Highest) {
-		highest := m.Highest[src]
-		if highest < 0 {
+	// m.Highest is ascending by source, which makes the order of the
+	// engine events scheduled below — and therefore event sequence
+	// numbers and the run fingerprint — deterministic when a message
+	// advertises two or more sources.
+	for _, ad := range m.Highest {
+		if uint(ad.Source) >= nodes {
+			a.sessionRejects++
 			continue
 		}
-		st := a.streamFloored(src, highest+1)
-		st.noteExists(highest)
-		if src == a.id || highest < st.cursor || highest <= st.advertPending {
+		if ad.Highest < 0 {
 			continue
 		}
-		st.advertPending = highest
-		h := highest
-		stream := st
-		a.eng.Schedule(a.p.DetectionSlack, func(now sim.Time) {
-			// The slack timer is fire-and-forget, so Crash and Leave
-			// cannot cancel it: a silent host must not detect losses, and
-			// after a restart or rejoin the captured stream object is an
-			// orphan — losses recorded on it could never be recovered
-			// (replies resolve against the new stream), leaving the
-			// request back-off loop running forever.
-			if a.crashed || a.absent || a.peek(stream.source) != stream {
-				return
-			}
-			a.detectThrough(now, stream, h)
-		})
+		st := a.streamFloored(ad.Source, ad.Highest+1)
+		st.noteExists(ad.Highest)
+		if ad.Source == a.id || ad.Highest < st.cursor || ad.Highest <= st.advertPending {
+			continue
+		}
+		st.advertPending = ad.Highest
+		a.eng.ScheduleHandler(a.p.DetectionSlack, a.newAdvertDetection(st, ad.Highest))
 	}
+}
+
+// SessionRejects counts the hostile session input this agent refused:
+// messages from a sender outside the tree (dropped whole) and adverts
+// naming a source outside it (skipped).
+func (a *Agent) SessionRejects() int { return a.sessionRejects }
+
+// advertDetection is the deferred, session-triggered detection pass for
+// one stream: the closure-free form of "after DetectionSlack, detect
+// through highest". Handlers are pooled per agent; one returns to the
+// pool as it fires, so the steady state allocates none.
+type advertDetection struct {
+	a       *Agent
+	stream  *streamState
+	highest int
+	next    *advertDetection
+}
+
+func (a *Agent) newAdvertDetection(st *streamState, highest int) *advertDetection {
+	d := a.freeSlack
+	if d == nil {
+		d = &advertDetection{a: a}
+	} else {
+		a.freeSlack = d.next
+	}
+	d.stream, d.highest = st, highest
+	return d
+}
+
+// Fire implements sim.EventHandler.
+func (d *advertDetection) Fire(now sim.Time) {
+	a, stream, h := d.a, d.stream, d.highest
+	d.stream, d.next = nil, a.freeSlack
+	a.freeSlack = d
+	// The slack timer is fire-and-forget, so Crash and Leave cannot
+	// cancel it: a silent host must not detect losses, and after a
+	// restart or rejoin the captured stream object is an orphan — losses
+	// recorded on it could never be recovered (replies resolve against
+	// the new stream), leaving the request back-off loop running forever.
+	if a.crashed || a.absent || a.peek(stream.source) != stream {
+		return
+	}
+	a.detectThrough(now, stream, h)
 }
 
 // LossReport summarizes one loss for metrics extraction.

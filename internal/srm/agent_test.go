@@ -21,16 +21,17 @@ type eventLog struct {
 }
 
 type event struct {
-	host  topology.NodeID
-	seq   int
-	at    sim.Time
-	round int
-	info  RecoveryInfo
-	exp   bool
+	host   topology.NodeID
+	source topology.NodeID
+	seq    int
+	at     sim.Time
+	round  int
+	info   RecoveryInfo
+	exp    bool
 }
 
 func (l *eventLog) LossDetected(h, source topology.NodeID, seq int, at sim.Time) {
-	l.detections = append(l.detections, event{host: h, seq: seq, at: at})
+	l.detections = append(l.detections, event{host: h, source: source, seq: seq, at: at})
 }
 func (l *eventLog) Recovered(h, source topology.NodeID, seq int, at sim.Time, info RecoveryInfo) {
 	l.recoveries = append(l.recoveries, event{host: h, seq: seq, at: at, info: info})

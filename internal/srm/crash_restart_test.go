@@ -124,7 +124,7 @@ func TestCrashSilencesPendingAdvertDetection(t *testing.T) {
 		a.Deliver(now, &netsim.Packet{Msg: &SessionMsg{
 			From:    0,
 			SentAt:  now.Add(-f.net.Distance(0, 3)),
-			Highest: map[topology.NodeID]int{0: 4},
+			Highest: []Advert{{Source: 0, Highest: 4}},
 		}})
 	})
 	// Crash inside the DetectionSlack window (50 ms), with the deferred
@@ -156,7 +156,7 @@ func TestRestartOrphansPendingAdvertDetection(t *testing.T) {
 		a.Deliver(now, &netsim.Packet{Msg: &SessionMsg{
 			From:    0,
 			SentAt:  now.Add(-f.net.Distance(0, 3)),
-			Highest: map[topology.NodeID]int{0: 4},
+			Highest: []Advert{{Source: 0, Highest: 4}},
 		}})
 	})
 	f.eng.ScheduleAt(sim.Time(120*time.Millisecond), func(sim.Time) { a.Crash() })

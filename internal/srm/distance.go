@@ -55,36 +55,56 @@ type Echo struct {
 
 // echoState tracks the inbound side of the echo protocol on one host.
 type echoState struct {
-	// lastFrom records, per peer, the peer's timestamp and our receipt
-	// time for the most recent session message from that peer.
-	lastFrom map[topology.NodeID]echoEntry
+	// lastFrom records, indexed by peer NodeID, the peer's timestamp and
+	// our receipt time for the most recent session message from that
+	// peer. Dense like Agent.dist, so echoes emits in ascending peer
+	// order for free; allocated on the first record, so one-way mode
+	// never pays for it.
+	lastFrom []echoEntry
+	// nodes sizes lastFrom; peers counts its occupied entries.
+	nodes, peers int
 }
 
 type echoEntry struct {
 	peerSentAt sim.Time
 	receivedAt sim.Time
+	seen       bool
 }
 
-func newEchoState() *echoState {
-	return &echoState{lastFrom: make(map[topology.NodeID]echoEntry)}
+// newEchoState returns empty echo state for a tree of the given size.
+func newEchoState(nodes int) *echoState {
+	return &echoState{nodes: nodes}
 }
 
-// record notes a session message from peer.
+// record notes a session message from peer, which the caller has
+// bounds-checked against the tree size.
 func (e *echoState) record(peer topology.NodeID, peerSentAt, now sim.Time) {
-	e.lastFrom[peer] = echoEntry{peerSentAt: peerSentAt, receivedAt: now}
+	if e.lastFrom == nil {
+		e.lastFrom = make([]echoEntry, e.nodes)
+	}
+	entry := &e.lastFrom[peer]
+	if !entry.seen {
+		e.peers++
+	}
+	*entry = echoEntry{peerSentAt: peerSentAt, receivedAt: now, seen: true}
 }
 
-// echoes builds the annotation map for an outgoing session message.
-func (e *echoState) echoes(now sim.Time) map[topology.NodeID]Echo {
-	if len(e.lastFrom) == 0 {
+// echoes builds the annotations for an outgoing session message,
+// ascending by peer.
+func (e *echoState) echoes(now sim.Time) []PeerEcho {
+	if e.peers == 0 {
 		return nil
 	}
-	out := make(map[topology.NodeID]Echo, len(e.lastFrom))
-	for peer, entry := range e.lastFrom {
-		out[peer] = Echo{
+	out := make([]PeerEcho, 0, e.peers)
+	for peer := range e.lastFrom {
+		entry := &e.lastFrom[peer]
+		if !entry.seen {
+			continue
+		}
+		out = append(out, PeerEcho{Peer: topology.NodeID(peer), Echo: Echo{
 			PeerSentAt: entry.peerSentAt,
 			HeldFor:    time.Duration(now.Sub(entry.receivedAt)),
-		}
+		}})
 	}
 	return out
 }

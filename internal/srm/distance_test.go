@@ -33,18 +33,39 @@ func TestRTTFromEcho(t *testing.T) {
 }
 
 func TestEchoStateRoundTrip(t *testing.T) {
-	e := newEchoState()
+	e := newEchoState(12)
 	if e.echoes(0) != nil {
 		t.Fatal("empty echo state produced echoes")
 	}
+	// Recorded out of order, twice for peer 7: echoes come out strictly
+	// ascending, one per peer, carrying the latest record.
+	e.record(7, sim.Time(90*time.Millisecond), sim.Time(95*time.Millisecond))
+	e.record(11, sim.Time(10*time.Millisecond), sim.Time(20*time.Millisecond))
 	e.record(7, sim.Time(100*time.Millisecond), sim.Time(140*time.Millisecond))
-	out := e.echoes(sim.Time(200 * time.Millisecond))
-	echo, ok := out[7]
+	e.record(0, sim.Time(30*time.Millisecond), sim.Time(50*time.Millisecond))
+	m := &SessionMsg{Echoes: e.echoes(sim.Time(200 * time.Millisecond))}
+	if len(m.Echoes) != 3 || cap(m.Echoes) != 3 {
+		t.Fatalf("echoes len %d cap %d, want exactly 3", len(m.Echoes), cap(m.Echoes))
+	}
+	for i, pe := range m.Echoes {
+		if want := []topology.NodeID{0, 7, 11}[i]; pe.Peer != want {
+			t.Fatalf("echoes[%d].Peer = %d, want %d (ascending)", i, pe.Peer, want)
+		}
+	}
+	echo, ok := m.EchoFor(7)
 	if !ok {
 		t.Fatal("peer 7 missing from echoes")
 	}
 	if echo.PeerSentAt != sim.Time(100*time.Millisecond) || echo.HeldFor != 60*time.Millisecond {
 		t.Fatalf("echo = %+v", echo)
+	}
+	for _, absent := range []topology.NodeID{topology.None, 1, 8, 12, 1 << 30} {
+		if got, ok := m.EchoFor(absent); ok || got != (Echo{}) {
+			t.Errorf("EchoFor(%d) = %+v, %v; want a clean miss", absent, got, ok)
+		}
+	}
+	if _, ok := (&SessionMsg{}).EchoFor(7); ok {
+		t.Error("EchoFor hit on a message with no echoes")
 	}
 }
 

@@ -11,8 +11,11 @@
 package srm
 
 import (
+	"cmp"
+	"slices"
 	"time"
 
+	"cesrm/internal/netsim"
 	"cesrm/internal/sim"
 	"cesrm/internal/topology"
 )
@@ -34,18 +37,82 @@ func (*DataMsg) IsOriginalData() bool { return true }
 // receivers one-way distance estimates; the per-source highest known
 // sequence numbers let receivers detect tail losses they cannot see as
 // gaps.
+//
+// Highest and Echoes are strictly ascending by NodeID. Every member
+// processes every other member's message each period, so the receive
+// path must not sort, hash or allocate: the sender emits in index order,
+// the codec writes the slices as held and rejects anything else, and
+// the receiver relies on the order both for its deterministic
+// scheduling sequence and for binary search.
 type SessionMsg struct {
 	// From is the sending host.
 	From topology.NodeID
 	// SentAt is the transmission timestamp used for distance estimation.
 	SentAt sim.Time
-	// Highest maps each known source to the highest sequence number the
+	// Highest lists, per known source, the highest sequence number the
 	// sender knows to exist in that source's stream.
-	Highest map[topology.NodeID]int
+	Highest []Advert
 	// Echoes carries, per peer, the sender's echo of that peer's last
 	// session timestamp (DistEchoRTT mode only; nil otherwise). A
 	// receiver finds its own entry and derives a clock-offset-free RTT.
-	Echoes map[topology.NodeID]Echo
+	Echoes []PeerEcho
+}
+
+// Advert is one SessionMsg.Highest entry.
+type Advert struct {
+	// Source identifies the stream.
+	Source topology.NodeID
+	// Highest is the highest sequence number known to exist in it.
+	Highest int
+}
+
+// PeerEcho is one SessionMsg.Echoes entry.
+type PeerEcho struct {
+	// Peer is the host whose timestamp is echoed.
+	Peer topology.NodeID
+	Echo
+}
+
+// HighestFor returns the sequence number m advertises for src's stream.
+func (m *SessionMsg) HighestFor(src topology.NodeID) (int, bool) {
+	i, ok := slices.BinarySearchFunc(m.Highest, src, func(ad Advert, src topology.NodeID) int {
+		return cmp.Compare(ad.Source, src)
+	})
+	if !ok {
+		return 0, false
+	}
+	return m.Highest[i].Highest, true
+}
+
+// EchoFor returns the echo m addresses to peer.
+func (m *SessionMsg) EchoFor(peer topology.NodeID) (Echo, bool) {
+	i, ok := slices.BinarySearchFunc(m.Echoes, peer, func(pe PeerEcho, peer topology.NodeID) int {
+		return cmp.Compare(pe.Peer, peer)
+	})
+	if !ok {
+		return Echo{}, false
+	}
+	return m.Echoes[i].Echo, true
+}
+
+// sessionFrame co-allocates a session packet with its message: one
+// object per tick instead of two. A frame is never reused — deliveries
+// still in flight (jitter, duplication, queuing) keep pointing at it.
+type sessionFrame struct {
+	pkt netsim.Packet
+	msg SessionMsg
+}
+
+// NewSessionPacket returns a session-class control packet carrying an
+// empty SessionMsg from the given host, for the caller to fill in and
+// multicast.
+func NewSessionPacket(from topology.NodeID, sentAt sim.Time) (*netsim.Packet, *SessionMsg) {
+	f := &sessionFrame{
+		pkt: netsim.Packet{Class: netsim.Control, Session: true},
+		msg: SessionMsg{From: from, SentAt: sentAt},
+	}
+	f.pkt.Msg = &f.msg
+	return &f.pkt, &f.msg
 }
 
 // RequestMsg is a repair request. Per §3.1 of the paper, requests are

@@ -1,8 +1,6 @@
 package srm
 
 import (
-	"sort"
-
 	"cesrm/internal/netsim"
 	"cesrm/internal/topology"
 )
@@ -85,9 +83,10 @@ func init() {
 	})
 }
 
-// encodeSession writes a SessionMsg with both maps in sorted key order,
-// so the same message always encodes to the same bytes — the property
-// the wire mode's conformance oracle relies on. A nil map encodes as
+// encodeSession writes a SessionMsg's adverts and echoes as held: the
+// ascending-NodeID contract on the slices makes the encoding canonical
+// — the same message always encodes to the same bytes, the property the
+// wire mode's conformance oracle relies on. A nil slice encodes as
 // length zero; decode returns nil for length zero, so decode∘encode is
 // idempotent even though encode(nil) == encode(empty).
 func encodeSession(e *netsim.Encoder, msg any) {
@@ -95,23 +94,25 @@ func encodeSession(e *netsim.Encoder, msg any) {
 	e.Node(m.From)
 	e.Time(m.SentAt)
 	e.Uvarint(uint64(len(m.Highest)))
-	for _, k := range sortedNodeKeys(m.Highest) {
-		e.Node(k)
-		e.Int(m.Highest[k])
+	for _, ad := range m.Highest {
+		e.Node(ad.Source)
+		e.Int(ad.Highest)
 	}
 	e.Uvarint(uint64(len(m.Echoes)))
-	for _, k := range sortedNodeKeys(m.Echoes) {
-		e.Node(k)
-		echo := m.Echoes[k]
-		e.Time(echo.PeerSentAt)
-		e.Duration(echo.HeldFor)
+	for _, pe := range m.Echoes {
+		e.Node(pe.Peer)
+		e.Time(pe.PeerSentAt)
+		e.Duration(pe.HeldFor)
 	}
 }
 
+// decodeSession rejects keys that are not strictly ascending (which
+// also excludes None and duplicates): onSession's iteration order and
+// the HighestFor/EchoFor binary searches depend on it.
 func decodeSession(d *netsim.Decoder) any {
 	m := &SessionMsg{From: d.Node(), SentAt: d.Time()}
 	if n := d.Len(); n > 0 {
-		m.Highest = make(map[topology.NodeID]int, n)
+		m.Highest = make([]Advert, 0, n)
 		prev := topology.None
 		for i := 0; i < n; i++ {
 			k := d.Node()
@@ -120,11 +121,11 @@ func decodeSession(d *netsim.Decoder) any {
 				return m
 			}
 			prev = k
-			m.Highest[k] = d.Int()
+			m.Highest = append(m.Highest, Advert{Source: k, Highest: d.Int()})
 		}
 	}
 	if n := d.Len(); n > 0 {
-		m.Echoes = make(map[topology.NodeID]Echo, n)
+		m.Echoes = make([]PeerEcho, 0, n)
 		prev := topology.None
 		for i := 0; i < n; i++ {
 			k := d.Node()
@@ -133,18 +134,8 @@ func decodeSession(d *netsim.Decoder) any {
 				return m
 			}
 			prev = k
-			m.Echoes[k] = Echo{PeerSentAt: d.Time(), HeldFor: d.Duration()}
+			m.Echoes = append(m.Echoes, PeerEcho{Peer: k, Echo: Echo{PeerSentAt: d.Time(), HeldFor: d.Duration()}})
 		}
 	}
 	return m
-}
-
-// sortedNodeKeys returns m's keys in ascending order.
-func sortedNodeKeys[V any](m map[topology.NodeID]V) []topology.NodeID {
-	keys := make([]topology.NodeID, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
 }

@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -29,12 +31,12 @@ func protocolFixtures() map[netsim.MsgType][]any {
 			&srm.SessionMsg{
 				From:   0,
 				SentAt: sim.Time(time.Hour),
-				Highest: map[topology.NodeID]int{
-					0: 41, 3: 0, 7: 99,
+				Highest: []srm.Advert{
+					{Source: 0, Highest: 41}, {Source: 3, Highest: 0}, {Source: 7, Highest: 99},
 				},
-				Echoes: map[topology.NodeID]srm.Echo{
-					1: {PeerSentAt: sim.Time(77), HeldFor: 3 * time.Millisecond},
-					5: {PeerSentAt: 0, HeldFor: 0},
+				Echoes: []srm.PeerEcho{
+					{Peer: 1, Echo: srm.Echo{PeerSentAt: sim.Time(77), HeldFor: 3 * time.Millisecond}},
+					{Peer: 5},
 				},
 			},
 		},
@@ -114,31 +116,51 @@ func TestProtocolMessagesRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSessionMsgEncodingIsCanonical encodes the same map-bearing
-// message repeatedly; any iteration-order dependence would show up as
-// differing bytes.
+// TestSessionMsgEncodingIsCanonical pins the session encoding to the
+// bytes the map-based representation produced (the hex literal was
+// generated at the last commit that had it, which sorted keys on
+// encode): the slices are written as held, so the wire format did not
+// move. The decoder accepts exactly the strictly ascending form — the
+// receiver's iteration order and binary searches depend on it.
 func TestSessionMsgEncodingIsCanonical(t *testing.T) {
 	msg := &srm.SessionMsg{
-		From:    1,
-		SentAt:  sim.Time(999),
-		Highest: map[topology.NodeID]int{9: 1, 4: 2, 0: 3, 7: 4, 2: 5},
-		Echoes: map[topology.NodeID]srm.Echo{
-			8: {PeerSentAt: 1}, 3: {PeerSentAt: 2}, 6: {PeerSentAt: 3},
+		From:   1,
+		SentAt: sim.Time(999),
+		Highest: []srm.Advert{
+			{Source: 0, Highest: 3}, {Source: 2, Highest: 5}, {Source: 4, Highest: 2},
+			{Source: 7, Highest: 4}, {Source: 9, Highest: 1},
+		},
+		Echoes: []srm.PeerEcho{
+			{Peer: 3, Echo: srm.Echo{PeerSentAt: 2}},
+			{Peer: 6, Echo: srm.Echo{PeerSentAt: 3}},
+			{Peer: 8, Echo: srm.Echo{PeerSentAt: 1}},
 		},
 	}
-	p := &netsim.Packet{From: 1, To: topology.None, Mode: netsim.ModeMulticast,
-		Class: netsim.Control, Session: true, Msg: msg}
-	first, err := netsim.EncodePacket(nil, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 64; i++ {
-		data, err := netsim.EncodePacket(nil, p)
+	const want = "01030002010202ce0f050006040a08040e081202030604000c0600100200"
+	encode := func(m *srm.SessionMsg) []byte {
+		t.Helper()
+		data, err := netsim.EncodePacket(nil, &netsim.Packet{From: 1, To: topology.None,
+			Mode: netsim.ModeMulticast, Class: netsim.Control, Session: true, Msg: m})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(first, data) {
-			t.Fatalf("encoding varies across calls:\n  %x\n  %x", first, data)
+		return data
+	}
+	if got := hex.EncodeToString(encode(msg)); got != want {
+		t.Fatalf("session encoding moved:\n  got  %s\n  want %s", got, want)
+	}
+
+	rejected := map[string]*srm.SessionMsg{
+		"Highest descending": {From: 1, Highest: []srm.Advert{{Source: 4}, {Source: 2}}},
+		"Highest duplicate":  {From: 1, Highest: []srm.Advert{{Source: 4}, {Source: 4}}},
+		"Highest None":       {From: 1, Highest: []srm.Advert{{Source: topology.None}}},
+		"Echoes descending":  {From: 1, Echoes: []srm.PeerEcho{{Peer: 6}, {Peer: 3}}},
+		"Echoes duplicate":   {From: 1, Echoes: []srm.PeerEcho{{Peer: 6}, {Peer: 6}}},
+	}
+	for name, bad := range rejected {
+		if _, err := netsim.DecodePacket(encode(bad)); err == nil ||
+			!strings.Contains(err.Error(), "not strictly ascending") {
+			t.Errorf("%s: decode error = %v, want a strictly-ascending rejection", name, err)
 		}
 	}
 }

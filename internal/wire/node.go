@@ -39,6 +39,9 @@ type Result struct {
 	Stopped bool
 	// DecodeErrors counts undecodable inbound datagrams.
 	DecodeErrors int
+	// SessionRejects counts decodable session input the agent refused
+	// because it named a node outside the tree (srm.Agent.SessionRejects).
+	SessionRejects int
 	// DatagramsSent and DatagramsReceived count the socket traffic.
 	DatagramsSent, DatagramsReceived uint64
 }
@@ -139,10 +142,11 @@ func (n *Node) Run(ctx context.Context) (Result, error) {
 	n.transport.Close()
 
 	res := Result{
-		End:          end,
-		Completed:    n.sess.complete(),
-		Stopped:      n.sess.stopped,
-		DecodeErrors: n.decodeErrs,
+		End:            end,
+		Completed:      n.sess.complete(),
+		Stopped:        n.sess.stopped,
+		DecodeErrors:   n.decodeErrs,
+		SessionRejects: n.sess.inner.SessionRejects(),
 	}
 	res.DatagramsSent, res.DatagramsReceived = n.transport.Stats()
 	var err error

@@ -159,8 +159,8 @@ func TestThreeNodeLoopback(t *testing.T) {
 		if !res.Completed || !res.Stopped {
 			t.Errorf("node %d: completed=%v stopped=%v, want both", id, res.Completed, res.Stopped)
 		}
-		if res.DecodeErrors != 0 {
-			t.Errorf("node %d: %d decode errors", id, res.DecodeErrors)
+		if res.DecodeErrors != 0 || res.SessionRejects != 0 {
+			t.Errorf("node %d: %d decode errors, %d session rejects", id, res.DecodeErrors, res.SessionRejects)
 		}
 		if res.DatagramsSent == 0 || res.DatagramsReceived == 0 {
 			t.Errorf("node %d: no traffic (sent=%d received=%d)",
