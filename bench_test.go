@@ -75,8 +75,9 @@ func oncePer(name string) *printOnce {
 
 // BenchmarkSuiteRun is the headline end-to-end benchmark: one full suite
 // pass (all 14 catalog traces simulated under both SRM and CESRM,
-// serially). Its ns/op and allocs/op are the numbers the committed
-// BENCH_*.json perf trajectory tracks; run with -benchmem to see both.
+// serially), for measuring while you work; run with -benchmem to see
+// ns/op and allocs/op. The repository's benchmark — the one that
+// compares a change with its parent — is `go run ./benchmark`.
 // Unlike the figure benchmarks below, it does not reuse the shared
 // suite — every iteration simulates from scratch.
 func BenchmarkSuiteRun(b *testing.B) {

@@ -1,16 +1,15 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
+	"bytes"
+	"io"
 	"strings"
 	"testing"
 )
 
 func TestRunSections(t *testing.T) {
 	for _, section := range []string{"table1", "sec42", "summary", "fig1", "fig2", "fig3", "fig4", "fig5", "fig1bars", "fig5bars", "compare", "fingerprints"} {
-		err := run([]string{"-scale", "0.005", "-traces", "13", "-section", section})
+		err := run([]string{"-scale", "0.005", "-traces", "13", "-section", section}, io.Discard)
 		if err != nil {
 			t.Fatalf("%s: %v", section, err)
 		}
@@ -18,158 +17,101 @@ func TestRunSections(t *testing.T) {
 }
 
 func TestRunAllSectionsTwoTraces(t *testing.T) {
-	if err := run([]string{"-scale", "0.005", "-traces", "4,13", "-section", "all"}); err != nil {
+	if err := run([]string{"-scale", "0.005", "-traces", "4,13", "-section", "all"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunPolicies(t *testing.T) {
 	for _, pol := range []string{"most-recent", "most-frequent"} {
-		if err := run([]string{"-scale", "0.005", "-traces", "13", "-section", "summary", "-policy", pol}); err != nil {
+		if err := run([]string{"-scale", "0.005", "-traces", "13", "-section", "summary", "-policy", pol}, io.Discard); err != nil {
 			t.Fatalf("%s: %v", pol, err)
 		}
 	}
 }
 
 func TestRunLossyAndRouterAssist(t *testing.T) {
-	err := run([]string{"-scale", "0.005", "-traces", "13", "-section", "summary", "-lossy", "-router-assist"})
+	err := run([]string{"-scale", "0.005", "-traces", "13", "-section", "summary", "-lossy", "-router-assist"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestRunWritesJSONSummary(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_test.json")
-	err := run([]string{"-scale", "0.005", "-traces", "13", "-section", "fingerprints", "-json", path})
-	if err != nil {
+// fingerprintRows runs the fingerprints section and returns, per swept
+// scale in order, the rendered trace rows as [index, name, srm, cesrm].
+func fingerprintRows(t *testing.T, args ...string) [][][]string {
+	t.Helper()
+	var out bytes.Buffer
+	if err := run(append(args, "-section", "fingerprints"), &out); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	var blocks [][][]string
+	for _, line := range strings.Split(out.String(), "\n") {
+		f := strings.Fields(line)
+		switch {
+		case strings.HasPrefix(line, "Fingerprints:"):
+			blocks = append(blocks, nil)
+		case len(f) == 4 && strings.HasPrefix(f[2], "v2:") && strings.HasPrefix(f[3], "v2:"):
+			if len(blocks) == 0 {
+				t.Fatalf("fingerprint row before any section header: %q", line)
+			}
+			blocks[len(blocks)-1] = append(blocks[len(blocks)-1], f)
+		}
 	}
-	var out benchJSON
-	if err := json.Unmarshal(data, &out); err != nil {
-		t.Fatalf("summary is not valid JSON: %v", err)
-	}
-	if len(out.Runs) != 1 {
-		t.Fatalf("summary has %d runs, want 1", len(out.Runs))
-	}
-	run0 := out.Runs[0]
-	if run0.Scale != 0.005 {
-		t.Fatalf("run scale = %v, want 0.005", run0.Scale)
-	}
-	if len(run0.Traces) != 1 || run0.Traces[0].Index != 13 {
-		t.Fatalf("summary traces = %+v, want exactly trace 13", run0.Traces)
-	}
-	tr := run0.Traces[0]
-	if tr.SRMFingerprint == "" || tr.CESRMFingerprint == "" {
-		t.Fatal("summary missing fingerprints")
-	}
-	if tr.SRMFingerprint == tr.CESRMFingerprint {
-		t.Fatal("SRM and CESRM runs share a fingerprint")
-	}
-	if tr.LatencyReductionPct <= 0 {
-		t.Fatalf("latency reduction %.1f%%, want positive", tr.LatencyReductionPct)
-	}
-	if tr.WallNS <= 0 {
-		t.Fatalf("per-trace wall time %d ns, want positive", tr.WallNS)
-	}
-	if run0.Perf.ElapsedNS < tr.WallNS {
-		t.Fatalf("suite elapsed %d ns < trace wall %d ns", run0.Perf.ElapsedNS, tr.WallNS)
-	}
-	if run0.Perf.PeakHeapBytes == 0 {
-		t.Fatal("peak heap not recorded")
-	}
-
-	// The JSON summary must be reproducible: a second identical
-	// invocation yields identical fingerprints.
-	path2 := filepath.Join(t.TempDir(), "BENCH_test2.json")
-	if err := run([]string{"-scale", "0.005", "-traces", "13", "-section", "fingerprints", "-json", path2}); err != nil {
-		t.Fatal(err)
-	}
-	data2, err := os.ReadFile(path2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out2 benchJSON
-	if err := json.Unmarshal(data2, &out2); err != nil {
-		t.Fatal(err)
-	}
-	if out2.Runs[0].Traces[0].SRMFingerprint != tr.SRMFingerprint ||
-		out2.Runs[0].Traces[0].CESRMFingerprint != tr.CESRMFingerprint {
-		t.Fatal("fingerprints diverged across identical invocations")
-	}
+	return blocks
 }
 
 func TestRunScaleSweep(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_sweep.json")
-	err := run([]string{"-scale", "0.004", "-scale", "0.006", "-traces", "13",
-		"-section", "fingerprints", "-json", path})
-	if err != nil {
-		t.Fatal(err)
+	blocks := fingerprintRows(t, "-scale", "0.004", "-scale", "0.006", "-traces", "13")
+	if len(blocks) != 2 || len(blocks[0]) != 1 || len(blocks[1]) != 1 {
+		t.Fatalf("sweep rendered %v, want one block of one row per swept scale", blocks)
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out benchJSON
-	if err := json.Unmarshal(data, &out); err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Runs) != 2 || out.Runs[0].Scale != 0.004 || out.Runs[1].Scale != 0.006 {
-		t.Fatalf("sweep runs = %+v, want scales [0.004 0.006] in order", out.Runs)
-	}
-	if out.Runs[0].Traces[0].SRMFingerprint == out.Runs[1].Traces[0].SRMFingerprint {
+	if blocks[0][0][2] == blocks[1][0][2] {
 		t.Fatal("different scales produced identical fingerprints")
 	}
 }
 
 func TestRunTraceNameFilter(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_name.json")
-	// "wrn" matches the two WRN* catalog traces, case-insensitively.
-	err := run([]string{"-scale", "0.004", "-trace", "wrn", "-section", "fingerprints", "-json", path})
-	if err != nil {
-		t.Fatal(err)
+	// "wrn" matches the eleven WRN* catalog traces, case-insensitively.
+	blocks := fingerprintRows(t, "-scale", "0.004", "-trace", "wrn")
+	if len(blocks) != 1 || len(blocks[0]) == 0 {
+		t.Fatalf("name filter rendered %v, want one block with at least one row", blocks)
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out benchJSON
-	if err := json.Unmarshal(data, &out); err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Runs) != 1 || len(out.Runs[0].Traces) == 0 {
-		t.Fatalf("name filter selected %d traces, want at least 1", len(out.Runs[0].Traces))
-	}
-	for _, tr := range out.Runs[0].Traces {
-		if !strings.Contains(strings.ToLower(tr.Name), "wrn") {
-			t.Fatalf("name filter selected %q, want only WRN traces", tr.Name)
+	for _, row := range blocks[0] {
+		if !strings.Contains(strings.ToLower(row[1]), "wrn") {
+			t.Fatalf("name filter selected %q, want only WRN traces", row[1])
 		}
 	}
 }
 
 func TestRunRejectsBadFlags(t *testing.T) {
-	if err := run([]string{"-section", "bogus", "-scale", "0.005", "-traces", "13"}); err == nil {
+	if err := run([]string{"-section", "bogus", "-scale", "0.005", "-traces", "13"}, io.Discard); err == nil {
 		t.Fatal("unknown section accepted")
 	}
-	if err := run([]string{"-policy", "bogus"}); err == nil {
+	if err := run([]string{"-policy", "bogus"}, io.Discard); err == nil {
 		t.Fatal("unknown policy accepted")
 	}
-	if err := run([]string{"-traces", "x"}); err == nil {
+	if err := run([]string{"-traces", "x"}, io.Discard); err == nil {
 		t.Fatal("bad trace list accepted")
 	}
-	if err := run([]string{"-traces", "99", "-scale", "0.005"}); err == nil {
+	if err := run([]string{"-traces", "99", "-scale", "0.005"}, io.Discard); err == nil {
 		t.Fatal("out-of-range trace accepted")
 	}
-	if err := run([]string{"-scale", "0"}); err == nil {
+	if err := run([]string{"-scale", "0"}, io.Discard); err == nil {
 		t.Fatal("zero scale accepted")
 	}
-	if err := run([]string{"-scale", "-0.5"}); err == nil {
+	if err := run([]string{"-scale", "-0.5"}, io.Discard); err == nil {
 		t.Fatal("negative scale accepted")
 	}
-	if err := run([]string{"-scale", "0.005", "-trace", "nosuchtrace"}); err == nil {
+	if err := run([]string{"-scale", "0.005", "-trace", "nosuchtrace"}, io.Discard); err == nil {
 		t.Fatal("unmatched trace name filter accepted")
+	}
+	// Removed with the second perf harness; they must not be silently
+	// accepted by a script that still passes them.
+	for _, args := range [][]string{{"-json", "x"}, {"-repeat", "3"}} {
+		err := run(append(args, "-scale", "0.005", "-traces", "13"), io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Fatalf("%v: err = %v, want an unknown-flag error", args, err)
+		}
 	}
 }

@@ -43,7 +43,7 @@ func (l *obsLog) ReplySent(h, source topology.NodeID, seq int, expedited bool) {
 		l.replies++
 	}
 }
-func (l *obsLog) SessionSent(topology.NodeID) {}
+func (l *obsLog) SessionSent(topology.NodeID)                         {}
 func (l *obsLog) RequestAbandoned(_, _ topology.NodeID, _ int, _ int) {}
 
 // detConfig returns a deterministic CESRM config (zero-width SRM timer
@@ -384,6 +384,29 @@ func TestRouterAssistCachesTurningPoints(t *testing.T) {
 	want := b.tree.TurningPoint(tu.Replier, 4)
 	if tu.TurningPoint != want {
 		t.Fatalf("turning point = %d, want %d", tu.TurningPoint, want)
+	}
+}
+
+// TestHostileExpeditedRequestNodeIDs: an expedited request is the one
+// message the CESRM layer takes before SRM's dispatcher, so its node IDs
+// must be refused on that path too — a source of None used to index the
+// stream table at -1, a requestor of None (for a held packet) the
+// distance table. The source holds packet 0 here.
+func TestHostileExpeditedRequestNodeIDs(t *testing.T) {
+	b := newBed(t, yTree(), detConfig())
+	src := b.agents[0]
+	src.Transmit(0)
+	for _, m := range []*srm.RequestMsg{
+		{Source: topology.None, Seq: 0, Requestor: 2, Expedited: true, TurningPoint: topology.None},
+		{Source: 0, Seq: 0, Requestor: topology.None, Expedited: true, TurningPoint: topology.None},
+	} {
+		src.Deliver(b.eng.Now(), &netsim.Packet{From: 2, To: 0, Mode: netsim.ModeUnicast, Class: netsim.Control, Msg: m})
+	}
+	if got := src.SRM().SessionRejects(); got != 2 {
+		t.Errorf("SessionRejects = %d, want 2", got)
+	}
+	if b.log.expReplies != 0 {
+		t.Errorf("hostile expedited requests drew %d expedited replies", b.log.expReplies)
 	}
 }
 

@@ -61,7 +61,10 @@ func (t Tuple) Pair() Pair { return Pair{t.Requestor, t.Replier} }
 // evicting the least recent packet first.
 type Cache struct {
 	capacity int
-	entries  map[int]Tuple
+	// entries is ascending by Seq, one tuple per packet: the most recent
+	// loss is last and the eviction victim first. A cache is a handful
+	// of tuples consulted on every detected loss, so lookups scan.
+	entries []Tuple
 }
 
 // DefaultCacheCapacity is the default number of recent losses tracked.
@@ -74,7 +77,7 @@ func NewCache(capacity int) (*Cache, error) {
 	if capacity < 1 {
 		return nil, fmt.Errorf("core: cache capacity %d < 1", capacity)
 	}
-	return &Cache{capacity: capacity, entries: make(map[int]Tuple, capacity)}, nil
+	return &Cache{capacity: capacity, entries: make([]Tuple, 0, capacity)}, nil
 }
 
 // Len returns the number of cached tuples.
@@ -83,10 +86,24 @@ func (c *Cache) Len() int { return len(c.entries) }
 // Capacity returns the maximum number of cached tuples.
 func (c *Cache) Capacity() int { return c.capacity }
 
+// find returns the position of the first cached packet no older than
+// seq — where a tuple for seq sits or would be inserted — and whether
+// seq itself is cached there. It scans from the recent end, where the
+// packets of new replies belong.
+func (c *Cache) find(seq int) (i int, ok bool) {
+	i = len(c.entries)
+	for i > 0 && c.entries[i-1].Seq >= seq {
+		i--
+	}
+	return i, i < len(c.entries) && c.entries[i].Seq == seq
+}
+
 // Get returns the cached tuple for packet seq.
 func (c *Cache) Get(seq int) (Tuple, bool) {
-	t, ok := c.entries[seq]
-	return t, ok
+	if i, ok := c.find(seq); ok {
+		return c.entries[i], true
+	}
+	return Tuple{}, false
 }
 
 // Update processes a recovery tuple observed on a repair reply (§3.1).
@@ -96,26 +113,27 @@ func (c *Cache) Get(seq int) (Tuple, bool) {
 // packets less recent than everything cached are discarded when full.
 // It returns whether the cache changed.
 func (c *Cache) Update(t Tuple) bool {
-	if cur, ok := c.entries[t.Seq]; ok {
-		if t.RecoveryDelay() < cur.RecoveryDelay() {
-			c.entries[t.Seq] = t
+	i, ok := c.find(t.Seq)
+	if ok {
+		if t.RecoveryDelay() < c.entries[i].RecoveryDelay() {
+			c.entries[i] = t
 			return true
 		}
 		return false
 	}
 	if len(c.entries) >= c.capacity {
-		oldest := t.Seq
-		for seq := range c.entries {
-			if seq < oldest {
-				oldest = seq
-			}
-		}
-		if oldest == t.Seq {
+		if i == 0 {
 			return false // less recent than everything cached
 		}
-		delete(c.entries, oldest)
+		// Evict the least recent packet: everything older than t moves
+		// down one place and t takes the gap.
+		copy(c.entries, c.entries[1:i])
+		c.entries[i-1] = t
+		return true
 	}
-	c.entries[t.Seq] = t
+	c.entries = append(c.entries, Tuple{})
+	copy(c.entries[i+1:], c.entries[i:])
+	c.entries[i] = t
 	return true
 }
 
@@ -125,60 +143,48 @@ func (c *Cache) Update(t Tuple) bool {
 // replier simply never answers; invalidation lets a membership-aware
 // deployment skip even the wasted expedited attempt.
 func (c *Cache) InvalidateHost(n topology.NodeID) int {
-	removed := 0
-	for seq, t := range c.entries {
-		if t.Requestor == n || t.Replier == n {
-			delete(c.entries, seq)
-			removed++
+	kept := c.entries[:0]
+	for _, t := range c.entries {
+		if t.Requestor != n && t.Replier != n {
+			kept = append(kept, t)
 		}
 	}
+	removed := len(c.entries) - len(kept)
+	c.entries = kept
 	return removed
 }
 
 // MostRecent returns the tuple of the most recent cached packet.
 func (c *Cache) MostRecent() (Tuple, bool) {
-	best := -1
-	for seq := range c.entries {
-		if seq > best {
-			best = seq
-		}
-	}
-	if best < 0 {
+	if len(c.entries) == 0 {
 		return Tuple{}, false
 	}
-	return c.entries[best], true
+	return c.entries[len(c.entries)-1], true
 }
 
 // MostFrequentPair returns the tuple whose requestor/replier pair
 // appears most frequently in the cache; ties break toward the more
 // recent packet.
 func (c *Cache) MostFrequentPair() (Tuple, bool) {
-	if len(c.entries) == 0 {
-		return Tuple{}, false
-	}
-	counts := make(map[Pair]int)
-	for _, t := range c.entries {
-		counts[t.Pair()]++
-	}
 	var best Tuple
-	bestCount := -1
-	found := false
+	bestCount := 0
 	for _, t := range c.entries {
-		n := counts[t.Pair()]
-		if n > bestCount || (n == bestCount && t.Seq > best.Seq) {
-			best, bestCount, found = t, n, true
+		n := 0
+		for _, u := range c.entries {
+			if u.Pair() == t.Pair() {
+				n++
+			}
+		}
+		if n >= bestCount { // ascending order: a tie goes to the later packet
+			best, bestCount = t, n
 		}
 	}
-	return best, found
+	return best, bestCount > 0
 }
 
-// Tuples returns a snapshot of all cached tuples in unspecified order.
+// Tuples returns a snapshot of all cached tuples, ascending by Seq.
 func (c *Cache) Tuples() []Tuple {
-	out := make([]Tuple, 0, len(c.entries))
-	for _, t := range c.entries {
-		out = append(out, t)
-	}
-	return out
+	return append([]Tuple{}, c.entries...)
 }
 
 // Policy selects the expeditious requestor/replier pair for a new loss

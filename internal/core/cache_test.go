@@ -292,3 +292,33 @@ func TestPropertyCacheInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCacheSteadyStateAllocationFree pins the per-loss path: on a full
+// cache, inserting a newer packet (which evicts the oldest) and
+// consulting MostRecent allocate nothing, and the tuples stay ascending.
+func TestCacheSteadyStateAllocationFree(t *testing.T) {
+	c, _ := NewCache(DefaultCacheCapacity)
+	seq := 0
+	for ; seq < c.Capacity(); seq++ {
+		c.Update(tup(seq, 1, 2, time.Millisecond, time.Millisecond))
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		c.Update(tup(seq, 1, 2, time.Millisecond, time.Millisecond))
+		if mr, ok := c.MostRecent(); !ok || mr.Seq != seq {
+			t.Fatalf("MostRecent = %+v, %v after inserting seq %d", mr, ok, seq)
+		}
+		seq++
+	})
+	if allocs != 0 {
+		t.Errorf("Update+MostRecent on a full cache: %v allocs, want 0", allocs)
+	}
+	ts := c.Tuples()
+	if len(ts) != c.Capacity() {
+		t.Fatalf("cache holds %d tuples, want %d", len(ts), c.Capacity())
+	}
+	for i := 1; i < len(ts); i++ {
+		if ts[i-1].Seq >= ts[i].Seq {
+			t.Fatalf("Tuples not ascending by Seq: %d before %d", ts[i-1].Seq, ts[i].Seq)
+		}
+	}
+}

@@ -1,0 +1,105 @@
+package experiment
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
+	"testing"
+)
+
+// catalogGolden reads the recorded fingerprints section of the 14-trace
+// SRM+CESRM suite at the given scale, seed 1: exactly what
+// RenderFingerprints prints. Scales 0.01 and 0.1 are checked by
+// TestCatalogFingerprints; scale-1.txt and scale-5.txt are recorded and
+// checked on demand (README "Run fingerprints"). A drift is a behavior
+// change, not a golden to update.
+func catalogGolden(t *testing.T, scale float64) string {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", "catalog-fingerprints", fmt.Sprintf("scale-%g.txt", scale)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// diffFingerprints compares a rendered fingerprints section with its
+// golden text byte for byte and, on a mismatch, names each diverging
+// run by trace and protocol.
+func diffFingerprints(got, want string) error {
+	if got == want {
+		return nil
+	}
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	if len(g) != len(w) {
+		return fmt.Errorf("rendered %d lines, golden has %d", len(g), len(w))
+	}
+	var diffs []string
+	for i := range w {
+		if g[i] == w[i] {
+			continue
+		}
+		gf, wf := strings.Fields(g[i]), strings.Fields(w[i])
+		if len(gf) != 4 || len(wf) != 4 || gf[0] != wf[0] || gf[1] != wf[1] {
+			diffs = append(diffs, fmt.Sprintf("line %d: got %q, want %q", i+1, g[i], w[i]))
+			continue
+		}
+		for c, proto := range []Protocol{SRM, CESRM} {
+			if gf[2+c] != wf[2+c] {
+				diffs = append(diffs, fmt.Sprintf("trace %s %v: got %s, want %s", wf[1], proto, gf[2+c], wf[2+c]))
+			}
+		}
+	}
+	return errors.New(strings.Join(diffs, "\n"))
+}
+
+// TestCatalogFingerprints is the repo's behavior-preservation gate: the
+// paper's whole evaluation (14 traces × SRM/CESRM) must reproduce the
+// recorded fingerprints, under serial dispatch and under sharded
+// dispatch alike.
+func TestCatalogFingerprints(t *testing.T) {
+	// At least two shards, so the sharded path runs on a one-CPU host too.
+	sharded := runtime.GOMAXPROCS(0)
+	if sharded < 2 {
+		sharded = 2
+	}
+	for _, scale := range []float64{0.01, 0.1} {
+		if scale == 0.1 && testing.Short() {
+			continue // ~20 s under -race
+		}
+		want := catalogGolden(t, scale)
+		for _, shards := range []int{0, sharded} {
+			t.Run(fmt.Sprintf("scale=%g/shards=%d", scale, shards), func(t *testing.T) {
+				results, err := Suite{Scale: scale, Seed: 1, Base: RunConfig{Shards: shards}}.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				var got bytes.Buffer
+				RenderFingerprints(&got, results)
+				if err := diffFingerprints(got.String(), want); err != nil {
+					t.Fatalf("catalog fingerprints drifted:\n%v", err)
+				}
+			})
+		}
+	}
+
+	// The gate must notice a single flipped hex digit and say which run.
+	t.Run("mutation", func(t *testing.T) {
+		golden := catalogGolden(t, 0.01)
+		const digest = "v2:1ce358c9f53792a26337ff3c355e61fa" // WRN951216, CESRM
+		mutated := strings.Replace(golden, digest, "v2:0"+digest[4:], 1)
+		if mutated == golden {
+			t.Fatal("golden text lost the digest this check mutates")
+		}
+		err := diffFingerprints(golden, mutated)
+		if err == nil {
+			t.Fatal("one flipped hex digit passed the comparison")
+		}
+		if msg := err.Error(); !strings.Contains(msg, "WRN951216") || !strings.Contains(msg, "CESRM") {
+			t.Fatalf("mismatch does not name the run: %v", err)
+		}
+	})
+}

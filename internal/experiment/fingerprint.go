@@ -16,18 +16,13 @@ import (
 // FingerprintVersion is the current fingerprint format version. The
 // fingerprint string is "v<version>:<hex>" where <hex> is the first 16
 // bytes of a SHA-256 over the run's canonical digest input (see
-// computeFingerprint). Bump the version whenever the digest input
-// changes, so fingerprints from different formats never compare equal.
+// fpHasher.finish). Bump the version whenever the digest input changes,
+// so fingerprints from different formats never compare equal.
 //
-// v2 (streaming): identical to v1 except the event-stream length moved
-// from the front of section 1 to its end. v1's length-prefix forced the
-// runner to retain every event until the run finished just to count
-// them before hashing; v2 folds each event into the digest the moment
-// the Recorder observes it and appends the count afterwards, so the
-// stream is never materialized. The digested per-event bytes are
-// unchanged — only the count's position moved — which the v1↔v2
-// migration test (TestFingerprintV1V2Migration) pins by recomputing the
-// historical v1 digests from a retained run.
+// v2 streams: each event is folded into the digest the moment the
+// Recorder observes it and the event count closes section 1, so the
+// stream is never materialized. (v1 was length-prefixed, which forced
+// retaining every event until the run finished.)
 const FingerprintVersion = 2
 
 // fpHasher accumulates the canonical digest. Every input is written
@@ -102,8 +97,7 @@ func (f *fpHasher) event(ev stats.Event) {
 func (f *fpHasher) finish(crossings netsim.CrossingCounts,
 	finished sim.Time, receivers []topology.NodeID, col *stats.Collector, rtt stats.RTTFunc) string {
 
-	// Close section 1 with the event count. v1 put this first, which
-	// forced full event retention; see FingerprintVersion.
+	// Close section 1 with the event count.
 	f.u64(f.events)
 
 	// Section 2: link-crossing counters.
@@ -140,19 +134,6 @@ func (f *fpHasher) finish(crossings netsim.CrossingCounts,
 	}
 
 	return f.sum()
-}
-
-// computeFingerprint digests a run from a retained event slice, for
-// callers and tests that hold the full stream; the runner itself
-// streams via fpHasher.event and finish.
-func computeFingerprint(events []stats.Event, crossings netsim.CrossingCounts,
-	finished sim.Time, receivers []topology.NodeID, col *stats.Collector, rtt stats.RTTFunc) string {
-
-	f := newFPHasher()
-	for _, ev := range events {
-		f.event(ev)
-	}
-	return f.finish(crossings, finished, receivers, col, rtt)
 }
 
 // VerifyDeterminism runs cfg once, then reruns it extra more times and

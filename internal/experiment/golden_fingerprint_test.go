@@ -3,26 +3,14 @@ package experiment
 import "testing"
 
 // goldenFingerprints pins the exact run fingerprints of one small run
-// per protocol (smallTrace(99), seed 123) under the current v2 format.
-// The v2 digest covers the identical per-event bytes as the historical
-// v1 goldens — only the stream-length's position moved (see
-// FingerprintVersion and TestFingerprintV1V2Migration) — so these
-// strings inherit v1's guarantee: behavioral transparency. A refactor
-// that moves a single event, timer or tie-break changes them; that is a
-// correctness bug, not a golden to update.
+// per protocol (smallTrace(99), seed 123) under the current v2 format
+// (see FingerprintVersion). Their guarantee is behavioral transparency:
+// a refactor that moves a single event, timer or tie-break changes
+// them; that is a correctness bug, not a golden to update.
 var goldenFingerprints = map[Protocol]string{
 	SRM:   "v2:82379370e2a1342f7ff2f70c1f7fe081",
 	CESRM: "v2:e62b3c9278a6c6c79c0059cd2869d106",
 	LMS:   "v2:eb060fbd50c4e4f9bb5df0def6c15b54",
-}
-
-// goldenFingerprintsV1 are the same three runs' digests under the
-// retired v1 format (length-prefixed event stream), kept for the
-// migration cross-check.
-var goldenFingerprintsV1 = map[Protocol]string{
-	SRM:   "v1:6b106a9023156b50a7f8f7e901c18d83",
-	CESRM: "v1:22d0cfe77977f428f0d688a0724d2986",
-	LMS:   "v1:a3df4258a922f846f7133ee92a9f1ea5",
 }
 
 // TestGoldenFingerprints pins one small run per protocol against the v2

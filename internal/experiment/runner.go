@@ -84,12 +84,10 @@ type RunConfig struct {
 	// crossing in addition to the trace-driven injection; returning true
 	// drops the packet. Use it for fault injection beyond the trace —
 	// link outages, targeted partitions, adversarial drops. Session
-	// messages are exempt unless DropSessions is also set.
+	// messages are exempt (the paper's evaluation presumes lossless
+	// session exchange); to sever session traffic use the Chaos
+	// link-down and starve faults.
 	ExtraDrop netsim.DropFunc
-	// DropSessions exposes session messages to ExtraDrop too. The
-	// paper's evaluation presumes lossless session exchange; partitions
-	// and outages realistically sever it.
-	DropSessions bool
 	// LossyRecovery additionally drops recovery traffic (requests,
 	// replies, expedited traffic — never session messages) with the
 	// per-link estimated loss probabilities, as in the paper's companion
@@ -154,7 +152,7 @@ type RunConfig struct {
 	// below 2 (and trees whose root has one child) run serially.
 	Shards int
 	// HeapProbe, when non-nil, is invoked on every monitor tick (once
-	// per session period of virtual time); cesrm-bench installs a heap
+	// per session period of virtual time); the benchmark installs a heap
 	// high-watermark sampler so peak-memory reporting cannot miss spikes
 	// between wall-clock samples.
 	HeapProbe func()
@@ -461,12 +459,12 @@ func Run(cfg RunConfig) (*RunResult, error) {
 		if chaosCtl != nil && chaosCtl.Drop(p, link, down) {
 			return true
 		}
-		if cfg.ExtraDrop != nil && (!p.Session || cfg.DropSessions) && cfg.ExtraDrop(p, link, down) {
-			return true
-		}
 		if p.Session {
 			// The paper's evaluation presumes lossless session exchange.
 			return false
+		}
+		if cfg.ExtraDrop != nil && cfg.ExtraDrop(p, link, down) {
+			return true
 		}
 		if m, ok := p.Msg.(*srm.DataMsg); ok {
 			if !down {
@@ -756,6 +754,27 @@ func Run(cfg RunConfig) (*RunResult, error) {
 
 	finished := eng.Run()
 	receivers := tree.Receivers()
+	// result assembles everything a budget-aborted and a completed run
+	// report alike, as of the given final instant.
+	result := func(at sim.Time) *RunResult {
+		return &RunResult{
+			Config:                cfg,
+			Collector:             collector,
+			Crossings:             net.Counts(),
+			InferredRates:         rates,
+			InferenceConfidence95: inferred.Confidence(0.95),
+			FinishedAt:            at,
+			Fingerprint:           fp.finish(net.Counts(), at, receivers, collector, rtt),
+			Events:                recorder.Events(),
+			RTT:                   rtt,
+			Receivers:             receivers,
+			PlanStats:             net.PlanStats(),
+			BarrierEvents:         eng.BarrierEvents(),
+			QueueDrops:            net.QueueDrops(),
+			Abandoned:             collector.TotalAbandoned(),
+			ChurnEvents:           churnEvents,
+		}
+	}
 	if status := eng.Termination(); status != sim.Completed {
 		// Graceful degradation: a guardrail aborted the run. Skip the
 		// completion verification (the run did not finish and would fail
@@ -775,25 +794,9 @@ func Run(cfg RunConfig) (*RunResult, error) {
 			}
 		}
 		diag.Violations = validator.ViolationRecords()
-		return &RunResult{
-			Config:                cfg,
-			Collector:             collector,
-			Crossings:             net.Counts(),
-			InferredRates:         rates,
-			InferenceConfidence95: inferred.Confidence(0.95),
-			FinishedAt:            snap.Now,
-			Fingerprint:           fp.finish(net.Counts(), snap.Now, receivers, collector, rtt),
-			Events:                recorder.Events(),
-			RTT:                   rtt,
-			Receivers:             receivers,
-			PlanStats:             net.PlanStats(),
-			BarrierEvents:         eng.BarrierEvents(),
-			QueueDrops:            net.QueueDrops(),
-			Abandoned:             collector.TotalAbandoned(),
-			ChurnEvents:           churnEvents,
-			Status:                status,
-			Diag:                  diag,
-		}, nil
+		res := result(snap.Now)
+		res.Status, res.Diag = status, diag
+		return res, nil
 	}
 	if timedOut {
 		return nil, &QuiesceError{Trace: tr.Name, Protocol: cfg.Protocol, MaxTail: cfg.MaxTail}
@@ -841,22 +844,7 @@ func Run(cfg RunConfig) (*RunResult, error) {
 		}
 	}
 
-	return &RunResult{
-		Config:                cfg,
-		Collector:             collector,
-		SpuriousExpedited:     spurious,
-		Crossings:             net.Counts(),
-		InferredRates:         rates,
-		InferenceConfidence95: inferred.Confidence(0.95),
-		FinishedAt:            finished,
-		Fingerprint:           fp.finish(net.Counts(), finished, receivers, collector, rtt),
-		Events:                recorder.Events(),
-		RTT:                   rtt,
-		Receivers:             receivers,
-		PlanStats:             net.PlanStats(),
-		BarrierEvents:         eng.BarrierEvents(),
-		QueueDrops:            net.QueueDrops(),
-		Abandoned:             collector.TotalAbandoned(),
-		ChurnEvents:           churnEvents,
-	}, nil
+	res := result(finished)
+	res.SpuriousExpedited = spurious
+	return res, nil
 }

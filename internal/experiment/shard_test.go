@@ -106,8 +106,7 @@ func TestShardedChaosEquality(t *testing.T) {
 // are not compared across configs: hop-cohort delivery groups split at
 // shard boundaries, so a sharded run dispatches more (smaller) events
 // than serial and burns the budget at a different virtual time. Event
-// budgets are comparable only between identical configurations —
-// exactly the rule benchdiff applies to wall-clock gates.
+// budgets are comparable only between identical configurations.
 func TestShardedBudgetAbort(t *testing.T) {
 	tr := smallTrace(t, 99)
 	base := RunConfig{Trace: tr, Protocol: SRM, Seed: 123,

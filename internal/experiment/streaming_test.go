@@ -7,76 +7,6 @@ import (
 	"cesrm/internal/chaos"
 )
 
-// fingerprintV1 recomputes the retired v1 digest from a retained run.
-// v1 led section 1 with the event-stream length; everything after it —
-// the per-event bytes and sections 2-4 — is byte-identical to v2. The
-// layout is deliberately spelled out rather than shared with
-// fpHasher.finish: this function documents the frozen historical format
-// the migration test pins.
-func fingerprintV1(res *RunResult) string {
-	f := newFPHasher()
-
-	// v1 section 1: length-prefixed event stream.
-	f.u64(uint64(len(res.Events)))
-	for _, ev := range res.Events {
-		f.event(ev)
-	}
-
-	// Section 2: link-crossing counters.
-	c := res.Crossings
-	f.u64(c.Data)
-	f.u64(c.Session)
-	f.u64(c.PayloadMulticast)
-	f.u64(c.PayloadSubcast)
-	f.u64(c.PayloadUnicast)
-	f.u64(c.ControlMulticast + c.ControlSubcast)
-	f.u64(c.ControlUnicast)
-
-	// Section 3: finish time.
-	f.i64(int64(res.FinishedAt))
-
-	// Section 4: per-receiver recovery metrics in trace order.
-	f.u64(uint64(len(res.Receivers)))
-	for _, r := range res.Receivers {
-		f.node(r)
-		f.i64(int64(res.Collector.Losses(r)))
-		hc := res.Collector.Counts(r)
-		f.i64(int64(hc.Requests))
-		f.i64(int64(hc.ExpRequests))
-		f.i64(int64(hc.Replies))
-		f.i64(int64(hc.ExpReplies))
-		f.i64(int64(hc.Sessions))
-		lat := res.Collector.NormalizedRecovery(r, res.RTT)
-		f.i64(int64(lat.Count))
-		f.f64(lat.MeanRTT)
-	}
-
-	return fmt.Sprintf("v1:%x", f.h.Sum(nil)[:16])
-}
-
-// TestFingerprintV1V2Migration is the one-time cross-check of the
-// v1 -> v2 fingerprint format change: for each protocol's golden run it
-// reconstructs the retired v1 digest from the retained event stream and
-// asserts it matches the historical v1 golden, while the run's own (v2)
-// fingerprint matches the new golden. Together the two assertions prove
-// the format change moved only the stream-length's position — the
-// simulated behavior behind both digests is the same.
-func TestFingerprintV1V2Migration(t *testing.T) {
-	tr := smallTrace(t, 99)
-	for p, wantV1 := range goldenFingerprintsV1 {
-		res, err := Run(RunConfig{Trace: tr, Protocol: p, Seed: 123, KeepEvents: true})
-		if err != nil {
-			t.Fatalf("%v: %v", p, err)
-		}
-		if got := fingerprintV1(res); got != wantV1 {
-			t.Errorf("%v reconstructed v1 fingerprint:\n got  %s\n want %s", p, got, wantV1)
-		}
-		if want := goldenFingerprints[p]; res.Fingerprint != want {
-			t.Errorf("%v v2 fingerprint:\n got  %s\n want %s", p, res.Fingerprint, want)
-		}
-	}
-}
-
 // TestKeepEventsControlsRetention checks event retention is decided
 // inside the run: by default the recorder streams events into the
 // digest without materializing them, and only KeepEvents builds the

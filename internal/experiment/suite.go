@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"text/tabwriter"
-	"time"
 
 	"cesrm/internal/lossinfer"
 	"cesrm/internal/sim"
@@ -59,11 +58,6 @@ type SuiteResult struct {
 	// suite output is comparable across processes and code revisions.
 	SRMFingerprint   string
 	CESRMFingerprint string
-	// Elapsed is the wall time the pair took to simulate (both
-	// protocols, excluding trace loading). Under Parallel it includes
-	// scheduler contention; comparable across revisions only at
-	// Parallel=1.
-	Elapsed time.Duration
 	// SRMStatus and CESRMStatus report how each run's engine terminated
 	// (sim.Completed unless a Base.Budget guardrail aborted it).
 	SRMStatus   sim.TerminationStatus
@@ -116,9 +110,7 @@ func (s Suite) Run() ([]SuiteResult, error) {
 		// runs shed recovered per-packet state as the watermark advances.
 		base.KeepEvents = s.KeepEvents
 		base.ReleaseRecovered = !s.KeepEvents
-		started := time.Now()
 		pair, err := RunPair(traces[i], PairConfig{Base: base})
-		elapsed := time.Since(started)
 		if err != nil {
 			return SuiteResult{Entry: entry}, fmt.Errorf("experiment: trace %d (%s): %w", idx, entry.Name, err)
 		}
@@ -127,7 +119,6 @@ func (s Suite) Run() ([]SuiteResult, error) {
 			Pair:             pair,
 			SRMFingerprint:   pair.SRM.Fingerprint,
 			CESRMFingerprint: pair.CESRM.Fingerprint,
-			Elapsed:          elapsed,
 			SRMStatus:        pair.SRM.Status,
 			CESRMStatus:      pair.CESRM.Status,
 		}, nil

@@ -230,9 +230,10 @@ type Agent struct {
 	// session tick, retained so Crash can cancel it (a crashed host must
 	// contribute zero pending events, not an inert one per period).
 	sessionTimer sim.Timer
-	// sessionRejects counts session messages dropped for an out-of-tree
-	// sender plus adverts skipped for an out-of-tree source: only input
-	// from outside the program (the wire tier) can produce either.
+	// sessionRejects counts messages of any kind dropped for naming a
+	// node outside the tree, plus session adverts skipped for an
+	// out-of-tree source: only input from outside the program (the wire
+	// tier) can produce either.
 	sessionRejects int
 	// freeSlack pools fired advertDetection handlers.
 	freeSlack    *advertDetection
@@ -599,7 +600,24 @@ func (a *Agent) Deliver(now sim.Time, p *netsim.Packet) {
 	}
 }
 
+// outside reports whether id, taken from a received message, names a
+// node the tree does not have, and counts the message as rejected if
+// so. Stream and distance state is NodeID-indexed and a well-formed
+// datagram can carry any ID from None to MaxInt32 (netsim.Decoder.Node
+// bounds nothing tighter), so every handler checks the IDs it indexes
+// with first.
+func (a *Agent) outside(id topology.NodeID) bool {
+	if uint(id) < uint(len(a.dist)) {
+		return false
+	}
+	a.sessionRejects++
+	return true
+}
+
 func (a *Agent) onData(now sim.Time, m *DataMsg) {
+	if a.outside(m.Source) {
+		return
+	}
 	a.receivePacket(now, a.streamFloored(m.Source, m.Seq), m.Seq, nil)
 }
 
@@ -792,6 +810,9 @@ func (a *Agent) AbandonedIn(source topology.NodeID) int {
 
 // onRequest processes a multicast repair request (§2.1, §2.2).
 func (a *Agent) onRequest(now sim.Time, m *RequestMsg) {
+	if a.outside(m.Source) || a.outside(m.Requestor) {
+		return
+	}
 	st := a.streamFloored(m.Source, m.Seq+1)
 	st.noteExists(m.Seq)
 	if ls := st.losses.At(m.Seq); ls != nil && !ls.recovered {
@@ -865,6 +886,9 @@ func (a *Agent) replyTimerFired(now sim.Time, st *streamState, seq int) {
 // missing it, cancel any scheduled reply for it, and observe the reply
 // abstinence period (§2.2).
 func (a *Agent) onReply(now sim.Time, m *ReplyMsg) {
+	if a.outside(m.Source) || a.outside(m.Requestor) || a.outside(m.Replier) {
+		return
+	}
 	st := a.streamFloored(m.Source, m.Seq)
 	rs := st.ensureReply(m.Seq)
 	if rs.timer.Active() {
@@ -906,13 +930,9 @@ func (a *Agent) noteReplyEvent(now sim.Time, rs *replyState) {
 // outrun in-flight data packets, which pay per-hop serialization delay.
 //
 // Every member runs this for every other member's message each period,
-// so the steady state neither allocates nor sorts. Node IDs are checked
-// against the tree here because a well-formed datagram can carry any
-// ID up to MaxInt32 (netsim.Decoder.Node bounds nothing tighter).
+// so the steady state neither allocates nor sorts.
 func (a *Agent) onSession(now sim.Time, m *SessionMsg) {
-	nodes := uint(len(a.dist))
-	if uint(m.From) >= nodes {
-		a.sessionRejects++
+	if a.outside(m.From) {
 		return
 	}
 	switch a.p.DistanceMode {
@@ -931,8 +951,7 @@ func (a *Agent) onSession(now sim.Time, m *SessionMsg) {
 	// numbers and the run fingerprint — deterministic when a message
 	// advertises two or more sources.
 	for _, ad := range m.Highest {
-		if uint(ad.Source) >= nodes {
-			a.sessionRejects++
+		if a.outside(ad.Source) {
 			continue
 		}
 		if ad.Highest < 0 {
@@ -948,9 +967,9 @@ func (a *Agent) onSession(now sim.Time, m *SessionMsg) {
 	}
 }
 
-// SessionRejects counts the hostile session input this agent refused:
-// messages from a sender outside the tree (dropped whole) and adverts
-// naming a source outside it (skipped).
+// SessionRejects counts the hostile input this agent refused: messages
+// of every kind naming a node outside the tree (dropped whole) and
+// session adverts naming a source outside it (skipped).
 func (a *Agent) SessionRejects() int { return a.sessionRejects }
 
 // advertDetection is the deferred, session-triggered detection pass for
@@ -1074,6 +1093,9 @@ func (a *Agent) UnicastExpeditedRequest(source topology.NodeID, seq int, replier
 func (a *Agent) SendExpeditedReply(now sim.Time, m *RequestMsg, subcast bool) bool {
 	if a.crashed {
 		panic(fmt.Sprintf("srm: crashed host %d sending expedited reply", a.id))
+	}
+	if a.outside(m.Source) || a.outside(m.Requestor) {
+		return false
 	}
 	st := a.stream(m.Source)
 	if !st.received.Has(m.Seq) || a.ReplyBlocked(now, m.Source, m.Seq) {

@@ -141,6 +141,21 @@ func TestMultiSourceAdvertOrder(t *testing.T) {
 	}
 }
 
+// deliverOffWire hands p to a the way the wire tier would: encoded and
+// decoded first, which proves the message is well-formed on the wire.
+func deliverOffWire(t *testing.T, a *Agent, p *netsim.Packet) {
+	t.Helper()
+	data, err := netsim.EncodePacket(nil, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkt, err := netsim.DecodePacket(data)
+	if err != nil {
+		t.Fatalf("hostile message %+v must be well-formed on the wire: %v", p.Msg, err)
+	}
+	a.Deliver(sim.Time(time.Second), pkt)
+}
+
 // TestHostileSessionNodeIDs: netsim.Decoder.Node admits any ID up to
 // MaxInt32, so a well-formed datagram can name nodes the tree does not
 // have. A sender outside the tree used to index a.dist out of range; an
@@ -158,16 +173,8 @@ func TestHostileSessionNodeIDs(t *testing.T) {
 			{From: 2, SentAt: 1, Highest: []Advert{{Source: 0, Highest: 3}, {Source: math.MaxInt32, Highest: 9}}},
 		}
 		for _, m := range hostile {
-			data, err := netsim.EncodePacket(nil, &netsim.Packet{From: 2, To: topology.None,
+			deliverOffWire(t, a, &netsim.Packet{From: 2, To: topology.None,
 				Mode: netsim.ModeMulticast, Class: netsim.Control, Session: true, Msg: m})
-			if err != nil {
-				t.Fatal(err)
-			}
-			pkt, err := netsim.DecodePacket(data)
-			if err != nil {
-				t.Fatalf("hostile message %+v must be well-formed on the wire: %v", m, err)
-			}
-			a.Deliver(sim.Time(time.Second), pkt)
 		}
 		if len(a.streams) != streams {
 			t.Errorf("%v: len(streams) = %d, want %d unchanged", mode, len(a.streams), streams)
@@ -179,6 +186,35 @@ func TestHostileSessionNodeIDs(t *testing.T) {
 		if st := a.peek(0); st == nil || st.highestKnown != 3 {
 			t.Errorf("%v: valid advert beside a hostile one was dropped", mode)
 		}
+	}
+}
+
+// TestHostileNodeIDs is TestHostileSessionNodeIDs for the other three
+// message kinds: a source of None used to index a.streams[-1], a
+// requestor of None on a request for a held packet used to index
+// a.dist[-1], and a source of MaxInt32 used to grow a.streams by two
+// billion entries. Each is dropped and counted.
+func TestHostileNodeIDs(t *testing.T) {
+	f := newFixture(t, starTree(7), detParams())
+	a := f.agents[4]
+	a.Deliver(0, &netsim.Packet{Msg: &DataMsg{Source: 0, Seq: 0}}) // packet 0 is held
+	streams := len(a.streams)
+	hostile := []any{
+		&DataMsg{Source: topology.None, Seq: 0},
+		&RequestMsg{Source: topology.None, Seq: 0, Requestor: 2},
+		&ReplyMsg{Source: topology.None, Seq: 0, Replier: 2, Requestor: 3},
+		&RequestMsg{Source: 0, Seq: 0, Requestor: topology.None},
+		&DataMsg{Source: math.MaxInt32, Seq: 0},
+	}
+	for _, m := range hostile {
+		deliverOffWire(t, a, &netsim.Packet{From: 2, To: topology.None,
+			Mode: netsim.ModeMulticast, Class: netsim.Payload, Msg: m})
+	}
+	if len(a.streams) != streams {
+		t.Errorf("len(streams) = %d, want %d unchanged", len(a.streams), streams)
+	}
+	if got := a.SessionRejects(); got != len(hostile) {
+		t.Errorf("SessionRejects = %d, want %d", got, len(hostile))
 	}
 }
 

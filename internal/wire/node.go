@@ -39,8 +39,9 @@ type Result struct {
 	Stopped bool
 	// DecodeErrors counts undecodable inbound datagrams.
 	DecodeErrors int
-	// SessionRejects counts decodable session input the agent refused
-	// because it named a node outside the tree (srm.Agent.SessionRejects).
+	// SessionRejects counts decodable input of every message kind (the
+	// name predates the non-session kinds) that the agent refused because
+	// it named a node outside the tree (srm.Agent.SessionRejects).
 	SessionRejects int
 	// DatagramsSent and DatagramsReceived count the socket traffic.
 	DatagramsSent, DatagramsReceived uint64
