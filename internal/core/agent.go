@@ -51,12 +51,47 @@ type Agent struct {
 	capacity int
 	policy   Policy
 
-	// pendingExp tracks expedited-request timers by (source, sequence)
+	// pendingExp tracks armed expedited requests by (source, sequence)
 	// so arrival of the packet cancels them (REORDER-DELAY handling,
-	// §3.2).
-	pendingExp map[sourceSeq]sim.Timer
+	// §3.2). freeExp pools the handlers that fired or were cancelled.
+	pendingExp map[sourceSeq]*expeditedRequest
+	freeExp    *expeditedRequest
 
 	expAttempts int
+}
+
+// expeditedRequest is one loss's REORDER-DELAY timer: the closure-free
+// form of "after ReorderDelay, unicast the expedited request unless the
+// packet arrived". Handlers are pooled per agent, like
+// srm's advertDetection.
+type expeditedRequest struct {
+	a            *Agent
+	key          sourceSeq
+	replier      topology.NodeID
+	turningPoint topology.NodeID
+	timer        sim.Timer
+	next         *expeditedRequest
+}
+
+// Fire implements sim.EventHandler.
+func (x *expeditedRequest) Fire(sim.Time) {
+	a, key, replier, turningPoint := x.a, x.key, x.replier, x.turningPoint
+	a.dropPendingExp(x)
+	if a.srm.Crashed() || a.srm.Absent() {
+		return // Crash/Leave cancel these timers, but stay silent regardless
+	}
+	if a.srm.Has(key.source, key.seq) {
+		return // arrived meanwhile; nothing to expedite
+	}
+	a.srm.UnicastExpeditedRequest(key.source, key.seq, replier, turningPoint)
+}
+
+// dropPendingExp forgets x, fired or cancelled, and returns it to the
+// pool.
+func (a *Agent) dropPendingExp(x *expeditedRequest) {
+	delete(a.pendingExp, x.key)
+	x.next = a.freeExp
+	a.freeExp = x
 }
 
 type sourceSeq struct {
@@ -110,7 +145,7 @@ func NewAgent(eng sim.Sched, net netsim.Endpoint, rng *sim.RNG, id topology.Node
 		caches:     make(map[topology.NodeID]*Cache, 1+nr/16),
 		capacity:   capacity,
 		policy:     policy,
-		pendingExp: make(map[sourceSeq]sim.Timer, 8+nr/4),
+		pendingExp: make(map[sourceSeq]*expeditedRequest, 8+nr/4),
 	}
 	// The SRM agent registers itself with the network; re-register the
 	// wrapper so expedited requests are intercepted here first.
@@ -194,32 +229,28 @@ func (a *Agent) onLossDetected(now sim.Time, source topology.NodeID, seq int) {
 		return
 	}
 	a.expAttempts++
-	replier := tuple.Replier
-	turningPoint := topology.None
-	if a.cfg.RouterAssist {
-		turningPoint = tuple.TurningPoint
+	x := a.freeExp
+	if x == nil {
+		x = &expeditedRequest{a: a}
+	} else {
+		a.freeExp = x.next
 	}
-	key := sourceSeq{source, seq}
-	timer := a.eng.Schedule(a.cfg.ReorderDelay, func(sim.Time) {
-		delete(a.pendingExp, key)
-		if a.srm.Crashed() || a.srm.Absent() {
-			return // Crash/Leave cancel these timers, but stay silent regardless
-		}
-		if a.srm.Has(source, seq) {
-			return // arrived meanwhile; nothing to expedite
-		}
-		a.srm.UnicastExpeditedRequest(source, seq, replier, turningPoint)
-	})
-	a.pendingExp[key] = timer
+	x.key = sourceSeq{source, seq}
+	x.replier = tuple.Replier
+	x.turningPoint = topology.None
+	if a.cfg.RouterAssist {
+		x.turningPoint = tuple.TurningPoint
+	}
+	a.pendingExp[x.key] = x
+	x.timer = a.eng.ScheduleHandler(a.cfg.ReorderDelay, x)
 }
 
 // onPacketReceived cancels any pending expedited request for a packet
 // that just arrived (reordering guard, §3.2).
 func (a *Agent) onPacketReceived(source topology.NodeID, seq int) {
-	key := sourceSeq{source, seq}
-	if t, ok := a.pendingExp[key]; ok {
-		a.eng.Cancel(t)
-		delete(a.pendingExp, key)
+	if x, ok := a.pendingExp[sourceSeq{source, seq}]; ok {
+		a.eng.Cancel(x.timer)
+		a.dropPendingExp(x)
 	}
 }
 
@@ -271,9 +302,9 @@ func (a *Agent) Crash() {
 // cancelPendingExp cancels and clears every pending REORDER-DELAY
 // timer.
 func (a *Agent) cancelPendingExp() {
-	for key, t := range a.pendingExp {
-		a.eng.Cancel(t)
-		delete(a.pendingExp, key)
+	for _, x := range a.pendingExp {
+		a.eng.Cancel(x.timer)
+		a.dropPendingExp(x)
 	}
 }
 

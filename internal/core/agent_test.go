@@ -65,14 +65,23 @@ type bed struct {
 
 func newBed(t *testing.T, tree *topology.Tree, cfg Config) *bed {
 	t.Helper()
+	log := newObsLog()
+	b := newBedObserved(t, tree, cfg, log)
+	b.log = log
+	return b
+}
+
+// newBedObserved is newBed with the caller's observer (b.log is nil):
+// allocation pins pass one that retains nothing.
+func newBedObserved(t *testing.T, tree *topology.Tree, cfg Config, obs srm.Observer) *bed {
+	t.Helper()
 	eng := sim.NewEngine()
 	net := netsim.MustNew(eng, tree, netsim.DefaultConfig())
-	log := newObsLog()
-	b := &bed{eng: eng, net: net, tree: tree, agents: map[topology.NodeID]*Agent{}, log: log}
+	b := &bed{eng: eng, net: net, tree: tree, agents: map[topology.NodeID]*Agent{}}
 	rng := sim.NewRNG(3)
 	hosts := append([]topology.NodeID{tree.Root()}, tree.Receivers()...)
 	for _, id := range hosts {
-		a, err := NewAgent(eng, net, rng.Split(), id, cfg, log)
+		a, err := NewAgent(eng, net, rng.Split(), id, cfg, obs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -33,6 +33,7 @@ const FingerprintVersion = 2
 type fpHasher struct {
 	h      hash.Hash
 	buf    [8]byte
+	ev     [11 * 8]byte // one event's eleven words, see event
 	events uint64
 }
 
@@ -64,17 +65,27 @@ func (f *fpHasher) sum() string {
 // the stream is digested as it happens and never needs retaining.
 func (f *fpHasher) event(ev stats.Event) {
 	f.events++
-	f.u64(uint64(ev.Kind))
-	f.i64(int64(ev.At))
-	f.node(ev.Host)
-	f.node(ev.Source)
-	f.i64(int64(ev.Seq))
-	f.i64(int64(ev.Round))
-	f.boolean(ev.Expedited)
-	f.i64(int64(ev.OwnRequests))
-	f.i64(int64(ev.Reschedules))
-	f.node(ev.Requestor)
-	f.node(ev.Replier)
+	expedited := uint64(0)
+	if ev.Expedited {
+		expedited = 1
+	}
+	// The eleven words go to the hash in one Write: the bytes the
+	// per-word encoders above would produce, without their eleven
+	// hash.Hash interface calls per event.
+	le := binary.LittleEndian
+	b := f.ev[:0]
+	b = le.AppendUint64(b, uint64(ev.Kind))
+	b = le.AppendUint64(b, uint64(ev.At))
+	b = le.AppendUint64(b, uint64(ev.Host))
+	b = le.AppendUint64(b, uint64(ev.Source))
+	b = le.AppendUint64(b, uint64(ev.Seq))
+	b = le.AppendUint64(b, uint64(ev.Round))
+	b = le.AppendUint64(b, expedited)
+	b = le.AppendUint64(b, uint64(ev.OwnRequests))
+	b = le.AppendUint64(b, uint64(ev.Reschedules))
+	b = le.AppendUint64(b, uint64(ev.Requestor))
+	b = le.AppendUint64(b, uint64(ev.Replier))
+	f.h.Write(b)
 }
 
 // finish seals the digest of a run whose events were already folded via

@@ -656,24 +656,20 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	}
 	numPackets := tr.NumPackets()
 	srcAgent := agents[source]
-	// Transmit events run entirely within the source host (packet sends
-	// and timers route through its shard-local handles), so they carry
-	// the source's shard label instead of dispatching as barriers — the
-	// bulk of the formerly-serializing events in large same-instant
-	// batches. The session monitor below inspects every host and stays a
-	// barrier by design.
-	for i := 0; i < numPackets; i++ {
-		seq := i
-		at := sim.Time(cfg.Warmup + time.Duration(i)*tr.Period)
-		fn := func(sim.Time) {
-			srcAgent.Transmit(seq)
-		}
-		if shardOf != nil {
-			eng.ScheduleAtShard(at, fn, shardOf[source])
-		} else {
-			eng.ScheduleAt(at, fn)
-		}
+	// The data stream is one train: numPackets reserved FIFO sequence
+	// numbers, one wheel record. Transmit runs entirely within the source
+	// host (packet sends and timers route through its shard-local
+	// handles), so the train carries the source's shard label instead of
+	// dispatching as barriers — the bulk of the formerly-serializing events
+	// in large same-instant batches. The session monitor below inspects
+	// every host and stays a barrier by design.
+	srcShard := sim.GlobalShard
+	if shardOf != nil {
+		srcShard = shardOf[source]
 	}
+	eng.ScheduleTrain(sim.Time(cfg.Warmup), tr.Period, numPackets, srcShard, func(seq int, _ sim.Time) {
+		srcAgent.Transmit(seq)
+	})
 
 	lastData := sim.Time(cfg.Warmup + time.Duration(numPackets-1)*tr.Period)
 	deadline := lastData.Add(cfg.MaxTail)

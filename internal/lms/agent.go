@@ -129,6 +129,8 @@ type Agent struct {
 	heartbeatTimer sim.Timer
 	// freeSlack pools fired advertDetection handlers.
 	freeSlack *advertDetection
+	// frames supplies the source's data and heartbeat packets.
+	frames srm.Frames
 }
 
 var _ netsim.Host = (*Agent)(nil)
@@ -174,9 +176,9 @@ func (a *Agent) heartbeatTick(now sim.Time) {
 	if a.stopped {
 		return
 	}
-	pkt, m := srm.NewSessionPacket(a.id, now)
+	pkt, m := a.frames.Session(a.id, now)
 	if a.highestKnown >= 0 {
-		m.Highest = []srm.Advert{{Source: a.source, Highest: a.highestKnown}}
+		m.Highest = append(m.Highest, srm.Advert{Source: a.source, Highest: a.highestKnown})
 	}
 	a.net.Multicast(a.id, pkt)
 	a.obs.SessionSent(a.id)
@@ -308,7 +310,7 @@ func (a *Agent) Transmit(seq int) {
 	a.received.Mark(seq)
 	a.noteExists(seq)
 	a.cursor = seq + 1
-	a.net.Multicast(a.id, &netsim.Packet{Class: netsim.Payload, Msg: &srm.DataMsg{Source: a.id, Seq: seq}})
+	a.net.Multicast(a.id, a.frames.Data(a.id, seq))
 }
 
 // Has reports possession of packet seq. Released sequence numbers

@@ -295,7 +295,8 @@ type Network struct {
 	// statically by Config.QueueCap or dynamically by SetQueueCap.
 	// queued holds the pending transmission finish times per direction
 	// per link (monotone non-decreasing; pruned lazily against the
-	// arrival instant), nil until a cap is first engaged. queueDrops
+	// arrival instant, in place, so a link's slice stops growing once it
+	// has held a full queue), nil until a cap is first engaged. queueDrops
 	// counts tail-dropped packets; it lives outside CrossingCounts on
 	// purpose — that struct is digested into the run fingerprint, and
 	// congestion drops must not perturb fingerprints of cap-free runs.
@@ -346,6 +347,10 @@ type Network struct {
 	gNow       sim.Time
 	gPerHop    time.Duration
 	gPkt       *Packet
+
+	// pathScratch is walkLeg's reusable path buffer; sends are
+	// synchronous and never re-entered, so one suffices.
+	pathScratch []topology.LinkID
 
 	// shardOf maps each node to its dispatch shard (sim.GlobalShard when
 	// unassigned); nil until SetShards, so serial runs pay nothing.
@@ -902,7 +907,8 @@ func (n *Network) walkLeg(from, to topology.NodeID, p *Packet) (at sim.Time, ok 
 	queuing := n.cfg.Queuing || n.queueCap > 0
 	cur := from
 	at = n.eng.Now()
-	for _, link := range n.tree.PathLinks(from, to) {
+	n.pathScratch = n.tree.AppendPathLinks(n.pathScratch[:0], from, to)
+	for _, link := range n.pathScratch {
 		// Climbing crosses the inbound link of where we are; descending
 		// crosses the inbound link of where we are going.
 		down := link != cur
@@ -975,10 +981,15 @@ func (n *Network) hopArrival(link topology.LinkID, down bool, at sim.Time, p *Pa
 	if capped {
 		// Prune transmissions that finished by the arrival instant; the
 		// finish times are appended in non-decreasing order, so the live
-		// suffix is contiguous.
+		// suffix is contiguous. It moves to the front of the backing
+		// array, which therefore never holds more than a full queue.
 		q = n.queued[dir][link]
-		for len(q) > 0 && !q[0].After(at) {
-			q = q[1:]
+		done := 0
+		for done < len(q) && !q[done].After(at) {
+			done++
+		}
+		if done > 0 {
+			q = q[:copy(q, q[done:])]
 		}
 		if len(q) >= n.queueCap {
 			n.queued[dir][link] = q

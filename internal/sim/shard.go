@@ -369,9 +369,12 @@ func (s *Shard) runEntries() {
 		if ev.gen.Load() == en.gen {
 			ev.gen.Add(1)
 			en.fired = true
-			if h := ev.h; h != nil {
-				h.Fire(now)
-			} else {
+			switch {
+			case ev.train != nil:
+				ev.train.fn(ev.train.next, now)
+			case ev.h != nil:
+				ev.h.Fire(now)
+			default:
 				ev.fn(now)
 			}
 		}
@@ -499,7 +502,11 @@ func (e *Engine) stepSharded() bool {
 		s := e.shards[en.ev.shard]
 		if en.fired {
 			fired++
-			e.releaseRecord(en.ev)
+			if en.ev.train != nil {
+				e.advanceTrain(en.ev)
+			} else {
+				e.releaseRecord(en.ev)
+			}
 		}
 		for j := en.logStart; j < en.logEnd; j++ {
 			op := &s.log[j]

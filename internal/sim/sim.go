@@ -103,7 +103,10 @@ type scheduledEvent struct {
 	at  Time
 	seq uint64 // tie-breaker: FIFO among events at the same instant
 	fn  Event
-	h   EventHandler // non-nil exactly when fn is nil
+	h   EventHandler // non-nil exactly when fn and train are nil
+	// train is non-nil for the single record of a data train (see
+	// ScheduleTrain), which re-arms instead of recycling when it fires.
+	train *train
 	// gen counts how many times this record has been recycled. A Timer
 	// captures the generation at scheduling time; any mismatch means the
 	// record now belongs to a different event. It is atomic because a
@@ -308,6 +311,7 @@ func (e *Engine) release(ev *scheduledEvent) {
 	ev.gen.Add(1)
 	ev.fn = nil
 	ev.h = nil
+	ev.train = nil
 	e.free = append(e.free, ev)
 }
 
@@ -561,6 +565,59 @@ func (e *Engine) ScheduleHandler(delay Duration, h EventHandler) Timer {
 	return e.ScheduleHandlerAt(e.now.Add(delay), h)
 }
 
+// train is a data train's state: n firings of fn, one period apart,
+// sharing one wheel record. next is the index of the armed firing.
+type train struct {
+	fn      func(i int, now Time)
+	period  Duration
+	next, n int
+}
+
+// ScheduleTrain registers fn to run n times, firing i at
+// start + i*period with argument i, labeled with shard (GlobalShard for
+// none). It is dispatch-equivalent to n consecutive ScheduleAt calls made
+// here — the n FIFO sequence numbers are reserved now, so every other
+// event gets the number it would have had — but keeps one record in the
+// wheel: firing i re-arms the record for firing i+1, under its reserved
+// number, before fn runs. Dispatch order is the total order on
+// (instant, sequence number) over live events, and firing i+1's key
+// exceeds firing i's, so it is always filed before its turn. The period
+// must be positive: two firings at one instant could not share a sharded
+// batch the way two up-front events would. A train cannot be cancelled,
+// and counts as one pending event however many firings remain.
+func (e *Engine) ScheduleTrain(start Time, period Duration, n int, shard int32, fn func(i int, now Time)) {
+	if fn == nil {
+		panic("sim: ScheduleTrain called with nil event")
+	}
+	if period <= 0 {
+		panic("sim: ScheduleTrain called with non-positive period")
+	}
+	if n <= 0 {
+		return
+	}
+	ev := e.alloc(start)
+	e.nextSeq += uint64(n - 1)
+	ev.train = &train{fn: fn, period: period, n: n}
+	e.label(Timer{ev: ev}, shard)
+	e.place(ev)
+	e.live++
+}
+
+// advanceTrain moves a train's record, just unlinked for firing next,
+// on to the following firing, or recycles it after the last.
+func (e *Engine) advanceTrain(ev *scheduledEvent) {
+	tr := ev.train
+	tr.next++
+	if tr.next == tr.n {
+		e.release(ev)
+		return
+	}
+	ev.at = ev.at.Add(tr.period)
+	ev.seq++
+	e.place(ev)
+	e.live++
+}
+
 // Cancel deactivates the timer: the record is unlinked from its list in
 // place and recycled immediately — O(1), no dead entries to skip or
 // compact later. Cancelling an already-fired or already-cancelled timer
@@ -601,12 +658,18 @@ func (e *Engine) Step() bool {
 	e.unlink(ev)
 	e.live--
 	e.now = ev.at
+	e.executed++
+	if tr := ev.train; tr != nil {
+		i := tr.next
+		e.advanceTrain(ev)
+		tr.fn(i, e.now)
+		return true
+	}
 	fn, h := ev.fn, ev.h
 	// Recycle before dispatch: the handler may schedule new events,
 	// and reusing this record for them is exactly what the generation
 	// guard makes safe.
 	e.release(ev)
-	e.executed++
 	if h != nil {
 		h.Fire(e.now)
 	} else {

@@ -10,8 +10,13 @@ import (
 	"cesrm/internal/topology"
 )
 
-// lossRecord tracks one lost packet's recovery lifecycle on one host.
+// lossRecord tracks one lost packet's recovery lifecycle on one host. It
+// is also its own request timer's sim.EventHandler: arming the timer
+// schedules the record, so no closure is captured per round.
 type lossRecord struct {
+	st  *streamState
+	seq int
+
 	detectedAt  sim.Time
 	recoveredAt sim.Time
 	recovered   bool
@@ -37,9 +42,18 @@ type lossRecord struct {
 	firstRequestAt  sim.Time
 }
 
+// Fire implements sim.EventHandler: the request timer expired.
+func (ls *lossRecord) Fire(now sim.Time) {
+	ls.st.agent.requestTimerFired(now, ls.st, ls.seq)
+}
+
 // replyState tracks reply scheduling and abstinence for one packet on a
-// host that has the packet.
+// host that has the packet. Like lossRecord it is its own reply timer's
+// sim.EventHandler.
 type replyState struct {
+	st  *streamState
+	seq int
+
 	timer        sim.Timer
 	requestor    topology.NodeID
 	reqDistSrc   time.Duration
@@ -47,15 +61,24 @@ type replyState struct {
 
 	// engaged marks that this host scheduled or sent a reply for the
 	// packet; requestAt and repliesSeen feed adaptive timer adjustment.
-	engaged     bool
+	// The two small fields share a word: every host keeps one record per
+	// packet it heard a reply for and touches it on every reply, so the
+	// record's size is the wide groups' cache footprint.
 	requestAt   sim.Time
-	repliesSeen int
+	repliesSeen int32
+	engaged     bool
+}
+
+// Fire implements sim.EventHandler: the reply timer expired.
+func (rs *replyState) Fire(now sim.Time) {
+	rs.st.agent.replyTimerFired(now, rs.st, rs.seq)
 }
 
 // streamState is a host's per-source reception and recovery state. SRM
 // supports any number of concurrent single-source transmissions over
 // the shared multicast group (§2); every stream recovers independently.
 type streamState struct {
+	agent  *Agent
 	source topology.NodeID
 	// received, losses and replies are sliding windows released together
 	// (see releaseThrough), so they share one base. Invariant: base ≤
@@ -84,11 +107,11 @@ type streamState struct {
 	// replyArena and lossArena are chunk allocators for the records the
 	// windows point at: one record is created per classified sequence
 	// number, and allocating them individually made these two sites the
-	// top allocators of a full-scale run. Each chunk hands out its zeroed
-	// slots exactly once; a chunk is reclaimed when the window release
-	// drops the last pointer into it, a lag bounded by the chunk size.
-	replyArena []replyState
-	lossArena  []lossRecord
+	// top allocators of a full-scale run. A chunk is reclaimed when the
+	// window release drops the last pointer into it, a lag bounded by the
+	// chunk size.
+	replyArena arena[replyState]
+	lossArena  arena[lossRecord]
 	// scratchReply is what ensureReply hands out below the watermark.
 	scratchReply replyState
 }
@@ -98,28 +121,9 @@ type streamState struct {
 // chunk pinned by one straggling record costs a few KB.
 const arenaChunk = 64
 
-// newReply hands out one zeroed replyState from the arena.
-func (st *streamState) newReply() *replyState {
-	if len(st.replyArena) == 0 {
-		st.replyArena = make([]replyState, arenaChunk)
-	}
-	rs := &st.replyArena[0]
-	st.replyArena = st.replyArena[1:]
-	return rs
-}
-
-// newLoss hands out one zeroed lossRecord from the arena.
-func (st *streamState) newLoss() *lossRecord {
-	if len(st.lossArena) == 0 {
-		st.lossArena = make([]lossRecord, arenaChunk)
-	}
-	ls := &st.lossArena[0]
-	st.lossArena = st.lossArena[1:]
-	return ls
-}
-
-func newStreamState(source topology.NodeID) *streamState {
+func newStreamState(a *Agent, source topology.NodeID) *streamState {
 	return &streamState{
+		agent:         a,
 		source:        source,
 		highestKnown:  -1,
 		advertPending: -1,
@@ -141,12 +145,14 @@ func (st *streamState) openAt(floor int) {
 // unreachable in a correct run, and memory-safe in a buggy one.
 func (st *streamState) ensureReply(seq int) *replyState {
 	if seq < st.replies.Base() {
-		st.scratchReply = replyState{}
+		st.scratchReply = replyState{st: st, seq: seq}
 		return &st.scratchReply
 	}
 	c := st.replies.Ensure(seq)
 	if *c == nil {
-		*c = st.newReply()
+		rs := st.replyArena.next(arenaChunk)
+		rs.st, rs.seq = st, seq
+		*c = rs
 	}
 	return *c
 }
@@ -245,6 +251,10 @@ type Agent struct {
 
 	adaptiveCfg AdaptiveConfig
 	adaptive    adaptiveState
+
+	// frames supplies every packet this host sends. Last, so the fields
+	// every delivery reads keep the cache lines they had without it.
+	frames Frames
 }
 
 var _ netsim.Host = (*Agent)(nil)
@@ -288,7 +298,7 @@ func (a *Agent) stream(source topology.NodeID) *streamState {
 	}
 	st := a.streams[source]
 	if st == nil {
-		st = newStreamState(source)
+		st = newStreamState(a, source)
 		a.streams[source] = st
 	}
 	return st
@@ -308,10 +318,10 @@ func (a *Agent) Sources() []topology.NodeID {
 
 // Stop halts session-message rescheduling. In-flight timers drain
 // naturally: the already-armed session tick still fires (and does
-// nothing), so a run's final virtual time — which the v1 run
-// fingerprint digests — is unchanged by stopping. Cancelling the timer
-// here would shorten the post-quiesce drain of every crash-free run and
-// invalidate all pinned fingerprints; only Crash reclaims the timer.
+// nothing), so a run's final virtual time — section 3 of the v2 run
+// fingerprint — is unchanged by stopping. Cancelling the timer here
+// would shorten the post-quiesce drain of every crash-free run and move
+// all recorded catalog fingerprints; only Crash and Leave reclaim it.
 func (a *Agent) Stop() { a.stopped = true }
 
 // Crash makes the host fail-stop: it ceases processing deliveries,
@@ -533,35 +543,44 @@ func (a *Agent) SetDistance(n topology.NodeID, d time.Duration) { a.dist[n] = d 
 // first message sent after a random fraction of the session period so
 // that hosts do not fire in lockstep.
 func (a *Agent) StartSessions() {
-	a.sessionTimer = a.eng.Schedule(a.rng.UniformDuration(0, a.p.SessionPeriod), a.sessionTick)
+	a.sessionTimer = a.eng.ScheduleHandler(a.rng.UniformDuration(0, a.p.SessionPeriod), (*sessionTicker)(a))
 }
+
+// sessionTicker is the Agent as the sim.EventHandler of its periodic
+// session tick: a conversion, so arming the tick captures nothing.
+type sessionTicker Agent
+
+// Fire implements sim.EventHandler.
+func (t *sessionTicker) Fire(now sim.Time) { (*Agent)(t).sessionTick(now) }
 
 func (a *Agent) sessionTick(now sim.Time) {
 	if a.stopped {
 		return
 	}
-	pkt, m := NewSessionPacket(a.id, now)
+	pkt, m := a.frames.Session(a.id, now)
 	// a.streams is NodeID-indexed, so walking it emits adverts in the
-	// ascending order SessionMsg promises; counting first sizes the
-	// slice exactly.
+	// ascending order SessionMsg promises; counting first sizes a list
+	// too long for the frame's inline storage exactly.
 	n := 0
 	for _, st := range a.streams {
 		if st != nil && st.highestKnown >= 0 {
 			n++
 		}
 	}
-	m.Highest = make([]Advert, 0, n)
+	if n > cap(m.Highest) {
+		m.Highest = make([]Advert, 0, n)
+	}
 	for src, st := range a.streams {
 		if st != nil && st.highestKnown >= 0 {
 			m.Highest = append(m.Highest, Advert{Source: topology.NodeID(src), Highest: st.highestKnown})
 		}
 	}
-	if a.p.DistanceMode == DistEchoRTT {
-		m.Echoes = a.echo.echoes(now)
+	if a.p.DistanceMode == DistEchoRTT && a.echo.peers > 0 {
+		m.Echoes = a.echo.appendEchoes(a.frames.echoList(a.echo.peers), now)
 	}
 	a.net.Multicast(a.id, pkt)
 	a.obs.SessionSent(a.id)
-	a.sessionTimer = a.eng.Schedule(a.p.SessionPeriod, a.sessionTick)
+	a.sessionTimer = a.eng.ScheduleHandler(a.p.SessionPeriod, (*sessionTicker)(a))
 }
 
 // Transmit multicasts original packet seq of this host's own stream.
@@ -573,7 +592,7 @@ func (a *Agent) Transmit(seq int) {
 	st.received.Mark(seq)
 	st.noteExists(seq)
 	st.cursor = seq + 1
-	a.net.Multicast(a.id, &netsim.Packet{Class: netsim.Payload, Msg: &DataMsg{Source: a.id, Seq: seq}})
+	a.net.Multicast(a.id, a.frames.Data(a.id, seq))
 }
 
 // Deliver implements netsim.Host.
@@ -705,7 +724,8 @@ func (a *Agent) detectLoss(now sim.Time, st *streamState, seq int) {
 	if st.losses.At(seq) != nil {
 		return
 	}
-	ls := st.newLoss()
+	ls := st.lossArena.next(arenaChunk)
+	ls.st, ls.seq = st, seq
 	ls.detectedAt = now
 	// seq is never below base: losses are detected at the cursor, which
 	// never trails the release watermark.
@@ -726,9 +746,7 @@ func (a *Agent) scheduleRequest(st *streamState, ls *lossRecord, seq int) {
 	factor := a.backoffFactor(ls.k)
 	lo := sim.Scale(d, a.p.C1*factor)
 	hi := sim.Scale(d, (a.p.C1+a.p.C2)*factor)
-	ls.timer = a.eng.Schedule(a.rng.UniformDuration(lo, hi), func(now sim.Time) {
-		a.requestTimerFired(now, st, seq)
-	})
+	ls.timer = a.eng.ScheduleHandler(a.rng.UniformDuration(lo, hi), ls)
 }
 
 func (a *Agent) backoffFactor(k int) float64 {
@@ -745,14 +763,13 @@ func (a *Agent) requestTimerFired(now sim.Time, st *streamState, seq int) {
 	if ls == nil || ls.recovered {
 		return
 	}
-	m := &RequestMsg{
+	a.net.Multicast(a.id, a.frames.Request(RequestMsg{
 		Source:          st.source,
 		Seq:             seq,
 		Requestor:       a.id,
 		ReqDistToSource: a.Distance(st.source),
 		TurningPoint:    topology.None,
-	}
-	a.net.Multicast(a.id, &netsim.Packet{Class: netsim.Control, Msg: m})
+	}))
 	a.obs.RequestSent(a.id, st.source, seq, ls.k-1)
 	ls.info.OwnRequests++
 	if ls.firstRequestAt == 0 {
@@ -855,10 +872,7 @@ func (a *Agent) considerReply(now sim.Time, st *streamState, m *RequestMsg) {
 	rs.reqDistSrc = m.ReqDistToSource
 	rs.engaged = true
 	rs.requestAt = now
-	seq := m.Seq
-	rs.timer = a.eng.Schedule(a.rng.UniformDuration(lo, hi), func(now sim.Time) {
-		a.replyTimerFired(now, st, seq)
-	})
+	rs.timer = a.eng.ScheduleHandler(a.rng.UniformDuration(lo, hi), rs)
 }
 
 // replyTimerFired multicasts the scheduled repair reply and starts the
@@ -868,15 +882,14 @@ func (a *Agent) replyTimerFired(now sim.Time, st *streamState, seq int) {
 	if rs == nil || !st.received.Has(seq) {
 		return
 	}
-	m := &ReplyMsg{
+	a.net.Multicast(a.id, a.frames.Reply(ReplyMsg{
 		Source:                 st.source,
 		Seq:                    seq,
 		Replier:                a.id,
 		Requestor:              rs.requestor,
 		ReqDistToSource:        rs.reqDistSrc,
 		ReplierDistToRequestor: a.Distance(rs.requestor),
-	}
-	a.net.Multicast(a.id, &netsim.Packet{Class: netsim.Payload, Msg: m})
+	}))
 	a.obs.ReplySent(a.id, st.source, seq, false)
 	rs.pendingUntil = now.Add(sim.Scale(a.Distance(rs.requestor), a.p.D3))
 	a.noteReplyEvent(now, rs)
@@ -1071,15 +1084,14 @@ func (a *Agent) UnicastExpeditedRequest(source topology.NodeID, seq int, replier
 	if a.crashed || a.absent {
 		panic(fmt.Sprintf("srm: silent host %d sending expedited request", a.id))
 	}
-	m := &RequestMsg{
+	a.net.Unicast(a.id, replier, a.frames.Request(RequestMsg{
 		Source:          source,
 		Seq:             seq,
 		Requestor:       a.id,
 		ReqDistToSource: a.Distance(source),
 		Expedited:       true,
 		TurningPoint:    turningPoint,
-	}
-	a.net.Unicast(a.id, replier, &netsim.Packet{Class: netsim.Control, Msg: m})
+	}))
 	a.obs.ExpRequestSent(a.id, source, seq)
 }
 
@@ -1101,7 +1113,7 @@ func (a *Agent) SendExpeditedReply(now sim.Time, m *RequestMsg, subcast bool) bo
 	if !st.received.Has(m.Seq) || a.ReplyBlocked(now, m.Source, m.Seq) {
 		return false
 	}
-	reply := &ReplyMsg{
+	pkt := a.frames.Reply(ReplyMsg{
 		Source:                 m.Source,
 		Seq:                    m.Seq,
 		Replier:                a.id,
@@ -1109,8 +1121,7 @@ func (a *Agent) SendExpeditedReply(now sim.Time, m *RequestMsg, subcast bool) bo
 		ReqDistToSource:        m.ReqDistToSource,
 		ReplierDistToRequestor: a.Distance(m.Requestor),
 		Expedited:              true,
-	}
-	pkt := &netsim.Packet{Class: netsim.Payload, Msg: reply}
+	})
 	if subcast && m.TurningPoint != topology.None {
 		a.net.UnicastThenSubcast(a.id, m.TurningPoint, pkt)
 	} else {

@@ -72,14 +72,23 @@ type fixture struct {
 // distances primed from the topology, sessions off.
 func newFixture(t *testing.T, tree *topology.Tree, p Params) *fixture {
 	t.Helper()
+	log := &eventLog{}
+	f := newFixtureObserved(t, tree, p, log)
+	f.log = log
+	return f
+}
+
+// newFixtureObserved is newFixture with the caller's observer (f.log is
+// nil): allocation pins pass one that retains nothing.
+func newFixtureObserved(t *testing.T, tree *topology.Tree, p Params, obs Observer) *fixture {
+	t.Helper()
 	eng := sim.NewEngine()
 	net := netsim.MustNew(eng, tree, netsim.DefaultConfig())
-	log := &eventLog{}
-	f := &fixture{eng: eng, net: net, tree: tree, agents: map[topology.NodeID]*Agent{}, log: log}
+	f := &fixture{eng: eng, net: net, tree: tree, agents: map[topology.NodeID]*Agent{}}
 	hosts := append([]topology.NodeID{tree.Root()}, tree.Receivers()...)
 	rng := sim.NewRNG(1)
 	for _, id := range hosts {
-		a, err := NewAgent(eng, net, rng.Split(), id, p, log, nil)
+		a, err := NewAgent(eng, net, rng.Split(), id, p, obs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -89,13 +89,9 @@ func (e *echoState) record(peer topology.NodeID, peerSentAt, now sim.Time) {
 	*entry = echoEntry{peerSentAt: peerSentAt, receivedAt: now, seen: true}
 }
 
-// echoes builds the annotations for an outgoing session message,
-// ascending by peer.
-func (e *echoState) echoes(now sim.Time) []PeerEcho {
-	if e.peers == 0 {
-		return nil
-	}
-	out := make([]PeerEcho, 0, e.peers)
+// appendEchoes appends the annotations for an outgoing session message
+// to out, ascending by peer; there are e.peers of them.
+func (e *echoState) appendEchoes(out []PeerEcho, now sim.Time) []PeerEcho {
 	for peer := range e.lastFrom {
 		entry := &e.lastFrom[peer]
 		if !entry.seen {

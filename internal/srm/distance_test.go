@@ -34,7 +34,7 @@ func TestRTTFromEcho(t *testing.T) {
 
 func TestEchoStateRoundTrip(t *testing.T) {
 	e := newEchoState(12)
-	if e.echoes(0) != nil {
+	if e.appendEchoes(nil, 0) != nil {
 		t.Fatal("empty echo state produced echoes")
 	}
 	// Recorded out of order, twice for peer 7: echoes come out strictly
@@ -43,7 +43,7 @@ func TestEchoStateRoundTrip(t *testing.T) {
 	e.record(11, sim.Time(10*time.Millisecond), sim.Time(20*time.Millisecond))
 	e.record(7, sim.Time(100*time.Millisecond), sim.Time(140*time.Millisecond))
 	e.record(0, sim.Time(30*time.Millisecond), sim.Time(50*time.Millisecond))
-	m := &SessionMsg{Echoes: e.echoes(sim.Time(200 * time.Millisecond))}
+	m := &SessionMsg{Echoes: e.appendEchoes(new(Frames).echoList(e.peers), sim.Time(200*time.Millisecond))}
 	if len(m.Echoes) != 3 || cap(m.Echoes) != 3 {
 		t.Fatalf("echoes len %d cap %d, want exactly 3", len(m.Echoes), cap(m.Echoes))
 	}

@@ -15,7 +15,6 @@ import (
 	"slices"
 	"time"
 
-	"cesrm/internal/netsim"
 	"cesrm/internal/sim"
 	"cesrm/internal/topology"
 )
@@ -93,26 +92,6 @@ func (m *SessionMsg) EchoFor(peer topology.NodeID) (Echo, bool) {
 		return Echo{}, false
 	}
 	return m.Echoes[i].Echo, true
-}
-
-// sessionFrame co-allocates a session packet with its message: one
-// object per tick instead of two. A frame is never reused — deliveries
-// still in flight (jitter, duplication, queuing) keep pointing at it.
-type sessionFrame struct {
-	pkt netsim.Packet
-	msg SessionMsg
-}
-
-// NewSessionPacket returns a session-class control packet carrying an
-// empty SessionMsg from the given host, for the caller to fill in and
-// multicast.
-func NewSessionPacket(from topology.NodeID, sentAt sim.Time) (*netsim.Packet, *SessionMsg) {
-	f := &sessionFrame{
-		pkt: netsim.Packet{Class: netsim.Control, Session: true},
-		msg: SessionMsg{From: from, SentAt: sentAt},
-	}
-	f.pkt.Msg = &f.msg
-	return &f.pkt, &f.msg
 }
 
 // RequestMsg is a repair request. Per §3.1 of the paper, requests are

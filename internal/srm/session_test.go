@@ -25,7 +25,7 @@ func starTree(n int) *topology.Tree {
 // advertising highest for each of the nodes [0, sources) and echoing
 // every host in echoFor.
 func sessionFrom(peer topology.NodeID, sentAt sim.Time, sources, highest int, echoFor []topology.NodeID) *netsim.Packet {
-	pkt, m := NewSessionPacket(peer, sentAt)
+	pkt, m := new(Frames).Session(peer, sentAt)
 	for src := 0; src < sources; src++ {
 		m.Highest = append(m.Highest, Advert{Source: topology.NodeID(src), Highest: highest})
 	}

@@ -12,7 +12,7 @@ import (
 // dense windows, and every accessor honors the base invariant
 // (base ≤ held ≤ cursor) afterwards.
 func TestStreamStateWatermarkRelease(t *testing.T) {
-	st := newStreamState(0)
+	st := newStreamState(nil, 0)
 	for i := 0; i < 10; i++ {
 		st.received.Mark(i)
 	}
@@ -68,7 +68,7 @@ func TestStreamStateWatermarkRelease(t *testing.T) {
 // TestStreamStateHeldGap checks the held prefix stalls at a gap and the
 // releasable watermark never passes it.
 func TestStreamStateHeldGap(t *testing.T) {
-	st := newStreamState(0)
+	st := newStreamState(nil, 0)
 	st.received.Mark(0)
 	st.received.Mark(2) // gap at 1
 	if st.received.Held() != 1 {
@@ -87,7 +87,7 @@ func TestStreamStateHeldGap(t *testing.T) {
 // released coordinate gets the stream's scratch record, not a fresh
 // heap object, and the scratch is zeroed between uses.
 func TestEnsureReplyBelowBaseAllocationFree(t *testing.T) {
-	st := newStreamState(0)
+	st := newStreamState(nil, 0)
 	for i := 0; i < 10; i++ {
 		st.received.Mark(i)
 	}

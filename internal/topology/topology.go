@@ -247,20 +247,25 @@ func (t *Tree) IsAncestor(a, b NodeID) bool {
 // by downstream endpoints, in traversal order: first the links climbed
 // from a up to LCA(a,b), then the links descended to b.
 func (t *Tree) PathLinks(a, b NodeID) []LinkID {
+	return t.AppendPathLinks(nil, a, b)
+}
+
+// AppendPathLinks appends PathLinks(a, b) to dst, for callers that walk
+// many paths through one reused buffer.
+func (t *Tree) AppendPathLinks(dst []LinkID, a, b NodeID) []LinkID {
 	l := t.LCA(a, b)
-	var up []LinkID
 	for n := a; n != l; n = t.parent[n] {
-		up = append(up, n)
+		dst = append(dst, n)
 	}
-	var down []LinkID
+	// The descent is collected bottom-up; reverse it in place.
+	down := len(dst)
 	for n := b; n != l; n = t.parent[n] {
-		down = append(down, n)
+		dst = append(dst, n)
 	}
-	// The descent is collected bottom-up; reverse it.
-	for i, j := 0, len(down)-1; i < j; i, j = i+1, j-1 {
-		down[i], down[j] = down[j], down[i]
+	for i, j := down, len(dst)-1; i < j; i, j = i+1, j-1 {
+		dst[i], dst[j] = dst[j], dst[i]
 	}
-	return append(up, down...)
+	return dst
 }
 
 // TurningPoint returns the router at which a packet travelling from
