@@ -87,7 +87,7 @@ func main() {
 	case "proxy":
 		err = runProxy(*bind, *peers, *drop, *dropSeed)
 	case "conform":
-		err = runConform(flag.Args())
+		err = runConform(flag.Args(), os.Stdout)
 	default:
 		fmt.Fprintf(os.Stderr, "cesrm-node: unknown mode %q\n", *mode)
 		os.Exit(2)
@@ -230,7 +230,9 @@ func runProxy(bind, peers string, drop float64, dropSeed int64) error {
 	return nil
 }
 
-func runConform(paths []string) error {
+// runConform replays each capture and prints one verdict line per file,
+// followed by its divergences, to stdout.
+func runConform(paths []string, stdout io.Writer) error {
 	if len(paths) == 0 {
 		return fmt.Errorf("conform mode requires capture files as arguments")
 	}
@@ -254,11 +256,11 @@ func runConform(paths []string) error {
 			status = "DIVERGES"
 			failed++
 		}
-		fmt.Printf("%s: node %d %s: %d sends, %d events, %d recoveries (%d expedited), completed=%v\n",
+		fmt.Fprintf(stdout, "%s: node %d %s: %d sends, %d events, %d recoveries (%d expedited), completed=%v\n",
 			path, report.Node, status, report.Sends, report.Events,
 			report.Recoveries, report.Expedited, c.End.Completed)
 		for _, d := range report.Divergences {
-			fmt.Printf("  %s\n", d)
+			fmt.Fprintf(stdout, "  %s\n", d)
 		}
 	}
 	if failed > 0 {

@@ -1,0 +1,86 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+const fixtures = "../../internal/wire/testdata"
+
+// TestConformCommittedCaptures: conform mode certifies the three
+// committed captures, one verdict line each with the capture's counts.
+func TestConformCommittedCaptures(t *testing.T) {
+	var out bytes.Buffer
+	paths := []string{
+		filepath.Join(fixtures, "capture_node0.ndjson"),
+		filepath.Join(fixtures, "capture_node3.ndjson"),
+		filepath.Join(fixtures, "capture_node4.ndjson"),
+	}
+	if err := runConform(paths, &out); err != nil {
+		t.Fatalf("runConform: %v\n%s", err, out.String())
+	}
+	want := []string{
+		paths[0] + ": node 0 CONFORMS: 27 sends, 15 events, 0 recoveries (0 expedited), completed=true",
+		paths[1] + ": node 3 CONFORMS: 13 sends, 19 events, 3 recoveries (1 expedited), completed=true",
+		paths[2] + ": node 4 CONFORMS: 11 sends, 15 events, 2 recoveries (1 expedited), completed=true",
+	}
+	if got := strings.Split(strings.TrimSpace(out.String()), "\n"); strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("output:\n%s\nwant:\n%s", out.String(), strings.Join(want, "\n"))
+	}
+}
+
+// TestConformReportsDivergence: a capture whose first send is one
+// nanosecond off is reported as DIVERGES with the divergence rendered
+// under it, the conforming capture beside it still gets its line, and the
+// run fails.
+func TestConformReportsDivergence(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join(fixtures, "capture_node0.ndjson"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sent = `{"kind":"send","at_ns":21597796,`
+	if !bytes.Contains(raw, []byte(sent)) {
+		t.Fatal("fixture's first send moved")
+	}
+	mutated := filepath.Join(t.TempDir(), "mutated.ndjson")
+	if err := os.WriteFile(mutated, bytes.Replace(raw, []byte(sent), []byte(`{"kind":"send","at_ns":21597797,`), 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	clean := filepath.Join(fixtures, "capture_node3.ndjson")
+
+	var out bytes.Buffer
+	err = runConform([]string{mutated, clean}, &out)
+	if err == nil || !strings.Contains(err.Error(), "1 of 2 captures diverge") {
+		t.Errorf("runConform error = %v, want 1 of 2 captures reported divergent", err)
+	}
+	want := mutated + `: node 0 DIVERGES: 27 sends, 15 events, 0 recoveries (0 expedited), completed=true
+  record 0:
+  capture: send at=21597797 data=01030000010200c8b9cc140000
+  replay:  send at=21597796 data=01030000010200c8b9cc140000
+` + clean + ": node 3 CONFORMS: 13 sends, 19 events, 3 recoveries (1 expedited), completed=true\n"
+	if out.String() != want {
+		t.Errorf("output:\n%s\nwant:\n%s", out.String(), want)
+	}
+}
+
+// TestConformRejectsBadInput: no arguments, a missing file and a file
+// that is not a capture are errors, not verdicts.
+func TestConformRejectsBadInput(t *testing.T) {
+	garbage := filepath.Join(t.TempDir(), "garbage.ndjson")
+	if err := os.WriteFile(garbage, []byte("not a capture\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, paths := range map[string][]string{
+		"no captures":   nil,
+		"missing file":  {filepath.Join(t.TempDir(), "absent.ndjson")},
+		"not a capture": {garbage},
+	} {
+		var out bytes.Buffer
+		if err := runConform(paths, &out); err == nil {
+			t.Errorf("%s: runConform succeeded, printing %q", name, out.String())
+		}
+	}
+}

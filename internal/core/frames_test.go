@@ -78,6 +78,32 @@ func (tap vaultTap) Deliver(now sim.Time, p *netsim.Packet) {
 	tap.inner.Deliver(now, p)
 }
 
+// lossyEchoRun streams packets data packets, 20 ms apart, through a
+// nine-receiver CESRM group whose sessions run in echo mode and whose
+// downward links each lose 4 % of the data, with every host behind
+// tap's wrapper, and runs 20 s past the last transmission: long enough
+// for every loss to be repaired, by every kind of message there is.
+func lossyEchoRun(t *testing.T, packets int, tap func(id topology.NodeID, h netsim.Host) netsim.Host) *bed {
+	t.Helper()
+	cfg := detConfig()
+	cfg.SRM.DistanceMode = srm.DistEchoRTT
+	b := newBedObserved(t, topology.MustGenerate(sim.NewRNG(5), topology.GenSpec{Receivers: 9, Depth: 4}), cfg, nil)
+	for id, a := range b.agents {
+		b.net.AttachHost(id, tap(id, a))
+	}
+	drops := sim.NewRNG(11)
+	b.net.SetDropFunc(func(p *netsim.Packet, _ topology.LinkID, down bool) bool {
+		_, data := p.Msg.(*srm.DataMsg)
+		return data && down && drops.Float64() < 0.04
+	})
+	for _, a := range b.agents {
+		a.StartSessions()
+	}
+	b.sendData(packets, 20*time.Millisecond)
+	b.eng.RunUntil(sim.Time(time.Duration(packets)*20*time.Millisecond + 20*time.Second))
+	return b
+}
+
 // TestDeliveredFramesAreNeverMutated is the arenas' aliasing audit: a
 // 200-packet lossy CESRM run, with sessions in echo mode, where every
 // delivered *Packet is held until the end. Frames share chunks with
@@ -85,24 +111,9 @@ func (tap vaultTap) Deliver(now sim.Time, p *netsim.Packet) {
 // place over a live one — would show as a held packet that no longer
 // says what it said when it was delivered.
 func TestDeliveredFramesAreNeverMutated(t *testing.T) {
-	cfg := detConfig()
-	cfg.SRM.DistanceMode = srm.DistEchoRTT
-	b := newBedObserved(t, topology.MustGenerate(sim.NewRNG(5), topology.GenSpec{Receivers: 9, Depth: 4}), cfg, nil)
 	vault := &packetVault{t: t, index: map[*netsim.Packet]*heldPacket{}}
-	for id, a := range b.agents {
-		b.net.AttachHost(id, vaultTap{vault, a})
-	}
-	drops := sim.NewRNG(11)
-	b.net.SetDropFunc(func(p *netsim.Packet, _ topology.LinkID, down bool) bool {
-		_, data := p.Msg.(*srm.DataMsg)
-		return data && down && drops.Float64() < 0.04
-	})
 	const packets = 200
-	for _, a := range b.agents {
-		a.StartSessions()
-	}
-	b.sendData(packets, 20*time.Millisecond)
-	b.eng.RunUntil(sim.Time(packets*20*time.Millisecond + 20*time.Second))
+	b := lossyEchoRun(t, packets, func(_ topology.NodeID, h netsim.Host) netsim.Host { return vaultTap{vault, h} })
 	for id, a := range b.agents {
 		a.Stop()
 		if missing := a.SRM().MissingIn(0, packets); missing != 0 || a.SRM().Outstanding() != 0 {

@@ -21,13 +21,15 @@ func init() {
 			e.Node(m.TurningPoint)
 			e.Node(m.OriginChild)
 		},
-		Decode: func(d *netsim.Decoder) any {
-			return &NAKMsg{
+		Decode: func(d *netsim.Decoder, slot *any) any {
+			m := netsim.Scratch[NAKMsg](slot)
+			*m = NAKMsg{
 				Seq:          d.Int(),
 				Requestor:    d.Node(),
 				TurningPoint: d.Node(),
 				OriginChild:  d.Node(),
 			}
+			return m
 		},
 	})
 	netsim.RegisterMessage(WireRepair, (*RepairMsg)(nil), netsim.MsgCodec{
@@ -38,12 +40,14 @@ func init() {
 			e.Node(m.Replier)
 			e.Node(m.Requestor)
 		},
-		Decode: func(d *netsim.Decoder) any {
-			return &RepairMsg{
+		Decode: func(d *netsim.Decoder, slot *any) any {
+			m := netsim.Scratch[RepairMsg](slot)
+			*m = RepairMsg{
 				Seq:       d.Int(),
 				Replier:   d.Node(),
 				Requestor: d.Node(),
 			}
+			return m
 		},
 	})
 }

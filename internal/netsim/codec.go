@@ -45,12 +45,39 @@ type MsgCodec struct {
 	// Name identifies the type in diagnostics.
 	Name string
 	// Encode appends msg's binary form. It may assume msg is of the
-	// registered type (EncodePacket dispatches on reflect.Type).
+	// registered type (Encoder.Packet dispatches on reflect.Type).
 	Encode func(e *Encoder, msg any)
 	// Decode parses one message. Implementations must consume exactly
 	// what Encode produced and report malformed input via d.Fail (or by
 	// reading past the end, which the decoder tracks) — never panic.
-	Decode func(d *Decoder) any
+	//
+	// Reuse contract: a non-nil slot is this codec's own on a long-lived
+	// PacketDecoder — *slot is whatever the codec left there the last
+	// time it ran on that decoder (nil the first time; see Scratch) — so
+	// Decode may return that message refilled instead of a new one: the
+	// caller owns the result only until the decoder's next packet. A nil
+	// slot (DecodePacket) asks for a message the caller may keep. Either
+	// way the result must not alias d's buffer, which belongs to whoever
+	// called the decoder, and must be the same value (an empty list is
+	// nil, never zero-length).
+	Decode func(d *Decoder, slot *any) any
+
+	// slot indexes PacketDecoder.slots.
+	slot int
+}
+
+// Scratch returns the *T a codec keeps in its decoder slot, storing a
+// new zero T there on first use; with no slot it returns a new T.
+func Scratch[T any](slot *any) *T {
+	if slot == nil {
+		return new(T)
+	}
+	if s, ok := (*slot).(*T); ok {
+		return s
+	}
+	s := new(T)
+	*slot = s
+	return s
 }
 
 // msgRegistry maps wire types to codecs, and Go types to wire types.
@@ -77,6 +104,7 @@ func RegisterMessage(t MsgType, prototype any, c MsgCodec) {
 		panic(fmt.Sprintf("netsim: message codec %q missing Encode or Decode", c.Name))
 	}
 	cc := c
+	cc.slot = len(msgRegOrder)
 	msgCodecs[t] = &cc
 	msgTypeOf[rt] = t
 	msgRegOrder = append(msgRegOrder, t)
@@ -108,10 +136,15 @@ func NewRegisteredMessage(t MsgType) any {
 
 // Encoder appends primitive values in the wire format: unsigned and
 // zig-zag varints over a byte buffer. All integer-like fields use
-// varints so the format has no alignment or endianness concerns.
+// varints so the format has no alignment or endianness concerns. The
+// zero value appends to a nil buffer; a long-lived Encoder is pointed
+// at its caller's scratch with Reset before each packet.
 type Encoder struct {
 	buf []byte
 }
+
+// Reset points e at buf: what follows is appended to it.
+func (e *Encoder) Reset(buf []byte) { e.buf = buf }
 
 // Bytes returns the encoded buffer.
 func (e *Encoder) Bytes() []byte { return e.buf }
@@ -235,12 +268,19 @@ func (d *Decoder) Int() int {
 	return int(v)
 }
 
-// Len reads a collection length, bounding it so malformed input cannot
-// force a huge allocation.
-func (d *Decoder) Len() int {
+// Len reads the length of a collection whose elements each encode to at
+// least elemBytes bytes, bounding it so malformed input cannot force a
+// huge allocation: by maxDecodeElems, and by how many such elements the
+// bytes left to read could hold — a list the input could not back is
+// rejected before a codec sizes anything by it.
+func (d *Decoder) Len(elemBytes int) int {
 	v := d.Uvarint()
 	if v > maxDecodeElems {
 		d.Fail("netsim: collection length %d exceeds limit %d", v, maxDecodeElems)
+		return 0
+	}
+	if v > uint64(d.Remaining()/elemBytes) {
+		d.Fail("netsim: collection length %d exceeds what the %d bytes that remain could hold", v, d.Remaining())
 		return 0
 	}
 	return int(v)
@@ -271,8 +311,7 @@ const (
 	flagUnused    = ^byte(flagSession | flagClassCtrl | flagModeMask)
 )
 
-// EncodePacket appends p's versioned binary form to buf and returns the
-// extended buffer. The layout is:
+// Packet appends p's versioned binary form. The layout is:
 //
 //	byte    version (CodecVersion)
 //	byte    flags: bit0 Session, bit1 Class==Control, bits2-3 Mode
@@ -282,16 +321,16 @@ const (
 //	byte    MsgType
 //	...     message payload (registered codec)
 //
-// It returns an error if p.Msg's type has no registered codec.
-func EncodePacket(buf []byte, p *Packet) ([]byte, error) {
+// It returns an error, having appended nothing, if p.Msg's type has no
+// registered codec.
+func (e *Encoder) Packet(p *Packet) error {
 	t, ok := msgTypeOf[reflect.TypeOf(p.Msg)]
 	if !ok {
-		return buf, fmt.Errorf("netsim: no wire codec registered for message type %T", p.Msg)
+		return fmt.Errorf("netsim: no wire codec registered for message type %T", p.Msg)
 	}
 	if p.Mode < ModeMulticast || p.Mode > ModeSubcast {
-		return buf, fmt.Errorf("netsim: cannot encode packet with mode %v", p.Mode)
+		return fmt.Errorf("netsim: cannot encode packet with mode %v", p.Mode)
 	}
-	e := &Encoder{buf: buf}
 	e.Byte(CodecVersion)
 	var flags byte
 	if p.Session {
@@ -307,7 +346,15 @@ func EncodePacket(buf []byte, p *Packet) ([]byte, error) {
 	e.Node(p.To)
 	e.Byte(byte(t))
 	msgCodecs[t].Encode(e, p.Msg)
-	return e.buf, nil
+	return nil
+}
+
+// EncodePacket appends p's versioned binary form (see Encoder.Packet)
+// to buf and returns the extended buffer.
+func EncodePacket(buf []byte, p *Packet) ([]byte, error) {
+	e := Encoder{buf: buf}
+	err := e.Packet(p)
+	return e.buf, err
 }
 
 // PeekFlags classifies an encoded packet from its fixed two-byte
@@ -323,11 +370,42 @@ func PeekFlags(data []byte) (payload, session, ok bool) {
 	return flags&flagClassCtrl == 0, flags&flagSession != 0, true
 }
 
-// DecodePacket parses one encoded packet. Malformed input yields an
-// error, never a panic; trailing garbage after the message payload is
-// rejected so the encoding stays canonical.
+// PacketDecoder decodes packets into storage it owns: the *Packet that
+// Decode returns, its Msg and every slice under it are overwritten by
+// the next Decode. That is the wire tier's receive path — each datagram
+// is decoded, handed to Host.Deliver, which is synchronous and retains
+// none of it, and forgotten — so the steady state allocates nothing.
+// The zero value is ready; a PacketDecoder is not safe for concurrent
+// use.
+type PacketDecoder struct {
+	d   Decoder
+	pkt Packet
+	// slots holds each registered codec's scratch (MsgCodec.Decode), one
+	// per registered type, made by the first Decode.
+	slots []any
+}
+
+// Decode parses one encoded packet. Malformed input yields an error,
+// never a panic; trailing garbage after the message payload is rejected
+// so the encoding stays canonical. data is only read, and nothing
+// returned refers to it.
+func (pd *PacketDecoder) Decode(data []byte) (*Packet, error) {
+	if pd.slots == nil {
+		pd.slots = make([]any, len(msgRegOrder))
+	}
+	return decodePacket(&pd.d, &pd.pkt, pd.slots, data)
+}
+
+// DecodePacket is PacketDecoder.Decode into a packet of its own: what
+// it returns is the caller's to keep.
 func DecodePacket(data []byte) (*Packet, error) {
-	d := &Decoder{buf: data}
+	return decodePacket(new(Decoder), new(Packet), nil, data)
+}
+
+// decodePacket parses data into *p, reading through *d and handing each
+// codec its slot (none when slots is nil).
+func decodePacket(d *Decoder, p *Packet, slots []any, data []byte) (*Packet, error) {
+	*d = Decoder{buf: data}
 	if v := d.Byte(); d.err == nil && v != CodecVersion {
 		return nil, fmt.Errorf("netsim: unsupported codec version %d (want %d)", v, CodecVersion)
 	}
@@ -339,7 +417,7 @@ func DecodePacket(data []byte) (*Packet, error) {
 	if d.err == nil && mode > ModeSubcast {
 		return nil, fmt.Errorf("netsim: invalid packet mode %d", mode)
 	}
-	p := &Packet{
+	*p = Packet{
 		Session: flags&flagSession != 0,
 		Mode:    mode,
 	}
@@ -357,7 +435,11 @@ func DecodePacket(data []byte) (*Packet, error) {
 	if c == nil {
 		return nil, fmt.Errorf("netsim: unknown wire message type %d", t)
 	}
-	p.Msg = c.Decode(d)
+	var slot *any
+	if slots != nil {
+		slot = &slots[c.slot]
+	}
+	p.Msg = c.Decode(d, slot)
 	if d.err != nil {
 		return nil, fmt.Errorf("netsim: decoding %s: %w", c.Name, d.err)
 	}

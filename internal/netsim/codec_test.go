@@ -27,8 +27,10 @@ func init() {
 			e.Node(m.B)
 			e.Bool(m.C)
 		},
-		Decode: func(d *Decoder) any {
-			return &testWireMsg{A: d.Int(), B: d.Node(), C: d.Bool()}
+		Decode: func(d *Decoder, slot *any) any {
+			m := Scratch[testWireMsg](slot)
+			*m = testWireMsg{A: d.Int(), B: d.Node(), C: d.Bool()}
+			return m
 		},
 	})
 }
@@ -108,9 +110,90 @@ func TestDecoderLenBounded(t *testing.T) {
 	var e Encoder
 	e.Uvarint(maxDecodeElems + 1)
 	d := &Decoder{buf: e.Bytes()}
-	d.Len()
+	d.Len(1)
 	if d.Err() == nil {
 		t.Fatal("oversized collection length accepted")
+	}
+}
+
+// TestDecoderLenBoundedByInput: a count of more elements than the bytes
+// that remain could hold, at the fewest bytes an element encodes to, is
+// refused at the prefix, before a codec could size a list by it.
+func TestDecoderLenBoundedByInput(t *testing.T) {
+	var e Encoder
+	e.Uvarint(3)
+	for i := 0; i < 5; i++ {
+		e.Byte(0)
+	}
+	d := &Decoder{buf: e.Bytes()}
+	if n := d.Len(2); n != 0 || d.Err() == nil {
+		t.Fatalf("Len(2) = %d, %v with 5 bytes left after a count of 3, want it refused", n, d.Err())
+	}
+	e.Byte(0)
+	d = &Decoder{buf: e.Bytes()}
+	if n := d.Len(2); n != 3 || d.Err() != nil {
+		t.Fatalf("Len(2) = %d, %v with 6 bytes left after a count of 3, want 3", n, d.Err())
+	}
+}
+
+// TestPacketDecoderOwnsItsPacket: a PacketDecoder hands out the same
+// packet and message every time, refilled — what Decode returned is good
+// until the next Decode and no longer — while DecodePacket's results are
+// the caller's; a rejected datagram leaves the decoder fit for the next;
+// and a reused Encoder writes what EncodePacket writes.
+func TestPacketDecoderOwnsItsPacket(t *testing.T) {
+	first := Packet{ID: 1, From: 2, To: 3, Class: Control, Mode: ModeUnicast, Msg: &testWireMsg{A: 7, B: 3, C: true}}
+	second := Packet{ID: 9, From: 4, To: topology.None, Mode: ModeMulticast, Session: true, Msg: &testWireMsg{A: -5}}
+	var (
+		enc Encoder
+		dec PacketDecoder
+	)
+	encode := func(p *Packet) []byte {
+		t.Helper()
+		want, err := EncodePacket(nil, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc.Reset(enc.Bytes()[:0])
+		if err := enc.Packet(p); err != nil {
+			t.Fatal(err)
+		}
+		if string(enc.Bytes()) != string(want) {
+			t.Fatalf("reused Encoder wrote %x, EncodePacket %x", enc.Bytes(), want)
+		}
+		return want
+	}
+	same := func(got *Packet, want Packet) bool {
+		g, w := *got, want
+		g.Msg, w.Msg = nil, nil
+		return g == w && *got.Msg.(*testWireMsg) == *want.Msg.(*testWireMsg)
+	}
+
+	a, err := dec.Decode(encode(&first))
+	if err != nil || !same(a, first) {
+		t.Fatalf("decoded %+v, %v, want %+v", a, err, first)
+	}
+	msg := a.Msg
+	if _, err := dec.Decode(encode(&second)[:4]); err == nil {
+		t.Fatal("truncated datagram accepted")
+	}
+	b, err := dec.Decode(encode(&second))
+	if err != nil || !same(b, second) {
+		t.Fatalf("decoded %+v, %v, want %+v", b, err, second)
+	}
+	if a != b || msg != b.Msg {
+		t.Error("a PacketDecoder's second packet is not its first, refilled")
+	}
+
+	kept, err := DecodePacket(encode(&first))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodePacket(encode(&second)); err != nil {
+		t.Fatal(err)
+	}
+	if !same(kept, first) {
+		t.Errorf("a later DecodePacket changed an earlier one's packet to %+v", kept)
 	}
 }
 

@@ -1,6 +1,8 @@
 package srm
 
 import (
+	"slices"
+
 	"cesrm/internal/netsim"
 	"cesrm/internal/topology"
 )
@@ -26,8 +28,10 @@ func init() {
 			e.Node(m.Source)
 			e.Int(m.Seq)
 		},
-		Decode: func(d *netsim.Decoder) any {
-			return &DataMsg{Source: d.Node(), Seq: d.Int()}
+		Decode: func(d *netsim.Decoder, slot *any) any {
+			m := netsim.Scratch[DataMsg](slot)
+			*m = DataMsg{Source: d.Node(), Seq: d.Int()}
+			return m
 		},
 	})
 	netsim.RegisterMessage(WireSession, (*SessionMsg)(nil), netsim.MsgCodec{
@@ -46,8 +50,9 @@ func init() {
 			e.Bool(m.Expedited)
 			e.Node(m.TurningPoint)
 		},
-		Decode: func(d *netsim.Decoder) any {
-			return &RequestMsg{
+		Decode: func(d *netsim.Decoder, slot *any) any {
+			m := netsim.Scratch[RequestMsg](slot)
+			*m = RequestMsg{
 				Source:          d.Node(),
 				Seq:             d.Int(),
 				Requestor:       d.Node(),
@@ -55,6 +60,7 @@ func init() {
 				Expedited:       d.Bool(),
 				TurningPoint:    d.Node(),
 			}
+			return m
 		},
 	})
 	netsim.RegisterMessage(WireReply, (*ReplyMsg)(nil), netsim.MsgCodec{
@@ -69,8 +75,9 @@ func init() {
 			e.Duration(m.ReplierDistToRequestor)
 			e.Bool(m.Expedited)
 		},
-		Decode: func(d *netsim.Decoder) any {
-			return &ReplyMsg{
+		Decode: func(d *netsim.Decoder, slot *any) any {
+			m := netsim.Scratch[ReplyMsg](slot)
+			*m = ReplyMsg{
 				Source:                 d.Node(),
 				Seq:                    d.Int(),
 				Replier:                d.Node(),
@@ -79,6 +86,7 @@ func init() {
 				ReplierDistToRequestor: d.Duration(),
 				Expedited:              d.Bool(),
 			}
+			return m
 		},
 	})
 }
@@ -106,13 +114,36 @@ func encodeSession(e *netsim.Encoder, msg any) {
 	}
 }
 
+// sessionScratch is decodeSession's decoder slot: the message it hands
+// out and the lists' backing arrays, held apart from the message so that
+// a list that decodes empty can be nil in the message, as it always has
+// been, without the arrays being dropped for the next one.
+type sessionScratch struct {
+	msg     SessionMsg
+	highest []Advert
+	echoes  []PeerEcho
+}
+
+// The fewest bytes encodeSession writes for one list element, a byte a
+// varint: an Advert is a node and an int, a PeerEcho a node, a time and
+// a duration.
+const (
+	advertMinBytes = 2
+	echoMinBytes   = 3
+)
+
 // decodeSession rejects keys that are not strictly ascending (which
 // also excludes None and duplicates): onSession's iteration order and
-// the HighestFor/EchoFor binary searches depend on it.
-func decodeSession(d *netsim.Decoder) any {
-	m := &SessionMsg{From: d.Node(), SentAt: d.Time()}
-	if n := d.Len(); n > 0 {
-		m.Highest = make([]Advert, 0, n)
+// the HighestFor/EchoFor binary searches depend on it. Decoder.Len has
+// already refused a count of elements the rest of the datagram could not
+// hold, so sizing a list by it grows the scratch no further than an
+// accepted datagram of that size could: eight bytes for each of its own.
+func decodeSession(d *netsim.Decoder, slot *any) any {
+	s := netsim.Scratch[sessionScratch](slot)
+	m := &s.msg
+	*m = SessionMsg{From: d.Node(), SentAt: d.Time()}
+	if n := d.Len(advertMinBytes); n > 0 {
+		s.highest = slices.Grow(s.highest[:0], n)
 		prev := topology.None
 		for i := 0; i < n; i++ {
 			k := d.Node()
@@ -121,11 +152,12 @@ func decodeSession(d *netsim.Decoder) any {
 				return m
 			}
 			prev = k
-			m.Highest = append(m.Highest, Advert{Source: k, Highest: d.Int()})
+			s.highest = append(s.highest, Advert{Source: k, Highest: d.Int()})
 		}
+		m.Highest = s.highest
 	}
-	if n := d.Len(); n > 0 {
-		m.Echoes = make([]PeerEcho, 0, n)
+	if n := d.Len(echoMinBytes); n > 0 {
+		s.echoes = slices.Grow(s.echoes[:0], n)
 		prev := topology.None
 		for i := 0; i < n; i++ {
 			k := d.Node()
@@ -134,8 +166,9 @@ func decodeSession(d *netsim.Decoder) any {
 				return m
 			}
 			prev = k
-			m.Echoes = append(m.Echoes, PeerEcho{Peer: k, Echo: Echo{PeerSentAt: d.Time(), HeldFor: d.Duration()}})
+			s.echoes = append(s.echoes, PeerEcho{Peer: k, Echo: Echo{PeerSentAt: d.Time(), HeldFor: d.Duration()}})
 		}
+		m.Echoes = s.echoes
 	}
 	return m
 }

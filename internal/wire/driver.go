@@ -17,19 +17,20 @@ import (
 //
 //	at := max(simTime(w), eng.Now())   // arrivals never go backwards
 //	eng.RunUntil(at)                   // older events fire first
-//	eng.ScheduleAt(at, deliver)        // arrival joins the stream
+//	eng.ScheduleHandlerAt(at, handler) // arrival joins the stream
 //	eng.RunUntil(at)                   // ... and fires, with cascades
 //
-// Replay performs the identical sequence per captured arrival, so both
-// executions assign the same (instant, sequence) pair to every event —
-// the engine's dispatch order, and hence the agent's behavior, is
-// byte-for-byte reproducible from the capture alone.
+// Replay performs the identical sequence per captured arrival (both call
+// arrival.foldIn), so both executions assign the same (instant,
+// sequence) pair to every event — the engine's dispatch order, and hence
+// the agent's behavior, is byte-for-byte reproducible from the capture
+// alone.
 type Driver struct {
 	eng   *sim.Engine
 	epoch time.Time
-	// deliver consumes one datagram at its clamped arrival instant, on
+	// arrival consumes one datagram at its clamped arrival instant, on
 	// the driver goroutine, inside an engine event.
-	deliver func(now sim.Time, data []byte)
+	arrival arrival[[]byte]
 
 	in   chan inbound
 	stop chan struct{}
@@ -40,11 +41,44 @@ type inbound struct {
 	data  []byte
 }
 
+// arrival is the engine event every inbound datagram arrives through:
+// one reusable handler, not one closure per datagram. That is sound
+// because at most one arrival is ever in flight — foldIn schedules the
+// handler at an instant the engine has already run up to, and the
+// RunUntil that follows fires it before foldIn returns, so v is free to
+// be overwritten by the next datagram. T is what arrives: the datagram's
+// bytes in the live Driver, the decoded packet in Replay.
+type arrival[T any] struct {
+	deliver func(now sim.Time, v T)
+	v       T
+}
+
+// Fire implements sim.EventHandler.
+func (a *arrival[T]) Fire(now sim.Time) { a.deliver(now, a.v) }
+
+// foldIn folds one arrival into eng's event stream at instant at, which
+// must not be before eng.Now(), per the discipline described on Driver.
+// It reports false, having delivered nothing, once the engine has
+// stopped.
+func (a *arrival[T]) foldIn(eng *sim.Engine, at sim.Time, v T) bool {
+	if eng.Stopped() {
+		return false
+	}
+	eng.RunUntil(at)
+	if eng.Stopped() {
+		return false
+	}
+	a.v = v
+	eng.ScheduleHandlerAt(at, a)
+	eng.RunUntil(at)
+	return true
+}
+
 // NewDriver wraps eng. deliver is invoked from inside engine events.
 func NewDriver(eng *sim.Engine, deliver func(now sim.Time, data []byte)) *Driver {
 	return &Driver{
 		eng:     eng,
-		deliver: deliver,
+		arrival: arrival[[]byte]{deliver: deliver},
 		in:      make(chan inbound, 1024),
 		stop:    make(chan struct{}),
 	}
@@ -84,6 +118,12 @@ func (d *Driver) simTime(w time.Time) sim.Time {
 // Virtual time zero is the moment Run is entered.
 func (d *Driver) Run() sim.Time {
 	d.epoch = time.Now()
+	// One timer for the whole run, re-armed per sleep. It is kept stopped
+	// with its channel drained whenever it is not being waited on, which
+	// is what Reset requires of timers at this module's Go version.
+	timer := time.NewTimer(0)
+	defer timer.Stop()
+	<-timer.C
 	for {
 		// Drain queued datagrams first, one at a time, so arrivals are
 		// folded in at (or as near as the backlog allows to) their
@@ -104,27 +144,19 @@ func (d *Driver) Run() sim.Time {
 			return d.eng.Now()
 		}
 		var timerC <-chan time.Time
-		var timer *time.Timer
 		if at, ok := d.eng.NextEventAt(); ok {
-			delay := at.Sub(d.simTime(time.Now()))
-			if delay < 0 {
-				delay = 0
-			}
-			timer = time.NewTimer(delay)
+			timer.Reset(max(0, at.Sub(d.simTime(time.Now()))))
 			timerC = timer.C
 		}
 		select {
 		case pkt := <-d.in:
+			if timerC != nil && !timer.Stop() {
+				<-timer.C
+			}
 			d.handle(pkt)
 		case <-timerC:
 		case <-d.stop:
-			if timer != nil {
-				timer.Stop()
-			}
 			return d.eng.Now()
-		}
-		if timer != nil {
-			timer.Stop()
 		}
 	}
 }
@@ -132,18 +164,5 @@ func (d *Driver) Run() sim.Time {
 // handle folds one datagram into the event stream per the discipline
 // described on Driver.
 func (d *Driver) handle(pkt inbound) {
-	if d.eng.Stopped() {
-		return
-	}
-	at := d.simTime(pkt.stamp)
-	if at.Before(d.eng.Now()) {
-		at = d.eng.Now()
-	}
-	d.eng.RunUntil(at)
-	if d.eng.Stopped() {
-		return
-	}
-	data := pkt.data
-	d.eng.ScheduleAt(at, func(now sim.Time) { d.deliver(now, data) })
-	d.eng.RunUntil(at)
+	d.arrival.foldIn(d.eng, max(d.simTime(pkt.stamp), d.eng.Now()), pkt.data)
 }

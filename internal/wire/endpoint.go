@@ -41,9 +41,9 @@ type Network struct {
 
 	nextID uint64
 	host   netsim.Host
-	// buf is the encode scratch; sends happen one at a time on the
+	// enc holds the encode scratch; sends happen one at a time on the
 	// engine goroutine.
-	buf []byte
+	enc netsim.Encoder
 }
 
 // NewNetwork builds the endpoint for node self. clock must report the
@@ -93,13 +93,13 @@ func (n *Network) Host() netsim.Host { return n.host }
 func (n *Network) emit(p *netsim.Packet, dsts func(m topology.NodeID) bool) {
 	p.ID = n.nextID
 	n.nextID++
-	data, err := netsim.EncodePacket(n.buf[:0], p)
-	if err != nil {
+	n.enc.Reset(n.enc.Bytes()[:0])
+	if err := n.enc.Packet(p); err != nil {
 		// Unregistered message types cannot leave a wire node; this is
 		// a wiring bug, not a runtime condition.
 		panic(err)
 	}
-	n.buf = data
+	data := n.enc.Bytes()
 	if n.onSend != nil {
 		n.onSend(n.clock(), data)
 	}

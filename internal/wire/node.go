@@ -22,6 +22,9 @@ type Node struct {
 	driver    *Driver
 	capture   *CaptureWriter
 	sess      *session
+	// dec decodes every inbound datagram in place: Deliver is synchronous
+	// and keeps nothing of the packet (DESIGN.md §15).
+	dec netsim.PacketDecoder
 	// decodeErrs counts inbound datagrams that failed to decode (stray
 	// traffic, corruption); they are dropped like any lost packet.
 	decodeErrs int
@@ -102,7 +105,7 @@ func (n *Node) Config() NodeConfig { return n.cfg }
 // deliver decodes one datagram and hands it to the agent, recording it
 // first so the capture reflects exactly what the agent saw.
 func (n *Node) deliver(now sim.Time, data []byte) {
-	p, err := netsim.DecodePacket(data)
+	p, err := n.dec.Decode(data)
 	if err != nil {
 		n.decodeErrs++
 		return

@@ -40,16 +40,22 @@ type Report struct {
 // OK reports a divergence-free replay.
 func (r *Report) OK() bool { return len(r.Divergences) == 0 }
 
+// maxDivergences caps Report.Divergences: past the first few, a
+// diverged replay has nothing more to say.
+const maxDivergences = 20
+
 // Replay reconstructs the captured node inside the deterministic
 // simulator and feeds it the captured arrival stream, record by record,
 // using the same one-packet-at-a-time discipline as the live Driver:
 //
-//	RunUntil(at); ScheduleAt(at, deliver); RunUntil(at)
+//	RunUntil(at); ScheduleHandlerAt(at, handler); RunUntil(at)
 //
-// per arrival, then RunUntil(end). The replayed node's outbound packet
-// bytes and protocol-event stream are compared against the capture in
-// order; any mismatch is a Divergence. A clean replay certifies that
-// the live node's recovery decisions — who requested, who replied,
+// per arrival, then RunUntil(end). Both go through arrival.foldIn, whose
+// single reusable handler relies on one arrival being in flight at a
+// time. The replayed node's outbound packet bytes and protocol-event
+// stream are compared against the capture in order, each record as the
+// node emits it; any mismatch is a Divergence. A clean replay certifies
+// that the live node's recovery decisions — who requested, who replied,
 // expedited or fallback — are exactly what the simulator's semantics
 // prescribe for the traffic the node saw.
 func Replay(c *Capture) (*Report, error) {
@@ -58,55 +64,53 @@ func Replay(c *Capture) (*Report, error) {
 		return nil, err
 	}
 	report := &Report{Node: int(cfg.ID)}
-
-	// The captured conformance stream: sends and observer events in
-	// emission order.
-	var want []Record
-	for _, rec := range c.Records {
-		if rec.Kind == recKindSend || rec.Kind == recKindObs {
-			want = append(want, rec)
-			if rec.Kind == recKindSend {
-				report.Sends++
-			} else {
-				report.Events++
-				if rec.Event != nil && rec.Event.Kind == stats.EventRecovered {
-					report.Recoveries++
-					if rec.Event.Expedited {
-						report.Expedited++
-					}
+	for i := range c.Records {
+		switch rec := &c.Records[i]; rec.Kind {
+		case recKindSend:
+			report.Sends++
+		case recKindObs:
+			report.Events++
+			if rec.Event != nil && rec.Event.Kind == stats.EventRecovered {
+				report.Recoveries++
+				if rec.Event.Expedited {
+					report.Expedited++
 				}
 			}
 		}
 	}
 
 	// Rebuild the node: same engine semantics, same endpoint behavior,
-	// but sends go nowhere — they are recorded for comparison instead.
+	// but sends go nowhere — they are checked against the capture instead.
 	eng := sim.NewEngine()
-	var got []Record
+	conf := conformance{report: report, records: c.Records}
 	net := NewNetwork(cfg.Tree, cfg.Net, cfg.ID, eng.Now)
-	net.SetOnSend(func(at sim.Time, data []byte) {
-		got = append(got, Record{Kind: recKindSend, AtNS: int64(at), Data: hex.EncodeToString(data)})
-	})
+	net.SetOnSend(conf.send)
 	obs := stats.NewRecorder(eng.Now)
 	obs.SetKeep(false)
-	obs.SetSink(func(ev stats.Event) {
-		e := ev
-		got = append(got, Record{Kind: recKindObs, AtNS: int64(ev.At), Event: &e})
-	})
+	obs.SetSink(conf.obs)
 	if _, err := newSession(eng, net, cfg, obs); err != nil {
 		return nil, err
 	}
 
-	// Feed the arrival stream.
-	for i, rec := range c.Records {
+	// Feed the arrival stream. The hex buffer and the decoder's packet are
+	// reused from one arrival to the next: each is delivered, and done
+	// with, before the next is read.
+	var (
+		raw []byte
+		dec netsim.PacketDecoder
+		arr = arrival[*netsim.Packet]{deliver: net.Host().Deliver}
+	)
+	for i := range c.Records {
+		rec := &c.Records[i]
 		if rec.Kind != recKindRecv {
 			continue
 		}
-		data, err := hex.DecodeString(rec.Data)
+		raw = append(raw[:0], rec.Data...)
+		n, err := hex.Decode(raw, raw)
 		if err != nil {
 			return nil, fmt.Errorf("wire: capture recv %d: %w", i, err)
 		}
-		p, err := netsim.DecodePacket(data)
+		p, err := dec.Decode(raw[:n])
 		if err != nil {
 			return nil, fmt.Errorf("wire: capture recv %d: %w", i, err)
 		}
@@ -116,47 +120,123 @@ func Replay(c *Capture) (*Report, error) {
 			// regressing instant means the capture is inconsistent.
 			return nil, fmt.Errorf("wire: capture recv %d at %v regresses before %v", i, at, eng.Now())
 		}
-		if eng.Stopped() {
+		if !arr.foldIn(eng, at, p) {
 			break
 		}
-		eng.RunUntil(at)
-		if eng.Stopped() {
-			break
-		}
-		host := net.Host()
-		pkt := p
-		eng.ScheduleAt(at, func(now sim.Time) { host.Deliver(now, pkt) })
-		eng.RunUntil(at)
 	}
 	if !eng.Stopped() {
 		eng.RunUntil(sim.Time(c.End.AtNS))
 	}
-
-	// Compare the conformance streams element-wise.
-	max := len(want)
-	if len(got) > max {
-		max = len(got)
-	}
-	for i := 0; i < max; i++ {
-		var w, g string
-		if i < len(want) {
-			w = renderRecord(want[i])
-		}
-		if i < len(got) {
-			g = renderRecord(got[i])
-		}
-		if w != g {
-			report.Divergences = append(report.Divergences, Divergence{Index: i, Want: w, Got: g})
-			if len(report.Divergences) >= 20 {
-				break
-			}
-		}
-	}
+	conf.finish()
 	return report, nil
 }
 
-// renderRecord canonicalizes a send/obs record for comparison and
-// diagnostics.
+// conformance checks the replayed node's send/obs stream against the
+// captured one as it is emitted: a cursor into the capture instead of
+// two rendered streams held for a final pass. A replayed record matches
+// its captured counterpart exactly when their renderRecord strings are
+// equal — the rendering is injective on (kind, at, data) for sends and
+// on (kind, at, the ten event fields it prints) for events — so the
+// fields are compared directly and renderRecord runs only to describe a
+// divergence.
+type conformance struct {
+	report  *Report
+	records []Record
+	// next is the cursor into records; index is the position in the
+	// send+obs stream of the record being checked.
+	next, index int
+}
+
+// want advances the cursor past the next captured send or obs record
+// and returns it, or nil when the capture has no more.
+func (c *conformance) want() *Record {
+	for c.next < len(c.records) {
+		rec := &c.records[c.next]
+		c.next++
+		if rec.Kind == recKindSend || rec.Kind == recKindObs {
+			return rec
+		}
+	}
+	return nil
+}
+
+// full reports whether the divergence list has reached its cap, after
+// which nothing more is compared.
+func (c *conformance) full() bool { return len(c.report.Divergences) >= maxDivergences }
+
+// diverge records that the captured record w (nil: none left) and the
+// replayed record g (nil: none left) differ at the current position.
+func (c *conformance) diverge(w, g *Record) {
+	d := Divergence{Index: c.index}
+	if w != nil {
+		d.Want = renderRecord(*w)
+	}
+	if g != nil {
+		d.Got = renderRecord(*g)
+	}
+	c.report.Divergences = append(c.report.Divergences, d)
+}
+
+// send checks one replayed logical send.
+func (c *conformance) send(at sim.Time, data []byte) {
+	if c.full() {
+		return
+	}
+	w := c.want()
+	if w == nil || w.Kind != recKindSend || w.AtNS != int64(at) || !hexEqual(w.Data, data) {
+		c.diverge(w, &Record{Kind: recKindSend, AtNS: int64(at), Data: hex.EncodeToString(data)})
+	}
+	c.index++
+}
+
+// obs checks one replayed protocol event.
+func (c *conformance) obs(ev stats.Event) {
+	if c.full() {
+		return
+	}
+	w := c.want()
+	if w == nil || w.Kind != recKindObs || w.AtNS != int64(ev.At) || w.Event == nil || !sameEvent(w.Event, &ev) {
+		e := ev
+		c.diverge(w, &Record{Kind: recKindObs, AtNS: int64(ev.At), Event: &e})
+	}
+	c.index++
+}
+
+// finish reports the captured records the replay never got to.
+func (c *conformance) finish() {
+	for !c.full() {
+		w := c.want()
+		if w == nil {
+			return
+		}
+		c.diverge(w, nil)
+		c.index++
+	}
+}
+
+// sameEvent compares the fields renderRecord prints (not At: the record
+// carries the instant).
+func sameEvent(a, b *stats.Event) bool {
+	return a.Kind == b.Kind && a.Host == b.Host && a.Source == b.Source && a.Seq == b.Seq &&
+		a.Round == b.Round && a.Expedited == b.Expedited && a.OwnRequests == b.OwnRequests &&
+		a.Reschedules == b.Reschedules && a.Requestor == b.Requestor && a.Replier == b.Replier
+}
+
+// hexEqual reports whether s is exactly hex.EncodeToString(data).
+func hexEqual(s string, data []byte) bool {
+	const digits = "0123456789abcdef"
+	if len(s) != 2*len(data) {
+		return false
+	}
+	for i, b := range data {
+		if s[2*i] != digits[b>>4] || s[2*i+1] != digits[b&0x0f] {
+			return false
+		}
+	}
+	return true
+}
+
+// renderRecord describes a send/obs record in a Divergence.
 func renderRecord(r Record) string {
 	switch r.Kind {
 	case recKindSend:

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"fmt"
-	"time"
 
 	"cesrm/internal/core"
 	"cesrm/internal/netsim"
@@ -70,14 +69,13 @@ func newSession(eng *sim.Engine, ep netsim.Endpoint, cfg NodeConfig, obs srm.Obs
 	ep.AttachHost(cfg.ID, s.agent)
 	s.agent.StartSessions()
 	if s.isSource() {
-		for i := 0; i < cfg.NumPackets; i++ {
-			seq := i
-			at := sim.Time(0).Add(cfg.Warmup + time.Duration(i)*cfg.Period)
-			eng.ScheduleAt(at, func(sim.Time) {
+		// One wheel record however long the stream, numbered as the
+		// NumPackets separate events it stands for would have been.
+		eng.ScheduleTrain(sim.Time(0).Add(cfg.Warmup), cfg.Period, cfg.NumPackets, sim.GlobalShard,
+			func(seq int, _ sim.Time) {
 				s.agent.Transmit(seq)
 				s.sent++
 			})
-		}
 	}
 	eng.Schedule(cfg.SRM.SessionPeriod, s.monitor)
 	eng.ScheduleAt(sim.Time(0).Add(cfg.MaxRunTime), func(sim.Time) { s.shutdown() })
