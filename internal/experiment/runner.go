@@ -455,34 +455,11 @@ func Run(cfg RunConfig) (*RunResult, error) {
 			net.EnableJitter(chaosRNG.Split(), 0)
 		}
 	}
-	net.SetDropFunc(func(p *netsim.Packet, link topology.LinkID, down bool) bool {
-		if chaosCtl != nil && chaosCtl.Drop(p, link, down) {
-			return true
-		}
-		if p.Session {
-			// The paper's evaluation presumes lossless session exchange.
-			return false
-		}
-		if cfg.ExtraDrop != nil && cfg.ExtraDrop(p, link, down) {
-			return true
-		}
-		if m, ok := p.Msg.(*srm.DataMsg); ok {
-			if !down {
-				return false
-			}
-			for _, l := range inferred.Drops[m.Seq] {
-				if l == link {
-					return true
-				}
-			}
-			return false
-		}
-		// Recovery traffic: lossless in the paper's main configuration.
-		if !cfg.LossyRecovery {
-			return false
-		}
-		return dropRNG.Float64() < rates[link]
-	})
+	// The loss pattern is handed to the network as data: one verdict per
+	// flood where it is known, the per-link hook everywhere else.
+	loss := newLossModel(&cfg, inferred.Drops, rates, dropRNG)
+	net.SetDropFunc(loss.drop)
+	net.SetLossFunc(loss.verdict)
 
 	// Stage 3: instantiate protocol agents at the source and receivers.
 	// Every run carries an online invariant validator alongside the
@@ -607,6 +584,7 @@ func Run(cfg RunConfig) (*RunResult, error) {
 			return nil, err
 		}
 		chaosCtl = ctl
+		loss.chaos = ctl
 	}
 	// Late joiners start the run outside the group: they are marked
 	// absent before anything runs (the validator arms leave-silence from

@@ -15,7 +15,9 @@
 //     router-assisted variant, §3.3).
 //
 // Packet loss is injected through a caller-provided DropFunc, which the
-// experiment harness wires to the link-trace representation of §4.2.
+// experiment harness wires to the link-trace representation of §4.2; a
+// caller that knows a packet's lost links up front also installs a
+// LossFunc, so floods learn them once per send instead of per link.
 package netsim
 
 import (
@@ -109,6 +111,20 @@ type Host interface {
 // link. down reports the traversal direction: true when moving away from
 // the tree root. A nil DropFunc drops nothing.
 type DropFunc func(p *Packet, link topology.LinkID, down bool) bool
+
+// LossFunc declares flood p's loss pattern in one call, asked once per
+// non-queuing flood before any link is checked. known is a promise about
+// the installed DropFunc: for p it would return true exactly on the
+// downstream crossing of each link in lost and false on every other
+// crossing (any link, either direction), drawing no randomness and
+// having no side effect — so the flood tests membership in lost itself
+// and never calls DropFunc. With known false, lost is ignored and the
+// flood asks DropFunc per link as if no LossFunc were installed. lost
+// must stay unmodified until the call that asked returns; it is not
+// retained. LossFunc accelerates DropFunc and never replaces it: queuing
+// floods and unicast legs consult DropFunc only, so a caller installs
+// both, answering from the same data.
+type LossFunc func(p *Packet) (lost []topology.LinkID, known bool)
 
 // DupFunc decides whether the end-to-end delivery of p scheduled for
 // instant at is duplicated, and with how much extra delay the second
@@ -269,6 +285,7 @@ type Network struct {
 	tree *topology.Tree
 	cfg  Config
 	drop DropFunc
+	loss LossFunc
 	dup  DupFunc
 
 	// hostAt maps each node to its registered protocol agent, dense by
@@ -283,8 +300,9 @@ type Network struct {
 	// first SetLinkUp call, so static-topology runs pay nothing. A downed
 	// link severs all traffic in both directions — including session
 	// messages — without counting crossings: the packet never enters the
-	// link.
-	linkDown []bool
+	// link. downLinks counts the links currently down.
+	linkDown  []bool
+	downLinks int
 
 	// busyUntil tracks per-link, per-direction transmit availability when
 	// Queuing is enabled. Index 0 is downstream, 1 upstream.
@@ -421,6 +439,10 @@ func (n *Network) AttachHost(id topology.NodeID, h Host) {
 // SetDropFunc installs the loss-injection hook.
 func (n *Network) SetDropFunc(fn DropFunc) { n.drop = fn }
 
+// SetLossFunc installs the once-per-flood loss declaration that stands
+// in for DropFunc on floods whose pattern it knows; see LossFunc.
+func (n *Network) SetLossFunc(fn LossFunc) { n.loss = fn }
+
 // SetShards installs the node→shard map used to label delivery events
 // for sharded dispatch (see sim.EnableSharding), sized NumNodes with
 // sim.GlobalShard for unassigned nodes. Labels only affect which events
@@ -469,6 +491,13 @@ func (n *Network) SetLinkUp(link topology.LinkID, up bool) {
 			return
 		}
 		n.linkDown = make([]bool, n.tree.NumNodes())
+	}
+	if n.linkDown[link] == up {
+		if up {
+			n.downLinks--
+		} else {
+			n.downLinks++
+		}
 	}
 	n.linkDown[link] = !up
 }
@@ -598,25 +627,27 @@ func (n *Network) RTT(a, b topology.NodeID) time.Duration {
 	return 2 * n.Distance(a, b)
 }
 
-// countCrossing records one link crossing for p.
-func (n *Network) countCrossing(p *Packet) {
+// counterFor returns the crossing counter p's link crossings accrue to.
+// The class is fixed for a whole flood or unicast leg, so senders resolve
+// it once and increment through the pointer per crossing.
+func (n *Network) counterFor(p *Packet) *uint64 {
 	switch {
 	case p.Session:
-		n.counts.Session++
+		return &n.counts.Session
 	case p.Mode == ModeMulticast && p.Class == Payload && p.Msg != nil && isData(p):
-		n.counts.Data++
+		return &n.counts.Data
 	case p.Mode == ModeMulticast && p.Class == Payload:
-		n.counts.PayloadMulticast++
+		return &n.counts.PayloadMulticast
 	case p.Mode == ModeSubcast && p.Class == Payload:
-		n.counts.PayloadSubcast++
+		return &n.counts.PayloadSubcast
 	case p.Mode == ModeUnicast && p.Class == Payload:
-		n.counts.PayloadUnicast++
+		return &n.counts.PayloadUnicast
 	case p.Mode == ModeMulticast:
-		n.counts.ControlMulticast++
+		return &n.counts.ControlMulticast
 	case p.Mode == ModeSubcast:
-		n.counts.ControlSubcast++
+		return &n.counts.ControlSubcast
 	default:
-		n.counts.ControlUnicast++
+		return &n.counts.ControlUnicast
 	}
 }
 
@@ -708,16 +739,20 @@ func (n *Network) scheduleDeliveryOnce(at sim.Time, shard int32, h Host, p *Pack
 // groupDeliveryEvent delivers one flood's whole hop cohort — every host
 // the same hop distance from the origin, all due at the same instant —
 // as a single engine event, instead of one wheel entry per host. The
-// hosts fire in append order, which groupDeliver guarantees is the
-// flood's pop order, so the deliveries (and everything the hosts
-// schedule in response) happen in exactly the order the per-host events
-// would have produced. Members are stored as node IDs, not Host
-// interfaces: the int32 slice is pointer-free, so the per-delivery
-// append skips the GC write barrier and the GC never scans it.
+// hosts fire in slice order, which is the flood's pop order, so the
+// deliveries (and everything the hosts schedule in response) happen in
+// exactly the order the per-host events would have produced. Members are
+// stored as node IDs, not Host interfaces: the int32 slice is
+// pointer-free, so the per-delivery append skips the GC write barrier
+// and the GC never scans it.
 type groupDeliveryEvent struct {
-	n     *Network
-	pkt   *Packet
-	nodes []int32
+	n   *Network
+	pkt *Packet
+	// nodes is the cohort Fire delivers to: own when the flood assembled
+	// it (groupDeliver), or a cached plan's precompiled cohort, which is
+	// shared by every flood of that plan and never written. own is kept
+	// apart so that recycling the event cannot truncate a plan's slice.
+	nodes, own []int32
 	// shard labels the event for sharded dispatch; all member hosts live
 	// on this shard (groupDeliver breaks the cohort at shard changes).
 	shard int32
@@ -730,10 +765,24 @@ func (g *groupDeliveryEvent) Fire(now sim.Time) {
 	}
 	// Recycle only after the loop: a nested flood inside Deliver may pull
 	// from the pool, and must not get this event while it is iterating.
-	g.pkt = nil
-	g.nodes = g.nodes[:0]
+	g.pkt, g.nodes = nil, nil
 	pool := &n.groupPools[g.shard+1]
 	*pool = append(*pool, g)
+}
+
+// newGroup takes a cohort event for p from shard's pool.
+func (n *Network) newGroup(p *Packet, shard int32) *groupDeliveryEvent {
+	var g *groupDeliveryEvent
+	pool := &n.groupPools[shard+1]
+	if k := len(*pool); k > 0 {
+		g = (*pool)[k-1]
+		(*pool)[k-1] = nil
+		*pool = (*pool)[:k-1]
+	} else {
+		g = &groupDeliveryEvent{n: n}
+	}
+	g.pkt, g.shard = p, shard
+	return g
 }
 
 // canGroupDeliveries reports whether the current flood may batch its
@@ -769,25 +818,20 @@ func (n *Network) groupDeliver(node topology.NodeID, hops int) {
 		g = nil
 	}
 	if g == nil {
-		pool := &n.groupPools[s+1]
-		if k := len(*pool); k > 0 {
-			g = (*pool)[k-1]
-			(*pool)[k-1] = nil
-			*pool = (*pool)[:k-1]
-		} else {
-			g = &groupDeliveryEvent{n: n}
-		}
-		g.pkt, g.shard = n.gPkt, s
+		g = n.newGroup(n.gPkt, s)
+		g.own = g.own[:0]
 		n.hopGroups[hops] = g
 		if hops > n.maxHop {
 			n.maxHop = hops
 		}
 	}
-	g.nodes = append(g.nodes, int32(node))
+	g.own = append(g.own, int32(node))
 }
 
-// scheduleGroup registers a cohort group at its hop's arrival instant.
+// scheduleGroup registers an assembled cohort group at its hop's
+// arrival instant.
 func (n *Network) scheduleGroup(hops int, g *groupDeliveryEvent) {
+	g.nodes = g.own
 	at := n.gNow.Add(time.Duration(hops) * n.gPerHop)
 	n.eng.ScheduleHandlerAtShard(at, g, g.shard)
 }
@@ -858,11 +902,12 @@ func (n *Network) floodHop(origin, node, cameFrom topology.NodeID, p *Packet, do
 			h.Deliver(at, p)
 		}
 	}
+	crossings := n.counterFor(p)
 	for _, next := range n.tree.Children(node) {
 		if next == cameFrom || n.linkSevered(next) {
 			continue
 		}
-		n.countCrossing(p)
+		*crossings++
 		if n.drop != nil && n.drop(p, next, true) {
 			continue
 		}
@@ -872,7 +917,7 @@ func (n *Network) floodHop(origin, node, cameFrom topology.NodeID, p *Packet, do
 	}
 	if !downOnly {
 		if parent := n.tree.Parent(node); parent != topology.None && parent != cameFrom && !n.linkSevered(node) {
-			n.countCrossing(p)
+			*crossings++
 			if n.drop == nil || !n.drop(p, node, false) {
 				if arr, ok := n.hopArrival(node, false, at, p); ok {
 					n.scheduleHop(arr, origin, parent, node, p, downOnly)
@@ -905,6 +950,7 @@ func (n *Network) Unicast(from, to topology.NodeID, p *Packet) {
 func (n *Network) walkLeg(from, to topology.NodeID, p *Packet) (at sim.Time, ok bool) {
 	perHop := n.cfg.LinkDelay + n.txTime(p)
 	queuing := n.cfg.Queuing || n.queueCap > 0
+	crossings := n.counterFor(p)
 	cur := from
 	at = n.eng.Now()
 	n.pathScratch = n.tree.AppendPathLinks(n.pathScratch[:0], from, to)
@@ -915,7 +961,7 @@ func (n *Network) walkLeg(from, to topology.NodeID, p *Packet) (at sim.Time, ok 
 		if n.linkSevered(link) {
 			return at, false
 		}
-		n.countCrossing(p)
+		*crossings++
 		if n.drop != nil && n.drop(p, link, down) {
 			return at, false
 		}

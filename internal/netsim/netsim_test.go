@@ -425,7 +425,7 @@ func TestCountCrossingClassification(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			_, net, _ := setup(t, DefaultConfig())
-			net.countCrossing(&Packet{Mode: c.mode, Class: c.class, Session: c.session, Msg: c.msg})
+			*net.counterFor(&Packet{Mode: c.mode, Class: c.class, Session: c.session, Msg: c.msg})++
 			got := net.Counts()
 			w := CrossingCounts{
 				Data:             c.want.data,
@@ -676,7 +676,9 @@ func TestGroupedDeliveryOrderMatchesPerHost(t *testing.T) {
 // scratch buffers and pools are warm, a multicast flood performs no
 // heap allocations — whether the plan is replayed from the cache or, on
 // a network whose budget admits nothing, recompiled into the reused
-// scratch plan on every flood.
+// scratch plan on every flood — and a flood whose LossFunc knows the
+// verdict (here: nothing lost, so the cached plans replay their
+// precompiled cohorts and the scratch plan scans) never calls DropFunc.
 func TestFloodFastPathAllocationFree(t *testing.T) {
 	for _, refuseAll := range []bool{false, true} {
 		eng := sim.NewEngine()
@@ -688,6 +690,11 @@ func TestFloodFastPathAllocationFree(t *testing.T) {
 		for _, r := range tree.Receivers() {
 			net.AttachHost(r, nullHost{})
 		}
+		net.SetLossFunc(func(*Packet) ([]topology.LinkID, bool) { return nil, true })
+		net.SetDropFunc(func(*Packet, topology.LinkID, bool) bool {
+			t.Fatalf("refuseAll=%v: DropFunc called on a flood whose verdict is known", refuseAll)
+			return false
+		})
 		pkt := &Packet{Class: Payload, Msg: dataMsg{}}
 		origins := []topology.NodeID{tree.Root(), tree.Receivers()[0]}
 		// Warm-up: grow scratch, pools and the engine's wheel.
@@ -706,6 +713,11 @@ func TestFloodFastPathAllocationFree(t *testing.T) {
 		}
 		if s := net.PlanStats(); refuseAll && s.Hits != 0 {
 			t.Fatalf("refuseAll network cached a plan: %+v", s)
+		}
+		// 8 warm-up floods, AllocsPerRun's own warm-up call and its 50
+		// runs, each crossing every link once.
+		if want := uint64(59 * (tree.NumNodes() - 1)); net.Counts().Data != want {
+			t.Fatalf("refuseAll=%v: 59 floods counted %d crossings, want %d", refuseAll, net.Counts().Data, want)
 		}
 	}
 }

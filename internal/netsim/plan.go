@@ -9,7 +9,7 @@
 // Plans are compiled lazily on first use and held in a size-capped LRU
 // keyed by (origin, downOnly). The cap is a total entry budget across
 // all cached plans, bounding worst-case cache heap at roughly
-// budget × ~40 bytes regardless of tree size or origin diversity. An
+// budget × ~44 bytes regardless of tree size or origin diversity. An
 // origin the cache refuses is compiled into one reused scratch plan and
 // replayed from there — same path, nothing inserted, no garbage.
 // Admission under pressure is scan-resistant (an origin must re-miss
@@ -23,11 +23,12 @@ import (
 	"slices"
 	"time"
 
+	"cesrm/internal/sim"
 	"cesrm/internal/topology"
 )
 
 // DefaultFloodPlanEntries is the default total-entry budget of the flood
-// plan cache: 1<<20 entries is ~40 MB of worst-case cache heap, enough
+// plan cache: 1<<20 entries is ~44 MB of worst-case cache heap, enough
 // to hold every (origin, downOnly) plan of every catalog trace while
 // keeping the 10k-receiver SYN10K stress entry to a bounded working set.
 const DefaultFloodPlanEntries = 1 << 20
@@ -58,6 +59,15 @@ type floodPlan struct {
 	key  int64
 	tour topology.Tour
 	host []bool
+	// cohort and hopEnd are the flood's outcome when nothing obstructs
+	// it: the hosting nodes bucketed by hop distance, pop order within a
+	// hop — hop h's cohort is cohort[hopEnd[h-1]:hopEnd[h]], and
+	// hopEnd[0] is 0 because the origin is never delivered to. In-flight
+	// cohort events point into cohort, so both are written once, by
+	// compileCohorts on a plan entering the cache, and never again; the
+	// scratch plan is rewritten by the next refusal and has none (hopEnd
+	// nil).
+	cohort, hopEnd []int32
 }
 
 // planCache is the size-capped LRU of compiled flood plans.
@@ -177,6 +187,7 @@ func (n *Network) planFor(origin topology.NodeID, downOnly bool) *floodPlan {
 		}
 	}
 	pl := n.compilePlan(&floodPlan{key: key}, origin, downOnly)
+	pl.compileCohorts()
 	for c.used+len(pl.tour.Entries) > c.budget {
 		c.evictLRU()
 	}
@@ -196,29 +207,98 @@ func (n *Network) compilePlan(pl *floodPlan, origin topology.NodeID, downOnly bo
 	return pl
 }
 
-// replayPlan is the non-queuing flood: a linear scan of the plan's
-// pop-order entries, each delivering (when hosting) and then running
-// its link checks — children in tree order, then the parent; per link
-// sever-test → crossing-count → drop-test — with a severed or dropped
-// link marking the neighbor's region start so the scan jumps its whole
-// span. That order is load-bearing: it fixes the jitter/drop RNG draw
-// order and the FIFO tie-break sequence of the scheduled deliveries
-// (hop-cohort groups or per-host events, see canGroupDeliveries), and
-// is the LIFO depth-first order every pinned fingerprint was produced
-// by (region-contiguity argument in topology/tour.go). Deliveries fire
+// compileCohorts bakes the unobstructed outcome into a plan that is about
+// to be cached: one stable counting sort of the hosting entries by hop,
+// into one allocation that holds the cohorts and then their end offsets.
+func (pl *floodPlan) compileCohorts() {
+	entries := pl.tour.Entries
+	hosts, maxHop := 0, int32(0)
+	for i := 1; i < len(entries); i++ {
+		if pl.host[i] {
+			hosts++
+		}
+		maxHop = max(maxHop, entries[i].Hops)
+	}
+	buf := make([]int32, hosts+int(maxHop)+1)
+	cohort, hopEnd := buf[:hosts:hosts], buf[hosts:]
+	for i := 1; i < len(entries); i++ {
+		if pl.host[i] {
+			hopEnd[entries[i].Hops]++
+		}
+	}
+	// Counts become start offsets, which the placement pass advances to
+	// end offsets.
+	sum := int32(0)
+	for h, c := range hopEnd {
+		hopEnd[h] = sum
+		sum += c
+	}
+	for i := 1; i < len(entries); i++ {
+		if pl.host[i] {
+			h := entries[i].Hops
+			cohort[hopEnd[h]] = int32(entries[i].Node)
+			hopEnd[h]++
+		}
+	}
+	pl.cohort, pl.hopEnd = cohort, hopEnd
+}
+
+// replayPlan is the non-queuing flood. The loss verdict is taken once,
+// up front: a LossFunc that knows p's lost links (or no drop hook at
+// all) replaces every per-link DropFunc call with a membership test.
+//
+// When the verdict is "nothing lost", no link is down, deliveries group
+// and the plan carries compiled cohorts, the outcome is a pure function
+// of the plan: every op is a crossing and every cohort is delivered, so
+// the flood is one counter add and one event per occupied hop distance,
+// each pointing at the plan's own slice. Ascending hop order is the
+// order flushGroups schedules the groups the scan below would have
+// assembled — on a serial network no group is scheduled before the
+// flush — so the events take the same engine sequence numbers.
+//
+// Otherwise the flood is a linear scan of the plan's pop-order entries,
+// each delivering (when hosting) and then running its link checks —
+// children in tree order, then the parent; per link sever-test →
+// crossing-count → drop-test — with a severed or dropped link marking
+// the neighbor's region start so the scan jumps its whole span. That
+// order is load-bearing: it fixes the jitter/drop RNG draw order and the
+// FIFO tie-break sequence of the scheduled deliveries (hop-cohort groups
+// or per-host events, see canGroupDeliveries), and is the LIFO
+// depth-first order every pinned fingerprint was produced by
+// (region-contiguity argument in topology/tour.go). Deliveries fire
 // later, from scheduled events, so the scratch state is never
 // re-entered; allocation-free once skipMark fits the largest plan.
 func (n *Network) replayPlan(pl *floodPlan, p *Packet) {
 	entries, ops := pl.tour.Entries, pl.tour.Ops
+	crossings := n.counterFor(p)
+	var lost []topology.LinkID
+	known := n.drop == nil
+	if n.loss != nil {
+		lost, known = n.loss(p)
+	}
+	perHop := n.cfg.LinkDelay + n.txTime(p)
+	now := n.eng.Now()
+	grouped := n.canGroupDeliveries(perHop)
+	if known && len(lost) == 0 && grouped && pl.hopEnd != nil && n.downLinks == 0 && n.shardOf == nil {
+		*crossings += uint64(len(ops))
+		start := int32(0)
+		for h, end := range pl.hopEnd {
+			if end == start {
+				continue
+			}
+			g := n.newGroup(p, sim.GlobalShard)
+			g.nodes = pl.cohort[start:end]
+			n.eng.ScheduleHandlerAt(now.Add(time.Duration(h)*perHop), g)
+			start = end
+		}
+		return
+	}
 	if len(n.skipMark) < len(entries) {
 		n.skipMark = make([]uint64, len(entries))
 	}
 	mark := n.skipMark
 	n.skipGen++
 	gen := n.skipGen
-	perHop := n.cfg.LinkDelay + n.txTime(p)
-	now := n.eng.Now()
-	grouped := n.canGroupDeliveries(perHop)
 	if grouped {
 		n.gNow, n.gPerHop, n.gPkt = now, perHop, p
 	}
@@ -245,8 +325,14 @@ func (n *Network) replayPlan(pl *floodPlan, p *Packet) {
 				mark[op.Region] = gen
 				continue
 			}
-			n.countCrossing(p)
-			if n.drop != nil && n.drop(p, op.Link, op.Down) {
+			*crossings++
+			var dropped bool
+			if known {
+				dropped = op.Down && slices.Contains(lost, op.Link)
+			} else {
+				dropped = n.drop != nil && n.drop(p, op.Link, op.Down)
+			}
+			if dropped {
 				mark[op.Region] = gen
 			}
 		}

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -304,24 +305,42 @@ func TestFloodPlanTooLargeNeverCached(t *testing.T) {
 	}
 }
 
-// TestFloodPlanAttachHostInvalidates: host flags are baked into plans,
-// so attaching a host after a plan is cached must purge and recompile —
-// the new host receives subsequent floods.
+// TestFloodPlanAttachHostInvalidates: host flags and hop cohorts are
+// baked into plans, so attaching a host after a plan is cached must
+// purge and recompile — the new host is in the recompiled cohorts and
+// receives subsequent floods — while a flood already in flight keeps
+// the cohorts it was sent with.
 func TestFloodPlanAttachHostInvalidates(t *testing.T) {
 	eng := sim.NewEngine()
 	tree := topology.MustGenerate(sim.NewRNG(4), topology.GenSpec{Receivers: 6, Depth: 3})
 	net := MustNew(eng, tree, DefaultConfig())
 	net.EnableFloodPlans(0)
 	rs := tree.Receivers()
-	net.AttachHost(rs[0], nullHost{})
+	early := &recorder{}
+	net.AttachHost(rs[0], early)
 	net.Multicast(tree.Root(), &Packet{Class: Payload, Msg: dataMsg{}})
 	eng.Run()
+	cohortOf := func() []int32 {
+		return net.plans.byKey[planKey(tree.Root(), false)].Value.(*floodPlan).cohort
+	}
+	if got := cohortOf(); len(got) != 1 || got[0] != int32(rs[0]) {
+		t.Fatalf("compiled cohorts = %v, want only host %d", got, rs[0])
+	}
+	// In flight across the attach: sent to the old host set.
+	net.Multicast(tree.Root(), &Packet{Class: Payload, Msg: dataMsg{}})
 	late := &recorder{}
 	net.AttachHost(rs[1], late)
+	eng.Run()
+	if len(early.got) != 2 || len(late.got) != 0 {
+		t.Fatalf("flood in flight across AttachHost: early host got %d (want 2), late host got %d (want 0)", len(early.got), len(late.got))
+	}
 	net.Multicast(tree.Root(), &Packet{Class: Payload, Msg: dataMsg{}})
 	eng.Run()
 	if len(late.got) != 1 {
 		t.Fatalf("late-attached host got %d deliveries, want 1 (stale plan?)", len(late.got))
+	}
+	if got := cohortOf(); len(got) != 2 || !slices.Contains(got, int32(rs[1])) {
+		t.Fatalf("recompiled cohorts = %v, want hosts %d and %d", got, rs[0], rs[1])
 	}
 	if s := net.PlanStats(); s.Evictions != 1 || s.Misses != 2 {
 		t.Fatalf("stats = %+v, want invalidation counted as 1 eviction and a recompile miss", s)
@@ -329,49 +348,99 @@ func TestFloodPlanAttachHostInvalidates(t *testing.T) {
 }
 
 // TestFloodPlanAllocationFree: with no-op hosts a warm cached flood
-// performs zero heap allocations.
+// performs zero heap allocations on each of replayPlan's bodies — the
+// precompiled cohorts of a lossless flood, the scan with a known lost
+// set, and the scan asking DropFunc per link — and a lossless flood is
+// exactly one engine event per occupied hop distance, on the paper-sized
+// tree and on a 1000-receiver one. Compiling a plan into the cache costs
+// one allocation more than it did before plans had cohorts.
 func TestFloodPlanAllocationFree(t *testing.T) {
-	eng := sim.NewEngine()
-	tree := topology.MustGenerate(sim.NewRNG(1), topology.GenSpec{Receivers: 15, Depth: 5})
-	net := MustNew(eng, tree, DefaultConfig())
-	net.EnableFloodPlans(0)
-	for _, r := range tree.Receivers() {
-		net.AttachHost(r, nullHost{})
-	}
-	pkt := &Packet{Class: Payload, Msg: dataMsg{}}
-	for i := 0; i < 8; i++ {
-		net.Multicast(tree.Root(), pkt)
-		eng.Run()
-	}
-	avg := testing.AllocsPerRun(50, func() {
-		net.Multicast(tree.Root(), pkt)
-		eng.Run()
-	})
-	if avg != 0 {
-		t.Fatalf("plan replay allocates %.1f objects per flood, want 0", avg)
+	for _, receivers := range []int{15, 1000} {
+		eng := sim.NewEngine()
+		tree := topology.MustGenerate(sim.NewRNG(1), topology.GenSpec{Receivers: receivers, Depth: 5 + receivers/300})
+		net := MustNew(eng, tree, DefaultConfig())
+		net.EnableFloodPlans(0)
+		for _, r := range tree.Receivers() {
+			net.AttachHost(r, nullHost{})
+		}
+		hopDistances := map[int]bool{}
+		for _, r := range tree.Receivers() {
+			hopDistances[tree.HopCount(tree.Root(), r)] = true
+		}
+		lost := []topology.LinkID{tree.Receivers()[0]}
+		dropCalls := 0
+		net.SetDropFunc(func(_ *Packet, link topology.LinkID, down bool) bool {
+			dropCalls++
+			return down && link == lost[0]
+		})
+		pkt := &Packet{Class: Payload, Msg: dataMsg{}}
+		verdicts := []struct {
+			name string
+			loss LossFunc
+		}{
+			{"lossless-cohorts", func(*Packet) ([]topology.LinkID, bool) { return nil, true }},
+			{"lossy-scan", func(*Packet) ([]topology.LinkID, bool) { return lost, true }},
+			{"callback", nil},
+		}
+		for _, v := range verdicts {
+			net.SetLossFunc(v.loss)
+			flood := func() {
+				net.Multicast(tree.Root(), pkt)
+				eng.Run()
+			}
+			for i := 0; i < 8; i++ {
+				flood()
+			}
+			before, calls := eng.Executed(), dropCalls
+			if avg := testing.AllocsPerRun(50, flood); avg != 0 {
+				t.Fatalf("receivers=%d %s: plan replay allocates %.1f objects per flood, want 0", receivers, v.name, avg)
+			}
+			if v.loss != nil && dropCalls != calls {
+				t.Fatalf("receivers=%d %s: %d DropFunc calls on known floods", receivers, v.name, dropCalls-calls)
+			}
+			if v.name == "lossless-cohorts" {
+				// AllocsPerRun runs the function once more to warm up.
+				if got, want := eng.Executed()-before, uint64(51*len(hopDistances)); got != want {
+					t.Fatalf("receivers=%d: 51 lossless floods executed %d events, want one per occupied hop distance (%d each)", receivers, got, len(hopDistances))
+				}
+			}
+		}
+		pl := net.plans.byKey[planKey(tree.Root(), false)].Value.(*floodPlan)
+		if avg := testing.AllocsPerRun(20, pl.compileCohorts); avg != 1 {
+			t.Fatalf("receivers=%d: compiling a plan's cohorts allocates %.1f objects, want 1", receivers, avg)
+		}
 	}
 }
 
 // BenchmarkFloodPlan measures a warm flood end to end (replay + engine
-// dispatch of the deliveries) on the paper-sized tree and on a
-// 1000-receiver one, from the cache and — "scratch" — on a network whose
+// dispatch of the deliveries) on a ~40-node tree and a ~1000-node one, on
+// each of replayPlan's bodies: "lossless-cohorts", a known-lossless flood
+// replayed from the plan's precompiled cohorts; "lossy-scan", a known
+// lost link tested inline by the scan; "callback", the scan asking
+// DropFunc per link; and "scratch", a lossless flood on a network whose
 // budget admits nothing, where every flood also recompiles its plan.
 func BenchmarkFloodPlan(b *testing.B) {
-	for _, receivers := range []int{15, 1000} {
-		for _, scratch := range []bool{false, true} {
-			name := fmt.Sprintf("receivers=%d/cached", receivers)
-			if scratch {
-				name = fmt.Sprintf("receivers=%d/scratch", receivers)
-			}
-			b.Run(name, func(b *testing.B) {
+	for _, spec := range []topology.GenSpec{{Receivers: 26, Depth: 5}, {Receivers: 766, Depth: 7}} {
+		tree := topology.MustGenerate(sim.NewRNG(1), spec)
+		lost := []topology.LinkID{tree.Receivers()[0]}
+		for _, variant := range []string{"lossless-cohorts", "lossy-scan", "callback", "scratch"} {
+			b.Run(fmt.Sprintf("nodes=%d/%s", tree.NumNodes(), variant), func(b *testing.B) {
 				eng := sim.NewEngine()
-				tree := topology.MustGenerate(sim.NewRNG(1), topology.GenSpec{Receivers: receivers, Depth: 5 + receivers/300})
 				net := MustNew(eng, tree, DefaultConfig())
-				if scratch {
-					net.EnableFloodPlans(tree.NumNodes() - 1)
-				}
 				for _, r := range tree.Receivers() {
 					net.AttachHost(r, nullHost{})
+				}
+				net.SetDropFunc(func(_ *Packet, link topology.LinkID, down bool) bool {
+					return down && link == lost[0]
+				})
+				switch variant {
+				case "scratch":
+					net.EnableFloodPlans(tree.NumNodes() - 1)
+					fallthrough
+				case "lossless-cohorts":
+					net.SetLossFunc(func(*Packet) ([]topology.LinkID, bool) { return nil, true })
+				case "lossy-scan":
+					net.SetLossFunc(func(*Packet) ([]topology.LinkID, bool) { return lost, true })
 				}
 				pkt := &Packet{Class: Payload, Msg: dataMsg{}}
 				net.Multicast(tree.Root(), pkt)

@@ -69,8 +69,12 @@ type replyState struct {
 	engaged     bool
 }
 
-// Fire implements sim.EventHandler: the reply timer expired.
+// Fire implements sim.EventHandler: the reply timer expired. The spent
+// handle is dropped, as onReply drops a cancelled one, so a later
+// duplicate reply compares against the zero Timer instead of loading the
+// generation of a wheel record that has long since been recycled.
 func (rs *replyState) Fire(now sim.Time) {
+	rs.timer = sim.Timer{}
 	rs.st.agent.replyTimerFired(now, rs.st, rs.seq)
 }
 
@@ -904,8 +908,9 @@ func (a *Agent) onReply(now sim.Time, m *ReplyMsg) {
 	}
 	st := a.streamFloored(m.Source, m.Seq)
 	rs := st.ensureReply(m.Seq)
-	if rs.timer.Active() {
+	if rs.timer != (sim.Timer{}) {
 		a.eng.Cancel(rs.timer)
+		rs.timer = sim.Timer{}
 	}
 	abstain := now.Add(sim.Scale(a.Distance(m.Requestor), a.p.D3))
 	if abstain.After(rs.pendingUntil) {
