@@ -179,6 +179,9 @@ func runChaosMatrix(stdout io.Writer, indices []int, scale float64, seed int64, 
 					LossyRecovery: lossy,
 					Seed:          seed + int64(idx),
 					Chaos:         spec,
+					// As Suite runs; release is inert, so the fingerprints
+					// printed are the retained run's.
+					ReleaseRecovered: true,
 				})
 				if err != nil {
 					return fmt.Errorf("trace %s scenario %s/%s: %w", entry.Name, spec.Name, proto, err)

@@ -141,14 +141,14 @@ func (s *Spec) HasDuplicates() bool { return s.hasKind(Duplicate) }
 // HasRestart reports whether the spec contains restart faults. Restarts
 // are the one fault that invalidates the fully-recovered release
 // watermark: a restarted host re-detects and re-recovers everything, so
-// no prefix of the stream is ever globally dead. Crash-only, link-flap,
-// jitter and duplicate specs leave the watermark sound.
+// no prefix of the stream is ever globally dead. Every other kind,
+// leaves and joins included, leaves the watermark sound.
 func (s *Spec) HasRestart() bool { return s.hasKind(Restart) }
 
 // HasMembership reports whether the spec contains graceful leave or
-// join faults. Membership churn, like restarts, invalidates the
-// fully-recovered release watermark: a late joiner's classification
-// window opens after packets the watermark may already have released.
+// join faults; the experiment layer arms bounded request retry for such
+// runs (a requester whose repliers all departed must give up, not back
+// off forever).
 func (s *Spec) HasMembership() bool { return s.hasKind(Leave) || s.hasKind(Join) }
 
 // HasQueueCap reports whether the spec contains finite-queue windows.

@@ -130,18 +130,21 @@ type RunConfig struct {
 	// and memory independent of the event count.
 	KeepEvents bool
 	// ReleaseRecovered enables mid-run release of fully-recovered
-	// per-packet state: once every live host holds every packet below a
-	// watermark — and a drain lag has covered in-flight traffic — the
+	// per-packet state: once every present host holds every packet below
+	// a watermark — and a drain lag has covered in-flight traffic — the
 	// protocol agents, the collector and the validator discard that
 	// prefix, folding recovery-latency metrics into online accumulators.
 	// Release performs no engine operations, so fingerprints are
 	// byte-identical with it on or off. Retained-record APIs
 	// (Collector.Recoveries) are empty for such runs. Forced off when
 	// Chaos contains restart faults: a restarted host re-detects and
-	// re-recovers everything, so no prefix is ever globally dead. All
-	// other chaos kinds (crash-only, link flaps, jitter ramps,
-	// duplicate storms, starvation) keep the watermark sound and
-	// release normally.
+	// re-recovers everything, so no prefix is ever globally dead. Every
+	// other chaos kind (crash-only, link flaps, jitter ramps, duplicate
+	// storms, starvation, queue caps, leaves and joins) keeps the
+	// watermark sound and releases normally: a departed host does not
+	// vote, and one that joins is owed nothing below the floor its first
+	// post-join evidence sets, which the run checks lies at or above the
+	// watermark (see watermarkRelease).
 	ReleaseRecovered bool
 	// Shards enables sharded parallel dispatch: the topology's root
 	// subtrees are partitioned into up to Shards dispatch shards
@@ -226,6 +229,11 @@ type RunResult struct {
 	// (congestion loss), separate from the Gilbert/trace-driven channel
 	// loss in Crossings. Zero unless a queue cap was configured.
 	QueueDrops uint64
+	// WatermarkCells counts the per-packet cells the release monitor's
+	// watermark scans read over the run (zero with release off): on the
+	// order of hosts × the in-flight window a tick, however long one
+	// stalled host pins the watermark.
+	WatermarkCells uint64
 	// Abandoned counts losses receivers gave up on after the
 	// bounded-retry limit (Params.MaxRequestRounds), summed over hosts.
 	// Stage 5 reconciles each receiver's missing packets against its
@@ -315,7 +323,8 @@ type inspector interface {
 	AbandonedIn(source topology.NodeID) int
 	Crashed() bool
 	Absent() bool
-	ReleasableThrough(source topology.NodeID) int
+	HeldWindow(source topology.NodeID) (base, held int, open bool)
+	ReleasableBelow(source topology.NodeID, limit int) (n, visited int)
 	ReleaseThrough(source topology.NodeID, n int)
 }
 
@@ -467,16 +476,16 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	collector := stats.New()
 	collector.Reserve(tree.NumNodes())
 	// Release is gated on restart-free configurations only: a restarted
-	// host legitimately re-detects and re-recovers everything, so no
-	// prefix of the stream is ever globally dead. Every other fault —
-	// permanent crashes (chaos or cfg.Crashes), link flaps, jitter
-	// ramps, duplicate storms, starvation — leaves the watermark sound:
-	// crashed hosts never rejoin and are skipped, and the remaining
-	// faults only delay recovery, which the watermark already waits for.
-	// Membership churn invalidates the watermark the same way restarts
-	// do: a late joiner's classification window opens after packets the
-	// watermark may already have released on other hosts.
-	releaseOn := cfg.ReleaseRecovered && (cfg.Chaos == nil || (!cfg.Chaos.HasRestart() && !cfg.Chaos.HasMembership()))
+	// host legitimately re-detects and re-recovers everything from
+	// sequence 0, so no prefix of the stream is ever globally dead. Every
+	// other fault — permanent crashes (chaos or cfg.Crashes), link flaps,
+	// jitter ramps, duplicate storms, starvation, queue caps — leaves the
+	// watermark sound: crashed hosts never rejoin and are skipped, and
+	// the remaining faults only delay recovery, which the watermark
+	// already waits for. Membership churn does too: a departed host does
+	// not vote, and a joiner's floor lies at or above what was released
+	// (watermarkRelease states the argument and checks it every tick).
+	releaseOn := cfg.ReleaseRecovered && (cfg.Chaos == nil || !cfg.Chaos.HasRestart())
 	if releaseOn {
 		collector.StreamAggregates(rtt)
 	}
@@ -668,24 +677,23 @@ func Run(cfg RunConfig) (*RunResult, error) {
 		}
 		return true
 	}
-	// The watermark release runs on the monitor cadence with a two-tick
-	// lag: a watermark observed safe at tick t is released at tick t+2,
-	// by which point every message and timer that was in flight for that
-	// prefix at tick t — request, reply timer, reply, abstinence — has
-	// long drained (the chain is bounded by a few link delays, far below
-	// two session periods). Release touches no engine state, so the
-	// event stream, finish time and fingerprint are identical with it on
-	// or off.
-	release := func(n int) {
-		for _, id := range hosts {
-			if !inspectors[id].Crashed() {
-				inspectors[id].ReleaseThrough(source, n)
-			}
-		}
-		collector.ReleasePacketsThrough(source, n)
-		validator.ReleaseThrough(source, n)
+	rel := &watermarkRelease{
+		source:     source,
+		hosts:      hosts,
+		inspectors: make([]inspector, len(hosts)),
+		collector:  collector,
+		validator:  validator,
+		numPackets: numPackets,
 	}
-	var relReady, relNext, released int
+	for i, id := range hosts {
+		rel.inspectors[i] = inspectors[id]
+	}
+	halt := func() {
+		for _, id := range hosts {
+			agents[id].Stop()
+		}
+		eng.Stop()
+	}
 	var monitor func(now sim.Time)
 	timedOut := false
 	monitor = func(now sim.Time) {
@@ -693,20 +701,13 @@ func Run(cfg RunConfig) (*RunResult, error) {
 			cfg.HeapProbe()
 		}
 		if releaseOn {
-			if relReady > released {
-				release(relReady)
-				released = relReady
+			rel.tick()
+			if rel.unsound {
+				// State some host is owed may already be gone: what the
+				// run did from here on would not be the release-off run.
+				halt()
+				return
 			}
-			w := numPackets
-			for _, id := range hosts {
-				if inspectors[id].Crashed() {
-					continue
-				}
-				if r := inspectors[id].ReleasableThrough(source); r < w {
-					w = r
-				}
-			}
-			relReady, relNext = relNext, w
 		}
 		if complete() {
 			for _, id := range hosts {
@@ -716,10 +717,7 @@ func Run(cfg RunConfig) (*RunResult, error) {
 		}
 		if now.After(deadline) {
 			timedOut = true
-			for _, id := range hosts {
-				agents[id].Stop()
-			}
-			eng.Stop()
+			halt()
 			return
 		}
 		eng.Schedule(cfg.SRM.SessionPeriod, monitor)
@@ -745,6 +743,7 @@ func Run(cfg RunConfig) (*RunResult, error) {
 			PlanStats:             net.PlanStats(),
 			BarrierEvents:         eng.BarrierEvents(),
 			QueueDrops:            net.QueueDrops(),
+			WatermarkCells:        rel.scanned,
 			Abandoned:             collector.TotalAbandoned(),
 			ChurnEvents:           churnEvents,
 		}
@@ -771,6 +770,9 @@ func Run(cfg RunConfig) (*RunResult, error) {
 		res := result(snap.Now)
 		res.Status, res.Diag = status, diag
 		return res, nil
+	}
+	if rel.unsound {
+		return nil, fmt.Errorf("experiment: %s/%s: %w", tr.Name, cfg.Protocol, validator.Err())
 	}
 	if timedOut {
 		return nil, &QuiesceError{Trace: tr.Name, Protocol: cfg.Protocol, MaxTail: cfg.MaxTail}

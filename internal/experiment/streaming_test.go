@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"cesrm/internal/chaos"
@@ -122,5 +123,62 @@ func TestCrashOnlyChaosReleaseInert(t *testing.T) {
 	if held.Collector.PeakPacketCells() != heldOff.Collector.PeakPacketCells() {
 		t.Fatalf("restart spec must suppress release: peak %d (release on) vs %d (off)",
 			held.Collector.PeakPacketCells(), heldOff.Collector.PeakPacketCells())
+	}
+}
+
+// TestMembershipChurnReleaseInert pins the gate the churn-sound
+// watermark opened: a spec with leaves and joins (and no restart)
+// releases recovered state mid-run — peak live cells under half the
+// retained run's — and release on ≡ release off in status, fingerprint,
+// queue drops and abandonments, for every protocol. A departed host
+// does not vote and is not released, a joiner votes 0 until its stream
+// opens at its floor, and no floor lies below the released watermark
+// (the run would fail with floor-below-release).
+func TestMembershipChurnReleaseInert(t *testing.T) {
+	tr := smallTrace(t, 31)
+	recs := tr.Tree.Receivers()
+	a, b := recs[0], recs[len(recs)/2]
+	specs := []struct{ name, text string }{
+		{"leave-rejoin", fmt.Sprintf("leave@40s:host=%d;join@90s:host=%d", a, a)},
+		{"leave-for-good", fmt.Sprintf("leave@50s:host=%d", a)},
+		{"late-joiner", fmt.Sprintf("join@70s:host=%d", b)},
+		{"overlapping-absences", fmt.Sprintf("leave@30s:host=%d;leave@50s:host=%d;join@80s:host=%d;join@110s:host=%d", a, b, a, b)},
+		// The benchmark's congested_churn shape: two receivers leave and
+		// come back inside a two-packet queue cap.
+		{"churn-under-qcap", fmt.Sprintf("qcap@16s-144s:cap=2;leave@48s:host=%d;join@96s:host=%d;leave@64s:host=%d;join@112s:host=%d", a, a, b, b)},
+		{"leave-beside-crash", fmt.Sprintf("leave@40s:host=%d;join@100s:host=%d;crash@60s:host=%d", a, a, b)},
+	}
+	for _, sc := range specs {
+		spec, err := chaos.ParseSpec(sc.text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []Protocol{SRM, CESRM, LMS} {
+			t.Run(sc.name+"/"+p.String(), func(t *testing.T) {
+				off, err := Run(RunConfig{Trace: tr, Protocol: p, Seed: 17, Chaos: spec})
+				if err != nil {
+					t.Fatal(err)
+				}
+				on, err := Run(RunConfig{Trace: tr, Protocol: p, Seed: 17, Chaos: spec, ReleaseRecovered: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if on.Status != off.Status || on.Fingerprint != off.Fingerprint {
+					t.Fatalf("release under churn changed the run:\n on  %v %s\n off %v %s",
+						on.Status, on.Fingerprint, off.Status, off.Fingerprint)
+				}
+				if on.QueueDrops != off.QueueDrops || on.Abandoned != off.Abandoned {
+					t.Fatalf("release under churn changed queue drops %d → %d or abandonments %d → %d",
+						off.QueueDrops, on.QueueDrops, off.Abandoned, on.Abandoned)
+				}
+				if strings.Contains(sc.text, "qcap") && on.QueueDrops == 0 {
+					t.Fatal("the queue cap never dropped a packet")
+				}
+				peak, total := on.Collector.PeakPacketCells(), off.Collector.PeakPacketCells()
+				if peak == 0 || peak >= total/2 {
+					t.Fatalf("churn spec did not release: peak cells %d vs retained %d", peak, total)
+				}
+			})
+		}
 	}
 }

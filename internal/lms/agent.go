@@ -327,14 +327,27 @@ func (a *Agent) Has(seq int) bool { return a.received.Has(seq) }
 // with srm.Agent and is ignored (LMS is single-stream).
 func (a *Agent) ReleasableThrough(source topology.NodeID) int { return a.received.Held() }
 
+// ReleasableBelow is ReleasableThrough capped at limit. Holding a packet
+// is the whole condition, so no per-packet cell is read.
+func (a *Agent) ReleasableBelow(source topology.NodeID, limit int) (n, visited int) {
+	return min(a.received.Held(), limit), 0
+}
+
+// HeldWindow returns the bounds [base, held) of the retained window
+// this host holds contiguously, and whether its stream is open: a
+// rejoined host's is not until its first post-join contact applies the
+// late-join floor (floorTo), and until then it holds nothing.
+func (a *Agent) HeldWindow(source topology.NodeID) (base, held int, open bool) {
+	return a.received.Base(), a.received.Held(), !a.lateJoin
+}
+
 // ReleaseThrough discards per-packet state below n, clamped to the held
-// prefix. The experiment
-// layer calls it only after every live host reported ReleasableThrough
-// ≥ n and a drain lag covered in-flight traffic. A NAK straggling in
-// for a released sequence is still served correctly: Has reports true,
-// so the repair path runs exactly as it would have before release. No
-// engine operations happen here, so release is invisible to the run's
-// event stream and fingerprint.
+// prefix. The experiment layer calls it only after every present host
+// reported a releasable watermark ≥ n and a drain lag covered in-flight
+// traffic. A NAK straggling in for a released sequence is still served
+// correctly: Has reports true, so the repair path runs exactly as it
+// would have before release. No engine operations happen here, so
+// release is invisible to the run's event stream and fingerprint.
 func (a *Agent) ReleaseThrough(source topology.NodeID, n int) {
 	a.received.ReleaseThrough(n)
 	a.losses.ReleaseThrough(a.received.Base())

@@ -66,6 +66,47 @@ func TestWatermarkRelease(t *testing.T) {
 	if a.Has(4) != true || a.MissingIn(0, 5) != 0 {
 		t.Fatal("clamped release corrupted possession state")
 	}
+
+	// Leave → release on the others → Join. A departed host neither
+	// votes nor is released; rejoined, it holds nothing until its first
+	// post-join contact applies the floor, and then its windows are based
+	// there, whatever its peers released meanwhile, while theirs stay
+	// where the release left them.
+	transmit := func(seq int) {
+		b.eng.ScheduleAt(b.eng.Now()+sim.Time(time.Millisecond), func(sim.Time) {
+			b.agents[0].Transmit(seq)
+		})
+		b.eng.Run()
+	}
+	leaver, stayer := b.agents[6], b.agents[3]
+	detections := b.log.detections
+	leaver.Leave() // holds 0..4
+	transmit(5)    // missed by the leaver
+	for _, id := range []topology.NodeID{0, 3, 4} {
+		b.agents[id].ReleaseThrough(0, 6)
+	}
+	leaver.Join()
+	if _, held, open := leaver.HeldWindow(0); open || held != 0 || leaver.ReleasableThrough(0) != 0 {
+		t.Fatal("a rejoined host must hold nothing until its stream opens")
+	}
+	transmit(6) // first post-join contact
+	if base, held, open := leaver.HeldWindow(0); !open || base != 6 || held != 7 {
+		t.Fatalf("rejoiner's window = [%d, %d) open=%v, want [6, 7) based at its floor", base, held, open)
+	}
+	if leaver.losses.Base() != 6 || leaver.pending.Base() != 6 || leaver.ClassifiedThrough(0) != 7 {
+		t.Fatalf("rejoiner's loss/pending windows based at %d/%d, cursor %d, want 6/6/7",
+			leaver.losses.Base(), leaver.pending.Base(), leaver.ClassifiedThrough(0))
+	}
+	if base, held, open := stayer.HeldWindow(0); !open || base != 6 || held != 7 {
+		t.Fatalf("stayer's window = [%d, %d) open=%v, want [6, 7) as released", base, held, open)
+	}
+	if n, visited := stayer.ReleasableBelow(0, 6); n != 6 || visited != 0 {
+		t.Fatalf("ReleasableBelow(6) = %d reading %d cells, want the limit and no reads", n, visited)
+	}
+	if b.log.detections != detections {
+		t.Fatalf("%d losses detected across the rejoin, want none: the rejoiner is not owed seq 5",
+			b.log.detections-detections)
+	}
 }
 
 // TestWatermarkReleaseRespectsCrash checks a crashed agent's watermark

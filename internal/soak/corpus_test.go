@@ -126,9 +126,19 @@ func TestCommittedCorpusReplays(t *testing.T) {
 			if o.Result.Abandoned != 0 {
 				t.Errorf("%s: %d abandonments after graceful replier departure", name, o.Result.Abandoned)
 			}
+		case "late-join-floor.spec":
+			// Replay runs with release live: the entry must quiesce, and
+			// host 5 must chase only what it is owed from its floor on
+			// (991 losses; 23,263 — the whole history — before the fix).
+			if o.Status != sim.Completed || o.Failure != nil {
+				t.Errorf("%s: status %v, failure %v, want clean completion", name, o.Status, o.Failure)
+			}
+			if n := o.Result.Collector.Losses(5); n == 0 || n >= 1100 {
+				t.Errorf("%s: host 5 detected %d losses, want 991: its late-join floor was not applied", name, n)
+			}
 		}
 	}
-	for _, want := range []string{"pr4-clock-overflow.spec", "replier-churn.spec", "replier-leave.spec", "queue-overflow.spec"} {
+	for _, want := range []string{"pr4-clock-overflow.spec", "replier-churn.spec", "replier-leave.spec", "queue-overflow.spec", "late-join-floor.spec"} {
 		if !seen[want] {
 			t.Errorf("committed corpus lacks the seeded %s entry", want)
 		}

@@ -134,12 +134,16 @@ func (r *Runner) runLoaded(tr *trace.Trace, t Trial) (res *experiment.RunResult,
 			fail = &Failure{Trial: t, Class: panicClass(rec), Detail: fmt.Sprint(rec)}
 		}
 	}()
+	// Release is live, as in Suite, the chaos matrix and the benchmark:
+	// soak exercises what production runs under every generated fault mix
+	// (a restart in the spec still closes the gate inside Run).
 	out, err := runExperiment(experiment.RunConfig{
-		Trace:    tr,
-		Protocol: t.Protocol,
-		Chaos:    t.Spec,
-		Budget:   r.budget,
-		Seed:     t.Seed,
+		Trace:            tr,
+		Protocol:         t.Protocol,
+		Chaos:            t.Spec,
+		Budget:           r.budget,
+		Seed:             t.Seed,
+		ReleaseRecovered: true,
 	})
 	if err != nil {
 		return nil, classify(t, err)

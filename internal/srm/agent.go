@@ -2,6 +2,7 @@ package srm
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"cesrm/internal/netsim"
@@ -161,21 +162,27 @@ func (st *streamState) ensureReply(seq int) *replyState {
 	return *c
 }
 
-// releasableThrough returns the highest watermark n ≤ held such that
-// every sequence number below n is safe to discard on this host: the
-// packet is held and no reply machinery for it is live. A sequence with
-// an armed reply timer must stay — releasing it would silently swallow
-// the pending reply, an observable protocol change — and one inside a
-// reply-abstinence period must stay so a late request keeps being
-// suppressed rather than answered by fresh zero state.
-func (st *streamState) releasableThrough(now sim.Time) int {
-	n := st.received.Base()
-	for ; n < st.received.Held(); n++ {
+// releasableBelow returns the highest watermark n ≤ min(held, limit)
+// such that every sequence number below n is safe to discard on this
+// host: the packet is held and no reply machinery for it is live. A
+// sequence with an armed reply timer must stay — releasing it would
+// silently swallow the pending reply, an observable protocol change —
+// and one inside a reply-abstinence period must stay so a late request
+// keeps being suppressed rather than answered by fresh zero state.
+// visited counts the cells the scan read: the group's watermark is a
+// minimum, so the caller passes the smallest held prefix as limit and a
+// host far ahead of a stalled peer reads nothing beyond it.
+func (st *streamState) releasableBelow(now sim.Time, limit int) (n, visited int) {
+	base := st.received.Base()
+	if held := st.received.Held(); held < limit {
+		limit = held
+	}
+	for n = base; n < limit; n++ {
 		if rs := st.replies.At(n); rs != nil && (rs.timer.Active() || now.Before(rs.pendingUntil)) {
-			break
+			return n, n - base + 1
 		}
 	}
-	return n
+	return n, n - base
 }
 
 // releaseThrough discards per-packet state below n, clamped to the held
@@ -295,7 +302,8 @@ func (a *Agent) ID() topology.NodeID { return a.id }
 func (a *Agent) Params() Params { return a.p }
 
 // stream returns (creating on first use) the state for the given
-// source's stream.
+// source's stream. Only Transmit and streamFloored may create; every
+// other reader goes through peek.
 func (a *Agent) stream(source topology.NodeID) *streamState {
 	for int(source) >= len(a.streams) {
 		a.streams = append(a.streams, nil)
@@ -433,27 +441,54 @@ func (a *Agent) Restart() {
 func (a *Agent) Outstanding() int { return a.outstanding }
 
 // ClassifiedThrough returns the lowest sequence number of the source's
-// stream not yet classified as received-or-lost.
+// stream not yet classified as received-or-lost; 0 for a stream this
+// host has no state for. Like every inspector it must not create the
+// state: a stream that exists when a late joiner's first post-join
+// packet arrives never receives its reliability floor (streamFloored).
 func (a *Agent) ClassifiedThrough(source topology.NodeID) int {
-	return a.stream(source).cursor
+	if st := a.peek(source); st != nil {
+		return st.cursor
+	}
+	return 0
 }
 
 // ReleasableThrough returns the watermark through which this host's
 // per-packet state for the source's stream could be discarded right now
-// (see streamState.releasableThrough). A host with no state for the
+// (see streamState.releasableBelow). A host with no state for the
 // stream reports 0.
 func (a *Agent) ReleasableThrough(source topology.NodeID) int {
+	n, _ := a.ReleasableBelow(source, math.MaxInt)
+	return n
+}
+
+// ReleasableBelow is ReleasableThrough with the scan stopped at limit,
+// plus the number of per-packet cells it read.
+func (a *Agent) ReleasableBelow(source topology.NodeID, limit int) (n, visited int) {
 	st := a.peek(source)
 	if st == nil {
-		return 0
+		return 0, 0
 	}
-	return st.releasableThrough(a.eng.Now())
+	return st.releasableBelow(a.eng.Now(), limit)
+}
+
+// HeldWindow returns the bounds [base, held) of the retained window
+// this host holds contiguously for the source's stream — base is the
+// release watermark or the late-join floor the stream opened at — and
+// whether the host has state for the stream at all: a late joiner has
+// none until its first post-join evidence fixes its floor.
+func (a *Agent) HeldWindow(source topology.NodeID) (base, held int, open bool) {
+	st := a.peek(source)
+	if st == nil {
+		return 0, 0, false
+	}
+	return st.received.Base(), st.received.Held(), true
 }
 
 // ReleaseThrough discards this host's per-packet state for the source's
-// stream below n. The experiment layer calls it only after every live
-// host reported ReleasableThrough ≥ n and a drain lag covered in-flight
-// traffic, so no future event can reference the dropped window.
+// stream below n. The experiment layer calls it only after every
+// present host reported a releasable watermark ≥ n and a drain lag
+// covered in-flight traffic, so no future event can reference the
+// dropped window.
 func (a *Agent) ReleaseThrough(source topology.NodeID, n int) {
 	if st := a.peek(source); st != nil {
 		st.releaseThrough(n)
@@ -1114,8 +1149,10 @@ func (a *Agent) SendExpeditedReply(now sim.Time, m *RequestMsg, subcast bool) bo
 	if a.outside(m.Source) || a.outside(m.Requestor) {
 		return false
 	}
-	st := a.stream(m.Source)
-	if !st.received.Has(m.Seq) || a.ReplyBlocked(now, m.Source, m.Seq) {
+	// A host with no state for the stream holds nothing; answering must
+	// not create the state ahead of the late-join floor.
+	st := a.peek(m.Source)
+	if st == nil || !st.received.Has(m.Seq) || a.ReplyBlocked(now, m.Source, m.Seq) {
 		return false
 	}
 	pkt := a.frames.Reply(ReplyMsg{

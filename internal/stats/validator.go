@@ -33,6 +33,7 @@ import (
 //     NoteRestart (which also resets the host's audit rows — a
 //     restarted host rejoins with amnesia and legitimately re-detects
 //     its losses).
+//
 //  7. Expedited recovery falls back to SRM within a bounded number of
 //     request rounds (BoundExpFallback): a loss that was chased with an
 //     expedited request but recovered unexpedited — the cached replier
@@ -49,6 +50,16 @@ import (
 //  9. A loss is abandoned at most once, only after detection, never
 //     after recovery, and no further requests follow the abandonment
 //     (bounded-retry degradation terminates recovery for good).
+//
+// One invariant audits the harness rather than the protocol:
+//
+//  10. No present host's stream is based below the released watermark
+//     (NoteFloorBelowRelease). Mid-run release discards per-packet
+//     state group-wide on the argument that a host joining later opens
+//     its stream at or above what was discarded; a late-join floor
+//     below it means the joiner is owed packets whose recovery state
+//     its peers no longer have, so a run with release on has stopped
+//     being the run with release off.
 type Validator struct {
 	violations []Violation
 
@@ -133,6 +144,16 @@ func (v *Validator) NoteCrash(host topology.NodeID, at sim.Time) {
 // recover-undetected instead of double-recover).
 func (v *Validator) ReleaseThrough(source topology.NodeID, n int) {
 	v.packets.releaseThrough(source, n)
+}
+
+// NoteFloorBelowRelease records a breach of invariant 10: host's stream
+// of source is based at floor although the group already released
+// per-packet state through released. The experiment layer's release
+// monitor reports it; the floor itself is the protocol's and is never
+// adjusted.
+func (v *Validator) NoteFloorBelowRelease(host, source topology.NodeID, floor, released int) {
+	v.violate("floor-below-release", "host %d: stream %d opened at %d, below the released watermark %d",
+		host, source, floor, released)
 }
 
 // NoteRestart records that host rejoined. Its audit rows reset: the new
