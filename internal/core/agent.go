@@ -39,7 +39,8 @@ func DefaultConfig() Config {
 
 // Agent is one CESRM endpoint. It embeds a full SRM agent (the fallback
 // scheme runs unchanged) and adds the caching-based expedited recovery
-// scheme. It implements netsim.Host.
+// scheme through the SRM agent's extension hooks. It implements
+// netsim.Host.
 type Agent struct {
 	srm *srm.Agent
 	net netsim.Endpoint
@@ -115,9 +116,14 @@ func (e *agentExtension) PacketReceived(now sim.Time, source topology.NodeID, se
 func (e *agentExtension) ReplyObserved(now sim.Time, m *srm.ReplyMsg, everLost bool) {
 	e.a.onReplyObserved(m, everLost)
 }
+func (e *agentExtension) ExpeditedRequest(now sim.Time, m *srm.RequestMsg) {
+	e.a.onExpeditedRequest(now, m)
+}
 
-// NewAgent constructs a CESRM endpoint at node id and registers it with
-// the network. obs may be nil.
+// NewAgent constructs a CESRM endpoint at node id. The embedded SRM
+// agent is what registers with the network: it dispatches every
+// delivery and hands expedited requests back through its extension
+// hook. obs may be nil.
 func NewAgent(eng sim.Sched, net netsim.Endpoint, rng *sim.RNG, id topology.NodeID, cfg Config, obs srm.Observer) (*Agent, error) {
 	capacity := cfg.CacheCapacity
 	if capacity == 0 {
@@ -147,14 +153,11 @@ func NewAgent(eng sim.Sched, net netsim.Endpoint, rng *sim.RNG, id topology.Node
 		policy:     policy,
 		pendingExp: make(map[sourceSeq]*expeditedRequest, 8+nr/4),
 	}
-	// The SRM agent registers itself with the network; re-register the
-	// wrapper so expedited requests are intercepted here first.
 	inner, err := srm.NewAgent(eng, net, rng, id, cfg.SRM, obs, &agentExtension{a})
 	if err != nil {
 		return nil, err
 	}
 	a.srm = inner
-	net.AttachHost(id, a)
 	return a, nil
 }
 
@@ -205,19 +208,10 @@ func (a *Agent) Stop() { a.srm.Stop() }
 // host's own stream.
 func (a *Agent) Transmit(seq int) { a.srm.Transmit(seq) }
 
-// Deliver implements netsim.Host: expedited requests are handled by the
-// expedited recovery scheme; everything else flows through SRM, whose
-// extension hooks call back into this agent.
-func (a *Agent) Deliver(now sim.Time, p *netsim.Packet) {
-	if a.srm.Crashed() || a.srm.Absent() {
-		return
-	}
-	if m, ok := p.Msg.(*srm.RequestMsg); ok && m.Expedited {
-		a.onExpeditedRequest(now, m)
-		return
-	}
-	a.srm.Deliver(now, p)
-}
+// Deliver implements netsim.Host for callers that attach this agent
+// themselves: everything flows through SRM, whose extension hooks call
+// back into this agent.
+func (a *Agent) Deliver(now sim.Time, p *netsim.Packet) { a.srm.Deliver(now, p) }
 
 // onLossDetected runs CESRM's expedited path in parallel with the SRM
 // request just scheduled (§3.2): consult the cache, and if this host is

@@ -1,0 +1,129 @@
+package experiment
+
+import (
+	"testing"
+	"time"
+
+	"cesrm/internal/core"
+	"cesrm/internal/lossinfer"
+	"cesrm/internal/netsim"
+	"cesrm/internal/sim"
+	"cesrm/internal/srm"
+	"cesrm/internal/stats"
+	"cesrm/internal/topology"
+	"cesrm/internal/trace"
+)
+
+// runPrivateTables reenacts tr as Run's chaos-free serial path does, but
+// assembled from the layers' public constructors — the way
+// benchmark/assembly.go and the wire node build agents — so every agent
+// keeps the private one-column distance table it is constructed with.
+// It returns the run fingerprint.
+func runPrivateTables(t *testing.T, tr *trace.Trace, proto Protocol, seed int64) string {
+	t.Helper()
+	cfg := RunConfig{Trace: tr, Protocol: proto, Seed: seed, Net: netsim.DefaultConfig(), SRM: srm.DefaultParams()}
+	tree := tr.Tree
+	source := tree.Root()
+	rates := lossinfer.EstimateYajnik(tr)
+	inferred, err := lossinfer.Infer(tr, rates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := sim.NewEngine()
+	net, err := netsim.New(eng, tree, cfg.Net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rootRNG := sim.NewRNG(seed)
+	loss := newLossModel(&cfg, inferred.Drops, rates, rootRNG.Split())
+	net.SetDropFunc(loss.drop)
+	net.SetLossFunc(loss.verdict)
+
+	collector := stats.New()
+	validator := stats.NewValidator()
+	validator.SetClock(eng.Now)
+	recorder := stats.NewRecorder(eng.Now)
+	fp := newFPHasher()
+	recorder.SetSink(fp.event)
+	recorder.SetKeep(false)
+	observer := stats.Tee{collector, validator, recorder}
+
+	hosts := append([]topology.NodeID{source}, tree.Receivers()...)
+	agents := make([]agent, len(hosts))
+	inspect := make([]*srm.Agent, len(hosts))
+	for i, id := range hosts {
+		rng := rootRNG.Split()
+		if proto == SRM {
+			a, err := srm.NewAgent(eng, net, rng, id, cfg.SRM, observer, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			agents[i], inspect[i] = a, a
+		} else {
+			a, err := core.NewAgent(eng, net, rng, id, core.Config{SRM: cfg.SRM}, observer)
+			if err != nil {
+				t.Fatal(err)
+			}
+			agents[i], inspect[i] = a, a.SRM()
+		}
+	}
+	for _, a := range agents {
+		a.StartSessions()
+	}
+	n := tr.NumPackets()
+	warmup := 3 * cfg.SRM.SessionPeriod
+	eng.ScheduleTrain(sim.Time(warmup), tr.Period, n, sim.GlobalShard, func(seq int, _ sim.Time) {
+		agents[0].Transmit(seq)
+	})
+	deadline := sim.Time(warmup + time.Duration(n)*tr.Period + 10*time.Minute)
+	var monitor func(now sim.Time)
+	monitor = func(now sim.Time) {
+		for _, a := range inspect[1:] {
+			if a.ClassifiedThrough(source) < n || a.Outstanding() > 0 {
+				if now.After(deadline) {
+					t.Errorf("%s/%v: the private-table assembly did not quiesce", tr.Name, proto)
+					eng.Stop()
+					return
+				}
+				eng.Schedule(cfg.SRM.SessionPeriod, monitor)
+				return
+			}
+		}
+		for _, a := range agents {
+			a.Stop()
+		}
+	}
+	eng.Schedule(cfg.SRM.SessionPeriod, monitor)
+	finished := eng.Run()
+	if err := validator.Err(); err != nil {
+		t.Fatalf("%s/%v: %v", tr.Name, proto, err)
+	}
+	rtt := func(h topology.NodeID) time.Duration { return net.RTT(h, source) }
+	return fp.finish(net.Counts(), finished, tree.Receivers(), collector, rtt)
+}
+
+// TestDistancePlaneTwinAssembly: Run, whose agents share one transposed
+// distance plane, must compute exactly what an assembly of agents with
+// private distance tables computes — serially and with sharded hosts
+// writing distinct words of the plane's shared rows.
+func TestDistancePlaneTwinAssembly(t *testing.T) {
+	tr, err := trace.Catalog[0].Load(0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, proto := range []Protocol{SRM, CESRM} {
+		want := runPrivateTables(t, tr, proto, 5)
+		for _, shards := range []int{0, 2} {
+			res, err := Run(RunConfig{Trace: tr, Protocol: proto, Seed: 5, Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (res.BarrierEvents > 0) != (shards > 1) {
+				t.Fatalf("%v shards=%d: %d barrier events; the run was not dispatched as asked", proto, shards, res.BarrierEvents)
+			}
+			if res.Fingerprint != want {
+				t.Errorf("%v shards=%d: shared-plane fingerprint %s, private-table assembly %s", proto, shards, res.Fingerprint, want)
+			}
+		}
+	}
+}

@@ -525,7 +525,14 @@ func Run(cfg RunConfig) (*RunResult, error) {
 		ports[i] = netsim.NewPort(net, sh)
 		observers[i] = &deferredObserver{sh: sh, obs: observer}
 	}
-	for _, id := range hosts {
+	// SRM and CESRM members keep their distance estimates in one plane,
+	// column = position in hosts: the same bytes as a table per member,
+	// laid out the way a flood reads them (srm.DistancePlane).
+	var distances *srm.DistancePlane
+	if cfg.Protocol != LMS {
+		distances = srm.NewDistancePlane(tree.NumNodes(), len(hosts))
+	}
+	for col, id := range hosts {
 		hostRNG := rootRNG.Split()
 		var hostEng sim.Sched = eng
 		var hostNet netsim.Endpoint = net
@@ -566,7 +573,13 @@ func Run(cfg RunConfig) (*RunResult, error) {
 		default:
 			return nil, fmt.Errorf("experiment: unknown protocol %v", cfg.Protocol)
 		}
-		if cfg.Adaptive.Enabled && srmAgent != nil {
+		if srmAgent == nil {
+			continue
+		}
+		if err := srmAgent.UseDistancePlane(distances, col); err != nil {
+			return nil, err
+		}
+		if cfg.Adaptive.Enabled {
 			if err := srmAgent.EnableAdaptiveTimers(cfg.Adaptive); err != nil {
 				return nil, err
 			}

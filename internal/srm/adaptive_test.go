@@ -85,6 +85,19 @@ func TestAdaptiveWidensWindowUnderDuplicates(t *testing.T) {
 	if f.agents[2].MissingIn(0, 100) != 0 || f.agents[3].MissingIn(0, 100) != 0 {
 		t.Fatal("adaptive run did not recover all losses")
 	}
+
+	// Adaptation moves the working copy only, and an amnesiac restart
+	// forgets it along with the averages that produced it.
+	a := f.agents[2]
+	if a.Params() != before {
+		t.Fatalf("Params() = %+v after adapting, want the constructor's %+v", a.Params(), before)
+	}
+	a.Crash()
+	a.Restart()
+	defer a.Stop()
+	if a.AdaptedParams() != before || a.Params() != before {
+		t.Fatalf("restarted host kept adapted timers %+v, want the constructor's %+v", a.AdaptedParams(), before)
+	}
 }
 
 // TestAdaptiveTightensWindowWhenAlone drives losses seen by a single

@@ -48,26 +48,39 @@ func (ls *lossRecord) Fire(now sim.Time) {
 	ls.st.agent.requestTimerFired(now, ls.st, ls.seq)
 }
 
-// replyState tracks reply scheduling and abstinence for one packet on a
-// host that has the packet. Like lossRecord it is its own reply timer's
-// sim.EventHandler.
+// replyCell is what a host keeps per packet for the reply side of
+// recovery, laid out as the reply flood reads it: every member hears
+// every repair (§2.2), and all a duplicate does at a host that holds the
+// packet is push the abstinence deadline, so the deadline sits in the
+// window cell itself and a duplicate touches this one line.
+type replyCell struct {
+	// pendingUntil ends the reply abstinence period.
+	pendingUntil sim.Time
+	// rec is the scheduled reply, nil unless a request made this host
+	// schedule one: only considerReply creates it. With fixed timers the
+	// cell lets go of it the moment its timer is spent (noteReplyEvent).
+	rec *replyState
+}
+
+// blocked reports whether a reply for the packet is scheduled or
+// pending: the host must neither schedule another nor release the cell.
+func (c replyCell) blocked(now sim.Time) bool {
+	return now.Before(c.pendingUntil) || (c.rec != nil && c.rec.timer.Active())
+}
+
+// replyState is one scheduled reply. Like lossRecord it is its own
+// timer's sim.EventHandler.
 type replyState struct {
 	st  *streamState
 	seq int
 
-	timer        sim.Timer
-	requestor    topology.NodeID
-	reqDistSrc   time.Duration
-	pendingUntil sim.Time
+	timer      sim.Timer
+	requestor  topology.NodeID
+	reqDistSrc time.Duration
 
-	// engaged marks that this host scheduled or sent a reply for the
-	// packet; requestAt and repliesSeen feed adaptive timer adjustment.
-	// The two small fields share a word: every host keeps one record per
-	// packet it heard a reply for and touches it on every reply, so the
-	// record's size is the wide groups' cache footprint.
+	// requestAt and repliesSeen feed adaptive timer adjustment.
 	requestAt   sim.Time
 	repliesSeen int32
-	engaged     bool
 }
 
 // Fire implements sim.EventHandler: the reply timer expired. The spent
@@ -76,7 +89,7 @@ type replyState struct {
 // generation of a wheel record that has long since been recycled.
 func (rs *replyState) Fire(now sim.Time) {
 	rs.timer = sim.Timer{}
-	rs.st.agent.replyTimerFired(now, rs.st, rs.seq)
+	rs.st.agent.replyTimerFired(now, rs)
 }
 
 // streamState is a host's per-source reception and recovery state. SRM
@@ -90,10 +103,11 @@ type streamState struct {
 	// held ≤ cursor, so classification and detection never touch the
 	// released prefix. Three windows, not one fat cell: received.Has is
 	// on the per-delivery path and must stay a one-byte probe. losses
-	// and replies hold nil for packets with no such state.
+	// holds nil, and replies the zero cell, for packets with no such
+	// state.
 	received seqwin.Prefix
 	losses   seqwin.Window[*lossRecord]
-	replies  seqwin.Window[*replyState]
+	replies  seqwin.Window[replyCell]
 	// cursor: every sequence number below it has been classified as
 	// received or detected lost.
 	cursor int
@@ -110,15 +124,12 @@ type streamState struct {
 	abandonedOpen int
 
 	// replyArena and lossArena are chunk allocators for the records the
-	// windows point at: one record is created per classified sequence
-	// number, and allocating them individually made these two sites the
+	// windows point at: one per detected loss and one per scheduled
+	// reply, and allocating them individually made these two sites the
 	// top allocators of a full-scale run. A chunk is reclaimed when the
-	// window release drops the last pointer into it, a lag bounded by the
-	// chunk size.
+	// last pointer into it is dropped, a lag bounded by the chunk size.
 	replyArena arena[replyState]
 	lossArena  arena[lossRecord]
-	// scratchReply is what ensureReply hands out below the watermark.
-	scratchReply replyState
 }
 
 // arenaChunk is the record-arena chunk size: large enough to cut the
@@ -144,24 +155,6 @@ func (st *streamState) openAt(floor int) {
 	st.cursor = floor
 }
 
-// ensureReply returns the reply state for seq, creating it on first
-// use. A released coordinate yields a zeroed throwaway so a straggling
-// control message mutates nothing live — release lag makes that
-// unreachable in a correct run, and memory-safe in a buggy one.
-func (st *streamState) ensureReply(seq int) *replyState {
-	if seq < st.replies.Base() {
-		st.scratchReply = replyState{st: st, seq: seq}
-		return &st.scratchReply
-	}
-	c := st.replies.Ensure(seq)
-	if *c == nil {
-		rs := st.replyArena.next(arenaChunk)
-		rs.st, rs.seq = st, seq
-		*c = rs
-	}
-	return *c
-}
-
 // releasableBelow returns the highest watermark n ≤ min(held, limit)
 // such that every sequence number below n is safe to discard on this
 // host: the packet is held and no reply machinery for it is live. A
@@ -178,7 +171,7 @@ func (st *streamState) releasableBelow(now sim.Time, limit int) (n, visited int)
 		limit = held
 	}
 	for n = base; n < limit; n++ {
-		if rs := st.replies.At(n); rs != nil && (rs.timer.Active() || now.Before(rs.pendingUntil)) {
+		if st.replies.At(n).blocked(now) {
 			return n, n - base + 1
 		}
 	}
@@ -224,14 +217,22 @@ type Agent struct {
 	obs Observer
 	ext Extension
 
-	// dist holds one-way distance estimates indexed by NodeID; -1 marks
-	// "no estimate yet". A flat slice (not a map) because Distance sits
-	// on the request/reply timer-draw hot path and node IDs are dense.
-	dist []time.Duration
-	echo *echoState
-	// streams is NodeID-indexed like dist (nil = no state for that
-	// source); stream lookup happens on every delivered packet.
+	// dist is this member's column of a DistancePlane, starting at its
+	// own cell of row 0: the one-way distance estimate to node n is
+	// dist[n*stride], -1 marking "no estimate yet". An agent handed no
+	// shared plane (UseDistancePlane) owns a one-column one, stride 1.
+	// nodes is the tree's node count, the bound on every NodeID index.
+	dist   []time.Duration
+	stride int
+	nodes  int
+	echo   *echoState
+	// streams is NodeID-indexed (nil = no state for that source). last is
+	// the stream the latest delivery resolved, kept in front of the table
+	// because a flood's deliveries nearly always name the same source and
+	// the table is one more cold line per host; only streamFloored reads
+	// or sets it, and whatever replaces the table drops it.
 	streams []*streamState
+	last    *streamState
 
 	stopped bool
 	crashed bool
@@ -266,6 +267,9 @@ type Agent struct {
 	// frames supplies every packet this host sends. Last, so the fields
 	// every delivery reads keep the cache lines they had without it.
 	frames Frames
+	// initial is the constructor's Params: p is what adaptive timers
+	// adjust, and what an amnesiac Restart resets to this.
+	initial Params
 }
 
 var _ netsim.Host = (*Agent)(nil)
@@ -279,17 +283,21 @@ func NewAgent(eng sim.Sched, net netsim.Endpoint, rng *sim.RNG, id topology.Node
 	if obs == nil {
 		obs = NopObserver{}
 	}
+	nodes := net.Tree().NumNodes()
 	a := &Agent{
 		id:      id,
 		eng:     eng,
 		net:     net,
 		rng:     rng,
 		p:       p,
+		initial: p,
 		obs:     obs,
 		ext:     ext,
-		dist:    newDistTable(net.Tree().NumNodes()),
-		echo:    newEchoState(net.Tree().NumNodes()),
-		streams: make([]*streamState, net.Tree().NumNodes()),
+		dist:    NewDistancePlane(nodes, 1).d,
+		stride:  1,
+		nodes:   nodes,
+		echo:    newEchoState(nodes),
+		streams: make([]*streamState, nodes),
 	}
 	net.AttachHost(id, a)
 	return a, nil
@@ -299,11 +307,12 @@ func NewAgent(eng sim.Sched, net netsim.Endpoint, rng *sim.RNG, id topology.Node
 func (a *Agent) ID() topology.NodeID { return a.id }
 
 // Params returns the agent's initial scheduling parameters.
-func (a *Agent) Params() Params { return a.p }
+func (a *Agent) Params() Params { return a.initial }
 
 // stream returns (creating on first use) the state for the given
 // source's stream. Only Transmit and streamFloored may create; every
-// other reader goes through peek.
+// other reader goes through peek, and none but streamFloored through
+// last.
 func (a *Agent) stream(source topology.NodeID) *streamState {
 	for int(source) >= len(a.streams) {
 		a.streams = append(a.streams, nil)
@@ -361,9 +370,9 @@ func (a *Agent) cancelProtocolTimers() {
 				a.eng.Cancel(ls.timer)
 			}
 		}
-		for _, rs := range st.replies.Cells() {
-			if rs != nil {
-				a.eng.Cancel(rs.timer)
+		for _, c := range st.replies.Cells() {
+			if c.rec != nil {
+				a.eng.Cancel(c.rec.timer)
 			}
 		}
 	}
@@ -404,7 +413,7 @@ func (a *Agent) Join() {
 	a.absent = false
 	a.stopped = false
 	a.lateJoin = true
-	a.streams = make([]*streamState, a.net.Tree().NumNodes())
+	a.streams, a.last = make([]*streamState, a.nodes), nil
 	a.outstanding = 0
 	a.StartSessions()
 }
@@ -427,12 +436,11 @@ func (a *Agent) Restart() {
 	}
 	a.crashed = false
 	a.stopped = false
-	n := a.net.Tree().NumNodes()
-	a.dist = newDistTable(n)
-	a.echo = newEchoState(n)
-	a.streams = make([]*streamState, n)
+	a.forgetDistances()
+	a.echo = newEchoState(a.nodes)
+	a.streams, a.last = make([]*streamState, a.nodes), nil
 	a.outstanding = 0
-	a.adaptive = adaptiveState{}
+	a.p, a.adaptive = a.initial, adaptiveState{}
 	a.StartSessions()
 }
 
@@ -542,17 +550,6 @@ func (a *Agent) EverLost(source topology.NodeID, seq int) bool {
 	return st != nil && st.losses.At(seq) != nil
 }
 
-// newDistTable returns a distance table with every entry marked
-// unknown (-1). A recorded estimate of zero stays distinguishable from
-// "never seen", matching the semantics the map representation had.
-func newDistTable(n int) []time.Duration {
-	d := make([]time.Duration, n)
-	for i := range d {
-		d[i] = -1
-	}
-	return d
-}
-
 // Distance returns the agent's one-way distance estimate to node n,
 // falling back to Params.DefaultDistance when no session message from n
 // has been seen.
@@ -560,13 +557,21 @@ func (a *Agent) Distance(n topology.NodeID) time.Duration {
 	if n == a.id {
 		return 0
 	}
-	if int(n) < len(a.dist) {
-		if d := a.dist[n]; d >= 0 {
+	if uint(n) < uint(a.nodes) {
+		if d := a.dist[int(n)*a.stride]; d >= 0 {
 			return d
 		}
 	}
 	a.missingDists++
 	return a.p.DefaultDistance
+}
+
+// forgetDistances marks every estimate unknown again — in this member's
+// column only: the rest of the plane is its peers' estimates.
+func (a *Agent) forgetDistances() {
+	for n := 0; n < a.nodes; n++ {
+		a.dist[n*a.stride] = -1
+	}
 }
 
 // MissingDistanceLookups counts Distance calls that fell back to the
@@ -576,7 +581,7 @@ func (a *Agent) MissingDistanceLookups() int { return a.missingDists }
 // SetDistance primes the distance estimate to node n, as a completed
 // session exchange would. Tests and bootstrap paths use it to start
 // from a converged state.
-func (a *Agent) SetDistance(n topology.NodeID, d time.Duration) { a.dist[n] = d }
+func (a *Agent) SetDistance(n topology.NodeID, d time.Duration) { a.dist[int(n)*a.stride] = d }
 
 // StartSessions begins periodic session-message multicast, with the
 // first message sent after a random fraction of the session period so
@@ -645,11 +650,13 @@ func (a *Agent) Deliver(now sim.Time, p *netsim.Packet) {
 	case *SessionMsg:
 		a.onSession(now, m)
 	case *RequestMsg:
-		// Expedited requests are a CESRM concern handled by the wrapper
-		// in internal/core before reaching this dispatcher; a plain SRM
-		// agent ignores any that arrive.
-		if !m.Expedited {
+		// Expedited requests are a CESRM concern; a plain SRM agent
+		// ignores any that arrive.
+		switch {
+		case !m.Expedited:
 			a.onRequest(now, m)
+		case a.ext != nil:
+			a.ext.ExpeditedRequest(now, m)
 		}
 	case *ReplyMsg:
 		a.onReply(now, m)
@@ -665,7 +672,7 @@ func (a *Agent) Deliver(now sim.Time, p *netsim.Packet) {
 // bounds nothing tighter), so every handler checks the IDs it indexes
 // with first.
 func (a *Agent) outside(id topology.NodeID) bool {
-	if uint(id) < uint(len(a.dist)) {
+	if uint(id) < uint(a.nodes) {
 		return false
 	}
 	a.sessionRejects++
@@ -688,13 +695,17 @@ func (a *Agent) onData(now sim.Time, m *DataMsg) {
 // itself owed (floor = its seq), while a session advert or foreign
 // request only proves older data existed (floor = one past it).
 func (a *Agent) streamFloored(source topology.NodeID, floor int) *streamState {
-	if st := a.peek(source); st != nil {
+	if st := a.last; st != nil && st.source == source {
 		return st
 	}
-	st := a.stream(source)
-	if a.lateJoin && source != a.id && floor > 0 {
-		st.openAt(floor)
+	st := a.peek(source)
+	if st == nil {
+		st = a.stream(source)
+		if a.lateJoin && source != a.id && floor > 0 {
+			st.openAt(floor)
+		}
 	}
+	a.last = st
 	return st
 }
 
@@ -897,28 +908,35 @@ func (a *Agent) onRequest(now sim.Time, m *RequestMsg) {
 // considerReply schedules a repair reply for a request if none is
 // scheduled or pending (§2.2).
 func (a *Agent) considerReply(now sim.Time, st *streamState, m *RequestMsg) {
-	rs := st.ensureReply(m.Seq)
-	if now.Before(rs.pendingUntil) {
-		return // reply abstinence: discard the request
+	// A released coordinate yields the window's zeroed scratch cell, so
+	// a straggling control message mutates nothing live — release lag
+	// makes that unreachable in a correct run, and memory-safe in a
+	// buggy one.
+	c := st.replies.Ensure(m.Seq)
+	if c.blocked(now) {
+		return // reply abstinence, or a reply is already scheduled
 	}
-	if rs.timer.Active() {
-		return // a reply is already scheduled
+	rs := c.rec
+	if rs == nil {
+		rs = st.replyArena.next(arenaChunk)
+		rs.st, rs.seq = st, m.Seq
+		c.rec = rs
 	}
 	d := a.Distance(m.Requestor)
 	lo := sim.Scale(d, a.p.D1)
 	hi := sim.Scale(d, a.p.D1+a.p.D2)
 	rs.requestor = m.Requestor
 	rs.reqDistSrc = m.ReqDistToSource
-	rs.engaged = true
 	rs.requestAt = now
 	rs.timer = a.eng.ScheduleHandler(a.rng.UniformDuration(lo, hi), rs)
 }
 
 // replyTimerFired multicasts the scheduled repair reply and starts the
 // reply abstinence period.
-func (a *Agent) replyTimerFired(now sim.Time, st *streamState, seq int) {
-	rs := st.replies.At(seq)
-	if rs == nil || !st.received.Has(seq) {
+func (a *Agent) replyTimerFired(now sim.Time, rs *replyState) {
+	st, seq := rs.st, rs.seq
+	c := st.replies.Get(seq)
+	if c == nil || !st.received.Has(seq) {
 		return
 	}
 	a.net.Multicast(a.id, a.frames.Reply(ReplyMsg{
@@ -930,8 +948,8 @@ func (a *Agent) replyTimerFired(now sim.Time, st *streamState, seq int) {
 		ReplierDistToRequestor: a.Distance(rs.requestor),
 	}))
 	a.obs.ReplySent(a.id, st.source, seq, false)
-	rs.pendingUntil = now.Add(sim.Scale(a.Distance(rs.requestor), a.p.D3))
-	a.noteReplyEvent(now, rs)
+	c.pendingUntil = now.Add(sim.Scale(a.Distance(rs.requestor), a.p.D3))
+	a.noteReplyEvent(now, c)
 }
 
 // onReply processes a repair reply: recover the packet if we were
@@ -942,33 +960,39 @@ func (a *Agent) onReply(now sim.Time, m *ReplyMsg) {
 		return
 	}
 	st := a.streamFloored(m.Source, m.Seq)
-	rs := st.ensureReply(m.Seq)
-	if rs.timer != (sim.Timer{}) {
+	c := st.replies.Ensure(m.Seq) // the scratch cell below Base, as in considerReply
+	rs := c.rec
+	if rs != nil && rs.timer != (sim.Timer{}) {
 		a.eng.Cancel(rs.timer)
 		rs.timer = sim.Timer{}
 	}
 	abstain := now.Add(sim.Scale(a.Distance(m.Requestor), a.p.D3))
-	if abstain.After(rs.pendingUntil) {
-		rs.pendingUntil = abstain
+	if abstain.After(c.pendingUntil) {
+		c.pendingUntil = abstain
 	}
-	if rs.engaged {
-		a.noteReplyEvent(now, rs)
+	if rs != nil {
+		a.noteReplyEvent(now, c)
 	}
 	a.receivePacket(now, st, m.Seq, m)
 	if a.ext != nil {
-		a.ext.ReplyObserved(now, m, a.EverLost(m.Source, m.Seq))
+		a.ext.ReplyObserved(now, m, st.losses.At(m.Seq) != nil)
 	}
 }
 
 // noteReplyEvent records a reply observation (own send or foreign
-// receipt) for a packet this host engaged in replying to, feeding the
-// adaptive reply-timer averages: the first reply of a round samples the
-// reply delay with no duplicate; later replies are duplicate events.
-func (a *Agent) noteReplyEvent(now sim.Time, rs *replyState) {
-	rs.repliesSeen++
+// receipt) for a packet this host scheduled a reply to, whose timer is
+// therefore spent. Only adaptive timers read the record from here on,
+// so with fixed timers the cell drops it and the round's remaining
+// duplicates touch the cell alone. With adaptive timers it feeds the
+// reply-timer averages: the first reply of a round samples the reply
+// delay with no duplicate; later replies are duplicate events.
+func (a *Agent) noteReplyEvent(now sim.Time, c *replyCell) {
 	if !a.adaptiveCfg.Enabled {
+		c.rec = nil
 		return
 	}
+	rs := c.rec
+	rs.repliesSeen++
 	d := a.Distance(rs.requestor)
 	if rs.repliesSeen == 1 {
 		a.observeReplyOutcome(rs, 0, now.Sub(rs.requestAt), d)
@@ -990,12 +1014,12 @@ func (a *Agent) onSession(now sim.Time, m *SessionMsg) {
 	}
 	switch a.p.DistanceMode {
 	case DistOneWay:
-		a.dist[m.From] = time.Duration(now.Sub(m.SentAt))
+		a.dist[int(m.From)*a.stride] = time.Duration(now.Sub(m.SentAt))
 	case DistEchoRTT:
 		a.echo.record(m.From, m.SentAt, now)
 		if e, ok := m.EchoFor(a.id); ok {
 			if rtt, ok := rttFromEcho(now, e); ok {
-				a.dist[m.From] = rtt / 2
+				a.dist[int(m.From)*a.stride] = rtt / 2
 			}
 		}
 	}
@@ -1110,11 +1134,7 @@ func (a *Agent) ReplyBlocked(now sim.Time, source topology.NodeID, seq int) bool
 	if st == nil {
 		return false
 	}
-	rs := st.replies.At(seq)
-	if rs == nil {
-		return false
-	}
-	return rs.timer.Active() || now.Before(rs.pendingUntil)
+	return st.replies.At(seq).blocked(now)
 }
 
 // UnicastExpeditedRequest sends an expedited request for seq of the
@@ -1170,7 +1190,6 @@ func (a *Agent) SendExpeditedReply(now sim.Time, m *RequestMsg, subcast bool) bo
 		a.net.Multicast(a.id, pkt)
 	}
 	a.obs.ReplySent(a.id, m.Source, m.Seq, true)
-	rs := st.ensureReply(m.Seq)
-	rs.pendingUntil = now.Add(sim.Scale(a.Distance(m.Requestor), a.p.D3))
+	st.replies.Ensure(m.Seq).pendingUntil = now.Add(sim.Scale(a.Distance(m.Requestor), a.p.D3))
 	return true
 }

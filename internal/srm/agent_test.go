@@ -358,7 +358,7 @@ func TestSessionDistanceEstimation(t *testing.T) {
 	// Clear primed distances to exercise estimation.
 	agents := f.agents
 	for _, a := range agents {
-		a.dist = newDistTable(len(a.dist))
+		a.forgetDistances()
 	}
 	for _, a := range agents {
 		a.StartSessions()
@@ -631,7 +631,7 @@ func TestDefaultDistanceFallback(t *testing.T) {
 	f := newFixture(t, yTree(), p)
 	// Wipe receiver 2's distances: its request scheduling must fall back
 	// to DefaultDistance and count the miss.
-	f.agents[2].dist = newDistTable(len(f.agents[2].dist))
+	f.agents[2].forgetDistances()
 	f.net.SetDropFunc(dropSeqOnLink(1, 2))
 	f.sendData(3, 100*time.Millisecond)
 	f.eng.Run()

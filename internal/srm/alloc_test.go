@@ -73,7 +73,8 @@ func TestTransmitToDeliveryAllocationAmortised(t *testing.T) {
 // detected, request timer, request, reply timers on every holder, the
 // replies that beat suppression, recovery — at chunk refills only: one
 // frame per request and reply sent, two data frames, one loss record,
-// and one reply state on each host that heard the request or a reply.
+// and one reply record on each holder the request reached — none on the
+// requestor, whose cell a reply touches without one.
 // No closure per timer, no Packet or message per send.
 func TestRepairRoundAllocationAmortised(t *testing.T) {
 	obs := &tally{}
@@ -102,7 +103,7 @@ func TestRepairRoundAllocationAmortised(t *testing.T) {
 			2*rounds, obs.recovered, obs.requests, obs.replies)
 	}
 	want := measured(obs.requests)/requestChunk + measured(obs.replies)/replyChunk +
-		2.0*rounds/dataChunk + (1+hosts)*rounds/arenaChunk
+		2.0*rounds/dataChunk + hosts*rounds/arenaChunk
 	if got > want+1 {
 		t.Fatalf("%d repair rounds allocate %.0f objects, want ≤ %.0f (chunk refills only)", rounds, got, want+1)
 	}

@@ -79,7 +79,7 @@ func TestEchoRTTConvergesToTrueDistances(t *testing.T) {
 	f := newFixture(t, deepTree(), p)
 	// Clear primed distances; echo mode must learn them from scratch.
 	for _, a := range f.agents {
-		a.dist = newDistTable(len(a.dist))
+		a.forgetDistances()
 	}
 	for _, a := range f.agents {
 		a.StartSessions()
@@ -140,5 +140,98 @@ func TestEchoRTTProtocolRunMatchesOneWay(t *testing.T) {
 	}
 	if results[DistOneWay] != results[DistEchoRTT] {
 		t.Fatalf("recovery counts differ across distance modes: %v", results)
+	}
+}
+
+// TestDistancePlaneMatchesPrivateTables runs the same session exchange
+// over agents sharing one DistancePlane and over agents with the
+// private tables they are built with, and requires every lookup —
+// hosts, routers, None and out-of-tree IDs — and the fallback count to
+// agree; then checks the columns are independent: SetDistance writes
+// one member's word, Restart clears one column and never a row, Join
+// keeps the column.
+func TestDistancePlaneMatchesPrivateTables(t *testing.T) {
+	for _, mode := range []DistanceMode{DistOneWay, DistEchoRTT} {
+		p := DefaultParams()
+		p.DistanceMode = mode
+		shared, private := newFixture(t, deepTree(), p), newFixture(t, deepTree(), p)
+		hosts := []topology.NodeID{0, 2, 4}
+		plane := NewDistancePlane(shared.tree.NumNodes(), len(hosts))
+		for col, id := range hosts {
+			if err := shared.agents[id].UseDistancePlane(plane, col); err != nil {
+				t.Fatal(err)
+			}
+			private.agents[id].forgetDistances()
+		}
+		for _, f := range []*fixture{shared, private} {
+			for _, id := range hosts {
+				f.agents[id].StartSessions()
+			}
+			f.eng.RunUntil(sim.Time(5 * time.Second))
+		}
+		agree := func(when string) {
+			t.Helper()
+			for _, id := range hosts {
+				s, pr := shared.agents[id], private.agents[id]
+				for _, n := range []topology.NodeID{topology.None, 0, 1, 2, 3, 4, 5, 1 << 30} {
+					if got, want := s.Distance(n), pr.Distance(n); got != want {
+						t.Errorf("%v, %s: host %d's d(%d) = %v on the plane, %v in a private table", mode, when, id, n, got, want)
+					}
+				}
+				if got, want := s.MissingDistanceLookups(), pr.MissingDistanceLookups(); got != want {
+					t.Errorf("%v, %s: host %d fell back %d times on the plane, %d in a private table", mode, when, id, got, want)
+				}
+			}
+		}
+		agree("after the session exchange")
+		if got, want := shared.agents[2].Distance(4), shared.net.Distance(2, 4); got != want {
+			t.Fatalf("%v: d(2,4) = %v, want the converged %v", mode, got, want)
+		}
+
+		for _, f := range []*fixture{shared, private} {
+			f.agents[2].SetDistance(4, 7*time.Millisecond)
+			f.agents[4].Leave()
+			f.agents[4].Join()
+			f.agents[2].Crash()
+			f.agents[2].Restart()
+		}
+		agree("after SetDistance, Leave/Join and Crash/Restart")
+		if got := shared.agents[0].Distance(4); got != shared.net.Distance(0, 4) {
+			t.Fatalf("%v: host 2's SetDistance and Restart reached host 0's column: d(0,4) = %v", mode, got)
+		}
+		if got := shared.agents[4].Distance(2); got != shared.net.Distance(4, 2) {
+			t.Fatalf("%v: a graceful Leave/Join lost host 4's estimates: d(4,2) = %v", mode, got)
+		}
+		if before := shared.agents[2].MissingDistanceLookups(); shared.agents[2].Distance(4) != p.DefaultDistance ||
+			shared.agents[2].MissingDistanceLookups() != before+1 {
+			t.Fatalf("%v: an amnesiac restart kept an estimate", mode)
+		}
+		for _, id := range hosts {
+			shared.agents[id].Stop()
+			private.agents[id].Stop()
+		}
+	}
+}
+
+// TestUseDistancePlaneRejectsMisfit: a column outside the plane, or a
+// plane sized for another tree, is refused before anything indexes it.
+func TestUseDistancePlaneRejectsMisfit(t *testing.T) {
+	f := newFixture(t, yTree(), detParams())
+	a := f.agents[2]
+	nodes := f.tree.NumNodes()
+	for _, c := range []struct {
+		pl  *DistancePlane
+		col int
+	}{
+		{NewDistancePlane(nodes, 3), -1},
+		{NewDistancePlane(nodes, 3), 3},
+		{NewDistancePlane(nodes+1, 3), 0},
+	} {
+		if err := a.UseDistancePlane(c.pl, c.col); err == nil {
+			t.Errorf("column %d of a %d-cell plane accepted for %d nodes", c.col, len(c.pl.d), nodes)
+		}
+	}
+	if got := a.Distance(3); got != f.net.Distance(2, 3) {
+		t.Fatalf("a refused plane disturbed the agent's own table: d(2,3) = %v", got)
 	}
 }

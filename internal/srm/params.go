@@ -180,4 +180,7 @@ type Extension interface {
 	// (data or repair), letting the extension cancel pending expedited
 	// requests.
 	PacketReceived(now sim.Time, source topology.NodeID, seq int)
+	// ExpeditedRequest is invoked for every expedited request this host
+	// receives; SRM itself does nothing with one.
+	ExpeditedRequest(now sim.Time, m *RequestMsg)
 }

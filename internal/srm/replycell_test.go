@@ -1,0 +1,156 @@
+package srm
+
+import (
+	"testing"
+	"unsafe"
+
+	"cesrm/internal/netsim"
+	"cesrm/internal/sim"
+)
+
+// TestReplyCellSize pins the layout the reply flood depends on: the
+// abstinence deadline and the record pointer, four cells a cache line.
+func TestReplyCellSize(t *testing.T) {
+	if got := unsafe.Sizeof(replyCell{}); got != 16 {
+		t.Fatalf("replyCell is %d bytes, want 16", got)
+	}
+}
+
+// TestReplyCellRecordLifetime walks one packet's cell through request →
+// armed timer → first foreign reply → duplicate → a second request
+// after the abstinence → own reply sent. Only considerReply creates a
+// record; with fixed timers no record is reachable from a cell whose
+// timer is spent, so the second round arms a fresh one; with adaptive
+// timers the one record stays and keeps counting replies.
+func TestReplyCellRecordLifetime(t *testing.T) {
+	for _, adaptive := range []bool{false, true} {
+		f := newFixture(t, yTree(), detParams())
+		a := f.agents[3]
+		if adaptive {
+			if err := a.EnableAdaptiveTimers(DefaultAdaptiveConfig()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		const seq = 5
+		for i := 0; i <= seq; i++ {
+			a.Deliver(0, &netsim.Packet{Class: netsim.Payload, Msg: &DataMsg{Source: 0, Seq: i}})
+		}
+		st := a.peek(0)
+		if st.replies.Len() != 0 {
+			t.Fatalf("adaptive=%v: data alone grew the reply window to %d cells", adaptive, st.replies.Len())
+		}
+		request := &netsim.Packet{Msg: &RequestMsg{Source: 0, Seq: seq, Requestor: 2}}
+		reply := &netsim.Packet{Msg: &ReplyMsg{Source: 0, Seq: seq, Requestor: 2, Replier: 0}}
+
+		a.Deliver(0, request)
+		first := st.replies.At(seq).rec
+		if first == nil || !first.timer.Active() {
+			t.Fatalf("adaptive=%v: a request for a held packet armed no reply", adaptive)
+		}
+		a.Deliver(0, reply)
+		a.Deliver(0, reply)
+		c := st.replies.At(seq)
+		if first.timer.Active() || !a.ReplyBlocked(0, 0, seq) {
+			t.Fatalf("adaptive=%v: the foreign reply did not cancel the timer and start the abstinence", adaptive)
+		}
+		if !adaptive && c.rec != nil {
+			t.Fatal("fixed timers: the cell still holds a record whose timer is spent")
+		}
+		if adaptive && (c.rec != first || first.repliesSeen != 2) {
+			t.Fatalf("adaptive timers: record %p (was %p) saw %d replies, want the same record and 2",
+				c.rec, first, first.repliesSeen)
+		}
+
+		// Past the abstinence a second request arms a reply again, and this
+		// time nothing pre-empts it.
+		f.eng.RunUntil(c.pendingUntil)
+		a.Deliver(f.eng.Now(), request)
+		second := st.replies.At(seq).rec
+		if second == nil || !second.timer.Active() {
+			t.Fatalf("adaptive=%v: the second round armed no reply", adaptive)
+		}
+		if (second == first) != adaptive {
+			t.Fatalf("adaptive=%v: second round's record %p, first round's %p", adaptive, second, first)
+		}
+		// D2 = 0: the timer fires D1·d(requestor) = one distance later. The
+		// reply's own deliveries are still in flight when the clock stops.
+		f.eng.RunUntil(f.eng.Now().Add(f.net.Distance(3, 2)))
+		if len(f.log.replies) != 1 {
+			t.Fatalf("adaptive=%v: %d replies sent, want 1", adaptive, len(f.log.replies))
+		}
+		c = st.replies.At(seq)
+		if !f.eng.Now().Before(c.pendingUntil) {
+			t.Fatalf("adaptive=%v: sending the reply started no abstinence", adaptive)
+		}
+		if !adaptive && c.rec != nil {
+			t.Fatal("fixed timers: the cell still holds a record whose timer fired")
+		}
+		if adaptive && first.repliesSeen != 3 {
+			t.Fatalf("adaptive timers: the record saw %d replies, want 3", first.repliesSeen)
+		}
+	}
+}
+
+// TestRejoinAndRestartDropResolvedStream: the agent keeps the stream its
+// latest delivery resolved in front of the stream table, and both
+// transitions that replace the table must drop it. A stale one hands
+// the pre-leave stream back to the first post-join packet, which then
+// never receives its late-join floor — silently undoing the rule that a
+// joiner is owed nothing from before its join.
+func TestRejoinAndRestartDropResolvedStream(t *testing.T) {
+	const s = 40
+	for _, restart := range []bool{false, true} {
+		f := newFixture(t, yTree(), detParams())
+		a := f.agents[2]
+		for i := 0; i < 4; i++ {
+			a.Deliver(0, &netsim.Packet{Class: netsim.Payload, Msg: &DataMsg{Source: 0, Seq: i}})
+		}
+		old := a.peek(0)
+		if old == nil || a.last != old {
+			t.Fatal("the delivery path did not keep the stream it resolved")
+		}
+		if restart {
+			a.Crash()
+			a.Restart()
+		} else {
+			a.Leave()
+			a.Join()
+		}
+		if a.last != nil {
+			t.Fatalf("restart=%v: the resolved stream survived the stream table it indexed", restart)
+		}
+		a.Deliver(f.eng.Now(), &netsim.Packet{Msg: &ReplyMsg{Source: 0, Seq: s, Requestor: 3, Replier: 0}})
+		a.Stop()
+		st := a.peek(0)
+		if st == nil || st == old || a.last != st {
+			t.Fatalf("restart=%v: first post-rejoin reply resolved stream %p (pre-leave %p, table %p)", restart, a.last, old, st)
+		}
+		// A rejoiner's stream opens at its first evidence; an amnesiac
+		// restart re-detects from 0 and holds nothing from its past life.
+		wantBase, wantLosses := s, 0
+		if restart {
+			wantBase, wantLosses = 0, s
+		}
+		if base, _, _ := a.HeldWindow(0); base != wantBase || !a.Has(0, s) || len(f.log.detections) != wantLosses {
+			t.Fatalf("restart=%v: window based at %d, has(%d)=%v, %d losses detected; want base %d and %d losses",
+				restart, base, s, a.Has(0, s), len(f.log.detections), wantBase, wantLosses)
+		}
+	}
+}
+
+// TestInspectorsIgnoreResolvedStream: inspectors answer from the stream
+// table alone, so what the delivery path last resolved can never make
+// a stream look open, or closed, to the run's monitor.
+func TestInspectorsIgnoreResolvedStream(t *testing.T) {
+	f := newFixture(t, yTree(), detParams())
+	a := f.agents[2]
+	a.Deliver(0, &netsim.Packet{Class: netsim.Payload, Msg: &DataMsg{Source: 0, Seq: 0}})
+	a.last = newStreamState(a, 3) // a stream the table does not know
+	a.last.received.Mark(7)
+	if a.Has(3, 7) || a.ClassifiedThrough(3) != 0 || len(a.Sources()) != 1 {
+		t.Fatal("an inspector consulted the delivery path's resolved stream")
+	}
+	if _, _, open := a.HeldWindow(3); open || a.ReplyBlocked(sim.Time(0), 3, 7) {
+		t.Fatal("an inspector consulted the delivery path's resolved stream")
+	}
+}

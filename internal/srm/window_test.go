@@ -28,8 +28,7 @@ func TestStreamStateWatermarkRelease(t *testing.T) {
 	}
 
 	// A packet inside its reply-abstinence period pins the watermark.
-	rs := st.ensureReply(4)
-	rs.pendingUntil = sim.Time(100)
+	st.replies.Ensure(4).pendingUntil = sim.Time(100)
 	if got := releasable(sim.Time(50)); got != 4 {
 		t.Fatalf("releasableThrough mid-abstinence = %d, want 4", got)
 	}
@@ -47,12 +46,11 @@ func TestStreamStateWatermarkRelease(t *testing.T) {
 	if !st.received.Has(3) {
 		t.Fatal("released seq 3 must report held")
 	}
-	if st.losses.At(3) != nil || st.replies.At(4) != nil {
-		t.Fatal("released seqs must have nil loss/reply records")
+	if st.losses.At(3) != nil || st.replies.At(4) != (replyCell{}) {
+		t.Fatal("released seqs must have no loss record and a zero reply cell")
 	}
 	// A straggler touching a released coordinate mutates nothing live.
-	ghost := st.ensureReply(2)
-	ghost.pendingUntil = sim.Time(999)
+	st.replies.Ensure(2).pendingUntil = sim.Time(999)
 	if got := releasable(sim.Time(0)); got != 10 {
 		t.Fatalf("throwaway reply state leaked into the watermark: %d", got)
 	}
@@ -180,23 +178,29 @@ func TestStreamStateHeldGap(t *testing.T) {
 	}
 }
 
-// TestEnsureReplyBelowBaseAllocationFree: a straggler touching a
-// released coordinate gets the stream's scratch record, not a fresh
-// heap object, and the scratch is zeroed between uses.
-func TestEnsureReplyBelowBaseAllocationFree(t *testing.T) {
-	st := newStreamState(nil, 0)
+// TestReplyCellBelowBaseAllocationFree: a straggling reply for a
+// released coordinate lands in the window's scratch cell — no heap
+// object, zeroed between uses, nothing live moved — through the real
+// handler.
+func TestReplyCellBelowBaseAllocationFree(t *testing.T) {
+	f := newFixture(t, yTree(), detParams())
+	a := f.agents[2]
 	for i := 0; i < 10; i++ {
-		st.received.Mark(i)
+		a.Deliver(0, &netsim.Packet{Class: netsim.Payload, Msg: &DataMsg{Source: 0, Seq: i}})
 	}
-	st.releaseThrough(8)
+	a.ReleaseThrough(0, 8)
+	st := a.peek(0)
+	straggler := &netsim.Packet{Msg: &ReplyMsg{Source: 0, Seq: 2, Requestor: 3, Replier: 0}}
 	avg := testing.AllocsPerRun(100, func() {
-		rs := st.ensureReply(2)
-		if rs.pendingUntil != 0 {
-			t.Fatal("scratch reply state not zeroed between uses")
+		if c := st.replies.Ensure(2); *c != (replyCell{}) {
+			t.Fatal("scratch reply cell not zeroed between uses")
 		}
-		rs.pendingUntil = sim.Time(999)
+		a.Deliver(0, straggler)
 	})
 	if avg != 0 {
-		t.Fatalf("ensureReply below the watermark allocates %.1f objects, want 0", avg)
+		t.Fatalf("a reply below the watermark allocates %.1f objects, want 0", avg)
+	}
+	if n := a.ReleasableThrough(0); n != 10 || st.replies.Len() != 0 {
+		t.Fatalf("the straggler reached live state: releasable %d, %d reply cells", n, st.replies.Len())
 	}
 }
