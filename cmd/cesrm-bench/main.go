@@ -217,7 +217,6 @@ func run(args []string, stdout io.Writer) error {
 	policy := fs.String("policy", "most-recent", "CESRM expedition policy: most-recent or most-frequent")
 	routerAssist := fs.Bool("router-assist", false, "enable the router-assisted CESRM variant (§3.3)")
 	parallel := fs.Int("parallel", runtime.NumCPU(), "max traces simulating concurrently (1 = serial)")
-	shards := fs.Int("shards", 0, "intra-run dispatch shards per simulation (0 or 1 = serial, < 0 = GOMAXPROCS); fingerprints are identical at any value")
 	chaosMatrix := fs.Bool("chaos-matrix", false, "run the deterministic fault-injection scenario matrix per selected trace (instead of the figure suite) and report per-scenario fingerprints")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the suite run(s) to this file")
 	memprofile := fs.String("memprofile", "", "write an allocation profile taken after the suite run(s) to this file")
@@ -226,10 +225,6 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if len(scales) == 0 {
 		scales = scaleFlag{0.1}
-	}
-	shardsVal := *shards
-	if shardsVal < 0 {
-		shardsVal = runtime.GOMAXPROCS(0)
 	}
 
 	indices, err := selectTraces(*traces, traceNames)
@@ -279,14 +274,13 @@ func run(args []string, stdout io.Writer) error {
 				Net:           netCfg,
 				CESRM:         cesrmCfg,
 				LossyRecovery: *lossy,
-				Shards:        shardsVal,
 			},
 		}
 		if si > 0 {
 			fmt.Fprintln(stdout, strings.Repeat("=", 72))
 		}
-		fmt.Fprintf(stdout, "cesrm-bench: scale=%v seed=%d delay=%v lossy=%v policy=%s router-assist=%v shards=%d\n\n",
-			scale, *seed, *delay, *lossy, *policy, *routerAssist, shardsVal)
+		fmt.Fprintf(stdout, "cesrm-bench: scale=%v seed=%d delay=%v lossy=%v policy=%s router-assist=%v\n\n",
+			scale, *seed, *delay, *lossy, *policy, *routerAssist)
 
 		results, err := suite.Run()
 		if err != nil {

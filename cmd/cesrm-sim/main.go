@@ -54,7 +54,6 @@ func run(args []string) error {
 	delay := fs.Duration("delay", 20*time.Millisecond, "per-link one-way delay")
 	lossy := fs.Bool("lossy", false, "drop recovery traffic with estimated link rates")
 	routerAssist := fs.Bool("router-assist", false, "enable router-assisted CESRM (§3.3)")
-	shards := fs.Int("shards", 0, "subtree dispatch shards (0/1 = serial, -1 = GOMAXPROCS); fingerprints are byte-identical to serial")
 	chaosSpec := fs.String("chaos", "", `fault-injection spec, e.g. "crash@40s:host=3;restart@70s:host=3" (kinds: crash, restart, link-down, link-up, jitter, dup, starve)`)
 	replayPath := fs.String("replay", "", "replay a soak corpus entry (file or *.spec directory) under the soak guardrails and report each entry's termination status")
 	verifyDet := fs.Int("verify-determinism", 0, "rerun the config N extra times and fail on fingerprint divergence")
@@ -129,10 +128,6 @@ func run(args []string) error {
 		// asked for it; every other invocation runs stream-only.
 		KeepEvents: *eventsFile != "",
 	}
-	if *shards < 0 {
-		*shards = runtime.GOMAXPROCS(0)
-	}
-	cfg.Shards = *shards
 	if *chaosSpec != "" {
 		spec, err := chaos.ParseSpec(*chaosSpec)
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -97,5 +98,11 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 	if err := run([]string{"-scale", "-7"}); err == nil {
 		t.Fatal("bad scale accepted")
+	}
+	// Removed with the second dispatch mode; a script that still passes
+	// it must hear about it.
+	err := run([]string{"-shards", "2", "-scale", "0.01"})
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Fatalf("-shards: err = %v, want an unknown-flag error", err)
 	}
 }

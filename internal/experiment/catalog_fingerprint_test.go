@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
+
+	"cesrm/internal/netsim"
+	"cesrm/internal/topology"
 )
 
 // catalogGolden reads the recorded fingerprints section of the 14-trace
@@ -58,22 +60,27 @@ func diffFingerprints(got, want string) error {
 
 // TestCatalogFingerprints is the repo's behavior-preservation gate: the
 // paper's whole evaluation (14 traces × SRM/CESRM) must reproduce the
-// recorded fingerprints, under serial dispatch and under sharded
-// dispatch alike.
+// recorded fingerprints through both bodies of the flood. By default the
+// loss model declares each flood's lost links up front and unobstructed
+// floods replay precompiled cohorts; a non-nil ExtraDrop — here one that
+// never drops — makes the loss model opaque, so every flood takes
+// replayPlan's scan and asks the per-link DropFunc.
 func TestCatalogFingerprints(t *testing.T) {
-	// At least two shards, so the sharded path runs on a one-CPU host too.
-	sharded := runtime.GOMAXPROCS(0)
-	if sharded < 2 {
-		sharded = 2
+	floods := []struct {
+		name string
+		base RunConfig
+	}{
+		{"cohort", RunConfig{}},
+		{"scan", RunConfig{ExtraDrop: func(*netsim.Packet, topology.LinkID, bool) bool { return false }}},
 	}
 	for _, scale := range []float64{0.01, 0.1} {
 		if scale == 0.1 && testing.Short() {
 			continue // ~20 s under -race
 		}
 		want := catalogGolden(t, scale)
-		for _, shards := range []int{0, sharded} {
-			t.Run(fmt.Sprintf("scale=%g/shards=%d", scale, shards), func(t *testing.T) {
-				results, err := Suite{Scale: scale, Seed: 1, Base: RunConfig{Shards: shards}}.Run()
+		for _, flood := range floods {
+			t.Run(fmt.Sprintf("scale=%g/flood=%s", scale, flood.name), func(t *testing.T) {
+				results, err := Suite{Scale: scale, Seed: 1, Base: flood.base}.Run()
 				if err != nil {
 					t.Fatal(err)
 				}

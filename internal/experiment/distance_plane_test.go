@@ -14,7 +14,7 @@ import (
 	"cesrm/internal/trace"
 )
 
-// runPrivateTables reenacts tr as Run's chaos-free serial path does, but
+// runPrivateTables reenacts tr as Run's chaos-free path does, but
 // assembled from the layers' public constructors — the way
 // benchmark/assembly.go and the wire node build agents — so every agent
 // keeps the private one-column distance table it is constructed with.
@@ -72,7 +72,7 @@ func runPrivateTables(t *testing.T, tr *trace.Trace, proto Protocol, seed int64)
 	}
 	n := tr.NumPackets()
 	warmup := 3 * cfg.SRM.SessionPeriod
-	eng.ScheduleTrain(sim.Time(warmup), tr.Period, n, sim.GlobalShard, func(seq int, _ sim.Time) {
+	eng.ScheduleTrain(sim.Time(warmup), tr.Period, n, func(seq int, _ sim.Time) {
 		agents[0].Transmit(seq)
 	})
 	deadline := sim.Time(warmup + time.Duration(n)*tr.Period + 10*time.Minute)
@@ -104,8 +104,7 @@ func runPrivateTables(t *testing.T, tr *trace.Trace, proto Protocol, seed int64)
 
 // TestDistancePlaneTwinAssembly: Run, whose agents share one transposed
 // distance plane, must compute exactly what an assembly of agents with
-// private distance tables computes — serially and with sharded hosts
-// writing distinct words of the plane's shared rows.
+// private distance tables computes.
 func TestDistancePlaneTwinAssembly(t *testing.T) {
 	tr, err := trace.Catalog[0].Load(0.1)
 	if err != nil {
@@ -113,17 +112,12 @@ func TestDistancePlaneTwinAssembly(t *testing.T) {
 	}
 	for _, proto := range []Protocol{SRM, CESRM} {
 		want := runPrivateTables(t, tr, proto, 5)
-		for _, shards := range []int{0, 2} {
-			res, err := Run(RunConfig{Trace: tr, Protocol: proto, Seed: 5, Shards: shards})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if (res.BarrierEvents > 0) != (shards > 1) {
-				t.Fatalf("%v shards=%d: %d barrier events; the run was not dispatched as asked", proto, shards, res.BarrierEvents)
-			}
-			if res.Fingerprint != want {
-				t.Errorf("%v shards=%d: shared-plane fingerprint %s, private-table assembly %s", proto, shards, res.Fingerprint, want)
-			}
+		res, err := Run(RunConfig{Trace: tr, Protocol: proto, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Fingerprint != want {
+			t.Errorf("%v: shared-plane fingerprint %s, private-table assembly %s", proto, res.Fingerprint, want)
 		}
 	}
 }

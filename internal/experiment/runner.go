@@ -146,13 +146,10 @@ type RunConfig struct {
 	// post-join evidence sets, which the run checks lies at or above the
 	// watermark (see watermarkRelease).
 	ReleaseRecovered bool
-	// Shards enables sharded parallel dispatch: the topology's root
-	// subtrees are partitioned into up to Shards dispatch shards
-	// (topology.PartitionSubtrees) and same-instant events of distinct
-	// shards execute concurrently on a worker pool, with all
-	// order-sensitive side effects merged back in serial dispatch order.
-	// Fingerprints are byte-identical for every value of Shards; values
-	// below 2 (and trees whose root has one child) run serially.
+	// Shards is accepted and ignored: sharded dispatch was deleted
+	// (DESIGN.md §13) and every run is serial. The field remains only
+	// because benchmark/, which this repo may not edit outside a
+	// benchmark PR, still sets it; it goes with that pass (ROADMAP item 5).
 	Shards int
 	// HeapProbe, when non-nil, is invoked on every monitor tick (once
 	// per session period of virtual time); the benchmark installs a heap
@@ -221,9 +218,8 @@ type RunResult struct {
 	Receivers []topology.NodeID
 	// PlanStats snapshots the flood plan cache's hit/miss/evict counters.
 	PlanStats netsim.PlanStats
-	// BarrierEvents counts events the sharded dispatch loop executed as
-	// serial barriers; zero for serial runs. A proxy for how much of the
-	// event stream still serializes under sharded dispatch.
+	// BarrierEvents is always 0; like RunConfig.Shards it remains only
+	// because benchmark/ still reads it.
 	BarrierEvents uint64
 	// QueueDrops counts packets tail-dropped by finite link queues
 	// (congestion loss), separate from the Gilbert/trace-driven channel
@@ -355,6 +351,12 @@ const defaultChurnRequestRounds = 20
 // dependent runs. Production code leaves it nil (trace order).
 var agentOrder func([]topology.NodeID) []topology.NodeID
 
+// networkBuilt, when non-nil, is handed each run's network as soon as it
+// exists. It is a test seam: the retention tests set a finalizer through
+// it to prove a RunResult does not keep its network alive. Production
+// code leaves it nil.
+var networkBuilt func(*netsim.Network)
+
 // Run reenacts cfg.Trace under cfg.Protocol and returns the collected
 // metrics. The run is deterministic in cfg.
 func Run(cfg RunConfig) (*RunResult, error) {
@@ -431,22 +433,19 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiment: %w", err)
 	}
-	// Sharded dispatch: partition the root subtrees, label deliveries
-	// with their receiving node's shard, and hand each host shard-local
-	// engine/network handles below. With Shards < 2 all of this is nil
-	// and the run is the plain serial path.
-	var shards []*sim.Shard
-	var shardOf []int32
-	if cfg.Shards > 1 {
-		shards = eng.EnableSharding(cfg.Shards)
-		if shards != nil {
-			shardOf = topology.PartitionSubtrees(tree, len(shards))
-			net.SetShards(shardOf)
-		}
+	if networkBuilt != nil {
+		networkBuilt(net)
 	}
-	rtt := func(h topology.NodeID) time.Duration {
-		return net.RTT(h, source)
+	// The normalization basis is a table, not a call into net: the
+	// closure outlives the run in RunResult.RTT (and in the collector),
+	// and must not keep the network — hosts, agents, arenas, loss tables —
+	// alive with it. Hop counts and Config.LinkDelay are fixed for the
+	// run, so reading them now and at collection time is the same thing.
+	rtts := make([]time.Duration, tree.NumNodes())
+	for id := range rtts {
+		rtts[id] = net.RTT(topology.NodeID(id), source)
 	}
+	rtt := func(h topology.NodeID) time.Duration { return rtts[h] }
 	rootRNG := sim.NewRNG(cfg.Seed)
 	dropRNG := rootRNG.Split()
 	if cfg.Jitter > 0 {
@@ -517,14 +516,6 @@ func Run(cfg RunConfig) (*RunResult, error) {
 			return nil, fmt.Errorf("experiment: adaptive timers are an SRM mechanism, not applicable to LMS")
 		}
 	}
-	// Shard-local handles, one per shard, shared by that shard's hosts.
-	// In serial runs the agents hold the engine and network directly.
-	ports := make([]netsim.Endpoint, len(shards))
-	observers := make([]srm.Observer, len(shards))
-	for i, sh := range shards {
-		ports[i] = netsim.NewPort(net, sh)
-		observers[i] = &deferredObserver{sh: sh, obs: observer}
-	}
 	// SRM and CESRM members keep their distance estimates in one plane,
 	// column = position in hosts: the same bytes as a table per member,
 	// laid out the way a flood reads them (srm.DistancePlane).
@@ -534,19 +525,10 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	}
 	for col, id := range hosts {
 		hostRNG := rootRNG.Split()
-		var hostEng sim.Sched = eng
-		var hostNet netsim.Endpoint = net
-		hostObs := srm.Observer(observer)
-		if shardOf != nil {
-			sh := shardOf[id]
-			hostEng = shards[sh]
-			hostNet = ports[sh]
-			hostObs = observers[sh]
-		}
 		var srmAgent *srm.Agent
 		switch cfg.Protocol {
 		case SRM:
-			a, err := srm.NewAgent(hostEng, hostNet, hostRNG, id, cfg.SRM, hostObs, nil)
+			a, err := srm.NewAgent(eng, net, hostRNG, id, cfg.SRM, observer, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -556,7 +538,7 @@ func Run(cfg RunConfig) (*RunResult, error) {
 		case CESRM:
 			cc := cfg.CESRM
 			cc.SRM = cfg.SRM
-			a, err := core.NewAgent(hostEng, hostNet, hostRNG, id, cc, hostObs)
+			a, err := core.NewAgent(eng, net, hostRNG, id, cc, observer)
 			if err != nil {
 				return nil, err
 			}
@@ -564,7 +546,7 @@ func Run(cfg RunConfig) (*RunResult, error) {
 			inspectors[id] = a.SRM()
 			srmAgent = a.SRM()
 		case LMS:
-			a, err := lms.NewAgent(hostEng, hostNet, fabric, id, cfg.LMS, hostObs)
+			a, err := lms.NewAgent(eng, net, fabric, id, cfg.LMS, observer)
 			if err != nil {
 				return nil, err
 			}
@@ -657,17 +639,8 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	numPackets := tr.NumPackets()
 	srcAgent := agents[source]
 	// The data stream is one train: numPackets reserved FIFO sequence
-	// numbers, one wheel record. Transmit runs entirely within the source
-	// host (packet sends and timers route through its shard-local
-	// handles), so the train carries the source's shard label instead of
-	// dispatching as barriers — the bulk of the formerly-serializing events
-	// in large same-instant batches. The session monitor below inspects
-	// every host and stays a barrier by design.
-	srcShard := sim.GlobalShard
-	if shardOf != nil {
-		srcShard = shardOf[source]
-	}
-	eng.ScheduleTrain(sim.Time(cfg.Warmup), tr.Period, numPackets, srcShard, func(seq int, _ sim.Time) {
+	// numbers, one wheel record.
+	eng.ScheduleTrain(sim.Time(cfg.Warmup), tr.Period, numPackets, func(seq int, _ sim.Time) {
 		srcAgent.Transmit(seq)
 	})
 
@@ -754,7 +727,6 @@ func Run(cfg RunConfig) (*RunResult, error) {
 			RTT:                   rtt,
 			Receivers:             receivers,
 			PlanStats:             net.PlanStats(),
-			BarrierEvents:         eng.BarrierEvents(),
 			QueueDrops:            net.QueueDrops(),
 			WatermarkCells:        rel.scanned,
 			Abandoned:             collector.TotalAbandoned(),

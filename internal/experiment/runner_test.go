@@ -43,6 +43,11 @@ func TestRunSRMCompletes(t *testing.T) {
 	if tc.ExpRequests != 0 || tc.ExpReplies != 0 {
 		t.Fatalf("SRM sent expedited traffic: %+v", tc)
 	}
+	// The result carries the flood plan cache's counters: a handful of
+	// origins compiled once, replayed for every flood after.
+	if ps := res.PlanStats; ps.Misses == 0 || ps.Hits < 10*ps.Misses {
+		t.Errorf("plan cache counters %+v, want misses > 0 and hits >= 10x misses", ps)
+	}
 	// First-round SRM recoveries should land in the band §3.4 predicts:
 	// roughly 1.5 to 3.25 RTT for C1=C2=2, D1=D2=1.
 	fr := res.Collector.FirstRoundNormalized(res.RTT)

@@ -39,17 +39,30 @@ func TestKeepEventsControlsRetention(t *testing.T) {
 // must not change a single event, the finish time or any digested
 // metric — the fingerprint is byte-identical with release on or off —
 // while the peak number of live per-packet cells stays well below the
-// run's total, proving state really was discarded mid-run.
+// run's total, proving state really was discarded mid-run. The lossy
+// case adds recovery traffic that is itself dropped, so losses stay
+// outstanding across more release ticks.
 func TestReleaseRecoveredIsFingerprintInert(t *testing.T) {
 	tr := smallTrace(t, 31)
-	for _, p := range []Protocol{SRM, CESRM, LMS} {
-		p := p
-		t.Run(p.String(), func(t *testing.T) {
-			off, err := Run(RunConfig{Trace: tr, Protocol: p, Seed: 17})
+	cases := []struct {
+		name string
+		base RunConfig
+	}{
+		{"SRM", RunConfig{Protocol: SRM}},
+		{"CESRM", RunConfig{Protocol: CESRM}},
+		{"LMS", RunConfig{Protocol: LMS}},
+		{"CESRM-lossy", RunConfig{Protocol: CESRM, LossyRecovery: true}},
+	}
+	for _, c := range cases {
+		cfg := c.base
+		cfg.Trace, cfg.Seed = tr, 17
+		t.Run(c.name, func(t *testing.T) {
+			off, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			on, err := Run(RunConfig{Trace: tr, Protocol: p, Seed: 17, ReleaseRecovered: true})
+			cfg.ReleaseRecovered = true
+			on, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

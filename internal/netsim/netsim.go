@@ -259,10 +259,8 @@ func (c CrossingCounts) RecoveryTotal() uint64 {
 }
 
 // Endpoint is the network surface the protocol agents hold: the
-// *Network itself in serial runs, or a shard-local *Port in sharded
-// runs. A Port defers sends issued inside a parallel region so they
-// commit in deterministic dispatch order; every read it exposes is
-// immutable, so the two implementations are observationally identical.
+// *Network in simulation, the wire session on real sockets, or a
+// wrapper around either (the benchmark's span tracer is one).
 type Endpoint interface {
 	// Tree returns the underlying topology.
 	Tree() *topology.Tree
@@ -341,25 +339,19 @@ type Network struct {
 	skipMark []uint64
 	skipGen  uint64
 
-	// deliveryPools and freeHops pool the reusable event structs that
+	// freeDeliveries and freeHops pool the reusable event structs that
 	// replaced the closure-per-delivery and closure-per-hop allocations.
-	// Deliveries are pooled per shard (index shard+1; index 0 is the
-	// global pool used when sharding is off): a delivery event fires on
-	// its shard's worker and recycles itself there, so each pool is only
-	// ever touched by one goroutine at a time. Hop events stay in the
-	// global pool — the queuing path dispatches serially.
-	deliveryPools [][]*deliveryEvent
-	freeHops      []*hopEvent
+	freeDeliveries []*deliveryEvent
+	freeHops       []*hopEvent
 
-	// groupPools pools hop-cohort group delivery events, per shard like
-	// deliveryPools. hopGroups and maxHop are the per-flood assembly
-	// scratch: hopGroups[h] is the group currently accumulating this
+	// freeGroups pools hop-cohort group delivery events. hopGroups and
+	// maxHop are the per-flood assembly scratch: hopGroups[h] is the group currently accumulating this
 	// flood's deliveries at hop distance h (see groupDeliver for why
 	// grouping preserves delivery order exactly), maxHop the highest
 	// occupied index. gNow, gPerHop and gPkt carry the current flood's
 	// parameters to the grouping helpers; flood is synchronous and never
 	// re-entered, so one set of scratch fields suffices.
-	groupPools [][]*groupDeliveryEvent
+	freeGroups []*groupDeliveryEvent
 	hopGroups  []*groupDeliveryEvent
 	maxHop     int
 	gNow       sim.Time
@@ -369,10 +361,6 @@ type Network struct {
 	// pathScratch is walkLeg's reusable path buffer; sends are
 	// synchronous and never re-entered, so one suffices.
 	pathScratch []topology.LinkID
-
-	// shardOf maps each node to its dispatch shard (sim.GlobalShard when
-	// unassigned); nil until SetShards, so serial runs pay nothing.
-	shardOf []int32
 
 	counts CrossingCounts
 }
@@ -391,9 +379,6 @@ func New(eng *sim.Engine, tree *topology.Tree, cfg Config) (*Network, error) {
 		txPayload: serializeTime(cfg.PayloadBytes, cfg.Bandwidth),
 		txControl: serializeTime(cfg.ControlBytes, cfg.Bandwidth),
 		plans:     newPlanCache(tree),
-
-		deliveryPools: make([][]*deliveryEvent, 1),
-		groupPools:    make([][]*groupDeliveryEvent, 1),
 	}
 	if cfg.Queuing {
 		n.busyUntil[0] = make([]sim.Time, tree.NumNodes())
@@ -442,38 +427,6 @@ func (n *Network) SetDropFunc(fn DropFunc) { n.drop = fn }
 // SetLossFunc installs the once-per-flood loss declaration that stands
 // in for DropFunc on floods whose pattern it knows; see LossFunc.
 func (n *Network) SetLossFunc(fn LossFunc) { n.loss = fn }
-
-// SetShards installs the node→shard map used to label delivery events
-// for sharded dispatch (see sim.EnableSharding), sized NumNodes with
-// sim.GlobalShard for unassigned nodes. Labels only affect which events
-// may share a parallel batch, never their dispatch order, so a sharded
-// and an unsharded network produce byte-identical runs.
-func (n *Network) SetShards(shardOf []int32) {
-	if len(shardOf) != n.tree.NumNodes() {
-		panic("netsim: SetShards map size does not match topology")
-	}
-	maxShard := int32(-1)
-	for _, s := range shardOf {
-		if s > maxShard {
-			maxShard = s
-		}
-	}
-	n.shardOf = shardOf
-	for int32(len(n.deliveryPools)) < maxShard+2 {
-		n.deliveryPools = append(n.deliveryPools, nil)
-	}
-	for int32(len(n.groupPools)) < maxShard+2 {
-		n.groupPools = append(n.groupPools, nil)
-	}
-}
-
-// shard returns the dispatch shard owning node.
-func (n *Network) shard(node topology.NodeID) int32 {
-	if n.shardOf == nil {
-		return sim.GlobalShard
-	}
-	return n.shardOf[node]
-}
 
 // SetDupFunc installs the duplicate-delivery hook.
 func (n *Network) SetDupFunc(fn DupFunc) { n.dup = fn }
@@ -691,49 +644,42 @@ type deliveryEvent struct {
 	n    *Network
 	host Host
 	pkt  *Packet
-	// shard is the delivery's dispatch shard, fixing which pool the
-	// record recycles into: a labeled delivery fires on its shard's
-	// worker, where only that shard's pool is safe to touch.
-	shard int32
 }
 
 func (d *deliveryEvent) Fire(now sim.Time) {
 	n, host, pkt := d.n, d.host, d.pkt
 	d.host, d.pkt = nil, nil
-	pool := &n.deliveryPools[d.shard+1]
-	*pool = append(*pool, d)
+	n.freeDeliveries = append(n.freeDeliveries, d)
 	host.Deliver(now, pkt)
 }
 
-// scheduleDelivery registers delivery of p to the host at node at the
-// given instant using a pooled event, consulting the duplicate-injection
+// scheduleDelivery registers delivery of p to host h at the given
+// instant using a pooled event, consulting the duplicate-injection
 // hook for a possible second, later copy. Delivery events hold no Timer
 // and are never cancelled, so recycling on fire is safe.
-func (n *Network) scheduleDelivery(at sim.Time, node topology.NodeID, h Host, p *Packet) {
-	shard := n.shard(node)
-	n.scheduleDeliveryOnce(at, shard, h, p)
+func (n *Network) scheduleDelivery(at sim.Time, h Host, p *Packet) {
+	n.scheduleDeliveryOnce(at, h, p)
 	if n.dup != nil {
 		if extra, dup := n.dup(p, at); dup {
 			if extra < 0 {
 				extra = 0
 			}
-			n.scheduleDeliveryOnce(at.Add(extra), shard, h, p)
+			n.scheduleDeliveryOnce(at.Add(extra), h, p)
 		}
 	}
 }
 
-func (n *Network) scheduleDeliveryOnce(at sim.Time, shard int32, h Host, p *Packet) {
+func (n *Network) scheduleDeliveryOnce(at sim.Time, h Host, p *Packet) {
 	var d *deliveryEvent
-	pool := &n.deliveryPools[shard+1]
-	if k := len(*pool); k > 0 {
-		d = (*pool)[k-1]
-		(*pool)[k-1] = nil
-		*pool = (*pool)[:k-1]
+	if k := len(n.freeDeliveries); k > 0 {
+		d = n.freeDeliveries[k-1]
+		n.freeDeliveries[k-1] = nil
+		n.freeDeliveries = n.freeDeliveries[:k-1]
 	} else {
 		d = &deliveryEvent{n: n}
 	}
-	d.host, d.pkt, d.shard = h, p, shard
-	n.eng.ScheduleHandlerAtShard(at, d, shard)
+	d.host, d.pkt = h, p
+	n.eng.ScheduleHandlerAt(at, d)
 }
 
 // groupDeliveryEvent delivers one flood's whole hop cohort — every host
@@ -753,9 +699,6 @@ type groupDeliveryEvent struct {
 	// shared by every flood of that plan and never written. own is kept
 	// apart so that recycling the event cannot truncate a plan's slice.
 	nodes, own []int32
-	// shard labels the event for sharded dispatch; all member hosts live
-	// on this shard (groupDeliver breaks the cohort at shard changes).
-	shard int32
 }
 
 func (g *groupDeliveryEvent) Fire(now sim.Time) {
@@ -766,22 +709,20 @@ func (g *groupDeliveryEvent) Fire(now sim.Time) {
 	// Recycle only after the loop: a nested flood inside Deliver may pull
 	// from the pool, and must not get this event while it is iterating.
 	g.pkt, g.nodes = nil, nil
-	pool := &n.groupPools[g.shard+1]
-	*pool = append(*pool, g)
+	n.freeGroups = append(n.freeGroups, g)
 }
 
-// newGroup takes a cohort event for p from shard's pool.
-func (n *Network) newGroup(p *Packet, shard int32) *groupDeliveryEvent {
+// newGroup takes a cohort event for p from the pool.
+func (n *Network) newGroup(p *Packet) *groupDeliveryEvent {
 	var g *groupDeliveryEvent
-	pool := &n.groupPools[shard+1]
-	if k := len(*pool); k > 0 {
-		g = (*pool)[k-1]
-		(*pool)[k-1] = nil
-		*pool = (*pool)[:k-1]
+	if k := len(n.freeGroups); k > 0 {
+		g = n.freeGroups[k-1]
+		n.freeGroups[k-1] = nil
+		n.freeGroups = n.freeGroups[:k-1]
 	} else {
 		g = &groupDeliveryEvent{n: n}
 	}
-	g.pkt, g.shard = p, shard
+	g.pkt = p
 	return g
 }
 
@@ -800,25 +741,16 @@ func (n *Network) canGroupDeliveries(perHop time.Duration) bool {
 }
 
 // groupDeliver adds one delivery to the flood's cohort group for its
-// hop distance, opening a new group on first use or when the cohort
-// crosses a shard boundary. Floods visit hosts in DFS pop order, so
-// each cohort's members arrive here in pop order, and a cohort's
-// shard-contiguous runs are scheduled (= assigned engine FIFO
-// sequence numbers) in that same order: the concatenation of group
-// firings at one instant replays exactly the per-host event order,
-// serial or sharded.
+// hop distance, opening a new group on first use. Floods visit hosts in
+// DFS pop order, so each cohort's members arrive here in pop order: the
+// group's firing replays exactly the per-host event order.
 func (n *Network) groupDeliver(node topology.NodeID, hops int) {
 	for len(n.hopGroups) <= hops {
 		n.hopGroups = append(n.hopGroups, nil)
 	}
-	s := n.shard(node)
 	g := n.hopGroups[hops]
-	if g != nil && g.shard != s {
-		n.scheduleGroup(hops, g)
-		g = nil
-	}
 	if g == nil {
-		g = n.newGroup(n.gPkt, s)
+		g = n.newGroup(n.gPkt)
 		g.own = g.own[:0]
 		n.hopGroups[hops] = g
 		if hops > n.maxHop {
@@ -833,7 +765,7 @@ func (n *Network) groupDeliver(node topology.NodeID, hops int) {
 func (n *Network) scheduleGroup(hops int, g *groupDeliveryEvent) {
 	g.nodes = g.own
 	at := n.gNow.Add(time.Duration(hops) * n.gPerHop)
-	n.eng.ScheduleHandlerAtShard(at, g, g.shard)
+	n.eng.ScheduleHandlerAt(at, g)
 }
 
 // flushGroups schedules every group still assembling at flood end.
@@ -939,7 +871,7 @@ func (n *Network) Unicast(from, to topology.NodeID, p *Packet) {
 		return
 	}
 	if h := n.hostAt[to]; h != nil && to != from {
-		n.scheduleDelivery(at.Add(n.jitter()), to, h, p)
+		n.scheduleDelivery(at.Add(n.jitter()), h, p)
 	}
 }
 

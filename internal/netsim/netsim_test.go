@@ -622,25 +622,14 @@ func (o *orderTap) Deliver(now sim.Time, p *Packet) {
 // deliver to every host at the same instant and in the same sequence
 // as the per-host event path, which the test forces with a no-op
 // duplicate hook (installing any DupFunc disables grouping without
-// changing behavior). Shard labels split cohorts into contiguous runs;
-// an adversarial interleaved labeling must not perturb the order
-// either.
+// changing behavior).
 func TestGroupedDeliveryOrderMatchesPerHost(t *testing.T) {
-	run := func(tree *topology.Tree, perHost, labeled bool, origin topology.NodeID) []orderEntry {
+	run := func(tree *topology.Tree, perHost bool, origin topology.NodeID) []orderEntry {
 		eng := sim.NewEngine()
 		net := MustNew(eng, tree, DefaultConfig())
 		log := &orderLog{}
 		for _, r := range tree.Receivers() {
 			net.AttachHost(r, &orderTap{log: log, node: r})
-		}
-		if labeled {
-			// Adversarial labeling: alternate shards by node parity so
-			// cohorts fracture into many runs.
-			shardOf := make([]int32, tree.NumNodes())
-			for i := range shardOf {
-				shardOf[i] = int32(i % 3)
-			}
-			net.SetShards(shardOf)
 		}
 		if perHost {
 			net.SetDupFunc(func(*Packet, sim.Time) (time.Duration, bool) { return 0, false })
@@ -654,18 +643,16 @@ func TestGroupedDeliveryOrderMatchesPerHost(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		tree := topology.MustGenerate(sim.NewRNG(seed), topology.GenSpec{Receivers: 10 + int(seed)*4, Depth: 3 + int(seed)%3})
 		for _, origin := range []topology.NodeID{tree.Root(), tree.Receivers()[0]} {
-			for _, labeled := range []bool{false, true} {
-				want := run(tree, true, labeled, origin)
-				got := run(tree, false, labeled, origin)
-				if len(want) != len(got) {
-					t.Fatalf("seed=%d origin=%d labeled=%v: %d grouped deliveries, want %d",
-						seed, origin, labeled, len(got), len(want))
-				}
-				for i := range want {
-					if want[i] != got[i] {
-						t.Fatalf("seed=%d origin=%d labeled=%v: delivery %d = %+v, want %+v",
-							seed, origin, labeled, i, got[i], want[i])
-					}
+			want := run(tree, true, origin)
+			got := run(tree, false, origin)
+			if len(want) != len(got) {
+				t.Fatalf("seed=%d origin=%d: %d grouped deliveries, want %d",
+					seed, origin, len(got), len(want))
+			}
+			for i := range want {
+				if want[i] != got[i] {
+					t.Fatalf("seed=%d origin=%d: delivery %d = %+v, want %+v",
+						seed, origin, i, got[i], want[i])
 				}
 			}
 		}

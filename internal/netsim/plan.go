@@ -23,7 +23,6 @@ import (
 	"slices"
 	"time"
 
-	"cesrm/internal/sim"
 	"cesrm/internal/topology"
 )
 
@@ -253,8 +252,8 @@ func (pl *floodPlan) compileCohorts() {
 // the flood is one counter add and one event per occupied hop distance,
 // each pointing at the plan's own slice. Ascending hop order is the
 // order flushGroups schedules the groups the scan below would have
-// assembled — on a serial network no group is scheduled before the
-// flush — so the events take the same engine sequence numbers.
+// assembled — no group is scheduled before the flush — so the events
+// take the same engine sequence numbers.
 //
 // Otherwise the flood is a linear scan of the plan's pop-order entries,
 // each delivering (when hosting) and then running its link checks —
@@ -279,14 +278,14 @@ func (n *Network) replayPlan(pl *floodPlan, p *Packet) {
 	perHop := n.cfg.LinkDelay + n.txTime(p)
 	now := n.eng.Now()
 	grouped := n.canGroupDeliveries(perHop)
-	if known && len(lost) == 0 && grouped && pl.hopEnd != nil && n.downLinks == 0 && n.shardOf == nil {
+	if known && len(lost) == 0 && grouped && pl.hopEnd != nil && n.downLinks == 0 {
 		*crossings += uint64(len(ops))
 		start := int32(0)
 		for h, end := range pl.hopEnd {
 			if end == start {
 				continue
 			}
-			g := n.newGroup(p, sim.GlobalShard)
+			g := n.newGroup(p)
 			g.nodes = pl.cohort[start:end]
 			n.eng.ScheduleHandlerAt(now.Add(time.Duration(h)*perHop), g)
 			start = end
@@ -312,7 +311,7 @@ func (n *Network) replayPlan(pl *floodPlan, p *Packet) {
 			if grouped {
 				n.groupDeliver(e.Node, int(e.Hops))
 			} else {
-				n.scheduleDelivery(now.Add(time.Duration(e.Hops)*perHop+n.jitter()), e.Node, n.hostAt[e.Node], p)
+				n.scheduleDelivery(now.Add(time.Duration(e.Hops)*perHop+n.jitter()), n.hostAt[e.Node], p)
 			}
 		}
 		opStart := int32(0)

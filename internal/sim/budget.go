@@ -143,7 +143,7 @@ func (e *Engine) admit(ev *scheduledEvent) bool {
 	default:
 		return true
 	}
-	e.stopped.Store(true)
+	e.stopped = true
 	return false
 }
 

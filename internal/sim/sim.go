@@ -26,8 +26,6 @@ package sim
 import (
 	"math/bits"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -72,6 +70,22 @@ type EventHandler interface {
 	Fire(now Time)
 }
 
+// Sched is the scheduling surface protocol agents hold: the engine, or
+// a wrapper around it (the benchmark's span tracer is one).
+type Sched interface {
+	// Now returns the current virtual time.
+	Now() Time
+	// Schedule registers fn to run after delay (negative delays clamp to
+	// zero).
+	Schedule(delay Duration, fn Event) Timer
+	// ScheduleHandler registers h.Fire to run after delay, the
+	// closure-free variant of Schedule.
+	ScheduleHandler(delay Duration, h EventHandler) Timer
+	// Cancel deactivates a timer; inert on fired, cancelled or stale
+	// handles.
+	Cancel(t Timer)
+}
+
 // Timer wheel geometry. A tick is 2^tickBits nanoseconds of virtual
 // time (~1.05ms); each level has 2^levelBits buckets, and level L
 // buckets span 64^L ticks. Four levels cover deltas up to 64^4 ticks
@@ -109,18 +123,8 @@ type scheduledEvent struct {
 	train *train
 	// gen counts how many times this record has been recycled. A Timer
 	// captures the generation at scheduling time; any mismatch means the
-	// record now belongs to a different event. It is atomic because a
-	// stale Timer held by one shard may probe a record that has since
-	// been recycled to another shard, whose worker bumps the generation
-	// concurrently; the uncontended atomic costs nothing measurable on
-	// the serial path.
-	gen atomic.Uint64
-	// shard labels the event with the subtree shard that owns it, or
-	// GlobalShard for events that may touch cross-shard state and must
-	// dispatch alone (a batch barrier). Labels are advisory: serial
-	// dispatch of labeled events is always correct, so RunUntil, Step and
-	// the sharded loop's serial fallback need no special cases.
-	shard int32
+	// record now belongs to a different event.
+	gen uint64
 
 	prev, next *scheduledEvent
 	in         *evList // the list currently holding the record, nil when free
@@ -140,28 +144,10 @@ type evList struct {
 type Engine struct {
 	now     Time
 	nextSeq uint64
-	// stopped is atomic so that a handler running on a shard worker can
-	// call Stop mid-batch: the admitted batch still finishes (workers
-	// never consult the flag) and the dispatch loops observe it at their
-	// next boundary. Serial dispatch pays one uncontended atomic load per
-	// event.
-	stopped atomic.Bool
+	stopped bool
 	// executed counts events that have been dispatched, for diagnostics
 	// and run-away detection in tests.
 	executed uint64
-	// barrierEvents counts unlabeled (GlobalShard) events the sharded
-	// loop dispatched as barriers. Zero in serial runs; in sharded runs
-	// it measures how much of the event stream still serializes, which
-	// is what the shard-labeling work drives down.
-	barrierEvents uint64
-
-	// shards is non-empty once EnableSharding has been called; Run then
-	// uses the batch dispatch loop in shard.go. batch is the current
-	// same-instant batch under execution, reused across batches.
-	shards []*Shard
-	batch  []batchEntry
-	wg     sync.WaitGroup // joins the shard workers of the current batch
-	workCh chan *Shard    // nil except while the sharded loop runs its pool
 
 	// budget holds the optional guardrails (see Budget); budgetOn caches
 	// whether any bound is armed so the disabled case costs one branch
@@ -241,11 +227,6 @@ func (e *Engine) Now() Time { return e.now }
 // Executed returns the number of events dispatched so far.
 func (e *Engine) Executed() uint64 { return e.executed }
 
-// BarrierEvents returns the number of unlabeled events the sharded
-// dispatch loop executed as serial barriers; always zero for serial
-// runs.
-func (e *Engine) BarrierEvents() uint64 { return e.barrierEvents }
-
 // Pending returns the number of live (non-cancelled) scheduled events.
 func (e *Engine) Pending() int { return e.live }
 
@@ -258,15 +239,15 @@ type Timer struct {
 	ev  *scheduledEvent
 	gen uint64
 	// at is the scheduled instant, carried in the handle so that At never
-	// reads the record's mutable field (which a recycled record's new
-	// owner, possibly on another shard, may be rewriting).
+	// reads the record's mutable field, which a recycled record's next
+	// occupant rewrites.
 	at Time
 }
 
 // Active reports whether the timer is scheduled and has neither fired
 // nor been cancelled.
 func (t Timer) Active() bool {
-	return t.ev != nil && t.ev.gen.Load() == t.gen
+	return t.ev != nil && t.ev.gen == t.gen
 }
 
 // At returns the instant the timer is scheduled to fire. The second
@@ -300,7 +281,6 @@ func (e *Engine) alloc(at Time) *scheduledEvent {
 	ev.at = at
 	ev.seq = e.nextSeq
 	e.nextSeq++
-	ev.shard = GlobalShard
 	return ev
 }
 
@@ -308,7 +288,7 @@ func (e *Engine) alloc(at Time) *scheduledEvent {
 // Bumping the generation first makes every outstanding Timer for the old
 // occupancy inert before the record can be handed out again.
 func (e *Engine) release(ev *scheduledEvent) {
-	ev.gen.Add(1)
+	ev.gen++
 	ev.fn = nil
 	ev.h = nil
 	ev.train = nil
@@ -529,7 +509,7 @@ func (e *Engine) ScheduleAt(at Time, fn Event) Timer {
 	ev.fn = fn
 	e.place(ev)
 	e.live++
-	return Timer{ev: ev, gen: ev.gen.Load(), at: at}
+	return Timer{ev: ev, gen: ev.gen, at: at}
 }
 
 // Schedule registers fn to run after delay. Negative delays are clamped
@@ -553,7 +533,7 @@ func (e *Engine) ScheduleHandlerAt(at Time, h EventHandler) Timer {
 	ev.h = h
 	e.place(ev)
 	e.live++
-	return Timer{ev: ev, gen: ev.gen.Load(), at: at}
+	return Timer{ev: ev, gen: ev.gen, at: at}
 }
 
 // ScheduleHandler registers h.Fire to run after delay, clamping negative
@@ -574,18 +554,16 @@ type train struct {
 }
 
 // ScheduleTrain registers fn to run n times, firing i at
-// start + i*period with argument i, labeled with shard (GlobalShard for
-// none). It is dispatch-equivalent to n consecutive ScheduleAt calls made
-// here — the n FIFO sequence numbers are reserved now, so every other
-// event gets the number it would have had — but keeps one record in the
-// wheel: firing i re-arms the record for firing i+1, under its reserved
+// start + i*period with argument i. It is dispatch-equivalent to n
+// consecutive ScheduleAt calls made here — the n FIFO sequence numbers
+// are reserved now, so every other event gets the number it would have
+// had — but keeps one record in the wheel: firing i re-arms the record for firing i+1, under its reserved
 // number, before fn runs. Dispatch order is the total order on
 // (instant, sequence number) over live events, and firing i+1's key
 // exceeds firing i's, so it is always filed before its turn. The period
-// must be positive: two firings at one instant could not share a sharded
-// batch the way two up-front events would. A train cannot be cancelled,
-// and counts as one pending event however many firings remain.
-func (e *Engine) ScheduleTrain(start Time, period Duration, n int, shard int32, fn func(i int, now Time)) {
+// must be positive. A train cannot be cancelled, and counts as one
+// pending event however many firings remain.
+func (e *Engine) ScheduleTrain(start Time, period Duration, n int, fn func(i int, now Time)) {
 	if fn == nil {
 		panic("sim: ScheduleTrain called with nil event")
 	}
@@ -598,7 +576,6 @@ func (e *Engine) ScheduleTrain(start Time, period Duration, n int, shard int32, 
 	ev := e.alloc(start)
 	e.nextSeq += uint64(n - 1)
 	ev.train = &train{fn: fn, period: period, n: n}
-	e.label(Timer{ev: ev}, shard)
 	e.place(ev)
 	e.live++
 }
@@ -625,7 +602,7 @@ func (e *Engine) advanceTrain(ev *scheduledEvent) {
 // has been recycled for a newer event is likewise a no-op (the
 // generation check), so stale handles cannot kill live events.
 func (e *Engine) Cancel(t Timer) {
-	if t.ev == nil || t.ev.gen.Load() != t.gen {
+	if t.ev == nil || t.ev.gen != t.gen {
 		return
 	}
 	// A matching generation implies the record is currently scheduled
@@ -641,7 +618,7 @@ func (e *Engine) Cancel(t Timer) {
 // in the budget case the offending event stays queued and the clock
 // does not move.
 func (e *Engine) Step() bool {
-	if e.stopped.Load() || !e.ensureDue() {
+	if e.stopped || !e.ensureDue() {
 		return false
 	}
 	ev := e.due.head
@@ -679,13 +656,8 @@ func (e *Engine) Step() bool {
 }
 
 // Run executes events until the queue drains or Stop is called. It
-// returns the final virtual time. On an engine with sharding enabled it
-// uses the batch dispatch loop (see shard.go), which is byte-identical
-// to serial dispatch; otherwise it steps events one at a time.
+// returns the final virtual time.
 func (e *Engine) Run() Time {
-	if len(e.shards) > 1 {
-		return e.runSharded()
-	}
 	for e.Step() {
 	}
 	return e.now
@@ -696,31 +668,27 @@ func (e *Engine) Run() Time {
 // unless Stop was called, in which case it stays at the instant of the
 // last executed event — advancing a stopped engine past the stop point
 // would let a later resume schedule "before" events that logically
-// already happened. RunUntil always dispatches serially: shard labels
-// are advisory, so this is correct (and identical) on sharded engines.
+// already happened.
 func (e *Engine) RunUntil(deadline Time) Time {
-	for !e.stopped.Load() {
+	for !e.stopped {
 		next, ok := e.peek()
 		if !ok || next.After(deadline) {
 			break
 		}
 		e.Step()
 	}
-	if !e.stopped.Load() && e.now.Before(deadline) {
+	if !e.stopped && e.now.Before(deadline) {
 		e.now = deadline
 	}
 	return e.now
 }
 
 // Stop halts the run loop after the currently executing event returns.
-// Remaining events are left in the queue. Under sharded dispatch a Stop
-// issued by a handler mid-batch lets the rest of the admitted batch
-// finish (its events were already committed to this instant) and takes
-// effect at the next batch boundary; the clock never regresses.
-func (e *Engine) Stop() { e.stopped.Store(true) }
+// Remaining events are left in the queue.
+func (e *Engine) Stop() { e.stopped = true }
 
 // Stopped reports whether Stop has been called.
-func (e *Engine) Stopped() bool { return e.stopped.Load() }
+func (e *Engine) Stopped() bool { return e.stopped }
 
 // peek reports the instant of the next live event.
 func (e *Engine) peek() (Time, bool) {

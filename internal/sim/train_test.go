@@ -10,8 +10,8 @@ import (
 // trainRun drives one random event script around a data train and
 // returns the dispatch log, the executed-event count and the pending
 // count right after set-up. With asTrain the n firings are one
-// ScheduleTrain call; otherwise they are n up-front ScheduleAtShard
-// calls made at the same point of the script — the form ScheduleTrain
+// ScheduleTrain call; otherwise they are n up-front ScheduleAt calls
+// made at the same point of the script — the form ScheduleTrain
 // claims to be dispatch-equivalent to.
 //
 // The script is built to collide with the train everywhere an ordering
@@ -22,35 +22,17 @@ import (
 // periods, so they land on the current and on future firings; the run
 // is cut by RunUntil deadlines on and just before firing instants
 // before Run takes over.
-func trainRun(seed int64, shards int, asTrain bool, start Time, period Duration, n int) (log []string, executed uint64, pending int) {
+func trainRun(seed int64, asTrain bool, start Time, period Duration, n int) (log []string, executed uint64, pending int) {
 	const hosts = 6
 	e := NewEngine()
-	var shs []*Shard
-	if shards > 1 {
-		shs = e.EnableSharding(shards)
-	}
 	type host struct {
-		sch    Sched
-		sh     *Shard
 		rng    *rand.Rand
 		count  int
 		timers []Timer
 	}
 	hs := make([]*host, hosts)
 	for i := range hs {
-		h := &host{sch: e, rng: rand.New(rand.NewSource(seed*131 + int64(i)))}
-		if shs != nil {
-			h.sh = shs[i%len(shs)]
-			h.sch = h.sh
-		}
-		hs[i] = h
-	}
-	record := func(h int, entry string) {
-		if sh := hs[h].sh; sh != nil {
-			sh.Defer(func() { log = append(log, entry) })
-			return
-		}
-		log = append(log, entry)
+		hs[i] = &host{rng: rand.New(rand.NewSource(seed*131 + int64(i)))}
 	}
 	delays := []Duration{0, 0, period, period, 2 * period, time.Millisecond, period / 3}
 	var fire func(h, depth int) Event
@@ -60,7 +42,7 @@ func trainRun(seed int64, shards int, asTrain bool, start Time, period Duration,
 		hh := hs[h]
 		if len(hh.timers) > 0 && hh.rng.Intn(3) == 0 {
 			idx := hh.rng.Intn(len(hh.timers))
-			hh.sch.Cancel(hh.timers[idx])
+			e.Cancel(hh.timers[idx])
 			hh.timers[idx] = hh.timers[len(hh.timers)-1]
 			hh.timers = hh.timers[:len(hh.timers)-1]
 		}
@@ -68,7 +50,7 @@ func trainRun(seed int64, shards int, asTrain bool, start Time, period Duration,
 			return
 		}
 		for k := hh.rng.Intn(3); k > 0; k-- {
-			t := hh.sch.Schedule(delays[hh.rng.Intn(len(delays))], fire(h, depth+1))
+			t := e.Schedule(delays[hh.rng.Intn(len(delays))], fire(h, depth+1))
 			if hh.rng.Intn(2) == 0 {
 				hh.timers = append(hh.timers, t)
 			}
@@ -77,15 +59,9 @@ func trainRun(seed int64, shards int, asTrain bool, start Time, period Duration,
 	fire = func(h, depth int) Event {
 		return func(now Time) {
 			hs[h].count++
-			record(h, fmt.Sprintf("h%d#%d@%v", h, hs[h].count, now))
+			log = append(log, fmt.Sprintf("h%d#%d@%v", h, hs[h].count, now))
 			act(h, depth)
 		}
-	}
-	shardOf := func(h int) int32 {
-		if shs == nil {
-			return GlobalShard
-		}
-		return hs[h].sh.id
 	}
 	script := rand.New(rand.NewSource(seed))
 	roots := func() {
@@ -95,7 +71,7 @@ func trainRun(seed int64, shards int, asTrain bool, start Time, period Duration,
 			if script.Intn(4) == 0 {
 				at = at.Add(Duration(script.Int63n(int64(period))))
 			}
-			t := e.ScheduleAtShard(at, fire(h, 0), shardOf(h))
+			t := e.ScheduleAt(at, fire(h, 0))
 			if script.Intn(3) == 0 {
 				hs[h].timers = append(hs[h].timers, t)
 			}
@@ -105,15 +81,15 @@ func trainRun(seed int64, shards int, asTrain bool, start Time, period Duration,
 	roots() // lower sequence numbers than the train's
 	const trainHost = 0
 	firing := func(i int, now Time) {
-		record(trainHost, fmt.Sprintf("train#%d@%v", i, now))
+		log = append(log, fmt.Sprintf("train#%d@%v", i, now))
 		act(trainHost, 1)
 	}
 	if asTrain {
-		e.ScheduleTrain(start, period, n, shardOf(trainHost), firing)
+		e.ScheduleTrain(start, period, n, firing)
 	} else {
 		for i := 0; i < n; i++ {
 			i := i
-			e.ScheduleAtShard(start.Add(Duration(i)*period), func(now Time) { firing(i, now) }, shardOf(trainHost))
+			e.ScheduleAt(start.Add(Duration(i)*period), func(now Time) { firing(i, now) })
 		}
 	}
 	roots() // higher ones
@@ -138,7 +114,7 @@ func trainRun(seed int64, shards int, asTrain bool, start Time, period Duration,
 // TestTrainEquivalentToUpFrontSchedules is the order-equivalence
 // property ScheduleTrain documents: over random scripts the train's
 // dispatch log — every event, not just the firings — equals that of n
-// up-front schedules exactly, serially and sharded, for a period below
+// up-front schedules exactly, for a period below
 // one wheel tick (several firings per bucket), a millisecond period, and
 // a period that carries the train across the wheel's overflow horizon.
 // The executed count is equal too; only Pending differs, by the n-1
@@ -160,23 +136,21 @@ func TestTrainEquivalentToUpFrontSchedules(t *testing.T) {
 			t.Fatalf("%s: span %v does not cross the wheel horizon", sh.name, span)
 		}
 		for seed := int64(0); seed < 25; seed++ {
-			for _, shards := range []int{0, 2, 3} {
-				want, wantExec, wantPending := trainRun(seed, shards, false, sh.start, sh.period, sh.n)
-				got, gotExec, gotPending := trainRun(seed, shards, true, sh.start, sh.period, sh.n)
-				if gotPending != wantPending-(sh.n-1) {
-					t.Fatalf("%s seed %d shards %d: Pending %d with the train, %d with %d schedules: a train must count once",
-						sh.name, seed, shards, gotPending, wantPending, sh.n)
-				}
-				if gotExec != wantExec {
-					t.Fatalf("%s seed %d shards %d: executed %d, up-front %d", sh.name, seed, shards, gotExec, wantExec)
-				}
-				if len(got) != len(want) {
-					t.Fatalf("%s seed %d shards %d: %d log entries, up-front %d", sh.name, seed, shards, len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("%s seed %d shards %d: dispatch %d = %s, up-front %s", sh.name, seed, shards, i, got[i], want[i])
-					}
+			want, wantExec, wantPending := trainRun(seed, false, sh.start, sh.period, sh.n)
+			got, gotExec, gotPending := trainRun(seed, true, sh.start, sh.period, sh.n)
+			if gotPending != wantPending-(sh.n-1) {
+				t.Fatalf("%s seed %d: Pending %d with the train, %d with %d schedules: a train must count once",
+					sh.name, seed, gotPending, wantPending, sh.n)
+			}
+			if gotExec != wantExec {
+				t.Fatalf("%s seed %d: executed %d, up-front %d", sh.name, seed, gotExec, wantExec)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s seed %d: %d log entries, up-front %d", sh.name, seed, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%s seed %d: dispatch %d = %s, up-front %s", sh.name, seed, i, got[i], want[i])
 				}
 			}
 		}
@@ -189,7 +163,7 @@ func TestTrainEquivalentToUpFrontSchedules(t *testing.T) {
 func TestTrainSteadyStateAllocationFree(t *testing.T) {
 	e := NewEngine()
 	fired := 0
-	e.ScheduleTrain(0, time.Millisecond, 1<<20, GlobalShard, func(int, Time) { fired++ })
+	e.ScheduleTrain(0, time.Millisecond, 1<<20, func(int, Time) { fired++ })
 	e.Step()
 	if avg := testing.AllocsPerRun(1000, func() { e.Step() }); avg != 0 {
 		t.Fatalf("a train firing allocates %.2f objects, want 0", avg)
@@ -199,14 +173,13 @@ func TestTrainSteadyStateAllocationFree(t *testing.T) {
 	}
 }
 
-// TestTrainRejectsNonPositivePeriod pins the guard: a zero period would
-// put two firings on one instant, which a sharded batch cannot replay in
-// up-front order.
+// TestTrainRejectsNonPositivePeriod pins the guard: a train's firings
+// must advance the clock.
 func TestTrainRejectsNonPositivePeriod(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("ScheduleTrain accepted a zero period")
 		}
 	}()
-	NewEngine().ScheduleTrain(0, 0, 3, GlobalShard, func(int, Time) {})
+	NewEngine().ScheduleTrain(0, 0, 3, func(int, Time) {})
 }

@@ -17,8 +17,7 @@ import (
 // release off does, status and fingerprint, and really did release (peak
 // live collector cells under half the retained run's). The
 // deal must include a late joiner, a leave for good and a queue cap
-// (asserted below), and every fifth trial is also held to the sharded
-// run.
+// (asserted below).
 func TestReleaseInertUnderChurn(t *testing.T) {
 	const perScale = 20
 	protocols := []experiment.Protocol{experiment.SRM, experiment.CESRM, experiment.LMS}
@@ -64,31 +63,24 @@ func TestReleaseInertUnderChurn(t *testing.T) {
 				t.Fatalf("trial %v, release off: %v", trial, err)
 			}
 			cfg.ReleaseRecovered = true
-			shards := []int{0}
-			if trials%5 == 0 {
-				shards = append(shards, 2)
+			on, err := experiment.Run(cfg)
+			if err != nil {
+				t.Fatalf("trial %v, release on: %v", trial, err)
 			}
-			for _, s := range shards {
-				cfg.Shards = s
-				on, err := experiment.Run(cfg)
-				if err != nil {
-					t.Fatalf("trial %v, release on, shards=%d: %v", trial, s, err)
-				}
-				if on.Status != off.Status || on.Fingerprint != off.Fingerprint {
-					t.Fatalf("trial %v, shards=%d: release changed the run:\n on  %v %s\n off %v %s",
-						trial, s, on.Status, on.Fingerprint, off.Status, off.Fingerprint)
-				}
-				if off.Status != sim.Completed {
-					continue
-				}
-				// Trace 4 at scale 0.01 is 176 packets, 14 s: the two-tick lag
-				// and one recovery are most of the stream, so there the
-				// peak is only required not to exceed the retained run's.
-				peak, total := on.Collector.PeakPacketCells(), off.Collector.PeakPacketCells()
-				if peak > total || (tr.NumPackets() >= 350 && peak >= total/2) {
-					t.Fatalf("trial %v, shards=%d: did not release: peak cells %d vs retained %d over %d packets",
-						trial, s, peak, total, tr.NumPackets())
-				}
+			if on.Status != off.Status || on.Fingerprint != off.Fingerprint {
+				t.Fatalf("trial %v: release changed the run:\n on  %v %s\n off %v %s",
+					trial, on.Status, on.Fingerprint, off.Status, off.Fingerprint)
+			}
+			if off.Status != sim.Completed {
+				continue
+			}
+			// Trace 4 at scale 0.01 is 176 packets, 14 s: the two-tick lag
+			// and one recovery are most of the stream, so there the
+			// peak is only required not to exceed the retained run's.
+			peak, total := on.Collector.PeakPacketCells(), off.Collector.PeakPacketCells()
+			if peak > total || (tr.NumPackets() >= 350 && peak >= total/2) {
+				t.Fatalf("trial %v: did not release: peak cells %d vs retained %d over %d packets",
+					trial, peak, total, tr.NumPackets())
 			}
 		}
 	}

@@ -207,9 +207,9 @@ func (st *streamState) noteExists(seq int) {
 type Agent struct {
 	id topology.NodeID
 
-	// eng and net are interfaces so a sharded run can hand the agent its
-	// shard-local handles (sim.Shard, netsim.Port); serial runs pass the
-	// engine and network directly.
+	// eng and net are interfaces: the simulator passes the engine and
+	// network, the wire node the engine and its socket endpoint, the
+	// benchmark its tracing wrappers.
 	eng sim.Sched
 	net netsim.Endpoint
 	rng *sim.RNG

@@ -49,8 +49,8 @@ func (m DistanceMode) String() string {
 // every member look up, or record, its estimate to the same node — the
 // requestor a reply names, the sender of a session message — and in
 // this layout those accesses fall in one contiguous row instead of one
-// table per member. Members dispatched concurrently (sharded runs)
-// share rows but only ever touch their own column's words.
+// table per member. Members share rows and only ever touch their own
+// column's words.
 type DistancePlane struct {
 	d       []time.Duration
 	members int

@@ -71,7 +71,7 @@ func newSession(eng *sim.Engine, ep netsim.Endpoint, cfg NodeConfig, obs srm.Obs
 	if s.isSource() {
 		// One wheel record however long the stream, numbered as the
 		// NumPackets separate events it stands for would have been.
-		eng.ScheduleTrain(sim.Time(0).Add(cfg.Warmup), cfg.Period, cfg.NumPackets, sim.GlobalShard,
+		eng.ScheduleTrain(sim.Time(0).Add(cfg.Warmup), cfg.Period, cfg.NumPackets,
 			func(seq int, _ sim.Time) {
 				s.agent.Transmit(seq)
 				s.sent++
