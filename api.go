@@ -221,6 +221,13 @@ func TraceCatalog() []CatalogEntry { return trace.Catalog }
 // TraceByName looks up a Table 1 entry.
 func TraceByName(name string) (CatalogEntry, bool) { return trace.ByName(name) }
 
+// TraceFromRows builds a trace from dense tables: loss[r][i] reports
+// whether receiver r lost packet i; drops, when non-nil, lists at
+// drops[i] the links (named by their downstream node) that dropped i.
+func TraceFromRows(name string, tree *Tree, period time.Duration, loss [][]bool, drops [][]NodeID) (*Trace, error) {
+	return trace.FromRows(name, tree, period, loss, drops)
+}
+
 // GenerateTrace builds a synthetic trace.
 func GenerateTrace(spec TraceSpec) (*Trace, error) { return trace.Generate(spec) }
 

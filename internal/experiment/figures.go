@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 
+	"cesrm/internal/lossinfer"
 	"cesrm/internal/topology"
 	"cesrm/internal/trace"
 )
@@ -13,6 +14,13 @@ type Pair struct {
 	Trace *trace.Trace
 	SRM   *RunResult
 	CESRM *RunResult
+	// Confidence95 and Confidence98 are the §4.2 statistics of the link
+	// attribution both runs injected: the share of lossy packets whose
+	// selected combination has probability above 0.95 and 0.98.
+	// GroundTruthAccuracy is the share selected exactly right, or -1
+	// when the trace carries no ground truth. The attribution itself —
+	// a slice per packet — is not kept: a suite holds every Pair.
+	Confidence95, Confidence98, GroundTruthAccuracy float64
 }
 
 // PairConfig parameterizes RunPair; the zero value reproduces the
@@ -23,23 +31,33 @@ type PairConfig struct {
 	Base RunConfig
 }
 
-// RunPair reenacts tr under both protocols with identical parameters.
+// RunPair reenacts tr under both protocols with identical parameters
+// and one link attribution.
 func RunPair(tr *trace.Trace, cfg PairConfig) (*Pair, error) {
-	srmCfg := cfg.Base
-	srmCfg.Trace = tr
-	srmCfg.Protocol = SRM
-	srmRes, err := Run(srmCfg)
+	inferred, err := infer(tr)
 	if err != nil {
+		return nil, err
+	}
+	pair := &Pair{
+		Trace:               tr,
+		Confidence95:        inferred.Confidence(0.95),
+		Confidence98:        inferred.Confidence(0.98),
+		GroundTruthAccuracy: -1,
+	}
+	if acc, err := lossinfer.GroundTruthAccuracy(tr, inferred); err == nil {
+		pair.GroundTruthAccuracy = acc
+	}
+	base := cfg.Base
+	base.Trace = tr
+	base.Protocol = SRM
+	if pair.SRM, err = run(base, inferred); err != nil {
 		return nil, fmt.Errorf("experiment: SRM run: %w", err)
 	}
-	cesrmCfg := cfg.Base
-	cesrmCfg.Trace = tr
-	cesrmCfg.Protocol = CESRM
-	cesrmRes, err := Run(cesrmCfg)
-	if err != nil {
+	base.Protocol = CESRM
+	if pair.CESRM, err = run(base, inferred); err != nil {
 		return nil, fmt.Errorf("experiment: CESRM run: %w", err)
 	}
-	return &Pair{Trace: tr, SRM: srmRes, CESRM: cesrmRes}, nil
+	return pair, nil
 }
 
 // ReceiverLatencyRow is one bar pair of Figure 1: a receiver's average

@@ -1,12 +1,14 @@
 package experiment
 
 import (
+	"strings"
 	"testing"
 	"time"
 
 	"cesrm/internal/chaos"
 	"cesrm/internal/sim"
 	"cesrm/internal/topology"
+	"cesrm/internal/trace"
 )
 
 // TestBudgetAbortDegradesGracefully checks that a run tripping a
@@ -137,6 +139,36 @@ func TestSuiteContinueOnErrorRecordsFailures(t *testing.T) {
 		if r.Err == nil {
 			t.Errorf("parallel result %d: failure not recorded", i)
 		}
+	}
+}
+
+// TestSuiteContinueOnErrorSurvivesLoadFailure: a trace that cannot be
+// generated is that trace's failure, not the sweep's. The catalog entry
+// is given a loss target no link rates can reach (every receiver-packet
+// lost), so its Load fails inside the job.
+func TestSuiteContinueOnErrorSurvivesLoadFailure(t *testing.T) {
+	entry := &trace.Catalog[3]
+	saved := *entry
+	t.Cleanup(func() { *entry = saved })
+	entry.Losses = entry.Receivers * entry.Packets
+
+	s := Suite{Scale: 0.01, Seed: 1, Traces: []int{4, 13}, ContinueOnError: true}
+	for _, parallel := range []int{1, 2} {
+		s.Parallel = parallel
+		results, err := s.Run()
+		if err != nil {
+			t.Fatalf("parallel=%d: a load failure aborted the ContinueOnError sweep: %v", parallel, err)
+		}
+		if err := results[0].Err; err == nil || !strings.Contains(err.Error(), "unreachable") || results[0].Pair != nil {
+			t.Errorf("parallel=%d: failed load recorded as err=%v pair=%v", parallel, err, results[0].Pair)
+		}
+		if results[1].Err != nil || results[1].Pair == nil || results[1].CESRMFingerprint == "" {
+			t.Errorf("parallel=%d: the trace after the failed load did not run: %+v", parallel, results[1])
+		}
+	}
+	s.ContinueOnError = false
+	if _, err := s.Run(); err == nil || !strings.Contains(err.Error(), saved.Name) {
+		t.Errorf("without ContinueOnError the load failure must abort and name the trace: %v", err)
 	}
 }
 

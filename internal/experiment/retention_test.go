@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"cesrm/internal/lossinfer"
 	"cesrm/internal/netsim"
 	"cesrm/internal/sim"
 	"cesrm/internal/trace"
@@ -105,5 +106,41 @@ func TestRunPairFreesSRMNetworkBeforeCESRMRuns(t *testing.T) {
 	}
 	if !srmFreed {
 		t.Error("the SRM run's network is still reachable while the CESRM run starts")
+	}
+}
+
+// TestRunPairDoesNotRetainInference: the link attribution is a slice
+// header per packet, and Suite.Run keeps every Pair, so a Pair that held
+// the *lossinfer.Result would be the network leak over again. Holding
+// only the pair — which still answers §4.2 from the three numbers it
+// recorded — the one attribution both runs shared must be collectable.
+func TestRunPairDoesNotRetainInference(t *testing.T) {
+	tr, err := trace.Catalog[12].Load(0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dead []chan struct{}
+	inferenceBuilt = func(r *lossinfer.Result) {
+		done := make(chan struct{})
+		dead = append(dead, done)
+		runtime.SetFinalizer(r, func(*lossinfer.Result) { close(done) })
+	}
+	t.Cleanup(func() { inferenceBuilt = nil })
+	pair, err := RunPair(tr, PairConfig{Base: RunConfig{Seed: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dead) != 1 {
+		t.Fatalf("RunPair inferred %d times, want once for both runs", len(dead))
+	}
+	if !collected(dead[0]) {
+		t.Error("the Pair keeps the link attribution reachable")
+	}
+	if pair.Confidence95 <= 0 || pair.Confidence98 > pair.Confidence95 || pair.GroundTruthAccuracy <= 0 {
+		t.Errorf("§4.2 statistics not recorded: >0.95 %v, >0.98 %v, ground truth %v",
+			pair.Confidence95, pair.Confidence98, pair.GroundTruthAccuracy)
+	}
+	if pair.SRM.InferenceConfidence95 != pair.Confidence95 || len(pair.CESRM.InferredRates) != tr.Tree.NumLinks() {
+		t.Error("the runs do not report the shared attribution's statistics")
 	}
 }

@@ -357,15 +357,43 @@ var agentOrder func([]topology.NodeID) []topology.NodeID
 // code leaves it nil.
 var networkBuilt func(*netsim.Network)
 
+// inferenceBuilt is the same seam for the link attribution infer
+// returns, which no finished run or pair may keep alive either.
+var inferenceBuilt func(*lossinfer.Result)
+
+// infer is Stage 1 (§4.2): estimate link loss rates and attribute each
+// lost packet to a link combination; the simulation injects losses on
+// exactly those links. It depends on the trace alone, so RunPair
+// computes it once for both runs.
+func infer(tr *trace.Trace) (*lossinfer.Result, error) {
+	if tr == nil {
+		return nil, fmt.Errorf("experiment: nil trace")
+	}
+	if err := tr.Validate(); err != nil {
+		return nil, err
+	}
+	inferred, err := lossinfer.Infer(tr, lossinfer.EstimateYajnik(tr))
+	if err != nil {
+		return nil, fmt.Errorf("experiment: %w", err)
+	}
+	if inferenceBuilt != nil {
+		inferenceBuilt(inferred)
+	}
+	return inferred, nil
+}
+
 // Run reenacts cfg.Trace under cfg.Protocol and returns the collected
 // metrics. The run is deterministic in cfg.
 func Run(cfg RunConfig) (*RunResult, error) {
-	if cfg.Trace == nil {
-		return nil, fmt.Errorf("experiment: nil trace")
-	}
-	if err := cfg.Trace.Validate(); err != nil {
+	inferred, err := infer(cfg.Trace)
+	if err != nil {
 		return nil, err
 	}
+	return run(cfg, inferred)
+}
+
+// run is Run given cfg.Trace's link attribution.
+func run(cfg RunConfig, inferred *lossinfer.Result) (*RunResult, error) {
 	if cfg.Net == (netsim.Config{}) {
 		cfg.Net = netsim.DefaultConfig()
 	}
@@ -417,15 +445,6 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	tree := tr.Tree
 	source := tree.Root()
 
-	// Stage 1 (§4.2): estimate link loss rates and attribute each lost
-	// packet to a link combination; the simulation injects losses on
-	// exactly those links.
-	rates := lossinfer.EstimateYajnik(tr)
-	inferred, err := lossinfer.Infer(tr, rates)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: %w", err)
-	}
-
 	// Stage 2: build the simulated network with the loss-injection hook.
 	eng := sim.NewEngine()
 	eng.SetBudget(cfg.Budget)
@@ -465,7 +484,7 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	}
 	// The loss pattern is handed to the network as data: one verdict per
 	// flood where it is known, the per-link hook everywhere else.
-	loss := newLossModel(&cfg, inferred.Drops, rates, dropRNG)
+	loss := newLossModel(&cfg, inferred.Drops, inferred.Rates, dropRNG)
 	net.SetDropFunc(loss.drop)
 	net.SetLossFunc(loss.verdict)
 
@@ -719,7 +738,7 @@ func Run(cfg RunConfig) (*RunResult, error) {
 			Config:                cfg,
 			Collector:             collector,
 			Crossings:             net.Counts(),
-			InferredRates:         rates,
+			InferredRates:         inferred.Rates,
 			InferenceConfidence95: inferred.Confidence(0.95),
 			FinishedAt:            at,
 			Fingerprint:           fp.finish(net.Counts(), at, receivers, collector, rtt),
@@ -797,10 +816,13 @@ func Run(cfg RunConfig) (*RunResult, error) {
 
 	// Expedited requests for packets the trace never dropped are
 	// reordering artifacts (possible only under jitter).
+	row := make([]int, tree.NumNodes())
+	for ri, r := range receivers {
+		row[r] = ri + 1 // zero: not a receiver
+	}
 	spurious := 0
 	for _, k := range collector.ExpRequestedPackets() {
-		ri := tr.ReceiverIndex(k.Host)
-		if ri >= 0 && k.Seq < numPackets && !tr.Lost(ri, k.Seq) {
+		if ri := row[k.Host] - 1; ri >= 0 && k.Seq < numPackets && !tr.Lost(ri, k.Seq) {
 			spurious++
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"text/tabwriter"
 
-	"cesrm/internal/lossinfer"
 	"cesrm/internal/sim"
 	"cesrm/internal/trace"
 )
@@ -40,10 +39,10 @@ type Suite struct {
 	// peak heap bounded by the in-flight recovery window instead of the
 	// whole transmission.
 	KeepEvents bool
-	// ContinueOnError degrades the sweep gracefully: a trace whose pair
-	// fails (invariant violation, non-quiescence, chaos rejection) is
-	// recorded in its SuiteResult.Err and the remaining traces still
-	// run, instead of the whole sweep aborting on the first failure.
+	// ContinueOnError degrades the sweep gracefully: a trace that fails
+	// to load, or whose pair fails (invariant violation, non-quiescence,
+	// chaos rejection), is recorded in its SuiteResult.Err and the rest
+	// still run, instead of the whole sweep aborting on the first failure.
 	// Budget-aborted runs (see RunConfig.Budget) are not errors in
 	// either mode — they surface through the result statuses.
 	ContinueOnError bool
@@ -88,20 +87,7 @@ func (s Suite) Run() ([]SuiteResult, error) {
 		}
 	}
 
-	// Load every selected trace exactly once, up front. Traces and their
-	// topologies are immutable after Load, so the SRM and CESRM runs of a
-	// pair (and, under Parallel, concurrent goroutines) share the same
-	// *trace.Trace without copying.
-	traces := make([]*trace.Trace, len(selected))
-	for i, idx := range selected {
-		tr, err := trace.Catalog[idx-1].Load(scale)
-		if err != nil {
-			return nil, err
-		}
-		traces[i] = tr
-	}
-
-	runOne := func(i, idx int) (SuiteResult, error) {
+	runOne := func(idx int) (SuiteResult, error) {
 		entry := trace.Catalog[idx-1]
 		base := s.Base
 		base.Seed = s.Seed + int64(idx)
@@ -110,7 +96,13 @@ func (s Suite) Run() ([]SuiteResult, error) {
 		// runs shed recovered per-packet state as the watermark advances.
 		base.KeepEvents = s.KeepEvents
 		base.ReleaseRecovered = !s.KeepEvents
-		pair, err := RunPair(traces[i], PairConfig{Base: base})
+		// The trace is loaded by the job that runs it: a failed load is
+		// that trace's failure, and Parallel generates concurrently.
+		var pair *Pair
+		tr, err := entry.Load(scale)
+		if err == nil {
+			pair, err = RunPair(tr, PairConfig{Base: base})
+		}
 		if err != nil {
 			return SuiteResult{Entry: entry}, fmt.Errorf("experiment: trace %d (%s): %w", idx, entry.Name, err)
 		}
@@ -127,7 +119,7 @@ func (s Suite) Run() ([]SuiteResult, error) {
 	out := make([]SuiteResult, len(selected))
 	if s.Parallel <= 1 {
 		for i, idx := range selected {
-			r, err := runOne(i, idx)
+			r, err := runOne(idx)
 			if err != nil {
 				if s.ContinueOnError {
 					r.Err = err
@@ -152,7 +144,7 @@ func (s Suite) Run() ([]SuiteResult, error) {
 		go func(i, idx int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			out[i], errs[i] = runOne(i, idx)
+			out[i], errs[i] = runOne(idx)
 		}(i, idx)
 	}
 	wg.Wait()
@@ -207,18 +199,12 @@ func RenderSec42(w io.Writer, results []SuiteResult) {
 		if r.Pair == nil {
 			continue
 		}
-		tr := r.Pair.Trace
-		res, err := lossinfer.Infer(tr, r.Pair.SRM.InferredRates)
-		if err != nil {
-			fmt.Fprintf(tw, "%d\t%s\terror: %v\n", r.Entry.Index, r.Entry.Name, err)
-			continue
-		}
 		gt := "n/a"
-		if acc, err := lossinfer.GroundTruthAccuracy(tr, res); err == nil {
+		if acc := r.Pair.GroundTruthAccuracy; acc >= 0 {
 			gt = fmt.Sprintf("%.1f%%", 100*acc)
 		}
 		fmt.Fprintf(tw, "%d\t%s\t%.1f%%\t%.1f%%\t%s\n",
-			r.Entry.Index, r.Entry.Name, 100*res.Confidence(0.95), 100*res.Confidence(0.98), gt)
+			r.Entry.Index, r.Entry.Name, 100*r.Pair.Confidence95, 100*r.Pair.Confidence98, gt)
 	}
 	tw.Flush()
 }

@@ -3,6 +3,7 @@ package lossinfer
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"cesrm/internal/topology"
@@ -226,12 +227,8 @@ func Infer(t *trace.Trace, rates LinkRates) (*Result, error) {
 		Rates: rates,
 		Drops: make([][]topology.LinkID, n),
 	}
-	for i := 0; i < n; i++ {
-		x := t.LossPattern(i)
-		if x == 0 {
-			continue
-		}
-		pr, err := attr.Attribute(x)
+	for i := t.NextLossy(0); i < n; i = t.NextLossy(i + 1) {
+		pr, err := attr.Attribute(t.LossPattern(i))
 		if err != nil {
 			return nil, fmt.Errorf("lossinfer: packet %d: %w", i, err)
 		}
@@ -274,7 +271,7 @@ func GroundTruthAccuracy(t *trace.Trace, r *Result) (float64, error) {
 			continue
 		}
 		lossy++
-		if equalLinkSets(r.Drops[i], t.TrueDrops[i]) {
+		if equalLinkSets(r.Drops[i], t.TrueDropsAt(i)) {
 			match++
 		}
 	}
@@ -288,14 +285,11 @@ func equalLinkSets(a, b []topology.LinkID) bool {
 	if len(a) != len(b) {
 		return false
 	}
-	as := append([]topology.LinkID(nil), a...)
-	bs := append([]topology.LinkID(nil), b...)
-	sort.Slice(as, func(i, j int) bool { return as[i] < as[j] })
-	sort.Slice(bs, func(i, j int) bool { return bs[i] < bs[j] })
-	for i := range as {
-		if as[i] != bs[i] {
-			return false
-		}
+	if slices.Equal(a, b) { // selections and generated truth are both ascending
+		return true
 	}
-	return true
+	as, bs := slices.Clone(a), slices.Clone(b)
+	slices.Sort(as)
+	slices.Sort(bs)
+	return slices.Equal(as, bs)
 }

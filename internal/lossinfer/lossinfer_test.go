@@ -23,12 +23,11 @@ func yTrace(t *testing.T) *trace.Trace {
 	loss[1] = make([]bool, 10)
 	loss[0][0], loss[0][1], loss[0][2] = true, true, true
 	loss[1][2] = true
-	return &trace.Trace{
-		Name:   "hand",
-		Tree:   yTree(t),
-		Period: 80 * time.Millisecond,
-		Loss:   loss,
+	tr, err := trace.FromRows("hand", yTree(t), 80*time.Millisecond, loss, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return tr
 }
 
 func TestEstimateYajnikHandComputed(t *testing.T) {
@@ -397,7 +396,10 @@ func TestChainTopologyUnidentifiableLinks(t *testing.T) {
 	loss := make([][]bool, 1)
 	loss[0] = make([]bool, 10)
 	loss[0][2], loss[0][5] = true, true // 2 of 10 lost
-	tr := &trace.Trace{Name: "chain", Tree: tree, Period: 80 * time.Millisecond, Loss: loss}
+	tr, err := trace.FromRows("chain", tree, 80*time.Millisecond, loss, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	y := EstimateYajnik(tr)
 	if math.Abs(y[1]-0.2) > 1e-12 {

@@ -60,7 +60,9 @@ func reachCounts(t *trace.Trace) []int {
 	for i := range marked {
 		marked[i] = -1
 	}
-	for i := 0; i < n; i++ {
+	lossless := n
+	for i := t.NextLossy(0); i < n; i = t.NextLossy(i + 1) {
+		lossless--
 		for ri, r := range tree.Receivers() {
 			if t.Lost(ri, i) {
 				continue
@@ -70,6 +72,11 @@ func reachCounts(t *trace.Trace) []int {
 				seen[n]++
 			}
 		}
+	}
+	// A packet nobody lost was seen below every node: each has a leaf
+	// below it, and the leaves are the receivers.
+	for n := range seen {
+		seen[n] += lossless
 	}
 	return seen
 }

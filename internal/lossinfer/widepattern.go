@@ -155,11 +155,8 @@ func inferWide(t *trace.Trace, rates LinkRates) (*Result, error) {
 	var lostIdx []int
 	var lost []topology.NodeID
 	var key []byte
-	for i := 0; i < n; i++ {
+	for i := t.NextLossy(0); i < n; i = t.NextLossy(i + 1) {
 		lostIdx = t.LostReceivers(i, lostIdx[:0])
-		if len(lostIdx) == 0 {
-			continue
-		}
 		lost = lost[:0]
 		key = key[:0]
 		for _, r := range lostIdx {

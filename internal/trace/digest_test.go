@@ -14,9 +14,6 @@ import (
 	"cesrm/internal/topology"
 )
 
-// trueDropsAt returns packet i's ground-truth drop links.
-func trueDropsAt(tr *Trace, i int) []topology.LinkID { return tr.TrueDrops[i] }
-
 // traceDigests renders one line per trace: its name, the SHA-256 of its
 // Marshal output, and a SHA-256 over every packet's ground-truth drop
 // links (count, then each link, little-endian uint32s, in packet order).
@@ -35,7 +32,7 @@ func traceDigests(t *testing.T, traces []*Trace) string {
 			drops.Write(cell[:])
 		}
 		for i := 0; i < tr.NumPackets(); i++ {
-			links := trueDropsAt(tr, i)
+			links := tr.TrueDropsAt(i)
 			put(len(links))
 			for _, l := range links {
 				put(int(l))

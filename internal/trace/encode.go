@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math/bits"
 	"strconv"
 	"strings"
 	"time"
@@ -43,7 +44,7 @@ func Marshal(w io.Writer, t *Trace) error {
 	bw.WriteByte('\n')
 	for _, row := range t.Loss {
 		bw.WriteString("recv")
-		for _, run := range rleEncode(row) {
+		for _, run := range rleEncode(row, t.Packets) {
 			fmt.Fprintf(bw, " %d", run)
 		}
 		bw.WriteByte('\n')
@@ -72,8 +73,7 @@ func Unmarshal(r io.Reader) (*Trace, error) {
 	if hdr != "cesrm-trace v1" {
 		return nil, fmt.Errorf("trace: bad header %q", hdr)
 	}
-	t := &Trace{}
-	packets := -1
+	t := &Trace{Packets: -1}
 	for {
 		l, err := line()
 		if err != nil {
@@ -93,7 +93,7 @@ func Unmarshal(r io.Reader) (*Trace, error) {
 			}
 			t.Period = p
 		case "packets":
-			packets, err = strconv.Atoi(rest)
+			t.Packets, err = strconv.Atoi(rest)
 			if err != nil {
 				return nil, fmt.Errorf("trace: bad packet count: %w", err)
 			}
@@ -112,14 +112,17 @@ func Unmarshal(r io.Reader) (*Trace, error) {
 			}
 			t.Tree = tree
 		case "recv":
-			if packets < 0 {
+			if t.Packets < 0 {
 				return nil, fmt.Errorf("trace: recv line before packets line")
 			}
 			runs, err := parseInts(rest)
 			if err != nil {
 				return nil, fmt.Errorf("trace: bad recv line: %w", err)
 			}
-			row, err := rleDecode(runs, packets)
+			if t.Packets > maxCells/(len(t.Loss)+1) {
+				return nil, fmt.Errorf("trace: %d receivers of %d packets exceed the decoder's %d cells", len(t.Loss)+1, t.Packets, maxCells)
+			}
+			row, err := rleDecode(runs, t.Packets)
 			if err != nil {
 				return nil, err
 			}
@@ -147,41 +150,80 @@ func parseInts(s string) ([]int, error) {
 	return out, nil
 }
 
-// rleEncode encodes a bool row as alternating run lengths starting with
-// a false (received) run; a leading zero appears when the row starts
-// with a loss.
-func rleEncode(row []bool) []int {
-	var runs []int
-	cur := false
-	run := 0
-	for _, v := range row {
-		if v == cur {
-			run++
-			continue
+// maxCells bounds the receiver-packets of a decoded trace (128 MB of
+// bitsets). Run lengths compress without limit, so without a bound a
+// few bytes of input could ask for any amount of memory.
+const maxCells = 1 << 30
+
+// nextBit returns the first position at or after from whose bit in row
+// equals set, or len(row)*64 when there is none.
+func nextBit(row []uint64, from int, set bool) int {
+	for w := from >> 6; w < len(row); w++ {
+		word := row[w]
+		if !set {
+			word = ^word
 		}
-		runs = append(runs, run)
-		cur = v
-		run = 1
+		if w == from>>6 {
+			word &= ^uint64(0) << (from & 63)
+		}
+		if word != 0 {
+			return w<<6 + bits.TrailingZeros64(word)
+		}
 	}
-	runs = append(runs, run)
+	return len(row) << 6
+}
+
+// lostRuns calls yield with each maximal run [start, end) of lost
+// packets in a loss bitset of the given packet count, in order.
+func lostRuns(row []uint64, packets int, yield func(start, end int)) {
+	for start := nextBit(row, 0, true); start < packets; {
+		end := min(nextBit(row, start, false), packets)
+		yield(start, end)
+		start = nextBit(row, end, true)
+	}
+}
+
+// rleEncode encodes a loss bitset as alternating run lengths starting
+// with a received run; a leading zero appears when the row starts with
+// a loss.
+func rleEncode(row []uint64, packets int) []int {
+	var runs []int
+	prev := 0
+	lostRuns(row, packets, func(start, end int) {
+		runs = append(runs, start-prev, end-start)
+		prev = end
+	})
+	if prev < packets || runs == nil {
+		runs = append(runs, packets-prev)
+	}
 	return runs
 }
 
-// rleDecode reverses rleEncode, checking the total length.
-func rleDecode(runs []int, packets int) ([]bool, error) {
-	row := make([]bool, 0, packets)
-	cur := false
+// rleDecode reverses rleEncode. It sums the runs before it allocates,
+// so a header that lies about the packet count costs nothing.
+func rleDecode(runs []int, packets int) ([]uint64, error) {
+	sum := 0
 	for _, run := range runs {
-		if run < 0 {
-			return nil, fmt.Errorf("trace: negative run length %d", run)
+		if run < 0 || run > packets-sum {
+			return nil, fmt.Errorf("trace: run length %d outside the %d packets left", run, packets-sum)
 		}
-		for i := 0; i < run; i++ {
-			row = append(row, cur)
-		}
-		cur = !cur
+		sum += run
 	}
-	if len(row) != packets {
-		return nil, fmt.Errorf("trace: run lengths sum to %d, want %d packets", len(row), packets)
+	if sum != packets {
+		return nil, fmt.Errorf("trace: run lengths sum to %d, want %d packets", sum, packets)
+	}
+	row := make([]uint64, (packets+63)/64)
+	pos := 0
+	for k, run := range runs {
+		if k&1 == 1 {
+			// Fill [pos, pos+run) a word at a time.
+			for i, end := pos, pos+run; i < end; {
+				n := min(64-i&63, end-i)
+				row[i>>6] |= ^uint64(0) >> (64 - n) << (i & 63)
+				i += n
+			}
+		}
+		pos += run
 	}
 	return row, nil
 }

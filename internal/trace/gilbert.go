@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"cesrm/internal/sim"
@@ -67,7 +68,7 @@ func (g *gilbertChain) step(rng *sim.RNG) bool {
 // downstream, larger ones (the "tens of thousands of receivers"
 // workloads) take the wide-pattern paths.
 func Generate(spec GenSpec) (*Trace, error) {
-	if spec.NumPackets <= 0 {
+	if spec.NumPackets <= 0 || spec.NumPackets > math.MaxInt32 {
 		return nil, fmt.Errorf("trace: NumPackets = %d", spec.NumPackets)
 	}
 	if spec.Period <= 0 {
@@ -155,10 +156,11 @@ func Generate(spec GenSpec) (*Trace, error) {
 	alpha := (lo + hi) / 2
 
 	// realize runs the per-link Gilbert chains at scale alpha and
-	// produces loss sequences plus ground truth. The chain RNG seed is
-	// fixed per attempt index so the calibration loop below converges
-	// smoothly rather than chasing fresh noise each pass.
-	realize := func(alpha float64, seed int64) ([][]bool, [][]topology.LinkID, int) {
+	// overwrites into with the loss bitsets and ground-truth rows,
+	// returning the realized loss count. The chain RNG seed is fixed per
+	// attempt index so the calibration loop below converges smoothly
+	// rather than chasing fresh noise each pass.
+	realize := func(alpha float64, seed int64, into *Trace) int {
 		crng := sim.NewRNG(seed)
 		chains := make([]gilbertChain, tree.NumNodes())
 		for _, l := range links {
@@ -170,13 +172,14 @@ func Generate(spec GenSpec) (*Trace, error) {
 			pGB := rate * pBG / (1 - rate)
 			chains[l] = gilbertChain{pGB: pGB, pBG: pBG, bad: crng.Float64() < rate}
 		}
-		loss := make([][]bool, len(receivers))
-		for i := range loss {
-			loss[i] = make([]bool, spec.NumPackets)
+		for _, row := range into.Loss {
+			clear(row)
 		}
+		d := into.TrueDrops
+		d.Seqs, d.Offs, d.Links = d.Seqs[:0], d.Offs[:0], d.Links[:0]
 		total := 0
-		trueDrops := make([][]topology.LinkID, spec.NumPackets)
 		badNow := make([]bool, tree.NumNodes())
+		var drops []topology.LinkID
 		for pkt := 0; pkt < spec.NumPackets; pkt++ {
 			anyBad := false
 			for _, l := range links {
@@ -189,7 +192,7 @@ func Generate(spec GenSpec) (*Trace, error) {
 			for ri, path := range paths {
 				for _, l := range path {
 					if badNow[l] {
-						loss[ri][pkt] = true
+						into.Loss[ri][pkt>>6] |= 1 << (pkt & 63)
 						total++
 						break
 					}
@@ -197,7 +200,7 @@ func Generate(spec GenSpec) (*Trace, error) {
 			}
 			// Minimal dropping links: bad links whose upstream path is
 			// clean (the packet actually reached and died on them).
-			var drops []topology.LinkID
+			drops = drops[:0]
 			for _, l := range links {
 				if !badNow[l] {
 					continue
@@ -213,24 +216,34 @@ func Generate(spec GenSpec) (*Trace, error) {
 					drops = append(drops, l)
 				}
 			}
-			trueDrops[pkt] = drops
+			d.add(pkt, drops)
 		}
-		return loss, trueDrops, total
+		return total
 	}
 
 	// Burst processes realize with high variance, so refine alpha
 	// against the realized count. The realized count is a noisy,
 	// non-smooth function of alpha (bursts quantize coarsely), so a pure
 	// multiplicative update can oscillate; keep the best realization
-	// seen. Deterministic: the chain seed is fixed and the iteration
-	// count bounded.
+	// seen, in one of two buffers the attempts alternate between.
+	// Deterministic: the chain seed is fixed and the iteration count
+	// bounded.
 	chainSeed := chainRNG.Int63()
 	maxAlpha := 0.95 / maxW
 	relErr := func(r int) float64 {
 		return math.Abs(float64(r)-target) / math.Max(target, 1)
 	}
-	loss, trueDrops, realized := realize(alpha, chainSeed)
-	bestLoss, bestDrops, bestErr := loss, trueDrops, relErr(realized)
+	newBuffer := func() *Trace {
+		t := &Trace{Name: spec.Name, Tree: tree, Period: spec.Period, Packets: spec.NumPackets,
+			Loss: make([][]uint64, len(receivers)), TrueDrops: &DropTable{}}
+		for i := range t.Loss {
+			t.Loss[i] = make([]uint64, (spec.NumPackets+63)/64)
+		}
+		return t
+	}
+	best, spare := newBuffer(), newBuffer()
+	realized := realize(alpha, chainSeed, best)
+	bestErr := relErr(realized)
 	for iter := 0; iter < 12 && realized > 0 && bestErr > 0.05; iter++ {
 		adj := target / float64(realized)
 		// Damp the update: burst quantization makes full multiplicative
@@ -239,24 +252,18 @@ func Generate(spec GenSpec) (*Trace, error) {
 		if alpha > maxAlpha {
 			alpha = maxAlpha
 		}
-		loss, trueDrops, realized = realize(alpha, chainSeed)
+		realized = realize(alpha, chainSeed, spare)
 		if e := relErr(realized); e < bestErr {
-			bestLoss, bestDrops, bestErr = loss, trueDrops, e
+			best, spare, bestErr = spare, best, e
 		}
 	}
-	loss, trueDrops = bestLoss, bestDrops
-
-	tr := &Trace{
-		Name:      spec.Name,
-		Tree:      tree,
-		Period:    spec.Period,
-		Loss:      loss,
-		TrueDrops: trueDrops,
-	}
-	if err := tr.Validate(); err != nil {
+	// The rows grew by appending; keep exactly what they hold.
+	d := best.TrueDrops
+	d.Seqs, d.Offs, d.Links = slices.Clone(d.Seqs), slices.Clone(d.Offs), slices.Clone(d.Links)
+	if err := best.Validate(); err != nil {
 		return nil, err
 	}
-	return tr, nil
+	return best, nil
 }
 
 // MustGenerate is Generate panicking on error, for the static catalog.

@@ -50,34 +50,23 @@ func AnalyzeLocality(t *Trace) LocalityStats {
 	s := LocalityStats{BurstLens: make(map[int]int)}
 	n := t.NumPackets()
 
-	var lossEvents, packets int
-	var afterLoss, lossAfterLoss int
-	bursts, burstLossTotal := 0, 0
+	// A run of L losses is one burst and L loss events; L-1 of them
+	// follow a loss, and all L have a successor unless the run ends the
+	// trace.
+	var lossEvents, afterLoss, lossAfterLoss, bursts int
+	packets := n * len(t.Loss)
 	for _, row := range t.Loss {
-		run := 0
-		for i, lost := range row {
-			packets++
-			if lost {
-				lossEvents++
-				run++
-			} else if run > 0 {
-				s.addBurst(run)
-				bursts++
-				burstLossTotal += run
-				run = 0
-			}
-			if i+1 < len(row) && lost {
-				afterLoss++
-				if row[i+1] {
-					lossAfterLoss++
-				}
-			}
-		}
-		if run > 0 {
+		lostRuns(row, n, func(start, end int) {
+			run := end - start
 			s.addBurst(run)
 			bursts++
-			burstLossTotal += run
-		}
+			lossEvents += run
+			lossAfterLoss += run - 1
+			afterLoss += run
+			if end == n {
+				afterLoss--
+			}
+		})
 	}
 	if packets > 0 {
 		s.UncondLossProb = float64(lossEvents) / float64(packets)
@@ -86,7 +75,7 @@ func AnalyzeLocality(t *Trace) LocalityStats {
 		s.CondLossProb = float64(lossAfterLoss) / float64(afterLoss)
 	}
 	if bursts > 0 {
-		s.MeanBurstLen = float64(burstLossTotal) / float64(bursts)
+		s.MeanBurstLen = float64(lossEvents) / float64(bursts)
 	}
 
 	// Pattern repetition across consecutive lossy packets. Columns are
@@ -94,17 +83,7 @@ func AnalyzeLocality(t *Trace) LocalityStats {
 	// statistic works at any receiver count.
 	prev := -1
 	var lossyPairs, samePattern int
-	for i := 0; i < n; i++ {
-		lossy := false
-		for r := range t.Loss {
-			if t.Loss[r][i] {
-				lossy = true
-				break
-			}
-		}
-		if !lossy {
-			continue
-		}
+	for i := t.NextLossy(0); i < n; i = t.NextLossy(i + 1) {
 		if prev >= 0 {
 			lossyPairs++
 			if sameLossColumn(t, prev, i) {
@@ -128,7 +107,7 @@ func AnalyzeLocality(t *Trace) LocalityStats {
 				if !t.Lost(ri, i) {
 					continue
 				}
-				link := responsibleLink(path, t.TrueDrops[i])
+				link := responsibleLink(path, t.TrueDropsAt(i))
 				if link == topology.None {
 					continue
 				}
@@ -159,7 +138,7 @@ func (s *LocalityStats) addBurst(run int) {
 // the same receiver set.
 func sameLossColumn(t *Trace, i, j int) bool {
 	for r := range t.Loss {
-		if t.Loss[r][i] != t.Loss[r][j] {
+		if t.Lost(r, i) != t.Lost(r, j) {
 			return false
 		}
 	}

@@ -106,7 +106,7 @@ func TestBurstPercentileEmpty(t *testing.T) {
 
 func TestLocalityRatioZeroLoss(t *testing.T) {
 	tr := tinyTrace(t)
-	tr.Loss = [][]bool{{false, false}, {false, false}}
+	tr.Loss = [][]uint64{{0}, {0}}
 	s := AnalyzeLocality(tr)
 	if s.LocalityRatio() != 0 {
 		t.Fatalf("ratio on lossless trace = %v", s.LocalityRatio())

@@ -13,15 +13,14 @@ import (
 func tinyTrace(t *testing.T) *Trace {
 	t.Helper()
 	tree := topology.MustNew([]topology.NodeID{topology.None, 0, 1, 1})
-	return &Trace{
-		Name:   "tiny",
-		Tree:   tree,
-		Period: 80 * time.Millisecond,
-		Loss: [][]bool{
-			{false, true, true, false},  // receiver 2
-			{false, false, true, false}, // receiver 3
-		},
+	tr, err := FromRows("tiny", tree, 80*time.Millisecond, [][]bool{
+		{false, true, true, false},  // receiver 2
+		{false, false, true, false}, // receiver 3
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return tr
 }
 
 func TestValidateAcceptsGood(t *testing.T) {
@@ -46,9 +45,21 @@ func TestValidateRejectsBad(t *testing.T) {
 	}
 
 	ragged := *good
-	ragged.Loss = [][]bool{{false}, {false, true}}
+	ragged.Loss = [][]uint64{{0}, {0, 0}}
 	if ragged.Validate() == nil {
 		t.Error("accepted ragged loss rows")
+	}
+
+	padded := *good
+	padded.Loss = [][]uint64{{0b0110}, {1 << 4}}
+	if padded.Validate() == nil {
+		t.Error("accepted a loss bit past the last packet")
+	}
+
+	noPackets := *good
+	noPackets.Packets = 0
+	if noPackets.Validate() == nil {
+		t.Error("accepted zero packets")
 	}
 
 	noPeriod := *good
@@ -57,10 +68,24 @@ func TestValidateRejectsBad(t *testing.T) {
 		t.Error("accepted zero period")
 	}
 
-	badDrops := *good
-	badDrops.TrueDrops = make([][]topology.LinkID, 1)
-	if badDrops.Validate() == nil {
-		t.Error("accepted wrong TrueDrops length")
+	for name, d := range map[string]*DropTable{
+		"a row past the last packet": {Seqs: []int32{4}, Offs: []int32{0, 1}, Links: []topology.LinkID{1}},
+		"descending rows":            {Seqs: []int32{2, 1}, Offs: []int32{0, 1, 2}, Links: []topology.LinkID{1, 2}},
+		"an empty row":               {Seqs: []int32{1, 2}, Offs: []int32{0, 0, 1}, Links: []topology.LinkID{1}},
+		"offsets short of the links": {Seqs: []int32{1}, Offs: []int32{0, 1}, Links: []topology.LinkID{1, 2}},
+		"missing offsets":            {Seqs: []int32{1}, Links: []topology.LinkID{1}},
+	} {
+		badDrops := *good
+		badDrops.TrueDrops = d
+		if badDrops.Validate() == nil {
+			t.Errorf("accepted TrueDrops with %s", name)
+		}
+	}
+	if _, err := FromRows("x", good.Tree, good.Period, [][]bool{{false}, {false, true}}, nil); err == nil {
+		t.Error("FromRows accepted ragged loss rows")
+	}
+	if _, err := FromRows("x", good.Tree, good.Period, [][]bool{{true}, {false}}, make([][]topology.LinkID, 2)); err == nil {
+		t.Error("FromRows accepted wrong TrueDrops length")
 	}
 }
 
@@ -116,7 +141,7 @@ func TestMeanBurstLength(t *testing.T) {
 		t.Fatalf("MeanBurstLength = %v, want 1.5", got)
 	}
 	empty := *tr
-	empty.Loss = [][]bool{{false, false}, {false, false}}
+	empty.Loss = [][]uint64{{0}, {0}}
 	if got := empty.MeanBurstLength(); got != 0 {
 		t.Fatalf("lossless burst length = %v, want 0", got)
 	}
@@ -204,7 +229,7 @@ func TestGenerateTrueDropsConsistent(t *testing.T) {
 	// receiver r lost packet i iff some true drop link is on r's path.
 	root := tr.Tree.Root()
 	for i := 0; i < tr.NumPackets(); i++ {
-		drops := tr.TrueDrops[i]
+		drops := tr.TrueDropsAt(i)
 		for ri, r := range tr.Tree.Receivers() {
 			onPath := false
 			for _, l := range tr.Tree.PathLinks(root, r) {

@@ -50,7 +50,7 @@ func TestGenerateWideTrace(t *testing.T) {
 		buf = tr.LostReceivers(i, buf[:0])
 		j := 0
 		for r := range tr.Loss {
-			if tr.Loss[r][i] {
+			if tr.Lost(r, i) {
 				if j >= len(buf) || buf[j] != r {
 					t.Fatalf("packet %d: LostReceivers %v misses receiver %d", i, buf, r)
 				}
