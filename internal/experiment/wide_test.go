@@ -12,7 +12,10 @@ import (
 // hop-matrix cap end to end — the first committed workload to exercise
 // the topology LCA fallback (netsim RTT) and the wide (>64 receiver)
 // loss-inference path at four-digit host counts; Run itself verifies
-// full reliability and the validator's invariants.
+// full reliability and the validator's invariants. Every host floods
+// (sessions alone see to that), and at the default plan budget every
+// origin's cohorts must stay resident: the group is the shape of the
+// benchmark's cache_overflow workload.
 func TestLargeTreeBeyondHopMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates ~1100 hosts")
@@ -37,5 +40,8 @@ func TestLargeTreeBeyondHopMatrix(t *testing.T) {
 	}
 	if res.Fingerprint == "" {
 		t.Fatal("empty fingerprint")
+	}
+	if ps := res.PlanStats; ps.Evictions != 0 || ps.Refused != 0 || ps.Misses < uint64(tr.Tree.NumReceivers()) {
+		t.Fatalf("plan cache counters %+v, want every origin compiled once and kept", ps)
 	}
 }

@@ -332,12 +332,14 @@ type Network struct {
 	txPayload time.Duration
 	txControl time.Duration
 
-	// plans is the per-origin flood plan cache. skipMark is the replay's
-	// region-skip scratch, grown to the largest replayed plan and
-	// epoch-stamped: entry i is skipped iff skipMark[i] == skipGen.
+	// plans is the per-origin cohort cache. The flood scan's scratch: node
+	// v's subtree is skipped iff skipMark[v] == skipGen (epoch-stamped,
+	// never reset), and climb is the flood-order positions of the nodes
+	// climbed through, origin first.
 	plans    planCache
 	skipMark []uint64
 	skipGen  uint64
+	climb    []int32
 
 	// freeDeliveries and freeHops pool the reusable event structs that
 	// replaced the closure-per-delivery and closure-per-hop allocations.
@@ -345,18 +347,14 @@ type Network struct {
 	freeHops       []*hopEvent
 
 	// freeGroups pools hop-cohort group delivery events. hopGroups and
-	// maxHop are the per-flood assembly scratch: hopGroups[h] is the group currently accumulating this
-	// flood's deliveries at hop distance h (see groupDeliver for why
-	// grouping preserves delivery order exactly), maxHop the highest
-	// occupied index. gNow, gPerHop and gPkt carry the current flood's
-	// parameters to the grouping helpers; flood is synchronous and never
-	// re-entered, so one set of scratch fields suffices.
+	// maxHop are the per-flood assembly scratch: hopGroups[h] is the group
+	// currently accumulating this flood's deliveries at hop distance h
+	// (see groupDeliver for why grouping preserves delivery order
+	// exactly), maxHop the highest occupied index. Flood is synchronous
+	// and never re-entered, so one set of scratch fields suffices.
 	freeGroups []*groupDeliveryEvent
 	hopGroups  []*groupDeliveryEvent
 	maxHop     int
-	gNow       sim.Time
-	gPerHop    time.Duration
-	gPkt       *Packet
 
 	// pathScratch is walkLeg's reusable path buffer; sends are
 	// synchronous and never re-entered, so one suffices.
@@ -379,6 +377,7 @@ func New(eng *sim.Engine, tree *topology.Tree, cfg Config) (*Network, error) {
 		txPayload: serializeTime(cfg.PayloadBytes, cfg.Bandwidth),
 		txControl: serializeTime(cfg.ControlBytes, cfg.Bandwidth),
 		plans:     newPlanCache(tree),
+		skipMark:  make([]uint64, tree.NumNodes()),
 	}
 	if cfg.Queuing {
 		n.busyUntil[0] = make([]sim.Time, tree.NumNodes())
@@ -411,14 +410,14 @@ func (n *Network) Counts() CrossingCounts { return n.counts }
 
 // AttachHost registers h as the protocol agent at node id. Only
 // registered nodes receive deliveries; routers forward silently.
-// Attaching invalidates any cached flood plans (their host flags are
-// baked in at compile time).
+// Attaching discards any cached flood plans, counted as evictions: host
+// flags are baked into their cohorts.
 func (n *Network) AttachHost(id topology.NodeID, h Host) {
 	if h == nil {
 		panic("netsim: AttachHost with nil host")
 	}
 	n.hostAt[id] = h
-	n.invalidatePlans()
+	n.plans.shrink(0)
 }
 
 // SetDropFunc installs the loss-injection hook.
@@ -712,8 +711,8 @@ func (g *groupDeliveryEvent) Fire(now sim.Time) {
 	n.freeGroups = append(n.freeGroups, g)
 }
 
-// newGroup takes a cohort event for p from the pool.
-func (n *Network) newGroup(p *Packet) *groupDeliveryEvent {
+// newGroup takes a cohort event from the pool.
+func (n *Network) newGroup() *groupDeliveryEvent {
 	var g *groupDeliveryEvent
 	if k := len(n.freeGroups); k > 0 {
 		g = n.freeGroups[k-1]
@@ -722,7 +721,6 @@ func (n *Network) newGroup(p *Packet) *groupDeliveryEvent {
 	} else {
 		g = &groupDeliveryEvent{n: n}
 	}
-	g.pkt = p
 	return g
 }
 
@@ -750,7 +748,7 @@ func (n *Network) groupDeliver(node topology.NodeID, hops int) {
 	}
 	g := n.hopGroups[hops]
 	if g == nil {
-		g = n.newGroup(n.gPkt)
+		g = n.newGroup()
 		g.own = g.own[:0]
 		n.hopGroups[hops] = g
 		if hops > n.maxHop {
@@ -760,36 +758,28 @@ func (n *Network) groupDeliver(node topology.NodeID, hops int) {
 	g.own = append(g.own, int32(node))
 }
 
-// scheduleGroup registers an assembled cohort group at its hop's
-// arrival instant.
-func (n *Network) scheduleGroup(hops int, g *groupDeliveryEvent) {
-	g.nodes = g.own
-	at := n.gNow.Add(time.Duration(hops) * n.gPerHop)
-	n.eng.ScheduleHandlerAt(at, g)
-}
-
-// flushGroups schedules every group still assembling at flood end.
-func (n *Network) flushGroups() {
+// flushGroups schedules the groups assembled for p's flood, sent at now.
+func (n *Network) flushGroups(p *Packet, now sim.Time, perHop time.Duration) {
 	for h := 1; h <= n.maxHop; h++ {
 		if g := n.hopGroups[h]; g != nil {
 			n.hopGroups[h] = nil
-			n.scheduleGroup(h, g)
+			g.pkt, g.nodes = p, g.own
+			n.eng.ScheduleHandlerAt(now.Add(time.Duration(h)*perHop), g)
 		}
 	}
 	n.maxHop = 0
-	n.gPkt = nil
 }
 
 // flood walks the tree outward from origin. downOnly restricts the walk
 // to descendants (subcast). With queuing (or an active queue cap) each
-// hop is simulated as its own event; otherwise the origin's compiled
-// plan performs the whole walk now and schedules the deliveries.
+// hop is simulated as its own event; otherwise replayPlan performs the
+// whole walk now and schedules the deliveries.
 func (n *Network) flood(origin topology.NodeID, p *Packet, downOnly bool) {
 	if n.cfg.Queuing || n.queueCap > 0 {
 		n.floodHop(origin, origin, topology.None, p, downOnly, n.eng.Now())
 		return
 	}
-	n.replayPlan(n.planFor(origin, downOnly), p)
+	n.replayPlan(origin, downOnly, p)
 }
 
 // hopEvent is the pooled per-hop forwarding event of the queuing flood

@@ -457,18 +457,18 @@ type floodMode int
 const (
 	queuing     floodMode = iota // event-per-hop floodHop (conformance oracle)
 	cachedPlan                   // plan replay, every origin admitted to the cache
-	scratchPlan                  // plan replay under budget pressure: scratch plan, then eviction
+	refusedPlan                  // plan replay under budget pressure: refusal, then admission
 )
 
 func (m floodMode) String() string {
-	return [...]string{"queuing", "cachedPlan", "scratchPlan"}[m]
+	return [...]string{"queuing", "cachedPlan", "refusedPlan"}[m]
 }
 
 // TestFloodPathEquivalence is the property test for the two flood
 // implementations: on random trees, with a deterministic link-local
-// drop function and optionally severed links, plan replay — from the
-// cache and, on a budget-pressured network, from the scratch plan a
-// refused origin is compiled into — must deliver to exactly the same
+// drop function and optionally severed links, plan replay — with the
+// origin's cohorts cached and, on a budget-pressured network, with the
+// origin refused — must deliver to exactly the same
 // hosts and cross exactly the same links the same number of times as
 // the event-per-hop queuing path. Only timing may differ (replay's own
 // schedule is pinned by TestFloodPlanReplayIdenticalSchedule).
@@ -514,12 +514,14 @@ func TestFloodPathEquivalence(t *testing.T) {
 				return false
 			})
 		}
-		if mode == scratchPlan {
+		if mode == refusedPlan {
 			// A budget of exactly one plan, filled by another origin: the
-			// first flood below is refused admission and replays the
-			// scratch plan, the second re-misses inside the recency
-			// window, is admitted and evicts the resident.
-			net.EnableFloodPlans(tree.NumNodes())
+			// first flood below is refused admission and takes the scan
+			// with nothing compiled, the second re-misses inside the
+			// recency window and is admitted, evicting the resident unless
+			// its own plan is small enough to fit beside it (a leaf's
+			// subcast stores one int32).
+			net.EnableFloodPlans(net.plans.bound)
 			primer := tree.Root()
 			if origin == primer {
 				primer = tree.Receivers()[0]
@@ -542,8 +544,8 @@ func TestFloodPathEquivalence(t *testing.T) {
 			}
 			eng.Run()
 		}
-		if s := net.PlanStats(); mode == scratchPlan && (s.Hits != 0 || s.Misses != 3 || s.Evictions != 1) {
-			t.Fatalf("scratch mode: stats = %+v, want refusal then admission (0 hits, 3 misses, 1 eviction)", s)
+		if s := net.PlanStats(); mode == refusedPlan && (s.Hits != 0 || s.Misses != 3 || s.Refused != 1 || s.Evictions > 1) {
+			t.Fatalf("refused mode: stats = %+v, want refusal then admission (0 hits, 3 misses, 1 refused, at most 1 eviction)", s)
 		}
 		hosts := make(map[topology.NodeID]int)
 		for id, rec := range recs {
@@ -563,7 +565,7 @@ func TestFloodPathEquivalence(t *testing.T) {
 				for _, dropMod := range []int{0, 3, 5} {
 					for _, sevMod := range []int{0, 4} {
 						refHosts, refLinks := run(tree, queuing, origin, subcast, dropMod, sevMod)
-						for _, mode := range []floodMode{cachedPlan, scratchPlan} {
+						for _, mode := range []floodMode{cachedPlan, refusedPlan} {
 							gotHosts, gotLinks := run(tree, mode, origin, subcast, dropMod, sevMod)
 							if len(refHosts) != len(gotHosts) {
 								t.Fatalf("seed=%d origin=%d subcast=%v drop=%d sev=%d: host sets differ: queuing=%v %v=%v",
@@ -660,19 +662,18 @@ func TestGroupedDeliveryOrderMatchesPerHost(t *testing.T) {
 }
 
 // TestFloodFastPathAllocationFree pins the tentpole property: once the
-// scratch buffers and pools are warm, a multicast flood performs no
-// heap allocations — whether the plan is replayed from the cache or, on
-// a network whose budget admits nothing, recompiled into the reused
-// scratch plan on every flood — and a flood whose LossFunc knows the
-// verdict (here: nothing lost, so the cached plans replay their
-// precompiled cohorts and the scratch plan scans) never calls DropFunc.
+// pools are warm, a multicast flood performs no heap allocations —
+// whether its cohorts are cached or, on a network whose budget admits
+// nothing, refused on every flood — and a flood whose LossFunc knows
+// the verdict (here: nothing lost, so cached origins replay their
+// cohorts and refused ones scan) never calls DropFunc.
 func TestFloodFastPathAllocationFree(t *testing.T) {
 	for _, refuseAll := range []bool{false, true} {
 		eng := sim.NewEngine()
 		tree := topology.MustGenerate(sim.NewRNG(1), topology.GenSpec{Receivers: 15, Depth: 5})
 		net := MustNew(eng, tree, DefaultConfig())
 		if refuseAll {
-			net.EnableFloodPlans(tree.NumNodes() - 1)
+			net.EnableFloodPlans(net.plans.bound - 1)
 		}
 		for _, r := range tree.Receivers() {
 			net.AttachHost(r, nullHost{})
@@ -684,7 +685,7 @@ func TestFloodFastPathAllocationFree(t *testing.T) {
 		})
 		pkt := &Packet{Class: Payload, Msg: dataMsg{}}
 		origins := []topology.NodeID{tree.Root(), tree.Receivers()[0]}
-		// Warm-up: grow scratch, pools and the engine's wheel.
+		// Warm-up: grow the pools and the engine's wheel.
 		for i := 0; i < 8; i++ {
 			net.Multicast(origins[i%2], pkt)
 			eng.Run()
@@ -705,6 +706,15 @@ func TestFloodFastPathAllocationFree(t *testing.T) {
 		// runs, each crossing every link once.
 		if want := uint64(59 * (tree.NumNodes() - 1)); net.Counts().Data != want {
 			t.Fatalf("refuseAll=%v: 59 floods counted %d crossings, want %d", refuseAll, net.Counts().Data, want)
+		}
+		// A miss the cache admits allocates once: the cohorts.
+		miss := testing.AllocsPerRun(50, func() {
+			net.AttachHost(origins[1], nullHost{}) // discards every plan
+			net.Multicast(origins[0], pkt)
+			eng.Run()
+		})
+		if !refuseAll && miss != 1 {
+			t.Fatalf("an admitted miss allocates %.1f objects per flood, want 1", miss)
 		}
 	}
 }

@@ -20,7 +20,7 @@ func (nullHost) Deliver(sim.Time, *Packet) {}
 
 // refFlood is the reference TestFloodPlanReplayIdenticalSchedule pins
 // plan replay against: the non-queuing flood written as the plain
-// recursive walk it is defined to be, with no tours, plans or skip
+// recursive walk it is defined to be, with no flood order, plans or skip
 // marks. A visited node first delivers (drawing jitter, then consulting
 // the duplicate rule), then checks its links — children in tree order,
 // then the parent; per link sever-test → crossing-count → drop-test —
@@ -78,8 +78,8 @@ func (r *refFlood) visit(node, from, origin topology.NodeID, hops int, downOnly 
 
 // TestFloodPlanReplayIdenticalSchedule pins plan replay at its
 // strongest: with jitter enabled (so every delivery consumes an RNG
-// draw) and a duplicate hook installed, replay — from the cache and
-// from the scratch plan of a network whose budget admits nothing — must
+// draw) and a duplicate hook installed, replay — with the origin cached
+// and on a network whose budget admits nothing — must
 // produce exactly the reference walk's cross-host (host, instant)
 // delivery order, its link-check sequence with the crossing counter
 // advancing once before each drop test, and its duplicate-hook call
@@ -91,10 +91,16 @@ func TestFloodPlanReplayIdenticalSchedule(t *testing.T) {
 	dupRule := func(id uint64, at sim.Time) (time.Duration, bool) {
 		return time.Duration(id+1) * time.Millisecond, (uint64(at)+id)%3 == 0
 	}
-	check := func(tree *topology.Tree, seed int64, refuseAll bool, origin topology.NodeID, subcast bool, dropMod, sevMod int) {
+	// upDrop and sevLink script one more dropped upward crossing and one
+	// more severed link (topology.None for neither), for cutting the
+	// origin's own climb where the modular rules happen not to.
+	check := func(tree *topology.Tree, seed int64, refuseAll bool, origin topology.NodeID, subcast bool, dropMod, sevMod int, upDrop, sevLink topology.LinkID) {
 		t.Helper()
-		where := fmt.Sprintf("seed=%d origin=%d subcast=%v drop=%d sev=%d refuseAll=%v", seed, origin, subcast, dropMod, sevMod, refuseAll)
+		where := fmt.Sprintf("seed=%d origin=%d subcast=%v drop=%d sev=%d upDrop=%d sevLink=%d refuseAll=%v", seed, origin, subcast, dropMod, sevMod, upDrop, sevLink, refuseAll)
 		dropRule := func(link topology.LinkID, down bool) bool {
+			if !down && link == upDrop {
+				return true
+			}
 			if dropMod == 0 {
 				return false
 			}
@@ -105,14 +111,14 @@ func TestFloodPlanReplayIdenticalSchedule(t *testing.T) {
 			return k%dropMod == 0
 		}
 		severed := func(link topology.LinkID) bool {
-			return sevMod > 0 && int(link) >= 1 && (int(link)-1)%sevMod == 0
+			return link == sevLink || sevMod > 0 && int(link) >= 1 && (int(link)-1)%sevMod == 0
 		}
 
 		eng := sim.NewEngine()
 		cfg := DefaultConfig()
 		net := MustNew(eng, tree, cfg)
 		if refuseAll {
-			net.EnableFloodPlans(tree.NumNodes() - 1)
+			net.EnableFloodPlans(net.plans.bound - 1)
 		}
 		net.EnableJitter(sim.NewRNG(42), maxJitter)
 		log := &orderLog{}
@@ -152,7 +158,7 @@ func TestFloodPlanReplayIdenticalSchedule(t *testing.T) {
 			perHop:    cfg.LinkDelay + serializeTime(cfg.PayloadBytes, cfg.Bandwidth),
 		}
 		// Several floods per run: the first compiles (miss), the rest
-		// replay (hits, or recompiles into the reused scratch plan), and
+		// hit (or, refused, miss again and compile nothing), and
 		// every flood advances the shared jitter RNG, so any draw-order
 		// divergence compounds into later floods.
 		for id := uint64(0); id < 3; id++ {
@@ -212,8 +218,102 @@ func TestFloodPlanReplayIdenticalSchedule(t *testing.T) {
 				for _, dropMod := range []int{0, 3} {
 					for _, sevMod := range []int{0, 5} {
 						for _, refuseAll := range []bool{false, true} {
-							check(tree, seed, refuseAll, origin, subcast, dropMod, sevMod)
+							check(tree, seed, refuseAll, origin, subcast, dropMod, sevMod, topology.None, topology.None)
 						}
+					}
+				}
+			}
+		}
+		// The climb cut at each of its links in turn, dropped and severed,
+		// alone and on top of the modular drops below it.
+		origin := origins[1]
+		for link := origin; link != tree.Root(); link = tree.Parent(link) {
+			for _, dropMod := range []int{0, 3} {
+				check(tree, seed, false, origin, false, dropMod, 0, link, topology.None)
+				check(tree, seed, false, origin, false, dropMod, 0, topology.None, link)
+			}
+		}
+	}
+}
+
+// TestFloodScanMatchesTour checks replayPlan's scan of the tree's one
+// flood order against the per-origin oracle it replaced,
+// topology.FloodTour, with a host on every node: the link checks must be
+// the tour's ops in the tour's order, and the deliveries the tour's
+// entries at the tour's hops, scheduled in pop order (a duplicate hook
+// that never duplicates forces one event per host). Chains, stars and
+// generated trees from 3 to 1,325 nodes; every node is an origin on all
+// but the largest, where the root, interior routers and leaves are
+// sampled (topology's own test walks every origin of it).
+func TestFloodScanMatchesTour(t *testing.T) {
+	trees := []*topology.Tree{testTree(t)}
+	for _, n := range []int{3, 4, 9} {
+		chain, star := make([]topology.NodeID, n), make([]topology.NodeID, n)
+		for i := range chain {
+			chain[i], star[i] = topology.NodeID(i-1), 0
+		}
+		star[0] = topology.None
+		trees = append(trees, topology.MustNew(chain), topology.MustNew(star))
+	}
+	for _, spec := range []topology.GenSpec{{Receivers: 13, Depth: 4}, {Receivers: 120, Depth: 9}, {Receivers: 1024, Depth: 7}} {
+		trees = append(trees, topology.MustGenerate(sim.NewRNG(int64(spec.Receivers)), spec))
+	}
+	for _, tree := range trees {
+		eng := sim.NewEngine()
+		cfg := DefaultConfig()
+		net := MustNew(eng, tree, cfg)
+		log := &orderLog{}
+		for id := topology.NodeID(0); int(id) < tree.NumNodes(); id++ {
+			net.AttachHost(id, &orderTap{log: log, node: id})
+		}
+		var checks []refCheck
+		net.SetDropFunc(func(_ *Packet, link topology.LinkID, down bool) bool {
+			checks = append(checks, refCheck{link, down})
+			return false
+		})
+		var scheduled []sim.Time
+		net.SetDupFunc(func(_ *Packet, at sim.Time) (time.Duration, bool) {
+			scheduled = append(scheduled, at)
+			return 0, false
+		})
+		for origin := topology.NodeID(0); int(origin) < tree.NumNodes(); origin++ {
+			if tree.NumNodes() > 200 && origin >= 8 && origin%41 != 0 {
+				continue // past the root and the backbone routers, sample
+			}
+			for _, subcast := range []bool{false, true} {
+				where := fmt.Sprintf("%v origin=%d subcast=%v", tree, origin, subcast)
+				checks, scheduled, log.events = checks[:0], scheduled[:0], log.events[:0]
+				sent := eng.Now()
+				if subcast {
+					net.Subcast(origin, &Packet{Class: Control, From: origin, Msg: reqMsg{}})
+				} else {
+					net.Multicast(origin, &Packet{Class: Control, Msg: reqMsg{}})
+				}
+				eng.Run()
+				tour := tree.FloodTour(origin, subcast)
+				if len(checks) != len(tour.Ops) {
+					t.Fatalf("%s: %d link checks, tour has %d ops", where, len(checks), len(tour.Ops))
+				}
+				for i, op := range tour.Ops {
+					if checks[i] != (refCheck{op.Link, op.Down}) {
+						t.Fatalf("%s: link check %d = %+v, tour op %+v", where, i, checks[i], op)
+					}
+				}
+				reached := tour.Entries[1:]
+				if len(scheduled) != len(reached) || len(log.events) != len(reached) {
+					t.Fatalf("%s: %d deliveries scheduled, %d made, tour reaches %d nodes", where, len(scheduled), len(log.events), len(reached))
+				}
+				for i, e := range reached {
+					if want := sent.Add(time.Duration(e.Hops) * cfg.LinkDelay); scheduled[i] != want {
+						t.Fatalf("%s: pop %d scheduled for %v, tour entry %+v is due at %v", where, i+1, scheduled[i], e, want)
+					}
+				}
+				// The engine dispatches by instant, FIFO among equals.
+				byHop := slices.Clone(reached)
+				slices.SortStableFunc(byHop, func(a, b topology.TourEntry) int { return int(a.Hops - b.Hops) })
+				for i, e := range byHop {
+					if got := log.events[i]; got.node != e.Node || got.at != sent.Add(time.Duration(e.Hops)*cfg.LinkDelay) {
+						t.Fatalf("%s: delivery %d = %+v, tour entry %+v", where, i, got, e)
 					}
 				}
 			}
@@ -257,7 +357,7 @@ func TestFloodPlanScanResistance(t *testing.T) {
 	eng := sim.NewEngine()
 	tree := topology.MustGenerate(sim.NewRNG(2), topology.GenSpec{Receivers: 8, Depth: 3})
 	net := MustNew(eng, tree, DefaultConfig())
-	net.EnableFloodPlans(tree.NumNodes()) // exactly one full plan
+	net.EnableFloodPlans(net.plans.bound) // exactly one full plan
 	for _, r := range tree.Receivers() {
 		net.AttachHost(r, nullHost{})
 	}
@@ -270,11 +370,11 @@ func TestFloodPlanScanResistance(t *testing.T) {
 	cast(a) // miss, cache empty: admitted
 	cast(b) // miss, would evict, first touch: NOT admitted
 	cast(a) // must still be resident
-	if s := net.PlanStats(); s.Hits != 1 || s.Misses != 2 || s.Evictions != 0 {
-		t.Fatalf("after one-shot sweep: stats = %+v, want resident survivor (1 hit, 2 misses, 0 evictions)", s)
+	if s := net.PlanStats(); s != (PlanStats{Hits: 1, Misses: 2, Refused: 1}) {
+		t.Fatalf("after one-shot sweep: stats = %+v, want resident survivor (1 hit, 2 misses, 1 of them refused, 0 evictions)", s)
 	}
 	cast(b) // second miss within the window: admitted, evicts a
-	if s := net.PlanStats(); s.Misses != 3 || s.Evictions != 1 {
+	if s := net.PlanStats(); s.Misses != 3 || s.Refused != 1 || s.Evictions != 1 {
 		t.Fatalf("after re-miss: stats = %+v, want admission with 1 eviction", s)
 	}
 	cast(b) // now resident
@@ -283,25 +383,49 @@ func TestFloodPlanScanResistance(t *testing.T) {
 	}
 }
 
-// TestFloodPlanTooLargeNeverCached: a budget below the tree size can
-// never hold a plan; every flood replays the scratch plan and still
-// delivers.
+// TestFloodPlansOfWideGroupStayResident pins the budget's denomination:
+// one flood from every host of a 1,024-receiver tree (the benchmark's
+// cache_overflow group) compiles every origin once and, at the default
+// budget, keeps them all — in under 5 MB of cached cohorts.
+func TestFloodPlansOfWideGroupStayResident(t *testing.T) {
+	eng := sim.NewEngine()
+	tree := topology.MustGenerate(sim.NewRNG(1), topology.GenSpec{Receivers: 1024, Depth: 7})
+	net := MustNew(eng, tree, DefaultConfig())
+	hosts := append([]topology.NodeID{tree.Root()}, tree.Receivers()...)
+	for _, h := range hosts {
+		net.AttachHost(h, nullHost{})
+	}
+	for _, h := range hosts {
+		net.Multicast(h, &Packet{Class: Control, Msg: reqMsg{}})
+		eng.Run()
+	}
+	want := PlanStats{Misses: uint64(len(hosts))}
+	if s := net.PlanStats(); s != want || net.plans.resident != len(hosts) {
+		t.Fatalf("stats = %+v with %d plans resident, want %+v and %d", s, net.plans.resident, want, len(hosts))
+	}
+	if mb := float64(net.plans.used) * 4 / (1 << 20); mb > 5 {
+		t.Fatalf("%d origins hold %.1f MB of cohorts, want at most 5", len(hosts), mb)
+	}
+}
+
+// TestFloodPlanTooLargeNeverCached: a budget below the plan-size bound can
+// never hold a plan; every flood is refused, scans and still delivers.
 func TestFloodPlanTooLargeNeverCached(t *testing.T) {
 	eng := sim.NewEngine()
 	tree := topology.MustGenerate(sim.NewRNG(3), topology.GenSpec{Receivers: 8, Depth: 3})
 	net := MustNew(eng, tree, DefaultConfig())
-	net.EnableFloodPlans(tree.NumNodes() - 1)
+	net.EnableFloodPlans(net.plans.bound - 1)
 	rec := &recorder{}
 	net.AttachHost(tree.Receivers()[0], rec)
 	for i := 0; i < 4; i++ {
 		net.Multicast(tree.Root(), &Packet{Class: Payload, Msg: dataMsg{}})
 		eng.Run()
 	}
-	if s := net.PlanStats(); s.Hits != 0 || s.Misses != 4 || s.Evictions != 0 {
-		t.Fatalf("stats = %+v, want pure misses", s)
+	if s := net.PlanStats(); s != (PlanStats{Misses: 4, Refused: 4}) {
+		t.Fatalf("stats = %+v, want pure refused misses", s)
 	}
 	if len(rec.got) != 4 {
-		t.Fatalf("scratch-plan replay delivered %d packets, want 4", len(rec.got))
+		t.Fatalf("refused floods delivered %d packets, want 4", len(rec.got))
 	}
 }
 
@@ -321,7 +445,8 @@ func TestFloodPlanAttachHostInvalidates(t *testing.T) {
 	net.Multicast(tree.Root(), &Packet{Class: Payload, Msg: dataMsg{}})
 	eng.Run()
 	cohortOf := func() []int32 {
-		return net.plans.byKey[planKey(tree.Root(), false)].Value.(*floodPlan).cohort
+		pl := net.plans.slots[planKey(tree.Root(), false)]
+		return pl.buf[:pl.hosts]
 	}
 	if got := cohortOf(); len(got) != 1 || got[0] != int32(rs[0]) {
 		t.Fatalf("compiled cohorts = %v, want only host %d", got, rs[0])
@@ -352,8 +477,8 @@ func TestFloodPlanAttachHostInvalidates(t *testing.T) {
 // precompiled cohorts of a lossless flood, the scan with a known lost
 // set, and the scan asking DropFunc per link — and a lossless flood is
 // exactly one engine event per occupied hop distance, on the paper-sized
-// tree and on a 1000-receiver one. Compiling a plan into the cache costs
-// one allocation more than it did before plans had cohorts.
+// tree and on a 1000-receiver one. Compiling an origin's cohorts is one
+// allocation.
 func TestFloodPlanAllocationFree(t *testing.T) {
 	for _, receivers := range []int{15, 1000} {
 		eng := sim.NewEngine()
@@ -405,8 +530,7 @@ func TestFloodPlanAllocationFree(t *testing.T) {
 				}
 			}
 		}
-		pl := net.plans.byKey[planKey(tree.Root(), false)].Value.(*floodPlan)
-		if avg := testing.AllocsPerRun(20, pl.compileCohorts); avg != 1 {
+		if avg := testing.AllocsPerRun(20, func() { net.compileCohorts(tree.Receivers()[0], false) }); avg != 1 {
 			t.Fatalf("receivers=%d: compiling a plan's cohorts allocates %.1f objects, want 1", receivers, avg)
 		}
 	}
@@ -417,13 +541,13 @@ func TestFloodPlanAllocationFree(t *testing.T) {
 // each of replayPlan's bodies: "lossless-cohorts", a known-lossless flood
 // replayed from the plan's precompiled cohorts; "lossy-scan", a known
 // lost link tested inline by the scan; "callback", the scan asking
-// DropFunc per link; and "scratch", a lossless flood on a network whose
-// budget admits nothing, where every flood also recompiles its plan.
+// DropFunc per link; and "refused", a lossless flood on a network whose
+// budget admits nothing, which scans.
 func BenchmarkFloodPlan(b *testing.B) {
 	for _, spec := range []topology.GenSpec{{Receivers: 26, Depth: 5}, {Receivers: 766, Depth: 7}} {
 		tree := topology.MustGenerate(sim.NewRNG(1), spec)
 		lost := []topology.LinkID{tree.Receivers()[0]}
-		for _, variant := range []string{"lossless-cohorts", "lossy-scan", "callback", "scratch"} {
+		for _, variant := range []string{"lossless-cohorts", "lossy-scan", "callback", "refused"} {
 			b.Run(fmt.Sprintf("nodes=%d/%s", tree.NumNodes(), variant), func(b *testing.B) {
 				eng := sim.NewEngine()
 				net := MustNew(eng, tree, DefaultConfig())
@@ -434,8 +558,8 @@ func BenchmarkFloodPlan(b *testing.B) {
 					return down && link == lost[0]
 				})
 				switch variant {
-				case "scratch":
-					net.EnableFloodPlans(tree.NumNodes() - 1)
+				case "refused":
+					net.EnableFloodPlans(net.plans.bound - 1)
 					fallthrough
 				case "lossless-cohorts":
 					net.SetLossFunc(func(*Packet) ([]topology.LinkID, bool) { return nil, true })

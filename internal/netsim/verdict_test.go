@@ -100,7 +100,7 @@ func verdictScript(tree *topology.Tree, rng *rand.Rand) []verdictFlood {
 // never call DropFunc; an unknown one must call it once per link check.
 // Modes: hop-cohort grouping (where lossless floods of cached plans take
 // the precompiled cohorts), jitter, a duplicate hook, one severed link,
-// and a plan budget that admits nothing (scratch plan).
+// and a plan budget that admits nothing (every origin refused).
 func TestFloodVerdictEquivalence(t *testing.T) {
 	const maxJitter = 3 * time.Millisecond
 	dupRule := func(id uint64, at sim.Time) (time.Duration, bool) {
@@ -119,7 +119,7 @@ func TestFloodVerdictEquivalence(t *testing.T) {
 		{name: "jitter", jitter: true},
 		{name: "dup", dup: true},
 		{name: "severed", sever: true},
-		{name: "scratch", noBudget: true},
+		{name: "refused", noBudget: true},
 	}
 
 	// side is one of the two networks under comparison.
@@ -135,7 +135,7 @@ func TestFloodVerdictEquivalence(t *testing.T) {
 		s := &side{eng: sim.NewEngine(), log: &orderLog{}}
 		s.net = MustNew(s.eng, tree, DefaultConfig())
 		if m.noBudget {
-			s.net.EnableFloodPlans(tree.NumNodes() - 1)
+			s.net.EnableFloodPlans(s.net.plans.bound - 1)
 		}
 		if m.jitter {
 			s.net.EnableJitter(sim.NewRNG(42), maxJitter)
@@ -291,19 +291,19 @@ func TestFloodVerdictEquivalence(t *testing.T) {
 }
 
 // TestScratchPlanFloodsDoNotAlias: on a network whose budget admits
-// nothing, every flood compiles into the one reused scratch plan. Two
-// floods from different origins issued back to back — the second
-// recompiles the scratch plan while the first's deliveries are still in
-// flight — must each reach exactly their own host set at their own
-// instants. A delivery event that pointed into the scratch plan instead
-// of owning its cohort would deliver the first packet along the second
-// origin's fan-out.
+// nothing, every flood scans with the network's one set of scratch
+// state (skip marks, climb, assembling groups). Two floods from
+// different origins issued back to back — the second scans while the
+// first's deliveries are still in flight — must each reach exactly
+// their own host set at their own instants. A delivery event that
+// pointed into that scratch instead of owning its cohort would deliver
+// the first packet along the second origin's fan-out.
 func TestScratchPlanFloodsDoNotAlias(t *testing.T) {
 	tree := topology.MustGenerate(sim.NewRNG(5), topology.GenSpec{Receivers: 24, Depth: 5})
 	eng := sim.NewEngine()
 	cfg := DefaultConfig()
 	net := MustNew(eng, tree, cfg)
-	net.EnableFloodPlans(tree.NumNodes() - 1)
+	net.EnableFloodPlans(net.plans.bound - 1)
 	log := &orderLog{}
 	for _, r := range tree.Receivers() {
 		net.AttachHost(r, &orderTap{log: log, node: r})

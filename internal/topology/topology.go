@@ -41,6 +41,8 @@ type Tree struct {
 	// instead of an LCA climb. Nil for larger trees (quadratic memory),
 	// in which case HopCount falls back to the LCA computation.
 	hops []uint16
+	// order is the flood order every non-queuing flood scans; see order.go.
+	order FloodOrder
 }
 
 // hopMatrixMaxNodes bounds the trees for which the pairwise hop matrix
@@ -83,7 +85,9 @@ func New(parents []NodeID) (*Tree, error) {
 		return nil, errors.New("topology: no root")
 	}
 	// Depth-first walk assigns depths and detects disconnected nodes or
-	// cycles (unreached nodes).
+	// cycles (unreached nodes). Its pop order is the flood order.
+	o := &t.order
+	o.Entries, o.Kids, o.Pos = make([]FloodEntry, 0, n+1), make([]int32, 0, n-1), make([]int32, n)
 	seen := make([]bool, n)
 	stack := []NodeID{t.root}
 	seen[t.root] = true
@@ -92,6 +96,8 @@ func New(parents []NodeID) (*Tree, error) {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		count++
+		o.Pos[u] = int32(len(o.Entries))
+		o.Entries = append(o.Entries, FloodEntry{int32(u), int32(t.depth[u]), 1, int32(len(o.Kids))})
 		for _, c := range t.children[u] {
 			if seen[c] {
 				return nil, fmt.Errorf("topology: node %d reached twice", c)
@@ -102,11 +108,18 @@ func New(parents []NodeID) (*Tree, error) {
 				t.maxDepth = t.depth[c]
 			}
 			stack = append(stack, c)
+			o.Kids = append(o.Kids, int32(c))
 		}
 	}
 	if count != n {
 		return nil, fmt.Errorf("topology: %d of %d nodes unreachable from root", n-count, n)
 	}
+	// Every node follows its parent in the order, so one reverse pass
+	// sums the subtree sizes.
+	for i := n - 1; i >= 1; i-- {
+		o.Entries[o.Pos[t.parent[o.Entries[i].Node]]].Span += o.Entries[i].Span
+	}
+	o.Entries = append(o.Entries, FloodEntry{Node: int32(None), Kids: int32(n - 1)})
 	for i := 0; i < n; i++ {
 		if len(t.children[i]) == 0 && NodeID(i) != t.root {
 			t.receivers = append(t.receivers, NodeID(i))

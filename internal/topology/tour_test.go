@@ -165,3 +165,97 @@ func TestFloodTourLeafSubcast(t *testing.T) {
 		t.Fatalf("entry = %+v, want span 1, no ops", tour.Entries[0])
 	}
 }
+
+// oracleTrees are the shapes the flood order is checked on, here and by
+// netsim's scan test: chains and stars from 3 nodes, the fixed tree every
+// netsim test uses, and generated trees up to the benchmark's
+// 1,024-receiver one.
+func oracleTrees() []*Tree {
+	trees := []*Tree{MustNew([]NodeID{None, 0, 0, 1, 1, 2, 5})}
+	for _, n := range []int{3, 4, 9} {
+		chain, star := make([]NodeID, n), make([]NodeID, n)
+		for i := range chain {
+			chain[i], star[i] = NodeID(i-1), 0
+		}
+		star[0] = None
+		trees = append(trees, MustNew(chain), MustNew(star))
+	}
+	for _, spec := range []GenSpec{{Receivers: 2, Depth: 2}, {Receivers: 13, Depth: 4}, {Receivers: 120, Depth: 9}, {Receivers: 1024, Depth: 7}} {
+		trees = append(trees, MustGenerate(sim.NewRNG(int64(spec.Receivers)), spec))
+	}
+	return trees
+}
+
+// TestFloodOrderMatchesTour checks the one shared order against the
+// per-origin oracle, for every origin of every tree, full and subcast:
+// WalkFlood must pop FloodTour's nodes at FloodTour's hops; every entry's
+// children run must be the downward link checks the tour records for it;
+// and a tour region must be the order's subtree slice — or, for a node
+// the flood climbed to, everything outside the branch it came from.
+func TestFloodOrderMatchesTour(t *testing.T) {
+	for _, tree := range oracleTrees() {
+		o := tree.FloodOrder()
+		if len(o.Entries) != tree.NumNodes()+1 || len(o.Kids) != tree.NumLinks() {
+			t.Fatalf("%v: order has %d entries and %d kids", tree, len(o.Entries), len(o.Kids))
+		}
+		for i, e := range o.Entries[:tree.NumNodes()] {
+			run, want := o.Kids[e.Kids:o.Entries[i+1].Kids], tree.Children(NodeID(e.Node))
+			if len(run) != len(want) {
+				t.Fatalf("%v: entry %d (node %d) has the run %v, children %v", tree, i, e.Node, run, want)
+			}
+			for j := range run {
+				if NodeID(run[j]) != want[j] {
+					t.Fatalf("%v: entry %d (node %d) has the run %v, children %v", tree, i, e.Node, run, want)
+				}
+			}
+		}
+		for origin := NodeID(0); int(origin) < tree.NumNodes(); origin++ {
+			for _, downOnly := range []bool{false, true} {
+				tour := tree.FloodTour(origin, downOnly)
+				n, below := 0, int32(0)
+				tree.WalkFlood(origin, downOnly, func(i, hops int32) {
+					if n >= len(tour.Entries) {
+						t.Fatalf("%v origin=%d downOnly=%v: walk pops more than the tour's %d entries", tree, origin, downOnly, n)
+					}
+					e, want := o.Entries[i], tour.Entries[n]
+					span := e.Span
+					if climbed := !downOnly && tree.IsAncestor(NodeID(e.Node), origin); climbed {
+						span = int32(tree.NumNodes()) - below
+						below = e.Span
+					}
+					if NodeID(e.Node) != want.Node || hops != want.Hops || span != want.Span || o.Pos[e.Node] != i || int(e.Depth) != tree.Depth(want.Node) {
+						t.Fatalf("%v origin=%d downOnly=%v: pop %d = node %d hops %d span %d, tour has %+v", tree, origin, downOnly, n, e.Node, hops, span, want)
+					}
+					// The tour's downward checks at this pop are the node's
+					// children less the branch the flood came up.
+					var down []NodeID
+					opStart := int32(0)
+					if n > 0 {
+						opStart = tour.Entries[n-1].OpsEnd
+					}
+					for _, op := range tour.Ops[opStart:want.OpsEnd] {
+						if op.Down {
+							down = append(down, op.Link)
+						}
+					}
+					for _, c := range tree.Children(want.Node) {
+						if !downOnly && tree.IsAncestor(c, origin) {
+							continue
+						}
+						if len(down) == 0 || down[0] != c {
+							t.Fatalf("%v origin=%d downOnly=%v: node %d checks %v next, its children say %d", tree, origin, downOnly, e.Node, down, c)
+						}
+						down = down[1:]
+					}
+					if len(down) != 0 {
+						t.Fatalf("%v origin=%d downOnly=%v: node %d checks %v beyond its children", tree, origin, downOnly, e.Node, down)
+					}
+					n++
+				})
+				if n != len(tour.Entries) {
+					t.Fatalf("%v origin=%d downOnly=%v: walk pops %d entries, tour %d", tree, origin, downOnly, n, len(tour.Entries))
+				}
+			}
+		}
+	}
+}
