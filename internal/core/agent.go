@@ -139,19 +139,14 @@ func NewAgent(eng sim.Sched, net netsim.Endpoint, rng *sim.RNG, id topology.Node
 	if policy == nil {
 		policy = MostRecentLoss{}
 	}
-	// Cold-path maps, pre-sized from the receiver count so the steady
-	// state never rehashes: one cache per observed source (usually just
-	// the tree root, but any host may transmit), and a bounded number of
-	// expedited-request timers pending at once.
-	nr := len(net.Tree().Receivers())
 	a := &Agent{
 		net:        net,
 		eng:        eng,
 		cfg:        cfg,
-		caches:     make(map[topology.NodeID]*Cache, 1+nr/16),
+		caches:     make(map[topology.NodeID]*Cache, 1),
 		capacity:   capacity,
 		policy:     policy,
-		pendingExp: make(map[sourceSeq]*expeditedRequest, 8+nr/4),
+		pendingExp: make(map[sourceSeq]*expeditedRequest, 8),
 	}
 	inner, err := srm.NewAgent(eng, net, rng, id, cfg.SRM, obs, &agentExtension{a})
 	if err != nil {

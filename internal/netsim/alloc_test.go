@@ -116,6 +116,7 @@ func TestHopArrivalInPlaceQueueMatchesSliceModel(t *testing.T) {
 // once warm, across a depth-7 tree (fourteen links leaf to leaf), on the
 // fixed-delay path and on the capped queuing path: the walk goes through
 // the network's reused path buffer instead of a materialised PathLinks.
+// The capped network then pins a whole queuing flood at zero too.
 func TestUnicastAllocationFree(t *testing.T) {
 	for _, queuing := range []bool{false, true} {
 		cfg := DefaultConfig()
@@ -152,6 +153,20 @@ func TestUnicastAllocationFree(t *testing.T) {
 		}
 		if got := net.Counts().ControlUnicast - before; got != uint64(101*hops) || rec.n != 102 {
 			t.Fatalf("queuing=%v: %d crossings and %d deliveries for 101 sends over %d links", queuing, got, rec.n, hops)
+		}
+		if !queuing {
+			continue
+		}
+		// The same warmed network floods hop by hop: runs come from the
+		// pool with room for their steps.
+		payload := &Packet{Class: Payload, Msg: dataMsg{}}
+		flood := func() {
+			net.Multicast(from, payload)
+			eng.Run()
+		}
+		flood()
+		if avg := testing.AllocsPerRun(100, flood); avg != 0 {
+			t.Fatalf("queuing flood over %d nodes allocates %.1f objects, want 0", tree.NumNodes(), avg)
 		}
 	}
 }

@@ -346,6 +346,12 @@ type Network struct {
 	freeDeliveries []*deliveryEvent
 	freeHops       []*hopEvent
 
+	// openHops is the hop run scheduleHop last scheduled or extended, nil
+	// once it fires; openSeq is the engine's next sequence number as of
+	// then.
+	openHops *hopEvent
+	openSeq  uint64
+
 	// freeGroups pools hop-cohort group delivery events. hopGroups and
 	// maxHop are the per-flood assembly scratch: hopGroups[h] is the group
 	// currently accumulating this flood's deliveries at hop distance h
@@ -782,41 +788,61 @@ func (n *Network) flood(origin topology.NodeID, p *Packet, downOnly bool) {
 	n.replayPlan(origin, downOnly, p)
 }
 
-// hopEvent is the pooled per-hop forwarding event of the queuing flood
-// path, replacing the closure previously captured per hop.
+// hopEvent is the pooled forwarding event of the queuing flood: a run
+// of one flood's hops that were scheduled back to back for one instant.
+// As separate events they would have carried consecutive sequence
+// numbers and fired consecutively, so one wheel record firing them in
+// append order dispatches identically (DESIGN.md §14).
 type hopEvent struct {
 	n        *Network
 	origin   topology.NodeID
-	node     topology.NodeID
-	cameFrom topology.NodeID
 	pkt      *Packet
 	downOnly bool
+	at       sim.Time
+	steps    []hopStep
 }
+
+// hopStep is one hop of a run: the flood continues at node, having
+// arrived from cameFrom.
+type hopStep struct{ node, cameFrom topology.NodeID }
 
 func (h *hopEvent) Fire(now sim.Time) {
 	n := h.n
-	origin, node, cameFrom, pkt, downOnly := h.origin, h.node, h.cameFrom, h.pkt, h.downOnly
-	h.pkt = nil
+	if n.openHops == h {
+		n.openHops = nil
+	}
+	for _, s := range h.steps {
+		n.floodHop(h.origin, s.node, s.cameFrom, h.pkt, h.downOnly, now)
+	}
+	// Recycle only after the loop: a nested flood inside Deliver may pull
+	// from the pool, and must not get this event while it is iterating.
+	h.pkt, h.steps = nil, h.steps[:0]
 	n.freeHops = append(n.freeHops, h)
-	n.floodHop(origin, node, cameFrom, pkt, downOnly, now)
 }
 
 // scheduleHop registers continuation of a queuing flood at node `next`,
-// arriving from `from`, at the given instant.
+// arriving from `from`, at the given instant. The hop joins the open run
+// when it is the same flood due at the same instant and the engine has
+// handed out no sequence number since the run's last hop; whatever did
+// take one would have fired between the two.
 func (n *Network) scheduleHop(at sim.Time, origin, next, from topology.NodeID, p *Packet, downOnly bool) {
-	var h *hopEvent
-	if k := len(n.freeHops); k > 0 {
-		h = n.freeHops[k-1]
-		n.freeHops[k-1] = nil
-		n.freeHops = n.freeHops[:k-1]
-	} else {
-		h = &hopEvent{n: n}
+	h := n.openHops
+	if h == nil || n.eng.NextSeq() != n.openSeq || h.at != at || h.pkt != p || h.origin != origin || h.downOnly != downOnly {
+		if k := len(n.freeHops); k > 0 {
+			h = n.freeHops[k-1]
+			n.freeHops[k-1] = nil
+			n.freeHops = n.freeHops[:k-1]
+		} else {
+			h = &hopEvent{n: n, steps: make([]hopStep, 0, 8)}
+		}
+		h.origin, h.pkt, h.downOnly, h.at = origin, p, downOnly, at
+		n.eng.ScheduleHandlerAt(at, h)
+		n.openHops, n.openSeq = h, n.eng.NextSeq()
 	}
-	h.origin, h.node, h.cameFrom, h.pkt, h.downOnly = origin, next, from, p, downOnly
-	n.eng.ScheduleHandlerAt(at, h)
+	h.steps = append(h.steps, hopStep{next, from})
 }
 
-// floodHop is the event-per-hop variant used when Queuing is enabled.
+// floodHop is the hop-by-hop variant used when Queuing is enabled.
 // Like replayPlan, it visits children in tree order before the parent.
 func (n *Network) floodHop(origin, node, cameFrom topology.NodeID, p *Packet, downOnly bool, at sim.Time) {
 	if node != origin {

@@ -227,6 +227,12 @@ func (e *Engine) Now() Time { return e.now }
 // Executed returns the number of events dispatched so far.
 func (e *Engine) Executed() uint64 { return e.executed }
 
+// NextSeq returns the FIFO sequence number the next scheduling call will
+// take. Two equal readings mean nothing was scheduled in between, so
+// events scheduled on either side of them for one instant fire back to
+// back (a train reserves its numbers when scheduled; Cancel takes none).
+func (e *Engine) NextSeq() uint64 { return e.nextSeq }
+
 // Pending returns the number of live (non-cancelled) scheduled events.
 func (e *Engine) Pending() int { return e.live }
 

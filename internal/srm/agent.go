@@ -226,8 +226,9 @@ type Agent struct {
 	stride int
 	nodes  int
 	echo   *echoState
-	// streams is NodeID-indexed (nil = no state for that source). last is
-	// the stream the latest delivery resolved, kept in front of the table
+	// streams is NodeID-indexed (nil = no state for that source) and grown
+	// by stream() up to the highest source seen, never past the tree. last
+	// is the stream the latest delivery resolved, kept in front of the table
 	// because a flood's deliveries nearly always name the same source and
 	// the table is one more cold line per host; only streamFloored reads
 	// or sets it, and whatever replaces the table drops it.
@@ -297,7 +298,6 @@ func NewAgent(eng sim.Sched, net netsim.Endpoint, rng *sim.RNG, id topology.Node
 		stride:  1,
 		nodes:   nodes,
 		echo:    newEchoState(nodes),
-		streams: make([]*streamState, nodes),
 	}
 	net.AttachHost(id, a)
 	return a, nil
@@ -413,7 +413,7 @@ func (a *Agent) Join() {
 	a.absent = false
 	a.stopped = false
 	a.lateJoin = true
-	a.streams, a.last = make([]*streamState, a.nodes), nil
+	a.streams, a.last = nil, nil
 	a.outstanding = 0
 	a.StartSessions()
 }
@@ -438,7 +438,7 @@ func (a *Agent) Restart() {
 	a.stopped = false
 	a.forgetDistances()
 	a.echo = newEchoState(a.nodes)
-	a.streams, a.last = make([]*streamState, a.nodes), nil
+	a.streams, a.last = nil, nil
 	a.outstanding = 0
 	a.p, a.adaptive = a.initial, adaptiveState{}
 	a.StartSessions()
