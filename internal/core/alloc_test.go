@@ -34,15 +34,15 @@ func (c *tally) RequestAbandoned(_, _ topology.NodeID, _ int, _ int) {}
 
 // TestExpeditedRoundAllocationAmortised pins CESRM's expedited round —
 // loss detected, cache hit, REORDER-DELAY timer, unicast expedited
-// request, expedited reply, recovery, cache update on every host — at a
-// fraction of an object per round: the frames and records come from
-// chunk arenas, the REORDER-DELAY handler from the agent's pool, and the
-// request timer is the loss record itself. (On this tree the SRM request
-// timer beats the expedited round trip, so every round also multicasts
-// one SRM request: five packets and three timers a round, which cost
-// one object each — and a second per packet — before the arenas.) With
-// a non-zero REORDER-DELAY the timer really waits in the wheel; with the
-// paper's zero it fires within the instant.
+// request, expedited reply, recovery, cache update on every host — at
+// nothing once warm: the frames come back after their last delivery and
+// the records at release, the REORDER-DELAY handler comes from the
+// agent's pool, and the request timer is the loss record itself. (On
+// this tree the SRM request timer beats the expedited round trip, so
+// every round also multicasts one SRM request: five packets and three
+// timers a round, which cost one object each — and a second per packet —
+// before the arenas.) With a non-zero REORDER-DELAY the timer really
+// waits in the wheel; with the paper's zero it fires within the instant.
 func TestExpeditedRoundAllocationAmortised(t *testing.T) {
 	for _, reorder := range []time.Duration{0, 5 * time.Millisecond} {
 		cfg := detConfig()
@@ -71,13 +71,15 @@ func TestExpeditedRoundAllocationAmortised(t *testing.T) {
 			t.Fatalf("reorder %v: priming round recovered %d (%d expedited), want one SRM recovery", reorder, obs.recovered, obs.expRecovered)
 		}
 		const rounds = 128
+		// A few objects are allowed for the runtime's own occasional
+		// allocations; frames that never came back would cost dozens.
 		got := testing.AllocsPerRun(1, func() {
 			for i := 0; i < rounds; i++ {
 				round()
 			}
-		}) / rounds
-		if got >= 1 {
-			t.Errorf("reorder %v: an expedited round allocates %.3f objects, want < 1 (chunk refills only)", reorder, got)
+		})
+		if got > 4 {
+			t.Errorf("reorder %v: %d expedited rounds allocate %.0f objects, want 0", reorder, rounds, got)
 		}
 		if n := 2 * rounds; obs.expRecovered != n || obs.expRequests != n || obs.expReplies != n {
 			t.Fatalf("reorder %v: %d rounds: %d expedited recoveries, %d expedited requests, %d expedited replies, %d SRM requests",

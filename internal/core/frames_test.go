@@ -11,8 +11,16 @@ import (
 	"cesrm/internal/topology"
 )
 
-// heldPacket is a delivered packet kept until the end of the run beside
-// a deep copy of what it said when first delivered.
+// sendKey identifies one send of a frame: frames are reused once handed
+// back, so the pointer alone is not an identity, and a frame is sent
+// again only under a new ID.
+type sendKey struct {
+	p  *netsim.Packet
+	id uint64
+}
+
+// heldPacket is one send beside a deep copy of what the packet said at
+// its first delivery.
 type heldPacket struct {
 	p       *netsim.Packet
 	pkt     netsim.Packet
@@ -21,9 +29,12 @@ type heldPacket struct {
 	echoes  []srm.PeerEcho
 }
 
-// intact reports whether the packet still says what it said.
+// intact reports whether the packet still says what it said. The
+// network's reference count is not part of what a packet says.
 func (h *heldPacket) intact() bool {
-	if *h.p != h.pkt {
+	p, was := h.p, &h.pkt
+	if p.ID != was.ID || p.From != was.From || p.To != was.To || p.Class != was.Class ||
+		p.Mode != was.Mode || p.Session != was.Session || p.Msg != was.Msg || p.Owner != was.Owner {
 		return false
 	}
 	switch m := h.p.Msg.(type) {
@@ -41,21 +52,41 @@ func (h *heldPacket) intact() bool {
 	return false
 }
 
-// packetVault taps every host's deliveries and holds each packet.
+// packetVault taps every host's deliveries and snapshots each send.
 type packetVault struct {
 	t     *testing.T
 	held  []*heldPacket
-	index map[*netsim.Packet]*heldPacket
+	index map[sendKey]*heldPacket
+	// reached records which hosts each send was delivered to.
+	reached map[reach]bool
+}
+
+type reach struct {
+	send sendKey
+	node topology.NodeID
 }
 
 type vaultTap struct {
 	v     *packetVault
+	node  topology.NodeID
 	inner netsim.Host
 }
 
+// Deliver checks the send against its snapshot before and after the
+// host handles it: whatever the host does meanwhile — its own sends
+// included — must not rebuild the frame it is reading. A host is
+// delivered a send once (the run injects no duplicates): a second time
+// is a stale event of an earlier send of the frame, delivering what the
+// frame says now.
 func (tap vaultTap) Deliver(now sim.Time, p *netsim.Packet) {
 	v := tap.v
-	h, seen := v.index[p]
+	key := sendKey{p, p.ID}
+	if r := (reach{key, tap.node}); v.reached[r] {
+		v.t.Fatalf("host %d was delivered packet %d (%T) twice", tap.node, p.ID, p.Msg)
+	} else {
+		v.reached[r] = true
+	}
+	h, seen := v.index[key]
 	if !seen {
 		h = &heldPacket{p: p, pkt: *p}
 		switch m := p.Msg.(type) {
@@ -70,12 +101,15 @@ func (tap vaultTap) Deliver(now sim.Time, p *netsim.Packet) {
 		default:
 			v.t.Fatalf("unexpected message %T", p.Msg)
 		}
-		v.index[p] = h
+		v.index[key] = h
 		v.held = append(v.held, h)
 	} else if !h.intact() {
 		v.t.Fatalf("packet %d (%T) changed between two of its deliveries", p.ID, p.Msg)
 	}
 	tap.inner.Deliver(now, p)
+	if !h.intact() {
+		v.t.Fatalf("packet %d (%T) changed while a host handled it", h.pkt.ID, h.pkt.Msg)
+	}
 }
 
 // lossyEchoRun streams packets data packets, 20 ms apart, through a
@@ -104,16 +138,19 @@ func lossyEchoRun(t *testing.T, packets int, tap func(id topology.NodeID, h nets
 	return b
 }
 
-// TestDeliveredFramesAreNeverMutated is the arenas' aliasing audit: a
+// TestDeliveredFramesAreNeverMutated is the frames' aliasing audit: a
 // 200-packet lossy CESRM run, with sessions in echo mode, where every
-// delivered *Packet is held until the end. Frames share chunks with
-// their successors, so a slot handed out twice — or a message built in
-// place over a live one — would show as a held packet that no longer
-// says what it said when it was delivered.
+// delivery is checked against a deep copy of its send taken at the
+// send's first delivery. Frames go back to their sender after a send's
+// last delivery and are rebuilt for the next one, so a send is keyed by
+// (pointer, ID): a frame handed back early, rebuilt while still in
+// flight, or a message built in place over a live one would show as a
+// send that no longer says what it said. The run must also show frames
+// of every kind sent again under new IDs, or it audited no reuse.
 func TestDeliveredFramesAreNeverMutated(t *testing.T) {
-	vault := &packetVault{t: t, index: map[*netsim.Packet]*heldPacket{}}
+	vault := &packetVault{t: t, index: map[sendKey]*heldPacket{}, reached: map[reach]bool{}}
 	const packets = 200
-	b := lossyEchoRun(t, packets, func(_ topology.NodeID, h netsim.Host) netsim.Host { return vaultTap{vault, h} })
+	b := lossyEchoRun(t, packets, func(id topology.NodeID, h netsim.Host) netsim.Host { return vaultTap{vault, id, h} })
 	for id, a := range b.agents {
 		a.Stop()
 		if missing := a.SRM().MissingIn(0, packets); missing != 0 || a.SRM().Outstanding() != 0 {
@@ -122,33 +159,35 @@ func TestDeliveredFramesAreNeverMutated(t *testing.T) {
 	}
 	b.eng.Run()
 
-	kinds := map[string]int{}
+	kinds, reused := map[string]int{}, map[string]int{}
+	sends := map[*netsim.Packet]int{}
 	for _, h := range vault.held {
-		if !h.intact() {
-			t.Errorf("packet %d (%T) was mutated after delivery: now %+v, delivered as %+v", h.pkt.ID, h.pkt.Msg, *h.p, h.pkt)
-		}
-		switch m := h.p.Msg.(type) {
-		case *srm.DataMsg:
-			kinds["data"]++
-		case *srm.RequestMsg:
+		var kind string
+		switch m := h.msg.(type) {
+		case srm.DataMsg:
+			kind = "data"
+		case srm.RequestMsg:
+			kind = "request"
 			if m.Expedited {
-				kinds["expedited request"]++
-			} else {
-				kinds["request"]++
+				kind = "expedited request"
 			}
-		case *srm.ReplyMsg:
+		case srm.ReplyMsg:
+			kind = "reply"
 			if m.Expedited {
-				kinds["expedited reply"]++
-			} else {
-				kinds["reply"]++
+				kind = "expedited reply"
 			}
-		case *srm.SessionMsg:
-			kinds["session"]++
-			if len(m.Echoes) > 0 {
+		case srm.SessionMsg:
+			kind = "session"
+			if len(h.echoes) > 0 {
 				kinds["session with echoes"]++
 			}
 		}
+		kinds[kind]++
+		if sends[h.p]++; sends[h.p] == 2 {
+			reused[kind]++
+		}
 	}
+	t.Logf("sends by kind %v, frames sent more than once %v", kinds, reused)
 	// A data packet dropped on the source's own link reaches nobody.
 	if kinds["data"] < packets*9/10 {
 		t.Errorf("held %d data packets of %d sent", kinds["data"], packets)
@@ -156,6 +195,11 @@ func TestDeliveredFramesAreNeverMutated(t *testing.T) {
 	for _, k := range []string{"request", "reply", "expedited request", "expedited reply", "session", "session with echoes"} {
 		if kinds[k] == 0 {
 			t.Errorf("the run delivered no %s: %v", k, kinds)
+		}
+	}
+	for _, k := range []string{"data", "request", "reply", "session"} {
+		if reused[k] == 0 {
+			t.Errorf("no %s frame was sent twice: %v of %v sends", k, reused, kinds)
 		}
 	}
 }

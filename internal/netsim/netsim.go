@@ -95,15 +95,68 @@ type Packet struct {
 	// recovery-overhead accounting (the paper compares recovery traffic;
 	// both protocols exchange identical session streams).
 	Session bool
+	// refs counts the network's holds on the packet: one for the send call
+	// and one for each pending event that will read it.
+	refs int32
 	// Msg is the protocol message.
 	Msg any
+	// Owner, when set, takes the packet back once the network holds no
+	// reference to it (see Recycler). A packet without one — a literal,
+	// decoder output — is never handed back.
+	Owner Recycler
+}
+
+// Recycler is the owner of the packets it built. The network hands a
+// packet back through Recycle when nothing of it will read the packet
+// again: after the last Deliver of its last delivery, or as the send call
+// returns when it scheduled none. The owner may then rebuild it for
+// another send, so the packet's ID changes only when it is really sent
+// again — which is what StaleFrameError checks.
+type Recycler interface {
+	Recycle(p *Packet)
+}
+
+// hold takes one reference to p: for a send call, or for a pending event
+// that will read it.
+func (p *Packet) hold() { p.refs++ }
+
+// release drops one reference, handing p back to its owner at the last.
+func (p *Packet) release() {
+	if p.refs--; p.refs == 0 && p.Owner != nil {
+		p.Owner.Recycle(p)
+	}
+}
+
+// StaleFrameError is the panic value of a pending event whose packet was
+// handed back and sent again before the event fired: Want is the packet ID
+// the event was scheduled for, Got the ID the packet carries now. Some
+// holder released a reference it did not hold. Every packet-holding event
+// checks, as a sim.Timer's generation guards a wheel record, so the bug
+// surfaces at the first stale read instead of as a delivery of another
+// message.
+type StaleFrameError struct{ Want, Got uint64 }
+
+// Error implements error.
+func (e *StaleFrameError) Error() string {
+	return fmt.Sprintf("netsim: stale frame: event scheduled for packet %d fired on packet %d", e.Want, e.Got)
+}
+
+// checkFrame panics with a *StaleFrameError unless p still carries id.
+func checkFrame(p *Packet, id uint64) {
+	if p.ID != id {
+		panic(&StaleFrameError{Want: id, Got: p.ID})
+	}
 }
 
 // Host consumes packets delivered by the network.
 type Host interface {
 	// Deliver hands the host a packet at virtual time now. The packet is
 	// shared between all recipients of a multicast and must be treated
-	// as immutable.
+	// as immutable, and the host must not retain p, p.Msg or any slice
+	// reachable from them past the call: once its last delivery returns,
+	// the network hands the packet back to its owner, which rebuilds it
+	// for another send (on the wire, the decoder overwrites it with the
+	// next datagram). Copy whatever must outlive the call.
 	Deliver(now sim.Time, p *Packet)
 }
 
@@ -626,10 +679,12 @@ func isData(p *Packet) bool {
 func (n *Network) Multicast(from topology.NodeID, p *Packet) {
 	p.ID = n.nextID
 	n.nextID++
+	p.hold()
 	p.From = from
 	p.To = topology.None
 	p.Mode = ModeMulticast
 	n.flood(from, p, false)
+	p.release()
 }
 
 // Subcast sends p downward from router root to the receivers in its
@@ -637,9 +692,11 @@ func (n *Network) Multicast(from topology.NodeID, p *Packet) {
 func (n *Network) Subcast(root topology.NodeID, p *Packet) {
 	p.ID = n.nextID
 	n.nextID++
+	p.hold()
 	p.To = topology.None
 	p.Mode = ModeSubcast
 	n.flood(root, p, true)
+	p.release()
 }
 
 // deliveryEvent is the pooled end-to-end delivery event: it replaces
@@ -649,13 +706,16 @@ type deliveryEvent struct {
 	n    *Network
 	host Host
 	pkt  *Packet
+	id   uint64
 }
 
 func (d *deliveryEvent) Fire(now sim.Time) {
 	n, host, pkt := d.n, d.host, d.pkt
+	checkFrame(pkt, d.id)
 	d.host, d.pkt = nil, nil
 	n.freeDeliveries = append(n.freeDeliveries, d)
 	host.Deliver(now, pkt)
+	pkt.release()
 }
 
 // scheduleDelivery registers delivery of p to host h at the given
@@ -683,7 +743,8 @@ func (n *Network) scheduleDeliveryOnce(at sim.Time, h Host, p *Packet) {
 	} else {
 		d = &deliveryEvent{n: n}
 	}
-	d.host, d.pkt = h, p
+	d.host, d.pkt, d.id = h, p, p.ID
+	p.hold()
 	n.eng.ScheduleHandlerAt(at, d)
 }
 
@@ -699,6 +760,7 @@ func (n *Network) scheduleDeliveryOnce(at sim.Time, h Host, p *Packet) {
 type groupDeliveryEvent struct {
 	n   *Network
 	pkt *Packet
+	id  uint64
 	// nodes is the cohort Fire delivers to: own when the flood assembled
 	// it (groupDeliver), or a cached plan's precompiled cohort, which is
 	// shared by every flood of that plan and never written. own is kept
@@ -708,6 +770,7 @@ type groupDeliveryEvent struct {
 
 func (g *groupDeliveryEvent) Fire(now sim.Time) {
 	n, pkt := g.n, g.pkt
+	checkFrame(pkt, g.id)
 	for _, id := range g.nodes {
 		n.hostAt[id].Deliver(now, pkt)
 	}
@@ -715,6 +778,15 @@ func (g *groupDeliveryEvent) Fire(now sim.Time) {
 	// from the pool, and must not get this event while it is iterating.
 	g.pkt, g.nodes = nil, nil
 	n.freeGroups = append(n.freeGroups, g)
+	pkt.release()
+}
+
+// scheduleGroup arms cohort event g to deliver p to nodes at the given
+// instant, holding p until it has.
+func (n *Network) scheduleGroup(at sim.Time, g *groupDeliveryEvent, p *Packet, nodes []int32) {
+	g.pkt, g.id, g.nodes = p, p.ID, nodes
+	p.hold()
+	n.eng.ScheduleHandlerAt(at, g)
 }
 
 // newGroup takes a cohort event from the pool.
@@ -769,8 +841,7 @@ func (n *Network) flushGroups(p *Packet, now sim.Time, perHop time.Duration) {
 	for h := 1; h <= n.maxHop; h++ {
 		if g := n.hopGroups[h]; g != nil {
 			n.hopGroups[h] = nil
-			g.pkt, g.nodes = p, g.own
-			n.eng.ScheduleHandlerAt(now.Add(time.Duration(h)*perHop), g)
+			n.scheduleGroup(now.Add(time.Duration(h)*perHop), g, p, g.own)
 		}
 	}
 	n.maxHop = 0
@@ -797,6 +868,7 @@ type hopEvent struct {
 	n        *Network
 	origin   topology.NodeID
 	pkt      *Packet
+	id       uint64
 	downOnly bool
 	at       sim.Time
 	steps    []hopStep
@@ -807,17 +879,19 @@ type hopEvent struct {
 type hopStep struct{ node, cameFrom topology.NodeID }
 
 func (h *hopEvent) Fire(now sim.Time) {
-	n := h.n
+	n, pkt := h.n, h.pkt
+	checkFrame(pkt, h.id)
 	if n.openHops == h {
 		n.openHops = nil
 	}
 	for _, s := range h.steps {
-		n.floodHop(h.origin, s.node, s.cameFrom, h.pkt, h.downOnly, now)
+		n.floodHop(h.origin, s.node, s.cameFrom, pkt, h.downOnly, now)
 	}
 	// Recycle only after the loop: a nested flood inside Deliver may pull
 	// from the pool, and must not get this event while it is iterating.
 	h.pkt, h.steps = nil, h.steps[:0]
 	n.freeHops = append(n.freeHops, h)
+	pkt.release()
 }
 
 // scheduleHop registers continuation of a queuing flood at node `next`,
@@ -835,7 +909,8 @@ func (n *Network) scheduleHop(at sim.Time, origin, next, from topology.NodeID, p
 		} else {
 			h = &hopEvent{n: n, steps: make([]hopStep, 0, 8)}
 		}
-		h.origin, h.pkt, h.downOnly, h.at = origin, p, downOnly, at
+		h.origin, h.pkt, h.id, h.downOnly, h.at = origin, p, p.ID, downOnly, at
+		p.hold()
 		n.eng.ScheduleHandlerAt(at, h)
 		n.openHops, n.openSeq = h, n.eng.NextSeq()
 	}
@@ -882,13 +957,13 @@ func (n *Network) Unicast(from, to topology.NodeID, p *Packet) {
 	p.From = from
 	p.To = to
 	p.Mode = ModeUnicast
-	at, ok := n.walkLeg(from, to, p)
-	if !ok {
-		return
+	p.hold()
+	if at, ok := n.walkLeg(from, to, p); ok {
+		if h := n.hostAt[to]; h != nil && to != from {
+			n.scheduleDelivery(at.Add(n.jitter()), h, p)
+		}
 	}
-	if h := n.hostAt[to]; h != nil && to != from {
-		n.scheduleDelivery(at.Add(n.jitter()), h, p)
-	}
+	p.release()
 }
 
 // walkLeg carries p along the tree path from `from` to `to`,
@@ -939,23 +1014,27 @@ func (n *Network) UnicastThenSubcast(from, via topology.NodeID, p *Packet) {
 	n.nextID++
 	p.From = from
 	p.To = topology.None
+	p.hold()
 
 	// The leg to the turning point is classified as unicast crossings.
 	p.Mode = ModeUnicast
-	at, ok := n.walkLeg(from, via, p)
-	if !ok {
-		return
+	if at, ok := n.walkLeg(from, via, p); ok {
+		// Subcast downstream once the packet reaches the turning point.
+		// When the subcast head is itself an attached host (the origin
+		// subtree is a single leaf), the packet is delivered to it directly.
+		id := p.ID
+		p.hold()
+		n.eng.ScheduleAt(at, func(now sim.Time) {
+			checkFrame(p, id)
+			p.Mode = ModeSubcast
+			if h := n.hostAt[via]; h != nil && via != from {
+				h.Deliver(now, p)
+			}
+			n.flood(via, p, true)
+			p.release()
+		})
 	}
-	// Subcast downstream once the packet reaches the turning point. When
-	// the subcast head is itself an attached host (the origin subtree is
-	// a single leaf), the packet is delivered to it directly.
-	n.eng.ScheduleAt(at, func(now sim.Time) {
-		p.Mode = ModeSubcast
-		if h := n.hostAt[via]; h != nil && via != from {
-			h.Deliver(now, p)
-		}
-		n.flood(via, p, true)
-	})
+	p.release()
 }
 
 // hopArrival computes when p finishes crossing link in the given

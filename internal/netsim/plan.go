@@ -240,9 +240,7 @@ func (n *Network) replayPlan(origin topology.NodeID, downOnly bool, p *Packet) {
 			if end == start {
 				continue
 			}
-			g := n.newGroup()
-			g.pkt, g.nodes = p, cohort[start:end]
-			n.eng.ScheduleHandlerAt(now.Add(time.Duration(h)*perHop), g)
+			n.scheduleGroup(now.Add(time.Duration(h)*perHop), n.newGroup(), p, cohort[start:end])
 			start = end
 		}
 		return

@@ -31,6 +31,12 @@ func (w *Window[T]) Len() int { return len(w.cells) }
 // Base()+i. The slice aliases the window.
 func (w *Window[T]) Cells() []T { return w.cells }
 
+// Below returns the retained cells for the sequence numbers below n:
+// what ReleaseThrough(n) would discard. The slice aliases the window.
+func (w *Window[T]) Below(n int) []T {
+	return w.cells[:min(max(n-w.base, 0), len(w.cells))]
+}
+
 // Get returns the cell for seq, or nil when seq was released or lies
 // beyond every cell stored so far.
 func (w *Window[T]) Get(seq int) *T {

@@ -41,6 +41,9 @@ type lossRecord struct {
 	// (own or foreign) — inputs to adaptive timer adjustment.
 	foreignRequests int
 	firstRequestAt  sim.Time
+
+	// next links the record into its stream's free list once released.
+	next *lossRecord
 }
 
 // Fire implements sim.EventHandler: the request timer expired.
@@ -75,12 +78,15 @@ type replyState struct {
 	seq int
 
 	timer      sim.Timer
-	requestor  topology.NodeID
 	reqDistSrc time.Duration
+	requestor  topology.NodeID
 
-	// requestAt and repliesSeen feed adaptive timer adjustment.
-	requestAt   sim.Time
+	// repliesSeen and requestAt feed adaptive timer adjustment.
 	repliesSeen int32
+	requestAt   sim.Time
+
+	// next links the record into its stream's free list once dropped.
+	next *replyState
 }
 
 // Fire implements sim.EventHandler: the reply timer expired. The spent
@@ -123,19 +129,50 @@ type streamState struct {
 	// reconciliation balances MissingIn against it.
 	abandonedOpen int
 
-	// replyArena and lossArena are chunk allocators for the records the
-	// windows point at: one per detected loss and one per scheduled
-	// reply, and allocating them individually made these two sites the
-	// top allocators of a full-scale run. A chunk is reclaimed when the
-	// last pointer into it is dropped, a lag bounded by the chunk size.
-	replyArena arena[replyState]
-	lossArena  arena[lossRecord]
+	// freeReplies and freeLosses are the records the windows let go of,
+	// linked through the records themselves: a reply record when its cell
+	// drops it (noteReplyEvent) or is released, a loss record when its
+	// cell is released. replyArena and lossArena supply fresh records
+	// while the lists are empty.
+	freeReplies *replyState
+	freeLosses  *lossRecord
+	replyArena  arena[replyState]
+	lossArena   arena[lossRecord]
 }
 
 // arenaChunk is the record-arena chunk size: large enough to cut the
 // per-record allocation count by that factor, small enough that a
 // chunk pinned by one straggling record costs a few KB.
 const arenaChunk = 64
+
+// newLoss returns a zeroed loss record, a released one if there is any.
+func (st *streamState) newLoss() *lossRecord {
+	ls := st.freeLosses
+	if ls == nil {
+		return st.lossArena.next(arenaChunk)
+	}
+	st.freeLosses = ls.next
+	*ls = lossRecord{}
+	return ls
+}
+
+// newReply returns a zeroed reply record, a dropped one if there is any.
+func (st *streamState) newReply() *replyState {
+	rs := st.freeReplies
+	if rs == nil {
+		return st.replyArena.next(arenaChunk)
+	}
+	st.freeReplies = rs.next
+	*rs = replyState{}
+	return rs
+}
+
+// freeReply takes back a reply record no cell points at any more. Its
+// timer is spent: it fired or was cancelled, and nothing re-arms a
+// record a cell does not hold.
+func (st *streamState) freeReply(rs *replyState) {
+	rs.next, st.freeReplies = st.freeReplies, rs
+}
 
 func newStreamState(a *Agent, source topology.NodeID) *streamState {
 	return &streamState{
@@ -183,10 +220,26 @@ func (st *streamState) releasableBelow(now sim.Time, limit int) (n, visited int)
 // nothing live is dropped. No engine operations happen here — timers
 // are never cancelled — so release is invisible to the run's event
 // stream, finish time and fingerprint.
+//
+// The discarded records go to the free lists. A held packet's loss
+// record was recovered, which cancelled its timer, and a releasable
+// cell's reply timer is not armed; a record whose timer is armed all the
+// same is left to the collector, where its firing finds no cell.
 func (st *streamState) releaseThrough(n int) {
 	st.received.ReleaseThrough(n)
-	st.losses.ReleaseThrough(st.received.Base())
-	st.replies.ReleaseThrough(st.received.Base())
+	base := st.received.Base()
+	for _, ls := range st.losses.Below(base) {
+		if ls != nil && !ls.timer.Active() {
+			ls.next, st.freeLosses = st.freeLosses, ls
+		}
+	}
+	for _, c := range st.replies.Below(base) {
+		if rs := c.rec; rs != nil && !rs.timer.Active() {
+			st.freeReply(rs)
+		}
+	}
+	st.losses.ReleaseThrough(base)
+	st.replies.ReleaseThrough(base)
 }
 
 // window returns the number of per-seq cells currently retained across
@@ -620,7 +673,7 @@ func (a *Agent) sessionTick(now sim.Time) {
 		}
 	}
 	if a.p.DistanceMode == DistEchoRTT && a.echo.peers > 0 {
-		m.Echoes = a.echo.appendEchoes(a.frames.echoList(a.echo.peers), now)
+		m.Echoes = a.echo.appendEchoes(a.frames.echoList(m, a.echo.peers), now)
 	}
 	a.net.Multicast(a.id, pkt)
 	a.obs.SessionSent(a.id)
@@ -774,7 +827,7 @@ func (a *Agent) detectLoss(now sim.Time, st *streamState, seq int) {
 	if st.losses.At(seq) != nil {
 		return
 	}
-	ls := st.lossArena.next(arenaChunk)
+	ls := st.newLoss()
 	ls.st, ls.seq = st, seq
 	ls.detectedAt = now
 	// seq is never below base: losses are detected at the cursor, which
@@ -918,7 +971,7 @@ func (a *Agent) considerReply(now sim.Time, st *streamState, m *RequestMsg) {
 	}
 	rs := c.rec
 	if rs == nil {
-		rs = st.replyArena.next(arenaChunk)
+		rs = st.newReply()
 		rs.st, rs.seq = st, m.Seq
 		c.rec = rs
 	}
@@ -982,12 +1035,14 @@ func (a *Agent) onReply(now sim.Time, m *ReplyMsg) {
 // noteReplyEvent records a reply observation (own send or foreign
 // receipt) for a packet this host scheduled a reply to, whose timer is
 // therefore spent. Only adaptive timers read the record from here on,
-// so with fixed timers the cell drops it and the round's remaining
-// duplicates touch the cell alone. With adaptive timers it feeds the
-// reply-timer averages: the first reply of a round samples the reply
-// delay with no duplicate; later replies are duplicate events.
+// so with fixed timers the cell drops it to the stream's free list and
+// the round's remaining duplicates touch the cell alone. With adaptive
+// timers it feeds the reply-timer averages: the first reply of a round
+// samples the reply delay with no duplicate; later replies are
+// duplicate events.
 func (a *Agent) noteReplyEvent(now sim.Time, c *replyCell) {
 	if !a.adaptiveCfg.Enabled {
+		c.rec.st.freeReply(c.rec)
 		c.rec = nil
 		return
 	}

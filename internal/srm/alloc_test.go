@@ -25,8 +25,9 @@ func (c *tally) RequestAbandoned(_, _ topology.NodeID, _ int, _ int)            
 // allocsOver returns the allocations of n consecutive calls of round,
 // after as many warm-up calls. Measuring the batch as one run keeps what
 // testing.AllocsPerRun's per-run average truncates away, which is the
-// whole of an amortised cost. Callers allow one object beyond the chunk
-// refills they expect: the runtime itself allocates now and then.
+// whole of an amortised cost — one chunk refill per so many rounds.
+// Callers allow runtimeAllocs objects beyond what they expect, and run
+// enough rounds that a lost hand-back costs many more chunk refills.
 func allocsOver(n int, round func()) float64 {
 	return testing.AllocsPerRun(1, func() {
 		for i := 0; i < n; i++ {
@@ -34,6 +35,10 @@ func allocsOver(n int, round func()) float64 {
 		}
 	})
 }
+
+// runtimeAllocs is the runtime's own occasional allocations, which a
+// batch measurement counts along with the code's.
+const runtimeAllocs = 4
 
 // releaseAll discards every agent's per-packet state below n, keeping
 // the windows — and so their backing arrays — at steady-state size.
@@ -43,10 +48,11 @@ func (f *fixture) releaseAll(n int) {
 	}
 }
 
-// TestTransmitToDeliveryAllocationAmortised pins the data path: a
-// source Transmit and its delivery to every receiver cost one frame
-// chunk per dataChunk packets and nothing else — no Packet, no DataMsg,
-// no engine record, no delivery event.
+// TestTransmitToDeliveryAllocationAmortised pins the data path: once
+// warm, a source Transmit and its delivery to every receiver allocate
+// nothing — no Packet, no DataMsg, no engine record, no delivery event,
+// and no frame chunk, since the frame comes back after its last
+// delivery.
 func TestTransmitToDeliveryAllocationAmortised(t *testing.T) {
 	f := newFixtureObserved(t, starTree(8), detParams(), &tally{})
 	src := f.agents[0]
@@ -57,10 +63,9 @@ func TestTransmitToDeliveryAllocationAmortised(t *testing.T) {
 		f.eng.Run()
 		f.releaseAll(seq)
 	}
-	const chunks = 4
-	if got := allocsOver(chunks*dataChunk, round); got > chunks+1 {
-		t.Fatalf("%d packets, Transmit → delivery, allocate %.0f objects, want ≤ %d (one frame chunk per %d)",
-			chunks*dataChunk, got, chunks+1, dataChunk)
+	const packets = 16 * dataChunk
+	if got := allocsOver(packets, round); got > runtimeAllocs {
+		t.Fatalf("%d packets, Transmit → delivery, allocate %.0f objects, want 0", packets, got)
 	}
 	for id, a := range f.agents {
 		if !a.Has(0, seq-1) {
@@ -71,15 +76,15 @@ func TestTransmitToDeliveryAllocationAmortised(t *testing.T) {
 
 // TestRepairRoundAllocationAmortised pins a full SRM repair round — loss
 // detected, request timer, request, reply timers on every holder, the
-// replies that beat suppression, recovery — at chunk refills only: one
-// frame per request and reply sent, two data frames, one loss record,
-// and one reply record on each holder the request reached — none on the
-// requestor, whose cell a reply touches without one.
-// No closure per timer, no Packet or message per send.
+// replies that beat suppression, recovery, release — at nothing once
+// warm: no closure per timer, no Packet or message per send, and no
+// chunk refill, because every frame comes back after its last delivery,
+// a reply record when its cell drops it and the loss record when release
+// discards its cell.
 func TestRepairRoundAllocationAmortised(t *testing.T) {
 	obs := &tally{}
 	f := newFixtureObserved(t, starTree(8), detParams(), obs)
-	src, hosts := f.agents[0], float64(len(f.agents))
+	src := f.agents[0]
 	seq, lost := 0, -1
 	f.net.SetDropFunc(func(p *netsim.Packet, link topology.LinkID, down bool) bool {
 		m, ok := p.Msg.(*DataMsg)
@@ -97,22 +102,64 @@ func TestRepairRoundAllocationAmortised(t *testing.T) {
 	const rounds = 2 * arenaChunk
 	got := allocsOver(rounds, round)
 	// The tally covers the warm-up rounds too, which ran the same script.
-	measured := func(n int) float64 { return float64(n) / 2 }
 	if obs.recovered != 2*rounds || obs.requests < obs.recovered || obs.replies < obs.recovered {
 		t.Fatalf("%d rounds: %d recovered, %d requests, %d replies — not one full repair each",
 			2*rounds, obs.recovered, obs.requests, obs.replies)
 	}
-	want := measured(obs.requests)/requestChunk + measured(obs.replies)/replyChunk +
-		2.0*rounds/dataChunk + hosts*rounds/arenaChunk
-	if got > want+1 {
-		t.Fatalf("%d repair rounds allocate %.0f objects, want ≤ %.0f (chunk refills only)", rounds, got, want+1)
+	if got > runtimeAllocs {
+		t.Fatalf("%d repair rounds (%d requests, %d replies) allocate %.0f objects, want 0",
+			rounds, obs.requests/2, obs.replies/2, got)
+	}
+}
+
+// TestLossRecordReleaseRefillAllocatesNothing pins the loss records'
+// release→refill cycle: each round loses a burst of more packets than a
+// record chunk holds on host 2's link, so host 2 holds that many loss
+// records at once; release hands them all back, and the next burst takes
+// them again instead of carving new chunks.
+func TestLossRecordReleaseRefillAllocatesNothing(t *testing.T) {
+	obs := &tally{}
+	f := newFixtureObserved(t, starTree(8), detParams(), obs)
+	src := f.agents[0]
+	const burst = arenaChunk + arenaChunk/2
+	seq, first := 0, 0
+	f.net.SetDropFunc(func(p *netsim.Packet, link topology.LinkID, down bool) bool {
+		m, ok := p.Msg.(*DataMsg)
+		return ok && down && link == 2 && m.Seq >= first && m.Seq < first+burst
+	})
+	round := func() {
+		// Host 2 misses [first, first+burst) and sees the gap when the
+		// burst's last packet arrives.
+		first = seq
+		for i := 0; i <= burst; i++ {
+			src.Transmit(seq)
+			seq++
+		}
+		f.eng.Run()
+		f.releaseAll(seq)
+	}
+	const rounds = 8
+	got := allocsOver(rounds, round)
+	if obs.detected != 2*rounds*burst || obs.recovered != obs.detected {
+		t.Fatalf("%d rounds: %d losses detected, %d recovered, want %d each", 2*rounds, obs.detected, obs.recovered, 2*rounds*burst)
+	}
+	free := 0
+	for ls := f.agents[2].peek(0).freeLosses; ls != nil; ls = ls.next {
+		free++
+	}
+	if free != burst {
+		t.Fatalf("host 2 holds %d released loss records, want the burst's %d", free, burst)
+	}
+	if got > runtimeAllocs {
+		t.Fatalf("%d release→refill rounds of %d losses allocate %.0f objects, want 0", rounds, burst, got)
 	}
 }
 
 // TestSessionTickAllocationAmortised pins the session send path in both
-// distance modes: a tick costs one frame per sessionChunk ticks — the
-// advert list rides in the frame — plus, in echo mode, one echo chunk
-// per echoChunk echoes; re-arming the tick captures nothing.
+// distance modes at nothing once warm: the advert list rides in the
+// frame, the frame comes back as the send returns (every crossing is
+// dropped here) and keeps its echo list's array for the next tick, and
+// re-arming the tick captures nothing.
 func TestSessionTickAllocationAmortised(t *testing.T) {
 	for _, mode := range []DistanceMode{DistOneWay, DistEchoRTT} {
 		p := detParams()
@@ -138,10 +185,10 @@ func TestSessionTickAllocationAmortised(t *testing.T) {
 			return true // the receive path has its own pin
 		})
 		round := func() { f.eng.RunUntil(f.eng.Now().Add(p.SessionPeriod)) }
-		const ticks = 4 * sessionChunk
+		const ticks = 16 * sessionChunk
 		got := allocsOver(ticks, round)
-		if want := ticks/sessionChunk + float64(ticks*peers)/echoChunk; got > want+1 {
-			t.Errorf("%v: %d session ticks allocate %.0f objects, want ≤ %.0f", mode, ticks, got, want+1)
+		if got > runtimeAllocs {
+			t.Errorf("%v: %d session ticks allocate %.0f objects, want 0", mode, ticks, got)
 		}
 		if obs.sessions != 2*ticks {
 			t.Fatalf("%v: %d session messages sent, want %d", mode, obs.sessions, 2*ticks)
@@ -152,9 +199,11 @@ func TestSessionTickAllocationAmortised(t *testing.T) {
 	}
 }
 
-// TestFramesAreNeverReused pins the arenas' rule at its root: every
-// frame a host hands out is distinct memory, across chunk boundaries,
-// and building a later one leaves the earlier ones untouched.
+// TestFramesAreNeverReused pins the frames' rule at its root: no frame
+// a host hands out is reused before it is handed back — every one is
+// distinct memory, across chunk boundaries, and building a later one
+// leaves the earlier ones untouched — and one handed back is the next
+// of its kind built, a session frame with its lists' arrays.
 func TestFramesAreNeverReused(t *testing.T) {
 	var f Frames
 	var pkts []*netsim.Packet
@@ -162,7 +211,7 @@ func TestFramesAreNeverReused(t *testing.T) {
 		pkts = append(pkts, f.Request(RequestMsg{Seq: i}), f.Reply(ReplyMsg{Seq: i}), f.Data(1, i))
 		sp, sm := f.Session(2, sim.Time(i))
 		sm.Highest = append(sm.Highest, Advert{Source: 1, Highest: i})
-		sm.Echoes = append(f.echoList(2), PeerEcho{Peer: 3, Echo: Echo{PeerSentAt: sim.Time(i)}})
+		sm.Echoes = append(f.echoList(sm, 2), PeerEcho{Peer: 3, Echo: Echo{PeerSentAt: sim.Time(i)}})
 		pkts = append(pkts, sp)
 	}
 	seen := map[*netsim.Packet]bool{}
@@ -190,5 +239,21 @@ func TestFramesAreNeverReused(t *testing.T) {
 				t.Fatalf("session %d = %+v in %+v", i, m, p)
 			}
 		}
+	}
+
+	sent := pkts[3].Msg.(*SessionMsg)
+	advert, echo := &sent.Highest[0], &sent.Echoes[0]
+	for _, p := range pkts[:4] {
+		p.Owner.Recycle(p)
+	}
+	if f.Request(RequestMsg{}) != pkts[0] || f.Reply(ReplyMsg{}) != pkts[1] || f.Data(1, 0) != pkts[2] {
+		t.Fatal("a frame handed back was not the next of its kind built")
+	}
+	sp, sm := f.Session(2, 0)
+	if sp != pkts[3] || len(sm.Highest) != 0 || len(sm.Echoes) != 0 {
+		t.Fatalf("the session frame handed back came back as %+v in %p, want empty lists in %p", sm, sp, pkts[3])
+	}
+	if &sm.Highest[:1][0] != advert || &f.echoList(sm, 2)[:1][0] != echo {
+		t.Fatal("the session frame handed back did not keep its lists' arrays")
 	}
 }

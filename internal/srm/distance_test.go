@@ -43,7 +43,8 @@ func TestEchoStateRoundTrip(t *testing.T) {
 	e.record(11, sim.Time(10*time.Millisecond), sim.Time(20*time.Millisecond))
 	e.record(7, sim.Time(100*time.Millisecond), sim.Time(140*time.Millisecond))
 	e.record(0, sim.Time(30*time.Millisecond), sim.Time(50*time.Millisecond))
-	m := &SessionMsg{Echoes: e.appendEchoes(new(Frames).echoList(e.peers), sim.Time(200*time.Millisecond))}
+	m := &SessionMsg{}
+	m.Echoes = e.appendEchoes(new(Frames).echoList(m, e.peers), sim.Time(200*time.Millisecond))
 	if len(m.Echoes) != 3 || cap(m.Echoes) != 3 {
 		t.Fatalf("echoes len %d cap %d, want exactly 3", len(m.Echoes), cap(m.Echoes))
 	}

@@ -7,10 +7,11 @@ import (
 )
 
 // arena is a chunk allocator: it hands out the zeroed slots of one chunk
-// after another, each slot exactly once. A slot is never reused, so a
-// pointer to one stays valid for as long as anything holds it; a chunk
-// is reclaimed when the last pointer into it is dropped. The first chunk
-// is allocated on first use, so an arena nobody draws from costs nothing.
+// after another, each slot exactly once; a chunk is reclaimed when the
+// last pointer into it is dropped. It is the source of fresh slots behind
+// the free lists that take frames and records back, so it allocates only
+// while the in-flight peak is still growing. The first chunk is allocated
+// on first use, so an arena nobody draws from costs nothing.
 type arena[T any] struct{ free []T }
 
 // next returns the next unused slot, starting a new chunk of the given
@@ -44,39 +45,60 @@ const (
 // so the bound is an allocation threshold, not a limit.
 const inlineAdverts = 4
 
-// A frame co-allocates a packet with the message it carries: one slot
-// per send instead of two objects.
-type (
-	dataFrame struct {
-		pkt netsim.Packet
-		msg DataMsg
+// A frame co-allocates a packet with the message it carries — one slot
+// per send instead of two objects — and is the packet's netsim.Recycler:
+// handed back, it goes onto its pool's free list, linked through next.
+type frame[M any] struct {
+	pkt  netsim.Packet
+	msg  M
+	next *frame[M]
+	pool *framePool[M]
+}
+
+// Recycle implements netsim.Recycler.
+func (fr *frame[M]) Recycle(*netsim.Packet) {
+	fr.next, fr.pool.free = fr.pool.free, fr
+}
+
+// framePool supplies one kind of frame: the frames handed back first,
+// then fresh slots from the chunk arena.
+type framePool[M any] struct {
+	free  *frame[M]
+	arena arena[frame[M]]
+}
+
+// get returns a frame for the caller to overwrite, packet and message.
+func (p *framePool[M]) get(chunk int) *frame[M] {
+	if fr := p.free; fr != nil {
+		p.free, fr.next = fr.next, nil
+		return fr
 	}
-	requestFrame struct {
-		pkt netsim.Packet
-		msg RequestMsg
-	}
-	replyFrame struct {
-		pkt netsim.Packet
-		msg ReplyMsg
-	}
-	sessionFrame struct {
-		pkt     netsim.Packet
-		msg     SessionMsg
-		adverts [inlineAdverts]Advert
-	}
-)
+	fr := p.arena.next(chunk)
+	fr.pool = p
+	return fr
+}
+
+// sessionBody is a session frame's message plus inline room for its
+// adverts.
+type sessionBody struct {
+	msg     SessionMsg
+	adverts [inlineAdverts]Advert
+}
 
 // Frames is one host's supply of outgoing packets: the only constructor
-// of data, request, reply and session packets. Frames come from chunk
-// arenas (see arena) and are never reused — deliveries still in flight
-// (jitter, duplication, queuing), captures and anything else holding a
-// *netsim.Packet keep pointing at memory nobody writes again. The zero
-// value is ready to use.
+// of data, request, reply and session packets. Every packet it builds is
+// owned by its frame, which the sender hands back once the send is over —
+// netsim after the packet's last delivery, the wire endpoint once it is
+// encoded — and the next constructor call of that kind reuses it. Hosts
+// keep nothing of a delivered packet (netsim.Host), so nothing reads a
+// frame after it is handed back. Frames point back into their Frames,
+// which must therefore not be copied once used. The zero value is ready
+// to use.
 type Frames struct {
-	data    arena[dataFrame]
-	request arena[requestFrame]
-	reply   arena[replyFrame]
-	session arena[sessionFrame]
+	data    framePool[DataMsg]
+	request framePool[RequestMsg]
+	reply   framePool[ReplyMsg]
+	session framePool[sessionBody]
 	// echoes is the chunk session messages' echo lists are carved from.
 	echoes []PeerEcho
 }
@@ -84,41 +106,51 @@ type Frames struct {
 // Data returns a payload packet carrying original packet seq of source's
 // stream.
 func (f *Frames) Data(source topology.NodeID, seq int) *netsim.Packet {
-	fr := f.data.next(dataChunk)
+	fr := f.data.get(dataChunk)
 	fr.msg = DataMsg{Source: source, Seq: seq}
-	fr.pkt = netsim.Packet{Class: netsim.Payload, Msg: &fr.msg}
+	fr.pkt = netsim.Packet{Class: netsim.Payload, Msg: &fr.msg, Owner: fr}
 	return &fr.pkt
 }
 
 // Request returns a control packet carrying the repair request m.
 func (f *Frames) Request(m RequestMsg) *netsim.Packet {
-	fr := f.request.next(requestChunk)
+	fr := f.request.get(requestChunk)
 	fr.msg = m
-	fr.pkt = netsim.Packet{Class: netsim.Control, Msg: &fr.msg}
+	fr.pkt = netsim.Packet{Class: netsim.Control, Msg: &fr.msg, Owner: fr}
 	return &fr.pkt
 }
 
 // Reply returns a payload packet carrying the repair reply m.
 func (f *Frames) Reply(m ReplyMsg) *netsim.Packet {
-	fr := f.reply.next(replyChunk)
+	fr := f.reply.get(replyChunk)
 	fr.msg = m
-	fr.pkt = netsim.Packet{Class: netsim.Payload, Msg: &fr.msg}
+	fr.pkt = netsim.Packet{Class: netsim.Payload, Msg: &fr.msg, Owner: fr}
 	return &fr.pkt
 }
 
 // Session returns a session-class control packet and its message, sent
-// by from at sentAt, for the caller to fill in: Highest is empty with
-// room for inlineAdverts appends in the frame itself.
+// by from at sentAt, for the caller to fill in: Highest and Echoes are
+// empty, Highest with room for inlineAdverts appends in the frame itself.
+// A reused frame keeps the arrays its lists last had.
 func (f *Frames) Session(from topology.NodeID, sentAt sim.Time) (*netsim.Packet, *SessionMsg) {
-	fr := f.session.next(sessionChunk)
-	fr.msg = SessionMsg{From: from, SentAt: sentAt, Highest: fr.adverts[:0]}
-	fr.pkt = netsim.Packet{Class: netsim.Control, Session: true, Msg: &fr.msg}
-	return &fr.pkt, &fr.msg
+	fr := f.session.get(sessionChunk)
+	m := &fr.msg.msg
+	highest := m.Highest[:0]
+	if highest == nil {
+		highest = fr.msg.adverts[:0]
+	}
+	*m = SessionMsg{From: from, SentAt: sentAt, Highest: highest, Echoes: m.Echoes[:0]}
+	fr.pkt = netsim.Packet{Class: netsim.Control, Session: true, Msg: m, Owner: fr}
+	return &fr.pkt, m
 }
 
-// echoList returns an empty echo list with room for n appends, carved
-// from the echo chunk and handed out once like a frame.
-func (f *Frames) echoList(n int) []PeerEcho {
+// echoList returns an empty echo list for m with room for n appends: the
+// array m's frame kept if it is large enough, else one carved from the
+// echo chunk.
+func (f *Frames) echoList(m *SessionMsg, n int) []PeerEcho {
+	if cap(m.Echoes) >= n {
+		return m.Echoes[:0]
+	}
 	if len(f.echoes) < n {
 		f.echoes = make([]PeerEcho, max(n, echoChunk))
 	}

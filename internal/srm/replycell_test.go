@@ -20,8 +20,9 @@ func TestReplyCellSize(t *testing.T) {
 // armed timer → first foreign reply → duplicate → a second request
 // after the abstinence → own reply sent. Only considerReply creates a
 // record; with fixed timers no record is reachable from a cell whose
-// timer is spent, so the second round arms a fresh one; with adaptive
-// timers the one record stays and keeps counting replies.
+// timer is spent — the cell hands it back to its stream, and the second
+// round gets it back reset; with adaptive timers the one record stays
+// and keeps counting replies.
 func TestReplyCellRecordLifetime(t *testing.T) {
 	for _, adaptive := range []bool{false, true} {
 		f := newFixture(t, yTree(), detParams())
@@ -53,12 +54,16 @@ func TestReplyCellRecordLifetime(t *testing.T) {
 		if first.timer.Active() || !a.ReplyBlocked(0, 0, seq) {
 			t.Fatalf("adaptive=%v: the foreign reply did not cancel the timer and start the abstinence", adaptive)
 		}
-		if !adaptive && c.rec != nil {
-			t.Fatal("fixed timers: the cell still holds a record whose timer is spent")
+		if !adaptive && (c.rec != nil || st.freeReplies != first) {
+			t.Fatal("fixed timers: the cell did not hand its spent record back to the stream")
 		}
 		if adaptive && (c.rec != first || first.repliesSeen != 2) {
 			t.Fatalf("adaptive timers: record %p (was %p) saw %d replies, want the same record and 2",
 				c.rec, first, first.repliesSeen)
+		}
+		if !adaptive {
+			// Scribble over the free record: whoever takes it must reset it.
+			first.repliesSeen, first.requestor, first.reqDistSrc = 7, 9, -1
 		}
 
 		// Past the abstinence a second request arms a reply again, and this
@@ -69,8 +74,12 @@ func TestReplyCellRecordLifetime(t *testing.T) {
 		if second == nil || !second.timer.Active() {
 			t.Fatalf("adaptive=%v: the second round armed no reply", adaptive)
 		}
-		if (second == first) != adaptive {
+		if second != first {
 			t.Fatalf("adaptive=%v: second round's record %p, first round's %p", adaptive, second, first)
+		}
+		if !adaptive && (st.freeReplies != nil || second.next != nil || second.repliesSeen != 0 ||
+			second.requestor != 2 || second.reqDistSrc != 0 || second.requestAt != f.eng.Now()) {
+			t.Fatalf("fixed timers: the second round's record is not reset: %+v", *second)
 		}
 		// D2 = 0: the timer fires D1·d(requestor) = one distance later. The
 		// reply's own deliveries are still in flight when the clock stops.

@@ -89,7 +89,8 @@ func (n *Network) AttachHost(id topology.NodeID, h netsim.Host) {
 func (n *Network) Host() netsim.Host { return n.host }
 
 // emit encodes p once, reports it to the send observer, and transmits
-// it to every destination dsts selects.
+// it to every destination dsts selects. Nothing reads p after the
+// encoding, so it goes straight back to its owner (netsim.Recycler).
 func (n *Network) emit(p *netsim.Packet, dsts func(m topology.NodeID) bool) {
 	p.ID = n.nextID
 	n.nextID++
@@ -98,6 +99,9 @@ func (n *Network) emit(p *netsim.Packet, dsts func(m topology.NodeID) bool) {
 		// Unregistered message types cannot leave a wire node; this is
 		// a wiring bug, not a runtime condition.
 		panic(err)
+	}
+	if p.Owner != nil {
+		p.Owner.Recycle(p)
 	}
 	data := n.enc.Bytes()
 	if n.onSend != nil {

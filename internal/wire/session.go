@@ -77,7 +77,7 @@ func newSession(eng *sim.Engine, ep netsim.Endpoint, cfg NodeConfig, obs srm.Obs
 				s.sent++
 			})
 	}
-	eng.Schedule(cfg.SRM.SessionPeriod, s.monitor)
+	eng.ScheduleHandler(cfg.SRM.SessionPeriod, s)
 	eng.ScheduleAt(sim.Time(0).Add(cfg.MaxRunTime), func(sim.Time) { s.shutdown() })
 	return s, nil
 }
@@ -96,11 +96,12 @@ func (s *session) complete() bool {
 		s.inner.Outstanding() == 0
 }
 
-// monitor re-checks completion every session period and stops the node
-// after it has held for the configured linger (receivers) or source
-// linger (the source, which cannot observe group completion and instead
-// stays available for repairs a while longer).
-func (s *session) monitor(now sim.Time) {
+// Fire implements sim.EventHandler as the completion monitor, so
+// re-arming it captures nothing: it re-checks completion every session
+// period and stops the node after it has held for the configured linger
+// (receivers) or source linger (the source, which cannot observe group
+// completion and instead stays available for repairs a while longer).
+func (s *session) Fire(now sim.Time) {
 	if s.stopped {
 		return
 	}
@@ -119,7 +120,7 @@ func (s *session) monitor(now sim.Time) {
 	} else {
 		s.completeSince = -1
 	}
-	s.eng.Schedule(s.cfg.SRM.SessionPeriod, s.monitor)
+	s.eng.ScheduleHandler(s.cfg.SRM.SessionPeriod, s)
 }
 
 // shutdown stops the agent's session stream and halts the engine; the
