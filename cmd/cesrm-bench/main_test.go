@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"io"
+	"os"
 	"strings"
 	"testing"
 )
@@ -80,6 +81,39 @@ func TestRunTraceNameFilter(t *testing.T) {
 	for _, row := range blocks[0] {
 		if !strings.Contains(strings.ToLower(row[1]), "wrn") {
 			t.Fatalf("name filter selected %q, want only WRN traces", row[1])
+		}
+	}
+}
+
+// TestChaosMatrixFingerprints renders the whole scale-0.01 chaos matrix
+// (every catalog trace × every chaos.Scenarios spec × SRM/CESRM) and
+// diffs it against the recorded output. It is the golden for runs with a
+// chaos spec armed: session starvation, duplicates, jitter ramps, link
+// flaps, crashes, membership churn and queue-cap windows. A drift is a
+// behaviour change, not a golden to regenerate.
+func TestChaosMatrixFingerprints(t *testing.T) {
+	const golden = "../../internal/experiment/testdata/chaos-fingerprints/scale-0.01-seed-1.txt"
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := run([]string{"-chaos-matrix", "-scale", "0.01", "-seed", "1"}, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
+			var g, w string
+			if i < len(gotLines) {
+				g = gotLines[i]
+			}
+			if i < len(wantLines) {
+				w = wantLines[i]
+			}
+			if g != w {
+				t.Fatalf("chaos matrix diverges from %s at line %d:\n got %q\nwant %q", golden, i+1, g, w)
+			}
 		}
 	}
 }
