@@ -3,6 +3,7 @@ package experiment
 import (
 	"slices"
 	"testing"
+	"time"
 
 	"cesrm/internal/chaos"
 	"cesrm/internal/lossinfer"
@@ -13,14 +14,56 @@ import (
 	"cesrm/internal/trace"
 )
 
+// stubHost is the lifecycle and membership surface a chaos controller
+// drives, with no protocol behind it.
+type stubHost struct{ crashed, absent bool }
+
+func (h *stubHost) Crash()        { h.crashed = true }
+func (h *stubHost) Restart()      { h.crashed = false }
+func (h *stubHost) Crashed() bool { return h.crashed }
+func (h *stubHost) Leave()        { h.absent = true }
+func (h *stubHost) Join()         { h.absent = false }
+func (h *stubHost) Absent() bool  { return h.absent }
+
+// verdictChaosSpec opens one window of every fault kind that changes
+// network or host state mid-run — a queue cap, a leave and rejoin, a
+// crash and restart, a downed link — overlapping each other, and with
+// starve two session-starvation windows: every host's, then the
+// source's alone.
+func verdictChaosSpec(tree *topology.Tree, starve bool) *chaos.Spec {
+	rs := tree.Receivers()
+	a, b := rs[0], rs[len(rs)-1]
+	s := func(n int) time.Duration { return time.Duration(n) * time.Second }
+	spec := &chaos.Spec{Name: "verdict", Faults: []chaos.Fault{
+		{Kind: chaos.QueueCap, At: s(10), Until: s(20), Cap: 2},
+		{Kind: chaos.Leave, At: s(12), Host: a},
+		{Kind: chaos.Join, At: s(18), Host: a},
+		{Kind: chaos.Crash, At: s(14), Host: b},
+		{Kind: chaos.Restart, At: s(22), Host: b},
+		{Kind: chaos.LinkDown, At: s(16), Until: s(24), Link: a},
+	}}
+	if starve {
+		spec.Faults = append(spec.Faults,
+			chaos.Fault{Kind: chaos.Starve, At: s(15), Until: s(25), Host: topology.None},
+			chaos.Fault{Kind: chaos.Starve, At: s(30), Until: s(35), Host: tree.Root()})
+	}
+	return spec
+}
+
 // TestLossModelVerdictAgreesWithDrop holds the loss model's two faces to
 // netsim.LossFunc's contract on every catalog trace: whenever verdict
 // says known, drop answers true exactly on the downstream crossing of
 // the links verdict listed — for session, data (every sequence number),
 // request and reply packets, every link, both directions — and draws
-// nothing from the lossy-recovery stream. The verdict must be unknown
-// under a chaos spec, under an ExtraDrop, and for recovery traffic under
-// LossyRecovery, where drop is a per-crossing callback or an RNG draw.
+// nothing from the lossy-recovery stream.
+//
+// The verdict is unknown only where drop is a per-crossing callback or an
+// RNG draw: under an ExtraDrop, for recovery traffic under LossyRecovery,
+// and for session packets under a chaos spec with a starve fault. Any
+// other chaos spec leaves every verdict known. A queuing flood crosses
+// its links at later instants than it asked at, so under a chaos spec
+// each known answer is checked at instants before, inside and after every
+// fault window of a driven controller, and must never change.
 func TestLossModelVerdictAgreesWithDrop(t *testing.T) {
 	type kind int
 	const (
@@ -32,12 +75,16 @@ func TestLossModelVerdictAgreesWithDrop(t *testing.T) {
 		name  string
 		cfg   RunConfig
 		known [3]bool // by kind
+		// chaos builds the run's chaos spec for a tree: starve or not.
+		chaos, starve bool
 	}{
-		{"default", RunConfig{}, [3]bool{true, true, true}},
-		{"lossy-recovery", RunConfig{LossyRecovery: true}, [3]bool{true, true, false}},
-		{"chaos", RunConfig{Chaos: &chaos.Spec{Name: "armed"}}, [3]bool{}},
-		{"extra-drop", RunConfig{ExtraDrop: func(*netsim.Packet, topology.LinkID, bool) bool { return false }}, [3]bool{}},
+		{name: "default", known: [3]bool{true, true, true}},
+		{name: "lossy-recovery", cfg: RunConfig{LossyRecovery: true}, known: [3]bool{true, true, false}},
+		{name: "extra-drop", cfg: RunConfig{ExtraDrop: func(*netsim.Packet, topology.LinkID, bool) bool { return false }}},
+		{name: "chaos", chaos: true, known: [3]bool{true, true, true}},
+		{name: "chaos-starve", chaos: true, starve: true, known: [3]bool{false, true, true}},
 	}
+	starved := 0
 	for _, entry := range trace.Catalog {
 		tr, err := entry.Load(0.01)
 		if err != nil {
@@ -54,7 +101,7 @@ func TestLossModelVerdictAgreesWithDrop(t *testing.T) {
 			pkt  *netsim.Packet
 			lost []topology.LinkID
 		}
-		probes := []probe{{kind: session, pkt: &netsim.Packet{Class: netsim.Control, Session: true, Msg: &srm.SessionMsg{From: source}}}}
+		probes := []probe{{kind: session, pkt: &netsim.Packet{From: source, Class: netsim.Control, Session: true, Msg: &srm.SessionMsg{From: source}}}}
 		lossy := 0
 		for seq := 0; seq < tr.NumPackets(); seq++ {
 			lost := inferred.Drops[seq]
@@ -62,7 +109,7 @@ func TestLossModelVerdictAgreesWithDrop(t *testing.T) {
 				lossy++
 			}
 			probes = append(probes,
-				probe{data, &netsim.Packet{Class: netsim.Payload, Msg: &srm.DataMsg{Source: source, Seq: seq}}, lost},
+				probe{data, &netsim.Packet{From: source, Class: netsim.Payload, Msg: &srm.DataMsg{Source: source, Seq: seq}}, lost},
 				// Recovery traffic for a lost packet is not itself lossy.
 				probe{recovery, &netsim.Packet{Class: netsim.Control, Msg: &srm.RequestMsg{Source: source, Seq: seq}}, nil},
 				probe{recovery, &netsim.Packet{Class: netsim.Payload, Msg: &srm.ReplyMsg{Source: source, Seq: seq}}, nil})
@@ -72,34 +119,81 @@ func TestLossModelVerdictAgreesWithDrop(t *testing.T) {
 		}
 		for _, c := range configs {
 			rng, twin := sim.NewRNG(99), sim.NewRNG(99)
-			m := newLossModel(&c.cfg, inferred.Drops, rates, rng)
-			for _, pr := range probes {
-				lost, known := m.verdict(pr.pkt)
-				if known != c.known[pr.kind] {
-					t.Fatalf("%s/%s: verdict for %T known = %v, want %v", entry.Name, c.name, pr.pkt.Msg, known, c.known[pr.kind])
-				}
-				if !known {
-					continue
-				}
-				if !slices.Equal(lost, pr.lost) {
-					t.Fatalf("%s/%s: verdict for %T %+v lost = %v, want %v", entry.Name, c.name, pr.pkt.Msg, pr.pkt.Msg, lost, pr.lost)
-				}
-				for l := 0; l < tr.Tree.NumNodes(); l++ {
-					link := topology.LinkID(l)
-					if link == source {
-						continue
-					}
-					for _, down := range []bool{true, false} {
-						if got, want := m.drop(pr.pkt, link, down), down && slices.Contains(lost, link); got != want {
-							t.Fatalf("%s/%s: drop(%T %+v, link %d, down=%v) = %v, verdict %v says %v",
-								entry.Name, c.name, pr.pkt.Msg, pr.pkt.Msg, link, down, got, lost, want)
+			cfg := c.cfg
+			// Without a chaos spec only instant zero is checked: nothing else
+			// moves.
+			var eng *sim.Engine
+			instants := []sim.Time{0}
+			if c.chaos {
+				cfg.Chaos = verdictChaosSpec(tr.Tree, c.starve)
+				for _, f := range cfg.Chaos.Faults {
+					for _, edge := range []time.Duration{f.At, f.Until} {
+						if edge != 0 {
+							instants = append(instants, sim.Time(edge-time.Millisecond), sim.Time(edge))
 						}
 					}
 				}
+				slices.Sort(instants)
+				instants = slices.Compact(instants)
+			}
+			m := newLossModel(&cfg, inferred.Drops, rates, rng)
+			var net *netsim.Network
+			if c.chaos {
+				eng = sim.NewEngine()
+				net = netsim.MustNew(eng, tr.Tree, netsim.DefaultConfig())
+				hosts := map[topology.NodeID]chaos.Host{}
+				for _, r := range tr.Tree.Receivers() {
+					hosts[r] = &stubHost{}
+				}
+				if m.chaos, err = chaos.Install(eng, net, sim.NewRNG(7), cfg.Chaos, hosts, nil); err != nil {
+					t.Fatalf("%s/%s: %v", entry.Name, c.name, err)
+				}
+			}
+			capped, severed := false, false
+			for _, at := range instants {
+				if eng != nil {
+					eng.RunUntil(at)
+					capped = capped || net.QueueCap() > 0
+					severed = severed || !net.LinkUp(tr.Tree.Receivers()[0])
+				}
+				for _, pr := range probes {
+					lost, known := m.verdict(pr.pkt)
+					if known != c.known[pr.kind] {
+						t.Fatalf("%s/%s at %v: verdict for %T known = %v, want %v", entry.Name, c.name, at, pr.pkt.Msg, known, c.known[pr.kind])
+					}
+					if !known {
+						if pr.kind == session && m.drop(pr.pkt, tr.Tree.Receivers()[0], true) {
+							starved++
+						}
+						continue
+					}
+					if !slices.Equal(lost, pr.lost) {
+						t.Fatalf("%s/%s at %v: verdict for %T %+v lost = %v, want %v", entry.Name, c.name, at, pr.pkt.Msg, pr.pkt.Msg, lost, pr.lost)
+					}
+					for l := 0; l < tr.Tree.NumNodes(); l++ {
+						link := topology.LinkID(l)
+						if link == source {
+							continue
+						}
+						for _, down := range []bool{true, false} {
+							if got, want := m.drop(pr.pkt, link, down), down && slices.Contains(lost, link); got != want {
+								t.Fatalf("%s/%s at %v: drop(%T %+v, link %d, down=%v) = %v, verdict %v says %v",
+									entry.Name, c.name, at, pr.pkt.Msg, pr.pkt.Msg, link, down, got, lost, want)
+							}
+						}
+					}
+				}
+			}
+			if c.chaos && (!capped || !severed || eng.Pending() != 0) {
+				t.Fatalf("%s/%s: the controller was not driven through its windows (capped %v, severed %v, %d faults pending)",
+					entry.Name, c.name, capped, severed, eng.Pending())
 			}
 			if rng.Int63() != twin.Int63() {
 				t.Fatalf("%s/%s: a known verdict's drop calls drew from the lossy-recovery stream", entry.Name, c.name)
 			}
 		}
+	}
+	if starved == 0 {
+		t.Fatal("no starve window ever dropped a session packet: the unknown session verdict is untested")
 	}
 }

@@ -23,6 +23,7 @@ package netsim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"cesrm/internal/sim"
@@ -165,18 +166,21 @@ type Host interface {
 // the tree root. A nil DropFunc drops nothing.
 type DropFunc func(p *Packet, link topology.LinkID, down bool) bool
 
-// LossFunc declares flood p's loss pattern in one call, asked once per
-// non-queuing flood before any link is checked. known is a promise about
-// the installed DropFunc: for p it would return true exactly on the
-// downstream crossing of each link in lost and false on every other
-// crossing (any link, either direction), drawing no randomness and
-// having no side effect — so the flood tests membership in lost itself
-// and never calls DropFunc. With known false, lost is ignored and the
-// flood asks DropFunc per link as if no LossFunc were installed. lost
-// must stay unmodified until the call that asked returns; it is not
-// retained. LossFunc accelerates DropFunc and never replaces it: queuing
-// floods and unicast legs consult DropFunc only, so a caller installs
-// both, answering from the same data.
+// LossFunc declares p's loss pattern in one call, asked once per send
+// before any link is checked: once per flood (plan replay or queuing)
+// and once per unicast leg. known is a promise about the installed
+// DropFunc: for p it would return true exactly on the downstream
+// crossing of each link in lost and false on every other crossing (any
+// link, either direction), drawing no randomness and having no side
+// effect — so the send tests membership in lost itself and never calls
+// DropFunc. A queuing flood crosses its links at later instants than the
+// one it asked at, so a known answer must hold at every instant of that
+// flood, and lost is held, unmodified, until the flood's last hop has
+// fired. With known false, lost is ignored and the send asks DropFunc
+// per link as if no LossFunc were installed. LossFunc accelerates
+// DropFunc and never replaces it: DropFunc stays the oracle for every
+// unknown verdict, so a caller installs both, answering from the same
+// data.
 type LossFunc func(p *Packet) (lost []topology.LinkID, known bool)
 
 // DupFunc decides whether the end-to-end delivery of p scheduled for
@@ -638,6 +642,24 @@ func (n *Network) RTT(a, b topology.NodeID) time.Duration {
 	return 2 * n.Distance(a, b)
 }
 
+// lossVerdict asks the LossFunc once for p's send. Without one, only a
+// network with no DropFunc either knows the (empty) answer.
+func (n *Network) lossVerdict(p *Packet) (lost []topology.LinkID, known bool) {
+	if n.loss != nil {
+		return n.loss(p)
+	}
+	return nil, n.drop == nil
+}
+
+// dropped decides p's crossing of link from the send's verdict: a
+// membership test when it is known, DropFunc otherwise.
+func (n *Network) dropped(p *Packet, lost []topology.LinkID, known bool, link topology.LinkID, down bool) bool {
+	if known {
+		return down && slices.Contains(lost, link)
+	}
+	return n.drop != nil && n.drop(p, link, down)
+}
+
 // counterFor returns the crossing counter p's link crossings accrue to.
 // The class is fixed for a whole flood or unicast leg, so senders resolve
 // it once and increment through the pointer per crossing.
@@ -853,10 +875,24 @@ func (n *Network) flushGroups(p *Packet, now sim.Time, perHop time.Duration) {
 // whole walk now and schedules the deliveries.
 func (n *Network) flood(origin topology.NodeID, p *Packet, downOnly bool) {
 	if n.cfg.Queuing || n.queueCap > 0 {
-		n.floodHop(origin, origin, topology.None, p, downOnly, n.eng.Now())
+		f := queuedFlood{origin: origin, pkt: p, downOnly: downOnly, crossings: n.counterFor(p)}
+		f.lost, f.known = n.lossVerdict(p)
+		n.floodHop(&f, origin, topology.None, n.eng.Now())
 		return
 	}
 	n.replayPlan(origin, downOnly, p)
+}
+
+// queuedFlood is what every hop of one queuing flood shares, resolved
+// once at its send: the crossing counter and the loss verdict (see
+// LossFunc for why a known one holds for the flood's whole lifetime).
+type queuedFlood struct {
+	origin    topology.NodeID
+	pkt       *Packet
+	downOnly  bool
+	crossings *uint64
+	lost      []topology.LinkID
+	known     bool
 }
 
 // hopEvent is the pooled forwarding event of the queuing flood: a run
@@ -865,13 +901,11 @@ func (n *Network) flood(origin topology.NodeID, p *Packet, downOnly bool) {
 // numbers and fired consecutively, so one wheel record firing them in
 // append order dispatches identically (DESIGN.md §14).
 type hopEvent struct {
-	n        *Network
-	origin   topology.NodeID
-	pkt      *Packet
-	id       uint64
-	downOnly bool
-	at       sim.Time
-	steps    []hopStep
+	n *Network
+	queuedFlood
+	id    uint64
+	at    sim.Time
+	steps []hopStep
 }
 
 // hopStep is one hop of a run: the flood continues at node, having
@@ -885,23 +919,23 @@ func (h *hopEvent) Fire(now sim.Time) {
 		n.openHops = nil
 	}
 	for _, s := range h.steps {
-		n.floodHop(h.origin, s.node, s.cameFrom, pkt, h.downOnly, now)
+		n.floodHop(&h.queuedFlood, s.node, s.cameFrom, now)
 	}
 	// Recycle only after the loop: a nested flood inside Deliver may pull
 	// from the pool, and must not get this event while it is iterating.
-	h.pkt, h.steps = nil, h.steps[:0]
+	h.pkt, h.lost, h.steps = nil, nil, h.steps[:0]
 	n.freeHops = append(n.freeHops, h)
 	pkt.release()
 }
 
-// scheduleHop registers continuation of a queuing flood at node `next`,
+// scheduleHop registers continuation of queuing flood f at node `next`,
 // arriving from `from`, at the given instant. The hop joins the open run
 // when it is the same flood due at the same instant and the engine has
 // handed out no sequence number since the run's last hop; whatever did
 // take one would have fired between the two.
-func (n *Network) scheduleHop(at sim.Time, origin, next, from topology.NodeID, p *Packet, downOnly bool) {
+func (n *Network) scheduleHop(at sim.Time, f *queuedFlood, next, from topology.NodeID) {
 	h := n.openHops
-	if h == nil || n.eng.NextSeq() != n.openSeq || h.at != at || h.pkt != p || h.origin != origin || h.downOnly != downOnly {
+	if h == nil || n.eng.NextSeq() != n.openSeq || h.at != at || h.pkt != f.pkt || h.origin != f.origin || h.downOnly != f.downOnly {
 		if k := len(n.freeHops); k > 0 {
 			h = n.freeHops[k-1]
 			n.freeHops[k-1] = nil
@@ -909,8 +943,8 @@ func (n *Network) scheduleHop(at sim.Time, origin, next, from topology.NodeID, p
 		} else {
 			h = &hopEvent{n: n, steps: make([]hopStep, 0, 8)}
 		}
-		h.origin, h.pkt, h.id, h.downOnly, h.at = origin, p, p.ID, downOnly, at
-		p.hold()
+		h.queuedFlood, h.id, h.at = *f, f.pkt.ID, at
+		f.pkt.hold()
 		n.eng.ScheduleHandlerAt(at, h)
 		n.openHops, n.openSeq = h, n.eng.NextSeq()
 	}
@@ -919,31 +953,31 @@ func (n *Network) scheduleHop(at sim.Time, origin, next, from topology.NodeID, p
 
 // floodHop is the hop-by-hop variant used when Queuing is enabled.
 // Like replayPlan, it visits children in tree order before the parent.
-func (n *Network) floodHop(origin, node, cameFrom topology.NodeID, p *Packet, downOnly bool, at sim.Time) {
-	if node != origin {
+func (n *Network) floodHop(f *queuedFlood, node, cameFrom topology.NodeID, at sim.Time) {
+	p := f.pkt
+	if node != f.origin {
 		if h := n.hostAt[node]; h != nil {
 			h.Deliver(at, p)
 		}
 	}
-	crossings := n.counterFor(p)
 	for _, next := range n.tree.Children(node) {
 		if next == cameFrom || n.linkSevered(next) {
 			continue
 		}
-		*crossings++
-		if n.drop != nil && n.drop(p, next, true) {
+		*f.crossings++
+		if n.dropped(p, f.lost, f.known, next, true) {
 			continue
 		}
 		if arr, ok := n.hopArrival(next, true, at, p); ok {
-			n.scheduleHop(arr, origin, next, node, p, downOnly)
+			n.scheduleHop(arr, f, next, node)
 		}
 	}
-	if !downOnly {
+	if !f.downOnly {
 		if parent := n.tree.Parent(node); parent != topology.None && parent != cameFrom && !n.linkSevered(node) {
-			*crossings++
-			if n.drop == nil || !n.drop(p, node, false) {
+			*f.crossings++
+			if !n.dropped(p, f.lost, f.known, node, false) {
 				if arr, ok := n.hopArrival(node, false, at, p); ok {
-					n.scheduleHop(arr, origin, parent, node, p, downOnly)
+					n.scheduleHop(arr, f, parent, node)
 				}
 			}
 		}
@@ -969,11 +1003,13 @@ func (n *Network) Unicast(from, to topology.NodeID, p *Packet) {
 // walkLeg carries p along the tree path from `from` to `to`,
 // accumulating delay and crossing cost — per link sever-test →
 // crossing-count → drop-test, then the queuing or fixed per-hop delay.
-// ok is false when a severed link, a drop or a full queue stopped p.
+// The loss verdict is asked once for the leg. ok is false when a severed
+// link, a drop or a full queue stopped p.
 func (n *Network) walkLeg(from, to topology.NodeID, p *Packet) (at sim.Time, ok bool) {
 	perHop := n.cfg.LinkDelay + n.txTime(p)
 	queuing := n.cfg.Queuing || n.queueCap > 0
 	crossings := n.counterFor(p)
+	lost, known := n.lossVerdict(p)
 	cur := from
 	at = n.eng.Now()
 	n.pathScratch = n.tree.AppendPathLinks(n.pathScratch[:0], from, to)
@@ -985,7 +1021,7 @@ func (n *Network) walkLeg(from, to topology.NodeID, p *Packet) (at sim.Time, ok 
 			return at, false
 		}
 		*crossings++
-		if n.drop != nil && n.drop(p, link, down) {
+		if n.dropped(p, lost, known, link, down) {
 			return at, false
 		}
 		if queuing {

@@ -219,11 +219,7 @@ func (n *Network) replayPlan(origin topology.NodeID, downOnly bool, p *Packet) {
 	order := n.tree.FloodOrder()
 	entries, kids := order.Entries, order.Kids
 	crossings := n.counterFor(p)
-	var lost []topology.LinkID
-	known := n.drop == nil
-	if n.loss != nil {
-		lost, known = n.loss(p)
-	}
+	lost, known := n.lossVerdict(p)
 	perHop := n.cfg.LinkDelay + n.txTime(p)
 	now := n.eng.Now()
 	grouped := n.canGroupDeliveries(perHop)

@@ -100,8 +100,11 @@ func verdictScript(tree *topology.Tree, rng *rand.Rand) []verdictFlood {
 // never call DropFunc; an unknown one must call it once per link check.
 // Modes: hop-cohort grouping (where lossless floods of cached plans take
 // the precompiled cohorts), jitter, a duplicate hook, one severed link,
-// and a plan budget that admits nothing (every origin refused).
+// and a plan budget that admits nothing (every origin refused). The
+// queuing-and-legs subtest holds queuing floods and unicast legs to the
+// same contract (see checkQueuingVerdicts).
 func TestFloodVerdictEquivalence(t *testing.T) {
+	t.Run("queuing-and-legs", checkQueuingVerdicts)
 	const maxJitter = 3 * time.Millisecond
 	dupRule := func(id uint64, at sim.Time) (time.Duration, bool) {
 		return time.Duration(id+1) * time.Millisecond, (uint64(at)+id)%3 == 0
@@ -343,5 +346,185 @@ func TestScratchPlanFloodsDoNotAlias(t *testing.T) {
 				t.Fatalf("flood from %d: host %d delivered at %v (reached=%v), want %v", o, r, at, ok, want)
 			}
 		}
+	}
+}
+
+// lossyMsg carries its own loss pattern, so both networks answer every
+// send from the message alone, whichever floods are in flight together.
+type lossyMsg struct {
+	data  bool
+	lost  []topology.LinkID
+	known bool
+}
+
+func (m lossyMsg) IsOriginalData() bool { return m.data }
+
+// queuingVerdictRun is what one side of checkQueuingVerdicts observed.
+type queuingVerdictRun struct {
+	log                      []orderEntry
+	counts                   CrossingCounts
+	queueDrops, executed     uint64
+	knownCalls, unknownCalls int
+}
+
+// diff names the first observation two runs disagree on, or is empty.
+func (r queuingVerdictRun) diff(o queuingVerdictRun) string {
+	switch {
+	case !slices.Equal(r.log, o.log):
+		return fmt.Sprintf("delivery order: %d entries against %d", len(r.log), len(o.log))
+	case r.counts != o.counts:
+		return fmt.Sprintf("crossing counts %+v against %+v", r.counts, o.counts)
+	case r.queueDrops != o.queueDrops:
+		return fmt.Sprintf("%d queue drops against %d", r.queueDrops, o.queueDrops)
+	case r.executed != o.executed:
+		return fmt.Sprintf("%d engine events against %d", r.executed, o.executed)
+	}
+	return ""
+}
+
+// playQueuingVerdicts runs one seed's script of queuing floods, subcasts,
+// unicasts and unicast-then-subcasts, sent at colliding instants, on one
+// network. capWindow leaves Config.Queuing off and opens a queue cap at
+// 10 ms and lifts it at 45 ms, so floods start on plan replay, on the
+// queuing path, and keep hopping after the cap is gone; otherwise the
+// network queues from the start under a static cap. One link goes down
+// at 25 ms, between the first floods' hops, and comes back at 50 ms.
+// withVerdict installs a LossFunc beside the DropFunc; omitOne makes it
+// leave out the first lost link of every send.
+func playQueuingVerdicts(tree *topology.Tree, seed int64, capWindow, withVerdict, omitOne bool) queuingVerdictRun {
+	cfg := DefaultConfig()
+	if !capWindow {
+		cfg.Queuing, cfg.QueueCap = true, 2
+	}
+	eng := sim.NewEngine()
+	net := MustNew(eng, tree, cfg)
+	log := &orderLog{}
+	for id := 0; id < tree.NumNodes(); id++ {
+		if node := topology.NodeID(id); tree.IsReceiver(node) || id%3 == 0 {
+			net.AttachHost(node, &orderTap{log: log, node: node})
+		}
+	}
+	var run queuingVerdictRun
+	net.SetDropFunc(func(p *Packet, link topology.LinkID, down bool) bool {
+		m := p.Msg.(lossyMsg)
+		if m.known {
+			run.knownCalls++
+		} else {
+			run.unknownCalls++
+		}
+		return down && slices.Contains(m.lost, link)
+	})
+	if withVerdict {
+		net.SetLossFunc(func(p *Packet) ([]topology.LinkID, bool) {
+			m := p.Msg.(lossyMsg)
+			if omitOne && len(m.lost) > 0 {
+				return m.lost[1:], m.known
+			}
+			return m.lost, m.known
+		})
+	}
+
+	rng := rand.New(rand.NewSource(seed))
+	receivers := tree.Receivers()
+	var routers []topology.NodeID
+	for id := 0; id < tree.NumNodes(); id++ {
+		if node := topology.NodeID(id); !tree.IsReceiver(node) {
+			routers = append(routers, node)
+		}
+	}
+	pick := func(from []topology.NodeID) topology.NodeID { return from[rng.Intn(len(from))] }
+	link := func() topology.LinkID { return topology.LinkID(1 + rng.Intn(tree.NumNodes()-1)) }
+	ms := func(n int) sim.Time { return sim.Time(time.Duration(n) * time.Millisecond) }
+	if capWindow {
+		eng.ScheduleAt(ms(10), func(sim.Time) { net.SetQueueCap(2) })
+		eng.ScheduleAt(ms(45), func(sim.Time) { net.SetQueueCap(0) })
+	}
+	severed := link()
+	eng.ScheduleAt(ms(25), func(sim.Time) { net.SetLinkUp(severed, false) })
+	eng.ScheduleAt(ms(50), func(sim.Time) { net.SetLinkUp(severed, true) })
+	for i := 0; i < 48; i++ {
+		at := ms(5 * rng.Intn(12))
+		kind, a, b := i%4, pick(receivers), pick(receivers)
+		m := lossyMsg{known: rng.Intn(5) != 0}
+		pkt := &Packet{Class: Payload}
+		switch rng.Intn(4) {
+		case 0:
+			pkt.Class = Control
+		case 1:
+			pkt.Class, pkt.Session = Control, kind == 0
+		case 2:
+			m.data = kind == 0
+		}
+		// The path's links make unicast losses likely; random ones reach
+		// the floods.
+		if path := tree.PathLinks(a, b); len(path) > 0 && rng.Intn(2) == 0 {
+			m.lost = append(m.lost, path[rng.Intn(len(path))])
+		}
+		for k := rng.Intn(3); k > 0; k-- {
+			m.lost = append(m.lost, link())
+		}
+		pkt.Msg = m
+		router := pick(routers)
+		eng.ScheduleAt(at, func(sim.Time) {
+			switch kind {
+			case 0:
+				net.Multicast(a, pkt)
+			case 1:
+				pkt.From = a
+				net.Subcast(router, pkt)
+			case 2:
+				net.Unicast(a, b, pkt)
+			default:
+				net.UnicastThenSubcast(a, router, pkt)
+			}
+		})
+	}
+	eng.Run()
+	run.log, run.counts, run.queueDrops, run.executed = log.events, net.Counts(), net.QueueDrops(), eng.Executed()
+	return run
+}
+
+// checkQueuingVerdicts is TestFloodVerdictEquivalence for the sends that
+// cross links at later instants than they were sent: queuing floods
+// (under a static cap, and across a cap window opening and closing
+// mid-flood) and unicast legs. A network with a LossFunc must equal one
+// with only the DropFunc in delivery order, crossing counters, queue
+// drops and engine events, while calling DropFunc on no known send and
+// as often as the callback network on unknown ones. A LossFunc that
+// omits one lost link must be caught.
+func checkQueuingVerdicts(t *testing.T) {
+	var total queuingVerdictRun
+	for seed := int64(0); seed < 6; seed++ {
+		tree := topology.MustGenerate(sim.NewRNG(seed), topology.GenSpec{Receivers: 8 + int(seed)*3, Depth: 3 + int(seed)%3})
+		for _, capWindow := range []bool{false, true} {
+			where := fmt.Sprintf("seed=%d capWindow=%v", seed, capWindow)
+			verdict := playQueuingVerdicts(tree, seed, capWindow, true, false)
+			callback := playQueuingVerdicts(tree, seed, capWindow, false, false)
+			if d := verdict.diff(callback); d != "" {
+				t.Fatalf("%s: the LossFunc network diverges from the DropFunc one: %s", where, d)
+			}
+			if verdict.knownCalls != 0 {
+				t.Fatalf("%s: %d DropFunc calls on known sends beside the LossFunc", where, verdict.knownCalls)
+			}
+			if verdict.unknownCalls != callback.unknownCalls {
+				t.Fatalf("%s: %d DropFunc calls on unknown sends, %d by callback", where, verdict.unknownCalls, callback.unknownCalls)
+			}
+			if d := playQueuingVerdicts(tree, seed, capWindow, true, true).diff(callback); d == "" {
+				t.Fatalf("%s: a LossFunc omitting one lost link went unnoticed", where)
+			}
+			total.knownCalls += callback.knownCalls
+			total.unknownCalls += callback.unknownCalls
+			total.queueDrops += callback.queueDrops
+			c := &total.counts
+			c.Data += callback.counts.Data
+			c.Session += callback.counts.Session
+			c.PayloadSubcast += callback.counts.PayloadSubcast
+			c.PayloadUnicast += callback.counts.PayloadUnicast
+			c.ControlUnicast += callback.counts.ControlUnicast
+		}
+	}
+	if c := total.counts; total.knownCalls == 0 || total.unknownCalls == 0 || total.queueDrops == 0 ||
+		c.Data == 0 || c.Session == 0 || c.PayloadSubcast == 0 || c.PayloadUnicast == 0 || c.ControlUnicast == 0 {
+		t.Fatalf("the scripts left a case unexercised: %+v", total)
 	}
 }
