@@ -223,6 +223,12 @@ func (c *Controller) schedule(f Fault) {
 	}
 }
 
+// DropsSessions reports whether the spec has a fault Controller.Drop
+// can answer true for. Drop draws no randomness and touches session
+// packets only, so under a spec without one every other packet's loss,
+// and a session packet's too, is decided outside chaos.
+func (s *Spec) DropsSessions() bool { return s.hasKind(Starve) }
+
 // Drop implements session-message starvation; the experiment harness
 // consults it first in the network's drop hook. Only session packets
 // are ever affected.

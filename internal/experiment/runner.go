@@ -372,6 +372,9 @@ func infer(tr *trace.Trace) (*lossinfer.Result, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, err
 	}
+	if tr.NumPackets() > srm.MaxSeq+1 {
+		return nil, fmt.Errorf("experiment: trace %q has %d packets, more than a stream may carry (%d)", tr.Name, tr.NumPackets(), srm.MaxSeq+1)
+	}
 	inferred, err := lossinfer.Infer(tr, lossinfer.EstimateYajnik(tr))
 	if err != nil {
 		return nil, fmt.Errorf("experiment: %w", err)

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"cesrm/internal/srm"
 	"cesrm/internal/topology"
 	"cesrm/internal/trace"
 )
@@ -122,6 +123,16 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	tr := smallTrace(t, 3)
 	if _, err := Run(RunConfig{Trace: tr, Protocol: Protocol(99)}); err == nil {
 		t.Fatal("accepted unknown protocol")
+	}
+	long := *tr
+	long.Packets = srm.MaxSeq + 2
+	long.Loss = make([][]uint64, len(tr.Loss))
+	for r := range long.Loss {
+		long.Loss[r] = make([]uint64, (long.Packets+63)/64)
+	}
+	long.TrueDrops = nil
+	if _, err := Run(RunConfig{Trace: &long, Protocol: CESRM}); err == nil {
+		t.Fatal("accepted a stream longer than srm.MaxSeq+1 packets")
 	}
 }
 

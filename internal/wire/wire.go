@@ -134,8 +134,8 @@ func (c NodeConfig) Validate() error {
 	default:
 		return fmt.Errorf("wire: unknown protocol %q", c.Protocol)
 	}
-	if c.NumPackets <= 0 {
-		return fmt.Errorf("wire: non-positive packet count %d", c.NumPackets)
+	if c.NumPackets <= 0 || c.NumPackets > srm.MaxSeq+1 {
+		return fmt.Errorf("wire: packet count %d outside [1, %d]", c.NumPackets, srm.MaxSeq+1)
 	}
 	if c.Period <= 0 || c.Warmup < 0 || c.Linger <= 0 || c.SourceLinger <= 0 || c.MaxRunTime <= 0 {
 		return fmt.Errorf("wire: non-positive schedule parameter")

@@ -41,6 +41,21 @@ func testNodeConfig(tree *topology.Tree, id topology.NodeID) NodeConfig {
 	}
 }
 
+// TestNodeConfigBoundsStream: a stream carries at most srm.MaxSeq+1
+// packets, the numbers every agent accepts.
+func TestNodeConfigBoundsStream(t *testing.T) {
+	cfg := testNodeConfig(testTree(t), 0)
+	for _, c := range []struct {
+		packets int
+		ok      bool
+	}{{srm.MaxSeq + 1, true}, {srm.MaxSeq + 2, false}, {-1, false}} {
+		cfg.NumPackets = c.packets
+		if err := cfg.withDefaults().Validate(); (err == nil) != c.ok {
+			t.Errorf("%d packets: Validate() = %v, want ok %v", c.packets, err, c.ok)
+		}
+	}
+}
+
 // runGroup runs one in-process node per member over localhost UDP,
 // optionally routing all traffic through a drop-injecting proxy, and
 // returns each node's result and parsed capture plus the proxy's drop
