@@ -1,6 +1,7 @@
 package srm
 
 import (
+	"fmt"
 	"testing"
 
 	"cesrm/internal/netsim"
@@ -255,5 +256,32 @@ func TestFramesAreNeverReused(t *testing.T) {
 	}
 	if &sm.Highest[:1][0] != advert || &f.echoList(sm, 2)[:1][0] != echo {
 		t.Fatal("the session frame handed back did not keep its lists' arrays")
+	}
+}
+
+// TestArenaChunksDouble: an arena's chunks start at firstChunk slots and
+// double up to the caller's length, and every slot is handed out once.
+func TestArenaChunksDouble(t *testing.T) {
+	var a arena[int64]
+	var chunks []int
+	seen := map[*int64]bool{}
+	for range 16 + 32 + 64 + 64 {
+		fresh := len(a.free) == 0
+		p := a.next(64)
+		if fresh {
+			chunks = append(chunks, len(a.free)+1)
+		}
+		if seen[p] {
+			t.Fatalf("slot %p handed out twice", p)
+		}
+		seen[p] = true
+	}
+	if got, want := fmt.Sprint(chunks), "[16 32 64 64]"; got != want {
+		t.Fatalf("chunk lengths %s, want %s (firstChunk = %d)", got, want, firstChunk)
+	}
+	var small arena[int64]
+	small.next(8)
+	if got := len(small.free) + 1; got != 8 {
+		t.Fatalf("first chunk of an 8-slot arena is %d slots, want 8", got)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"cesrm/internal/netsim"
 	"cesrm/internal/sim"
 	"cesrm/internal/topology"
 )
@@ -234,5 +235,43 @@ func TestUseDistancePlaneRejectsMisfit(t *testing.T) {
 	}
 	if got := a.Distance(3); got != f.net.Distance(2, 3) {
 		t.Fatalf("a refused plane disturbed the agent's own table: d(2,3) = %v", got)
+	}
+}
+
+// TestSharedPlaneMemberOwnsNoColumn: an agent builds its private column
+// only when it records its first estimate, so a member handed a shared
+// plane before that never allocates one; until then every lookup falls
+// back to the default distance.
+func TestSharedPlaneMemberOwnsNoColumn(t *testing.T) {
+	tree := yTree()
+	eng := sim.NewEngine()
+	net := netsim.MustNew(eng, tree, netsim.DefaultConfig())
+	p := detParams()
+	a, err := NewAgent(eng, net, sim.NewRNG(1), 2, p, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.dist != nil {
+		t.Fatalf("a new agent already holds a %d-cell column", len(a.dist))
+	}
+	a.forgetDistances()
+	if got := a.Distance(3); got != p.DefaultDistance || a.MissingDistanceLookups() != 1 {
+		t.Fatalf("d(2,3) = %v after %d fallbacks with no column, want the default %v once", got, a.MissingDistanceLookups(), p.DefaultDistance)
+	}
+	if err := a.UseDistancePlane(NewDistancePlane(tree.NumNodes(), 1), 0); err != nil {
+		t.Fatal(err)
+	}
+	a.SetDistance(3, 5*time.Millisecond)
+	if got := a.Distance(3); got != 5*time.Millisecond {
+		t.Fatalf("d(2,3) = %v on the shared plane, want 5ms", got)
+	}
+
+	b, err := NewAgent(eng, net, sim.NewRNG(2), 3, p, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.SetDistance(2, 4*time.Millisecond)
+	if len(b.dist) != tree.NumNodes() || b.Distance(2) != 4*time.Millisecond {
+		t.Fatalf("first estimate left a %d-cell column reading d(3,2) = %v, want %d cells and 4ms", len(b.dist), b.Distance(2), tree.NumNodes())
 	}
 }

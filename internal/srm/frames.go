@@ -12,13 +12,27 @@ import (
 // the free lists that take frames and records back, so it allocates only
 // while the in-flight peak is still growing. The first chunk is allocated
 // on first use, so an arena nobody draws from costs nothing.
-type arena[T any] struct{ free []T }
+//
+// Chunks start at firstChunk slots and double up to the caller's chunk
+// length, so a host that draws a handful of slots pins a handful: a
+// 1025-host group whose hosts each take their first loss at a different
+// point of the run would otherwise grow the live heap by one full chunk
+// per host across the run, and where the collector's cycles fall on that
+// ramp would set the peak it reads.
+type arena[T any] struct {
+	free []T
+	size int // length of the last chunk, 0 before the first
+}
 
-// next returns the next unused slot, starting a new chunk of the given
-// length when the current one is spent.
+// firstChunk is the length of an arena's first chunk.
+const firstChunk = 16
+
+// next returns the next unused slot, starting a new chunk when the
+// current one is spent: twice the last one's length, at most chunk.
 func (a *arena[T]) next(chunk int) *T {
 	if len(a.free) == 0 {
-		a.free = make([]T, chunk)
+		a.size = min(max(2*a.size, firstChunk), chunk)
+		a.free = make([]T, a.size)
 	}
 	p := &a.free[0]
 	a.free = a.free[1:]
