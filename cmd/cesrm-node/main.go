@@ -45,35 +45,43 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("cesrm-node", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		mode = flag.String("mode", "node", "node | proxy | conform")
+		mode = fs.String("mode", "node", "node | proxy | conform")
 
-		treePath = flag.String("tree", "", "tree file (parent vector; -1 marks the root)")
-		id       = flag.Int("id", -1, "this node's id in the tree")
-		bind     = flag.String("bind", "127.0.0.1:0", "UDP bind address")
-		peers    = flag.String("peers", "", "peer address book: id=host:port,id=host:port,...")
-		via      = flag.String("via", "", "route all traffic through the proxy at this address")
-		capture  = flag.String("capture", "", "write an NDJSON capture to this file")
+		treePath = fs.String("tree", "", "tree file (parent vector; -1 marks the root)")
+		id       = fs.Int("id", -1, "this node's id in the tree")
+		bind     = fs.String("bind", "127.0.0.1:0", "UDP bind address")
+		peers    = fs.String("peers", "", "peer address book: id=host:port,id=host:port,...")
+		via      = fs.String("via", "", "route all traffic through the proxy at this address")
+		capture  = fs.String("capture", "", "write an NDJSON capture to this file")
 
-		protocol = flag.String("protocol", "cesrm", "protocol: srm | cesrm")
-		distance = flag.String("distance", "echo-rtt",
+		protocol = fs.String("protocol", "cesrm", "protocol: srm | cesrm")
+		distance = fs.String("distance", "echo-rtt",
 			"distance estimator: echo-rtt (no clock sync needed; the default for real "+
 				"processes, whose virtual-clock epochs differ) | one-way (assumes synchronized clocks)")
-		seed     = flag.Int64("seed", 1, "shared group seed")
-		packets  = flag.Int("packets", 32, "number of packets in the source stream")
-		period   = flag.Duration("period", 40*time.Millisecond, "source inter-packet gap")
-		warmup   = flag.Duration("warmup", 0, "delay before the first data packet (0 = 3 session periods)")
-		session  = flag.Duration("session-period", time.Second, "session message period")
-		linger   = flag.Duration("linger", 0, "receiver linger after completion (0 = 2 session periods)")
-		srcLing  = flag.Duration("source-linger", 0, "source linger after last transmission (0 = 10 session periods)")
-		maxRun   = flag.Duration("max-run", 0, "hard stop (0 = derived from the schedule)")
-		reorder  = flag.Duration("reorder", 0, "CESRM reorder delay")
-		cacheCap = flag.Int("cache", 0, "CESRM cache capacity (0 = default)")
+		seed     = fs.Int64("seed", 1, "shared group seed")
+		packets  = fs.Int("packets", 32, "number of packets in the source stream")
+		period   = fs.Duration("period", 40*time.Millisecond, "source inter-packet gap")
+		warmup   = fs.Duration("warmup", 0, "delay before the first data packet (0 = 3 session periods)")
+		session  = fs.Duration("session-period", time.Second, "session message period")
+		linger   = fs.Duration("linger", 0, "receiver linger after completion (0 = 2 session periods)")
+		srcLing  = fs.Duration("source-linger", 0, "source linger after last transmission (0 = 10 session periods)")
+		maxRun   = fs.Duration("max-run", 0, "hard stop (0 = derived from the schedule)")
+		reorder  = fs.Duration("reorder", 0, "CESRM reorder delay")
+		cacheCap = fs.Int("cache", 0, "CESRM cache capacity (0 = default)")
 
-		drop     = flag.Float64("drop", 0.2, "proxy drop probability for data and repair packets")
-		dropSeed = flag.Int64("drop-seed", 1, "proxy drop RNG seed")
+		drop     = fs.Float64("drop", 0.2, "proxy drop probability for data and repair packets")
+		dropSeed = fs.Int64("drop-seed", 1, "proxy drop RNG seed")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	var err error
 	switch *mode {
@@ -83,19 +91,20 @@ func main() {
 			capture: *capture, protocol: *protocol, distance: *distance, seed: *seed, packets: *packets,
 			period: *period, warmup: *warmup, session: *session, linger: *linger,
 			srcLinger: *srcLing, maxRun: *maxRun, reorder: *reorder, cacheCap: *cacheCap,
-		})
+		}, stdout, stderr)
 	case "proxy":
-		err = runProxy(*bind, *peers, *drop, *dropSeed)
+		err = runProxy(*bind, *peers, *drop, *dropSeed, stderr)
 	case "conform":
-		err = runConform(flag.Args(), os.Stdout)
+		err = runConform(fs.Args(), stdout)
 	default:
-		fmt.Fprintf(os.Stderr, "cesrm-node: unknown mode %q\n", *mode)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "cesrm-node: unknown mode %q\n", *mode)
+		return 2
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "cesrm-node: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "cesrm-node: %v\n", err)
+		return 1
 	}
+	return 0
 }
 
 type nodeOpts struct {
@@ -107,7 +116,7 @@ type nodeOpts struct {
 	srcLinger, maxRun, reorder                    time.Duration
 }
 
-func runNode(o nodeOpts) error {
+func runNode(o nodeOpts, stdout, stderr io.Writer) error {
 	if o.treePath == "" {
 		return fmt.Errorf("node mode requires -tree")
 	}
@@ -140,6 +149,11 @@ func runNode(o nodeOpts) error {
 		SourceLinger:  o.srcLinger,
 		MaxRunTime:    o.maxRun,
 	}
+	// Malformed input is refused before a socket is bound.
+	addrs, err := wire.ParsePeers(o.peers)
+	if err != nil {
+		return err
+	}
 
 	var captureW *os.File
 	if o.capture != "" {
@@ -150,10 +164,6 @@ func runNode(o nodeOpts) error {
 		defer captureW.Close()
 	}
 	node, err := wire.NewNode(cfg, o.bind, writerOrNil(captureW))
-	if err != nil {
-		return err
-	}
-	addrs, err := wire.ParsePeers(o.peers)
 	if err != nil {
 		return err
 	}
@@ -170,7 +180,7 @@ func runNode(o nodeOpts) error {
 			return err
 		}
 	}
-	fmt.Fprintf(os.Stderr, "cesrm-node: node %d (%s) listening on %s\n",
+	fmt.Fprintf(stderr, "cesrm-node: node %d (%s) listening on %s\n",
 		cfg.ID, node.Config().Protocol, node.Transport().LocalAddr())
 
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -179,7 +189,7 @@ func runNode(o nodeOpts) error {
 	if err != nil {
 		return err
 	}
-	out := json.NewEncoder(os.Stdout)
+	out := json.NewEncoder(stdout)
 	out.SetIndent("", "  ")
 	if err := out.Encode(res); err != nil {
 		return err
@@ -199,11 +209,7 @@ func writerOrNil(f *os.File) io.Writer {
 	return f
 }
 
-func runProxy(bind, peers string, drop float64, dropSeed int64) error {
-	proxy, err := wire.NewProxy(bind, drop, dropSeed)
-	if err != nil {
-		return err
-	}
+func runProxy(bind, peers string, drop float64, dropSeed int64, stderr io.Writer) error {
 	addrs, err := wire.ParsePeers(peers)
 	if err != nil {
 		return err
@@ -211,12 +217,16 @@ func runProxy(bind, peers string, drop float64, dropSeed int64) error {
 	if len(addrs) == 0 {
 		return fmt.Errorf("proxy mode requires -peers")
 	}
+	proxy, err := wire.NewProxy(bind, drop, dropSeed)
+	if err != nil {
+		return err
+	}
 	for id, addr := range addrs {
 		if err := proxy.SetPeer(id, addr); err != nil {
 			return err
 		}
 	}
-	fmt.Fprintf(os.Stderr, "cesrm-node: proxy on %s, drop=%.2f seed=%d, %d peers\n",
+	fmt.Fprintf(stderr, "cesrm-node: proxy on %s, drop=%.2f seed=%d, %d peers\n",
 		proxy.LocalAddr(), drop, dropSeed, len(addrs))
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
@@ -226,7 +236,7 @@ func runProxy(bind, peers string, drop float64, dropSeed int64) error {
 	}()
 	proxy.Serve()
 	forwarded, dropped := proxy.Stats()
-	fmt.Fprintf(os.Stderr, "cesrm-node: proxy done: forwarded=%d dropped=%d\n", forwarded, dropped)
+	fmt.Fprintf(stderr, "cesrm-node: proxy done: forwarded=%d dropped=%d\n", forwarded, dropped)
 	return nil
 }
 

@@ -84,3 +84,38 @@ func TestConformRejectsBadInput(t *testing.T) {
 		}
 	}
 }
+
+// TestRunRefusesBadInvocations: each malformed invocation exits non-zero
+// with a message on stderr, before any socket is bound or stream run.
+func TestRunRefusesBadInvocations(t *testing.T) {
+	tree := filepath.Join(t.TempDir(), "tree.txt")
+	if err := os.WriteFile(tree, []byte("-1 0 0 1 2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		args []string
+		code int
+		msg  string
+	}{
+		{"unknown mode", []string{"-mode", "relay"}, 2, `unknown mode "relay"`},
+		{"unknown flag", []string{"-replay", "x"}, 2, "flag provided but not defined"},
+		{"node without -tree", []string{"-id", "3"}, 1, "node mode requires -tree"},
+		{"missing tree file", []string{"-tree", filepath.Join(t.TempDir(), "absent.txt"), "-id", "3"}, 1, "absent.txt"},
+		{"bad -distance", []string{"-tree", tree, "-id", "3", "-distance", "gps"}, 1, `unknown distance mode "gps"`},
+		{"malformed -peers", []string{"-tree", tree, "-id", "3", "-peers", "0=127.0.0.1:7100,3"}, 1, `peer entry "3" is not id=host:port`},
+		{"bad -peers id", []string{"-tree", tree, "-id", "3", "-peers", "x=127.0.0.1:7100"}, 1, "bad node id"},
+		{"proxy without -peers", []string{"-mode", "proxy"}, 1, "proxy mode requires -peers"},
+		{"proxy with malformed -peers", []string{"-mode", "proxy", "-peers", "0=127.0.0.1:7100,0=127.0.0.1:7101"}, 1, "duplicate peer entry for node 0"},
+		{"conform without captures", []string{"-mode", "conform"}, 1, "conform mode requires capture files"},
+	} {
+		var stdout, stderr bytes.Buffer
+		code := run(c.args, &stdout, &stderr)
+		if code != c.code || !strings.Contains(stderr.String(), c.msg) {
+			t.Errorf("%s: exit %d, stderr %q; want exit %d and %q", c.name, code, stderr.String(), c.code, c.msg)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%s: printed %q to stdout", c.name, stdout.String())
+		}
+	}
+}

@@ -32,7 +32,6 @@ import (
 	"cesrm/internal/core"
 	"cesrm/internal/experiment"
 	"cesrm/internal/netsim"
-	"cesrm/internal/soak"
 	"cesrm/internal/stats"
 	"cesrm/internal/trace"
 )
@@ -55,7 +54,6 @@ func run(args []string) error {
 	lossy := fs.Bool("lossy", false, "drop recovery traffic with estimated link rates")
 	routerAssist := fs.Bool("router-assist", false, "enable router-assisted CESRM (§3.3)")
 	chaosSpec := fs.String("chaos", "", `fault-injection spec, e.g. "crash@40s:host=3;restart@70s:host=3" (kinds: crash, restart, link-down, link-up, jitter, dup, starve)`)
-	replayPath := fs.String("replay", "", "replay a soak corpus entry (file or *.spec directory) under the soak guardrails and report each entry's termination status")
 	verifyDet := fs.Int("verify-determinism", 0, "rerun the config N extra times and fail on fingerprint divergence")
 	eventsFile := fs.String("events", "", "write the ordered protocol-event stream as NDJSON to this file")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -74,10 +72,6 @@ func run(args []string) error {
 			return err
 		}
 		defer pprof.StopCPUProfile()
-	}
-
-	if *replayPath != "" {
-		return replayCorpus(*replayPath)
 	}
 
 	var tr *trace.Trace
@@ -184,41 +178,6 @@ func run(args []string) error {
 	}
 
 	report(tr, proto, res)
-	return nil
-}
-
-// replayCorpus reruns soak corpus entries under the soak guardrails.
-// Budget aborts are reported as structured degradation; invariant
-// violations, panics and liveness timeouts fail the command. A single
-// entry that completes also gets the full report.
-func replayCorpus(path string) error {
-	runner := soak.NewRunner(soak.DefaultBudget())
-	outcomes, err := runner.ReplayPath(path)
-	fatal := 0
-	for _, o := range outcomes {
-		switch {
-		case o.Failure == nil:
-			fmt.Printf("replay %s: ok status=%s fingerprint=%s\n", o.Path, o.Status, o.Fingerprint)
-		case o.Failure.Fatal():
-			fatal++
-			fmt.Printf("replay %s: FAIL class=%s\n  detail: %s\n", o.Path, o.Failure.Class, o.Failure.Detail)
-		default:
-			fmt.Printf("replay %s: degraded class=%s (tolerated)\n", o.Path, o.Failure.Class)
-			if o.Result != nil && o.Result.Diag != nil {
-				fmt.Printf("  diag: %s\n", o.Result.Diag)
-			}
-		}
-	}
-	if err != nil {
-		return err
-	}
-	if len(outcomes) == 1 && outcomes[0].Failure == nil {
-		fmt.Println()
-		report(outcomes[0].Result.Config.Trace, outcomes[0].Entry.Protocol, outcomes[0].Result)
-	}
-	if fatal > 0 {
-		return fmt.Errorf("%d corpus entries failed fatally", fatal)
-	}
 	return nil
 }
 

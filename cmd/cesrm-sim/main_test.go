@@ -99,10 +99,12 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-scale", "-7"}); err == nil {
 		t.Fatal("bad scale accepted")
 	}
-	// Removed with the second dispatch mode; a script that still passes
-	// it must hear about it.
-	err := run([]string{"-shards", "2", "-scale", "0.01"})
-	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
-		t.Fatalf("-shards: err = %v, want an unknown-flag error", err)
+	// Removed flags: -shards with the second dispatch mode, -replay for
+	// cesrm-soak's. A script that still passes one must hear about it.
+	for _, args := range [][]string{{"-shards", "2"}, {"-replay", "x"}} {
+		err := run(append(args, "-scale", "0.01"))
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Fatalf("%s: err = %v, want an unknown-flag error", args[0], err)
+		}
 	}
 }

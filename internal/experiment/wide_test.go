@@ -8,11 +8,10 @@ import (
 	"cesrm/internal/trace"
 )
 
-// TestLargeTreeBeyondHopMatrix runs a tree past the 1024-node dense
-// hop-matrix cap end to end — the first committed workload to exercise
-// the topology LCA fallback (netsim RTT) and the wide (>64 receiver)
-// loss-inference path at four-digit host counts; Run itself verifies
-// full reliability and the validator's invariants. Every host floods
+// TestLargeTreeBeyondHopMatrix runs a tree of over 1,024 nodes, where a
+// pairwise hop matrix would cost megabytes, end to end at four-digit
+// host counts; Run itself verifies full reliability and the validator's
+// invariants. Every host floods
 // (sessions alone see to that), and at the default plan budget every
 // origin's cohorts must stay resident: the group is the shape of the
 // benchmark's cache_overflow workload.
@@ -32,7 +31,7 @@ func TestLargeTreeBeyondHopMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n := tr.Tree.NumNodes(); n <= 1024 {
-		t.Fatalf("tree has %d nodes, want > 1024 to bypass the hop matrix", n)
+		t.Fatalf("tree has %d nodes, want > 1024", n)
 	}
 	res, err := Run(RunConfig{Trace: tr, Protocol: CESRM, Seed: 9})
 	if err != nil {

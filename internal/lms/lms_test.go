@@ -45,10 +45,10 @@ func (l *obsLog) Recovered(h, _ topology.NodeID, _ int, _ sim.Time, info srm.Rec
 	l.recoveries = append(l.recoveries, info)
 	l.recHosts = append(l.recHosts, h)
 }
-func (l *obsLog) RequestSent(_, _ topology.NodeID, _ int, _ int) { l.naks++ }
-func (l *obsLog) ExpRequestSent(_, _ topology.NodeID, _ int)     {}
-func (l *obsLog) ReplySent(_, _ topology.NodeID, _ int, _ bool)  { l.repairs++ }
-func (l *obsLog) SessionSent(topology.NodeID)                    {}
+func (l *obsLog) RequestSent(_, _ topology.NodeID, _ int, _ int)      { l.naks++ }
+func (l *obsLog) ExpRequestSent(_, _ topology.NodeID, _ int)          {}
+func (l *obsLog) ReplySent(_, _ topology.NodeID, _ int, _ bool)       { l.repairs++ }
+func (l *obsLog) SessionSent(topology.NodeID)                         {}
 func (l *obsLog) RequestAbandoned(_, _ topology.NodeID, _ int, _ int) {}
 
 func newBed(t *testing.T, refresh time.Duration) *bed {

@@ -1,16 +1,16 @@
 package lossinfer
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"cesrm/internal/topology"
 	"cesrm/internal/trace"
 )
 
-// PatternResult is the attribution for one observed loss pattern: the
+// patternResult is the attribution for one observed loss pattern: the
 // most probable link combination that produces the pattern, its
 // probability normalized over all producing combinations (the paper's
 // pC_x(c)), and the number of such combinations.
@@ -20,58 +20,57 @@ import (
 // occurrence probability multiplies the loss probabilities of its
 // members with the success probabilities of every link that is neither
 // a member nor downstream of one (the paper's set U).
-type PatternResult struct {
-	// Pattern is the receiver-index bitmask this result explains.
-	Pattern uint64
-	// Best is the maximum-probability combination, in ascending link
+type patternResult struct {
+	// best is the maximum-probability combination, in ascending link
 	// order.
-	Best []topology.LinkID
-	// BestProb is the normalized probability of Best among all
+	best []topology.LinkID
+	// bestProb is the normalized probability of best among all
 	// combinations producing the pattern, in (0, 1].
-	BestProb float64
-	// NumCombos is the number of distinct producing combinations,
+	bestProb float64
+	// numCombos is the number of distinct producing combinations,
 	// computed in floating point because all-lost patterns on deep trees
 	// have combinatorially many.
-	NumCombos float64
+	numCombos float64
 }
 
-// Attribution computes per-pattern link attributions for one tree and
-// rate estimate. It memoizes by pattern, which the traces reward
-// heavily: loss locality means the same patterns recur for long runs.
-type Attribution struct {
-	tree  *topology.Tree
-	rates LinkRates
-
+// attribution computes per-pattern link attributions for one tree and
+// rate estimate, for any number of receivers.
+//
+// The DP only ever asks two questions of a pattern restricted to a
+// subtree: did anything below n get lost, and did everything below n
+// get lost? A per-node counter of lost receivers below n, filled by
+// climbing root-ward from each lost receiver, answers both in O(1). A
+// pattern with L lost receivers costs O(L·depth) to stamp, and the
+// solve pass touches only the lossy spine and its direct children.
+// Results are memoized by the ascending lost-receiver index list, which
+// the traces reward heavily: loss locality means the same patterns
+// recur for long runs.
+type attribution struct {
+	tree       *topology.Tree
 	logP       []float64 // per node: log loss rate of its inbound link
 	logQ       []float64 // per node: log success rate of its inbound link
 	cleanBelow []float64 // per node: sum of logQ over links strictly below
-	maskBelow  []uint64  // per node: receiver-index bits below the node
-	memo       map[uint64]*PatternResult
+	recvBelow  []int32   // per node: receivers in the subtree rooted at it
+	lost       []int32   // scratch: lost receivers below the node, this pattern
+	touched    []topology.NodeID
+	key        []byte // scratch: the pattern's memo key
+	memo       map[string]*patternResult
 }
 
-// NewAttribution prepares attribution over the tree with the given link
-// rates. Trees with more than 64 receivers are rejected (patterns are
-// bitmasks, matching the scale of the paper's 17-host traces); Infer
-// routes such trees through the equivalent wide-pattern DP instead.
-func NewAttribution(tree *topology.Tree, rates LinkRates) (*Attribution, error) {
-	if tree.NumReceivers() > 64 {
-		return nil, fmt.Errorf("lossinfer: %d receivers exceed the 64-receiver pattern limit", tree.NumReceivers())
-	}
+// newAttribution prepares attribution over the tree with the given link
+// rates.
+func newAttribution(tree *topology.Tree, rates LinkRates) (*attribution, error) {
 	if len(rates) != tree.NumLinks() {
 		return nil, fmt.Errorf("lossinfer: %d rates for %d links", len(rates), tree.NumLinks())
 	}
-	a := &Attribution{
+	a := &attribution{
 		tree:       tree,
-		rates:      rates,
 		logP:       make([]float64, tree.NumNodes()),
 		logQ:       make([]float64, tree.NumNodes()),
 		cleanBelow: make([]float64, tree.NumNodes()),
-		maskBelow:  make([]uint64, tree.NumNodes()),
-		memo:       make(map[uint64]*PatternResult),
-	}
-	bit := make(map[topology.NodeID]int, tree.NumReceivers())
-	for i, r := range tree.Receivers() {
-		bit[r] = i
+		recvBelow:  make([]int32, tree.NumNodes()),
+		lost:       make([]int32, tree.NumNodes()),
+		memo:       make(map[string]*patternResult),
 	}
 	// Bottom-up accumulation: process nodes in reverse preorder so
 	// children are handled before parents.
@@ -84,10 +83,10 @@ func NewAttribution(tree *topology.Tree, rates LinkRates) (*Attribution, error) 
 			a.logQ[n] = math.Log1p(-p)
 		}
 		if tree.IsReceiver(n) {
-			a.maskBelow[n] = 1 << uint(bit[n])
+			a.recvBelow[n] = 1
 		}
 		for _, c := range tree.Children(n) {
-			a.maskBelow[n] |= a.maskBelow[c]
+			a.recvBelow[n] += a.recvBelow[c]
 			a.cleanBelow[n] += a.logQ[c] + a.cleanBelow[c]
 		}
 	}
@@ -119,36 +118,62 @@ type nodeSolution struct {
 	count  float64
 }
 
-// Attribute returns the attribution for pattern x (a non-zero bitmask of
-// receiver indices that lost the packet). Results are memoized.
-func (a *Attribution) Attribute(x uint64) (*PatternResult, error) {
-	if x == 0 {
-		return nil, fmt.Errorf("lossinfer: empty loss pattern")
+// attribute returns the attribution for the loss pattern given as the
+// ascending indices of the receivers that lost the packet. Results are
+// memoized; a hit allocates nothing.
+func (a *attribution) attribute(lostIdx []int) (*patternResult, error) {
+	a.key = a.key[:0]
+	for _, r := range lostIdx {
+		a.key = binary.LittleEndian.AppendUint32(a.key, uint32(r))
 	}
-	if x&^a.maskBelow[a.tree.Root()] != 0 {
-		return nil, fmt.Errorf("lossinfer: pattern %b references unknown receivers", x)
-	}
-	if r, ok := a.memo[x]; ok {
+	if r, ok := a.memo[string(a.key)]; ok {
 		return r, nil
 	}
-	sol := a.solve(a.tree.Root(), x)
+	if len(lostIdx) == 0 {
+		return nil, fmt.Errorf("lossinfer: empty loss pattern")
+	}
+	// Stamp per-node lost counts along each receiver's root path.
+	receivers := a.tree.Receivers()
+	for _, r := range lostIdx {
+		if r < 0 || r >= len(receivers) {
+			a.unstamp()
+			return nil, fmt.Errorf("lossinfer: pattern references unknown receiver %d", r)
+		}
+		for n := receivers[r]; n != topology.None; n = a.tree.Parent(n) {
+			if a.lost[n] == 0 {
+				a.touched = append(a.touched, n)
+			}
+			a.lost[n]++
+		}
+	}
+	sol := a.solve(a.tree.Root())
+	a.unstamp()
 	if math.IsInf(sol.logSum, -1) {
-		return nil, fmt.Errorf("lossinfer: pattern %b has no producing combination", x)
+		return nil, fmt.Errorf("lossinfer: pattern of %d losses has no producing combination", len(lostIdx))
 	}
-	best := append([]topology.LinkID(nil), sol.best...)
-	sort.Slice(best, func(i, j int) bool { return best[i] < best[j] })
-	r := &PatternResult{
-		Pattern:   x,
-		Best:      best,
-		BestProb:  math.Exp(sol.logMax - sol.logSum),
-		NumCombos: sol.count,
+	// The root's combination is a slice solve built for this call alone.
+	slices.Sort(sol.best)
+	r := &patternResult{
+		best:      sol.best,
+		bestProb:  math.Exp(sol.logMax - sol.logSum),
+		numCombos: sol.count,
 	}
-	a.memo[x] = r
+	a.memo[string(a.key)] = r
 	return r, nil
 }
 
-// solve computes the DP state for node n explaining x∩maskBelow(n),
-// assuming the packet reaches n.
+// unstamp clears the lost counters the last pattern set.
+func (a *attribution) unstamp() {
+	for _, n := range a.touched {
+		a.lost[n] = 0
+	}
+	a.touched = a.touched[:0]
+}
+
+// solve computes the DP state for node n explaining the stamped pattern
+// restricted to n's subtree, assuming the packet reaches n: lost[n] == 0
+// means nothing below n was lost, lost[n] == recvBelow[n] that
+// everything was.
 //
 // This dynamic program computes, exactly, the same quantities the paper
 // derives from explicitly enumerating C_x: the per-child options
@@ -156,9 +181,8 @@ func (a *Attribution) Attribute(x uint64) (*PatternResult, error) {
 // "drop on the child link" (probability p, links below marginalized
 // out of U) or "child link clean and the subtree explains the rest",
 // and a loss-free child subtree forces every link in it clean.
-func (a *Attribution) solve(n topology.NodeID, x uint64) nodeSolution {
-	sub := x & a.maskBelow[n]
-	if sub == 0 {
+func (a *attribution) solve(n topology.NodeID) nodeSolution {
+	if a.lost[n] == 0 {
 		// Nothing below n lost: every link strictly below must be clean.
 		return nodeSolution{logSum: a.cleanBelow[n], logMax: a.cleanBelow[n], count: 1}
 	}
@@ -169,15 +193,14 @@ func (a *Attribution) solve(n topology.NodeID, x uint64) nodeSolution {
 	}
 	total := nodeSolution{count: 1}
 	for _, c := range a.tree.Children(n) {
-		childSub := x & a.maskBelow[c]
-		inner := a.solve(c, childSub)
-		// Option 1: child link clean, subtree explains childSub.
+		inner := a.solve(c)
+		// Option 1: child link clean, subtree explains its losses.
 		optSum := a.logQ[c] + inner.logSum
 		optMax := a.logQ[c] + inner.logMax
 		optBest := inner.best
 		optCount := inner.count
 		// Option 2: child link drops — only when everything below c lost.
-		if childSub == a.maskBelow[c] && childSub != 0 {
+		if a.lost[c] == a.recvBelow[c] && a.lost[c] != 0 {
 			optSum = logAddExp(optSum, a.logP[c])
 			if a.logP[c] > optMax {
 				optMax = a.logP[c]
@@ -211,14 +234,9 @@ type Result struct {
 }
 
 // Infer computes the link trace representation for t using the given
-// rates (typically EstimateYajnik(t)). Traces up to 64 receivers take
-// the uint64 bitmask fast path; wider ones the equivalent count-based
-// DP (widepattern.go).
+// rates (typically EstimateYajnik(t)).
 func Infer(t *trace.Trace, rates LinkRates) (*Result, error) {
-	if t.Tree.NumReceivers() > 64 {
-		return inferWide(t, rates)
-	}
-	attr, err := NewAttribution(t.Tree, rates)
+	attr, err := newAttribution(t.Tree, rates)
 	if err != nil {
 		return nil, err
 	}
@@ -227,13 +245,15 @@ func Infer(t *trace.Trace, rates LinkRates) (*Result, error) {
 		Rates: rates,
 		Drops: make([][]topology.LinkID, n),
 	}
+	var lost []int
 	for i := t.NextLossy(0); i < n; i = t.NextLossy(i + 1) {
-		pr, err := attr.Attribute(t.LossPattern(i))
+		lost = t.LostReceivers(i, lost[:0])
+		pr, err := attr.attribute(lost)
 		if err != nil {
 			return nil, fmt.Errorf("lossinfer: packet %d: %w", i, err)
 		}
-		res.Drops[i] = pr.Best
-		res.SelectedProbs = append(res.SelectedProbs, pr.BestProb)
+		res.Drops[i] = pr.best
+		res.SelectedProbs = append(res.SelectedProbs, pr.bestProb)
 	}
 	res.DistinctPatterns = len(attr.memo)
 	return res, nil

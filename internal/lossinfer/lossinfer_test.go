@@ -2,6 +2,7 @@ package lossinfer
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -83,49 +84,49 @@ func TestCompareErrors(t *testing.T) {
 func TestAttributeSingleReceiverPattern(t *testing.T) {
 	tree := yTree(t)
 	rates := LinkRates{1: 0.1, 2: 0.05, 3: 0.05}
-	attr, err := NewAttribution(tree, rates)
+	attr, err := newAttribution(tree, rates)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Receiver 2 (bit 0) lost alone: the only combination is {link 2}.
-	pr, err := attr.Attribute(0b01)
+	// Receiver 2 (index 0) lost alone: the only combination is {link 2}.
+	pr, err := attr.attribute([]int{0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pr.Best) != 1 || pr.Best[0] != 2 {
-		t.Fatalf("Best = %v, want [2]", pr.Best)
+	if len(pr.best) != 1 || pr.best[0] != 2 {
+		t.Fatalf("Best = %v, want [2]", pr.best)
 	}
-	if pr.NumCombos != 1 {
-		t.Fatalf("NumCombos = %v, want 1", pr.NumCombos)
+	if pr.numCombos != 1 {
+		t.Fatalf("NumCombos = %v, want 1", pr.numCombos)
 	}
-	if math.Abs(pr.BestProb-1) > 1e-12 {
-		t.Fatalf("BestProb = %v, want 1", pr.BestProb)
+	if math.Abs(pr.bestProb-1) > 1e-12 {
+		t.Fatalf("BestProb = %v, want 1", pr.bestProb)
 	}
 }
 
 func TestAttributeAllLostPattern(t *testing.T) {
 	tree := yTree(t)
 	rates := LinkRates{1: 0.1, 2: 0.05, 3: 0.05}
-	attr, err := NewAttribution(tree, rates)
+	attr, err := newAttribution(tree, rates)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Both lost: combinations are {1} with p=0.1 and {2,3} with
 	// p=0.9*0.05*0.05=0.00225. Best is {1} with normalized probability
 	// 0.1/(0.1+0.00225).
-	pr, err := attr.Attribute(0b11)
+	pr, err := attr.attribute([]int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pr.Best) != 1 || pr.Best[0] != 1 {
-		t.Fatalf("Best = %v, want [1]", pr.Best)
+	if len(pr.best) != 1 || pr.best[0] != 1 {
+		t.Fatalf("Best = %v, want [1]", pr.best)
 	}
-	if pr.NumCombos != 2 {
-		t.Fatalf("NumCombos = %v, want 2", pr.NumCombos)
+	if pr.numCombos != 2 {
+		t.Fatalf("NumCombos = %v, want 2", pr.numCombos)
 	}
 	want := 0.1 / (0.1 + 0.00225)
-	if math.Abs(pr.BestProb-want) > 1e-9 {
-		t.Fatalf("BestProb = %v, want %v", pr.BestProb, want)
+	if math.Abs(pr.bestProb-want) > 1e-9 {
+		t.Fatalf("BestProb = %v, want %v", pr.bestProb, want)
 	}
 }
 
@@ -133,17 +134,17 @@ func TestAttributePrefersLeafCombinationWhenSharedLinkClean(t *testing.T) {
 	tree := yTree(t)
 	// Shared link almost never loses; leaf links often do.
 	rates := LinkRates{1: 0.001, 2: 0.4, 3: 0.4}
-	attr, err := NewAttribution(tree, rates)
+	attr, err := newAttribution(tree, rates)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := attr.Attribute(0b11)
+	pr, err := attr.attribute([]int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// {2,3}: 0.999*0.16 = 0.1598 beats {1}: 0.001.
-	if len(pr.Best) != 2 || pr.Best[0] != 2 || pr.Best[1] != 3 {
-		t.Fatalf("Best = %v, want [2 3]", pr.Best)
+	if len(pr.best) != 2 || pr.best[0] != 2 || pr.best[1] != 3 {
+		t.Fatalf("Best = %v, want [2 3]", pr.best)
 	}
 }
 
@@ -157,60 +158,71 @@ func TestAttributeDeeperTreeCombinationCount(t *testing.T) {
 	//	 4  5 6  7   (receivers)
 	tree := topology.MustNew([]topology.NodeID{topology.None, 0, 1, 1, 2, 2, 3, 3})
 	rates := LinkRates{1: 0.1, 2: 0.1, 3: 0.1, 4: 0.1, 5: 0.1, 6: 0.1, 7: 0.1}
-	attr, err := NewAttribution(tree, rates)
+	attr, err := newAttribution(tree, rates)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// All four receivers lost. Combinations: {1}, {2,3}, {2,6,7},
 	// {4,5,3}, {4,5,6,7} — count follows g(n) = prod(1+g(child)).
-	pr, err := attr.Attribute(0b1111)
+	pr, err := attr.attribute([]int{0, 1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pr.NumCombos != 5 {
-		t.Fatalf("NumCombos = %v, want 5", pr.NumCombos)
+	if pr.numCombos != 5 {
+		t.Fatalf("NumCombos = %v, want 5", pr.numCombos)
 	}
-	if len(pr.Best) != 1 || pr.Best[0] != 1 {
-		t.Fatalf("Best = %v, want [1]", pr.Best)
+	if len(pr.best) != 1 || pr.best[0] != 1 {
+		t.Fatalf("Best = %v, want [1]", pr.best)
 	}
 	// Partial pattern: only the left pair lost => {2} or {4,5}.
-	pr, err = attr.Attribute(0b0011)
+	pr, err = attr.attribute([]int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pr.NumCombos != 2 {
-		t.Fatalf("partial NumCombos = %v, want 2", pr.NumCombos)
+	if pr.numCombos != 2 {
+		t.Fatalf("partial NumCombos = %v, want 2", pr.numCombos)
 	}
-	if len(pr.Best) != 1 || pr.Best[0] != 2 {
-		t.Fatalf("partial Best = %v, want [2]", pr.Best)
+	if len(pr.best) != 1 || pr.best[0] != 2 {
+		t.Fatalf("partial Best = %v, want [2]", pr.best)
 	}
 }
 
 func TestAttributeRejectsBadInput(t *testing.T) {
 	tree := yTree(t)
-	if _, err := NewAttribution(tree, LinkRates{1: 0.1}); err == nil {
+	if _, err := newAttribution(tree, LinkRates{1: 0.1}); err == nil {
 		t.Fatal("accepted wrong rate count")
 	}
-	attr, err := NewAttribution(tree, LinkRates{1: 0.1, 2: 0.1, 3: 0.1})
+	attr, err := newAttribution(tree, LinkRates{1: 0.1, 2: 0.1, 3: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := attr.Attribute(0); err == nil {
+	if _, err := attr.attribute(nil); err == nil {
 		t.Fatal("accepted empty pattern")
 	}
-	if _, err := attr.Attribute(0b100); err == nil {
-		t.Fatal("accepted pattern with unknown receiver bits")
+	if _, err := attr.attribute([]int{2}); err == nil {
+		t.Fatal("accepted pattern with an unknown receiver")
+	}
+	// A refused pattern leaves no stamped counters behind.
+	if _, err := attr.attribute([]int{0, 2}); err == nil {
+		t.Fatal("accepted pattern with an unknown receiver")
+	}
+	pr, err := attr.attribute([]int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pr.best) != 1 || pr.best[0] != 2 || pr.numCombos != 1 {
+		t.Fatalf("after a refused pattern: best %v over %v combinations, want [2] over 1", pr.best, pr.numCombos)
 	}
 }
 
 func TestAttributeMemoizes(t *testing.T) {
 	tree := yTree(t)
-	attr, err := NewAttribution(tree, LinkRates{1: 0.1, 2: 0.1, 3: 0.1})
+	attr, err := newAttribution(tree, LinkRates{1: 0.1, 2: 0.1, 3: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := attr.Attribute(0b11)
-	b, _ := attr.Attribute(0b11)
+	a, _ := attr.attribute([]int{0, 1})
+	b, _ := attr.attribute([]int{0, 1})
 	if a != b {
 		t.Fatal("repeated pattern not memoized")
 	}
@@ -229,21 +241,30 @@ func TestInferExplainsEveryLossyPacket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Invariant: for every packet, receiver r is below a selected drop
-	// link iff r lost the packet.
+	checkExplains(t, tr, res)
+}
+
+// checkExplains asserts that every packet's selected combination
+// reproduces its loss pattern: receiver r is below a selected drop link
+// iff r lost the packet. It also checks one probability per lossy packet.
+func checkExplains(t *testing.T, tr *trace.Trace, res *Result) {
+	t.Helper()
 	root := tr.Tree.Root()
+	lossy := 0
+	var lost []int
 	for i := 0; i < tr.NumPackets(); i++ {
-		drops := res.Drops[i]
-		if (drops == nil) != (tr.LossPattern(i) == 0) {
+		lost = tr.LostReceivers(i, lost[:0])
+		if (res.Drops[i] == nil) != (len(lost) == 0) {
 			t.Fatalf("packet %d: drops/pattern mismatch", i)
+		}
+		if len(lost) > 0 {
+			lossy++
 		}
 		for ri, r := range tr.Tree.Receivers() {
 			below := false
 			for _, l := range tr.Tree.PathLinks(root, r) {
-				for _, d := range drops {
-					if l == d {
-						below = true
-					}
+				if slices.Contains(res.Drops[i], l) {
+					below = true
 				}
 			}
 			if below != tr.Lost(ri, i) {
@@ -254,19 +275,34 @@ func TestInferExplainsEveryLossyPacket(t *testing.T) {
 	if res.DistinctPatterns <= 0 {
 		t.Fatal("no distinct patterns recorded")
 	}
-	if len(res.SelectedProbs) != countLossy(tr) {
-		t.Fatalf("SelectedProbs has %d entries, want %d", len(res.SelectedProbs), countLossy(tr))
+	if len(res.SelectedProbs) != lossy {
+		t.Fatalf("SelectedProbs has %d entries, want %d", len(res.SelectedProbs), lossy)
 	}
 }
 
-func countLossy(tr *trace.Trace) int {
-	n := 0
-	for i := 0; i < tr.NumPackets(); i++ {
-		if tr.LossPattern(i) != 0 {
-			n++
-		}
+// TestInferWideTrace runs a 150-receiver trace end to end: every selected
+// combination must reproduce its packet's loss pattern exactly.
+func TestInferWideTrace(t *testing.T) {
+	tr := trace.MustGenerate(trace.GenSpec{
+		Name:         "wide",
+		Topology:     topology.GenSpec{Receivers: 150, Depth: 6},
+		NumPackets:   1500,
+		Period:       40 * time.Millisecond,
+		TargetLosses: 6000,
+		Seed:         41,
+	})
+	res, err := Infer(tr, EstimateYajnik(tr))
+	if err != nil {
+		t.Fatal(err)
 	}
-	return n
+	checkExplains(t, tr, res)
+	acc, err := GroundTruthAccuracy(tr, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if acc < 0.5 {
+		t.Fatalf("ground-truth accuracy %.2f below sanity floor on a wide trace", acc)
+	}
 }
 
 func TestInferConfidenceHighOnSyntheticTraces(t *testing.T) {
@@ -427,6 +463,17 @@ func TestChainTopologyUnidentifiableLinks(t *testing.T) {
 			t.Fatalf("packet %d attributed to link %d, want chain top 1", i, drops[0])
 		}
 	}
+	attr, err := newAttribution(tree, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, err := attr.attribute([]int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pr.numCombos != 3 || len(pr.best) != 1 || pr.best[0] != 1 {
+		t.Fatalf("chain pattern: best %v over %v combinations, want [1] over 3", pr.best, pr.numCombos)
+	}
 }
 
 // TestAttributeDeterministicAcrossCalls guards the memoization from
@@ -435,28 +482,31 @@ func TestChainTopologyUnidentifiableLinks(t *testing.T) {
 func TestAttributeDeterministicAcrossCalls(t *testing.T) {
 	tree := topology.MustNew([]topology.NodeID{topology.None, 0, 1, 1, 0, 4, 4})
 	rates := LinkRates{1: 0.1, 2: 0.2, 3: 0.05, 4: 0.15, 5: 0.1, 6: 0.3}
-	attr, err := NewAttribution(tree, rates)
+	attr, err := newAttribution(tree, rates)
 	if err != nil {
 		t.Fatal(err)
 	}
-	patterns := []uint64{0b0001, 0b0011, 0b1111, 0b1100, 0b0101}
-	first := map[uint64]*PatternResult{}
-	for _, x := range patterns {
-		r, err := attr.Attribute(x)
+	patterns := [][]int{{0}, {0, 1}, {0, 1, 2, 3}, {2, 3}, {0, 2}}
+	first := make([]*patternResult, len(patterns))
+	for i, x := range patterns {
+		r, err := attr.attribute(x)
 		if err != nil {
 			t.Fatal(err)
 		}
-		first[x] = r
+		first[i] = r
 	}
 	for round := 0; round < 3; round++ {
-		for _, x := range patterns {
-			r, err := attr.Attribute(x)
+		for i, x := range patterns {
+			r, err := attr.attribute(x)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if r != first[x] {
-				t.Fatalf("pattern %b re-attributed to a different result", x)
+			if r != first[i] {
+				t.Fatalf("pattern %v re-attributed to a different result", x)
 			}
 		}
+	}
+	if len(attr.memo) != len(patterns) {
+		t.Fatalf("%d memo entries for %d patterns", len(attr.memo), len(patterns))
 	}
 }

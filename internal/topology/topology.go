@@ -34,22 +34,9 @@ type Tree struct {
 	root      NodeID
 	receivers []NodeID // all leaves, ascending ID order
 	maxDepth  int
-	// hops is a flat row-major NumNodes×NumNodes matrix of pairwise
-	// tree-path link counts, precomputed for trees with at most
-	// hopMatrixMaxNodes nodes. HopCount — on the hot path of every
-	// distance estimate and timer draw — becomes a single indexed load
-	// instead of an LCA climb. Nil for larger trees (quadratic memory),
-	// in which case HopCount falls back to the LCA computation.
-	hops []uint16
 	// order is the flood order every non-queuing flood scans; see order.go.
 	order FloodOrder
 }
-
-// hopMatrixMaxNodes bounds the trees for which the pairwise hop matrix
-// is materialized: 1024 nodes costs at most 2 MiB, far below the
-// per-run footprint of the simulator itself, while covering every
-// catalog trace.
-const hopMatrixMaxNodes = 1024
 
 // New builds a tree from a parent vector: parents[i] is the parent of
 // node i, and exactly one entry (the root) must be None. Parents must
@@ -128,42 +115,7 @@ func New(parents []NodeID) (*Tree, error) {
 	if len(t.receivers) == 0 {
 		return nil, errors.New("topology: tree has no receivers")
 	}
-	if n <= hopMatrixMaxNodes {
-		t.fillHopMatrix()
-	}
 	return t, nil
-}
-
-// fillHopMatrix computes the pairwise hop matrix with one undirected
-// depth-first traversal per source row, O(n²) total — cheaper than n²
-// LCA climbs and done once at construction.
-func (t *Tree) fillHopMatrix() {
-	n := t.NumNodes()
-	t.hops = make([]uint16, n*n)
-	stack := make([]NodeID, 0, n)
-	for a := 0; a < n; a++ {
-		row := t.hops[a*n : (a+1)*n]
-		// Undirected walk away from a. The tree has a unique path
-		// between any pair, so a node's hop count is final when first
-		// reached; row[x] == 0 doubles as the "unvisited" mark because
-		// only a itself is at distance zero.
-		stack = append(stack[:0], NodeID(a))
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			d := row[u] + 1
-			if p := t.parent[u]; p != None && p != NodeID(a) && row[p] == 0 {
-				row[p] = d
-				stack = append(stack, p)
-			}
-			for _, c := range t.children[u] {
-				if c != NodeID(a) && row[c] == 0 {
-					row[c] = d
-					stack = append(stack, c)
-				}
-			}
-		}
-	}
 }
 
 // MustNew is New panicking on error, for tests and static catalogs.
@@ -238,12 +190,7 @@ func (t *Tree) LCA(a, b NodeID) NodeID {
 }
 
 // HopCount returns the number of links on the tree path between a and b.
-// For trees up to hopMatrixMaxNodes nodes this is a single load from the
-// precomputed matrix; larger trees fall back to the LCA climb.
 func (t *Tree) HopCount(a, b NodeID) int {
-	if t.hops != nil {
-		return int(t.hops[int(a)*len(t.parent)+int(b)])
-	}
 	l := t.LCA(a, b)
 	return (t.depth[a] - t.depth[l]) + (t.depth[b] - t.depth[l])
 }

@@ -281,53 +281,52 @@ func TestGenerateRejectsBadSpec(t *testing.T) {
 	}
 }
 
-// lcaHopCount is the reference hop-count computation the precomputed
-// matrix must agree with.
-func lcaHopCount(tr *Tree, a, b NodeID) int {
-	l := tr.LCA(a, b)
-	return (tr.Depth(a) - tr.Depth(l)) + (tr.Depth(b) - tr.Depth(l))
-}
-
-func TestHopMatrixMatchesLCA(t *testing.T) {
-	// Random trees small enough to get the matrix: every pair must agree
-	// with the LCA-based computation.
-	for seed := int64(0); seed < 10; seed++ {
-		spec := GenSpec{Receivers: 5 + int(seed)*3, Depth: 3 + int(seed)%4}
-		tr := MustGenerate(sim.NewRNG(seed), spec)
-		if tr.hops == nil {
-			t.Fatalf("seed=%d: hop matrix not built for %d-node tree", seed, tr.NumNodes())
-		}
-		n := tr.NumNodes()
-		for a := 0; a < n; a++ {
-			for b := 0; b < n; b++ {
-				got := tr.HopCount(NodeID(a), NodeID(b))
-				want := lcaHopCount(tr, NodeID(a), NodeID(b))
-				if got != want {
-					t.Fatalf("seed=%d: HopCount(%d,%d) = %d, want %d", seed, a, b, got, want)
-				}
+// walkHops returns the hop count from a to every node by an undirected
+// walk away from a, an oracle independent of the LCA climb HopCount takes.
+func walkHops(tr *Tree, a NodeID) []int {
+	hops := make([]int, tr.NumNodes())
+	for i := range hops {
+		hops[i] = -1
+	}
+	hops[a] = 0
+	stack := []NodeID{a}
+	for len(stack) > 0 {
+		u := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		next := append([]NodeID{tr.Parent(u)}, tr.Children(u)...)
+		for _, v := range next {
+			if v != None && hops[v] < 0 {
+				hops[v] = hops[u] + 1
+				stack = append(stack, v)
 			}
 		}
 	}
+	return hops
 }
 
-func TestHopMatrixFallbackAboveThreshold(t *testing.T) {
-	// A chain longer than hopMatrixMaxNodes must skip the matrix and
-	// still answer correctly via the LCA fallback.
-	n := hopMatrixMaxNodes + 10
-	parents := make([]NodeID, n)
-	parents[0] = None
-	for i := 1; i < n; i++ {
-		parents[i] = NodeID(i - 1)
+func TestHopCountMatchesTreeWalk(t *testing.T) {
+	var trees []*Tree
+	for seed := int64(0); seed < 10; seed++ {
+		spec := GenSpec{Receivers: 5 + int(seed)*3, Depth: 3 + int(seed)%4}
+		trees = append(trees, MustGenerate(sim.NewRNG(seed), spec))
 	}
-	tr := MustNew(parents)
-	if tr.hops != nil {
-		t.Fatalf("hop matrix built for %d-node tree, threshold is %d", n, hopMatrixMaxNodes)
+	// A chain of over 1,024 nodes: the longest climbs.
+	chain := make([]NodeID, 1034)
+	chain[0] = None
+	for i := 1; i < len(chain); i++ {
+		chain[i] = NodeID(i - 1)
 	}
-	if got := tr.HopCount(0, NodeID(n-1)); got != n-1 {
-		t.Fatalf("HopCount(0,%d) = %d, want %d", n-1, got, n-1)
-	}
-	if got := tr.HopCount(NodeID(3), NodeID(7)); got != 4 {
-		t.Fatalf("HopCount(3,7) = %d, want 4", got)
+	trees = append(trees, MustNew(chain))
+	for k, tr := range trees {
+		n := tr.NumNodes()
+		for a := 0; a < n; a += 1 + n/64 {
+			want := walkHops(tr, NodeID(a))
+			for b := 0; b < n; b++ {
+				if got := tr.HopCount(NodeID(a), NodeID(b)); got != want[b] {
+					t.Fatalf("tree %d: HopCount(%d,%d) = %d, want %d", k, a, b, got, want[b])
+				}
+			}
+		}
 	}
 }
 

@@ -49,9 +49,8 @@ var Catalog = []CatalogEntry{
 // They are deliberately kept out of Catalog: suites, goldens and the
 // "all traces" defaults stay pinned to the 14 paper traces, and the
 // extended entries are opt-in by name or explicit index. SYN10K is the
-// "tens of thousands of receivers" workload (ROADMAP item 1): its tree
-// exceeds the 1024-node dense hop-matrix cap, so runs take the LCA
-// fallback and the wide (>64 receiver) loss-pattern paths throughout.
+// "tens of thousands of receivers" workload: 10,000 receivers on a
+// depth-8 tree.
 var Extended = []CatalogEntry{
 	{15, "SYN10K", 10000, 8, 40 * time.Millisecond, 5000, 1500000, 9615},
 }

@@ -63,10 +63,8 @@ func (g *gilbertChain) step(rng *sim.RNG) bool {
 }
 
 // Generate builds a synthetic trace from spec. Generation is fully
-// deterministic in spec.Seed. Receiver counts are unbounded: traces up
-// to 64 receivers keep the uint64 loss-pattern fast path everywhere
-// downstream, larger ones (the "tens of thousands of receivers"
-// workloads) take the wide-pattern paths.
+// deterministic in spec.Seed. Receiver counts are unbounded, up to the
+// "tens of thousands of receivers" workloads.
 func Generate(spec GenSpec) (*Trace, error) {
 	if spec.NumPackets <= 0 || spec.NumPackets > math.MaxInt32 {
 		return nil, fmt.Errorf("trace: NumPackets = %d", spec.NumPackets)

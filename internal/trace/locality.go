@@ -78,9 +78,8 @@ func AnalyzeLocality(t *Trace) LocalityStats {
 		s.MeanBurstLen = float64(lossEvents) / float64(bursts)
 	}
 
-	// Pattern repetition across consecutive lossy packets. Columns are
-	// compared directly rather than through LossPattern bitmasks so the
-	// statistic works at any receiver count.
+	// Pattern repetition across consecutive lossy packets, comparing
+	// their loss columns directly.
 	prev := -1
 	var lossyPairs, samePattern int
 	for i := t.NextLossy(0); i < n; i = t.NextLossy(i + 1) {

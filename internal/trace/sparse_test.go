@@ -109,11 +109,9 @@ func checkAgainstDense(t *testing.T, tr *Trace, loss [][]bool, drops [][]topolog
 	var buf []int
 	for i := packets - 1; i >= 0; i-- {
 		var want []int
-		var pattern uint64
 		for r := range loss {
 			if loss[r][i] {
 				want = append(want, r)
-				pattern |= 1 << (r & 63)
 			}
 		}
 		if len(want) > 0 {
@@ -124,11 +122,6 @@ func checkAgainstDense(t *testing.T, tr *Trace, loss [][]bool, drops [][]topolog
 		}
 		if buf = tr.LostReceivers(i, buf[:0]); !slices.Equal(buf, want) {
 			t.Fatalf("LostReceivers(%d) = %v, want %v", i, buf, want)
-		}
-		if receivers <= 64 {
-			if got := tr.LossPattern(i); got != pattern {
-				t.Fatalf("LossPattern(%d) = %b, want %b", i, got, pattern)
-			}
 		}
 		if drops != nil {
 			if got := tr.TrueDropsAt(i); !slices.Equal(got, drops[i]) {

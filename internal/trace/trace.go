@@ -213,25 +213,9 @@ func (t *Trace) ReceiverLosses(r int) int {
 	return n
 }
 
-// LossPattern returns the set of receiver indices that lost packet i,
-// encoded as a bitmask. A zero pattern means nobody lost the packet.
-// It is the fast path for the paper-scale traces (<= 17 receivers) and
-// panics beyond 64 receivers, where a bitmask would silently drop
-// bits; wide traces use LostReceivers instead.
-func (t *Trace) LossPattern(i int) uint64 {
-	if len(t.Loss) > 64 {
-		panic(fmt.Sprintf("trace %q: LossPattern on %d receivers (> 64); use LostReceivers", t.Name, len(t.Loss)))
-	}
-	var p uint64
-	for r, row := range t.Loss {
-		p |= row[i>>6] >> (i & 63) & 1 << r
-	}
-	return p
-}
-
 // LostReceivers appends the indices of the receivers that lost packet i
-// to buf (ascending) and returns it. It is the any-width counterpart of
-// LossPattern; an empty result means nobody lost the packet.
+// to buf (ascending) and returns it: packet i's loss pattern. An empty
+// result means nobody lost the packet.
 func (t *Trace) LostReceivers(i int, buf []int) []int {
 	for r := range t.Loss {
 		if t.Lost(r, i) {

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -111,16 +112,16 @@ func TestBasicAccessors(t *testing.T) {
 	}
 }
 
-func TestLossPattern(t *testing.T) {
+func TestLostReceivers(t *testing.T) {
 	tr := tinyTrace(t)
-	if p := tr.LossPattern(0); p != 0 {
-		t.Fatalf("pattern(0) = %b, want 0", p)
+	for i, want := range [][]int{nil, {0}, {0, 1}} {
+		if got := tr.LostReceivers(i, nil); !slices.Equal(got, want) {
+			t.Fatalf("LostReceivers(%d) = %v, want %v", i, got, want)
+		}
 	}
-	if p := tr.LossPattern(1); p != 0b01 {
-		t.Fatalf("pattern(1) = %b, want 01", p)
-	}
-	if p := tr.LossPattern(2); p != 0b11 {
-		t.Fatalf("pattern(2) = %b, want 11", p)
+	// The result appends to the buffer it is given.
+	if got := tr.LostReceivers(2, []int{7}); !slices.Equal(got, []int{7, 0, 1}) {
+		t.Fatalf("LostReceivers(2, [7]) = %v, want [7 0 1]", got)
 	}
 }
 

@@ -26,9 +26,8 @@ func wideTrace(t *testing.T) *Trace {
 	return tr
 }
 
-// TestGenerateWideTrace checks generation past the old 63-receiver
-// bitmask cap: shape, determinism, and that LostReceivers matches the
-// raw loss rows while LossPattern refuses to silently truncate.
+// TestGenerateWideTrace checks generation of a 200-receiver trace:
+// shape, determinism, and that LostReceivers matches the raw loss rows.
 func TestGenerateWideTrace(t *testing.T) {
 	tr := wideTrace(t)
 	if tr.NumReceivers() != 200 {
@@ -61,12 +60,6 @@ func TestGenerateWideTrace(t *testing.T) {
 			t.Fatalf("packet %d: LostReceivers has %d extra entries", i, len(buf)-j)
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("LossPattern did not panic on a >64-receiver trace")
-		}
-	}()
-	tr.LossPattern(0)
 }
 
 // TestWideTraceRoundTrip pins the on-disk format at wide receiver
@@ -94,9 +87,8 @@ func TestWideTraceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWideTraceLocality checks the locality analysis works without the
-// uint64 pattern path and still reports bursty, repeating loss on a
-// Gilbert-generated wide trace.
+// TestWideTraceLocality checks the locality analysis reports bursty,
+// repeating loss on a Gilbert-generated wide trace.
 func TestWideTraceLocality(t *testing.T) {
 	s := AnalyzeLocality(wideTrace(t))
 	if s.UncondLossProb <= 0 {
@@ -115,9 +107,8 @@ func TestWideTraceLocality(t *testing.T) {
 
 // TestExtendedCatalogEntry pins the SYN10K stress entry: resolvable by
 // name but outside the default 14-trace catalog, and generable at a
-// small scale with the advertised shape — a tree past the 1024-node
-// hop-matrix cap whose LCA-fallback HopCount agrees with the explicit
-// path length.
+// small scale with the advertised shape — a tree of over 1,024 nodes
+// whose HopCount agrees with the explicit path length.
 func TestExtendedCatalogEntry(t *testing.T) {
 	if len(Catalog) != 14 {
 		t.Fatalf("default catalog has %d entries, want 14", len(Catalog))
@@ -140,13 +131,12 @@ func TestExtendedCatalogEntry(t *testing.T) {
 		t.Fatalf("receivers = %d, want 10000", tr.NumReceivers())
 	}
 	if tr.Tree.NumNodes() <= 1024 {
-		t.Fatalf("nodes = %d, want > 1024 (hop-matrix cap)", tr.Tree.NumNodes())
+		t.Fatalf("nodes = %d, want > 1024", tr.Tree.NumNodes())
 	}
 	if tr.TotalLosses() == 0 {
 		t.Fatal("no losses generated")
 	}
-	// Sample HopCount against the explicit path: above the cap the
-	// matrix is absent and every query takes the LCA climb.
+	// Sample HopCount against the explicit path.
 	rng := sim.NewRNG(1)
 	recv := tr.Tree.Receivers()
 	for k := 0; k < 200; k++ {
