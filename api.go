@@ -301,9 +301,6 @@ type RunResult = experiment.RunResult
 // Pair couples the SRM and CESRM runs of one trace.
 type Pair = experiment.Pair
 
-// PairConfig parameterizes RunPair.
-type PairConfig = experiment.PairConfig
-
 // Suite reenacts catalog traces under both protocols.
 type Suite = experiment.Suite
 
@@ -313,8 +310,9 @@ type SuiteResult = experiment.SuiteResult
 // Run reenacts a trace under one protocol.
 func Run(cfg RunConfig) (*RunResult, error) { return experiment.Run(cfg) }
 
-// RunPair reenacts a trace under both protocols.
-func RunPair(t *Trace, cfg PairConfig) (*Pair, error) { return experiment.RunPair(t, cfg) }
+// RunPair reenacts a trace under both protocols, applying base to both
+// runs.
+func RunPair(t *Trace, base RunConfig) (*Pair, error) { return experiment.RunPair(t, base) }
 
 // VerifyDeterminism runs cfg once, reruns it extra more times, and
 // fails if any rerun's RunResult.Fingerprint diverges from the first —

@@ -28,7 +28,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatalf("locality ratio %.1f too low", loc.LocalityRatio())
 	}
 
-	pair, err := cesrm.RunPair(tr, cesrm.PairConfig{Base: cesrm.RunConfig{Seed: 9}})
+	pair, err := cesrm.RunPair(tr, cesrm.RunConfig{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

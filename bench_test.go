@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"cesrm/internal/chaos"
 	"cesrm/internal/core"
 	"cesrm/internal/experiment"
 	"cesrm/internal/lossinfer"
@@ -434,9 +435,7 @@ func BenchmarkScalingGroupSize(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			pair, err := experiment.RunPair(tr, experiment.PairConfig{
-				Base: experiment.RunConfig{Seed: 7},
-			})
+			pair, err := experiment.RunPair(tr, experiment.RunConfig{Seed: 7})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -624,19 +623,19 @@ func BenchmarkRobustnessReplierCrash(b *testing.B) {
 		b.Fatal(err)
 	}
 	victim := tr.Tree.Receivers()[0]
-	crashes := map[topology.NodeID]time.Duration{victim: 20 * time.Second}
+	crash := &chaos.Spec{Name: "replier-crash", Faults: []chaos.Fault{{Kind: chaos.Crash, At: 20 * time.Second, Host: victim}}}
 	var lmsP99, cesrmP99, lmsMean, cesrmMean float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lmsRes, err := experiment.Run(experiment.RunConfig{
-			Trace: tr, Protocol: experiment.LMS, Crashes: crashes,
+			Trace: tr, Protocol: experiment.LMS, Chaos: crash,
 			LMSRefresh: 8 * time.Second, Seed: 3,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
 		cesrmRes, err := experiment.Run(experiment.RunConfig{
-			Trace: tr, Protocol: experiment.CESRM, Crashes: crashes, Seed: 3,
+			Trace: tr, Protocol: experiment.CESRM, Chaos: crash, Seed: 3,
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -24,7 +24,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"text/tabwriter"
 	"time"
 
@@ -225,22 +224,11 @@ func report(tr *trace.Trace, proto experiment.Protocol, res *experiment.RunResul
 }
 
 func printPercentiles(res *experiment.RunResult) {
-	var norm []float64
-	for _, r := range res.Collector.Recoveries() {
-		basis := res.RTT(r.Host)
-		if basis > 0 {
-			norm = append(norm, float64(r.Latency())/float64(basis))
-		}
-	}
-	if len(norm) == 0 {
+	if len(res.Collector.Recoveries()) == 0 {
 		fmt.Println("  (no recoveries)")
 		return
 	}
-	sort.Float64s(norm)
-	pct := func(p float64) float64 {
-		i := int(p * float64(len(norm)-1))
-		return norm[i]
-	}
+	pct := func(q float64) float64 { return res.Collector.NormalizedPercentile(res.RTT, q) }
 	fmt.Printf("  p10=%.2f p50=%.2f p90=%.2f p99=%.2f max=%.2f\n",
-		pct(0.10), pct(0.50), pct(0.90), pct(0.99), norm[len(norm)-1])
+		pct(0.10), pct(0.50), pct(0.90), pct(0.99), pct(1))
 }

@@ -13,7 +13,7 @@
 //
 //	tr, _ := cesrm.TraceByName("WRN951216")
 //	trace, _ := tr.Load(0.1)
-//	pair, _ := cesrm.RunPair(trace, cesrm.PairConfig{})
+//	pair, _ := cesrm.RunPair(trace, cesrm.RunConfig{})
 //	fmt.Printf("CESRM cuts latency %.0f%%\n", pair.LatencyReductionPct())
 //
 // # Layering

@@ -14,9 +14,9 @@ import (
 	"text/tabwriter"
 	"time"
 
+	"cesrm/internal/chaos"
 	"cesrm/internal/core"
 	"cesrm/internal/experiment"
-	"cesrm/internal/topology"
 	"cesrm/internal/trace"
 )
 
@@ -47,10 +47,10 @@ func main() {
 		{"LMS", experiment.RunConfig{Protocol: experiment.LMS, LMSRefresh: *refresh}},
 	}
 
-	run := func(label string, cfg experiment.RunConfig, crashes map[topology.NodeID]time.Duration) (mean, p99, cost float64) {
+	run := func(label string, cfg experiment.RunConfig, faults *chaos.Spec) (mean, p99, cost float64) {
 		cfg.Trace = tr
 		cfg.Seed = *seed
-		cfg.Crashes = crashes
+		cfg.Chaos = faults
 		res, err := experiment.Run(cfg)
 		if err != nil {
 			log.Fatalf("%s: %v", label, err)
@@ -75,13 +75,13 @@ func main() {
 	// receiver) a third of the way into the transmission.
 	victim := tr.Tree.Receivers()[0]
 	crashAt := 3*time.Second + tr.Duration()/3
-	crashes := map[topology.NodeID]time.Duration{victim: crashAt}
+	crash := &chaos.Spec{Name: "replier-crash", Faults: []chaos.Fault{{Kind: chaos.Crash, At: crashAt, Host: victim}}}
 	fmt.Printf("\nwith designated replier (host %d) crashing at %v (LMS router state stale for %v):\n",
 		victim, crashAt.Round(time.Second), *refresh)
 	tw = tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "  scheme\tmean\tp99\tcost/loss")
 	for _, v := range variants {
-		mean, p99, cost := run(v.label, v.cfg, crashes)
+		mean, p99, cost := run(v.label, v.cfg, crash)
 		fmt.Fprintf(tw, "  %s\t%.2f\t%.1f\t%.1f\n", v.label, mean, p99, cost)
 	}
 	tw.Flush()

@@ -33,9 +33,7 @@ func main() {
 
 	// 2. Replay the trace under both protocols with the paper's
 	//    parameters (C1=C2=2, D1=D2=1, 20 ms links, 1.5 Mbps).
-	pair, err := cesrm.RunPair(tr, cesrm.PairConfig{
-		Base: cesrm.RunConfig{Seed: 7},
-	})
+	pair, err := cesrm.RunPair(tr, cesrm.RunConfig{Seed: 7})
 	if err != nil {
 		log.Fatal(err)
 	}

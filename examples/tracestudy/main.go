@@ -28,9 +28,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	pair, err := experiment.RunPair(tr, experiment.PairConfig{
-		Base: experiment.RunConfig{Seed: *seed},
-	})
+	pair, err := experiment.RunPair(tr, experiment.RunConfig{Seed: *seed})
 	if err != nil {
 		log.Fatal(err)
 	}

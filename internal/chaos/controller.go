@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"cesrm/internal/netsim"
@@ -55,8 +54,7 @@ type Controller struct {
 	eng   *sim.Engine
 	net   *netsim.Network
 	rng   *sim.RNG
-	hosts map[topology.NodeID]Host
-	order []topology.NodeID // sorted host IDs, for deterministic purge sweeps
+	host  func(topology.NodeID) Host
 	probe Probe
 
 	pending    int // fault events not yet fired
@@ -71,24 +69,21 @@ type Controller struct {
 // Install validates spec against the network's topology and schedules
 // every fault. rng drives duplicate-injection decisions and must be
 // dedicated to the controller (sharing it with protocol agents would
-// entangle their random streams). hosts maps every crashable node to
-// its endpoint; probe may be nil. The engine must still be at time
-// zero.
-func Install(eng *sim.Engine, net *netsim.Network, rng *sim.RNG, spec *Spec, hosts map[topology.NodeID]Host, probe Probe) (*Controller, error) {
+// entangle their random streams). host returns a node's endpoint, nil
+// for a node that runs none; probe may be nil. The engine must still be
+// at time zero.
+func Install(eng *sim.Engine, net *netsim.Network, rng *sim.RNG, spec *Spec, host func(topology.NodeID) Host, probe Probe) (*Controller, error) {
 	if err := spec.Validate(net.Tree()); err != nil {
 		return nil, err
 	}
 	for _, f := range spec.Faults {
 		switch f.Kind {
-		case Crash, Restart:
-			if hosts[f.Host] == nil {
+		case Crash, Restart, Leave, Join:
+			h := host(f.Host)
+			if h == nil {
 				return nil, fmt.Errorf("chaos: no endpoint for host %d", f.Host)
 			}
-		case Leave, Join:
-			if hosts[f.Host] == nil {
-				return nil, fmt.Errorf("chaos: no endpoint for host %d", f.Host)
-			}
-			if _, ok := hosts[f.Host].(Member); !ok {
+			if _, ok := h.(Member); !ok && (f.Kind == Leave || f.Kind == Join) {
 				return nil, fmt.Errorf("chaos: endpoint for host %d does not support membership", f.Host)
 			}
 		}
@@ -97,15 +92,11 @@ func Install(eng *sim.Engine, net *netsim.Network, rng *sim.RNG, spec *Spec, hos
 		eng:        eng,
 		net:        net,
 		rng:        rng,
-		hosts:      hosts,
+		host:       host,
 		probe:      probe,
 		baseJitter: net.MaxJitter(),
 		starveHost: make(map[topology.NodeID]int),
 	}
-	for id := range hosts {
-		c.order = append(c.order, id)
-	}
-	sort.Slice(c.order, func(i, j int) bool { return c.order[i] < c.order[j] })
 	if spec.HasDuplicates() {
 		net.SetDupFunc(c.maybeDup)
 	}
@@ -130,30 +121,40 @@ func (c *Controller) at(t time.Duration, fn func(now sim.Time)) {
 	})
 }
 
+// others calls fn on every live endpoint but skip's, in node order, so
+// purge sweeps are deterministic.
+func (c *Controller) others(skip topology.NodeID, fn func(Host)) {
+	for id := topology.NodeID(0); int(id) < c.net.Tree().NumNodes(); id++ {
+		if h := c.host(id); h != nil && id != skip && !h.Crashed() {
+			fn(h)
+		}
+	}
+}
+
+// invalidate makes h drop cached pairs naming dead, if it caches any.
+func invalidate(h Host, dead topology.NodeID) {
+	if inv, ok := h.(Invalidator); ok {
+		inv.InvalidateHost(dead)
+	}
+}
+
 func (c *Controller) schedule(f Fault) {
 	switch f.Kind {
 	case Crash:
 		host, purge := f.Host, f.Purge
 		c.at(f.At, func(now sim.Time) {
-			c.hosts[host].Crash()
+			c.host(host).Crash()
 			if c.probe != nil {
 				c.probe.NoteCrash(host, now)
 			}
 			if purge {
-				for _, id := range c.order {
-					if id == host || c.hosts[id].Crashed() {
-						continue
-					}
-					if inv, ok := c.hosts[id].(Invalidator); ok {
-						inv.InvalidateHost(host)
-					}
-				}
+				c.others(host, func(h Host) { invalidate(h, host) })
 			}
 		})
 	case Restart:
 		host := f.Host
 		c.at(f.At, func(now sim.Time) {
-			c.hosts[host].Restart()
+			c.host(host).Restart()
 			if c.probe != nil {
 				c.probe.NoteRestart(host, now)
 			}
@@ -178,29 +179,23 @@ func (c *Controller) schedule(f Fault) {
 	case Leave:
 		host := f.Host
 		c.at(f.At, func(now sim.Time) {
-			c.hosts[host].(Member).Leave()
+			c.host(host).(Member).Leave()
 			if c.probe != nil {
 				c.probe.NoteLeave(host, now)
 			}
 			// A leave is an announced departure: unlike a crash, the
 			// advert always reaches the group, so every live member
 			// drops cached pairs naming the leaver (no Purge opt-in).
-			for _, id := range c.order {
-				if id == host || c.hosts[id].Crashed() {
-					continue
+			c.others(host, func(h Host) {
+				if m, ok := h.(Member); !ok || !m.Absent() {
+					invalidate(h, host)
 				}
-				if m, ok := c.hosts[id].(Member); ok && m.Absent() {
-					continue
-				}
-				if inv, ok := c.hosts[id].(Invalidator); ok {
-					inv.InvalidateHost(host)
-				}
-			}
+			})
 		})
 	case Join:
 		host := f.Host
 		c.at(f.At, func(now sim.Time) {
-			c.hosts[host].(Member).Join()
+			c.host(host).(Member).Join()
 			if c.probe != nil {
 				c.probe.NoteJoin(host, now)
 			}

@@ -22,11 +22,11 @@ func adaptiveFingerprints(t *testing.T) string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pair, err := RunPair(tr, PairConfig{Base: RunConfig{
+		pair, err := RunPair(tr, RunConfig{
 			Seed:             3,
 			ReleaseRecovered: true,
 			Adaptive:         srm.DefaultAdaptiveConfig(),
-		}})
+		})
 		if err != nil {
 			t.Fatalf("%s: %v", entry.Name, err)
 		}

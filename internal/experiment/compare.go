@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"io"
 	"text/tabwriter"
-	"time"
 
 	"cesrm/internal/core"
-	"cesrm/internal/topology"
 	"cesrm/internal/trace"
 )
 
@@ -25,22 +23,10 @@ type ComparisonRow struct {
 	ExpeditedPct float64
 }
 
-// ComparisonConfig parameterizes RunComparison.
-type ComparisonConfig struct {
-	// Seed drives all runs.
-	Seed int64
-	// Crashes optionally injects fail-stop receiver crashes (applied to
-	// every scheme identically).
-	Crashes map[topology.NodeID]time.Duration
-	// LMSRefresh is LMS's router-state staleness window; zero selects
-	// the runner default.
-	LMSRefresh time.Duration
-}
-
 // RunComparison reenacts tr under the four recovery schemes the paper
 // discusses — SRM, CESRM, router-assisted CESRM (§3.3) and LMS — with
-// identical network conditions, and summarizes each.
-func RunComparison(tr *trace.Trace, cfg ComparisonConfig) ([]ComparisonRow, error) {
+// identical network conditions and seed, and summarizes each.
+func RunComparison(tr *trace.Trace, seed int64) ([]ComparisonRow, error) {
 	losses := float64(tr.TotalLosses())
 	variants := []struct {
 		label string
@@ -49,14 +35,13 @@ func RunComparison(tr *trace.Trace, cfg ComparisonConfig) ([]ComparisonRow, erro
 		{"SRM", RunConfig{Protocol: SRM}},
 		{"CESRM", RunConfig{Protocol: CESRM}},
 		{"CESRM-RA", RunConfig{Protocol: CESRM, CESRM: core.Config{RouterAssist: true}}},
-		{"LMS", RunConfig{Protocol: LMS, LMSRefresh: cfg.LMSRefresh}},
+		{"LMS", RunConfig{Protocol: LMS}},
 	}
 	rows := make([]ComparisonRow, 0, len(variants))
 	for _, v := range variants {
 		rc := v.run
 		rc.Trace = tr
-		rc.Seed = cfg.Seed
-		rc.Crashes = cfg.Crashes
+		rc.Seed = seed
 		res, err := Run(rc)
 		if err != nil {
 			return nil, fmt.Errorf("experiment: %s: %w", v.label, err)
@@ -87,7 +72,7 @@ func RunComparison(tr *trace.Trace, cfg ComparisonConfig) ([]ComparisonRow, erro
 func RenderComparison(w io.Writer, results []SuiteResult, seed int64) {
 	fmt.Fprintln(w, "Comparison: SRM vs CESRM vs CESRM-RA vs LMS (latency RTT, cost = recovery crossings per loss)")
 	for _, r := range results {
-		rows, err := RunComparison(r.Pair.Trace, ComparisonConfig{Seed: seed})
+		rows, err := RunComparison(r.Pair.Trace, seed)
 		if err != nil {
 			fmt.Fprintf(w, "Trace %s: error: %v\n", r.Entry.Name, err)
 			continue

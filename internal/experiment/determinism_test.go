@@ -6,13 +6,14 @@ import (
 	"testing"
 	"time"
 
+	"cesrm/internal/chaos"
 	"cesrm/internal/topology"
 )
 
 // crashyConfig returns a representative config exercising every
 // nondeterminism-prone runner path: crashes (two at the same instant,
-// the sorted-scheduling edge case) and delivery jitter (a shared
-// jitter RNG consumed in delivery order).
+// dispatched in spec order) and delivery jitter (a shared jitter RNG
+// consumed in delivery order).
 func crashyConfig(tb testing.TB, proto Protocol, seed int64) RunConfig {
 	tb.Helper()
 	tr := smallTrace(tb, 11)
@@ -22,11 +23,11 @@ func crashyConfig(tb testing.TB, proto Protocol, seed int64) RunConfig {
 		Protocol: proto,
 		Seed:     seed,
 		Jitter:   2 * time.Millisecond,
-		Crashes: map[topology.NodeID]time.Duration{
-			recv[1]: 40 * time.Second,
-			recv[5]: 40 * time.Second, // same instant as recv[1]: order must be sorted
-			recv[3]: 70 * time.Second,
-		},
+		Chaos: &chaos.Spec{Name: "crashes", Faults: []chaos.Fault{
+			{Kind: chaos.Crash, At: 40 * time.Second, Host: recv[1]},
+			{Kind: chaos.Crash, At: 40 * time.Second, Host: recv[5]}, // same instant as recv[1]
+			{Kind: chaos.Crash, At: 70 * time.Second, Host: recv[3]},
+		}},
 	}
 }
 

@@ -23,17 +23,11 @@ type Pair struct {
 	Confidence95, Confidence98, GroundTruthAccuracy float64
 }
 
-// PairConfig parameterizes RunPair; the zero value reproduces the
-// paper's setup.
-type PairConfig struct {
-	// Base is applied to both runs; its Trace and Protocol fields are
-	// overwritten.
-	Base RunConfig
-}
-
 // RunPair reenacts tr under both protocols with identical parameters
-// and one link attribution.
-func RunPair(tr *trace.Trace, cfg PairConfig) (*Pair, error) {
+// and one link attribution. base is applied to both runs, its Trace and
+// Protocol fields overwritten; the zero value reproduces the paper's
+// setup.
+func RunPair(tr *trace.Trace, base RunConfig) (*Pair, error) {
 	inferred, err := infer(tr)
 	if err != nil {
 		return nil, err
@@ -47,7 +41,6 @@ func RunPair(tr *trace.Trace, cfg PairConfig) (*Pair, error) {
 	if acc, err := lossinfer.GroundTruthAccuracy(tr, inferred); err == nil {
 		pair.GroundTruthAccuracy = acc
 	}
-	base := cfg.Base
 	base.Trace = tr
 	base.Protocol = SRM
 	if pair.SRM, err = run(base, inferred); err != nil {

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"cesrm/internal/chaos"
 	"cesrm/internal/core"
 	"cesrm/internal/netsim"
 	"cesrm/internal/srm"
@@ -17,7 +18,7 @@ import (
 func smallPair(t *testing.T) *Pair {
 	t.Helper()
 	tr := smallTrace(t, 10)
-	p, err := RunPair(tr, PairConfig{Base: RunConfig{Seed: 3}})
+	p, err := RunPair(tr, RunConfig{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +367,7 @@ func TestPropertyRandomTracesRunClean(t *testing.T) {
 			t.Logf("generate(seed=%d): %v", seed, err)
 			return false
 		}
-		pair, err := RunPair(tr, PairConfig{Base: RunConfig{Seed: seed + 1}})
+		pair, err := RunPair(tr, RunConfig{Seed: seed + 1})
 		if err != nil {
 			t.Logf("run(seed=%d): %v", seed, err)
 			return false
@@ -484,7 +485,7 @@ func TestCrashedReceiverExemptFromChecks(t *testing.T) {
 		res, err := Run(RunConfig{
 			Trace:    tr,
 			Protocol: proto,
-			Crashes:  map[topology.NodeID]time.Duration{victim: 10 * time.Second},
+			Chaos:    crashSpec(victim, 10*time.Second),
 			Seed:     5,
 		})
 		if err != nil {
@@ -498,11 +499,16 @@ func TestCrashedReceiverExemptFromChecks(t *testing.T) {
 	if _, err := Run(RunConfig{
 		Trace:    tr,
 		Protocol: SRM,
-		Crashes:  map[topology.NodeID]time.Duration{tr.Tree.Root(): time.Second},
+		Chaos:    crashSpec(tr.Tree.Root(), time.Second),
 		Seed:     5,
 	}); err == nil {
 		t.Fatal("source crash accepted")
 	}
+}
+
+// crashSpec fail-stops one host at the given instant.
+func crashSpec(host topology.NodeID, at time.Duration) *chaos.Spec {
+	return &chaos.Spec{Name: "crash", Faults: []chaos.Fault{{Kind: chaos.Crash, At: at, Host: host}}}
 }
 
 // TestCrashRobustnessCESRMvsLMS quantifies §3.3's robustness argument:
@@ -514,17 +520,17 @@ func TestCrashRobustnessCESRMvsLMS(t *testing.T) {
 	tr := smallTrace(t, 21)
 	// LMS designates the lowest-ID receiver as replier nearly everywhere.
 	victim := tr.Tree.Receivers()[0]
-	crashes := map[topology.NodeID]time.Duration{victim: 20 * time.Second}
+	crash := crashSpec(victim, 20*time.Second)
 	refresh := 8 * time.Second
 
 	lmsRes, err := Run(RunConfig{
-		Trace: tr, Protocol: LMS, Crashes: crashes, LMSRefresh: refresh, Seed: 5,
+		Trace: tr, Protocol: LMS, Chaos: crash, LMSRefresh: refresh, Seed: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cesrmRes, err := Run(RunConfig{
-		Trace: tr, Protocol: CESRM, Crashes: crashes, Seed: 5,
+		Trace: tr, Protocol: CESRM, Chaos: crash, Seed: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -542,7 +548,7 @@ func TestCrashRobustnessCESRMvsLMS(t *testing.T) {
 
 func TestRunComparisonAllSchemes(t *testing.T) {
 	tr := smallTrace(t, 22)
-	rows, err := RunComparison(tr, ComparisonConfig{Seed: 5})
+	rows, err := RunComparison(tr, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -141,11 +141,12 @@ func TestLossModelVerdictAgreesWithDrop(t *testing.T) {
 			if c.chaos {
 				eng = sim.NewEngine()
 				net = netsim.MustNew(eng, tr.Tree, netsim.DefaultConfig())
-				hosts := map[topology.NodeID]chaos.Host{}
+				hosts := make([]chaos.Host, tr.Tree.NumNodes())
 				for _, r := range tr.Tree.Receivers() {
 					hosts[r] = &stubHost{}
 				}
-				if m.chaos, err = chaos.Install(eng, net, sim.NewRNG(7), cfg.Chaos, hosts, nil); err != nil {
+				host := func(id topology.NodeID) chaos.Host { return hosts[id] }
+				if m.chaos, err = chaos.Install(eng, net, sim.NewRNG(7), cfg.Chaos, host, nil); err != nil {
 					t.Fatalf("%s/%s: %v", entry.Name, c.name, err)
 				}
 			}

@@ -39,9 +39,9 @@ import (
 // run alive and make it differ from the same run with release off.
 type watermarkRelease struct {
 	source topology.NodeID
-	// hosts and inspectors are parallel: inspectors[i] is hosts[i]'s.
+	// hosts orders the scans; members is the run's NodeID-indexed table.
 	hosts      []topology.NodeID
-	inspectors []inspector
+	members    []member
 	collector  *stats.Collector
 	validator  *stats.Validator
 	numPackets int
@@ -64,8 +64,8 @@ func present(in inspector) bool { return !in.Crashed() && !in.Absent() }
 func (r *watermarkRelease) tick() {
 	held := r.heldPrefix()
 	if n := min(r.ready, r.heldPrev, held); n > r.released {
-		for _, in := range r.inspectors {
-			if present(in) {
+		for _, id := range r.hosts {
+			if in := r.members[id].in; present(in) {
 				in.ReleaseThrough(r.source, n)
 			}
 		}
@@ -81,7 +81,8 @@ func (r *watermarkRelease) tick() {
 // checks each open stream's base against the released watermark.
 func (r *watermarkRelease) heldPrefix() int {
 	w := r.numPackets
-	for i, in := range r.inspectors {
+	for _, id := range r.hosts {
+		in := r.members[id].in
 		if !present(in) {
 			continue
 		}
@@ -90,7 +91,7 @@ func (r *watermarkRelease) heldPrefix() int {
 		case !open:
 			held = 0
 		case base < r.released:
-			r.validator.NoteFloorBelowRelease(r.hosts[i], r.source, base, r.released)
+			r.validator.NoteFloorBelowRelease(id, r.source, base, r.released)
 			r.unsound = true
 		}
 		w = min(w, held)
@@ -106,7 +107,8 @@ func (r *watermarkRelease) heldPrefix() int {
 // stall).
 func (r *watermarkRelease) watermark(held int) int {
 	w := held
-	for _, in := range r.inspectors {
+	for _, id := range r.hosts {
+		in := r.members[id].in
 		if !present(in) {
 			continue
 		}

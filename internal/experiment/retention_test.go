@@ -98,7 +98,7 @@ func TestRunPairFreesSRMNetworkBeforeCESRMRuns(t *testing.T) {
 		}
 		arm(n)
 	}
-	if _, err := RunPair(tr, PairConfig{Base: RunConfig{Seed: 1}}); err != nil {
+	if _, err := RunPair(tr, RunConfig{Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if len(*dead) != 2 {
@@ -126,7 +126,7 @@ func TestRunPairDoesNotRetainInference(t *testing.T) {
 		runtime.SetFinalizer(r, func(*lossinfer.Result) { close(done) })
 	}
 	t.Cleanup(func() { inferenceBuilt = nil })
-	pair, err := RunPair(tr, PairConfig{Base: RunConfig{Seed: 1}})
+	pair, err := RunPair(tr, RunConfig{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ package experiment
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"cesrm/internal/chaos"
@@ -63,9 +62,6 @@ type RunConfig struct {
 	// CESRM holds CESRM-specific settings; its SRM field is overwritten
 	// by the run's SRM parameters.
 	CESRM core.Config
-	// LMS holds LMS-specific settings (heartbeat, NAK retry, detection
-	// slack); zero values select defaults.
-	LMS lms.Config
 	// LMSRefresh is the router replier-state staleness window after a
 	// crash report; zero selects 5 s.
 	LMSRefresh time.Duration
@@ -94,28 +90,17 @@ type RunConfig struct {
 	// experiments. The default reproduces the paper's main setup:
 	// lossless recovery.
 	LossyRecovery bool
-	// Crashes schedules fail-stop receiver crashes at the given virtual
-	// offsets from simulation start. Crashed receivers are exempt from
-	// the completion and reliability checks (they can never recover).
-	// Crashing the source is rejected.
-	Crashes map[topology.NodeID]time.Duration
 	// Chaos, when non-nil, installs the deterministic fault-injection
-	// harness: host crashes and restarts, graceful leaves and joins,
-	// link flaps, jitter ramps, duplicate storms, queue-cap windows and
-	// session starvation, all scheduled through the engine so the run
-	// fingerprint stays a pure function of the configuration. Chaos runs
-	// skip the trace loss cross-check (a restarted host legitimately
-	// re-detects everything) and arm the validator's post-crash-silence
-	// and bounded-fallback invariants.
+	// harness, the one way to fault a host: crashes and restarts,
+	// graceful leaves and joins, plus link flaps, jitter ramps, duplicate
+	// storms, queue-cap windows and session starvation, all scheduled
+	// through the engine so the run fingerprint stays a pure function of
+	// the configuration. Crashed and departed receivers are exempt from
+	// the completion and reliability checks; the source can be neither.
+	// Chaos runs skip the trace loss cross-check (a restarted host
+	// legitimately re-detects everything) and arm the validator's
+	// post-crash-silence and bounded-fallback invariants.
 	Chaos *chaos.Spec
-	// Membership schedules graceful membership churn without writing a
-	// chaos spec by hand: each event is a receiver's announced Leave or
-	// mid-session Join at a virtual offset. Events merge into Chaos
-	// (creating a spec when nil), so they share its validation,
-	// scheduling determinism and invariant arming. Per host, events must
-	// be listed in chronological order and alternate (a Join-first host
-	// starts the run absent — a late joiner).
-	Membership []MembershipEvent
 	// Budget installs the engine's optional guardrails: bounds on
 	// virtual time, dispatched events and pending timers, plus the
 	// same-instant progress watchdog. A run that trips a bound
@@ -159,26 +144,16 @@ type RunConfig struct {
 	// Seed drives all protocol randomness (timer draws, session
 	// offsets, lossy-recovery drops).
 	Seed int64
-	// Warmup is the session-exchange period before the first data
-	// packet, letting hosts learn inter-host distances; zero selects
-	// 3 session periods.
-	Warmup time.Duration
-	// MaxTail bounds the virtual time the run may spend recovering
-	// after the last data packet; zero selects 10 minutes. Exceeding it
-	// fails the run (it indicates a protocol liveness bug, or extreme
-	// lossy-recovery unluck).
-	MaxTail time.Duration
 }
 
-// MembershipEvent is one scheduled graceful membership change.
-type MembershipEvent struct {
-	// Host is the receiver leaving or joining.
-	Host topology.NodeID
-	// At is the virtual offset from simulation start.
-	At time.Duration
-	// Join admits the host; false announces its departure.
-	Join bool
-}
+// warmupPeriods is the session exchange before the first data packet,
+// in session periods: long enough for hosts to learn inter-host
+// distances.
+const warmupPeriods = 3
+
+// maxTail bounds the virtual time a run may spend recovering after the
+// last data packet. Exceeding it fails the run with a QuiesceError.
+const maxTail = 10 * time.Minute
 
 // RunResult carries a completed run's metrics.
 type RunResult struct {
@@ -237,8 +212,7 @@ type RunResult struct {
 	// not silent data loss.
 	Abandoned int
 	// ChurnEvents counts the membership events (graceful leaves plus
-	// joins) the run's schedule carried, whether from RunConfig.Membership
-	// or leave@/join@ chaos faults. Zero for churn-free runs.
+	// joins) the run's chaos spec carried. Zero for churn-free runs.
 	ChurnEvents int
 	// Status reports how the engine terminated. The zero value,
 	// sim.Completed, is the only status budget-free runs ever produce;
@@ -288,7 +262,7 @@ func (d *Diagnostic) String() string {
 }
 
 // QuiesceError reports that a run failed to recover every loss within
-// MaxTail after the last data packet — a protocol liveness failure (or
+// maxTail after the last data packet — a protocol liveness failure (or
 // extreme lossy-recovery unluck). It is typed so harnesses can classify
 // it apart from invariant violations.
 type QuiesceError struct {
@@ -303,8 +277,11 @@ func (e *QuiesceError) Error() string {
 		e.Trace, e.Protocol, e.MaxTail)
 }
 
-// agent abstracts over the protocol endpoints' lifecycle.
+// agent abstracts over the protocol endpoints' lifecycle: what the run
+// drives, and what chaos faults crash, restart, remove and admit.
 type agent interface {
+	chaos.Host
+	chaos.Member
 	StartSessions()
 	Stop()
 	Transmit(seq int)
@@ -324,8 +301,13 @@ type inspector interface {
 	ReleaseThrough(source topology.NodeID, n int)
 }
 
-// crasher is the fail-stop surface every protocol endpoint shares.
-type crasher interface{ Crash() }
+// member is one host's entry in a run's NodeID-indexed table: its
+// endpoint, and the surface the completion checks and release read (for
+// CESRM, the SRM agent inside it). Routers keep the zero entry.
+type member struct {
+	agent agent
+	in    inspector
+}
 
 // expFallbackBound is invariant 7's request-round budget: a loss chased
 // by an expedited request whose cached replier turned out dead must
@@ -403,32 +385,6 @@ func run(cfg RunConfig, inferred *lossinfer.Result) (*RunResult, error) {
 	if cfg.SRM == (srm.Params{}) {
 		cfg.SRM = srm.DefaultParams()
 	}
-	if cfg.Warmup == 0 {
-		cfg.Warmup = 3 * cfg.SRM.SessionPeriod
-	}
-	if cfg.MaxTail == 0 {
-		cfg.MaxTail = 10 * time.Minute
-	}
-	// A membership schedule merges into the chaos spec (cloned, never
-	// mutating the caller's), sharing its validation and deterministic
-	// scheduling. This runs before any RNG split decision: a Membership
-	// schedule makes cfg.Chaos non-nil exactly like writing the spec by
-	// hand would.
-	if len(cfg.Membership) > 0 {
-		merged := &chaos.Spec{Name: "membership"}
-		if cfg.Chaos != nil {
-			merged.Name = cfg.Chaos.Name
-			merged.Faults = append(merged.Faults, cfg.Chaos.Faults...)
-		}
-		for _, e := range cfg.Membership {
-			kind := chaos.Leave
-			if e.Join {
-				kind = chaos.Join
-			}
-			merged.Faults = append(merged.Faults, chaos.Fault{Kind: kind, At: e.At, Host: e.Host})
-		}
-		cfg.Chaos = merged
-	}
 	// Membership churn arms bounded-retry degradation: without it, a
 	// receiver whose cached repliers departed would double its back-off
 	// interval forever. Callers that set an explicit bound keep it.
@@ -499,7 +455,7 @@ func run(cfg RunConfig, inferred *lossinfer.Result) (*RunResult, error) {
 	// Release is gated on restart-free configurations only: a restarted
 	// host legitimately re-detects and re-recovers everything from
 	// sequence 0, so no prefix of the stream is ever globally dead. Every
-	// other fault — permanent crashes (chaos or cfg.Crashes), link flaps,
+	// other fault — permanent crashes, link flaps,
 	// jitter ramps, duplicate storms, starvation, queue caps — leaves the
 	// watermark sound: crashed hosts never rejoin and are skipped, and
 	// the remaining faults only delay recovery, which the watermark
@@ -525,8 +481,7 @@ func run(cfg RunConfig, inferred *lossinfer.Result) (*RunResult, error) {
 	if agentOrder != nil {
 		hosts = agentOrder(hosts)
 	}
-	agents := make(map[topology.NodeID]agent, len(hosts))
-	inspectors := make(map[topology.NodeID]inspector, len(hosts))
+	members := make([]member, tree.NumNodes())
 	var fabric *lms.Fabric
 	if cfg.Protocol == LMS {
 		refresh := cfg.LMSRefresh
@@ -554,8 +509,7 @@ func run(cfg RunConfig, inferred *lossinfer.Result) (*RunResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			agents[id] = a
-			inspectors[id] = a
+			members[id] = member{a, a}
 			srmAgent = a
 		case CESRM:
 			cc := cfg.CESRM
@@ -564,16 +518,14 @@ func run(cfg RunConfig, inferred *lossinfer.Result) (*RunResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			agents[id] = a
-			inspectors[id] = a.SRM()
+			members[id] = member{a, a.SRM()}
 			srmAgent = a.SRM()
 		case LMS:
-			a, err := lms.NewAgent(eng, net, fabric, id, cfg.LMS, observer)
+			a, err := lms.NewAgent(eng, net, fabric, id, lms.Config{}, observer)
 			if err != nil {
 				return nil, err
 			}
-			agents[id] = a
-			inspectors[id] = a
+			members[id] = member{a, a}
 		default:
 			return nil, fmt.Errorf("experiment: unknown protocol %v", cfg.Protocol)
 		}
@@ -590,22 +542,16 @@ func run(cfg RunConfig, inferred *lossinfer.Result) (*RunResult, error) {
 		}
 	}
 
-	// Stage 4: schedule chaos faults, session start, data transmission,
-	// crashes, and the completion monitor. Scheduling assigns the
-	// engine's FIFO tie-breaker sequence numbers, so every loop here must
-	// iterate in a deterministic order — the ordered hosts slice and
-	// sorted crash hosts, never a map. Chaos faults are scheduled first,
-	// so a crash coinciding exactly with a protocol timer dispatches
-	// before it.
+	// Stage 4: schedule chaos faults, session start, data transmission
+	// and the completion monitor. Scheduling assigns the engine's FIFO
+	// tie-breaker sequence numbers, so every loop here must iterate in a
+	// deterministic order — the ordered hosts slice, never a map. Chaos
+	// faults are scheduled first, in spec order, so a crash coinciding
+	// exactly with a protocol timer dispatches before it.
 	if cfg.Chaos != nil {
-		targets := make(map[topology.NodeID]chaos.Host, len(hosts))
-		for _, id := range hosts {
-			if h, ok := agents[id].(chaos.Host); ok {
-				targets[id] = h
-			}
-		}
 		validator.BoundExpFallback(expFallbackBound)
-		ctl, err := chaos.Install(eng, net, chaosRNG, cfg.Chaos, targets, validator)
+		host := func(id topology.NodeID) chaos.Host { return members[id].agent }
+		ctl, err := chaos.Install(eng, net, chaosRNG, cfg.Chaos, host, validator)
 		if err != nil {
 			return nil, err
 		}
@@ -622,52 +568,28 @@ func run(cfg RunConfig, inferred *lossinfer.Result) (*RunResult, error) {
 	if cfg.Chaos != nil {
 		absentAtStart = cfg.Chaos.InitialAbsent()
 		for _, id := range hosts {
-			if !absentAtStart[id] {
-				continue
+			if absentAtStart[id] {
+				members[id].agent.Leave()
+				validator.NoteLeave(id, 0)
 			}
-			m, ok := agents[id].(chaos.Member)
-			if !ok {
-				return nil, fmt.Errorf("experiment: host %d does not support membership", id)
-			}
-			m.Leave()
-			validator.NoteLeave(id, 0)
 		}
 	}
 	for _, id := range hosts {
-		if absentAtStart[id] {
-			continue
+		if !absentAtStart[id] {
+			members[id].agent.StartSessions()
 		}
-		agents[id].StartSessions()
-	}
-	crashHosts := make([]topology.NodeID, 0, len(cfg.Crashes))
-	for h := range cfg.Crashes {
-		crashHosts = append(crashHosts, h)
-	}
-	sort.Slice(crashHosts, func(i, j int) bool { return crashHosts[i] < crashHosts[j] })
-	for _, h := range crashHosts {
-		if h == source {
-			return nil, fmt.Errorf("experiment: cannot crash the source")
-		}
-		c, ok := agents[h].(crasher)
-		if !ok {
-			return nil, fmt.Errorf("experiment: host %d is not crashable", h)
-		}
-		h := h
-		eng.ScheduleAt(sim.Time(cfg.Crashes[h]), func(now sim.Time) {
-			c.Crash()
-			validator.NoteCrash(h, now)
-		})
 	}
 	numPackets := tr.NumPackets()
-	srcAgent := agents[source]
+	srcAgent := members[source].agent
+	warmup := warmupPeriods * cfg.SRM.SessionPeriod
 	// The data stream is one train: numPackets reserved FIFO sequence
 	// numbers, one wheel record.
-	eng.ScheduleTrain(sim.Time(cfg.Warmup), tr.Period, numPackets, func(seq int, _ sim.Time) {
+	eng.ScheduleTrain(sim.Time(warmup), tr.Period, numPackets, func(seq int, _ sim.Time) {
 		srcAgent.Transmit(seq)
 	})
 
-	lastData := sim.Time(cfg.Warmup + time.Duration(numPackets-1)*tr.Period)
-	deadline := lastData.Add(cfg.MaxTail)
+	lastData := sim.Time(warmup + time.Duration(numPackets-1)*tr.Period)
+	deadline := lastData.Add(maxTail)
 	complete := func() bool {
 		if chaosCtl != nil && !chaosCtl.Quiesced() {
 			// A fault is still outstanding; a restart scheduled after
@@ -675,8 +597,8 @@ func run(cfg RunConfig, inferred *lossinfer.Result) (*RunResult, error) {
 			return false
 		}
 		for _, r := range tree.Receivers() {
-			a := inspectors[r]
-			if a.Crashed() || a.Absent() {
+			a := members[r].in
+			if !present(a) {
 				continue
 			}
 			if a.ClassifiedThrough(source) < numPackets || a.Outstanding() > 0 {
@@ -688,18 +610,18 @@ func run(cfg RunConfig, inferred *lossinfer.Result) (*RunResult, error) {
 	rel := &watermarkRelease{
 		source:     source,
 		hosts:      hosts,
-		inspectors: make([]inspector, len(hosts)),
+		members:    members,
 		collector:  collector,
 		validator:  validator,
 		numPackets: numPackets,
 	}
-	for i, id := range hosts {
-		rel.inspectors[i] = inspectors[id]
+	stop := func() {
+		for _, id := range hosts {
+			members[id].agent.Stop()
+		}
 	}
 	halt := func() {
-		for _, id := range hosts {
-			agents[id].Stop()
-		}
+		stop()
 		eng.Stop()
 	}
 	var monitor func(now sim.Time)
@@ -718,9 +640,7 @@ func run(cfg RunConfig, inferred *lossinfer.Result) (*RunResult, error) {
 			}
 		}
 		if complete() {
-			for _, id := range hosts {
-				agents[id].Stop()
-			}
+			stop()
 			return
 		}
 		if now.After(deadline) {
@@ -765,8 +685,8 @@ func run(cfg RunConfig, inferred *lossinfer.Result) (*RunResult, error) {
 		snap := eng.Snapshot()
 		diag := &Diagnostic{Clock: snap.Now, Pending: snap.Pending, Executed: snap.Executed}
 		for _, r := range receivers {
-			a := inspectors[r]
-			if a.Crashed() || a.Absent() {
+			a := members[r].in
+			if !present(a) {
 				continue
 			}
 			if n := a.Outstanding(); n > 0 {
@@ -782,7 +702,7 @@ func run(cfg RunConfig, inferred *lossinfer.Result) (*RunResult, error) {
 		return nil, fmt.Errorf("experiment: %s/%s: %w", tr.Name, cfg.Protocol, validator.Err())
 	}
 	if timedOut {
-		return nil, &QuiesceError{Trace: tr.Name, Protocol: cfg.Protocol, MaxTail: cfg.MaxTail}
+		return nil, &QuiesceError{Trace: tr.Name, Protocol: cfg.Protocol, MaxTail: maxTail}
 	}
 
 	// Stage 5: verify the run reenacted the trace faithfully. A receiver
@@ -791,8 +711,8 @@ func run(cfg RunConfig, inferred *lossinfer.Result) (*RunResult, error) {
 	// detection fires — but never more, and every receiver must end up
 	// holding every packet (full reliability).
 	for ri, r := range tree.Receivers() {
-		a := inspectors[r]
-		if a.Crashed() || a.Absent() {
+		a := members[r].in
+		if !present(a) {
 			continue
 		}
 		if got, want := collector.Losses(r), tr.ReceiverLosses(ri); got > want && cfg.Jitter == 0 && cfg.ExtraDrop == nil && cfg.Chaos == nil {

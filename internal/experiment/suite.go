@@ -30,15 +30,6 @@ type Suite struct {
 	// are identical to a serial run; ordering in the output is
 	// preserved. Zero or one means serial.
 	Parallel int
-	// KeepEvents retains each run's ordered protocol-event stream on the
-	// returned results. The stream is only needed for timeline debugging
-	// (stats.WriteEventsNDJSON); the fingerprint digests it during the
-	// run, so sweeps leave this false and the runs never materialize the
-	// streams at all — and additionally release fully-recovered
-	// per-packet state mid-run (RunConfig.ReleaseRecovered), keeping
-	// peak heap bounded by the in-flight recovery window instead of the
-	// whole transmission.
-	KeepEvents bool
 	// ContinueOnError degrades the sweep gracefully: a trace that fails
 	// to load, or whose pair fails (invariant violation, non-quiescence,
 	// chaos rejection), is recorded in its SuiteResult.Err and the rest
@@ -91,17 +82,17 @@ func (s Suite) Run() ([]SuiteResult, error) {
 		entry := trace.Catalog[idx-1]
 		base := s.Base
 		base.Seed = s.Seed + int64(idx)
-		// Retention and release are decided inside the run, not post-hoc:
-		// a sweep that doesn't keep events never allocates them, and its
-		// runs shed recovered per-packet state as the watermark advances.
-		base.KeepEvents = s.KeepEvents
-		base.ReleaseRecovered = !s.KeepEvents
+		// Suite runs shed recovered per-packet state as the watermark
+		// advances (RunConfig.ReleaseRecovered), keeping peak heap bounded
+		// by the in-flight recovery window instead of the whole
+		// transmission.
+		base.ReleaseRecovered = true
 		// The trace is loaded by the job that runs it: a failed load is
 		// that trace's failure, and Parallel generates concurrently.
 		var pair *Pair
 		tr, err := entry.Load(scale)
 		if err == nil {
-			pair, err = RunPair(tr, PairConfig{Base: base})
+			pair, err = RunPair(tr, base)
 		}
 		if err != nil {
 			return SuiteResult{Entry: entry}, fmt.Errorf("experiment: trace %d (%s): %w", idx, entry.Name, err)

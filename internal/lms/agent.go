@@ -577,10 +577,3 @@ func (d *advertDetection) Fire(now sim.Time) {
 	}
 	a.detectThrough(now, h)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
