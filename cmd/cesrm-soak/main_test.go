@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 )
@@ -26,6 +27,37 @@ func TestSoakOutputIsBitReproducible(t *testing.T) {
 	}
 	if !strings.Contains(outA, "soak: 5 trials") {
 		t.Fatalf("missing summary in output:\n%s", outA)
+	}
+}
+
+// TestSoakLogGolden diffs the CI campaign's log (cesrm-soak -seed 1
+// -trials 25 -scale 0.01 -minimize) against its recorded output. Every
+// clean trial prints its run fingerprint, so a changed run shows as a
+// changed line, not only a failing one. A drift is a behaviour change,
+// not a golden to regenerate.
+func TestSoakLogGolden(t *testing.T) {
+	const golden = "../../testdata/soak-log/seed-1-trials-25-scale-0.01.txt"
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out, errb bytes.Buffer
+	code := run([]string{"-seed", "1", "-trials", "25", "-scale", "0.01", "-minimize"}, &out, &errb)
+	if code != 0 || errb.Len() > 0 {
+		t.Fatalf("exit %d, stderr %q", code, errb.String())
+	}
+	got, wantLines := strings.Split(out.String(), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(got) || i < len(wantLines); i++ {
+		var g, w string
+		if i < len(got) {
+			g = got[i]
+		}
+		if i < len(wantLines) {
+			w = wantLines[i]
+		}
+		if g != w {
+			t.Fatalf("soak log diverges from %s at line %d:\n got  %q\n want %q", golden, i+1, g, w)
+		}
 	}
 }
 

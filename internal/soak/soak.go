@@ -262,10 +262,10 @@ func Run(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		_, fail := runner.RunTrial(trial)
+		res, fail := runner.RunTrial(trial)
 		out.Trials++
 		if fail == nil {
-			logf(cfg.Log, "trial %d: %s ok", i, trial)
+			logf(cfg.Log, "trial %d: %s ok fingerprint=%s", i, trial, res.Fingerprint)
 			continue
 		}
 		logf(cfg.Log, "trial %d: %s FAIL class=%s", i, trial, fail.Class)
