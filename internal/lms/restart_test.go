@@ -111,3 +111,29 @@ func TestCrashSilencesPendingHeartbeatDetection(t *testing.T) {
 		t.Fatalf("Outstanding = %d on a crashed host, want 0", got)
 	}
 }
+
+// A host that leaves and rejoins inside the detection slack of a
+// heartbeat it heard before leaving must not detect the advertised
+// packets when the slack expires: they were sent before its join, and
+// until its first post-join contact opens the stream at a floor it owes
+// nothing. Detecting them chased 21 packets nobody would repair to it.
+func TestRejoinInsideSlackDetectsNothing(t *testing.T) {
+	b := newBed(t, time.Second)
+	a := b.agents[4]
+	at := sim.Time(2050 * time.Millisecond)
+	b.eng.ScheduleAt(at, func(now sim.Time) {
+		a.Deliver(now, &netsim.Packet{Msg: &srm.SessionMsg{
+			From:    0,
+			SentAt:  now,
+			Highest: []srm.Advert{{Source: 0, Highest: 20}},
+		}})
+	})
+	b.eng.ScheduleAt(at.Add(5*time.Millisecond), func(sim.Time) { a.Leave() })
+	b.eng.ScheduleAt(at.Add(10*time.Millisecond), func(sim.Time) { a.Join() })
+	b.eng.RunUntil(sim.Time(60 * time.Second))
+
+	if b.log.detections != 0 || a.Outstanding() != 0 || b.log.naks != 0 {
+		t.Fatalf("rejoined host: %d detections, Outstanding %d, %d NAKs; want 0, 0, 0",
+			b.log.detections, a.Outstanding(), b.log.naks)
+	}
+}
