@@ -10,7 +10,8 @@
 // fails if any rerun's fingerprint diverges from the first — the
 // determinism audit. -chaos SPEC installs the deterministic
 // fault-injection harness (host crashes and restarts, link flaps,
-// jitter ramps, duplicate storms, session starvation; see
+// jitter ramps, duplicate storms, session starvation, graceful leaves
+// and joins, link queue caps; see
 // chaos.ParseSpec for the grammar) and composes with the audit: a chaos
 // run must replay to the identical fingerprint. -events FILE dumps the
 // ordered protocol-event stream as NDJSON for timeline debugging.
@@ -52,7 +53,7 @@ func run(args []string) error {
 	delay := fs.Duration("delay", 20*time.Millisecond, "per-link one-way delay")
 	lossy := fs.Bool("lossy", false, "drop recovery traffic with estimated link rates")
 	routerAssist := fs.Bool("router-assist", false, "enable router-assisted CESRM (§3.3)")
-	chaosSpec := fs.String("chaos", "", `fault-injection spec, e.g. "crash@40s:host=3;restart@70s:host=3" (kinds: crash, restart, link-down, link-up, jitter, dup, starve)`)
+	chaosSpec := fs.String("chaos", "", `fault-injection spec, e.g. "crash@40s:host=3;restart@70s:host=3" (kinds: crash, restart, link-down, link-up, jitter, dup, starve, leave, join, qcap)`)
 	verifyDet := fs.Int("verify-determinism", 0, "rerun the config N extra times and fail on fingerprint divergence")
 	eventsFile := fs.String("events", "", "write the ordered protocol-event stream as NDJSON to this file")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")

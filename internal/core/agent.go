@@ -64,7 +64,7 @@ type Agent struct {
 // expeditedRequest is one loss's REORDER-DELAY timer: the closure-free
 // form of "after ReorderDelay, unicast the expedited request unless the
 // packet arrived". Handlers are pooled per agent, like
-// srm's advertDetection.
+// srm.Detection.
 type expeditedRequest struct {
 	a            *Agent
 	key          sourceSeq

@@ -521,10 +521,7 @@ func run(cfg RunConfig, inferred *lossinfer.Result) (*RunResult, error) {
 			members[id] = member{a, a.SRM()}
 			srmAgent = a.SRM()
 		case LMS:
-			a, err := lms.NewAgent(eng, net, fabric, id, lms.Config{}, observer)
-			if err != nil {
-				return nil, err
-			}
+			a := lms.NewAgent(eng, net, fabric, id, observer)
 			members[id] = member{a, a}
 		default:
 			return nil, fmt.Errorf("experiment: unknown protocol %v", cfg.Protocol)

@@ -60,11 +60,7 @@ func newBed(t *testing.T, refresh time.Duration) *bed {
 	log := &obsLog{}
 	b := &bed{eng: eng, net: net, fabric: fabric, agents: map[topology.NodeID]*Agent{}, log: log}
 	for _, id := range append([]topology.NodeID{tree.Root()}, tree.Receivers()...) {
-		a, err := NewAgent(eng, net, fabric, id, Config{}, log)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b.agents[id] = a
+		b.agents[id] = NewAgent(eng, net, fabric, id, log)
 	}
 	return b
 }
@@ -264,19 +260,6 @@ func TestLMSCrashStallsUntilRefresh(t *testing.T) {
 	// Multiple NAK retries were burned on the stale replier.
 	if b.log.naks < 3 {
 		t.Fatalf("naks = %d, expected retries against the dead replier", b.log.naks)
-	}
-}
-
-func TestConfigValidation(t *testing.T) {
-	if err := (Config{RetrySlack: -1}).Validate(); err == nil {
-		t.Fatal("negative config accepted")
-	}
-	eng := sim.NewEngine()
-	tree := lmsTree()
-	net := netsim.MustNew(eng, tree, netsim.DefaultConfig())
-	f := NewFabric(eng, tree, time.Second)
-	if _, err := NewAgent(eng, net, f, 3, Config{MaxBackoff: -1}, nil); err == nil {
-		t.Fatal("invalid config accepted by NewAgent")
 	}
 }
 

@@ -93,9 +93,9 @@ func TestWatermarkRelease(t *testing.T) {
 	if base, held, open := leaver.HeldWindow(0); !open || base != 6 || held != 7 {
 		t.Fatalf("rejoiner's window = [%d, %d) open=%v, want [6, 7) based at its floor", base, held, open)
 	}
-	if leaver.losses.Base() != 6 || leaver.pending.Base() != 6 || leaver.ClassifiedThrough(0) != 7 {
+	if leaver.rx.Losses().Base() != 6 || leaver.rx.Replies().Base() != 6 || leaver.ClassifiedThrough(0) != 7 {
 		t.Fatalf("rejoiner's loss/pending windows based at %d/%d, cursor %d, want 6/6/7",
-			leaver.losses.Base(), leaver.pending.Base(), leaver.ClassifiedThrough(0))
+			leaver.rx.Losses().Base(), leaver.rx.Replies().Base(), leaver.ClassifiedThrough(0))
 	}
 	if base, held, open := stayer.HeldWindow(0); !open || base != 6 || held != 7 {
 		t.Fatalf("stayer's window = [%d, %d) open=%v, want [6, 7) as released", base, held, open)

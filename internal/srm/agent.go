@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"cesrm/internal/netsim"
-	"cesrm/internal/seqwin"
 	"cesrm/internal/sim"
 	"cesrm/internal/topology"
 )
@@ -104,25 +103,7 @@ func (rs *replyState) Fire(now sim.Time) {
 type streamState struct {
 	agent  *Agent
 	source topology.NodeID
-	// received, losses and replies are sliding windows released together
-	// (see releaseThrough), so they share one base. Invariant: base ≤
-	// held ≤ cursor, so classification and detection never touch the
-	// released prefix. Three windows, not one fat cell: received.Has is
-	// on the per-delivery path and must stay a one-byte probe. losses
-	// holds nil, and replies the zero cell, for packets with no such
-	// state.
-	received seqwin.Prefix
-	losses   seqwin.Window[*lossRecord]
-	replies  seqwin.Window[replyCell]
-	// cursor: every sequence number below it has been classified as
-	// received or detected lost.
-	cursor int
-	// highestKnown is the highest sequence number known to exist in
-	// this stream, -1 initially.
-	highestKnown int
-	// advertPending is the highest sequence number for which a deferred
-	// session-triggered detection pass has been scheduled.
-	advertPending int
+	Stream[*lossRecord, replyCell]
 
 	// abandonedOpen counts losses abandoned after bounded retry and not
 	// (yet) recovered by a straggling repair: the run's reliability
@@ -175,21 +156,22 @@ func (st *streamState) freeReply(rs *replyState) {
 }
 
 func newStreamState(a *Agent, source topology.NodeID) *streamState {
-	return &streamState{
-		agent:         a,
-		source:        source,
-		highestKnown:  -1,
-		advertPending: -1,
-	}
+	st := &streamState{agent: a, source: source}
+	st.OpenAt(0)
+	return st
 }
 
-// openAt rebases an empty stream at the late-join reliability floor:
-// everything below it reads as held and loss detection begins there.
-func (st *streamState) openAt(floor int) {
-	st.received.OpenAt(floor)
-	st.losses.OpenAt(floor)
-	st.replies.OpenAt(floor)
-	st.cursor = floor
+// DetectLoss implements Detector.
+func (st *streamState) DetectLoss(now sim.Time, seq int) { st.agent.detectLoss(now, st, seq) }
+
+// Probe implements Detector: a pass is stale once the host went silent,
+// and after a restart or rejoin the stream it was armed for is an
+// orphan — losses recorded on it could never be recovered (replies
+// resolve against the new stream), leaving the request back-off loop
+// running forever.
+func (st *streamState) Probe() bool {
+	a := st.agent
+	return !a.crashed && !a.absent && a.peek(st.source) == st
 }
 
 // releasableBelow returns the highest watermark n ≤ min(held, limit)
@@ -215,43 +197,25 @@ func (st *streamState) releasableBelow(now sim.Time, limit int) (n, visited int)
 	return n, n - base
 }
 
-// releaseThrough discards per-packet state below n, clamped to the held
-// prefix. The caller guarantees n is releasable on every live host, so
-// nothing live is dropped. No engine operations happen here — timers
-// are never cancelled — so release is invisible to the run's event
-// stream, finish time and fingerprint.
-//
-// The discarded records go to the free lists. A held packet's loss
+// releaseThrough is Stream.ReleaseThrough with the discarded records
+// returned to the free lists. The caller guarantees n is releasable on
+// every live host, so nothing live is dropped. A held packet's loss
 // record was recovered, which cancelled its timer, and a releasable
 // cell's reply timer is not armed; a record whose timer is armed all the
 // same is left to the collector, where its firing finds no cell.
 func (st *streamState) releaseThrough(n int) {
-	st.received.ReleaseThrough(n)
-	base := st.received.Base()
-	for _, ls := range st.losses.Below(base) {
+	cut := min(n, st.received.Held())
+	for _, ls := range st.losses.Below(cut) {
 		if ls != nil && !ls.timer.Active() {
 			ls.next, st.freeLosses = st.freeLosses, ls
 		}
 	}
-	for _, c := range st.replies.Below(base) {
+	for _, c := range st.replies.Below(cut) {
 		if rs := c.rec; rs != nil && !rs.timer.Active() {
 			st.freeReply(rs)
 		}
 	}
-	st.losses.ReleaseThrough(base)
-	st.replies.ReleaseThrough(base)
-}
-
-// window returns the number of per-seq cells currently retained across
-// the stream's received, loss and reply windows.
-func (st *streamState) window() int {
-	return st.received.Len() + st.losses.Len() + st.replies.Len()
-}
-
-func (st *streamState) noteExists(seq int) {
-	if seq > st.highestKnown {
-		st.highestKnown = seq
-	}
+	st.ReleaseThrough(n)
 }
 
 // Agent is one SRM endpoint. Every group member both receives all
@@ -312,8 +276,8 @@ type Agent struct {
 	// seqRejects counts messages dropped for a sequence number outside
 	// [0, MaxSeq]; like sessionRejects, only the wire tier can produce one.
 	seqRejects int
-	// freeSlack pools fired advertDetection handlers.
-	freeSlack    *advertDetection
+	// slack pools the deferred session-triggered detection passes.
+	slack        DetectionPool[*lossRecord, replyCell]
 	missingDists int
 	// outstanding counts detected-but-unrecovered losses across all
 	// streams, so the monitor's per-period Outstanding polls are O(1)
@@ -566,7 +530,7 @@ func (a *Agent) PacketWindow() int {
 	n := 0
 	for _, st := range a.streams {
 		if st != nil {
-			n += st.window()
+			n += st.Len()
 		}
 	}
 	return n
@@ -591,13 +555,10 @@ func (a *Agent) Has(source topology.NodeID, seq int) bool {
 // stream the agent does not hold. Zero after a run means full
 // reliability was achieved.
 func (a *Agent) MissingIn(source topology.NodeID, n int) int {
-	missing := 0
-	for i := 0; i < n; i++ {
-		if !a.Has(source, i) {
-			missing++
-		}
+	if st := a.peek(source); st != nil {
+		return st.Missing(n)
 	}
-	return missing
+	return max(n, 0)
 }
 
 // EverLost reports whether the agent ever classified seq of the
@@ -705,10 +666,7 @@ func (a *Agent) Transmit(seq int) {
 	if uint(seq) > MaxSeq {
 		panic(fmt.Sprintf("srm: host %d transmitting packet %d outside [0, %d]", a.id, seq, MaxSeq))
 	}
-	st := a.stream(a.id)
-	st.received.Mark(seq)
-	st.noteExists(seq)
-	st.cursor = seq + 1
+	a.stream(a.id).Transmit(seq)
 	a.net.Multicast(a.id, a.frames.Data(a.id, seq))
 }
 
@@ -764,7 +722,7 @@ func (a *Agent) onData(now sim.Time, m *DataMsg) {
 // streamFloored returns the stream state for a received message naming
 // seq of source's stream, creating it on first use. On a host that
 // joined mid-session, a stream first seen after the join opens at the
-// given reliability floor (see openAt), so loss detection begins at
+// given reliability floor (see Stream.OpenAt), so loss detection begins at
 // floor — the first post-join evidence of the stream — rather than seq
 // 0. The floor depends on what that evidence is: a data or reply packet
 // is itself owed (floor = its seq), while a session advert or foreign
@@ -785,7 +743,7 @@ func (a *Agent) streamFloored(source topology.NodeID, seq, floor int) *streamSta
 	if st == nil {
 		st = a.stream(source)
 		if a.lateJoin && source != a.id && floor > 0 {
-			st.openAt(floor)
+			st.OpenAt(floor)
 		}
 	}
 	a.last = st
@@ -795,7 +753,7 @@ func (a *Agent) streamFloored(source topology.NodeID, seq, floor int) *streamSta
 // receivePacket handles arrival of packet seq, via original data
 // (reply == nil) or a repair reply.
 func (a *Agent) receivePacket(now sim.Time, st *streamState, seq int, reply *ReplyMsg) {
-	st.noteExists(seq)
+	st.NoteExists(seq)
 	if st.received.Has(seq) {
 		return // duplicate
 	}
@@ -826,11 +784,9 @@ func (a *Agent) receivePacket(now sim.Time, st *streamState, seq int, reply *Rep
 		a.obs.Recovered(a.id, st.source, seq, now, info)
 		a.observeRequestRecovery(st, ls)
 	}
-	// Classify any earlier packets this arrival reveals as missing.
-	a.detectThrough(now, st, seq-1)
-	if st.cursor == seq {
-		st.cursor = seq + 1
-	}
+	// Classify any earlier packets this arrival reveals as missing, and
+	// seq itself, now held.
+	a.detectThrough(now, st, seq)
 	if a.ext != nil {
 		a.ext.PacketReceived(now, st.source, seq)
 	}
@@ -840,13 +796,8 @@ func (a *Agent) receivePacket(now sim.Time, st *streamState, seq int, reply *Rep
 // including x, detecting losses for those not received. A host never
 // detects losses on its own stream.
 func (a *Agent) detectThrough(now sim.Time, st *streamState, x int) {
-	if st.source == a.id {
-		return
-	}
-	for ; st.cursor <= x; st.cursor++ {
-		if !st.received.Has(st.cursor) {
-			a.detectLoss(now, st, st.cursor)
-		}
+	if st.source != a.id {
+		st.ClassifyThrough(now, x, st)
 	}
 }
 
@@ -967,7 +918,7 @@ func (a *Agent) onRequest(now sim.Time, m *RequestMsg) {
 	if st == nil {
 		return
 	}
-	st.noteExists(m.Seq)
+	st.NoteExists(m.Seq)
 	if ls := st.losses.At(m.Seq); ls != nil && !ls.recovered {
 		// We share the loss. If our own request is scheduled and we are
 		// outside the back-off abstinence period, this request
@@ -1126,12 +1077,9 @@ func (a *Agent) onSession(now sim.Time, m *SessionMsg) {
 		if st == nil {
 			continue
 		}
-		st.noteExists(ad.Highest)
-		if ad.Source == a.id || ad.Highest < st.cursor || ad.Highest <= st.advertPending {
-			continue
+		if st.Advert(ad.Highest, ad.Source == a.id) {
+			a.eng.ScheduleHandler(a.p.DetectionSlack, a.slack.Get(&st.Stream, st, ad.Highest))
 		}
-		st.advertPending = ad.Highest
-		a.eng.ScheduleHandler(a.p.DetectionSlack, a.newAdvertDetection(st, ad.Highest))
 	}
 }
 
@@ -1144,44 +1092,6 @@ func (a *Agent) SessionRejects() int { return a.sessionRejects }
 // number outside [0, MaxSeq]: data, requests and replies dropped whole,
 // session adverts skipped.
 func (a *Agent) SeqRejects() int { return a.seqRejects }
-
-// advertDetection is the deferred, session-triggered detection pass for
-// one stream: the closure-free form of "after DetectionSlack, detect
-// through highest". Handlers are pooled per agent; one returns to the
-// pool as it fires, so the steady state allocates none.
-type advertDetection struct {
-	a       *Agent
-	stream  *streamState
-	highest int
-	next    *advertDetection
-}
-
-func (a *Agent) newAdvertDetection(st *streamState, highest int) *advertDetection {
-	d := a.freeSlack
-	if d == nil {
-		d = &advertDetection{a: a}
-	} else {
-		a.freeSlack = d.next
-	}
-	d.stream, d.highest = st, highest
-	return d
-}
-
-// Fire implements sim.EventHandler.
-func (d *advertDetection) Fire(now sim.Time) {
-	a, stream, h := d.a, d.stream, d.highest
-	d.stream, d.next = nil, a.freeSlack
-	a.freeSlack = d
-	// The slack timer is fire-and-forget, so Crash and Leave cannot
-	// cancel it: a silent host must not detect losses, and after a
-	// restart or rejoin the captured stream object is an orphan — losses
-	// recorded on it could never be recovered (replies resolve against
-	// the new stream), leaving the request back-off loop running forever.
-	if a.crashed || a.absent || a.peek(stream.source) != stream {
-		return
-	}
-	a.detectThrough(now, stream, h)
-}
 
 // LossReport summarizes one loss for metrics extraction.
 type LossReport struct {

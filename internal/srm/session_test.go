@@ -70,13 +70,13 @@ func TestOnSessionAllocationFree(t *testing.T) {
 		round := func() {
 			fresh.Msg.(*SessionMsg).Highest[0].Highest = seq
 			a.Deliver(f.eng.Now(), fresh)
-			if a.freeSlack != nil {
+			if a.slack.free != nil {
 				t.Fatal("fresh advert did not take the pooled slack handler")
 			}
 			data()
 			a.ReleaseThrough(0, seq-1)
 			f.eng.RunUntil(f.eng.Now().Add(p.DetectionSlack))
-			if a.freeSlack == nil {
+			if a.slack.free == nil {
 				t.Fatal("fired slack handler did not return to the pool")
 			}
 		}
@@ -265,7 +265,7 @@ func TestForgedSequenceNumbers(t *testing.T) {
 	pending := f.eng.Pending()
 	for _, a := range []*Agent{present, joiner} {
 		st := a.peek(0)
-		cells := st.window()
+		cells := st.Len()
 		allocs := testing.AllocsPerRun(5, func() {
 			for _, p := range hostile {
 				a.Deliver(sim.Time(time.Second), p)
@@ -278,9 +278,9 @@ func TestForgedSequenceNumbers(t *testing.T) {
 		if got, want := a.SeqRejects(), 6*len(hostile); got != want {
 			t.Errorf("host %d: SeqRejects = %d, want %d", a.id, got, want)
 		}
-		if a.Outstanding() != 0 || st.losses.Len() != 0 || st.window() != cells || st.highestKnown != 0 {
+		if a.Outstanding() != 0 || st.losses.Len() != 0 || st.Len() != cells || st.highestKnown != 0 {
 			t.Errorf("host %d: forged numbers left %d losses, %d window cells (had %d), highest known %d",
-				a.id, a.Outstanding(), st.window(), cells, st.highestKnown)
+				a.id, a.Outstanding(), st.Len(), cells, st.highestKnown)
 		}
 	}
 	if f.eng.Pending() != pending {

@@ -65,8 +65,8 @@ func TestStreamStateWatermarkRelease(t *testing.T) {
 	if st.received.Base() != 11 {
 		t.Fatalf("base = %d after clamped release, want 11", st.received.Base())
 	}
-	if st.window() != 0 {
-		t.Fatalf("window = %d after full release, want 0", st.window())
+	if st.Len() != 0 {
+		t.Fatalf("window = %d after full release, want 0", st.Len())
 	}
 
 	// Leave → release on the others → Join, on live agents. A departed
