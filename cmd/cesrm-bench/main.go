@@ -25,8 +25,10 @@
 // change preserved the suite's behavior when that section diffs clean
 // against the previous revision's, and
 // internal/experiment/testdata/catalog-fingerprints holds the recorded
-// sections for seed 1. Performance is measured by `go run ./benchmark`,
-// not here.
+// sections for seed 1. -section costs prints each run's exact work
+// counts (events, records, crossings, plan and queue counts); its seed-1
+// recordings are internal/experiment/testdata/cost-ledger. Performance is
+// measured by `go run ./benchmark`, not here.
 //
 // -cpuprofile and -memprofile write pprof profiles of the suite run(s)
 // for hot-path analysis (go tool pprof).
@@ -211,7 +213,7 @@ func run(args []string, stdout io.Writer) error {
 	traces := fs.String("traces", "", "comma-separated 1-based trace indices (default: all 14)")
 	var traceNames nameFlag
 	fs.Var(&traceNames, "trace", "trace name filter (case-insensitive substring); repeatable, unioned with -traces")
-	section := fs.String("section", "all", "output section: all, table1, sec42, summary, fig1, fig2, fig3, fig4, fig5, fig1bars, fig5bars, compare, fingerprints")
+	section := fs.String("section", "all", "output section: all, table1, sec42, summary, fig1, fig2, fig3, fig4, fig5, fig1bars, fig5bars, compare, fingerprints, costs")
 	delay := fs.Duration("delay", 20*time.Millisecond, "per-link one-way delay")
 	lossy := fs.Bool("lossy", false, "drop recovery traffic with estimated link loss rates")
 	policy := fs.String("policy", "most-recent", "CESRM expedition policy: most-recent or most-frequent")
@@ -314,6 +316,8 @@ func run(args []string, stdout io.Writer) error {
 			experiment.RenderComparison(stdout, results, *seed)
 		case "fingerprints":
 			experiment.RenderFingerprints(stdout, results)
+		case "costs":
+			experiment.RenderCosts(stdout, results)
 		default:
 			return fmt.Errorf("unknown section %q", *section)
 		}

@@ -9,7 +9,7 @@ import (
 )
 
 func TestRunSections(t *testing.T) {
-	for _, section := range []string{"table1", "sec42", "summary", "fig1", "fig2", "fig3", "fig4", "fig5", "fig1bars", "fig5bars", "compare", "fingerprints"} {
+	for _, section := range []string{"table1", "sec42", "summary", "fig1", "fig2", "fig3", "fig4", "fig5", "fig1bars", "fig5bars", "compare", "fingerprints", "costs"} {
 		err := run([]string{"-scale", "0.005", "-traces", "13", "-section", section}, io.Discard)
 		if err != nil {
 			t.Fatalf("%s: %v", section, err)

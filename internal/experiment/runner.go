@@ -193,6 +193,11 @@ type RunResult struct {
 	Receivers []topology.NodeID
 	// PlanStats snapshots the flood plan cache's hit/miss/evict counters.
 	PlanStats netsim.PlanStats
+	// Engine snapshots the engine as the run ended: events executed,
+	// records allocated and cascades, for the cost ledger (RenderCosts).
+	Engine sim.Snapshot
+	// FloodEvents counts the flood delivery events the network allocated.
+	FloodEvents uint64
 	// BarrierEvents is always 0; like RunConfig.Shards it remains only
 	// because benchmark/ still reads it.
 	BarrierEvents uint64
@@ -666,6 +671,8 @@ func run(cfg RunConfig, inferred *lossinfer.Result) (*RunResult, error) {
 			RTT:                   rtt,
 			Receivers:             receivers,
 			PlanStats:             net.PlanStats(),
+			Engine:                eng.Snapshot(),
+			FloodEvents:           net.FloodEvents(),
 			QueueDrops:            net.QueueDrops(),
 			WatermarkCells:        rel.scanned,
 			Abandoned:             collector.TotalAbandoned(),
