@@ -40,8 +40,8 @@ type floodPlan struct {
 	// plan is not resident: buf[:hosts] is the hosting nodes bucketed by
 	// hop distance, pop order within a hop, and buf[hosts:] each hop's end
 	// offset in it (hop 0's is 0: the origin is never delivered to). Host
-	// flags are baked in, hence AttachHost's purge. In-flight cohort events
-	// point into buf: it is never rewritten, eviction drops the reference.
+	// flags are baked in, hence AttachHost's purge. In-flight floods point
+	// into buf: it is never rewritten, eviction drops the reference.
 	buf   []int32
 	hosts int32
 	// prev and next link the resident plans into the LRU ring. lastMiss
@@ -58,11 +58,10 @@ type planCache struct {
 	// budget and used count stored int32s, the unit that bounds heap, and
 	// bound is the most one plan of this tree can store (every node
 	// hosting, deepest leaf to deepest leaf). resident counts plans held,
-	// tick misses; byHop is compileCohorts' scratch.
+	// tick misses.
 	budget, used, bound, resident int
 	tick                          int64
 	stats                         PlanStats
-	byHop                         [][]int32
 }
 
 // newPlanCache returns an empty cache at the default budget.
@@ -124,10 +123,10 @@ func (c *planCache) shrink(limit int) {
 	}
 }
 
-// cohortsFor returns the compiled cohorts and their end offsets for
-// (origin, downOnly): cached, or on a miss freshly compiled when budget
-// and admission policy allow, otherwise nil — the flood takes the scan.
-func (n *Network) cohortsFor(origin topology.NodeID, downOnly bool) (cohort, hopEnd []int32) {
+// cohortsFor returns the compiled cohorts for (origin, downOnly) and their
+// host count: cached, or on a miss freshly compiled when budget and
+// admission policy allow, otherwise nil — the flood takes the scan.
+func (n *Network) cohortsFor(origin topology.NodeID, downOnly bool) ([]int32, int32) {
 	c := &n.plans
 	key := planKey(origin, downOnly)
 	pl := &c.slots[key]
@@ -135,7 +134,7 @@ func (n *Network) cohortsFor(origin topology.NodeID, downOnly bool) (cohort, hop
 		c.stats.Hits++
 		c.unlink(key)
 		c.pushFront(key)
-		return pl.buf[:pl.hosts:pl.hosts], pl.buf[pl.hosts:]
+		return pl.buf, pl.hosts
 	}
 	c.stats.Misses++
 	c.tick++
@@ -153,7 +152,7 @@ func (n *Network) cohortsFor(origin topology.NodeID, downOnly bool) (cohort, hop
 	}
 	if c.bound > c.budget || pressed && (last == 0 || c.tick-last > int64(4*c.resident)+64) {
 		c.stats.Refused++
-		return nil, nil
+		return nil, 0
 	}
 	buf, hosts := n.compileCohorts(origin, downOnly)
 	c.shrink(c.budget - len(buf))
@@ -161,35 +160,19 @@ func (n *Network) cohortsFor(origin topology.NodeID, downOnly bool) (cohort, hop
 	c.pushFront(key)
 	c.used += len(buf)
 	c.resident++
-	return buf[:hosts:hosts], buf[hosts:]
+	return buf, hosts
 }
 
 // compileCohorts bakes the unobstructed outcome of a flood into one
-// allocation, the cohorts and then their end offsets: the hosting nodes
-// in pop order, bucketed by hop through the cache's reused byHop.
+// allocation, assembled as the scan assembles its cohorts.
 func (n *Network) compileCohorts(origin topology.NodeID, downOnly bool) (buf []int32, hosts int32) {
-	entries, byHop, maxHop := n.tree.FloodOrder().Entries, n.plans.byHop, int32(0)
-	for h := range byHop {
-		byHop[h] = byHop[h][:0]
-	}
+	entries := n.tree.FloodOrder().Entries
 	n.tree.WalkFlood(origin, downOnly, func(i, hops int32) {
 		if node := entries[i].Node; hops > 0 && n.hostAt[node] != nil {
-			for int(hops) >= len(byHop) {
-				byHop = append(byHop, nil)
-			}
-			byHop[hops] = append(byHop[hops], node)
-			hosts++
-			maxHop = max(maxHop, hops)
+			n.addCohort(node, hops)
 		}
 	})
-	n.plans.byHop = byHop
-	buf = make([]int32, hosts+maxHop+1)
-	cohort, hopEnd := buf[:0], buf[hosts:]
-	for h := int32(1); h <= maxHop; h++ {
-		cohort = append(cohort, byHop[h]...)
-		hopEnd[h] = int32(len(cohort))
-	}
-	return buf, hosts
+	return n.takeCohorts(nil)
 }
 
 // replayPlan is the non-queuing flood. The loss verdict is taken once,
@@ -199,10 +182,8 @@ func (n *Network) compileCohorts(origin topology.NodeID, downOnly bool) (buf []i
 // When the verdict is "nothing lost", no link is down, deliveries group
 // and the origin's cohorts are compiled, the outcome is a pure function
 // of the origin: every link is crossed and every cohort delivered, so the
-// flood is one counter add and one event per occupied hop distance, each
-// pointing at the cached slice. Ascending hop order is the order
-// flushGroups schedules the groups the scan would have assembled, so the
-// events take the same engine sequence numbers.
+// flood is one counter add and one series of the cached cohorts, exactly
+// the cohorts the scan would have assembled.
 //
 // Otherwise the flood is a scan of the tree's flood order in pop order
 // (topology.FloodOrder): the climb from the origin, one entry at a time,
@@ -223,22 +204,15 @@ func (n *Network) replayPlan(origin topology.NodeID, downOnly bool, p *Packet) {
 	perHop := n.cfg.LinkDelay + n.txTime(p)
 	now := n.eng.Now()
 	grouped := n.canGroupDeliveries(perHop)
-	cohort, hopEnd := n.cohortsFor(origin, downOnly)
+	plan, hosts := n.cohortsFor(origin, downOnly)
 	at := order.Pos[origin]
-	if known && len(lost) == 0 && grouped && hopEnd != nil && n.downLinks == 0 {
+	if known && len(lost) == 0 && grouped && plan != nil && n.downLinks == 0 {
 		if downOnly {
 			*crossings += uint64(entries[at].Span - 1)
 		} else {
 			*crossings += uint64(len(kids))
 		}
-		start := int32(0)
-		for h, end := range hopEnd {
-			if end == start {
-				continue
-			}
-			n.scheduleGroup(now.Add(time.Duration(h)*perHop), n.newGroup(), p, cohort[start:end])
-			start = end
-		}
+		n.deliverCohorts(p, now, perHop, plan, hosts)
 		return
 	}
 	mark := n.skipMark
@@ -263,7 +237,7 @@ func (n *Network) replayPlan(origin topology.NodeID, downOnly bool, p *Packet) {
 			if i != o && n.hostAt[e.Node] != nil {
 				hops := int(base + e.Depth)
 				if grouped {
-					n.groupDeliver(topology.NodeID(e.Node), hops)
+					n.addCohort(e.Node, int32(hops))
 				} else {
 					n.scheduleDelivery(now.Add(time.Duration(hops)*perHop+n.jitter()), n.hostAt[e.Node], p)
 				}
@@ -313,6 +287,6 @@ func (n *Network) replayPlan(origin topology.NodeID, downOnly bool, p *Packet) {
 	}
 	n.climb = climb
 	if grouped {
-		n.flushGroups(p, now, perHop)
+		n.deliverCohorts(p, now, perHop, nil, 0)
 	}
 }

@@ -477,8 +477,9 @@ func TestFloodPlanAttachHostInvalidates(t *testing.T) {
 // precompiled cohorts of a lossless flood, the scan with a known lost
 // set, and the scan asking DropFunc per link — and a lossless flood is
 // exactly one engine event per occupied hop distance, on the paper-sized
-// tree and on a 1000-receiver one. Compiling an origin's cohorts is one
-// allocation.
+// tree and on a 1000-receiver one. Each body's flood is one engine record
+// and one pooled flood event, whatever its cohort count. Compiling an
+// origin's cohorts is one allocation.
 func TestFloodPlanAllocationFree(t *testing.T) {
 	for _, receivers := range []int{15, 1000} {
 		eng := sim.NewEngine()
@@ -528,6 +529,14 @@ func TestFloodPlanAllocationFree(t *testing.T) {
 				if got, want := eng.Executed()-before, uint64(51*len(hopDistances)); got != want {
 					t.Fatalf("receivers=%d: 51 lossless floods executed %d events, want one per occupied hop distance (%d each)", receivers, got, len(hopDistances))
 				}
+			}
+			net.Multicast(tree.Root(), pkt)
+			if got := eng.Pending(); got != 1 {
+				t.Fatalf("receivers=%d %s: a flood of %d cohorts holds %d engine records, want 1", receivers, v.name, len(hopDistances), got)
+			}
+			eng.Run()
+			if got := net.FloodEvents(); got != 1 {
+				t.Fatalf("receivers=%d %s: floods one at a time made %d pooled flood events, want 1", receivers, v.name, got)
 			}
 		}
 		if avg := testing.AllocsPerRun(20, func() { net.compileCohorts(tree.Receivers()[0], false) }); avg != 1 {

@@ -381,3 +381,42 @@ func TestEarlyReleaseTripsStaleFrameGuard(t *testing.T) {
 		}
 	}
 }
+
+// TestEarlyReleaseBetweenCohortsTripsStaleFrameGuard is the flood event's
+// mutation case: one reference holds the packet for all of a flood's
+// cohorts, so a holder that drops it once the first cohort has fired
+// hands the packet back while the later cohorts still read it. Rebuilt
+// and sent again, the packet must make the next cohort panic with a
+// *StaleFrameError naming both IDs.
+func TestEarlyReleaseBetweenCohortsTripsStaleFrameGuard(t *testing.T) {
+	eng := sim.NewEngine()
+	net := MustNew(eng, testTree(t), DefaultConfig())
+	l := newLedger(t, true)
+	for _, id := range []topology.NodeID{0, 3, 4, 6} {
+		net.AttachHost(id, nullHost{})
+	}
+	p := l.packet(Payload, 0, false)
+	net.Multicast(0, p) // cohorts {3, 4} two hops out and {6} three
+	stale := p.ID
+	if !eng.Step() || eng.Pending() != 1 || p.refs != 1 {
+		t.Fatalf("after the first cohort: %d pending, %d references; want the flood's one record and one reference", eng.Pending(), p.refs)
+	}
+	p.release()
+	if q := l.packet(Payload, 0, false); q != p {
+		t.Fatal("the owner did not get the packet back")
+	}
+	net.Multicast(3, p)
+	err := func() (err error) {
+		defer func() {
+			if r, ok := recover().(error); ok {
+				err = r
+			}
+		}()
+		eng.Run()
+		return nil
+	}()
+	var sfe *StaleFrameError
+	if !errors.As(err, &sfe) || sfe.Want != stale || sfe.Got != p.ID {
+		t.Fatalf("release between cohorts ran to %v, want a StaleFrameError for packet %d found as %d", err, stale, p.ID)
+	}
+}
