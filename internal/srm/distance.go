@@ -1,7 +1,6 @@
 package srm
 
 import (
-	"fmt"
 	"time"
 
 	"cesrm/internal/sim"
@@ -40,44 +39,6 @@ func (m DistanceMode) String() string {
 	default:
 		return "unknown"
 	}
-}
-
-// DistancePlane holds every member's one-way distance estimates for one
-// run, transposed: row = the node the estimate is to, column = the
-// member holding it, -1 = no estimate yet (so a recorded zero stays
-// distinguishable from "never seen"). Multicast is why: one flood makes
-// every member look up, or record, its estimate to the same node — the
-// requestor a reply names, the sender of a session message — and in
-// this layout those accesses fall in one contiguous row instead of one
-// table per member. Members share rows and only ever touch their own
-// column's words.
-type DistancePlane struct {
-	d       []time.Duration
-	members int
-}
-
-// NewDistancePlane returns a plane of nodes rows and members columns
-// with every estimate unknown.
-func NewDistancePlane(nodes, members int) *DistancePlane {
-	d := make([]time.Duration, nodes*members)
-	for i := range d {
-		d[i] = -1
-	}
-	return &DistancePlane{d: d, members: members}
-}
-
-// UseDistancePlane makes column col of pl the agent's distance table in
-// place of the private one-column plane it was built with. Like
-// EnableAdaptiveTimers it must be called before the simulation starts:
-// estimates already recorded stay behind. The caller gives every agent
-// of the run its own column.
-func (a *Agent) UseDistancePlane(pl *DistancePlane, col int) error {
-	if col < 0 || col >= pl.members || len(pl.d) != a.nodes*pl.members {
-		return fmt.Errorf("srm: host %d given column %d of a %d-cell, %d-member distance plane for %d nodes",
-			a.id, col, len(pl.d), pl.members, a.nodes)
-	}
-	a.dist, a.stride = pl.d[col:], pl.members
-	return nil
 }
 
 // Echo is the per-peer annotation on session messages in DistEchoRTT

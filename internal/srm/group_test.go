@@ -1,0 +1,331 @@
+package srm
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+	"time"
+	"unsafe"
+
+	"cesrm/internal/netsim"
+	"cesrm/internal/sim"
+	"cesrm/internal/topology"
+)
+
+// TestAgentSizeClass: an agent is allocated from the 768-byte size
+// class; the group pointer must not push every member into the next one
+// (896 bytes).
+func TestAgentSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(Agent{}); got > 768 {
+		t.Fatalf("srm.Agent is %d bytes, past its 768-byte size class", got)
+	}
+}
+
+// recordingObserver keeps every observer event as one line, in order.
+type recordingObserver struct{ lines []string }
+
+func (r *recordingObserver) add(format string, args ...any) {
+	r.lines = append(r.lines, fmt.Sprintf(format, args...))
+}
+func (r *recordingObserver) LossDetected(h, src topology.NodeID, seq int, at sim.Time) {
+	r.add("detect %d %d %d %d", h, src, seq, at)
+}
+func (r *recordingObserver) Recovered(h, src topology.NodeID, seq int, at sim.Time, info RecoveryInfo) {
+	r.add("recover %d %d %d %d %+v", h, src, seq, at, info)
+}
+func (r *recordingObserver) RequestSent(h, src topology.NodeID, seq int, round int) {
+	r.add("request %d %d %d %d", h, src, seq, round)
+}
+func (r *recordingObserver) ExpRequestSent(h, src topology.NodeID, seq int) {
+	r.add("exp-request %d %d %d", h, src, seq)
+}
+func (r *recordingObserver) ReplySent(h, src topology.NodeID, seq int, exp bool) {
+	r.add("reply %d %d %d %v", h, src, seq, exp)
+}
+func (r *recordingObserver) SessionSent(h topology.NodeID) { r.add("session %d", h) }
+func (r *recordingObserver) RequestAbandoned(h, src topology.NodeID, seq int, rounds int) {
+	r.add("abandon %d %d %d %d", h, src, seq, rounds)
+}
+
+// twinTree is wide enough for hop cohorts of three:
+//
+//	0 -> 1 -> {2, 3, 4}
+//	     1 -> 5 -> {6, 7, 8}
+//	0 -> 9
+func twinTree() *topology.Tree {
+	return topology.MustNew([]topology.NodeID{topology.None, 0, 1, 1, 1, 1, 5, 5, 5, 0})
+}
+
+// twinNet is one side of the twin-network test: agents on a network that
+// offers session cohorts to their group, or on one with no group.
+type twinNet struct {
+	eng    *sim.Engine
+	net    *netsim.Network
+	hosts  []topology.NodeID
+	agents map[topology.NodeID]*Agent
+	group  *Group
+	obs    *recordingObserver
+}
+
+// newTwinNet builds the agents, drops data packets 2, 5 and 9 on the
+// link into router 5, and lets script schedule the scenario: host
+// faults, session starts and the source's transmissions. Both sides of a
+// twin get the same construction and script, so their engines hand out
+// the same sequence numbers as long as the agents behave alike.
+func newTwinNet(t *testing.T, grouped bool, script func(*twinNet)) *twinNet {
+	t.Helper()
+	tree := twinTree()
+	eng := sim.NewEngine()
+	tw := &twinNet{
+		eng:    eng,
+		net:    netsim.MustNew(eng, tree, netsim.DefaultConfig()),
+		hosts:  append([]topology.NodeID{tree.Root()}, tree.Receivers()...),
+		agents: map[topology.NodeID]*Agent{},
+		obs:    &recordingObserver{},
+	}
+	if grouped {
+		tw.group = NewGroup(tree.NumNodes(), len(tw.hosts))
+		tw.net.SetCohortHost(tw.group)
+	}
+	rng := sim.NewRNG(7)
+	for col, id := range tw.hosts {
+		a, err := NewAgent(eng, tw.net, rng.Split(), id, DefaultParams(), tw.obs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if grouped {
+			if err := a.UseGroup(tw.group, col); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tw.agents[id] = a
+	}
+	tw.net.SetDropFunc(func(p *netsim.Packet, link topology.LinkID, down bool) bool {
+		m, ok := p.Msg.(*DataMsg)
+		return ok && down && link == 5 && (m.Seq == 2 || m.Seq == 5 || m.Seq == 9)
+	})
+	script(tw)
+	return tw
+}
+
+// at schedules fn at virtual instant d.
+func (tw *twinNet) at(d time.Duration, fn func()) {
+	tw.eng.ScheduleAt(sim.Time(d), func(sim.Time) { fn() })
+}
+
+// transmit schedules the source's packets [from, to) 50 ms apart from
+// start.
+func (tw *twinNet) transmit(start time.Duration, from, to int) {
+	src := tw.agents[0]
+	for seq := from; seq < to; seq++ {
+		seq := seq
+		tw.at(start+time.Duration(seq-from)*50*time.Millisecond, func() { src.Transmit(seq) })
+	}
+}
+
+// state renders everything the comparison covers: per agent, its raw
+// distance words, held window, classification cursor, outstanding
+// losses and reject counts; the observer events so far; and the engine's
+// executed count and next sequence number.
+func (tw *twinNet) state() string {
+	var b strings.Builder
+	for _, id := range tw.hosts {
+		a := tw.agents[id]
+		fmt.Fprintf(&b, "host %d dist", id)
+		for n := 0; n < a.nodes; n++ {
+			d := time.Duration(-1)
+			if a.dist != nil {
+				d = a.dist[n*int(a.stride)]
+			}
+			fmt.Fprintf(&b, " %d", d)
+		}
+		base, held, open := a.HeldWindow(0)
+		fmt.Fprintf(&b, " held [%d,%d) %v classified %d outstanding %d rejects %d/%d\n",
+			base, held, open, a.ClassifiedThrough(0), a.Outstanding(), a.SessionRejects(), a.SeqRejects())
+	}
+	fmt.Fprintf(&b, "engine executed %d next %d\n", tw.eng.Executed(), tw.eng.NextSeq())
+	b.WriteString(strings.Join(tw.obs.lines, "\n"))
+	return b.String()
+}
+
+// TestGroupMembershipTwinNetwork runs scripted membership transitions on
+// a network whose session cohorts go to the group and on one without a
+// group, and requires the two to agree at every 25 ms checkpoint and at
+// the end. A slot must close when its member goes silent and stay closed
+// across Join and Restart until a new stream opens it: a stale advert
+// after the transition must not be served from the old stream's head.
+func TestGroupMembershipTwinNetwork(t *testing.T) {
+	const x, late = 7, 3
+	for _, c := range []struct {
+		name   string
+		script func(*twinNet)
+	}{
+		{"absent from t=0", func(tw *twinNet) {
+			tw.agents[x].Leave()
+			for _, id := range tw.hosts {
+				if id != x {
+					tw.agents[id].StartSessions()
+				}
+			}
+			tw.transmit(100*time.Millisecond, 0, 10)
+			tw.at(2500*time.Millisecond, tw.agents[x].Join)
+			tw.transmit(4*time.Second, 10, 15)
+		}},
+		{"leave then join, stale advert first", func(tw *twinNet) {
+			for _, id := range tw.hosts {
+				if id != late {
+					tw.agents[id].StartSessions()
+				}
+			}
+			// Host 3 is first heard after x left: x's absence must not
+			// record a distance to it.
+			tw.at(1200*time.Millisecond, tw.agents[late].StartSessions)
+			tw.transmit(100*time.Millisecond, 0, 10)
+			tw.at(900*time.Millisecond, tw.agents[x].Leave)
+			// Nothing new is sent until well after the join, so x's first
+			// post-join evidence is a session advert of 9, at or below
+			// the highest it knew before leaving.
+			tw.at(3*time.Second, tw.agents[x].Join)
+			tw.transmit(6*time.Second, 10, 15)
+		}},
+		{"crash then restart, stale advert first", func(tw *twinNet) {
+			for _, id := range tw.hosts {
+				if id != late {
+					tw.agents[id].StartSessions()
+				}
+			}
+			tw.at(1200*time.Millisecond, tw.agents[late].StartSessions)
+			tw.transmit(100*time.Millisecond, 0, 10)
+			tw.at(900*time.Millisecond, tw.agents[x].Crash)
+			tw.at(3*time.Second, tw.agents[x].Restart)
+			tw.transmit(6*time.Second, 10, 15)
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			grouped, plain := newTwinNet(t, true, c.script), newTwinNet(t, false, c.script)
+			for at := sim.Time(0); at <= sim.Time(12*time.Second); at = at.Add(25 * time.Millisecond) {
+				grouped.eng.RunUntil(at)
+				plain.eng.RunUntil(at)
+				if g, p := grouped.state(), plain.state(); g != p {
+					t.Fatalf("at %v the grouped network diverged:\n%s", time.Duration(at), firstDiff(g, p))
+				}
+			}
+			for _, tw := range []*twinNet{grouped, plain} {
+				for _, a := range tw.agents {
+					a.Stop()
+				}
+				tw.eng.Run()
+			}
+			if g, p := grouped.state(), plain.state(); g != p {
+				t.Fatalf("the grouped network ended diverged:\n%s", firstDiff(g, p))
+			}
+			if grouped.group.Inline() == 0 {
+				t.Fatal("the group served no session delivery itself")
+			}
+			if _, _, open := grouped.agents[x].HeldWindow(0); !open {
+				t.Fatalf("host %d holds no stream at the end", x)
+			}
+		})
+	}
+}
+
+// firstDiff renders the first line on which two states differ.
+func firstDiff(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := range min(len(g), len(w)) {
+		if g[i] != w[i] {
+			return fmt.Sprintf("line %d\n grouped %s\n   plain %s", i+1, g[i], w[i])
+		}
+	}
+	return fmt.Sprintf("grouped has %d lines, plain %d", len(g), len(w))
+}
+
+// sessionCohort is a group of receivers under one router, every member
+// holding a stream of the source's packet 0, and a session message from
+// member 1 advertising it: a cohort of no-op deliveries.
+type sessionCohort struct {
+	group *Group
+	hosts []int32
+	per   []netsim.Host
+	pkt   *netsim.Packet
+	now   sim.Time
+}
+
+func newSessionCohort(tb testing.TB, receivers int) *sessionCohort {
+	tb.Helper()
+	parents := make([]topology.NodeID, receivers+1)
+	parents[0] = topology.None
+	tree := topology.MustNew(parents)
+	eng := sim.NewEngine()
+	net := netsim.MustNew(eng, tree, netsim.DefaultConfig())
+	c := &sessionCohort{group: NewGroup(tree.NumNodes(), tree.NumNodes())}
+	agents := make([]*Agent, tree.NumNodes())
+	rng := sim.NewRNG(1)
+	for id := range agents {
+		a, err := NewAgent(eng, net, rng.Split(), topology.NodeID(id), DefaultParams(), nil, nil)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if err := a.UseGroup(c.group, id); err != nil {
+			tb.Fatal(err)
+		}
+		agents[id] = a
+	}
+	agents[0].Transmit(0)
+	eng.Run()
+	for id, a := range agents {
+		if id > 1 {
+			c.hosts = append(c.hosts, int32(id))
+			c.per = append(c.per, a)
+		}
+		if !a.Has(0, 0) {
+			tb.Fatalf("host %d missed packet 0", id)
+		}
+	}
+	c.now = eng.Now().Add(time.Second)
+	c.pkt = &netsim.Packet{From: 1, Session: true, Mode: netsim.ModeMulticast, Class: netsim.Control,
+		Msg: &SessionMsg{From: 1, SentAt: c.now.Add(-40 * time.Millisecond), Highest: []Advert{{Source: 0, Highest: 0}}}}
+	return c
+}
+
+// TestDeliverCohortAllocatesNothing pins the steady state: a cohort of
+// no-op session deliveries is served without an allocation, and entirely
+// inline.
+func TestDeliverCohortAllocatesNothing(t *testing.T) {
+	c := newSessionCohort(t, 64)
+	before := c.group.Inline()
+	if allocs := testing.AllocsPerRun(100, func() {
+		if !c.group.DeliverCohort(c.now, c.pkt, c.hosts) {
+			t.Fatal("the group refused a session cohort of members")
+		}
+	}); allocs != 0 {
+		t.Fatalf("DeliverCohort allocated %.1f times per cohort", allocs)
+	}
+	if got, want := c.group.Inline()-before, uint64(101*len(c.hosts)); got != want {
+		t.Fatalf("%d of %d deliveries served inline", got, want)
+	}
+	if got := c.group.dist[1*c.group.members+2]; got != 40*time.Millisecond {
+		t.Fatalf("host 2's distance word to host 1 reads %v, want 40ms", got)
+	}
+}
+
+// BenchmarkSessionCohort: one session message's no-op deliveries to the
+// other 1,023 receivers of a 1,024-member group, served by the group
+// and by each member's Deliver.
+func BenchmarkSessionCohort(b *testing.B) {
+	c := newSessionCohort(b, 1024)
+	b.Run("group", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			c.group.DeliverCohort(c.now, c.pkt, c.hosts)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(c.hosts)), "ns/delivery")
+	})
+	b.Run("per-host", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, h := range c.per {
+				h.Deliver(c.now, c.pkt)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(c.hosts)), "ns/delivery")
+	})
+}

@@ -182,7 +182,7 @@ func TestHostileSessionNodeIDs(t *testing.T) {
 			t.Errorf("%v: SessionRejects = %d, want 2", mode, got)
 		}
 		// The in-tree advert beside the hostile one still counts.
-		if st := a.peek(0); st == nil || st.highestKnown != 3 {
+		if st := a.peek(0); st == nil || st.Highest() != 3 {
 			t.Errorf("%v: valid advert beside a hostile one was dropped", mode)
 		}
 	}
@@ -278,9 +278,9 @@ func TestForgedSequenceNumbers(t *testing.T) {
 		if got, want := a.SeqRejects(), 6*len(hostile); got != want {
 			t.Errorf("host %d: SeqRejects = %d, want %d", a.id, got, want)
 		}
-		if a.Outstanding() != 0 || st.losses.Len() != 0 || st.Len() != cells || st.highestKnown != 0 {
+		if a.Outstanding() != 0 || st.losses.Len() != 0 || st.Len() != cells || st.Highest() != 0 {
 			t.Errorf("host %d: forged numbers left %d losses, %d window cells (had %d), highest known %d",
-				a.id, a.Outstanding(), st.Len(), cells, st.highestKnown)
+				a.id, a.Outstanding(), st.Len(), cells, st.Highest())
 		}
 	}
 	if f.eng.Pending() != pending {
@@ -303,7 +303,7 @@ func TestForgedSequenceNumbers(t *testing.T) {
 		if got := a.SeqRejects() - rejects; got != 1 {
 			t.Errorf("host %d: %d adverts rejected at the bound, want 1", a.id, got)
 		}
-		if st := a.peek(0); st == nil || st.highestKnown != MaxSeq {
+		if st := a.peek(0); st == nil || st.Highest() != MaxSeq {
 			t.Errorf("host %d: advert of packet MaxSeq not accepted", a.id)
 		}
 	}

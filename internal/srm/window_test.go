@@ -15,7 +15,7 @@ import (
 // dense windows, and every accessor honors the base invariant
 // (base ≤ held ≤ cursor) afterwards.
 func TestStreamStateWatermarkRelease(t *testing.T) {
-	st := newStreamState(nil, 0)
+	st := newStreamState(&Agent{}, 0)
 	releasable := func(now sim.Time) int {
 		n, _ := st.releasableBelow(now, math.MaxInt)
 		return n
@@ -95,9 +95,9 @@ func TestStreamStateWatermarkRelease(t *testing.T) {
 	if base, held, open := leaver.HeldWindow(0); !open || base != 21 || held != 22 {
 		t.Fatalf("rejoiner's window = [%d, %d) open=%v, want [21, 22) based at its floor", base, held, open)
 	}
-	if st := leaver.peek(0); st.losses.Base() != 21 || st.replies.Base() != 21 || st.cursor != 22 {
+	if st := leaver.peek(0); st.losses.Base() != 21 || st.replies.Base() != 21 || st.Cursor() != 22 {
 		t.Fatalf("rejoiner's loss/reply windows based at %d/%d, cursor %d, want 21/21/22",
-			st.losses.Base(), st.replies.Base(), st.cursor)
+			st.losses.Base(), st.replies.Base(), st.Cursor())
 	}
 	if base, held, open := stayer.HeldWindow(0); !open || base != 12 || held != 22 {
 		t.Fatalf("stayer's window = [%d, %d) open=%v, want [12, 22) as released", base, held, open)
@@ -142,7 +142,7 @@ func TestInspectorsLeaveLateJoinFloorAlone(t *testing.T) {
 		return &netsim.Packet{Class: netsim.Payload, Msg: &DataMsg{Source: 0, Seq: seq}}
 	}
 	a.Deliver(now, data(s))
-	if st := a.peek(0); st == nil || st.received.Base() != s || st.cursor != s+1 {
+	if st := a.peek(0); st == nil || st.received.Base() != s || st.Cursor() != s+1 {
 		t.Fatalf("first post-join data at seq %d did not open the stream there: %+v", s, st)
 	}
 	if got := a.ClassifiedThrough(0); got != s+1 {
@@ -159,7 +159,7 @@ func TestInspectorsLeaveLateJoinFloorAlone(t *testing.T) {
 // TestStreamStateHeldGap checks the held prefix stalls at a gap and the
 // releasable watermark never passes it.
 func TestStreamStateHeldGap(t *testing.T) {
-	st := newStreamState(nil, 0)
+	st := newStreamState(&Agent{}, 0)
 	releasable := func(now sim.Time) int {
 		n, _ := st.releasableBelow(now, math.MaxInt)
 		return n
