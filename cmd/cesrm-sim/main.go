@@ -15,6 +15,10 @@
 // chaos.ParseSpec for the grammar) and composes with the audit: a chaos
 // run must replay to the identical fingerprint. -events FILE dumps the
 // ordered protocol-event stream as NDJSON for timeline debugging.
+// -explain host:seq prints, in place of the report, one loss's causal
+// chain on the source's stream: the host's detection, every request,
+// expedited request and reply for the packet, and the host's recovery,
+// each in ms since the detection and in the host's RTTs to the source.
 // -cpuprofile and -memprofile write pprof profiles of the run for
 // hot-path analysis.
 package main
@@ -22,6 +26,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -33,17 +38,18 @@ import (
 	"cesrm/internal/experiment"
 	"cesrm/internal/netsim"
 	"cesrm/internal/stats"
+	"cesrm/internal/topology"
 	"cesrm/internal/trace"
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "cesrm-sim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("cesrm-sim", flag.ContinueOnError)
 	name := fs.String("trace", "WRN951216", "catalog trace name")
 	file := fs.String("file", "", "trace file (overrides -trace)")
@@ -56,10 +62,19 @@ func run(args []string) error {
 	chaosSpec := fs.String("chaos", "", `fault-injection spec, e.g. "crash@40s:host=3;restart@70s:host=3" (kinds: crash, restart, link-down, link-up, jitter, dup, starve, leave, join, qcap)`)
 	verifyDet := fs.Int("verify-determinism", 0, "rerun the config N extra times and fail on fingerprint divergence")
 	eventsFile := fs.String("events", "", "write the ordered protocol-event stream as NDJSON to this file")
+	explain := fs.String("explain", "", "print one loss's causal chain instead of the report: host:seq, a packet of the source's stream the host lost")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := fs.String("memprofile", "", "write an allocation profile taken after the run to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	var explainHost topology.NodeID
+	var explainSeq int
+	if *explain != "" {
+		var err error
+		if explainHost, explainSeq, err = parseLoss(*explain); err != nil {
+			return err
+		}
 	}
 
 	if *cpuprofile != "" {
@@ -118,9 +133,9 @@ func run(args []string) error {
 		CESRM:         core.Config{RouterAssist: *routerAssist},
 		LossyRecovery: *lossy,
 		Seed:          *seed,
-		// The event stream is materialized only when the timeline dump
-		// asked for it; every other invocation runs stream-only.
-		KeepEvents: *eventsFile != "",
+		// The event stream is materialized only when the timeline dump or
+		// -explain asked for it; every other invocation runs stream-only.
+		KeepEvents: *eventsFile != "" || *explain != "",
 	}
 	if *chaosSpec != "" {
 		spec, err := chaos.ParseSpec(*chaosSpec)
@@ -139,7 +154,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("determinism audit: %d reruns, all fingerprints match\n", *verifyDet)
+		fmt.Fprintf(stdout, "determinism audit: %d reruns, all fingerprints match\n", *verifyDet)
 	} else {
 		res, err = experiment.Run(cfg)
 		if err != nil {
@@ -159,7 +174,7 @@ func run(args []string) error {
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("event timeline: %d events written to %s\n", len(res.Events), *eventsFile)
+		fmt.Fprintf(stdout, "event timeline: %d events written to %s\n", len(res.Events), *eventsFile)
 	}
 
 	if *memprofile != "" {
@@ -177,33 +192,36 @@ func run(args []string) error {
 		}
 	}
 
-	report(tr, proto, res)
+	if *explain != "" {
+		return explainLoss(stdout, res, explainHost, explainSeq)
+	}
+	report(stdout, tr, proto, res)
 	return nil
 }
 
-func report(tr *trace.Trace, proto experiment.Protocol, res *experiment.RunResult) {
+func report(stdout io.Writer, tr *trace.Trace, proto experiment.Protocol, res *experiment.RunResult) {
 	st := tr.ComputeStats()
-	fmt.Printf("trace %s: %d receivers, depth %d, %d packets, %d losses (burst len %.1f)\n",
+	fmt.Fprintf(stdout, "trace %s: %d receivers, depth %d, %d packets, %d losses (burst len %.1f)\n",
 		st.Name, st.Receivers, st.TreeDepth, st.Packets, st.Losses, tr.MeanBurstLength())
-	fmt.Printf("protocol %s: finished at %v (inference confidence@95%% = %.1f%%)\n",
+	fmt.Fprintf(stdout, "protocol %s: finished at %v (inference confidence@95%% = %.1f%%)\n",
 		proto, res.FinishedAt, 100*res.InferenceConfidence95)
 	if spec := res.Config.Chaos; spec != nil {
-		fmt.Printf("chaos: %s\n", spec)
+		fmt.Fprintf(stdout, "chaos: %s\n", spec)
 	}
-	fmt.Printf("fingerprint: %s\n\n", res.Fingerprint)
+	fmt.Fprintf(stdout, "fingerprint: %s\n\n", res.Fingerprint)
 
 	all := res.Collector.OverallNormalized(res.RTT)
 	fr := res.Collector.FirstRoundNormalized(res.RTT)
-	fmt.Printf("recoveries: %d, mean latency %.2f RTT (first-round %.2f RTT over %d)\n",
+	fmt.Fprintf(stdout, "recoveries: %d, mean latency %.2f RTT (first-round %.2f RTT over %d)\n",
 		all.Count, all.MeanRTT, fr.MeanRTT, fr.Count)
 	if ratio, ok := res.Collector.ExpeditedSuccessRatio(); ok {
 		tot := res.Collector.TotalCounts()
-		fmt.Printf("expedited: %d requests, %d replies (%.1f%% success)\n",
+		fmt.Fprintf(stdout, "expedited: %d requests, %d replies (%.1f%% success)\n",
 			tot.ExpRequests, tot.ExpReplies, 100*ratio)
 	}
 
-	fmt.Println("\nper-receiver mean normalized recovery (RTT units):")
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(stdout, "\nper-receiver mean normalized recovery (RTT units):")
+	tw := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "  recv\tlosses\trecoveries\tmeanRTT\texpedited\treqs\texpReqs\treplies\texpReplies")
 	for _, r := range res.Receivers {
 		s := res.Collector.NormalizedRecovery(r, res.RTT)
@@ -215,21 +233,21 @@ func report(tr *trace.Trace, proto experiment.Protocol, res *experiment.RunResul
 	}
 	tw.Flush()
 
-	fmt.Println("\nrecovery latency percentiles (RTT units):")
-	printPercentiles(res)
+	fmt.Fprintln(stdout, "\nrecovery latency percentiles (RTT units):")
+	printPercentiles(stdout, res)
 
 	c := res.Crossings
-	fmt.Printf("\nlink crossings: data=%d session=%d | retrans: mcast=%d subcast=%d ucast=%d | control: mcast=%d subcast=%d ucast=%d | recovery total=%d\n",
+	fmt.Fprintf(stdout, "\nlink crossings: data=%d session=%d | retrans: mcast=%d subcast=%d ucast=%d | control: mcast=%d subcast=%d ucast=%d | recovery total=%d\n",
 		c.Data, c.Session, c.PayloadMulticast, c.PayloadSubcast, c.PayloadUnicast,
 		c.ControlMulticast, c.ControlSubcast, c.ControlUnicast, c.RecoveryTotal())
 }
 
-func printPercentiles(res *experiment.RunResult) {
+func printPercentiles(stdout io.Writer, res *experiment.RunResult) {
 	if len(res.Collector.Recoveries()) == 0 {
-		fmt.Println("  (no recoveries)")
+		fmt.Fprintln(stdout, "  (no recoveries)")
 		return
 	}
 	pct := func(q float64) float64 { return res.Collector.NormalizedPercentile(res.RTT, q) }
-	fmt.Printf("  p10=%.2f p50=%.2f p90=%.2f p99=%.2f max=%.2f\n",
+	fmt.Fprintf(stdout, "  p10=%.2f p50=%.2f p90=%.2f p99=%.2f max=%.2f\n",
 		pct(0.10), pct(0.50), pct(0.90), pct(0.99), pct(1))
 }

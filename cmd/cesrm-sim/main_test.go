@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,7 +16,7 @@ import (
 
 func TestRunCatalogTraceBothProtocols(t *testing.T) {
 	for _, proto := range []string{"srm", "cesrm", "lms"} {
-		err := run([]string{"-trace", "WRN951216", "-scale", "0.005", "-protocol", proto})
+		err := run([]string{"-trace", "WRN951216", "-scale", "0.005", "-protocol", proto}, io.Discard)
 		if err != nil {
 			t.Fatalf("%s: %v", proto, err)
 		}
@@ -23,7 +24,7 @@ func TestRunCatalogTraceBothProtocols(t *testing.T) {
 }
 
 func TestRunRouterAssistAndLossy(t *testing.T) {
-	err := run([]string{"-trace", "WRN951211", "-scale", "0.005", "-router-assist", "-lossy"})
+	err := run([]string{"-trace", "WRN951211", "-scale", "0.005", "-router-assist", "-lossy"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,13 +51,13 @@ func TestRunFromFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	if err := run([]string{"-file", path}); err != nil {
+	if err := run([]string{"-file", path}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunVerifyDeterminism(t *testing.T) {
-	err := run([]string{"-trace", "WRN951216", "-scale", "0.005", "-verify-determinism", "2"})
+	err := run([]string{"-trace", "WRN951216", "-scale", "0.005", "-verify-determinism", "2"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestRunVerifyDeterminism(t *testing.T) {
 
 func TestRunEventsNDJSON(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "events.ndjson")
-	if err := run([]string{"-trace", "WRN951216", "-scale", "0.005", "-events", path}); err != nil {
+	if err := run([]string{"-trace", "WRN951216", "-scale", "0.005", "-events", path}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -87,24 +88,62 @@ func TestRunEventsNDJSON(t *testing.T) {
 }
 
 func TestRunRejectsBadFlags(t *testing.T) {
-	if err := run([]string{"-trace", "NOPE"}); err == nil {
+	if err := run([]string{"-trace", "NOPE"}, io.Discard); err == nil {
 		t.Fatal("unknown trace accepted")
 	}
-	if err := run([]string{"-protocol", "tcp"}); err == nil {
+	if err := run([]string{"-protocol", "tcp"}, io.Discard); err == nil {
 		t.Fatal("unknown protocol accepted")
 	}
-	if err := run([]string{"-file", "/does/not/exist"}); err == nil {
+	if err := run([]string{"-file", "/does/not/exist"}, io.Discard); err == nil {
 		t.Fatal("missing file accepted")
 	}
-	if err := run([]string{"-scale", "-7"}); err == nil {
+	if err := run([]string{"-scale", "-7"}, io.Discard); err == nil {
 		t.Fatal("bad scale accepted")
 	}
 	// Removed flags: -shards with the second dispatch mode, -replay for
 	// cesrm-soak's. A script that still passes one must hear about it.
 	for _, args := range [][]string{{"-shards", "2"}, {"-replay", "x"}} {
-		err := run(append(args, "-scale", "0.01"))
+		err := run(append(args, "-scale", "0.01"), io.Discard)
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
 			t.Fatalf("%s: err = %v, want an unknown-flag error", args[0], err)
+		}
+	}
+}
+
+// TestExplainGolden diffs one loss's causal chain, packet 322 at host 8
+// of WRN951216 at scale 0.01 under CESRM, against its recording (CI
+// diffs what the CLI prints too), and requires -explain to leave the
+// run fingerprint as the plain report prints it: retaining the events
+// must not change the run.
+func TestExplainGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "explain-WRN951216-scale-0.01-8-322.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, plain bytes.Buffer
+	if err := run([]string{"-trace", "WRN951216", "-scale", "0.01", "-explain", "8:322"}, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("-explain 8:322 printed\n%s\nwant\n%s", got.String(), want)
+	}
+	if err := run([]string{"-trace", "WRN951216", "-scale", "0.01"}, &plain); err != nil {
+		t.Fatal(err)
+	}
+	fp := func(out string) string {
+		for _, line := range strings.Split(out, "\n") {
+			if strings.HasPrefix(line, "fingerprint: ") {
+				return line
+			}
+		}
+		return ""
+	}
+	if a, b := fp(got.String()), fp(plain.String()); a == "" || a != b {
+		t.Errorf("-explain printed %q, the plain report %q", a, b)
+	}
+	for _, bad := range []string{"8", "8:x", "-1:3", "8:1"} {
+		if err := run([]string{"-trace", "WRN951216", "-scale", "0.01", "-explain", bad}, io.Discard); err == nil {
+			t.Errorf("-explain %s accepted", bad)
 		}
 	}
 }
