@@ -187,10 +187,17 @@ func (s *Spec) hasKind(k Kind) bool {
 
 // Validate checks the spec against the topology it will run over:
 // fault targets must exist (hosts must be receivers — the source cannot
-// crash, and routers run no protocol), windows must be well-formed and
-// non-overlapping per kind, every severed link must eventually be
-// restored (an unrecoverable partition can never reach full
+// crash, and routers run no protocol), windows must be well-formed, and
+// per kind neither overlap nor touch, every severed link must eventually
+// be restored (an unrecoverable partition can never reach full
 // reliability), and crash/restart sequences per host must alternate.
+//
+// The controller schedules each fault's start and end in spec order, so
+// a window that ended where another began, or inside it, would have its
+// end restore the baseline while the other window still claims it. Each
+// link's outages are intervals for this check: a windowed link-down runs
+// [At, Until), an open one to its link-up, and an outage must start
+// strictly after the previous one's end.
 func (s *Spec) Validate(tree *topology.Tree) error {
 	type window struct{ from, to time.Duration }
 	var jitterWins, dupWins, qcapWins []window
@@ -265,8 +272,8 @@ func (s *Spec) Validate(tree *topology.Tree) error {
 		wins := append([]window(nil), wins...)
 		sort.Slice(wins, func(i, j int) bool { return wins[i].from < wins[j].from })
 		for i := 1; i < len(wins); i++ {
-			if wins[i].from < wins[i-1].to {
-				return fmt.Errorf("chaos: overlapping windows [%v,%v) and [%v,%v)",
+			if wins[i].from <= wins[i-1].to {
+				return fmt.Errorf("chaos: overlapping or touching windows [%v,%v) and [%v,%v)",
 					wins[i-1].from, wins[i-1].to, wins[i].from, wins[i].to)
 			}
 		}
@@ -317,22 +324,27 @@ func (s *Spec) Validate(tree *topology.Tree) error {
 	}
 	for l, seq := range linkEvents {
 		sort.SliceStable(seq, func(i, j int) bool { return seq[i].At < seq[j].At })
-		down := false
+		// open marks an outage awaiting its link-up; end is where the
+		// previous outage ended.
+		open, end := false, time.Duration(-1)
 		for _, f := range seq {
 			switch f.Kind {
 			case LinkDown:
-				if down {
+				if open {
 					return fmt.Errorf("chaos: link %d downed twice without restoration", l)
 				}
-				down = f.Until == 0
+				if f.At <= end {
+					return fmt.Errorf("chaos: link %d downed at %v, not after its previous outage ended at %v", l, f.At, end)
+				}
+				open, end = f.Until == 0, f.Until
 			case LinkUp:
-				if !down {
+				if !open {
 					return fmt.Errorf("chaos: link %d raised while up", l)
 				}
-				down = false
+				open, end = false, f.At
 			}
 		}
-		if down {
+		if open {
 			return fmt.Errorf("chaos: link %d is severed forever (no restoration)", l)
 		}
 	}

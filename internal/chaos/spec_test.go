@@ -108,6 +108,26 @@ func TestValidateRejectsIllFormedSpecs(t *testing.T) {
 			{Kind: QueueCap, At: time.Second, Until: 3 * time.Second, Cap: 2},
 			{Kind: QueueCap, At: 2 * time.Second, Until: 4 * time.Second, Cap: 3},
 		}}, "overlapping"},
+		// The controller schedules in spec order, so the first window's end
+		// would cancel the second's start at 20 s, or the second's state
+		// inside it.
+		{"touching jitter in reverse order", Spec{Faults: []Fault{
+			{Kind: Jitter, At: 20 * time.Second, Until: 30 * time.Second, Max: 5 * time.Millisecond},
+			{Kind: Jitter, At: 10 * time.Second, Until: 20 * time.Second, Max: 2 * time.Millisecond},
+		}}, "touching"},
+		{"touching link-downs in reverse order", Spec{Faults: []Fault{
+			{Kind: LinkDown, At: 20 * time.Second, Until: 30 * time.Second, Link: 1},
+			{Kind: LinkDown, At: 10 * time.Second, Until: 20 * time.Second, Link: 1},
+		}}, "previous outage"},
+		{"overlapping link-downs", Spec{Faults: []Fault{
+			{Kind: LinkDown, At: 10 * time.Second, Until: 25 * time.Second, Link: 1},
+			{Kind: LinkDown, At: 20 * time.Second, Until: 30 * time.Second, Link: 1},
+		}}, "previous outage"},
+		{"link-down at its open outage's link-up", Spec{Faults: []Fault{
+			{Kind: LinkDown, At: 10 * time.Second, Link: 1},
+			{Kind: LinkUp, At: 20 * time.Second, Link: 1},
+			{Kind: LinkDown, At: 20 * time.Second, Until: 30 * time.Second, Link: 1},
+		}}, "previous outage"},
 	}
 	for _, c := range cases {
 		err := c.spec.Validate(tree)
