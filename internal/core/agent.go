@@ -38,13 +38,14 @@ func DefaultConfig() Config {
 }
 
 // Agent is one CESRM endpoint. It embeds a full SRM agent (the fallback
-// scheme runs unchanged) and adds the caching-based expedited recovery
-// scheme through the SRM agent's extension hooks. It implements
-// netsim.Host.
+// scheme runs unchanged, and its methods are the endpoint's) and adds the
+// caching-based expedited recovery scheme through the SRM agent's
+// extension hooks: the expedited request a loss arms rides on SRM's loss
+// record, so Crash, Leave and packet arrival cancel it there. It
+// implements netsim.Host.
 type Agent struct {
-	srm *srm.Agent
+	*srm.Agent
 	net netsim.Endpoint
-	eng sim.Sched
 	cfg Config
 
 	// caches holds one requestor/replier cache per source (§3.1).
@@ -52,52 +53,7 @@ type Agent struct {
 	capacity int
 	policy   Policy
 
-	// pendingExp tracks armed expedited requests by (source, sequence)
-	// so arrival of the packet cancels them (REORDER-DELAY handling,
-	// §3.2). freeExp pools the handlers that fired or were cancelled.
-	pendingExp map[sourceSeq]*expeditedRequest
-	freeExp    *expeditedRequest
-
 	expAttempts int
-}
-
-// expeditedRequest is one loss's REORDER-DELAY timer: the closure-free
-// form of "after ReorderDelay, unicast the expedited request unless the
-// packet arrived". Handlers are pooled per agent, like
-// srm.Detection.
-type expeditedRequest struct {
-	a            *Agent
-	key          sourceSeq
-	replier      topology.NodeID
-	turningPoint topology.NodeID
-	timer        sim.Timer
-	next         *expeditedRequest
-}
-
-// Fire implements sim.EventHandler.
-func (x *expeditedRequest) Fire(sim.Time) {
-	a, key, replier, turningPoint := x.a, x.key, x.replier, x.turningPoint
-	a.dropPendingExp(x)
-	if a.srm.Crashed() || a.srm.Absent() {
-		return // Crash/Leave cancel these timers, but stay silent regardless
-	}
-	if a.srm.Has(key.source, key.seq) {
-		return // arrived meanwhile; nothing to expedite
-	}
-	a.srm.UnicastExpeditedRequest(key.source, key.seq, replier, turningPoint)
-}
-
-// dropPendingExp forgets x, fired or cancelled, and returns it to the
-// pool.
-func (a *Agent) dropPendingExp(x *expeditedRequest) {
-	delete(a.pendingExp, x.key)
-	x.next = a.freeExp
-	a.freeExp = x
-}
-
-type sourceSeq struct {
-	source topology.NodeID
-	seq    int
 }
 
 var _ netsim.Host = (*Agent)(nil)
@@ -107,17 +63,19 @@ var _ srm.Extension = (*agentExtension)(nil)
 // hook methods on the public Agent API.
 type agentExtension struct{ a *Agent }
 
-func (e *agentExtension) LossDetected(now sim.Time, source topology.NodeID, seq int) {
-	e.a.onLossDetected(now, source, seq)
-}
-func (e *agentExtension) PacketReceived(now sim.Time, source topology.NodeID, seq int) {
-	e.a.onPacketReceived(source, seq)
+func (e *agentExtension) LossDetected(now sim.Time, source topology.NodeID, seq int) (srm.Expedite, bool) {
+	return e.a.onLossDetected(source)
 }
 func (e *agentExtension) ReplyObserved(now sim.Time, m *srm.ReplyMsg, everLost bool) {
 	e.a.onReplyObserved(m, everLost)
 }
+
+// ExpeditedRequest makes this host act as the expeditious replier
+// (§3.2): if it has the packet and no reply is scheduled or pending, it
+// immediately multicasts an expedited reply (or, with router
+// assistance, unicasts it to the turning point for subcast, §3.3).
 func (e *agentExtension) ExpeditedRequest(now sim.Time, m *srm.RequestMsg) {
-	e.a.onExpeditedRequest(now, m)
+	e.a.SendExpeditedReply(now, m, e.a.cfg.RouterAssist)
 }
 
 // NewAgent constructs a CESRM endpoint at node id. The embedded SRM
@@ -140,28 +98,23 @@ func NewAgent(eng sim.Sched, net netsim.Endpoint, rng *sim.RNG, id topology.Node
 		policy = MostRecentLoss{}
 	}
 	a := &Agent{
-		net:        net,
-		eng:        eng,
-		cfg:        cfg,
-		caches:     make(map[topology.NodeID]*Cache, 1),
-		capacity:   capacity,
-		policy:     policy,
-		pendingExp: make(map[sourceSeq]*expeditedRequest, 8),
+		net:      net,
+		cfg:      cfg,
+		caches:   make(map[topology.NodeID]*Cache, 1),
+		capacity: capacity,
+		policy:   policy,
 	}
 	inner, err := srm.NewAgent(eng, net, rng, id, cfg.SRM, obs, &agentExtension{a})
 	if err != nil {
 		return nil, err
 	}
-	a.srm = inner
+	a.Agent = inner
 	return a, nil
 }
 
-// ID returns the agent's node.
-func (a *Agent) ID() topology.NodeID { return a.srm.ID() }
-
 // SRM returns the embedded fallback agent, giving access to shared
 // state inspection (losses, distances, completion).
-func (a *Agent) SRM() *srm.Agent { return a.srm }
+func (a *Agent) SRM() *srm.Agent { return a.Agent }
 
 // Cache returns the agent's requestor/replier cache for the given
 // source's stream, creating an empty one on first use (§3.1: one cache
@@ -169,18 +122,7 @@ func (a *Agent) SRM() *srm.Agent { return a.srm }
 func (a *Agent) Cache(source topology.NodeID) *Cache {
 	c, ok := a.caches[source]
 	if !ok {
-		var err error
-		c, err = NewCache(a.capacity)
-		if err != nil {
-			// Capacity was validated at construction, so this is an
-			// internal invariant breach; the typed panic keeps the host
-			// context so fuzzing harnesses can attribute it.
-			panic(&InternalError{
-				Host: a.ID(),
-				Op:   fmt.Sprintf("creating recovery cache for source %d", source),
-				Err:  err,
-			})
-		}
+		c = newCache(a.capacity) // validated by NewAgent
 		a.caches[source] = c
 	}
 	return c
@@ -193,62 +135,21 @@ func (a *Agent) PolicyName() string { return a.policy.Name() }
 // scheduled) an expedited request.
 func (a *Agent) ExpeditedAttempts() int { return a.expAttempts }
 
-// StartSessions delegates to the SRM layer.
-func (a *Agent) StartSessions() { a.srm.StartSessions() }
-
-// Stop delegates to the SRM layer.
-func (a *Agent) Stop() { a.srm.Stop() }
-
-// Transmit delegates to the SRM layer, originating packet seq of this
-// host's own stream.
-func (a *Agent) Transmit(seq int) { a.srm.Transmit(seq) }
-
-// Deliver implements netsim.Host for callers that attach this agent
-// themselves: everything flows through SRM, whose extension hooks call
-// back into this agent.
-func (a *Agent) Deliver(now sim.Time, p *netsim.Packet) { a.srm.Deliver(now, p) }
-
 // onLossDetected runs CESRM's expedited path in parallel with the SRM
 // request just scheduled (§3.2): consult the cache, and if this host is
-// the expeditious requestor of the selected pair, schedule an expedited
-// request REORDER-DELAY in the future.
-func (a *Agent) onLossDetected(now sim.Time, source topology.NodeID, seq int) {
+// the expeditious requestor of the selected pair, have the loss record
+// send an expedited request REORDER-DELAY in the future.
+func (a *Agent) onLossDetected(source topology.NodeID) (srm.Expedite, bool) {
 	tuple, ok := a.policy.Select(a.Cache(source))
 	if !ok || tuple.Requestor != a.ID() {
-		return
+		return srm.Expedite{}, false
 	}
 	a.expAttempts++
-	x := a.freeExp
-	if x == nil {
-		x = &expeditedRequest{a: a}
-	} else {
-		a.freeExp = x.next
-	}
-	x.key = sourceSeq{source, seq}
-	x.replier = tuple.Replier
-	x.turningPoint = topology.None
+	x := srm.Expedite{Replier: tuple.Replier, TurningPoint: topology.None, After: a.cfg.ReorderDelay}
 	if a.cfg.RouterAssist {
-		x.turningPoint = tuple.TurningPoint
+		x.TurningPoint = tuple.TurningPoint
 	}
-	a.pendingExp[x.key] = x
-	x.timer = a.eng.ScheduleHandler(a.cfg.ReorderDelay, x)
-}
-
-// onPacketReceived cancels any pending expedited request for a packet
-// that just arrived (reordering guard, §3.2).
-func (a *Agent) onPacketReceived(source topology.NodeID, seq int) {
-	if x, ok := a.pendingExp[sourceSeq{source, seq}]; ok {
-		a.eng.Cancel(x.timer)
-		a.dropPendingExp(x)
-	}
-}
-
-// onExpeditedRequest makes this host act as the expeditious replier
-// (§3.2): if it has the packet and no reply is scheduled or pending, it
-// immediately multicasts an expedited reply (or, with router
-// assistance, unicasts it to the turning point for subcast, §3.3).
-func (a *Agent) onExpeditedRequest(now sim.Time, m *srm.RequestMsg) {
-	a.srm.SendExpeditedReply(now, m, a.cfg.RouterAssist)
+	return x, true
 }
 
 // onReplyObserved maintains the requestor/replier cache (§3.1): replies
@@ -279,58 +180,19 @@ func (a *Agent) onReplyObserved(m *srm.ReplyMsg, everLost bool) {
 	a.Cache(m.Source).Update(t)
 }
 
-// Crash makes the whole endpoint fail-stop: every pending REORDER-DELAY
-// expedited-request timer is cancelled — a crashed host must never
-// unicast an expedited request — and the SRM layer crashes (expedited
-// requests arriving afterwards are also ignored).
-func (a *Agent) Crash() {
-	a.cancelPendingExp()
-	a.srm.Crash()
-}
-
-// cancelPendingExp cancels and clears every pending REORDER-DELAY
-// timer.
-func (a *Agent) cancelPendingExp() {
-	for _, x := range a.pendingExp {
-		a.eng.Cancel(x.timer)
-		a.dropPendingExp(x)
-	}
-}
-
-// Crashed reports whether Crash has been called.
-func (a *Agent) Crashed() bool { return a.srm.Crashed() }
-
 // Restart rejoins a crashed endpoint (§3.3's dynamic-membership model):
-// any leftover expedited-request timers are forgotten, every per-source
-// requestor/replier cache is dropped — the cached pairs may name hosts
-// that died while this one was down, and the scheme's graceful
-// degradation relies on the cache re-converging to live pairs from
-// observed recoveries — and the SRM layer restarts with fresh state,
-// re-synchronizing via session messages.
+// every per-source requestor/replier cache is dropped — the cached pairs
+// may name hosts that died while this one was down, and the scheme's
+// graceful degradation relies on the cache re-converging to live pairs
+// from observed recoveries — and the SRM layer restarts with fresh
+// state, re-synchronizing via session messages. A Leave, by contrast,
+// keeps the caches: a graceful leave is not amnesia, and the member
+// announced its departure, so on Join the cached pairs are exactly as
+// stale as any other member's.
 func (a *Agent) Restart() {
-	a.cancelPendingExp()
 	a.caches = make(map[topology.NodeID]*Cache, 1+len(a.caches))
-	a.srm.Restart()
+	a.Agent.Restart()
 }
-
-// Leave makes the endpoint depart gracefully: pending REORDER-DELAY
-// timers are cancelled — an absent host must never unicast an
-// expedited request — and the SRM layer goes silent. Unlike Restart,
-// the per-source caches survive: a graceful leave is not amnesia, and
-// the member announced its departure, so on Join the cached pairs are
-// exactly as stale as any other member's.
-func (a *Agent) Leave() {
-	a.cancelPendingExp()
-	a.srm.Leave()
-}
-
-// Join rejoins a departed endpoint; the SRM layer restarts its session
-// schedule and opens each stream's reliability window at the first
-// post-join data it observes.
-func (a *Agent) Join() { a.srm.Join() }
-
-// Absent reports whether the endpoint has left and not rejoined.
-func (a *Agent) Absent() bool { return a.srm.Absent() }
 
 // InvalidateHost drops every cached tuple, in every per-source cache,
 // that names dead as requestor or replier. The harness calls it on live

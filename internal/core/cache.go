@@ -77,7 +77,12 @@ func NewCache(capacity int) (*Cache, error) {
 	if capacity < 1 {
 		return nil, fmt.Errorf("core: cache capacity %d < 1", capacity)
 	}
-	return &Cache{capacity: capacity, entries: make([]Tuple, 0, capacity)}, nil
+	return newCache(capacity), nil
+}
+
+// newCache is NewCache for a capacity already known to be positive.
+func newCache(capacity int) *Cache {
+	return &Cache{capacity: capacity, entries: make([]Tuple, 0, capacity)}
 }
 
 // Len returns the number of cached tuples.

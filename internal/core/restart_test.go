@@ -10,38 +10,50 @@ import (
 
 // TestCrashBeforeReorderExpiryCancelsExpeditedRequest is the regression
 // test for the post-crash expedited-transmission bug: a host that
-// fail-stops between detecting a loss and its REORDER-DELAY expiry must
-// not unicast the deferred expedited request. Before the fix the armed
-// timer survived the crash and its closure only checked packet
-// possession — which a crashed host, never receiving the repair, fails —
-// so the dead host kept transmitting.
+// fail-stops, or leaves, between detecting a loss and its REORDER-DELAY
+// expiry must not unicast the deferred expedited request. Before the fix
+// the armed timer survived the crash and its closure only checked packet
+// possession — which a silent host, never receiving the repair, fails —
+// so the dead host kept transmitting. The timer now lives on the loss
+// record, and an expedited request from a silent host panics.
 func TestCrashBeforeReorderExpiryCancelsExpeditedRequest(t *testing.T) {
-	cfg := detConfig()
-	cfg.ReorderDelay = 20 * time.Millisecond
-	b := newBed(t, yTree(), cfg)
-	b.agents[2].Cache(0).Update(Tuple{
-		Seq: 0, Requestor: 2, ReqDistToSource: 40 * time.Millisecond,
-		Replier: 0, ReplierDistToRequestor: 40 * time.Millisecond,
-		TurningPoint: topology.None,
-	})
-	b.net.SetDropFunc(dropSeqsOnLink(2, 1))
-	b.sendData(3, 100*time.Millisecond)
-	// Receiver 2 detects the loss of seq 1 when seq 2 arrives at ~250.7 ms
-	// (two 20 ms hops plus payload serialization) and defers the expedited
-	// request to ~270.7 ms; the crash lands in between.
-	b.eng.ScheduleAt(sim.Time(260*time.Millisecond), func(sim.Time) {
-		b.agents[2].Crash()
-	})
-	b.eng.Run()
+	for _, c := range []struct {
+		name    string
+		silence func(*Agent)
+	}{
+		{"crash", (*Agent).Crash},
+		{"leave", (*Agent).Leave},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := detConfig()
+			cfg.ReorderDelay = 20 * time.Millisecond
+			b := newBed(t, yTree(), cfg)
+			b.agents[2].Cache(0).Update(Tuple{
+				Seq: 0, Requestor: 2, ReqDistToSource: 40 * time.Millisecond,
+				Replier: 0, ReplierDistToRequestor: 40 * time.Millisecond,
+				TurningPoint: topology.None,
+			})
+			b.net.SetDropFunc(dropSeqsOnLink(2, 1))
+			b.sendData(3, 100*time.Millisecond)
+			// Receiver 2 detects the loss of seq 1 when seq 2 arrives at
+			// ~250.7 ms (two 20 ms hops plus payload serialization) and
+			// defers the expedited request to ~270.7 ms; the silence lands
+			// in between.
+			b.eng.ScheduleAt(sim.Time(260*time.Millisecond), func(sim.Time) {
+				c.silence(b.agents[2])
+			})
+			b.eng.Run()
 
-	if b.agents[2].ExpeditedAttempts() != 1 {
-		t.Fatalf("attempts = %d, want 1 (the loss was chased before the crash)", b.agents[2].ExpeditedAttempts())
-	}
-	if b.log.expReqs[2] != 0 {
-		t.Fatalf("expedited requests = %d, want 0 (host crashed before expiry)", b.log.expReqs[2])
-	}
-	if b.log.expReplies != 0 {
-		t.Fatal("an expedited reply answered a request that must never have been sent")
+			if b.agents[2].ExpeditedAttempts() != 1 {
+				t.Fatalf("attempts = %d, want 1 (the loss was chased before the %s)", b.agents[2].ExpeditedAttempts(), c.name)
+			}
+			if b.log.expReqs[2] != 0 {
+				t.Fatalf("expedited requests = %d, want 0 (host went silent before expiry)", b.log.expReqs[2])
+			}
+			if b.log.expReplies != 0 {
+				t.Fatal("an expedited reply answered a request that must never have been sent")
+			}
+		})
 	}
 }
 

@@ -20,8 +20,9 @@ func (neverExpedite) Name() string                          { return "never" }
 // TestExpeditionOffIsSRM is a metamorphic relation: CESRM whose policy
 // never nominates a requestor/replier pair must be SRM, event for event.
 // The paper runs SRM unchanged underneath CESRM as its fallback; this
-// proves the srm.Extension hooks (packet received, loss detected, reply
-// observed, expedited request) inert when expedition is off. It compares
+// proves the srm.Extension hooks (loss detected, reply observed,
+// expedited request) and the loss record's unarmed REORDER-DELAY timer
+// inert when expedition is off. It compares
 // the whole run fingerprint on every catalog trace and under every chaos
 // scenario on three of them.
 func TestExpeditionOffIsSRM(t *testing.T) {

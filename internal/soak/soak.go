@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"cesrm/internal/chaos"
-	"cesrm/internal/core"
 	"cesrm/internal/experiment"
 	"cesrm/internal/sim"
 	"cesrm/internal/stats"
@@ -55,7 +54,6 @@ func (t Trial) String() string {
 //	timeout               run failed to quiesce within MaxTail
 //	budget:<status>       an engine guardrail aborted the run
 //	panic:past-schedule   engine rejected scheduling into the past
-//	panic:cesrm-internal  CESRM internal invariant panic
 //	panic                 any other panic
 //	error                 any other run error (verification failure, bad config)
 type Failure struct {
@@ -164,17 +162,13 @@ func (r *Runner) runLoaded(tr *trace.Trace, t Trial) (res *experiment.RunResult,
 var runExperiment = experiment.Run
 
 // panicClass maps recovered panic values to stable classes. The typed
-// panics carry host/time context in their Error strings, which ends up
-// in Failure.Detail.
+// panic carries time context in its Error string, which ends up in
+// Failure.Detail.
 func panicClass(rec any) string {
-	switch rec.(type) {
-	case *sim.PastScheduleError:
+	if _, ok := rec.(*sim.PastScheduleError); ok {
 		return "panic:past-schedule"
-	case *core.InternalError:
-		return "panic:cesrm-internal"
-	default:
-		return "panic"
 	}
+	return "panic"
 }
 
 // classify maps run errors to stable classes.

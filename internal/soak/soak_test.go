@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"cesrm/internal/core"
 	"cesrm/internal/experiment"
 	"cesrm/internal/sim"
 	"cesrm/internal/stats"
@@ -168,7 +167,6 @@ func TestClassifyStableClasses(t *testing.T) {
 		want string
 	}{
 		{&sim.PastScheduleError{At: 1, Now: 2}, "panic:past-schedule"},
-		{&core.InternalError{Host: 3, Op: "op", Err: fmt.Errorf("x")}, "panic:cesrm-internal"},
 		{"slice out of range", "panic"},
 	}
 	for _, c := range panics {

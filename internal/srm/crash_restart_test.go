@@ -46,10 +46,10 @@ func TestCrashedHostCannotSendExpeditedRequest(t *testing.T) {
 	f.agents[2].Crash()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("crashed UnicastExpeditedRequest did not panic")
+			t.Fatal("crashed unicastExpeditedRequest did not panic")
 		}
 	}()
-	f.agents[2].UnicastExpeditedRequest(0, 1, 3, topology.None)
+	f.agents[2].unicastExpeditedRequest(0, 1, 3, topology.None)
 }
 
 func TestCrashedHostCannotSendExpeditedReply(t *testing.T) {

@@ -177,21 +177,28 @@ func (NopObserver) RequestAbandoned(_, _ topology.NodeID, _ int, _ int) {}
 
 var _ Observer = NopObserver{}
 
+// Expedite is the expedited request an extension arms for a new loss
+// (§3.2): once REORDER-DELAY After has passed with the packet still
+// missing, unicast a request to Replier annotated with TurningPoint
+// (None without router assistance).
+type Expedite struct {
+	Replier, TurningPoint topology.NodeID
+	After                 time.Duration
+}
+
 // Extension is the hook surface the CESRM layer implements. A nil
 // extension yields plain SRM.
 type Extension interface {
 	// LossDetected is invoked immediately after SRM schedules its own
-	// repair request for a newly detected loss.
-	LossDetected(now sim.Time, source topology.NodeID, seq int)
+	// repair request for a newly detected loss. It returns the expedited
+	// request to arm, if any: the loss record holds it on a second timer,
+	// cancelled when the packet arrives or the host goes silent.
+	LossDetected(now sim.Time, source topology.NodeID, seq int) (Expedite, bool)
 	// ReplyObserved is invoked for every repair reply this host
 	// receives, after SRM's own processing. everLost reports whether
 	// this host ever suffered the loss of the packet — the condition
 	// under which CESRM caches the reply's requestor/replier pair.
 	ReplyObserved(now sim.Time, m *ReplyMsg, everLost bool)
-	// PacketReceived is invoked for every packet that newly arrives
-	// (data or repair), letting the extension cancel pending expedited
-	// requests.
-	PacketReceived(now sim.Time, source topology.NodeID, seq int)
 	// ExpeditedRequest is invoked for every expedited request this host
 	// receives; SRM itself does nothing with one.
 	ExpeditedRequest(now sim.Time, m *RequestMsg)
