@@ -2,6 +2,7 @@ package stats
 
 import (
 	"fmt"
+	"math"
 
 	"cesrm/internal/sim"
 	"cesrm/internal/srm"
@@ -60,6 +61,18 @@ import (
 //     below it means the joiner is owed packets whose recovery state
 //     its peers no longer have, so a run with release on has stopped
 //     being the run with release off.
+//
+// The last is the protocol's first safety property, after the Livadas
+// treatment:
+//
+//  11. Only a holder repairs: a reply for (source, seq) comes from the
+//     source or from a host that held seq — at or above the reliability
+//     floor its stream of source opened at (NoteFloor), and not
+//     detected lost and still unrecovered. Has alone cannot tell held
+//     from never held: a stream reads every packet below its floor as
+//     held. A host present since the start opened every stream at 0;
+//     one that joined or restarted holds nothing of a source until its
+//     floor is reported.
 type Validator struct {
 	violations []Violation
 
@@ -85,7 +98,17 @@ type Validator struct {
 
 	expReqs    int
 	expReplies int
+
+	// floors is invariant 11's reliability floor per host, then per
+	// source. A nil row reads 0 for every source, as for a member since
+	// the start or a restarted one. Join empties the row, and a source
+	// missing from a non-nil row has no open stream.
+	floors [][]int
 }
+
+// noFloor marks a source whose stream a host has not opened: it holds no
+// packet of it.
+const noFloor = math.MaxInt
 
 // packetAudit is the Validator's per-packet cell.
 type packetAudit struct {
@@ -156,14 +179,51 @@ func (v *Validator) NoteFloorBelowRelease(host, source topology.NodeID, floor, r
 		host, source, floor, released)
 }
 
+// NoteFloor implements srm.FloorObserver: host's stream of source opened
+// at floor, so the host holds no packet below it (invariant 11).
+func (v *Validator) NoteFloor(host, source topology.NodeID, floor int) {
+	for int(host) >= len(v.floors) {
+		v.floors = append(v.floors, nil)
+	}
+	row := v.floors[host]
+	for int(source) >= len(row) {
+		row = append(row, noFloor)
+	}
+	row[source] = floor
+	v.floors[host] = row
+}
+
+// floor returns host's reliability floor for source (see floors).
+func (v *Validator) floor(host, source topology.NodeID) int {
+	if int(host) >= len(v.floors) || v.floors[host] == nil {
+		return 0
+	}
+	if row := v.floors[host]; int(source) < len(row) {
+		return row[source]
+	}
+	return noFloor
+}
+
+// setFloors replaces host's floor row: nil for floor 0 everywhere, empty
+// for no stream open.
+func (v *Validator) setFloors(host topology.NodeID, row []int) {
+	for int(host) >= len(v.floors) {
+		v.floors = append(v.floors, nil)
+	}
+	v.floors[host] = row
+}
+
 // NoteRestart records that host rejoined. Its audit rows reset: the new
-// incarnation starts blank and re-detects its losses.
+// incarnation starts blank and re-detects its losses. Its streams reopen
+// at 0 as at the start, unless a late-join floor still applies, which
+// the agent reports when the stream opens.
 func (v *Validator) NoteRestart(host topology.NodeID, at sim.Time) {
 	for int(host) >= len(v.crashedAt) {
 		v.crashedAt = append(v.crashedAt, -1)
 	}
 	v.crashedAt[host] = -1
 	v.packets.resetHost(host)
+	v.setFloors(host, nil)
 }
 
 // NoteLeave records that host departed gracefully at the given instant;
@@ -189,6 +249,7 @@ func (v *Validator) NoteJoin(host topology.NodeID, at sim.Time) {
 	}
 	v.leftAt[host] = -1
 	v.packets.resetHost(host)
+	v.setFloors(host, []int{})
 }
 
 // clock returns the current virtual instant, or -1 when no clock is
@@ -218,7 +279,10 @@ func (v *Validator) silence(host topology.NodeID, at sim.Time, what string) {
 	}
 }
 
-var _ srm.Observer = (*Validator)(nil)
+var (
+	_ srm.Observer      = (*Validator)(nil)
+	_ srm.FloorObserver = (*Validator)(nil)
+)
 
 // Violation is one recorded invariant breach.
 type Violation struct {
@@ -378,15 +442,30 @@ func (v *Validator) ExpRequestSent(host, source topology.NodeID, seq int) {
 	p.expRequested = true
 }
 
-// ReplySent implements srm.Observer.
+// ReplySent implements srm.Observer, checking invariant 11.
 func (v *Validator) ReplySent(host, source topology.NodeID, seq int, expedited bool) {
 	v.silence(host, v.clockNow(), "reply")
+	if host != source {
+		if f := v.floor(host, source); seq < f {
+			v.violate("never-held-reply", "host %d: reply for (%d,%d) below its floor %s", host, source, seq, floorText(f))
+		} else if p := v.packets.get(host, source, seq); p != nil && p.det && !p.recovered {
+			v.violate("never-held-reply", "host %d: reply for (%d,%d), detected lost and not recovered", host, source, seq)
+		}
+	}
 	if expedited {
 		v.expReplies++
 		if v.expReplies > v.expReqs {
 			v.violate("exp-reply-excess", "expedited replies (%d) exceed expedited requests (%d)", v.expReplies, v.expReqs)
 		}
 	}
+}
+
+// floorText renders a floor, "none" for a stream not opened.
+func floorText(f int) string {
+	if f == noFloor {
+		return "none"
+	}
+	return fmt.Sprint(f)
 }
 
 // SessionSent implements srm.Observer.
@@ -399,6 +478,15 @@ func (v *Validator) SessionSent(host topology.NodeID) {
 type Tee []srm.Observer
 
 var _ srm.Observer = Tee{}
+
+// NoteFloor implements srm.FloorObserver for the observers that are one.
+func (t Tee) NoteFloor(host, source topology.NodeID, floor int) {
+	for _, o := range t {
+		if f, ok := o.(srm.FloorObserver); ok {
+			f.NoteFloor(host, source, floor)
+		}
+	}
+}
 
 // LossDetected implements srm.Observer.
 func (t Tee) LossDetected(host, source topology.NodeID, seq int, at sim.Time) {

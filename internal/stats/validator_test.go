@@ -121,3 +121,47 @@ func TestTeeFansOut(t *testing.T) {
 		}
 	}
 }
+
+// TestValidatorOnlyAHolderRepairs walks invariant 11 through its cases:
+// the source and a member since the start may reply for anything they
+// did not lose; a joiner holds nothing until its floor is reported and
+// nothing below it after; a detected, unrecovered loss is not held; a
+// restart reopens every stream at 0.
+func TestValidatorOnlyAHolderRepairs(t *testing.T) {
+	v := NewValidator()
+	v.ReplySent(0, 0, 3, false) // the source
+	v.ReplySent(2, 0, 3, false) // a member since the start
+	if err := v.Err(); err != nil {
+		t.Fatalf("holders' replies flagged: %v", err)
+	}
+	v.NoteLeave(5, at(0))
+	v.NoteJoin(5, at(100))
+	v.ReplySent(5, 0, 3, false)
+	violationContains(t, v, "host 5: reply for (0,3) below its floor none")
+	Tee{v}.NoteFloor(5, 0, 10)
+	v.ReplySent(5, 0, 9, false)
+	violationContains(t, v, "host 5: reply for (0,9) below its floor 10")
+	before := len(v.Violations())
+	v.ReplySent(5, 0, 10, false)
+	v.LossDetected(5, 0, 11, at(200))
+	v.Recovered(5, 0, 11, at(300), srm.RecoveryInfo{})
+	v.ReplySent(5, 0, 11, false)
+	if got := v.Violations()[before:]; len(got) != 0 {
+		t.Fatalf("replies at and above the floor flagged: %v", got)
+	}
+	v.LossDetected(2, 0, 4, at(200))
+	v.ReplySent(2, 0, 4, false)
+	violationContains(t, v, "host 2: reply for (0,4), detected lost and not recovered")
+	v.NoteCrash(5, at(400))
+	v.NoteRestart(5, at(500))
+	before = len(v.Violations())
+	v.ReplySent(5, 0, 1, false)
+	if got := v.Violations()[before:]; len(got) != 0 {
+		t.Fatalf("a restarted host's reply flagged: %v", got)
+	}
+	for _, x := range v.ViolationRecords() {
+		if x.Class != "never-held-reply" {
+			t.Errorf("violation %q has class %q", x.Detail, x.Class)
+		}
+	}
+}
