@@ -19,6 +19,11 @@
 // chain on the source's stream: the host's detection, every request,
 // expedited request and reply for the packet, and the host's recovery,
 // each in ms since the detection and in the host's RTTs to the source.
+// -diff a.ndjson b.ndjson runs nothing: it reads two -events files and
+// prints the first event at which they part, with the few before it,
+// every loss whose outcome changed (detected, requestor, replier,
+// request rounds, expedited, abandoned, recovery instant), and the
+// count of losses that kept theirs.
 // -cpuprofile and -memprofile write pprof profiles of the run for
 // hot-path analysis.
 package main
@@ -63,10 +68,17 @@ func run(args []string, stdout io.Writer) error {
 	verifyDet := fs.Int("verify-determinism", 0, "rerun the config N extra times and fail on fingerprint divergence")
 	eventsFile := fs.String("events", "", "write the ordered protocol-event stream as NDJSON to this file")
 	explain := fs.String("explain", "", "print one loss's causal chain instead of the report: host:seq, a packet of the source's stream the host lost")
+	diff := fs.Bool("diff", false, "compare two -events files instead of running: -diff a.ndjson b.ndjson")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := fs.String("memprofile", "", "write an allocation profile taken after the run to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *diff {
+		if fs.NArg() != 2 {
+			return fmt.Errorf("-diff wants two -events files, got %d arguments", fs.NArg())
+		}
+		return diffEvents(stdout, fs.Arg(0), fs.Arg(1))
 	}
 	var explainHost topology.NodeID
 	var explainSeq int

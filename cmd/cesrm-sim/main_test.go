@@ -147,3 +147,40 @@ func TestExplainGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestDiffGolden diffs two runs of WRN951216 at scale 0.01 under CESRM,
+// the second with one extra link-down window, against the recording (CI
+// diffs what the CLI prints too); a stream diffed against itself is
+// identical and every loss unchanged.
+func TestDiffGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "diff-WRN951216-scale-0.01-link-down-7.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	a, b := filepath.Join(dir, "a.ndjson"), filepath.Join(dir, "b.ndjson")
+	const base = "link-down@30s-30.1s:link=1"
+	for _, c := range []struct{ file, chaos string }{{a, base}, {b, base + ";link-down@21s-21.05s:link=7"}} {
+		if err := run([]string{"-trace", "WRN951216", "-scale", "0.01", "-chaos", c.chaos, "-events", c.file}, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got, self bytes.Buffer
+	if err := run([]string{"-diff", a, b}, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("-diff printed\n%s\nwant\n%s", got.String(), want)
+	}
+	if err := run([]string{"-diff", a, a}, &self); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(self.String(), "the event streams are identical\nlosses whose outcome changed: 0\n") {
+		t.Errorf("a stream diffed against itself:\n%s", self.String())
+	}
+	for _, bad := range [][]string{{"-diff", a}, {"-diff", a, filepath.Join(dir, "missing.ndjson")}} {
+		if err := run(bad, io.Discard); err == nil {
+			t.Errorf("%v accepted", bad)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -123,6 +124,46 @@ func WriteEventsNDJSON(w io.Writer, events []Event) error {
 	}
 	return nil
 }
+
+// ReadEventsNDJSON is WriteEventsNDJSON's inverse: it reads the events
+// one per line, rejecting an unknown kind label or a malformed line.
+func ReadEventsNDJSON(r io.Reader) ([]Event, error) {
+	var out []Event
+	sc := bufio.NewScanner(r)
+	for line := 1; sc.Scan(); line++ {
+		var j eventJSON
+		if err := json.Unmarshal(sc.Bytes(), &j); err != nil {
+			return nil, fmt.Errorf("event line %d: %w", line, err)
+		}
+		kind, ok := eventKinds[j.Kind]
+		if !ok {
+			return nil, fmt.Errorf("event line %d: unknown kind %q", line, j.Kind)
+		}
+		out = append(out, Event{
+			Kind:        kind,
+			At:          sim.Time(j.AtNS),
+			Host:        j.Host,
+			Source:      j.Source,
+			Seq:         j.Seq,
+			Round:       j.Round,
+			Expedited:   j.Expedited,
+			OwnRequests: j.OwnRequests,
+			Reschedules: j.Reschedules,
+			Requestor:   j.Requestor,
+			Replier:     j.Replier,
+		})
+	}
+	return out, sc.Err()
+}
+
+// eventKinds maps each kind's NDJSON label back to the kind.
+var eventKinds = func() map[string]EventKind {
+	m := map[string]EventKind{}
+	for k := EventLossDetected; k <= EventRequestAbandoned; k++ {
+		m[k.String()] = k
+	}
+	return m
+}()
 
 // Recorder is an Observer that observes the ordered protocol-event
 // stream of a run. By default every event is retained for NDJSON

@@ -87,3 +87,38 @@ func TestRecorderWriteNDJSON(t *testing.T) {
 		t.Fatalf("session line = %v", lines[2])
 	}
 }
+
+// TestReadEventsNDJSONInvertsWrite: every kind and field survives the
+// round trip, and a line the writer never produces is refused.
+func TestReadEventsNDJSONInvertsWrite(t *testing.T) {
+	r := NewRecorder(func() sim.Time { return sim.Time(3 * time.Second) })
+	r.SessionSent(2)
+	r.LossDetected(3, 0, 7, sim.Time(time.Second))
+	r.RequestSent(3, 0, 7, 1)
+	r.ExpRequestSent(4, 0, 8)
+	r.ReplySent(0, 0, 7, true)
+	r.Recovered(3, 0, 7, sim.Time(2*time.Second), srm.RecoveryInfo{Expedited: true, Requestor: 3, Replier: 0, OwnRequests: 2, Reschedules: 1})
+	r.RequestAbandoned(4, 0, 8, 5)
+	var buf bytes.Buffer
+	if err := r.WriteNDJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadEventsNDJSON(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := r.Events(); len(got) != len(want) {
+		t.Fatalf("read %d events, wrote %d", len(got), len(want))
+	} else {
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("event %d read as %+v, written as %+v", i, got[i], want[i])
+			}
+		}
+	}
+	for _, bad := range []string{`{"kind":"nap","at_ns":1}`, `{"kind":`} {
+		if _, err := ReadEventsNDJSON(bytes.NewBufferString(bad)); err == nil {
+			t.Errorf("%s accepted", bad)
+		}
+	}
+}
