@@ -86,8 +86,10 @@ func queuingFingerprints(t *testing.T) string {
 
 // TestQueuingFingerprints pins the event-per-hop queuing flood, which
 // the catalog goldens never enter. The goldens were recorded at commit
-// 29da9f9, when every hop was its own wheel record; a drift is a
-// behavior change, not a golden to update.
+// 29da9f9, when every hop was its own wheel record; the churn rows were
+// re-pinned when late joiners stopped answering requests for packets
+// below their floor. A drift is a behavior change, not a golden to
+// update.
 func TestQueuingFingerprints(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "queuing-fingerprints", "scale-0.1-seed-1.txt"))
 	if err != nil {
