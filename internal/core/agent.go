@@ -66,8 +66,8 @@ type agentExtension struct{ a *Agent }
 func (e *agentExtension) LossDetected(now sim.Time, source topology.NodeID, seq int) (srm.Expedite, bool) {
 	return e.a.onLossDetected(source)
 }
-func (e *agentExtension) ReplyObserved(now sim.Time, m *srm.ReplyMsg, everLost bool) {
-	e.a.onReplyObserved(m, everLost)
+func (e *agentExtension) ReplyObserved(now sim.Time, m *srm.ReplyMsg) {
+	e.a.onReplyObserved(m)
 }
 
 // ExpeditedRequest makes this host act as the expeditious replier
@@ -152,13 +152,11 @@ func (a *Agent) onLossDetected(source topology.NodeID) (srm.Expedite, bool) {
 	return x, true
 }
 
-// onReplyObserved maintains the requestor/replier cache (§3.1): replies
-// for packets this host never lost are discarded; others contribute
-// their annotated recovery tuple, keeping the optimal pair per packet.
-func (a *Agent) onReplyObserved(m *srm.ReplyMsg, everLost bool) {
-	if !everLost {
-		return
-	}
+// onReplyObserved maintains the requestor/replier cache (§3.1): a reply
+// for a packet this host lost contributes its annotated recovery tuple,
+// keeping the optimal pair per packet. SRM never reports a reply for a
+// packet the host did not lose.
+func (a *Agent) onReplyObserved(m *srm.ReplyMsg) {
 	if m.Requestor == topology.None {
 		return
 	}
