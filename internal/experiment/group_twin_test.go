@@ -14,13 +14,65 @@ import (
 	"cesrm/internal/trace"
 )
 
+// replyWitness stands in front of one agent of the private-table
+// assembly and counts the reply deliveries that find the agent present,
+// holding the packet inside its retained window and never having lost
+// it, and that change nothing an inspector, the observer or the engine
+// shows: no event, no timer, no draw, no stream, no distance miss, no
+// reject. All such a delivery can have changed is the packet's reply
+// abstinence, which no inspector shows.
+type replyWitness struct {
+	host  netsim.Host // the agent as the network reached it
+	a     *srm.Agent
+	eng   *sim.Engine
+	rec   *stats.Recorder
+	count *uint64
+}
+
+// agentView is what replyWitness compares across a delivery.
+type agentView struct {
+	has, everLost, open                  bool
+	outstanding, classified, base, held  int
+	misses, rejects, seqRejects, streams int
+	pending                              int
+	nextSeq                              uint64
+	events                               int
+}
+
+func (w *replyWitness) view(m *srm.ReplyMsg) agentView {
+	a := w.a
+	base, held, open := a.HeldWindow(m.Source)
+	return agentView{
+		has: a.Has(m.Source, m.Seq), everLost: a.EverLost(m.Source, m.Seq), open: open,
+		outstanding: a.Outstanding(), classified: a.ClassifiedThrough(m.Source), base: base, held: held,
+		misses: a.MissingDistanceLookups(), rejects: a.SessionRejects(), seqRejects: a.SeqRejects(),
+		streams: len(a.Sources()), pending: w.eng.Pending(), nextSeq: w.eng.NextSeq(), events: w.rec.Len(),
+	}
+}
+
+// Deliver implements netsim.Host.
+func (w *replyWitness) Deliver(now sim.Time, p *netsim.Packet) {
+	m, ok := p.Msg.(*srm.ReplyMsg)
+	if !ok {
+		w.host.Deliver(now, p)
+		return
+	}
+	before := w.view(m)
+	holder := !w.a.Crashed() && !w.a.Absent() && before.open && before.has && !before.everLost && m.Seq >= before.base
+	w.host.Deliver(now, p)
+	if holder && w.view(m) == before {
+		*w.count++
+	}
+}
+
 // runPrivateTables reenacts tr as Run's chaos-free path does, but
 // assembled from the layers' public constructors — the way
 // benchmark/assembly.go and the wire node build agents — so no agent is
 // in a group: every one keeps the private one-column distance table it
 // is constructed with, and every delivery goes to its Deliver. It
-// returns the run fingerprint.
-func runPrivateTables(t *testing.T, tr *trace.Trace, proto Protocol, seed int64) string {
+// returns the run fingerprint and the reply deliveries its witnesses
+// found with nothing to change but the abstinence word.
+func runPrivateTables(t *testing.T, tr *trace.Trace, proto Protocol, seed int64) (string, uint64) {
 	t.Helper()
 	cfg := RunConfig{Trace: tr, Protocol: proto, Seed: seed, Net: netsim.DefaultConfig(), SRM: srm.DefaultParams()}
 	tree := tr.Tree
@@ -52,21 +104,24 @@ func runPrivateTables(t *testing.T, tr *trace.Trace, proto Protocol, seed int64)
 	hosts := append([]topology.NodeID{source}, tree.Receivers()...)
 	agents := make([]agent, len(hosts))
 	inspect := make([]*srm.Agent, len(hosts))
+	var absorbed uint64
 	for i, id := range hosts {
 		rng := rootRNG.Split()
+		var host netsim.Host
 		if proto == SRM {
 			a, err := srm.NewAgent(eng, net, rng, id, cfg.SRM, observer, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			agents[i], inspect[i] = a, a
+			agents[i], inspect[i], host = a, a, a
 		} else {
 			a, err := core.NewAgent(eng, net, rng, id, core.Config{SRM: cfg.SRM}, observer)
 			if err != nil {
 				t.Fatal(err)
 			}
-			agents[i], inspect[i] = a, a.SRM()
+			agents[i], inspect[i], host = a, a.SRM(), a
 		}
+		net.AttachHost(id, &replyWitness{host: host, a: inspect[i], eng: eng, rec: recorder, count: &absorbed})
 	}
 	for _, a := range agents {
 		a.StartSessions()
@@ -100,14 +155,17 @@ func runPrivateTables(t *testing.T, tr *trace.Trace, proto Protocol, seed int64)
 		t.Fatalf("%s/%v: %v", tr.Name, proto, err)
 	}
 	rtt := func(h topology.NodeID) time.Duration { return net.RTT(h, source) }
-	return fp.finish(net.Counts(), finished, tree.Receivers(), collector, rtt)
+	return fp.finish(net.Counts(), finished, tree.Receivers(), collector, rtt), absorbed
 }
 
 // TestGroupTwinAssembly: Run, whose agents form one srm.Group that
-// serves no-op session deliveries itself and keeps their distance
-// estimates in one plane, must compute exactly what an assembly of agents
-// with no group and private distance tables computes, every delivery
-// going to the agent's Deliver. It covers every catalog trace at scale
+// serves no-op session and duplicate reply deliveries itself and keeps
+// their distance estimates in one plane, must compute exactly what an
+// assembly of agents with no group and private distance tables computes,
+// every delivery going to the agent's Deliver. The group must serve
+// inline exactly the reply deliveries that assembly's witnesses found
+// with nothing to change but the abstinence word: the inline-reply
+// column of the cost ledger. It covers every catalog trace at scale
 // 0.01, trace 1 at 0.1, and a generated 64-receiver tree whose hop
 // cohorts are wide, under SRM and CESRM.
 func TestGroupTwinAssembly(t *testing.T) {
@@ -137,7 +195,7 @@ func TestGroupTwinAssembly(t *testing.T) {
 	traces = append(traces, tr, wide)
 	for _, tr := range traces {
 		for _, proto := range []Protocol{SRM, CESRM} {
-			want := runPrivateTables(t, tr, proto, 5)
+			want, absorbed := runPrivateTables(t, tr, proto, 5)
 			res, err := Run(RunConfig{Trace: tr, Protocol: proto, Seed: 5})
 			if err != nil {
 				t.Fatal(err)
@@ -147,6 +205,10 @@ func TestGroupTwinAssembly(t *testing.T) {
 			}
 			if res.Inline == 0 {
 				t.Errorf("%s/%v: the group served no session delivery itself", tr.Name, proto)
+			}
+			if res.InlineReply != absorbed || absorbed == 0 {
+				t.Errorf("%s/%v: the group served %d reply deliveries itself, the per-host witnesses found %d with only the abstinence to change",
+					tr.Name, proto, res.InlineReply, absorbed)
 			}
 		}
 	}

@@ -200,9 +200,10 @@ type RunResult struct {
 	FloodEvents uint64
 	// Deliveries counts the packets the network handed to hosts, by path.
 	Deliveries netsim.Deliveries
-	// Inline counts the cohort deliveries the member group served without
-	// a Deliver call (srm.Group.DeliverCohort); zero for LMS.
-	Inline uint64
+	// Inline and InlineReply count the session and reply cohort
+	// deliveries the member group served without a Deliver call
+	// (srm.Group.DeliverCohort); zero for LMS.
+	Inline, InlineReply uint64
 	// BarrierEvents is always 0; like RunConfig.Shards it remains only
 	// because benchmark/ still reads it.
 	BarrierEvents uint64
@@ -682,6 +683,7 @@ func run(cfg RunConfig, inferred *lossinfer.Result) (*RunResult, error) {
 			FloodEvents:           net.FloodEvents(),
 			Deliveries:            net.Deliveries(),
 			Inline:                group.Inline(),
+			InlineReply:           group.InlineReply(),
 			QueueDrops:            net.QueueDrops(),
 			WatermarkCells:        rel.scanned,
 			Abandoned:             collector.TotalAbandoned(),

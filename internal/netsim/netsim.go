@@ -96,6 +96,11 @@ type Packet struct {
 	// recovery-overhead accounting (the paper compares recovery traffic;
 	// both protocols exchange identical session streams).
 	Session bool
+	// Cohort marks a packet whose flood's hop cohorts are offered whole
+	// to the network's cohort host (see CohortHost); the sender sets it,
+	// for the kinds most of whose deliveries the host can absorb. It is
+	// not on the wire.
+	Cohort bool
 	// refs counts the network's holds on the packet: one for the send call
 	// and one for each pending event that will read it.
 	refs int32
@@ -162,8 +167,8 @@ type Host interface {
 }
 
 // CohortHost answers for a group of hosts at once. A flood offers it
-// each hop cohort of a session packet (the hosts one hop distance out,
-// due at one instant) before delivering to any of them. Returning true,
+// each hop cohort of a packet marked Cohort (the hosts one hop distance
+// out, due at one instant) before delivering to any of them. Returning true,
 // it has handled every host of the cohort, in cohort order, exactly as
 // their own Deliver calls would have; returning false, it has done
 // nothing, and the flood delivers per host. hosts is the network's, and
@@ -495,8 +500,8 @@ func (n *Network) AttachHost(id topology.NodeID, h Host) {
 	n.plans.shrink(0)
 }
 
-// SetCohortHost installs the host that is offered each session packet's
-// hop cohorts whole (see CohortHost); nil removes it.
+// SetCohortHost installs the host that is offered the hop cohorts of
+// each packet marked Cohort whole (see CohortHost); nil removes it.
 func (n *Network) SetCohortHost(h CohortHost) { n.cohortHost = h }
 
 // SetDropFunc installs the loss-injection hook.
@@ -808,8 +813,8 @@ func (n *Network) scheduleDeliveryOnce(at sim.Time, h Host, p *Packet) {
 // floodEvent delivers one flood's hop cohorts (the hosts one hop distance
 // out, due at one instant) as an engine series, a firing per cohort in
 // ascending hop order and pop order within it: exactly as per-host events
-// would have (DESIGN.md §14). A session packet's cohort goes whole to the
-// cohort host, if one is installed and takes it. It holds one packet
+// would have (DESIGN.md §14). The cohort of a packet marked Cohort goes
+// whole to the cohort host, if one is installed and takes it. It holds one packet
 // reference.
 type floodEvent struct {
 	n      *Network
@@ -833,7 +838,7 @@ func (g *floodEvent) Fire(i int, now sim.Time) {
 	h := g.hops[i]
 	cohort := g.cohorts[g.ends[h-1]:g.ends[h]]
 	n.deliveries.Cohort += uint64(len(cohort))
-	if !pkt.Session || n.cohortHost == nil || !n.cohortHost.DeliverCohort(now, pkt, cohort) {
+	if !pkt.Cohort || n.cohortHost == nil || !n.cohortHost.DeliverCohort(now, pkt, cohort) {
 		for _, id := range cohort {
 			n.hostAt[id].Deliver(now, pkt)
 		}

@@ -766,3 +766,39 @@ func TestUnicastThenSubcastDroppedOnLeg(t *testing.T) {
 		t.Fatal("dropped unicast leg still delivered")
 	}
 }
+
+// cohortTap is a CohortHost that records what it was offered and takes
+// nothing.
+type cohortTap struct{ offered []*Packet }
+
+func (c *cohortTap) DeliverCohort(now sim.Time, p *Packet, hosts []int32) bool {
+	c.offered = append(c.offered, p)
+	return false
+}
+
+// TestOnlyCohortPacketsAreOffered: a flood offers its hop cohorts to the
+// cohort host only for a packet its sender marked Cohort, whatever the
+// packet's class; a refused cohort is still delivered per host.
+func TestOnlyCohortPacketsAreOffered(t *testing.T) {
+	eng, net, recs := setup(t, DefaultConfig())
+	tap := &cohortTap{}
+	net.SetCohortHost(tap)
+	marked := &Packet{Class: Payload, Cohort: true, Msg: reqMsg{}}
+	for _, p := range []*Packet{
+		{Class: Control, Session: true, Msg: reqMsg{}},
+		{Class: Payload, Msg: dataMsg{}},
+		marked,
+	} {
+		net.Multicast(0, p)
+	}
+	eng.Run()
+	// Receivers 3 and 4 are two hops out, 6 three: two cohorts.
+	if len(tap.offered) != 2 || tap.offered[0] != marked || tap.offered[1] != marked {
+		t.Fatalf("offered %d cohorts, want the marked packet's two", len(tap.offered))
+	}
+	for _, id := range []topology.NodeID{3, 4, 6} {
+		if got := len(recs[id].got); got != 3 {
+			t.Errorf("host %d got %d packets, want 3", id, got)
+		}
+	}
+}

@@ -134,16 +134,19 @@ func (f *Frames) Request(m RequestMsg) *netsim.Packet {
 	return &fr.pkt
 }
 
-// Reply returns a payload packet carrying the repair reply m.
+// Reply returns a payload packet carrying the repair reply m, offered
+// to the member group by hop cohort: most of its deliveries are
+// duplicates only the group's reply rule reads (Group.DeliverCohort).
 func (f *Frames) Reply(m ReplyMsg) *netsim.Packet {
 	fr := f.reply.get(replyChunk)
 	fr.msg = m
-	fr.pkt = netsim.Packet{Class: netsim.Payload, Msg: &fr.msg, Owner: fr}
+	fr.pkt = netsim.Packet{Class: netsim.Payload, Cohort: true, Msg: &fr.msg, Owner: fr}
 	return &fr.pkt
 }
 
 // Session returns a session-class control packet and its message, sent
-// by from at sentAt, for the caller to fill in: Highest and Echoes are
+// by from at sentAt and offered to the member group by hop cohort, for
+// the caller to fill in: Highest and Echoes are
 // empty, Highest with room for inlineAdverts appends in the frame itself.
 // A reused frame keeps the arrays its lists last had.
 func (f *Frames) Session(from topology.NodeID, sentAt sim.Time) (*netsim.Packet, *SessionMsg) {
@@ -154,7 +157,7 @@ func (f *Frames) Session(from topology.NodeID, sentAt sim.Time) (*netsim.Packet,
 		highest = fr.msg.adverts[:0]
 	}
 	*m = SessionMsg{From: from, SentAt: sentAt, Highest: highest, Echoes: m.Echoes[:0]}
-	fr.pkt = netsim.Packet{Class: netsim.Control, Session: true, Msg: m, Owner: fr}
+	fr.pkt = netsim.Packet{Class: netsim.Control, Session: true, Cohort: true, Msg: m, Owner: fr}
 	return &fr.pkt, m
 }
 

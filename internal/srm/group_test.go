@@ -125,27 +125,42 @@ func (tw *twinNet) transmit(start time.Duration, from, to int) {
 
 // state renders everything the comparison covers: per agent, its raw
 // distance words, held window, classification cursor, outstanding
-// losses and reject counts; the observer events so far; and the engine's
-// executed count and next sequence number.
+// losses, reject counts and reply cells; the observer events so far; and
+// the engine's executed count and next sequence number.
 func (tw *twinNet) state() string {
 	var b strings.Builder
 	for _, id := range tw.hosts {
-		a := tw.agents[id]
-		fmt.Fprintf(&b, "host %d dist", id)
-		for n := 0; n < a.nodes; n++ {
-			d := time.Duration(-1)
-			if a.dist != nil {
-				d = a.dist[n*int(a.stride)]
-			}
-			fmt.Fprintf(&b, " %d", d)
-		}
-		base, held, open := a.HeldWindow(0)
-		fmt.Fprintf(&b, " held [%d,%d) %v classified %d outstanding %d rejects %d/%d\n",
-			base, held, open, a.ClassifiedThrough(0), a.Outstanding(), a.SessionRejects(), a.SeqRejects())
+		writeAgentState(&b, tw.agents[id])
 	}
 	fmt.Fprintf(&b, "engine executed %d next %d\n", tw.eng.Executed(), tw.eng.NextSeq())
 	b.WriteString(strings.Join(tw.obs.lines, "\n"))
 	return b.String()
+}
+
+// writeAgentState renders one agent's state of source 0's stream for a
+// twin comparison: distance words, held window, cursor, outstanding
+// losses, reject and distance-miss counts, and every reply cell that
+// holds an abstinence deadline or a scheduled reply.
+func writeAgentState(b *strings.Builder, a *Agent) {
+	fmt.Fprintf(b, "host %d dist", a.id)
+	for n := 0; n < a.nodes; n++ {
+		d := time.Duration(-1)
+		if a.dist != nil {
+			d = a.dist[n*int(a.stride)]
+		}
+		fmt.Fprintf(b, " %d", d)
+	}
+	base, held, open := a.HeldWindow(0)
+	fmt.Fprintf(b, " held [%d,%d) %v classified %d outstanding %d rejects %d/%d misses %d replies",
+		base, held, open, a.ClassifiedThrough(0), a.Outstanding(), a.SessionRejects(), a.SeqRejects(), a.MissingDistanceLookups())
+	if st := a.peek(0); st != nil {
+		for i, c := range st.replies.Cells() {
+			if c.pendingUntil != 0 || c.rec != nil {
+				fmt.Fprintf(b, " %d:%d/%v", st.replies.Base()+i, c.pendingUntil, c.rec != nil)
+			}
+		}
+	}
+	b.WriteString("\n")
 }
 
 // TestGroupMembershipTwinNetwork runs scripted membership transitions on
@@ -219,8 +234,8 @@ func TestGroupMembershipTwinNetwork(t *testing.T) {
 			if g, p := grouped.state(), plain.state(); g != p {
 				t.Fatalf("the grouped network ended diverged:\n%s", firstDiff(g, p))
 			}
-			if grouped.group.Inline() == 0 {
-				t.Fatal("the group served no session delivery itself")
+			if grouped.group.Inline() == 0 || grouped.group.InlineReply() == 0 {
+				t.Fatalf("the group served %d session and %d reply deliveries itself", grouped.group.Inline(), grouped.group.InlineReply())
 			}
 			if _, _, open := grouped.agents[x].HeldWindow(0); !open {
 				t.Fatalf("host %d holds no stream at the end", x)
@@ -238,6 +253,114 @@ func firstDiff(got, want string) string {
 		}
 	}
 	return fmt.Sprintf("grouped has %d lines, plain %d", len(g), len(w))
+}
+
+// TestGroupReplyCohort offers one reply cohort to the group and the same
+// deliveries to each member's Deliver on a twin with no group, and
+// requires the two to end alike with exactly the plain holders served
+// inline. Around them sit every member the rule leaves to Deliver: one
+// with a reply timer armed for the packet, a late joiner whose stream
+// opened above it, a crashed one, one with no estimate to the requestor,
+// and the requestor, which lost the packet.
+func TestGroupReplyCohort(t *testing.T) {
+	const (
+		armed, joiner, crashed, noEstimate, requestor = 1, 2, 3, 4, 5
+		holders                                       = 3 // 6, 7 and 8
+	)
+	build := func(grouped bool) (*sim.Engine, map[topology.NodeID]*Agent, *Group, *recordingObserver) {
+		parents := make([]topology.NodeID, 9)
+		parents[0] = topology.None
+		tree := topology.MustNew(parents) // a star: every receiver one hop from the source
+		eng := sim.NewEngine()
+		net := netsim.MustNew(eng, tree, netsim.DefaultConfig())
+		obs := &recordingObserver{}
+		var g *Group
+		if grouped {
+			g = NewGroup(tree.NumNodes(), tree.NumNodes())
+		}
+		agents := map[topology.NodeID]*Agent{}
+		rng := sim.NewRNG(5)
+		for id := range topology.NodeID(tree.NumNodes()) {
+			a, err := NewAgent(eng, net, rng.Split(), id, DefaultParams(), obs, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if grouped {
+				if err := a.UseGroup(g, int(id)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			agents[id] = a
+		}
+		for x, a := range agents {
+			for y := range agents {
+				if x != y && !(x == noEstimate && y == requestor) {
+					a.SetDistance(y, net.Distance(x, y))
+				}
+			}
+		}
+		net.SetDropFunc(func(p *netsim.Packet, link topology.LinkID, down bool) bool {
+			m, ok := p.Msg.(*DataMsg)
+			return ok && link == requestor && m.Seq == 1
+		})
+		// Packets 0-3 leave the source 10 ms apart and arrive 25.5 ms
+		// later; the joiner is back for packet 2, its first evidence.
+		agents[joiner].Leave()
+		for seq := range 4 {
+			eng.ScheduleAt(sim.Time(time.Duration(seq)*10*time.Millisecond), func(sim.Time) { agents[0].Transmit(seq) })
+		}
+		eng.ScheduleAt(sim.Time(40*time.Millisecond), func(sim.Time) { agents[joiner].Join(); agents[joiner].Stop() })
+		eng.ScheduleAt(sim.Time(60*time.Millisecond), func(sim.Time) { agents[crashed].Crash() })
+		// Stop before the requestor's request timer (40 ms or more after
+		// it detects the loss at 45.5 ms): one holder hears the request.
+		eng.RunUntil(sim.Time(70 * time.Millisecond))
+		agents[armed].Deliver(eng.Now(), &netsim.Packet{Class: netsim.Control, Msg: &RequestMsg{
+			Source: 0, Seq: 1, Requestor: requestor, ReqDistToSource: 20 * time.Millisecond, TurningPoint: topology.None}})
+		return eng, agents, g, obs
+	}
+	state := func(eng *sim.Engine, agents map[topology.NodeID]*Agent, obs *recordingObserver) string {
+		var b strings.Builder
+		for id := range topology.NodeID(len(agents)) {
+			writeAgentState(&b, agents[id])
+		}
+		fmt.Fprintf(&b, "engine executed %d next %d pending %d\n", eng.Executed(), eng.NextSeq(), eng.Pending())
+		return b.String() + strings.Join(obs.lines, "\n")
+	}
+	gEng, gAgents, g, gObs := build(true)
+	pEng, pAgents, _, pObs := build(false)
+	if base, _, _ := gAgents[joiner].HeldWindow(0); base != 2 {
+		t.Fatalf("the joiner's stream opened at %d, want 2", base)
+	}
+	if !gAgents[crashed].Has(0, 1) || !gAgents[crashed].Crashed() {
+		t.Fatal("the crashed member crashed before it held packet 1")
+	}
+	if gAgents[requestor].Has(0, 1) || !gAgents[requestor].EverLost(0, 1) {
+		t.Fatal("the requestor did not lose packet 1")
+	}
+	if !gAgents[armed].ReplyBlocked(gEng.Now(), 0, 1) {
+		t.Fatal("no reply is scheduled at the armed member")
+	}
+	if a, b := state(gEng, gAgents, gObs), state(pEng, pAgents, pObs); a != b {
+		t.Fatalf("the twins differ before the reply:\n%s", firstDiff(a, b))
+	}
+	hosts := []int32{armed, 6, joiner, crashed, 7, noEstimate, requestor, 8}
+	m := &ReplyMsg{Source: 0, Seq: 1, Replier: 0, Requestor: requestor, ReqDistToSource: 20 * time.Millisecond}
+	pkt := &netsim.Packet{From: 0, Mode: netsim.ModeMulticast, Class: netsim.Payload, Cohort: true, Msg: m}
+	if !g.DeliverCohort(gEng.Now(), pkt, hosts) {
+		t.Fatal("the group refused a reply cohort of members")
+	}
+	for _, id := range hosts {
+		pAgents[topology.NodeID(id)].Deliver(pEng.Now(), pkt)
+	}
+	if a, b := state(gEng, gAgents, gObs), state(pEng, pAgents, pObs); a != b {
+		t.Fatalf("the twins differ after the reply:\n%s", firstDiff(a, b))
+	}
+	if got := g.InlineReply(); got != holders {
+		t.Fatalf("the group served %d deliveries inline, want the %d plain holders", got, holders)
+	}
+	if gAgents[armed].ReplyBlocked(gEng.Now(), 0, 1) == false || !gAgents[requestor].Has(0, 1) {
+		t.Fatal("the reply neither silenced the armed member nor recovered the requestor")
+	}
 }
 
 // sessionCohort is a group of receivers under one router, every member
