@@ -192,3 +192,106 @@ func TestReleaseRefillAllocationFree(t *testing.T) {
 		t.Fatalf("release→refill cycle allocates %.1f objects, want 0", avg)
 	}
 }
+
+// TestRowsMatchMapModel drives a three-column Rows through seeded random
+// Ensure/ClearColumn/ReleaseThrough/OpenAt sequences and checks every
+// observable against a map keyed by (seq, col) plus the watermark:
+// writes below the base never become visible, the scratch cell is
+// zeroed per use, Row is nil outside the retained rows and aliases At
+// inside them, and a cleared column reads zero in every retained row.
+func TestRowsMatchMapModel(t *testing.T) {
+	const width = 3
+	type key struct{ seq, col int }
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		r := MakeRows[int](width)
+		base, top := 0, 0
+		cells := map[key]int{}
+		check := func(op string) {
+			t.Helper()
+			if r.Base() != base {
+				t.Fatalf("seed %d after %s: Base %d, want %d", seed, op, r.Base(), base)
+			}
+			for seq := base - 2; seq < top+3; seq++ {
+				row := r.Row(seq)
+				if (row != nil) != (seq >= base && seq < top) {
+					t.Fatalf("seed %d after %s: Row(%d) = %v with rows [%d, %d)", seed, op, seq, row, base, top)
+				}
+				for col := 0; col < width; col++ {
+					want := 0
+					if seq >= base {
+						want = cells[key{seq, col}]
+					}
+					if got := r.At(seq, col); got != want {
+						t.Fatalf("seed %d after %s: At(%d, %d) = %d, want %d", seed, op, seq, col, got, want)
+					}
+					if row != nil && row[col] != want {
+						t.Fatalf("seed %d after %s: Row(%d)[%d] = %d, want %d", seed, op, seq, col, row[col], want)
+					}
+				}
+			}
+		}
+		for step := 0; step < 400; step++ {
+			seq, col := base-3+rng.Intn(12), rng.Intn(width)
+			switch x := rng.Intn(10); {
+			case x < 5:
+				c := r.Ensure(seq, col)
+				if seq < base && *c != 0 {
+					t.Fatalf("seed %d: scratch cell for released seq %d not zeroed: %d", seed, seq, *c)
+				}
+				*c = step + 1
+				if seq >= base {
+					cells[key{seq, col}] = step + 1
+					top = max(top, seq+1)
+				}
+				check("Ensure")
+			case x < 6:
+				r.ClearColumn(col)
+				for k := range cells {
+					if k.col == col {
+						delete(cells, k)
+					}
+				}
+				check("ClearColumn")
+			case x < 9:
+				n := seq + 2
+				r.ReleaseThrough(n)
+				if n > base {
+					for k := range cells {
+						if k.seq < n {
+							delete(cells, k)
+						}
+					}
+					base, top = n, max(top, n)
+				}
+				check("ReleaseThrough")
+			default:
+				floor := rng.Intn(30)
+				r.OpenAt(floor)
+				base, top, cells = floor, floor, map[key]int{}
+				check("OpenAt")
+			}
+		}
+	}
+}
+
+// TestRowsReleaseRefillAllocationFree: once the window has reached its
+// peak in-flight size, sliding it allocates nothing.
+func TestRowsReleaseRefillAllocationFree(t *testing.T) {
+	r := MakeRows[uint64](64)
+	next := 0
+	cycle := func() {
+		for i := 0; i < 32; i++ {
+			for col := 0; col < 64; col++ {
+				*r.Ensure(next, col) = uint64(next)
+			}
+			next++
+		}
+		r.ReleaseThrough(next - 4)
+	}
+	cycle()
+	cycle()
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Fatalf("release→refill cycle allocates %.1f objects, want 0", avg)
+	}
+}
