@@ -165,9 +165,11 @@ func runPrivateTables(t *testing.T, tr *trace.Trace, proto Protocol, seed int64)
 // every delivery going to the agent's Deliver. The group must serve
 // inline exactly the reply deliveries that assembly's witnesses found
 // with nothing to change but the abstinence word: the inline-reply
-// column of the cost ledger. It covers every catalog trace at scale
-// 0.01, trace 1 at 0.1, and a generated 64-receiver tree whose hop
-// cohorts are wide, under SRM and CESRM.
+// column of the cost ledger. Both hold with release on too, where the
+// group scans and releases its reply plane row-wise while the plane
+// slides under the reply cohorts it serves. It covers every catalog
+// trace at scale 0.01, trace 1 at 0.1, and a generated 64-receiver tree
+// whose hop cohorts are wide, under SRM and CESRM.
 func TestGroupTwinAssembly(t *testing.T) {
 	var traces []*trace.Trace
 	for _, e := range trace.Catalog {
@@ -196,19 +198,24 @@ func TestGroupTwinAssembly(t *testing.T) {
 	for _, tr := range traces {
 		for _, proto := range []Protocol{SRM, CESRM} {
 			want, absorbed := runPrivateTables(t, tr, proto, 5)
-			res, err := Run(RunConfig{Trace: tr, Protocol: proto, Seed: 5})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Fingerprint != want {
-				t.Errorf("%s/%v: grouped fingerprint %s, per-host assembly %s", tr.Name, proto, res.Fingerprint, want)
-			}
-			if res.Inline == 0 {
-				t.Errorf("%s/%v: the group served no session delivery itself", tr.Name, proto)
-			}
-			if res.InlineReply != absorbed || absorbed == 0 {
-				t.Errorf("%s/%v: the group served %d reply deliveries itself, the per-host witnesses found %d with only the abstinence to change",
-					tr.Name, proto, res.InlineReply, absorbed)
+			for _, release := range []bool{false, true} {
+				res, err := Run(RunConfig{Trace: tr, Protocol: proto, Seed: 5, ReleaseRecovered: release})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Fingerprint != want {
+					t.Errorf("%s/%v release=%v: grouped fingerprint %s, per-host assembly %s", tr.Name, proto, release, res.Fingerprint, want)
+				}
+				if res.Inline == 0 {
+					t.Errorf("%s/%v release=%v: the group served no session delivery itself", tr.Name, proto, release)
+				}
+				if res.InlineReply != absorbed || absorbed == 0 {
+					t.Errorf("%s/%v release=%v: the group served %d reply deliveries itself, the per-host witnesses found %d with only the abstinence to change",
+						tr.Name, proto, release, res.InlineReply, absorbed)
+				}
+				if release && res.WatermarkCells == 0 {
+					t.Errorf("%s/%v: release on, but the release scan read no word", tr.Name, proto)
+				}
 			}
 		}
 	}

@@ -59,6 +59,68 @@ func TestStalledWatermarkScanIsBounded(t *testing.T) {
 	}
 }
 
+// TestGroupReleaseScanMatchesHostScan: at every monitor tick the
+// group's row-wise release scan (srm.Group.ReleasableBelow) must find
+// the watermark the per-host scans find, the minimum over present
+// members of each one's own scan. It covers the 14 catalog traces at
+// scale 0.01 under SRM and CESRM, and three chaos specs on a small
+// tree: a late joiner, members leaving and rejoining, and a crash. The
+// crash is fail-stop: a restart turns release off (RunConfig.
+// ReleaseRecovered), so no tick would scan.
+func TestGroupReleaseScanMatchesHostScan(t *testing.T) {
+	var ticks, moved int
+	var mismatch string
+	watermarkCheck = func(grouped, perHost int) {
+		ticks++
+		if grouped > 0 {
+			moved++
+		}
+		if grouped != perHost && mismatch == "" {
+			mismatch = fmt.Sprintf("tick %d: row-wise watermark %d, per-host %d", ticks, grouped, perHost)
+		}
+	}
+	defer func() { watermarkCheck = nil }()
+	check := func(name string, cfg RunConfig) {
+		t.Helper()
+		ticks, moved, mismatch = 0, 0, ""
+		cfg.ReleaseRecovered = true
+		if _, err := Run(cfg); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if mismatch != "" {
+			t.Fatalf("%s: %s", name, mismatch)
+		}
+		if moved == 0 {
+			t.Fatalf("%s: %d ticks, none with a watermark above 0", name, ticks)
+		}
+	}
+	for _, e := range trace.Catalog {
+		tr, err := e.Load(0.01)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []Protocol{SRM, CESRM} {
+			check(fmt.Sprintf("%s/%v", tr.Name, p), RunConfig{Trace: tr, Protocol: p, Seed: 1})
+		}
+	}
+	tr := smallTrace(t, 31)
+	recs := tr.Tree.Receivers()
+	a, b := recs[0], recs[len(recs)/2]
+	for _, text := range []string{
+		fmt.Sprintf("join@70s:host=%d", b),
+		fmt.Sprintf("leave@30s:host=%d;leave@50s:host=%d;join@80s:host=%d;join@110s:host=%d", a, b, a, b),
+		fmt.Sprintf("crash@60s:host=%d", b),
+	} {
+		spec, err := chaos.ParseSpec(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []Protocol{SRM, CESRM} {
+			check(fmt.Sprintf("%s/%v", text, p), RunConfig{Trace: tr, Protocol: p, Seed: 17, Chaos: spec})
+		}
+	}
+}
+
 // TestFloorBelowReleaseFailsTheRun exercises validator invariant 10 on
 // an input that really breaks the drain-lag argument: a duplicate storm
 // whose copies trail the originals by ten seconds, five times the

@@ -139,8 +139,9 @@ func (tw *twinNet) state() string {
 
 // writeAgentState renders one agent's state of source 0's stream for a
 // twin comparison: distance words, held window, cursor, outstanding
-// losses, reject and distance-miss counts, and every reply cell that
-// holds an abstinence deadline or a scheduled reply.
+// losses, reject and distance-miss counts, and every packet whose reply
+// word, read through the plane, holds a horizon or a flag, or whose
+// cell holds a scheduled reply.
 func writeAgentState(b *strings.Builder, a *Agent) {
 	fmt.Fprintf(b, "host %d dist", a.id)
 	for n := 0; n < a.nodes; n++ {
@@ -154,21 +155,43 @@ func writeAgentState(b *strings.Builder, a *Agent) {
 	fmt.Fprintf(b, " held [%d,%d) %v classified %d outstanding %d rejects %d/%d misses %d replies",
 		base, held, open, a.ClassifiedThrough(0), a.Outstanding(), a.SessionRejects(), a.SeqRejects(), a.MissingDistanceLookups())
 	if st := a.peek(0); st != nil {
-		for i, c := range st.replies.Cells() {
-			if c.pendingUntil != 0 || c.rec != nil {
-				fmt.Fprintf(b, " %d:%d/%v", st.replies.Base()+i, c.pendingUntil, c.rec != nil)
+		for seq := st.received.Base(); seq <= st.Highest(); seq++ {
+			if w, c := st.wordAt(seq), st.replies.At(seq); w != 0 || c.rec != nil {
+				fmt.Fprintf(b, " %d:%d/%v/%v/%v", seq, w.horizon(), w&lost != 0, w&scheduled != 0, c.rec != nil)
 			}
 		}
 	}
 	b.WriteString("\n")
 }
 
+// flagsMirrorWindows checks every agent's reply words of source 0's
+// stream against its windows: lost exactly where a loss record is,
+// scheduled exactly where the reply cell holds a record.
+func (tw *twinNet) flagsMirrorWindows() error {
+	for _, id := range tw.hosts {
+		st := tw.agents[id].peek(0)
+		if st == nil {
+			continue
+		}
+		for seq := st.received.Base(); seq <= st.Highest(); seq++ {
+			w := st.wordAt(seq)
+			if w&lost != 0 != (st.losses.At(seq) != nil) || w&scheduled != 0 != (st.replies.At(seq).rec != nil) {
+				return fmt.Errorf("host %d packet %d: lost %v scheduled %v, loss record %v reply record %v",
+					id, seq, w&lost != 0, w&scheduled != 0, st.losses.At(seq) != nil, st.replies.At(seq).rec != nil)
+			}
+		}
+	}
+	return nil
+}
+
 // TestGroupMembershipTwinNetwork runs scripted membership transitions on
 // a network whose session cohorts go to the group and on one without a
 // group, and requires the two to agree at every 25 ms checkpoint and at
-// the end. A slot must close when its member goes silent and stay closed
-// across Join and Restart until a new stream opens it: a stale advert
-// after the transition must not be served from the old stream's head.
+// the end, reply words read through the plane included, and the words'
+// flags to mirror each side's windows. A slot must close when its
+// member goes silent and stay closed across Join and Restart until a
+// new stream opens it: a stale advert after the transition must not be
+// served from the old stream's head.
 func TestGroupMembershipTwinNetwork(t *testing.T) {
 	const x, late = 7, 3
 	for _, c := range []struct {
@@ -223,6 +246,11 @@ func TestGroupMembershipTwinNetwork(t *testing.T) {
 				plain.eng.RunUntil(at)
 				if g, p := grouped.state(), plain.state(); g != p {
 					t.Fatalf("at %v the grouped network diverged:\n%s", time.Duration(at), firstDiff(g, p))
+				}
+				for _, tw := range []*twinNet{grouped, plain} {
+					if err := tw.flagsMirrorWindows(); err != nil {
+						t.Fatalf("at %v, grouped=%v: %v", time.Duration(at), tw.group != nil, err)
+					}
 				}
 			}
 			for _, tw := range []*twinNet{grouped, plain} {
@@ -363,10 +391,10 @@ func TestGroupReplyCohort(t *testing.T) {
 	}
 }
 
-// sessionCohort is a group of receivers under one router, every member
-// holding a stream of the source's packet 0, and a session message from
-// member 1 advertising it: a cohort of no-op deliveries.
-type sessionCohort struct {
+// memberCohort is a group of receivers under one router, every member
+// holding a stream of the source's packet 0, and a packet to all but
+// members 0 and 1 whose deliveries the group can serve itself.
+type memberCohort struct {
 	group *Group
 	hosts []int32
 	per   []netsim.Host
@@ -374,14 +402,16 @@ type sessionCohort struct {
 	now   sim.Time
 }
 
-func newSessionCohort(tb testing.TB, receivers int) *sessionCohort {
+// newSessionCohort's packet is a session message from member 1
+// advertising packet 0: a cohort of no-op deliveries.
+func newSessionCohort(tb testing.TB, receivers int) *memberCohort {
 	tb.Helper()
 	parents := make([]topology.NodeID, receivers+1)
 	parents[0] = topology.None
 	tree := topology.MustNew(parents)
 	eng := sim.NewEngine()
 	net := netsim.MustNew(eng, tree, netsim.DefaultConfig())
-	c := &sessionCohort{group: NewGroup(tree.NumNodes(), tree.NumNodes())}
+	c := &memberCohort{group: NewGroup(tree.NumNodes(), tree.NumNodes())}
 	agents := make([]*Agent, tree.NumNodes())
 	rng := sim.NewRNG(1)
 	for id := range agents {
@@ -411,32 +441,98 @@ func newSessionCohort(tb testing.TB, receivers int) *sessionCohort {
 	return c
 }
 
+// newReplyCohort's packet is a duplicate repair of packet 0 answering
+// member 1's request, every other member holding an estimate to it: a
+// cohort of deliveries that only push the abstinence horizon.
+func newReplyCohort(tb testing.TB, receivers int) *memberCohort {
+	tb.Helper()
+	c := newSessionCohort(tb, receivers)
+	for _, h := range c.per {
+		h.(*Agent).SetDistance(1, 40*time.Millisecond)
+	}
+	c.pkt = &netsim.Packet{From: 0, Mode: netsim.ModeMulticast, Class: netsim.Payload, Cohort: true,
+		Msg: &ReplyMsg{Source: 0, Seq: 0, Replier: 0, Requestor: 1, ReqDistToSource: 20 * time.Millisecond}}
+	return c
+}
+
 // TestDeliverCohortAllocatesNothing pins the steady state: a cohort of
-// no-op session deliveries is served without an allocation, and entirely
-// inline.
+// no-op session deliveries, and one of duplicate repairs, is served
+// without an allocation, and entirely inline.
 func TestDeliverCohortAllocatesNothing(t *testing.T) {
-	c := newSessionCohort(t, 64)
-	before := c.group.Inline()
-	if allocs := testing.AllocsPerRun(100, func() {
-		if !c.group.DeliverCohort(c.now, c.pkt, c.hosts) {
-			t.Fatal("the group refused a session cohort of members")
+	for _, kind := range []string{"session", "reply"} {
+		c, served := newSessionCohort(t, 64), (*Group).Inline
+		if kind == "reply" {
+			c, served = newReplyCohort(t, 64), (*Group).InlineReply
 		}
-	}); allocs != 0 {
-		t.Fatalf("DeliverCohort allocated %.1f times per cohort", allocs)
+		before := served(c.group)
+		if allocs := testing.AllocsPerRun(100, func() {
+			if !c.group.DeliverCohort(c.now, c.pkt, c.hosts) {
+				t.Fatalf("the group refused a %s cohort of members", kind)
+			}
+		}); allocs != 0 {
+			t.Fatalf("DeliverCohort allocated %.1f times per %s cohort", allocs, kind)
+		}
+		if got, want := served(c.group)-before, uint64(101*len(c.hosts)); got != want {
+			t.Fatalf("%d of %d %s deliveries served inline", got, want, kind)
+		}
+		if got := c.group.dist[1*c.group.members+2]; got != 40*time.Millisecond {
+			t.Fatalf("host 2's distance word to host 1 reads %v, want 40ms", got)
+		}
 	}
-	if got, want := c.group.Inline()-before, uint64(101*len(c.hosts)); got != want {
-		t.Fatalf("%d of %d deliveries served inline", got, want)
+	c := newReplyCohort(t, 64)
+	c.group.DeliverCohort(c.now, c.pkt, c.hosts)
+	if h, want := c.per[0].(*Agent).peek(0).wordAt(0).horizon(), c.now.Add(sim.Scale(40*time.Millisecond, DefaultParams().D3)); h != want {
+		t.Fatalf("host 2's horizon for packet 0 reads %v, want %v", h, want)
 	}
-	if got := c.group.dist[1*c.group.members+2]; got != 40*time.Millisecond {
-		t.Fatalf("host 2's distance word to host 1 reads %v, want 40ms", got)
+}
+
+// TestGroupReleaseScanRescansBlockedRows: the group's release scan
+// resumes where its last scan stopped, so every write that can block a
+// row it already passed must send it back: a duplicate the group
+// serves, one a member's Deliver handles, a request that arms a reply
+// timer, and an expedited reply sent. Each must block packet 0 again.
+func TestGroupReleaseScanRescansBlockedRows(t *testing.T) {
+	for _, via := range []string{"group", "deliver", "request", "expedited"} {
+		c := newReplyCohort(t, 8)
+		scan := func() int {
+			n, _ := c.group.ReleasableBelow(c.now, 0, 1)
+			return n
+		}
+		if n := scan(); n != 1 {
+			t.Fatalf("%s: packet 0 is held by all and nothing is pending, but the scan stops at %d", via, n)
+		}
+		a := c.per[0].(*Agent)
+		request := &RequestMsg{Source: 0, Seq: 0, Requestor: 1, ReqDistToSource: 20 * time.Millisecond, TurningPoint: topology.None}
+		switch via {
+		case "group":
+			c.group.DeliverCohort(c.now, c.pkt, c.hosts)
+		case "deliver":
+			a.Deliver(c.now, c.pkt)
+		case "request":
+			a.Deliver(c.now, &netsim.Packet{Class: netsim.Control, Msg: request})
+		case "expedited":
+			request.Expedited = true
+			if !a.SendExpeditedReply(c.now, request, false) {
+				t.Fatal("a holder sent no expedited reply")
+			}
+		}
+		if n := scan(); n != 0 {
+			t.Fatalf("%s: packet 0 is blocked again, but the scan stops at %d", via, n)
+		}
 	}
 }
 
 // BenchmarkSessionCohort: one session message's no-op deliveries to the
 // other 1,023 receivers of a 1,024-member group, served by the group
 // and by each member's Deliver.
-func BenchmarkSessionCohort(b *testing.B) {
-	c := newSessionCohort(b, 1024)
+func BenchmarkSessionCohort(b *testing.B) { benchmarkCohort(b, newSessionCohort(b, 1024)) }
+
+// BenchmarkReplyCohort: one repair's duplicate deliveries to the other
+// 1,023 receivers of a 1,024-member group, served by the group from
+// the reply plane and by each member's Deliver.
+func BenchmarkReplyCohort(b *testing.B) { benchmarkCohort(b, newReplyCohort(b, 1024)) }
+
+func benchmarkCohort(b *testing.B, c *memberCohort) {
 	b.Run("group", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			c.group.DeliverCohort(c.now, c.pkt, c.hosts)

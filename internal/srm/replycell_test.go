@@ -8,11 +8,15 @@ import (
 	"cesrm/internal/sim"
 )
 
-// TestReplyCellSize pins the layout the reply flood depends on: the
-// abstinence deadline and the record pointer, four cells a cache line.
+// TestReplyCellSize pins the layout the reply flood depends on: a cell
+// is the record pointer alone, the abstinence horizon living in the
+// reply word, one 8-byte word a member.
 func TestReplyCellSize(t *testing.T) {
-	if got := unsafe.Sizeof(replyCell{}); got != 16 {
-		t.Fatalf("replyCell is %d bytes, want 16", got)
+	if got := unsafe.Sizeof(replyCell{}); got != 8 {
+		t.Fatalf("replyCell is %d bytes, want 8", got)
+	}
+	if got := unsafe.Sizeof(replyWord(0)); got != 8 {
+		t.Fatalf("replyWord is %d bytes, want 8", got)
 	}
 }
 
@@ -68,7 +72,11 @@ func TestReplyCellRecordLifetime(t *testing.T) {
 
 		// Past the abstinence a second request arms a reply again, and this
 		// time nothing pre-empts it.
-		f.eng.RunUntil(c.pendingUntil)
+		// The word is scheduled exactly while the cell keeps a record.
+		if got := st.wordAt(seq)&scheduled != 0; got != (c.rec != nil) {
+			t.Fatalf("adaptive=%v: scheduled %v with record %p in the cell", adaptive, got, c.rec)
+		}
+		f.eng.RunUntil(st.wordAt(seq).horizon())
 		a.Deliver(f.eng.Now(), request)
 		second := st.replies.At(seq).rec
 		if second == nil || !second.timer.Active() {
@@ -88,7 +96,7 @@ func TestReplyCellRecordLifetime(t *testing.T) {
 			t.Fatalf("adaptive=%v: %d replies sent, want 1", adaptive, len(f.log.replies))
 		}
 		c = st.replies.At(seq)
-		if !f.eng.Now().Before(c.pendingUntil) {
+		if !f.eng.Now().Before(st.wordAt(seq).horizon()) {
 			t.Fatalf("adaptive=%v: sending the reply started no abstinence", adaptive)
 		}
 		if !adaptive && c.rec != nil {

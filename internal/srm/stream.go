@@ -25,22 +25,24 @@ type Stream[L, R any] struct {
 	// session flood reads it without touching the stream.
 	head *streamHead
 	own  streamHead
-	// floor is where the stream last opened (OpenAt): the host never held
-	// a packet below it, though received reads every one of them as held.
-	floor int
 }
 
 // streamHead is the scalar state of one member's stream of one source.
+// Its sequence numbers are int32, which MaxSeq bounds (LMS streams are
+// trace-bounded), so a group's row of heads packs tighter.
 type streamHead struct {
 	// cursor: every sequence number below it has been classified as
 	// received or detected lost.
-	cursor int
+	cursor int32
 	// highestKnown is the highest sequence number known to exist in
 	// this stream, -1 initially.
-	highestKnown int
+	highestKnown int32
 	// advertPending is the highest sequence number for which a deferred
 	// advert-triggered detection pass has been armed.
-	advertPending int
+	advertPending int32
+	// floor is where the stream last opened (OpenAt): the host never held
+	// a packet below it, though received reads every one of them as held.
+	floor int32
 	// live is the member's live stream of the source while the head is
 	// a group slot, nil once the slot closes; unused in a stream's own
 	// head.
@@ -51,7 +53,7 @@ type streamHead struct {
 // head: Advert would neither raise highestKnown nor arm a pass. It is the
 // one rule both Advert and a group serving a session inline apply.
 func (h *streamHead) quiet(highest int, own bool) bool {
-	return highest <= h.highestKnown && (own || highest < h.cursor || highest <= h.advertPending)
+	return highest <= int(h.highestKnown) && (own || highest < int(h.cursor) || highest <= int(h.advertPending))
 }
 
 // Detector is a Stream's owner as classification calls it back.
@@ -76,19 +78,19 @@ func (s *Stream[L, R]) Losses() *seqwin.Window[L] { return &s.losses }
 func (s *Stream[L, R]) Replies() *seqwin.Window[R] { return &s.replies }
 
 // Floor returns the reliability floor the stream opened at.
-func (s *Stream[L, R]) Floor() int { return s.floor }
+func (s *Stream[L, R]) Floor() int { return int(s.head.floor) }
 
 // Holds reports whether the host holds packet seq: received it, at or
 // above the floor. Below the floor received reads every packet as held,
 // so released and never held look alike there; Holds is the one rule
 // every repair path asks, because only a holder repairs.
-func (s *Stream[L, R]) Holds(seq int) bool { return seq >= s.floor && s.received.Has(seq) }
+func (s *Stream[L, R]) Holds(seq int) bool { return seq >= int(s.head.floor) && s.received.Has(seq) }
 
 // Cursor returns the first unclassified sequence number.
-func (s *Stream[L, R]) Cursor() int { return s.head.cursor }
+func (s *Stream[L, R]) Cursor() int { return int(s.head.cursor) }
 
 // Highest returns the highest sequence number known to exist, -1 if none.
-func (s *Stream[L, R]) Highest() int { return s.head.highestKnown }
+func (s *Stream[L, R]) Highest() int { return int(s.head.highestKnown) }
 
 // OpenAt empties the stream and rebases it at floor: everything below it
 // reads as received, though never held (Holds), and loss detection
@@ -99,12 +101,12 @@ func (s *Stream[L, R]) OpenAt(floor int) {
 	if s.head == nil {
 		s.head = &s.own
 	}
-	s.floor = floor
 	s.received.OpenAt(floor)
 	s.losses.OpenAt(floor)
 	s.replies.OpenAt(floor)
 	h := s.head
-	h.cursor = floor
+	h.floor = int32(floor)
+	h.cursor = int32(floor)
 	h.highestKnown = -1
 	h.advertPending = -1
 }
@@ -113,13 +115,13 @@ func (s *Stream[L, R]) OpenAt(floor int) {
 func (s *Stream[L, R]) Transmit(seq int) {
 	s.received.Mark(seq)
 	s.NoteExists(seq)
-	s.head.cursor = seq + 1
+	s.head.cursor = int32(seq + 1)
 }
 
 // NoteExists records that seq is known to exist.
 func (s *Stream[L, R]) NoteExists(seq int) {
-	if h := s.head; seq > h.highestKnown {
-		h.highestKnown = seq
+	if h := s.head; seq > int(h.highestKnown) {
+		h.highestKnown = int32(seq)
 	}
 }
 
@@ -127,9 +129,9 @@ func (s *Stream[L, R]) NoteExists(seq int) {
 // and including x, handing each one not held to d as a loss.
 func (s *Stream[L, R]) ClassifyThrough(now sim.Time, x int, d Detector) {
 	h := s.head
-	for ; h.cursor <= x; h.cursor++ {
-		if !s.received.Has(h.cursor) {
-			d.DetectLoss(now, h.cursor)
+	for ; int(h.cursor) <= x; h.cursor++ {
+		if !s.received.Has(int(h.cursor)) {
+			d.DetectLoss(now, int(h.cursor))
 		}
 	}
 }
@@ -141,7 +143,7 @@ func (s *Stream[L, R]) ClassifyThrough(now sim.Time, x int, d Detector) {
 func (s *Stream[L, R]) Advert(highest int, own bool) bool {
 	s.NoteExists(highest)
 	if h := s.head; !h.quiet(highest, own) {
-		h.advertPending = highest
+		h.advertPending = int32(highest)
 		return true
 	}
 	return false

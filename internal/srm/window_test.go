@@ -28,7 +28,7 @@ func TestStreamStateWatermarkRelease(t *testing.T) {
 	}
 
 	// A packet inside its reply-abstinence period pins the watermark.
-	st.replies.Ensure(4).pendingUntil = sim.Time(100)
+	st.word(4).setHorizon(sim.Time(100))
 	if got := releasable(sim.Time(50)); got != 4 {
 		t.Fatalf("releasableThrough mid-abstinence = %d, want 4", got)
 	}
@@ -46,11 +46,11 @@ func TestStreamStateWatermarkRelease(t *testing.T) {
 	if !st.received.Has(3) {
 		t.Fatal("released seq 3 must report held")
 	}
-	if st.losses.At(3) != nil || st.replies.At(4) != (replyCell{}) {
-		t.Fatal("released seqs must have no loss record and a zero reply cell")
+	if st.losses.At(3) != nil || st.replies.At(4) != (replyCell{}) || st.wordAt(4) != 0 || st.ownPlane.Base() != 6 {
+		t.Fatal("released seqs must have no loss record, a zero reply cell and no reply word")
 	}
 	// A straggler touching a released coordinate mutates nothing live.
-	st.replies.Ensure(2).pendingUntil = sim.Time(999)
+	st.word(2).setHorizon(sim.Time(999))
 	if got := releasable(sim.Time(0)); got != 10 {
 		t.Fatalf("throwaway reply state leaked into the watermark: %d", got)
 	}
