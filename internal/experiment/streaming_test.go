@@ -70,19 +70,15 @@ func TestReleaseRecoveredIsFingerprintInert(t *testing.T) {
 				t.Fatalf("release changed the fingerprint:\n on  %s\n off %s", on.Fingerprint, off.Fingerprint)
 			}
 			// The trace has 2000 packets across 8 receivers plus the source;
-			// without release the collector's per-packet table grows one cell
+			// without release the validator's audit table grows one cell
 			// per (host, lost-or-recovered packet). With release the peak
 			// must be bounded by the recovery horizon, far below the total.
-			peak := on.Collector.PeakPacketCells()
-			total := off.Collector.PeakPacketCells()
+			peak, total := on.AuditCells, off.AuditCells
 			if peak == 0 {
 				t.Fatal("release-on run recorded no per-packet cells")
 			}
 			if peak >= total/2 {
 				t.Fatalf("release-on peak cells %d not meaningfully below release-off %d", peak, total)
-			}
-			if on.Collector.PacketCells() > peak {
-				t.Fatalf("live cells %d exceed recorded peak %d", on.Collector.PacketCells(), peak)
 			}
 		})
 	}
@@ -113,7 +109,7 @@ func TestCrashOnlyChaosReleaseInert(t *testing.T) {
 		t.Fatalf("release under crash-only chaos changed the fingerprint:\n on  %s\n off %s",
 			on.Fingerprint, off.Fingerprint)
 	}
-	peak, total := on.Collector.PeakPacketCells(), off.Collector.PeakPacketCells()
+	peak, total := on.AuditCells, off.AuditCells
 	if peak == 0 {
 		t.Fatal("release-on run recorded no per-packet cells")
 	}
@@ -133,9 +129,9 @@ func TestCrashOnlyChaosReleaseInert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if held.Collector.PeakPacketCells() != heldOff.Collector.PeakPacketCells() {
+	if held.AuditCells != heldOff.AuditCells {
 		t.Fatalf("restart spec must suppress release: peak %d (release on) vs %d (off)",
-			held.Collector.PeakPacketCells(), heldOff.Collector.PeakPacketCells())
+			held.AuditCells, heldOff.AuditCells)
 	}
 }
 
@@ -187,7 +183,7 @@ func TestMembershipChurnReleaseInert(t *testing.T) {
 				if strings.Contains(sc.text, "qcap") && on.QueueDrops == 0 {
 					t.Fatal("the queue cap never dropped a packet")
 				}
-				peak, total := on.Collector.PeakPacketCells(), off.Collector.PeakPacketCells()
+				peak, total := on.AuditCells, off.AuditCells
 				if peak == 0 || peak >= total/2 {
 					t.Fatalf("churn spec did not release: peak cells %d vs retained %d", peak, total)
 				}

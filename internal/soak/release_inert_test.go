@@ -77,7 +77,7 @@ func TestReleaseInertUnderChurn(t *testing.T) {
 			// Trace 4 at scale 0.01 is 176 packets, 14 s: the two-tick lag
 			// and one recovery are most of the stream, so there the
 			// peak is only required not to exceed the retained run's.
-			peak, total := on.Collector.PeakPacketCells(), off.Collector.PeakPacketCells()
+			peak, total := on.AuditCells, off.AuditCells
 			if peak > total || (tr.NumPackets() >= 350 && peak >= total/2) {
 				t.Fatalf("trial %v: did not release: peak cells %d vs retained %d over %d packets",
 					trial, peak, total, tr.NumPackets())
