@@ -110,6 +110,24 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
+// TestReportGolden diffs the plain report of WRN951216 at scale 0.01
+// under CESRM against its recording (CI diffs what the CLI prints too):
+// the one CLI output that prints the aggregates and percentiles of a
+// run that retains its recovery records.
+func TestReportGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "report-WRN951216-scale-0.01.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := run([]string{"-trace", "WRN951216", "-scale", "0.01"}, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("the report printed\n%s\nwant\n%s", got.String(), want)
+	}
+}
+
 // TestExplainGolden diffs one loss's causal chain, packet 322 at host 8
 // of WRN951216 at scale 0.01 under CESRM, against its recording (CI
 // diffs what the CLI prints too), and requires -explain to leave the
