@@ -48,7 +48,6 @@ type watermarkRelease struct {
 	// releases its reply plane row-wise, where LMS hosts scan their own
 	// state one by one.
 	group      *srm.Group
-	collector  *stats.Collector
 	validator  *stats.Validator
 	numPackets int
 
@@ -80,7 +79,6 @@ func (r *watermarkRelease) tick(now sim.Time) {
 			}
 		}
 		r.group.ReleaseThrough(r.source, n)
-		r.collector.ReleasePacketsThrough(r.source, n)
 		r.validator.ReleaseThrough(r.source, n)
 		r.released = n
 	}

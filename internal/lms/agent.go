@@ -52,11 +52,10 @@ const (
 
 // lossState tracks one outstanding loss on a requestor.
 type lossState struct {
-	detectedAt  sim.Time
-	recovered   bool
-	recoveredAt sim.Time
-	retries     int
-	timer       sim.Timer
+	detectedAt sim.Time
+	recovered  bool
+	retries    int
+	timer      sim.Timer
 }
 
 // pendingNAK is a NAK a replier could not serve yet (it shares the
@@ -319,16 +318,6 @@ func (a *Agent) MissingIn(source topology.NodeID, n int) int { return a.rx.Missi
 // ClassifiedThrough returns the first unclassified sequence number.
 func (a *Agent) ClassifiedThrough(source topology.NodeID) int { return a.rx.Cursor() }
 
-// RecoveryTime returns when packet seq was recovered, if this host
-// detected its loss and has since recovered it.
-func (a *Agent) RecoveryTime(seq int) (sim.Time, bool) {
-	ls := a.rx.Losses().At(seq)
-	if ls == nil || !ls.recovered {
-		return 0, false
-	}
-	return ls.recoveredAt, true
-}
-
 // Outstanding returns the number of unrecovered detected losses.
 func (a *Agent) Outstanding() int { return a.outstanding }
 
@@ -360,10 +349,10 @@ func (a *Agent) receivePacket(now sim.Time, seq int, requestor, replier topology
 	a.rx.Received().Mark(seq)
 	if ls := a.rx.Losses().At(seq); ls != nil && !ls.recovered {
 		ls.recovered = true
-		ls.recoveredAt = now
 		a.outstanding--
 		a.eng.Cancel(ls.timer)
 		a.obs.Recovered(a.id, a.source, seq, now, srm.RecoveryInfo{
+			DetectedAt:  ls.detectedAt,
 			Requestor:   requestor,
 			Replier:     replier,
 			OwnRequests: ls.retries + 1,

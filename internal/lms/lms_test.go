@@ -36,14 +36,16 @@ type obsLog struct {
 	detections int
 	recoveries []srm.RecoveryInfo
 	recHosts   []topology.NodeID
+	recAt      []sim.Time
 	naks       int
 	repairs    int
 }
 
 func (l *obsLog) LossDetected(_, _ topology.NodeID, _ int, _ sim.Time) { l.detections++ }
-func (l *obsLog) Recovered(h, _ topology.NodeID, _ int, _ sim.Time, info srm.RecoveryInfo) {
+func (l *obsLog) Recovered(h, _ topology.NodeID, _ int, at sim.Time, info srm.RecoveryInfo) {
 	l.recoveries = append(l.recoveries, info)
 	l.recHosts = append(l.recHosts, h)
+	l.recAt = append(l.recAt, at)
 }
 func (l *obsLog) RequestSent(_, _ topology.NodeID, _ int, _ int)      { l.naks++ }
 func (l *obsLog) ExpRequestSent(_, _ topology.NodeID, _ int)          {}
@@ -250,8 +252,7 @@ func TestLMSCrashStallsUntilRefresh(t *testing.T) {
 	var recAt sim.Time
 	for i, h := range b.log.recHosts {
 		if h == 4 {
-			_ = i
-			recAt, _ = b.agents[4].RecoveryTime(1)
+			recAt = b.log.recAt[i]
 		}
 	}
 	if recAt.Seconds() < 3.5 {

@@ -105,7 +105,7 @@ func (a *Agent) observeRequestRecovery(stream *streamState, ls *lossRecord) {
 	if !cfg.Enabled {
 		return
 	}
-	dups := float64(ls.info.OwnRequests + ls.foreignRequests)
+	dups := float64(ls.ownRequests + ls.foreignRequests)
 	if dups > 0 {
 		dups-- // duplicates are requests beyond the first
 	}

@@ -19,15 +19,16 @@ type lossRecord struct {
 	st  *streamState
 	seq int
 
-	detectedAt  sim.Time
-	recoveredAt sim.Time
-	recovered   bool
+	detectedAt sim.Time
+	recovered  bool
 	// abandoned marks a loss given up on after Params.MaxRequestRounds
 	// back-off rounds: no further request timers are armed and the loss
 	// no longer counts as outstanding. A straggling repair can still
 	// recover it.
 	abandoned bool
-	info      RecoveryInfo
+	// ownRequests and reschedules are RecoveryInfo's counters, kept
+	// until the recovery reports them.
+	ownRequests, reschedules int
 
 	// k is the back-off exponent for the next (re)schedule: the initial
 	// request is drawn from the base interval (factor 2^0), and every
@@ -937,7 +938,6 @@ func (a *Agent) receivePacket(now sim.Time, st *streamState, seq int, reply *Rep
 	st.received.Mark(seq)
 	if ls := st.losses.At(seq); ls != nil && !ls.recovered {
 		ls.recovered = true
-		ls.recoveredAt = now
 		if ls.abandoned {
 			// An abandoned loss already left the outstanding count; a
 			// straggling repair closes its reconciliation debt instead.
@@ -950,17 +950,17 @@ func (a *Agent) receivePacket(now sim.Time, st *streamState, seq int, reply *Rep
 			a.eng.Cancel(ls.expTimer) // the REORDER-DELAY guard (§3.2)
 		}
 		info := RecoveryInfo{
+			DetectedAt:  ls.detectedAt,
 			Requestor:   topology.None,
 			Replier:     topology.None,
-			OwnRequests: ls.info.OwnRequests,
-			Reschedules: ls.info.Reschedules,
+			OwnRequests: ls.ownRequests,
+			Reschedules: ls.reschedules,
 		}
 		if reply != nil {
 			info.Expedited = reply.Expedited
 			info.Requestor = reply.Requestor
 			info.Replier = reply.Replier
 		}
-		ls.info = info
 		a.obs.Recovered(a.id, st.source, seq, now, info)
 		a.observeRequestRecovery(st, ls)
 	}
@@ -1038,7 +1038,7 @@ func (a *Agent) requestTimerFired(now sim.Time, st *streamState, seq int) {
 		TurningPoint:    topology.None,
 	}))
 	a.obs.RequestSent(a.id, st.source, seq, ls.k-1)
-	ls.info.OwnRequests++
+	ls.ownRequests++
 	if ls.firstRequestAt == 0 {
 		ls.firstRequestAt = now
 	}
@@ -1114,7 +1114,7 @@ func (a *Agent) onRequest(now sim.Time, m *RequestMsg) {
 			return // same round; discard
 		}
 		a.rescheduleRequest(now, st, ls, m.Seq)
-		ls.info.Reschedules++
+		ls.reschedules++
 		return
 	}
 	if !st.Holds(m.Seq) {
@@ -1284,43 +1284,6 @@ func (a *Agent) SessionRejects() int { return a.sessionRejects }
 // number outside [0, MaxSeq]: data, requests and replies dropped whole,
 // session adverts skipped.
 func (a *Agent) SeqRejects() int { return a.seqRejects }
-
-// LossReport summarizes one loss for metrics extraction.
-type LossReport struct {
-	Source      topology.NodeID
-	Seq         int
-	DetectedAt  sim.Time
-	Recovered   bool
-	RecoveredAt sim.Time
-	Info        RecoveryInfo
-}
-
-// Losses returns reports for every loss this agent detected across all
-// streams, ordered by (source, seq). Records released mid-run (see
-// ReleaseThrough) are absent; metric paths that need them fold their
-// contribution online instead.
-func (a *Agent) Losses() []LossReport {
-	var out []LossReport
-	for src, st := range a.streams {
-		if st == nil {
-			continue
-		}
-		for idx, ls := range st.losses.Cells() {
-			if ls == nil {
-				continue
-			}
-			out = append(out, LossReport{
-				Source:      topology.NodeID(src),
-				Seq:         st.losses.Base() + idx,
-				DetectedAt:  ls.detectedAt,
-				Recovered:   ls.recovered,
-				RecoveredAt: ls.recoveredAt,
-				Info:        ls.info,
-			})
-		}
-	}
-	return out
-}
 
 // ---- CESRM extension surface (§3.2, §3.3) ----
 

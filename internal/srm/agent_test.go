@@ -34,7 +34,7 @@ func (l *eventLog) LossDetected(h, source topology.NodeID, seq int, at sim.Time)
 	l.detections = append(l.detections, event{host: h, source: source, seq: seq, at: at})
 }
 func (l *eventLog) Recovered(h, source topology.NodeID, seq int, at sim.Time, info RecoveryInfo) {
-	l.recoveries = append(l.recoveries, event{host: h, seq: seq, at: at, info: info})
+	l.recoveries = append(l.recoveries, event{host: h, source: source, seq: seq, at: at, info: info})
 }
 func (l *eventLog) RequestSent(h, source topology.NodeID, seq int, round int) {
 	l.requests = append(l.requests, event{host: h, seq: seq, round: round})
@@ -644,24 +644,40 @@ func TestDefaultDistanceFallback(t *testing.T) {
 	}
 }
 
+// TestLossesReport checks a loss's report is its Recovered event: it
+// names the packet, carries the instant LossDetected reported and the
+// recovering replier.
 func TestLossesReport(t *testing.T) {
 	f := newFixture(t, yTree(), detParams())
 	f.net.SetDropFunc(dropSeqOnLink(1, 2))
 	f.sendData(3, 100*time.Millisecond)
 	f.eng.Run()
 
-	reports := f.agents[2].Losses()
-	if len(reports) != 1 {
-		t.Fatalf("loss reports = %d, want 1", len(reports))
+	var dets, recs []event
+	for _, d := range f.log.detections {
+		if d.host == 2 {
+			dets = append(dets, d)
+		}
 	}
-	r := reports[0]
-	if r.Seq != 1 || r.Source != 0 || !r.Recovered {
-		t.Fatalf("report = %+v", r)
+	for _, r := range f.log.recoveries {
+		if r.host == 2 {
+			recs = append(recs, r)
+		}
 	}
-	if !r.RecoveredAt.After(r.DetectedAt) {
+	if len(dets) != 1 || len(recs) != 1 {
+		t.Fatalf("host 2 detected %d losses and recovered %d, want 1 each", len(dets), len(recs))
+	}
+	r := recs[0]
+	if r.seq != 1 || r.source != 0 {
+		t.Fatalf("recovery = %+v", r)
+	}
+	if r.info.DetectedAt != dets[0].at {
+		t.Fatalf("recovery reports detection at %v, LossDetected said %v", r.info.DetectedAt, dets[0].at)
+	}
+	if !r.at.After(r.info.DetectedAt) {
 		t.Fatal("recovery not after detection")
 	}
-	if r.Info.Replier == topology.None {
+	if r.info.Replier == topology.None {
 		t.Fatal("recovering replier not recorded")
 	}
 }

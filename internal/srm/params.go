@@ -111,6 +111,9 @@ func (p Params) Validate() error {
 
 // RecoveryInfo describes how one loss was recovered.
 type RecoveryInfo struct {
+	// DetectedAt is the instant the host detected the loss, so the event
+	// alone carries the recovery's latency.
+	DetectedAt sim.Time
 	// Expedited reports recovery by a CESRM expedited reply.
 	Expedited bool
 	// Requestor and Replier are the pair annotated on the recovering

@@ -58,21 +58,6 @@ func (t *seqTable[T]) ensure(host, source topology.NodeID, seq int) *T {
 	return t.hosts[host][len(t.hosts[host])-1].vals.Ensure(seq)
 }
 
-// forEach visits every live (unreleased) cell in deterministic order:
-// hosts in ascending NodeID order, a host's streams in first-stored
-// order, and sequence numbers ascending.
-func (t *seqTable[T]) forEach(fn func(host, source topology.NodeID, seq int, v *T)) {
-	for h := range t.hosts {
-		for i := range t.hosts[h] {
-			s := &t.hosts[h][i]
-			cells := s.vals.Cells()
-			for off := range cells {
-				fn(topology.NodeID(h), s.source, s.vals.Base()+off, &cells[off])
-			}
-		}
-	}
-}
-
 // releaseThrough discards, on every host, the cells of the given
 // source's stream with sequence numbers below n.
 func (t *seqTable[T]) releaseThrough(source topology.NodeID, n int) {

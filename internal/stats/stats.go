@@ -7,6 +7,8 @@
 package stats
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"time"
 
@@ -51,35 +53,30 @@ type HostCounts struct {
 }
 
 // Collector implements srm.Observer, accumulating events during a
-// simulation run. Construct with New; per-packet state lives in dense
-// NodeID- and seq-indexed tables (not maps), because the observer sits
-// on every detection, recovery and transmission of a run. Reserve
-// pre-sizes the per-host axes when the host count is known up front.
+// simulation run. Construct with New; per-host state lives in dense
+// NodeID-indexed tables (not maps), because the observer sits on every
+// detection, recovery and transmission of a run. Reserve pre-sizes them
+// when the host count is known up front. A recovery's facts, its
+// detection instant included, arrive whole in the Recovered event, so
+// the collector keeps no per-packet table.
 type Collector struct {
-	// packets marks per-(host, source, seq) detection instants and
-	// expedited-request flags.
-	packets    seqTable[packetMark]
 	recoveries []Recovery
 	counts     []HostCounts // NodeID-indexed transmission counters
 	lossCount  []int        // NodeID-indexed detected-loss counts
 	abandons   []int        // NodeID-indexed abandoned-loss counts
+	// expKeys holds one key per expedited request, duplicates included;
+	// ExpRequestedPackets sorts and compacts them.
+	expKeys []ExpRequestKey
 
 	// Streaming-aggregate mode (StreamAggregates): recoveries fold into
-	// the accumulators below as they complete instead of being retained,
-	// and the experiment layer releases per-packet cells behind the
-	// fully-recovered watermark. Folding happens in completion order —
-	// the exact order the retained-scan aggregations iterate — so the
-	// float64 sums, and therefore run fingerprints, are bit-identical
-	// between the two modes.
-	streaming  bool
-	rtt        RTTFunc
-	perHost    []latencyAccum // overall, NodeID-indexed
-	perHostExp []latencyAccum // expedited only
-	perHostStd []latencyAccum // non-expedited only
-	overall    latencyAccum
-	firstRound latencyAccum // non-expedited first-round, all hosts
-	expKeys    []ExpRequestKey
-	peakCells  int
+	// agg as they complete instead of being retained. A retained
+	// collector folds its records through the same aggregates.add at
+	// query time, in completion order, so the float64 sums, and
+	// therefore run fingerprints, are bit-identical between the two
+	// modes.
+	streaming bool
+	rtt       RTTFunc
+	agg       aggregates
 }
 
 // latencyAccum is one running normalized-latency aggregation.
@@ -97,13 +94,38 @@ func (a latencyAccum) summary() LatencySummary {
 	return LatencySummary{Count: a.n, MeanRTT: a.sum / float64(a.n)}
 }
 
-// packetMark is the Collector's per-packet cell: the detection instant
-// (valid when det is set) and whether an expedited request chased the
-// packet.
-type packetMark struct {
-	detAt  sim.Time
-	det    bool
-	expReq bool
+// aggregates are the normalized-latency folds every aggregate method
+// answers from: per host overall, expedited and non-expedited, plus
+// first-round non-expedited and overall across hosts.
+type aggregates struct {
+	perHost    []latencyAccum // overall, NodeID-indexed
+	perHostExp []latencyAccum // expedited only
+	perHostStd []latencyAccum // non-expedited only
+	overall    latencyAccum
+	firstRound latencyAccum // non-expedited first-round, all hosts
+}
+
+// add folds one recovery, normalized by its host's rtt basis; a host
+// without a positive basis contributes to no aggregate.
+func (g *aggregates) add(r Recovery, rtt RTTFunc) {
+	basis := rtt(r.Host)
+	if basis <= 0 {
+		return
+	}
+	x := float64(r.Latency()) / float64(basis)
+	g.perHost = grown(g.perHost, int(r.Host))
+	g.perHost[r.Host].add(x)
+	if r.Expedited {
+		g.perHostExp = grown(g.perHostExp, int(r.Host))
+		g.perHostExp[r.Host].add(x)
+	} else {
+		g.perHostStd = grown(g.perHostStd, int(r.Host))
+		g.perHostStd[r.Host].add(x)
+		if r.FirstRound() {
+			g.firstRound.add(x)
+		}
+	}
+	g.overall.add(x)
 }
 
 // New returns an empty collector.
@@ -112,7 +134,6 @@ func New() *Collector { return &Collector{} }
 // Reserve pre-sizes the per-host tables for node IDs 0..n-1, avoiding
 // growth re-slicing during the run.
 func (c *Collector) Reserve(n int) {
-	c.packets.reserve(n)
 	if n > len(c.counts) {
 		counts := make([]HostCounts, n)
 		copy(counts, c.counts)
@@ -129,13 +150,11 @@ var _ srm.Observer = (*Collector)(nil)
 
 // StreamAggregates switches the collector to streaming-aggregate mode:
 // each completed recovery folds into online accumulators (normalized
-// with rtt) instead of being retained as a Recovery record, and
-// per-packet cells become releasable behind the experiment layer's
-// fully-recovered watermark (ReleasePacketsThrough). The aggregate
-// methods then answer from the accumulators — their RTTFunc argument is
-// ignored, rtt installed here applies — while Recoveries and
-// NormalizedPercentile, which need the retained records, report empty.
-// Call before the run starts.
+// with rtt) instead of being retained as a Recovery record. The
+// aggregate methods then answer from the accumulators — their RTTFunc
+// argument is ignored, rtt installed here applies — while Recoveries
+// and NormalizedPercentile, which need the retained records, report
+// empty. Call before the run starts.
 func (c *Collector) StreamAggregates(rtt RTTFunc) {
 	c.streaming = true
 	c.rtt = rtt
@@ -173,24 +192,17 @@ func (c *Collector) host(h topology.NodeID) *HostCounts {
 
 // LossDetected implements srm.Observer.
 func (c *Collector) LossDetected(host, source topology.NodeID, seq int, at sim.Time) {
-	p := c.packets.ensure(host, source, seq)
-	p.detAt = at
-	p.det = true
 	c.lossCount = grown(c.lossCount, int(host))
 	c.lossCount[host]++
 }
 
 // Recovered implements srm.Observer.
 func (c *Collector) Recovered(host, source topology.NodeID, seq int, at sim.Time, info srm.RecoveryInfo) {
-	var det sim.Time
-	if p := c.packets.get(host, source, seq); p != nil && p.det {
-		det = p.detAt
-	}
 	r := Recovery{
 		Host:        host,
 		Source:      source,
 		Seq:         seq,
-		DetectedAt:  det,
+		DetectedAt:  info.DetectedAt,
 		RecoveredAt: at,
 		Expedited:   info.Expedited,
 		OwnRequests: info.OwnRequests,
@@ -198,56 +210,16 @@ func (c *Collector) Recovered(host, source topology.NodeID, seq int, at sim.Time
 		Requestor:   info.Requestor,
 		Replier:     info.Replier,
 	}
-	if !c.streaming {
-		c.recoveries = append(c.recoveries, r)
+	if c.streaming {
+		c.agg.add(r, c.rtt)
 		return
 	}
-	basis := c.rtt(host)
-	if basis <= 0 {
-		return // the retained-scan aggregations skip these too
-	}
-	x := float64(r.Latency()) / float64(basis)
-	c.perHost = grown(c.perHost, int(host))
-	c.perHost[host].add(x)
-	if r.Expedited {
-		c.perHostExp = grown(c.perHostExp, int(host))
-		c.perHostExp[host].add(x)
-	} else {
-		c.perHostStd = grown(c.perHostStd, int(host))
-		c.perHostStd[host].add(x)
-		if r.FirstRound() {
-			c.firstRound.add(x)
-		}
-	}
-	c.overall.add(x)
+	c.recoveries = append(c.recoveries, r)
 }
 
-// ReleasePacketsThrough discards the per-packet cells of the given
-// source's stream below sequence number n, on every host. The
-// experiment layer calls it once the fully-recovered watermark proves
-// no further event can reference those packets. Only meaningful in
-// streaming-aggregate mode; a retained-mode collector keeps everything.
-func (c *Collector) ReleasePacketsThrough(source topology.NodeID, n int) {
-	if !c.streaming {
-		return
-	}
-	if cells := c.packets.liveCells(); cells > c.peakCells {
-		c.peakCells = cells
-	}
-	c.packets.releaseThrough(source, n)
-}
-
-// PacketCells counts the per-packet cells currently held.
-func (c *Collector) PacketCells() int { return c.packets.liveCells() }
-
-// PeakPacketCells returns the largest cell count observed at a release
-// point, a mid-run memory high-water mark for the watermark tests.
-func (c *Collector) PeakPacketCells() int {
-	if cells := c.packets.liveCells(); cells > c.peakCells {
-		c.peakCells = cells
-	}
-	return c.peakCells
-}
+// ReleasePacketsThrough does nothing: the collector keeps no per-packet
+// state to release. It remains because the benchmark still calls it.
+func (c *Collector) ReleasePacketsThrough(source topology.NodeID, n int) {}
 
 // RequestSent implements srm.Observer.
 func (c *Collector) RequestSent(host, source topology.NodeID, seq int, round int) {
@@ -257,16 +229,7 @@ func (c *Collector) RequestSent(host, source topology.NodeID, seq int, round int
 // ExpRequestSent implements srm.Observer.
 func (c *Collector) ExpRequestSent(host, source topology.NodeID, seq int) {
 	c.host(host).ExpRequests++
-	p := c.packets.ensure(host, source, seq)
-	if !p.expReq && c.streaming {
-		// Record the distinct key online: the cell may be released before
-		// the end-of-run ExpRequestedPackets walk. The expReq flag
-		// deduplicates repeats while the cell is live; after release no
-		// expedited request for the packet can occur (it was recovered
-		// everywhere long before).
-		c.expKeys = append(c.expKeys, ExpRequestKey{Host: host, Source: source, Seq: seq})
-	}
-	p.expReq = true
+	c.expKeys = append(c.expKeys, ExpRequestKey{Host: host, Source: source, Seq: seq})
 }
 
 // ReplySent implements srm.Observer.
@@ -367,27 +330,11 @@ type ExpRequestKey struct {
 // trace to count spurious expedited requests — requests chasing packets
 // that were merely reordered, not lost (§3.2).
 func (c *Collector) ExpRequestedPackets() []ExpRequestKey {
-	if c.streaming {
-		out := append([]ExpRequestKey(nil), c.expKeys...)
-		sort.Slice(out, func(i, j int) bool {
-			a, b := out[i], out[j]
-			if a.Host != b.Host {
-				return a.Host < b.Host
-			}
-			if a.Source != b.Source {
-				return a.Source < b.Source
-			}
-			return a.Seq < b.Seq
-		})
-		return out
-	}
-	var out []ExpRequestKey
-	c.packets.forEach(func(host, source topology.NodeID, seq int, p *packetMark) {
-		if p.expReq {
-			out = append(out, ExpRequestKey{Host: host, Source: source, Seq: seq})
-		}
+	out := slices.Clone(c.expKeys)
+	slices.SortFunc(out, func(a, b ExpRequestKey) int {
+		return cmp.Or(cmp.Compare(a.Host, b.Host), cmp.Compare(a.Source, b.Source), cmp.Compare(a.Seq, b.Seq))
 	})
-	return out
+	return slices.Compact(out)
 }
 
 // RTTFunc supplies a host's round-trip-time normalization basis,
@@ -402,25 +349,17 @@ type LatencySummary struct {
 	MeanRTT float64
 }
 
-// meanNormalized averages latency/RTT over recoveries matching keep.
-func (c *Collector) meanNormalized(rtt RTTFunc, keep func(Recovery) bool) LatencySummary {
-	var sum float64
-	n := 0
+// fold returns the folds the aggregate methods read: the online
+// ones in streaming mode, else the retained records folded now with rtt.
+func (c *Collector) fold(rtt RTTFunc) *aggregates {
+	if c.streaming {
+		return &c.agg
+	}
+	var g aggregates
 	for _, r := range c.recoveries {
-		if !keep(r) {
-			continue
-		}
-		basis := rtt(r.Host)
-		if basis <= 0 {
-			continue
-		}
-		sum += float64(r.Latency()) / float64(basis)
-		n++
+		g.add(r, rtt)
 	}
-	if n == 0 {
-		return LatencySummary{}
-	}
-	return LatencySummary{Count: n, MeanRTT: sum / float64(n)}
+	return &g
 }
 
 // accumAt returns the accumulator for host in s, zero when the host
@@ -435,41 +374,28 @@ func accumAt(s []latencyAccum, host topology.NodeID) latencyAccum {
 // NormalizedRecovery returns the host's average normalized recovery time
 // over all its recoveries (the Figure 1 metric).
 func (c *Collector) NormalizedRecovery(host topology.NodeID, rtt RTTFunc) LatencySummary {
-	if c.streaming {
-		return accumAt(c.perHost, host).summary()
-	}
-	return c.meanNormalized(rtt, func(r Recovery) bool { return r.Host == host })
+	return accumAt(c.fold(rtt).perHost, host).summary()
 }
 
 // NormalizedRecoverySplit returns the host's average normalized recovery
 // time separately for expedited and non-expedited recoveries (the
 // Figure 2 metric).
 func (c *Collector) NormalizedRecoverySplit(host topology.NodeID, rtt RTTFunc) (expedited, normal LatencySummary) {
-	if c.streaming {
-		return accumAt(c.perHostExp, host).summary(), accumAt(c.perHostStd, host).summary()
-	}
-	expedited = c.meanNormalized(rtt, func(r Recovery) bool { return r.Host == host && r.Expedited })
-	normal = c.meanNormalized(rtt, func(r Recovery) bool { return r.Host == host && !r.Expedited })
-	return expedited, normal
+	g := c.fold(rtt)
+	return accumAt(g.perHostExp, host).summary(), accumAt(g.perHostStd, host).summary()
 }
 
 // FirstRoundNormalized returns the average normalized latency of
 // non-expedited first-round recoveries across all hosts (the §3.4 /
 // Eq. (1) metric).
 func (c *Collector) FirstRoundNormalized(rtt RTTFunc) LatencySummary {
-	if c.streaming {
-		return c.firstRound.summary()
-	}
-	return c.meanNormalized(rtt, func(r Recovery) bool { return !r.Expedited && r.FirstRound() })
+	return c.fold(rtt).firstRound.summary()
 }
 
 // OverallNormalized returns the average normalized latency over every
 // recovery on every host.
 func (c *Collector) OverallNormalized(rtt RTTFunc) LatencySummary {
-	if c.streaming {
-		return c.overall.summary()
-	}
-	return c.meanNormalized(rtt, func(Recovery) bool { return true })
+	return c.fold(rtt).overall.summary()
 }
 
 // NormalizedPercentile returns the q-quantile (q in [0,1]) of the

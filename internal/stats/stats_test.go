@@ -18,7 +18,7 @@ func fixedRTT(d time.Duration) RTTFunc {
 func TestCollectorRecoveriesCarryDetectionTimes(t *testing.T) {
 	c := New()
 	c.LossDetected(2, 0, 10, at(100))
-	c.Recovered(2, 0, 10, at(300), srm.RecoveryInfo{Requestor: 2, Replier: 0})
+	c.Recovered(2, 0, 10, at(300), srm.RecoveryInfo{DetectedAt: at(100), Requestor: 2, Replier: 0})
 	recs := c.Recoveries()
 	if len(recs) != 1 {
 		t.Fatalf("recoveries = %d", len(recs))
@@ -103,12 +103,12 @@ func TestNormalizedRecoveryAverages(t *testing.T) {
 	rtt := fixedRTT(100 * time.Millisecond)
 	// Host 2: latencies 100ms (1 RTT) and 300ms (3 RTT) => mean 2.
 	c.LossDetected(2, 0, 1, at(0))
-	c.Recovered(2, 0, 1, at(100), srm.RecoveryInfo{})
+	c.Recovered(2, 0, 1, at(100), srm.RecoveryInfo{DetectedAt: at(0)})
 	c.LossDetected(2, 0, 2, at(0))
-	c.Recovered(2, 0, 2, at(300), srm.RecoveryInfo{})
+	c.Recovered(2, 0, 2, at(300), srm.RecoveryInfo{DetectedAt: at(0)})
 	// Host 3: one 200ms recovery => 2 RTT.
 	c.LossDetected(3, 0, 1, at(100))
-	c.Recovered(3, 0, 1, at(300), srm.RecoveryInfo{})
+	c.Recovered(3, 0, 1, at(300), srm.RecoveryInfo{DetectedAt: at(100)})
 
 	s := c.NormalizedRecovery(2, rtt)
 	if s.Count != 2 || s.MeanRTT != 2 {
@@ -128,9 +128,9 @@ func TestNormalizedRecoverySplit(t *testing.T) {
 	c := New()
 	rtt := fixedRTT(100 * time.Millisecond)
 	c.LossDetected(2, 0, 1, at(0))
-	c.Recovered(2, 0, 1, at(100), srm.RecoveryInfo{Expedited: true})
+	c.Recovered(2, 0, 1, at(100), srm.RecoveryInfo{DetectedAt: at(0), Expedited: true})
 	c.LossDetected(2, 0, 2, at(0))
-	c.Recovered(2, 0, 2, at(300), srm.RecoveryInfo{})
+	c.Recovered(2, 0, 2, at(300), srm.RecoveryInfo{DetectedAt: at(0)})
 
 	exp, norm := c.NormalizedRecoverySplit(2, rtt)
 	if exp.Count != 1 || exp.MeanRTT != 1 {
@@ -145,11 +145,11 @@ func TestFirstRoundNormalized(t *testing.T) {
 	c := New()
 	rtt := fixedRTT(100 * time.Millisecond)
 	c.LossDetected(2, 0, 1, at(0))
-	c.Recovered(2, 0, 1, at(200), srm.RecoveryInfo{OwnRequests: 1})
+	c.Recovered(2, 0, 1, at(200), srm.RecoveryInfo{DetectedAt: at(0), OwnRequests: 1})
 	c.LossDetected(2, 0, 2, at(0))
-	c.Recovered(2, 0, 2, at(600), srm.RecoveryInfo{OwnRequests: 3}) // not first round
+	c.Recovered(2, 0, 2, at(600), srm.RecoveryInfo{DetectedAt: at(0), OwnRequests: 3}) // not first round
 	c.LossDetected(2, 0, 3, at(0))
-	c.Recovered(2, 0, 3, at(100), srm.RecoveryInfo{Expedited: true}) // excluded
+	c.Recovered(2, 0, 3, at(100), srm.RecoveryInfo{DetectedAt: at(0), Expedited: true}) // excluded
 
 	fr := c.FirstRoundNormalized(rtt)
 	if fr.Count != 1 || fr.MeanRTT != 2 {
@@ -160,7 +160,7 @@ func TestFirstRoundNormalized(t *testing.T) {
 func TestZeroRTTBasisSkipped(t *testing.T) {
 	c := New()
 	c.LossDetected(2, 0, 1, at(0))
-	c.Recovered(2, 0, 1, at(100), srm.RecoveryInfo{})
+	c.Recovered(2, 0, 1, at(100), srm.RecoveryInfo{DetectedAt: at(0)})
 	s := c.OverallNormalized(fixedRTT(0))
 	if s.Count != 0 {
 		t.Fatalf("zero-RTT recovery aggregated: %+v", s)
