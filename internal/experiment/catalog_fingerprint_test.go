@@ -11,6 +11,7 @@ import (
 
 	"cesrm/internal/netsim"
 	"cesrm/internal/topology"
+	"cesrm/internal/trace"
 )
 
 // catalogGolden reads the recorded fingerprints section of the 14-trace
@@ -60,7 +61,8 @@ func diffFingerprints(got, want string) error {
 
 // TestCatalogFingerprints is the repo's behavior-preservation gate: the
 // paper's whole evaluation (14 traces × SRM/CESRM) must reproduce the
-// recorded fingerprints through both bodies of the flood. By default the
+// recorded fingerprints through both bodies of the flood, and at scale
+// 0.01 with release off too. By default the
 // loss model declares each flood's lost links up front and unobstructed
 // floods replay precompiled cohorts; a non-nil ExtraDrop — here one that
 // never drops — makes the loss model opaque, so every flood takes
@@ -92,6 +94,32 @@ func TestCatalogFingerprints(t *testing.T) {
 			})
 		}
 	}
+
+	// Suite.Run forces release on, so this leg is where the retained
+	// collector's query-time fold, which cesrm-sim, RunComparison and the
+	// examples read, meets the goldens on every trace.
+	t.Run("scale=0.01/release=off", func(t *testing.T) {
+		var results []SuiteResult
+		for _, e := range trace.Catalog {
+			tr, err := e.Load(0.01)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pair, err := RunPair(tr, RunConfig{Seed: 1 + int64(e.Index)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(pair.SRM.Collector.Recoveries()) == 0 || len(pair.CESRM.Collector.Recoveries()) == 0 {
+				t.Fatalf("trace %s: no retained recovery records", e.Name)
+			}
+			results = append(results, SuiteResult{Entry: e, SRMFingerprint: pair.SRM.Fingerprint, CESRMFingerprint: pair.CESRM.Fingerprint})
+		}
+		var got bytes.Buffer
+		RenderFingerprints(&got, results)
+		if err := diffFingerprints(got.String(), catalogGolden(t, 0.01)); err != nil {
+			t.Fatalf("catalog fingerprints drifted with release off:\n%v", err)
+		}
+	})
 
 	// The gate must notice a single flipped hex digit and say which run.
 	t.Run("mutation", func(t *testing.T) {

@@ -20,6 +20,17 @@ func TestReplyCellSize(t *testing.T) {
 	}
 }
 
+// TestLossRecordSize bounds the record every detected loss allocates:
+// the recovery's report travels in the Recovered event, so the record
+// holds only what recovery still needs. A 200-byte record once cost
+// 3-4 % of peak heap on the wide workloads (EXPERIMENTS.md, perf
+// ledger).
+func TestLossRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(lossRecord{}); got > 152 {
+		t.Fatalf("lossRecord is %d bytes, want at most 152", got)
+	}
+}
+
 // TestReplyCellRecordLifetime walks one packet's cell through request →
 // armed timer → first foreign reply → duplicate → a second request
 // after the abstinence → own reply sent. Only considerReply creates a

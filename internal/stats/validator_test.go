@@ -12,7 +12,7 @@ func TestValidatorCleanSequence(t *testing.T) {
 	v.LossDetected(2, 0, 1, at(100))
 	v.RequestSent(2, 0, 1, 0)
 	v.RequestSent(2, 0, 1, 1)
-	v.Recovered(2, 0, 1, at(400), srm.RecoveryInfo{OwnRequests: 2})
+	v.Recovered(2, 0, 1, at(400), srm.RecoveryInfo{DetectedAt: at(100), OwnRequests: 2})
 	v.ExpRequestSent(3, 0, 7)
 	v.ReplySent(4, 0, 7, true)
 	v.SessionSent(2)
@@ -48,22 +48,32 @@ func TestValidatorRecoveryBeforeDetection(t *testing.T) {
 	v := NewValidator()
 	v.LossDetected(2, 0, 1, at(300))
 	// Same-host clock runs backwards too; both violations fire.
-	v.Recovered(2, 0, 1, at(200), srm.RecoveryInfo{})
+	v.Recovered(2, 0, 1, at(200), srm.RecoveryInfo{DetectedAt: at(300)})
 	violationContains(t, v, "before detection")
+}
+
+func TestValidatorRecoveryReportsDetection(t *testing.T) {
+	v := NewValidator()
+	v.LossDetected(2, 0, 1, at(100))
+	v.Recovered(2, 0, 1, at(300), srm.RecoveryInfo{DetectedAt: at(150)})
+	violationContains(t, v, "reports detection at 150ms, detected at 100ms")
+	if got := v.ViolationRecords(); len(got) != 1 || got[0].Class != "recovery-detected-at" {
+		t.Fatalf("violations = %+v, want one recovery-detected-at", got)
+	}
 }
 
 func TestValidatorDoubleRecovery(t *testing.T) {
 	v := NewValidator()
 	v.LossDetected(2, 0, 1, at(100))
-	v.Recovered(2, 0, 1, at(200), srm.RecoveryInfo{})
-	v.Recovered(2, 0, 1, at(300), srm.RecoveryInfo{})
+	v.Recovered(2, 0, 1, at(200), srm.RecoveryInfo{DetectedAt: at(100)})
+	v.Recovered(2, 0, 1, at(300), srm.RecoveryInfo{DetectedAt: at(100)})
 	violationContains(t, v, "recovered twice")
 }
 
 func TestValidatorRequestAfterRecovery(t *testing.T) {
 	v := NewValidator()
 	v.LossDetected(2, 0, 1, at(100))
-	v.Recovered(2, 0, 1, at(200), srm.RecoveryInfo{})
+	v.Recovered(2, 0, 1, at(200), srm.RecoveryInfo{DetectedAt: at(100)})
 	v.RequestSent(2, 0, 1, 0)
 	violationContains(t, v, "already-recovered")
 }
@@ -106,7 +116,7 @@ func TestTeeFansOut(t *testing.T) {
 	a, b := New(), New()
 	tee := Tee{a, b}
 	tee.LossDetected(2, 0, 1, at(0))
-	tee.Recovered(2, 0, 1, at(100), srm.RecoveryInfo{})
+	tee.Recovered(2, 0, 1, at(100), srm.RecoveryInfo{DetectedAt: at(0)})
 	tee.RequestSent(2, 0, 1, 0)
 	tee.ExpRequestSent(2, 0, 2)
 	tee.ReplySent(3, 0, 1, false)
@@ -144,7 +154,7 @@ func TestValidatorOnlyAHolderRepairs(t *testing.T) {
 	before := len(v.Violations())
 	v.ReplySent(5, 0, 10, false)
 	v.LossDetected(5, 0, 11, at(200))
-	v.Recovered(5, 0, 11, at(300), srm.RecoveryInfo{})
+	v.Recovered(5, 0, 11, at(300), srm.RecoveryInfo{DetectedAt: at(200)})
 	v.ReplySent(5, 0, 11, false)
 	if got := v.Violations()[before:]; len(got) != 0 {
 		t.Fatalf("replies at and above the floor flagged: %v", got)
