@@ -124,16 +124,9 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
-	var proto experiment.Protocol
-	switch *protoName {
-	case "srm":
-		proto = experiment.SRM
-	case "cesrm":
-		proto = experiment.CESRM
-	case "lms":
-		proto = experiment.LMS
-	default:
-		return fmt.Errorf("unknown protocol %q", *protoName)
+	proto, err := experiment.ParseProtocol(*protoName)
+	if err != nil {
+		return err
 	}
 
 	netCfg := netsim.DefaultConfig()

@@ -178,7 +178,7 @@ func parseProtocols(s string) ([]experiment.Protocol, error) {
 		if part == "" {
 			continue
 		}
-		p, err := soak.ParseProtocol(part)
+		p, err := experiment.ParseProtocol(part)
 		if err != nil {
 			return nil, err
 		}

@@ -30,11 +30,7 @@ func adaptiveFingerprints(t *testing.T) string {
 		if err != nil {
 			t.Fatalf("%s: %v", entry.Name, err)
 		}
-		results = append(results, SuiteResult{
-			Entry:            entry,
-			SRMFingerprint:   pair.SRM.Fingerprint,
-			CESRMFingerprint: pair.CESRM.Fingerprint,
-		})
+		results = append(results, SuiteResult{Entry: entry, Pair: pair})
 	}
 	var out bytes.Buffer
 	RenderFingerprints(&out, results)

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"cesrm/internal/netsim"
@@ -64,25 +65,29 @@ func diffFingerprints(got, want string) error {
 // recorded fingerprints through both bodies of the flood, and at scale
 // 0.01 with release off too. By default the
 // loss model declares each flood's lost links up front and unobstructed
-// floods replay precompiled cohorts; a non-nil ExtraDrop — here one that
-// never drops — makes the loss model opaque, so every flood takes
-// replayPlan's scan and asks the per-link DropFunc.
+// floods replay precompiled cohorts; the scan leg withdraws the verdict
+// through the networkBuilt seam, so every flood takes replayPlan's scan
+// and asks the per-link DropFunc, and counts those calls to prove it.
 func TestCatalogFingerprints(t *testing.T) {
-	floods := []struct {
-		name string
-		base RunConfig
-	}{
-		{"cohort", RunConfig{}},
-		{"scan", RunConfig{ExtraDrop: func(*netsim.Packet, topology.LinkID, bool) bool { return false }}},
-	}
 	for _, scale := range []float64{0.01, 0.1} {
 		if scale == 0.1 && testing.Short() {
 			continue // ~20 s under -race
 		}
 		want := catalogGolden(t, scale)
-		for _, flood := range floods {
-			t.Run(fmt.Sprintf("scale=%g/flood=%s", scale, flood.name), func(t *testing.T) {
-				results, err := Suite{Scale: scale, Seed: 1, Base: flood.base}.Run()
+		for _, scan := range []bool{false, true} {
+			name := "cohort"
+			if scan {
+				name = "scan"
+			}
+			t.Run(fmt.Sprintf("scale=%g/flood=%s", scale, name), func(t *testing.T) {
+				var calls atomic.Uint64
+				if scan {
+					wrapDrop(t, func(*netsim.Packet, topology.LinkID, bool) bool {
+						calls.Add(1)
+						return false
+					})
+				}
+				results, err := Suite{Scale: scale, Seed: 1}.Run()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -90,6 +95,9 @@ func TestCatalogFingerprints(t *testing.T) {
 				RenderFingerprints(&got, results)
 				if err := diffFingerprints(got.String(), want); err != nil {
 					t.Fatalf("catalog fingerprints drifted:\n%v", err)
+				}
+				if scan && calls.Load() == 0 {
+					t.Fatal("no flood asked the per-link drop hook: the scan leg ran the cohort body")
 				}
 			})
 		}
@@ -112,7 +120,7 @@ func TestCatalogFingerprints(t *testing.T) {
 			if len(pair.SRM.Collector.Recoveries()) == 0 || len(pair.CESRM.Collector.Recoveries()) == 0 {
 				t.Fatalf("trace %s: no retained recovery records", e.Name)
 			}
-			results = append(results, SuiteResult{Entry: e, SRMFingerprint: pair.SRM.Fingerprint, CESRMFingerprint: pair.CESRM.Fingerprint})
+			results = append(results, SuiteResult{Entry: e, Pair: pair})
 		}
 		var got bytes.Buffer
 		RenderFingerprints(&got, results)

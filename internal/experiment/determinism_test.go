@@ -116,13 +116,14 @@ func TestSuiteFingerprintsIdenticalSerialAndParallel(t *testing.T) {
 	serial := run(1)
 	parallel := run(runtime.NumCPU())
 	for i := range serial {
-		if serial[i].SRMFingerprint == "" || serial[i].CESRMFingerprint == "" {
+		s, p := serial[i].Pair, parallel[i].Pair
+		if s.SRM.Fingerprint == "" || s.CESRM.Fingerprint == "" {
 			t.Fatalf("trace %d: empty fingerprint in suite result", serial[i].Entry.Index)
 		}
-		if serial[i].SRMFingerprint != parallel[i].SRMFingerprint {
+		if s.SRM.Fingerprint != p.SRM.Fingerprint {
 			t.Errorf("trace %d: SRM fingerprint diverged serial vs parallel", serial[i].Entry.Index)
 		}
-		if serial[i].CESRMFingerprint != parallel[i].CESRMFingerprint {
+		if s.CESRM.Fingerprint != p.CESRM.Fingerprint {
 			t.Errorf("trace %d: CESRM fingerprint diverged serial vs parallel", serial[i].Entry.Index)
 		}
 	}

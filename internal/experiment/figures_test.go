@@ -392,28 +392,17 @@ func TestPropertyRandomTracesRunClean(t *testing.T) {
 // must recover everything once the link heals.
 func TestLinkOutageRecovery(t *testing.T) {
 	tr := smallTrace(t, 17)
-	// Cut the first receiver's path for 20 seconds mid-transmission.
+	// Cut the first receiver's link for 20 seconds mid-transmission: the
+	// source sends one packet per 80 ms after a 3 s warmup, so the window
+	// t=30s..50s spans about 250 packets.
 	victim := tr.Tree.Receivers()[0]
-	cutLink := topology.LinkID(victim)
 	res, err := Run(RunConfig{
 		Trace:    tr,
 		Protocol: CESRM,
 		Seed:     5,
-		ExtraDrop: func(p *netsim.Packet, l topology.LinkID, down bool) bool {
-			// The drop hook has no clock; approximate the outage window
-			// by sequence number instead: the source sends one packet
-			// per 80ms after a 3s warmup, so seqs in [337, 587] span
-			// roughly t=30s..50s. Recovery traffic for those packets is
-			// also cut while the window's data flows, which is the
-			// interesting regime.
-			if l != cutLink {
-				return false
-			}
-			if m, ok := p.Msg.(*srm.DataMsg); ok {
-				return m.Seq >= 337 && m.Seq < 587
-			}
-			return false
-		},
+		Chaos: &chaos.Spec{Name: "outage", Faults: []chaos.Fault{
+			{Kind: chaos.LinkDown, At: 30 * time.Second, Until: 50 * time.Second, Link: topology.LinkID(victim)},
+		}},
 	})
 	if err != nil {
 		t.Fatal(err)

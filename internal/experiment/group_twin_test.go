@@ -102,7 +102,7 @@ func runPrivateTables(t *testing.T, tr *trace.Trace, proto Protocol, seed int64)
 	observer := stats.Tee{collector, validator, recorder}
 
 	hosts := append([]topology.NodeID{source}, tree.Receivers()...)
-	agents := make([]agent, len(hosts))
+	agents := make([]endpoint, len(hosts))
 	inspect := make([]*srm.Agent, len(hosts))
 	var absorbed uint64
 	for i, id := range hosts {

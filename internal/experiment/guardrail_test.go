@@ -1,13 +1,12 @@
 package experiment
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
-	"cesrm/internal/chaos"
 	"cesrm/internal/sim"
-	"cesrm/internal/topology"
 	"cesrm/internal/trace"
 )
 
@@ -100,75 +99,33 @@ func TestZeroBudgetLeavesGoldensUntouched(t *testing.T) {
 	}
 }
 
-// TestSuiteContinueOnErrorRecordsFailures checks the sweep-level
-// graceful degradation: with ContinueOnError a failing trace is
-// recorded in its slot and later traces still run.
-func TestSuiteContinueOnErrorRecordsFailures(t *testing.T) {
-	// An unconditionally invalid chaos spec fails every pair at
-	// validation time, before any simulation work.
-	bad := &chaos.Spec{Name: "bad", Faults: []chaos.Fault{
-		{Kind: chaos.Crash, At: -time.Second, Host: topology.NodeID(1)},
-	}}
-	s := Suite{Scale: 0.01, Seed: 1, Traces: []int{4, 13},
-		Base: RunConfig{Chaos: bad}, ContinueOnError: true}
-	results, err := s.Run()
-	if err != nil {
-		t.Fatalf("ContinueOnError suite aborted: %v", err)
+// TestSuiteLoadFailureAbortsAndNamesTrace: a trace that cannot be
+// generated fails the sweep, and the error names it. A spoiled catalog
+// entry is given a loss target no link rates can reach (every
+// receiver-packet lost), so its Load fails inside the job. With two
+// spoiled traces the error names the lower catalog index whatever the
+// selection order, with one worker or two.
+func TestSuiteLoadFailureAbortsAndNamesTrace(t *testing.T) {
+	spoil := func(index int) string {
+		entry := &trace.Catalog[index-1]
+		saved := *entry
+		t.Cleanup(func() { *entry = saved })
+		entry.Losses = entry.Receivers * entry.Packets
+		return fmt.Sprintf("trace %d (%s)", index, saved.Name)
 	}
-	if len(results) != 2 {
-		t.Fatalf("got %d results, want 2", len(results))
-	}
-	for i, r := range results {
-		if r.Err == nil {
-			t.Errorf("result %d: failure not recorded", i)
-		}
-		if r.Pair != nil {
-			t.Errorf("result %d: failed entry has a pair", i)
-		}
-		if r.Entry.Index == 0 {
-			t.Errorf("result %d: entry not recorded", i)
-		}
-	}
-	// Parallel path behaves identically.
-	s.Parallel = 2
-	presults, err := s.Run()
-	if err != nil {
-		t.Fatalf("parallel ContinueOnError suite aborted: %v", err)
-	}
-	for i, r := range presults {
-		if r.Err == nil {
-			t.Errorf("parallel result %d: failure not recorded", i)
-		}
-	}
-}
-
-// TestSuiteContinueOnErrorSurvivesLoadFailure: a trace that cannot be
-// generated is that trace's failure, not the sweep's. The catalog entry
-// is given a loss target no link rates can reach (every receiver-packet
-// lost), so its Load fails inside the job.
-func TestSuiteContinueOnErrorSurvivesLoadFailure(t *testing.T) {
-	entry := &trace.Catalog[3]
-	saved := *entry
-	t.Cleanup(func() { *entry = saved })
-	entry.Losses = entry.Receivers * entry.Packets
-
-	s := Suite{Scale: 0.01, Seed: 1, Traces: []int{4, 13}, ContinueOnError: true}
+	fourth := spoil(4)
 	for _, parallel := range []int{1, 2} {
-		s.Parallel = parallel
-		results, err := s.Run()
-		if err != nil {
-			t.Fatalf("parallel=%d: a load failure aborted the ContinueOnError sweep: %v", parallel, err)
-		}
-		if err := results[0].Err; err == nil || !strings.Contains(err.Error(), "unreachable") || results[0].Pair != nil {
-			t.Errorf("parallel=%d: failed load recorded as err=%v pair=%v", parallel, err, results[0].Pair)
-		}
-		if results[1].Err != nil || results[1].Pair == nil || results[1].CESRMFingerprint == "" {
-			t.Errorf("parallel=%d: the trace after the failed load did not run: %+v", parallel, results[1])
+		s := Suite{Scale: 0.01, Seed: 1, Traces: []int{4, 13}, Parallel: parallel}
+		if _, err := s.Run(); err == nil || !strings.Contains(err.Error(), "unreachable") || !strings.Contains(err.Error(), fourth) {
+			t.Errorf("parallel=%d: the load failure must abort and name %s: %v", parallel, fourth, err)
 		}
 	}
-	s.ContinueOnError = false
-	if _, err := s.Run(); err == nil || !strings.Contains(err.Error(), saved.Name) {
-		t.Errorf("without ContinueOnError the load failure must abort and name the trace: %v", err)
+	spoil(13)
+	for _, parallel := range []int{1, 2} {
+		s := Suite{Scale: 0.01, Seed: 1, Traces: []int{13, 4}, Parallel: parallel}
+		if _, err := s.Run(); err == nil || !strings.Contains(err.Error(), fourth) {
+			t.Errorf("parallel=%d: traces 13 and 4 both fail; the error must name %s: %v", parallel, fourth, err)
+		}
 	}
 }
 
@@ -181,13 +138,10 @@ func TestSuiteCarriesTerminationStatuses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := results[0].SRMStatus; got != sim.DeadlineExceeded {
-		t.Errorf("SRMStatus = %v, want DeadlineExceeded", got)
+	if got := results[0].Pair.SRM.Status; got != sim.DeadlineExceeded {
+		t.Errorf("SRM status = %v, want DeadlineExceeded", got)
 	}
-	if got := results[0].CESRMStatus; got != sim.DeadlineExceeded {
-		t.Errorf("CESRMStatus = %v, want DeadlineExceeded", got)
-	}
-	if results[0].Err != nil {
-		t.Errorf("budget abort recorded as suite error: %v", results[0].Err)
+	if got := results[0].Pair.CESRM.Status; got != sim.DeadlineExceeded {
+		t.Errorf("CESRM status = %v, want DeadlineExceeded", got)
 	}
 }

@@ -15,15 +15,11 @@ import (
 // network in both of its forms from one set of data: drop is the
 // per-link netsim.DropFunc, verdict the once-per-flood netsim.LossFunc.
 // In order of precedence: chaos session starvation; session messages
-// lossless; the caller's ExtraDrop; original data dropped on the
-// downstream crossing of exactly the links inference attributed that
-// packet's losses to; recovery traffic lossless, or under LossyRecovery
-// dropped per crossing at the link's estimated rate.
+// lossless; original data dropped on the downstream crossing of exactly
+// the links inference attributed that packet's losses to; recovery
+// traffic lossless, or under LossyRecovery dropped per crossing at the
+// link's estimated rate.
 type lossModel struct {
-	// opaque is set when an ExtraDrop is configured: an arbitrary
-	// per-crossing callback, so no verdict is ever known and every
-	// crossing goes through drop, keeping each call where it was.
-	opaque bool
 	// sessionDrops is set when the chaos controller may drop session
 	// packets (chaos.Spec.DropsSessions). No session verdict is then known
 	// for the whole run: a queuing flood holds its verdict across
@@ -33,7 +29,6 @@ type lossModel struct {
 	// chaos is nil until the controller is installed (Stage 4) and for
 	// chaos-free runs.
 	chaos *chaos.Controller
-	extra netsim.DropFunc
 	// drops[seq] lists the links that lose data packet seq.
 	drops         [][]topology.LinkID
 	rates         lossinfer.LinkRates
@@ -47,9 +42,7 @@ type lossModel struct {
 // that is installed.
 func newLossModel(cfg *RunConfig, drops [][]topology.LinkID, rates lossinfer.LinkRates, rng *sim.RNG) *lossModel {
 	return &lossModel{
-		opaque:        cfg.ExtraDrop != nil,
 		sessionDrops:  cfg.Chaos != nil && cfg.Chaos.DropsSessions(),
-		extra:         cfg.ExtraDrop,
 		drops:         drops,
 		rates:         rates,
 		rng:           rng,
@@ -66,9 +59,6 @@ func (m *lossModel) drop(p *netsim.Packet, link topology.LinkID, down bool) bool
 		// The paper's evaluation presumes lossless session exchange.
 		return false
 	}
-	if m.extra != nil && m.extra(p, link, down) {
-		return true
-	}
 	if d, ok := p.Msg.(*srm.DataMsg); ok {
 		return down && slices.Contains(m.drops[d.Seq], link)
 	}
@@ -83,9 +73,6 @@ func (m *lossModel) drop(p *netsim.Packet, link topology.LinkID, down bool) bool
 // for p are the fixed downstream set it returns, at every instant of the
 // run, and draw nothing.
 func (m *lossModel) verdict(p *netsim.Packet) (lost []topology.LinkID, known bool) {
-	if m.opaque {
-		return nil, false
-	}
 	if p.Session {
 		return nil, !m.sessionDrops
 	}

@@ -14,6 +14,21 @@ import (
 	"cesrm/internal/trace"
 )
 
+// wrapDrop arms the networkBuilt seam for the rest of the test: every
+// run withdraws its loss verdict, so every crossing asks the per-link
+// hook, and the hook asks extra first — true drops the packet — and then
+// the run's own loss model.
+func wrapDrop(t *testing.T, extra netsim.DropFunc) {
+	t.Helper()
+	networkBuilt = func(n *netsim.Network, lm *lossModel) {
+		n.SetLossFunc(nil)
+		n.SetDropFunc(func(p *netsim.Packet, link topology.LinkID, down bool) bool {
+			return extra(p, link, down) || lm.drop(p, link, down)
+		})
+	}
+	t.Cleanup(func() { networkBuilt = nil })
+}
+
 // stubHost is the lifecycle and membership surface a chaos controller
 // drives, with no protocol behind it.
 type stubHost struct{ crashed, absent bool }
@@ -57,10 +72,10 @@ func verdictChaosSpec(tree *topology.Tree, starve bool) *chaos.Spec {
 // request and reply packets, every link, both directions — and draws
 // nothing from the lossy-recovery stream.
 //
-// The verdict is unknown only where drop is a per-crossing callback or an
-// RNG draw: under an ExtraDrop, for recovery traffic under LossyRecovery,
-// and for session packets under a chaos spec with a starve fault. Any
-// other chaos spec leaves every verdict known. A queuing flood crosses
+// The verdict is unknown only where drop is an RNG draw or a chaos
+// callback: for recovery traffic under LossyRecovery, and for session
+// packets under a chaos spec with a starve fault. Any other chaos spec
+// leaves every verdict known. A queuing flood crosses
 // its links at later instants than it asked at, so under a chaos spec
 // each known answer is checked at instants before, inside and after every
 // fault window of a driven controller, and must never change.
@@ -80,7 +95,6 @@ func TestLossModelVerdictAgreesWithDrop(t *testing.T) {
 	}{
 		{name: "default", known: [3]bool{true, true, true}},
 		{name: "lossy-recovery", cfg: RunConfig{LossyRecovery: true}, known: [3]bool{true, true, false}},
-		{name: "extra-drop", cfg: RunConfig{ExtraDrop: func(*netsim.Packet, topology.LinkID, bool) bool { return false }}},
 		{name: "chaos", chaos: true, known: [3]bool{true, true, true}},
 		{name: "chaos-starve", chaos: true, starve: true, known: [3]bool{false, true, true}},
 	}

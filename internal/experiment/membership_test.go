@@ -220,17 +220,17 @@ func TestBoundedRetryAbandonment(t *testing.T) {
 	const rounds = 4
 	p := srm.DefaultParams()
 	p.MaxRequestRounds = rounds
+	wrapDrop(t, func(pk *netsim.Packet, link topology.LinkID, down bool) bool {
+		switch m := pk.Msg.(type) {
+		case *srm.RequestMsg:
+			return m.Seq == target
+		case *srm.ReplyMsg:
+			return m.Seq == target
+		}
+		return false
+	})
 	res, err := Run(RunConfig{
 		Trace: tr, Protocol: SRM, Seed: 3, SRM: p,
-		ExtraDrop: func(pk *netsim.Packet, link topology.LinkID, down bool) bool {
-			switch m := pk.Msg.(type) {
-			case *srm.RequestMsg:
-				return m.Seq == target
-			case *srm.ReplyMsg:
-				return m.Seq == target
-			}
-			return false
-		},
 		Budget:     sim.Budget{MaxVirtualTime: sim.Time(5 * time.Minute)},
 		KeepEvents: true,
 	})

@@ -43,7 +43,7 @@ type watermarkRelease struct {
 	source topology.NodeID
 	// hosts orders the scans; members is the run's NodeID-indexed table.
 	hosts   []topology.NodeID
-	members []member
+	members []endpoint
 	// group is the run's member group, nil for LMS: it scans and
 	// releases its reply plane row-wise, where LMS hosts scan their own
 	// state one by one.
@@ -63,7 +63,7 @@ type watermarkRelease struct {
 
 // present reports whether the host is in the group: neither crashed nor
 // departed.
-func present(in inspector) bool { return !in.Crashed() && !in.Absent() }
+func present(in endpoint) bool { return !in.Crashed() && !in.Absent() }
 
 // watermarkCheck, when non-nil, is handed every grouped tick's row-wise
 // watermark and the one the per-host scans compute; tests install it.
@@ -74,7 +74,7 @@ func (r *watermarkRelease) tick(now sim.Time) {
 	held := r.heldPrefix()
 	if n := min(r.ready, r.heldPrev, held); n > r.released {
 		for _, id := range r.hosts {
-			if in := r.members[id].in; present(in) {
+			if in := r.members[id]; present(in) {
 				in.ReleaseThrough(r.source, n)
 			}
 		}
@@ -91,7 +91,7 @@ func (r *watermarkRelease) tick(now sim.Time) {
 func (r *watermarkRelease) heldPrefix() int {
 	w := r.numPackets
 	for _, id := range r.hosts {
-		in := r.members[id].in
+		in := r.members[id]
 		if !present(in) {
 			continue
 		}
@@ -137,7 +137,7 @@ func (r *watermarkRelease) watermark(now sim.Time, held int) int {
 func (r *watermarkRelease) hostScan(held int) (w int, visited uint64) {
 	w = held
 	for _, id := range r.hosts {
-		in := r.members[id].in
+		in := r.members[id]
 		if !present(in) {
 			continue
 		}

@@ -37,7 +37,7 @@ func collected(done <-chan struct{}) bool {
 func watchNetworks(t *testing.T) *[]chan struct{} {
 	t.Helper()
 	var dead []chan struct{}
-	networkBuilt = func(n *netsim.Network) {
+	networkBuilt = func(n *netsim.Network, _ *lossModel) {
 		done := make(chan struct{})
 		dead = append(dead, done)
 		sentinel := sim.NewRNG(0)
@@ -92,11 +92,11 @@ func TestRunPairFreesSRMNetworkBeforeCESRMRuns(t *testing.T) {
 	dead := watchNetworks(t)
 	arm := networkBuilt
 	srmFreed := false
-	networkBuilt = func(n *netsim.Network) {
+	networkBuilt = func(n *netsim.Network, lm *lossModel) {
 		if len(*dead) == 1 {
 			srmFreed = collected((*dead)[0])
 		}
-		arm(n)
+		arm(n, lm)
 	}
 	if _, err := RunPair(tr, RunConfig{Seed: 1}); err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ package experiment
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"cesrm/internal/chaos"
@@ -47,6 +48,16 @@ func (p Protocol) String() string {
 	}
 }
 
+// ParseProtocol parses a protocol name, case-insensitively.
+func ParseProtocol(s string) (Protocol, error) {
+	for _, p := range []Protocol{SRM, CESRM, LMS} {
+		if strings.EqualFold(strings.TrimSpace(s), p.String()) {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("experiment: unknown protocol %q", s)
+}
+
 // RunConfig parameterizes one trace-driven simulation run.
 type RunConfig struct {
 	// Trace is the transmission to reenact.
@@ -76,14 +87,6 @@ type RunConfig struct {
 	// may transiently classify in-flight packets as lost, so the
 	// detected-loss cross-check against the trace is skipped.
 	Jitter time.Duration
-	// ExtraDrop, when non-nil, is consulted for every packet-link
-	// crossing in addition to the trace-driven injection; returning true
-	// drops the packet. Use it for fault injection beyond the trace —
-	// link outages, targeted partitions, adversarial drops. Session
-	// messages are exempt (the paper's evaluation presumes lossless
-	// session exchange); to sever session traffic use the Chaos
-	// link-down and starve faults.
-	ExtraDrop netsim.DropFunc
 	// LossyRecovery additionally drops recovery traffic (requests,
 	// replies, expedited traffic — never session messages) with the
 	// per-link estimated loss probabilities, as in the paper's companion
@@ -230,9 +233,6 @@ type RunResult struct {
 	// abandonment count, so a nonzero value is accounted-for degradation,
 	// not silent data loss.
 	Abandoned int
-	// ChurnEvents counts the membership events (graceful leaves plus
-	// joins) the run's chaos spec carried. Zero for churn-free runs.
-	ChurnEvents int
 	// Status reports how the engine terminated. The zero value,
 	// sim.Completed, is the only status budget-free runs ever produce;
 	// any other value means a RunConfig.Budget guardrail aborted the run
@@ -296,43 +296,31 @@ func (e *QuiesceError) Error() string {
 		e.Trace, e.Protocol, e.MaxTail)
 }
 
-// agent abstracts over the protocol endpoints' lifecycle: what the run
-// drives, and what chaos faults crash, restart, remove and admit.
-type agent interface {
+// endpoint is one protocol host as a run sees it: the lifecycle the run
+// drives and chaos faults crash, restart, remove and admit, plus the
+// completion-checking and state-release surface every protocol shares.
+// A run's table of them is indexed by NodeID; routers keep nil.
+type endpoint interface {
 	chaos.Host
 	chaos.Member
 	StartSessions()
 	Stop()
 	Transmit(seq int)
-}
-
-// inspector exposes the completion-checking and state-release surface
-// every protocol endpoint shares.
-type inspector interface {
 	ClassifiedThrough(source topology.NodeID) int
 	Outstanding() int
 	MissingIn(source topology.NodeID, n int) int
 	AbandonedIn(source topology.NodeID) int
-	Crashed() bool
-	Absent() bool
 	HeldWindow(source topology.NodeID) (base, held int, open bool)
 	ReleasableBelow(source topology.NodeID, limit int) (n, visited int)
 	ReleaseThrough(source topology.NodeID, n int)
 }
 
-// member is one host's entry in a run's NodeID-indexed table: its
-// endpoint, and the surface the completion checks and release read (for
-// CESRM, the SRM agent inside it). Routers keep the zero entry.
-type member struct {
-	agent agent
-	in    inspector
-}
-
-// repliesArmed sums the reply timers the run's SRM agents armed.
-func repliesArmed(hosts []topology.NodeID, members []member) uint64 {
+// repliesArmed sums the reply timers the run's SRM and CESRM agents
+// armed.
+func repliesArmed(hosts []topology.NodeID, members []endpoint) uint64 {
 	var n uint64
 	for _, id := range hosts {
-		if a, ok := members[id].in.(*srm.Agent); ok {
+		if a, ok := members[id].(interface{ RepliesArmed() int }); ok {
 			n += uint64(a.RepliesArmed())
 		}
 	}
@@ -363,11 +351,13 @@ const defaultChurnRequestRounds = 20
 // dependent runs. Production code leaves it nil (trace order).
 var agentOrder func([]topology.NodeID) []topology.NodeID
 
-// networkBuilt, when non-nil, is handed each run's network as soon as it
-// exists. It is a test seam: the retention tests set a finalizer through
-// it to prove a RunResult does not keep its network alive. Production
-// code leaves it nil.
-var networkBuilt func(*netsim.Network)
+// networkBuilt, when non-nil, is handed each run's network and loss
+// model once both loss hooks are installed. It is a test seam: the
+// retention tests set a finalizer through it to prove a RunResult does
+// not keep its network alive, and tests that fault traffic beyond the
+// trace reinstall the hooks around the model's drop. Production code
+// leaves it nil.
+var networkBuilt func(*netsim.Network, *lossModel)
 
 // inferenceBuilt is the same seam for the link attribution infer
 // returns, which no finished run or pair may keep alive either.
@@ -421,14 +411,6 @@ func run(cfg RunConfig, inferred *lossinfer.Result) (*RunResult, error) {
 	if cfg.Chaos != nil && cfg.Chaos.HasMembership() && cfg.SRM.MaxRequestRounds == 0 {
 		cfg.SRM.MaxRequestRounds = defaultChurnRequestRounds
 	}
-	churnEvents := 0
-	if cfg.Chaos != nil {
-		for _, f := range cfg.Chaos.Faults {
-			if f.Kind == chaos.Leave || f.Kind == chaos.Join {
-				churnEvents++
-			}
-		}
-	}
 
 	tr := cfg.Trace
 	tree := tr.Tree
@@ -440,9 +422,6 @@ func run(cfg RunConfig, inferred *lossinfer.Result) (*RunResult, error) {
 	net, err := netsim.New(eng, tree, cfg.Net)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: %w", err)
-	}
-	if networkBuilt != nil {
-		networkBuilt(net)
 	}
 	// The normalization basis is a table, not a call into net: the
 	// closure outlives the run in RunResult.RTT (and in the collector),
@@ -476,6 +455,9 @@ func run(cfg RunConfig, inferred *lossinfer.Result) (*RunResult, error) {
 	loss := newLossModel(&cfg, inferred.Drops, inferred.Rates, dropRNG)
 	net.SetDropFunc(loss.drop)
 	net.SetLossFunc(loss.verdict)
+	if networkBuilt != nil {
+		networkBuilt(net, loss)
+	}
 
 	// Stage 3: instantiate protocol agents at the source and receivers.
 	// Every run carries an online invariant validator alongside the
@@ -511,7 +493,7 @@ func run(cfg RunConfig, inferred *lossinfer.Result) (*RunResult, error) {
 	if agentOrder != nil {
 		hosts = agentOrder(hosts)
 	}
-	members := make([]member, tree.NumNodes())
+	members := make([]endpoint, tree.NumNodes())
 	var fabric *lms.Fabric
 	if cfg.Protocol == LMS {
 		refresh := cfg.LMSRefresh
@@ -541,7 +523,7 @@ func run(cfg RunConfig, inferred *lossinfer.Result) (*RunResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			members[id] = member{a, a}
+			members[id] = a
 			srmAgent = a
 		case CESRM:
 			cc := cfg.CESRM
@@ -550,11 +532,11 @@ func run(cfg RunConfig, inferred *lossinfer.Result) (*RunResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			members[id] = member{a, a.SRM()}
+			members[id] = a
 			srmAgent = a.SRM()
 		case LMS:
 			a := lms.NewAgent(eng, net, fabric, id, observer)
-			members[id] = member{a, a}
+			members[id] = a
 		default:
 			return nil, fmt.Errorf("experiment: unknown protocol %v", cfg.Protocol)
 		}
@@ -579,7 +561,7 @@ func run(cfg RunConfig, inferred *lossinfer.Result) (*RunResult, error) {
 	// exactly with a protocol timer dispatches before it.
 	if cfg.Chaos != nil {
 		validator.BoundExpFallback(expFallbackBound)
-		host := func(id topology.NodeID) chaos.Host { return members[id].agent }
+		host := func(id topology.NodeID) chaos.Host { return members[id] }
 		ctl, err := chaos.Install(eng, net, chaosRNG, cfg.Chaos, host, validator)
 		if err != nil {
 			return nil, err
@@ -598,18 +580,18 @@ func run(cfg RunConfig, inferred *lossinfer.Result) (*RunResult, error) {
 		absentAtStart = cfg.Chaos.InitialAbsent()
 		for _, id := range hosts {
 			if absentAtStart[id] {
-				members[id].agent.Leave()
+				members[id].Leave()
 				validator.NoteLeave(id, 0)
 			}
 		}
 	}
 	for _, id := range hosts {
 		if !absentAtStart[id] {
-			members[id].agent.StartSessions()
+			members[id].StartSessions()
 		}
 	}
 	numPackets := tr.NumPackets()
-	srcAgent := members[source].agent
+	srcAgent := members[source]
 	warmup := warmupPeriods * cfg.SRM.SessionPeriod
 	// The data stream is one train: numPackets reserved FIFO sequence
 	// numbers, one wheel record.
@@ -626,7 +608,7 @@ func run(cfg RunConfig, inferred *lossinfer.Result) (*RunResult, error) {
 			return false
 		}
 		for _, r := range tree.Receivers() {
-			a := members[r].in
+			a := members[r]
 			if !present(a) {
 				continue
 			}
@@ -646,7 +628,7 @@ func run(cfg RunConfig, inferred *lossinfer.Result) (*RunResult, error) {
 	}
 	stop := func() {
 		for _, id := range hosts {
-			members[id].agent.Stop()
+			members[id].Stop()
 		}
 	}
 	halt := func() {
@@ -708,7 +690,6 @@ func run(cfg RunConfig, inferred *lossinfer.Result) (*RunResult, error) {
 			RepliesArmed:          repliesArmed(hosts, members),
 			AuditCells:            validator.PeakCells(),
 			Abandoned:             collector.TotalAbandoned(),
-			ChurnEvents:           churnEvents,
 		}
 	}
 	if status := eng.Termination(); status != sim.Completed {
@@ -721,7 +702,7 @@ func run(cfg RunConfig, inferred *lossinfer.Result) (*RunResult, error) {
 		snap := eng.Snapshot()
 		diag := &Diagnostic{Clock: snap.Now, Pending: snap.Pending, Executed: snap.Executed}
 		for _, r := range receivers {
-			a := members[r].in
+			a := members[r]
 			if !present(a) {
 				continue
 			}
@@ -747,11 +728,11 @@ func run(cfg RunConfig, inferred *lossinfer.Result) (*RunResult, error) {
 	// detection fires — but never more, and every receiver must end up
 	// holding every packet (full reliability).
 	for ri, r := range tree.Receivers() {
-		a := members[r].in
+		a := members[r]
 		if !present(a) {
 			continue
 		}
-		if got, want := collector.Losses(r), tr.ReceiverLosses(ri); got > want && cfg.Jitter == 0 && cfg.ExtraDrop == nil && cfg.Chaos == nil {
+		if got, want := collector.Losses(r), tr.ReceiverLosses(ri); got > want && cfg.Jitter == 0 && cfg.Chaos == nil {
 			return nil, fmt.Errorf("experiment: %s/%s receiver %d detected %d losses, trace has only %d",
 				tr.Name, cfg.Protocol, r, got, want)
 		}

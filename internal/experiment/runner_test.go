@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -113,6 +114,21 @@ func TestCESRMFasterAndCheaperThanSRM(t *testing.T) {
 	cesrmRepl := cc.Replies + cc.ExpReplies
 	if cesrmRepl >= srmRepl {
 		t.Errorf("CESRM replies %d not below SRM's %d", cesrmRepl, srmRepl)
+	}
+}
+
+// TestParseProtocol: every protocol parses from its name in any case,
+// with surrounding space, and anything else is refused by name.
+func TestParseProtocol(t *testing.T) {
+	for _, p := range []Protocol{SRM, CESRM, LMS} {
+		for _, s := range []string{p.String(), strings.ToLower(p.String()), " " + p.String() + "\t"} {
+			if got, err := ParseProtocol(s); err != nil || got != p {
+				t.Errorf("ParseProtocol(%q) = %v, %v, want %v", s, got, err, p)
+			}
+		}
+	}
+	if _, err := ParseProtocol("tcp"); err == nil || !strings.Contains(err.Error(), `unknown protocol "tcp"`) {
+		t.Errorf("ParseProtocol(tcp) = %v, want an unknown-protocol error", err)
 	}
 }
 

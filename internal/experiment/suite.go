@@ -7,7 +7,6 @@ import (
 	"sync"
 	"text/tabwriter"
 
-	"cesrm/internal/sim"
 	"cesrm/internal/trace"
 )
 
@@ -28,39 +27,23 @@ type Suite struct {
 	// Parallel bounds how many traces simulate concurrently. Each run is
 	// an independent, deterministic virtual-time simulation, so results
 	// are identical to a serial run; ordering in the output is
-	// preserved. Zero or one means serial.
+	// preserved. Zero or one means one at a time.
 	Parallel int
-	// ContinueOnError degrades the sweep gracefully: a trace that fails
-	// to load, or whose pair fails (invariant violation, non-quiescence,
-	// chaos rejection), is recorded in its SuiteResult.Err and the rest
-	// still run, instead of the whole sweep aborting on the first failure.
-	// Budget-aborted runs (see RunConfig.Budget) are not errors in
-	// either mode — they surface through the result statuses.
-	ContinueOnError bool
 }
 
 // SuiteResult holds one trace's pair plus its generation target.
 type SuiteResult struct {
 	Entry trace.CatalogEntry
 	Pair  *Pair
-	// SRMFingerprint and CESRMFingerprint are the paired runs'
-	// determinism digests (see RunResult.Fingerprint), recorded here so
-	// suite output is comparable across processes and code revisions.
-	SRMFingerprint   string
-	CESRMFingerprint string
-	// SRMStatus and CESRMStatus report how each run's engine terminated
-	// (sim.Completed unless a Base.Budget guardrail aborted it).
-	SRMStatus   sim.TerminationStatus
-	CESRMStatus sim.TerminationStatus
-	// Err records the pair's failure when the suite ran with
-	// ContinueOnError; Pair is nil in that case. Always nil otherwise —
-	// without ContinueOnError a failure aborts the whole sweep.
-	Err error
 }
 
-// Run executes the suite, optionally simulating traces concurrently
-// (see Parallel). It returns one result per selected catalog entry, in
-// selection order.
+// Run executes the suite, simulating up to Parallel traces at once. It
+// returns one result per selected catalog entry, in selection order. A
+// trace that fails to load, or whose pair fails, fails the sweep: every
+// selected trace still runs, and the error reported is that of the
+// failing trace with the lowest catalog index, whatever the selection
+// order. A budget-aborted run (see RunConfig.Budget) is not a failure; it
+// surfaces through its RunResult.Status.
 func (s Suite) Run() ([]SuiteResult, error) {
 	scale := s.Scale
 	if scale == 0 {
@@ -78,10 +61,9 @@ func (s Suite) Run() ([]SuiteResult, error) {
 		}
 	}
 
-	runOne := func(idx int) (SuiteResult, error) {
-		entry := trace.Catalog[idx-1]
+	runOne := func(entry trace.CatalogEntry) (*Pair, error) {
 		base := s.Base
-		base.Seed = s.Seed + int64(idx)
+		base.Seed = s.Seed + int64(entry.Index)
 		// Suite runs shed recovered per-packet state as the watermark
 		// advances (RunConfig.ReleaseRecovered), keeping peak heap bounded
 		// by the in-flight recovery window instead of the whole
@@ -95,58 +77,28 @@ func (s Suite) Run() ([]SuiteResult, error) {
 			pair, err = RunPair(tr, base)
 		}
 		if err != nil {
-			return SuiteResult{Entry: entry}, fmt.Errorf("experiment: trace %d (%s): %w", idx, entry.Name, err)
+			return nil, fmt.Errorf("experiment: trace %d (%s): %w", entry.Index, entry.Name, err)
 		}
-		return SuiteResult{
-			Entry:            entry,
-			Pair:             pair,
-			SRMFingerprint:   pair.SRM.Fingerprint,
-			CESRMFingerprint: pair.CESRM.Fingerprint,
-			SRMStatus:        pair.SRM.Status,
-			CESRMStatus:      pair.CESRM.Status,
-		}, nil
-	}
-
-	out := make([]SuiteResult, len(selected))
-	if s.Parallel <= 1 {
-		for i, idx := range selected {
-			r, err := runOne(idx)
-			if err != nil {
-				if s.ContinueOnError {
-					r.Err = err
-					out[i] = r
-					continue
-				}
-				return nil, err
-			}
-			out[i] = r
-		}
-		return out, nil
+		return pair, nil
 	}
 
 	// Bounded fan-out. Every simulation is self-contained (own engine,
 	// RNGs, network), so this parallelism cannot change results.
-	sem := make(chan struct{}, s.Parallel)
+	out := make([]SuiteResult, len(selected))
 	errs := make([]error, len(selected))
+	sem := make(chan struct{}, max(s.Parallel, 1))
 	var wg sync.WaitGroup
 	for i, idx := range selected {
+		out[i].Entry = trace.Catalog[idx-1]
 		wg.Add(1)
 		sem <- struct{}{}
-		go func(i, idx int) {
+		go func(i int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			out[i], errs[i] = runOne(idx)
-		}(i, idx)
+			out[i].Pair, errs[i] = runOne(out[i].Entry)
+		}(i)
 	}
 	wg.Wait()
-	if s.ContinueOnError {
-		for i, err := range errs {
-			if err != nil {
-				out[i].Err = err
-			}
-		}
-		return out, nil
-	}
 	// Surface the failure of the lowest catalog index, not whichever
 	// position happens to come first in the selection: errors then read
 	// the same regardless of how -traces ordered the selection.
@@ -169,9 +121,6 @@ func RenderTable1(w io.Writer, results []SuiteResult) {
 	fmt.Fprintln(w, "Table 1: IP multicast traces (generated vs paper)")
 	fmt.Fprintln(tw, "#\tTrace\tRcvrs\tDepth\tPeriod\tPkts\tLosses\tPaperPkts\tPaperLosses\tBurstLen")
 	for _, r := range results {
-		if r.Pair == nil {
-			continue
-		}
 		st := r.Pair.Trace.ComputeStats()
 		fmt.Fprintf(tw, "%d\t%s\t%d\t%d\t%v\t%d\t%d\t%d\t%d\t%.1f\n",
 			r.Entry.Index, st.Name, st.Receivers, st.TreeDepth, st.Period,
@@ -187,9 +136,6 @@ func RenderSec42(w io.Writer, results []SuiteResult) {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "#\tTrace\t>95%\t>98%\tGroundTruth")
 	for _, r := range results {
-		if r.Pair == nil {
-			continue
-		}
 		gt := "n/a"
 		if acc := r.Pair.GroundTruthAccuracy; acc >= 0 {
 			gt = fmt.Sprintf("%.1f%%", 100*acc)
@@ -204,9 +150,6 @@ func RenderSec42(w io.Writer, results []SuiteResult) {
 func RenderFigure1(w io.Writer, results []SuiteResult) {
 	fmt.Fprintln(w, "Figure 1: per-receiver average normalized recovery time (RTT units)")
 	for _, r := range results {
-		if r.Pair == nil {
-			continue
-		}
 		fmt.Fprintf(w, "Trace %s (CESRM reduction %.0f%%):\n", r.Entry.Name, r.Pair.LatencyReductionPct())
 		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 		fmt.Fprintln(tw, "  Receiver\tSRM\tCESRM\tReduction")
@@ -225,9 +168,6 @@ func RenderFigure1(w io.Writer, results []SuiteResult) {
 func RenderFigure2(w io.Writer, results []SuiteResult) {
 	fmt.Fprintln(w, "Figure 2: CESRM expedited vs non-expedited normalized recovery difference (RTT units)")
 	for _, r := range results {
-		if r.Pair == nil {
-			continue
-		}
 		fmt.Fprintf(w, "Trace %s:\n", r.Entry.Name)
 		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 		fmt.Fprintln(tw, "  Receiver\tExpedited\tNon-exp\tDelta")
@@ -243,9 +183,6 @@ func RenderFigure2(w io.Writer, results []SuiteResult) {
 func renderCounts(w io.Writer, results []SuiteResult, title string, rows func(*Pair) []PacketCountRow) {
 	fmt.Fprintln(w, title)
 	for _, r := range results {
-		if r.Pair == nil {
-			continue
-		}
 		fmt.Fprintf(w, "Trace %s:\n", r.Entry.Name)
 		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 		fmt.Fprintln(tw, "  Host\tSRM(mcast)\tCESRM(mcast)\tCESRM-EXP")
@@ -275,9 +212,6 @@ func RenderFigure5(w io.Writer, results []SuiteResult) {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "#\tTrace\tExpSuccess\tRetrans%\tCtlMcast%\tCtlUcast%\tCtlTotal%")
 	for _, r := range results {
-		if r.Pair == nil {
-			continue
-		}
 		succ, ok := r.Pair.ExpeditedSuccess()
 		succStr := "n/a"
 		if ok {
@@ -298,9 +232,6 @@ func RenderSummary(w io.Writer, results []SuiteResult) {
 	fmt.Fprintln(tw, "#\tTrace\tSRM RTTs\tCESRM RTTs\tReduction\tSRM 1st-round\tExpSucc")
 	for _, r := range results {
 		p := r.Pair
-		if p == nil {
-			continue
-		}
 		s := p.SRM.Collector.OverallNormalized(p.SRM.RTT)
 		c := p.CESRM.Collector.OverallNormalized(p.CESRM.RTT)
 		fr := p.SRM.Collector.FirstRoundNormalized(p.SRM.RTT)
@@ -321,7 +252,7 @@ func RenderFingerprints(w io.Writer, results []SuiteResult) {
 	fmt.Fprintln(tw, "#\tTrace\tSRM\tCESRM")
 	for _, r := range results {
 		fmt.Fprintf(tw, "%d\t%s\t%s\t%s\n",
-			r.Entry.Index, r.Entry.Name, r.SRMFingerprint, r.CESRMFingerprint)
+			r.Entry.Index, r.Entry.Name, r.Pair.SRM.Fingerprint, r.Pair.CESRM.Fingerprint)
 	}
 	tw.Flush()
 }
@@ -343,9 +274,6 @@ func RenderCosts(w io.Writer, results []SuiteResult) {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "#\tTrace\tProto\tevents\trecords\tcascades\tfloods\tdata\tsession\tpay-mc\tpay-uc\tpay-sc\tctl-mc\tctl-uc\tctl-sc\thits\tmisses\trefused\tqdrops\tcohort\tperhost\tinline\tinline-reply\trelease-cells\treply-armed\taudit-cells")
 	for _, r := range results {
-		if r.Pair == nil {
-			continue
-		}
 		for _, run := range []*RunResult{r.Pair.SRM, r.Pair.CESRM} {
 			e, c, p := run.Engine, run.Crossings, run.PlanStats
 			fmt.Fprintf(tw, "%d\t%s\t%v\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\n",

@@ -278,6 +278,9 @@ func TestRowsMatchMapModel(t *testing.T) {
 // TestRowsReleaseRefillAllocationFree: once the window has reached its
 // peak in-flight size, sliding it allocates nothing.
 func TestRowsReleaseRefillAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates on this path; the plain test run enforces this pin")
+	}
 	r := MakeRows[uint64](64)
 	next := 0
 	cycle := func() {

@@ -93,7 +93,7 @@ func ParseEntry(data []byte) (*Entry, error) {
 		case "trace":
 			e.Trace = val
 		case "protocol":
-			e.Protocol, err = ParseProtocol(val)
+			e.Protocol, err = experiment.ParseProtocol(val)
 		case "scale":
 			e.Scale, err = strconv.ParseFloat(val, 64)
 		case "seed":
@@ -138,20 +138,6 @@ func ReadEntry(path string) (*Entry, error) {
 // WriteEntry writes one corpus file.
 func WriteEntry(path string, e *Entry) error {
 	return os.WriteFile(path, e.Marshal(), 0o644)
-}
-
-// ParseProtocol parses a protocol name, case-insensitively.
-func ParseProtocol(s string) (experiment.Protocol, error) {
-	switch strings.ToUpper(strings.TrimSpace(s)) {
-	case "SRM":
-		return experiment.SRM, nil
-	case "CESRM":
-		return experiment.CESRM, nil
-	case "LMS":
-		return experiment.LMS, nil
-	default:
-		return 0, fmt.Errorf("soak: unknown protocol %q", s)
-	}
 }
 
 // ReplayOutcome reports one corpus entry's replay.

@@ -83,6 +83,9 @@ func TestTransmitToDeliveryAllocationAmortised(t *testing.T) {
 // a reply record when its cell drops it and the loss record when release
 // discards its cell.
 func TestRepairRoundAllocationAmortised(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates on this path; the plain test run enforces this pin")
+	}
 	obs := &tally{}
 	f := newFixtureObserved(t, starTree(8), detParams(), obs)
 	src := f.agents[0]
@@ -119,6 +122,9 @@ func TestRepairRoundAllocationAmortised(t *testing.T) {
 // records at once; release hands them all back, and the next burst takes
 // them again instead of carving new chunks.
 func TestLossRecordReleaseRefillAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates on this path; the plain test run enforces this pin")
+	}
 	obs := &tally{}
 	f := newFixtureObserved(t, starTree(8), detParams(), obs)
 	src := f.agents[0]
