@@ -60,6 +60,11 @@ func (t Time) String() string { return time.Duration(t).String() }
 // Event is a scheduled callback. Handlers run in virtual-time order.
 type Event func(now Time)
 
+// Fire implements EventHandler, so the engine keeps one record kind for
+// every one-shot event. A func value fits in an interface's data word:
+// the conversion allocates nothing.
+func (f Event) Fire(now Time) { f(now) }
+
 // EventHandler is the closure-free scheduling surface: an object whose
 // Fire method runs when its instant arrives. Hot paths that would
 // otherwise capture state into a fresh closure per event (packet
@@ -116,9 +121,8 @@ const (
 // cancellation an O(1) unlink.
 type scheduledEvent struct {
 	at  Time
-	seq uint64 // tie-breaker: FIFO among events at the same instant
-	fn  Event
-	h   EventHandler // non-nil exactly when fn and series are nil
+	seq uint64       // tie-breaker: FIFO among events at the same instant
+	h   EventHandler // non-nil exactly when series is nil
 	// series is non-nil for a series' single record (ScheduleSeries),
 	// which Step re-arms until the last of its firings.
 	series          SeriesHandler
@@ -299,7 +303,6 @@ func (e *Engine) alloc(at Time) *scheduledEvent {
 // occupancy inert before the record can be handed out again.
 func (e *Engine) release(ev *scheduledEvent) {
 	ev.gen++
-	ev.fn = nil
 	ev.h = nil
 	ev.series, ev.firing, ev.firings = nil, 0, 0
 	e.free = append(e.free, ev)
@@ -517,10 +520,7 @@ func (e *Engine) ScheduleAt(at Time, fn Event) Timer {
 	if fn == nil {
 		panic("sim: ScheduleAt called with nil event")
 	}
-	ev := e.alloc(at)
-	ev.fn = fn
-	e.place(ev)
-	return Timer{ev: ev, gen: ev.gen, at: at}
+	return e.ScheduleHandlerAt(at, fn)
 }
 
 // Schedule registers fn to run after delay. Negative delays are clamped
@@ -647,7 +647,7 @@ func (e *Engine) Step() bool {
 	e.unlink(ev)
 	e.now = ev.at
 	e.executed++
-	fn, h, s, i := ev.fn, ev.h, ev.series, ev.firing
+	h, s, i := ev.h, ev.series, ev.firing
 	if ev.firing++; ev.firing < ev.firings {
 		// A series files its next firing before this one runs.
 		if ev.at = s.At(ev.firing); ev.at < e.now {
@@ -664,10 +664,8 @@ func (e *Engine) Step() bool {
 	}
 	if s != nil {
 		s.Fire(i, e.now)
-	} else if h != nil {
-		h.Fire(e.now)
 	} else {
-		fn(e.now)
+		h.Fire(e.now)
 	}
 	return true
 }
