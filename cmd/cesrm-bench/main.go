@@ -40,12 +40,11 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"runtime/pprof"
-	"strconv"
 	"strings"
 	"text/tabwriter"
 	"time"
 
+	"cesrm/cmd/internal/cli"
 	"cesrm/internal/chaos"
 	"cesrm/internal/core"
 	"cesrm/internal/experiment"
@@ -53,96 +52,6 @@ import (
 	"cesrm/internal/srm"
 	"cesrm/internal/trace"
 )
-
-// scaleFlag collects repeated (or comma-separated) -scale values.
-type scaleFlag []float64
-
-func (s *scaleFlag) String() string {
-	parts := make([]string, len(*s))
-	for i, v := range *s {
-		parts[i] = strconv.FormatFloat(v, 'g', -1, 64)
-	}
-	return strings.Join(parts, ",")
-}
-
-func (s *scaleFlag) Set(v string) error {
-	for _, f := range strings.Split(v, ",") {
-		x, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil {
-			return fmt.Errorf("bad scale %q: %w", f, err)
-		}
-		if x <= 0 {
-			return fmt.Errorf("scale %v must be positive", x)
-		}
-		*s = append(*s, x)
-	}
-	return nil
-}
-
-// nameFlag collects repeated (or comma-separated) -trace name filters.
-type nameFlag []string
-
-func (n *nameFlag) String() string { return strings.Join(*n, ",") }
-
-func (n *nameFlag) Set(v string) error {
-	for _, f := range strings.Split(v, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			return fmt.Errorf("empty trace name filter")
-		}
-		*n = append(*n, f)
-	}
-	return nil
-}
-
-// selectTraces resolves the -traces index list and -trace name filters
-// to a sorted, deduplicated list of 1-based catalog indices. An empty
-// selection (no flags) returns nil, meaning all traces.
-func selectTraces(indexList string, names nameFlag) ([]int, error) {
-	pick := make(map[int]bool)
-	any := false
-	if indexList != "" {
-		any = true
-		for _, f := range strings.Split(indexList, ",") {
-			i, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil {
-				return nil, fmt.Errorf("bad trace index %q: %w", f, err)
-			}
-			pick[i] = true
-		}
-	}
-	if len(names) > 0 {
-		any = true
-		for _, name := range names {
-			matched := false
-			for _, e := range trace.Catalog {
-				if strings.Contains(strings.ToLower(e.Name), strings.ToLower(name)) {
-					pick[e.Index] = true
-					matched = true
-				}
-			}
-			if !matched {
-				return nil, fmt.Errorf("-trace %q matches no catalog trace", name)
-			}
-		}
-	}
-	if !any {
-		return nil, nil
-	}
-	var out []int
-	for _, e := range trace.Catalog {
-		if pick[e.Index] {
-			out = append(out, e.Index)
-			delete(pick, e.Index)
-		}
-	}
-	// Whatever remains never matched a catalog entry; keep it so the
-	// suite reports the out-of-range index.
-	for i := range pick {
-		out = append(out, i)
-	}
-	return out, nil
-}
 
 // runChaosMatrix sweeps the deterministic fault-injection scenario
 // matrix (see chaos.Scenarios) over every selected trace under SRM and
@@ -207,11 +116,11 @@ func main() {
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("cesrm-bench", flag.ContinueOnError)
-	var scales scaleFlag
+	var scales cli.Scales
 	fs.Var(&scales, "scale", "trace volume scale (> 0); 1 = full Table 1 volumes, 5 = a 5x extrapolation; repeatable (or comma-separated) to sweep")
 	seed := fs.Int64("seed", 1, "base random seed")
 	traces := fs.String("traces", "", "comma-separated 1-based trace indices (default: all 14)")
-	var traceNames nameFlag
+	var traceNames cli.Names
 	fs.Var(&traceNames, "trace", "trace name filter (case-insensitive substring); repeatable, unioned with -traces")
 	section := fs.String("section", "all", "output section: all, table1, sec42, summary, fig1, fig2, fig3, fig4, fig5, fig1bars, fig5bars, compare, fingerprints, costs")
 	delay := fs.Duration("delay", 20*time.Millisecond, "per-link one-way delay")
@@ -220,16 +129,15 @@ func run(args []string, stdout io.Writer) error {
 	routerAssist := fs.Bool("router-assist", false, "enable the router-assisted CESRM variant (§3.3)")
 	parallel := fs.Int("parallel", runtime.NumCPU(), "max traces simulating concurrently (1 = serial)")
 	chaosMatrix := fs.Bool("chaos-matrix", false, "run the deterministic fault-injection scenario matrix per selected trace (instead of the figure suite) and report per-scenario fingerprints")
-	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the suite run(s) to this file")
-	memprofile := fs.String("memprofile", "", "write an allocation profile taken after the suite run(s) to this file")
+	profiles := cli.AddProfiles(fs, "the suite run(s)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if len(scales) == 0 {
-		scales = scaleFlag{0.1}
+		scales = cli.Scales{0.1}
 	}
 
-	indices, err := selectTraces(*traces, traceNames)
+	indices, err := cli.SelectTraces(*traces, traceNames)
 	if err != nil {
 		return err
 	}
@@ -247,17 +155,11 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("unknown policy %q", *policy)
 	}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
+	stopCPU, err := profiles.StartCPU()
+	if err != nil {
+		return err
 	}
+	defer stopCPU()
 
 	if *chaosMatrix {
 		if len(scales) > 1 {
@@ -323,19 +225,5 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
-	if *memprofile != "" {
-		f, err := os.Create(*memprofile)
-		if err != nil {
-			return err
-		}
-		runtime.GC() // materialize the allocation profile
-		if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return profiles.WriteMem()
 }

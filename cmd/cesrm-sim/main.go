@@ -33,11 +33,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"text/tabwriter"
 	"time"
 
+	"cesrm/cmd/internal/cli"
 	"cesrm/internal/chaos"
 	"cesrm/internal/core"
 	"cesrm/internal/experiment"
@@ -69,8 +68,7 @@ func run(args []string, stdout io.Writer) error {
 	eventsFile := fs.String("events", "", "write the ordered protocol-event stream as NDJSON to this file")
 	explain := fs.String("explain", "", "print one loss's causal chain instead of the report: host:seq, a packet of the source's stream the host lost")
 	diff := fs.Bool("diff", false, "compare two -events files instead of running: -diff a.ndjson b.ndjson")
-	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memprofile := fs.String("memprofile", "", "write an allocation profile taken after the run to this file")
+	profiles := cli.AddProfiles(fs, "the run")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -89,20 +87,13 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
+	stopCPU, err := profiles.StartCPU()
+	if err != nil {
+		return err
 	}
+	defer stopCPU()
 
 	var tr *trace.Trace
-	var err error
 	if *file != "" {
 		f, err := os.Open(*file)
 		if err != nil {
@@ -182,19 +173,8 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "event timeline: %d events written to %s\n", len(res.Events), *eventsFile)
 	}
 
-	if *memprofile != "" {
-		f, err := os.Create(*memprofile)
-		if err != nil {
-			return err
-		}
-		runtime.GC() // materialize the allocation profile
-		if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
+	if err := profiles.WriteMem(); err != nil {
+		return err
 	}
 
 	if *explain != "" {

@@ -19,10 +19,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"time"
 
+	"cesrm/cmd/internal/cli"
 	"cesrm/internal/experiment"
 	"cesrm/internal/sim"
 	"cesrm/internal/soak"
@@ -58,7 +58,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return replayCorpus(*replay, budget, stdout, stderr)
 	}
 
-	indices, err := parseInts(*traces)
+	indices, err := cli.ParseIndices(*traces)
 	if err != nil {
 		fmt.Fprintln(stderr, "cesrm-soak:", err)
 		return 2
@@ -153,22 +153,6 @@ func replayCorpus(path string, budget sim.Budget, stdout, stderr io.Writer) int 
 		return 1
 	}
 	return 0
-}
-
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, err := strconv.Atoi(part)
-		if err != nil {
-			return nil, fmt.Errorf("bad trace index %q", part)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }
 
 func parseProtocols(s string) ([]experiment.Protocol, error) {

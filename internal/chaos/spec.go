@@ -16,6 +16,7 @@ package chaos
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -64,30 +65,31 @@ const (
 
 // String returns the kind's spec keyword.
 func (k Kind) String() string {
-	switch k {
-	case Crash:
-		return "crash"
-	case Restart:
-		return "restart"
-	case LinkDown:
-		return "link-down"
-	case LinkUp:
-		return "link-up"
-	case Jitter:
-		return "jitter"
-	case Duplicate:
-		return "dup"
-	case Starve:
-		return "starve"
-	case Leave:
-		return "leave"
-	case Join:
-		return "join"
-	case QueueCap:
-		return "qcap"
-	default:
-		return fmt.Sprintf("Kind(%d)", int(k))
+	if k > 0 && int(k) < len(kinds) {
+		return kinds[k].keyword
 	}
+	return fmt.Sprintf("Kind(%d)", int(k))
+}
+
+// kinds defines each fault kind of the spec text once: its keyword and
+// the option keys it accepts, in the order String renders them.
+// Rejecting inapplicable keys at parse time (rather than silently
+// ignoring them) keeps the parser a left inverse of String: every
+// accepted fault renders back to text that reparses to the same fault.
+var kinds = [...]struct {
+	keyword string
+	options []string
+}{
+	Crash:     {"crash", []string{"host", "purge"}},
+	Restart:   {"restart", []string{"host"}},
+	LinkDown:  {"link-down", []string{"link"}},
+	LinkUp:    {"link-up", []string{"link"}},
+	Jitter:    {"jitter", []string{"max"}},
+	Duplicate: {"dup", []string{"prob", "delay"}},
+	Starve:    {"starve", []string{"host"}},
+	Leave:     {"leave", []string{"host"}},
+	Join:      {"join", []string{"host"}},
+	QueueCap:  {"qcap", []string{"cap"}},
 }
 
 // Fault is one scheduled fault. Which fields are meaningful depends on
@@ -365,40 +367,11 @@ func (s *Spec) String() string {
 			fmt.Fprintf(&b, "-%s", f.Until)
 		}
 		var opts []string
-		switch f.Kind {
-		case Crash, Restart:
-			if f.Host != topology.None {
-				opts = append(opts, fmt.Sprintf("host=%d", f.Host))
-			}
-			if f.Purge {
-				opts = append(opts, "purge")
-			}
-		case LinkDown, LinkUp:
-			if f.Link != topology.LinkID(topology.None) {
-				opts = append(opts, fmt.Sprintf("link=%d", f.Link))
-			}
-		case Jitter:
-			if f.Max != 0 {
-				opts = append(opts, fmt.Sprintf("max=%s", f.Max))
-			}
-		case Duplicate:
-			if f.Prob != 0 {
-				opts = append(opts, fmt.Sprintf("prob=%s", strconv.FormatFloat(f.Prob, 'g', -1, 64)))
-			}
-			if f.Delay != 0 {
-				opts = append(opts, fmt.Sprintf("delay=%s", f.Delay))
-			}
-		case Starve:
-			if f.Host != topology.None {
-				opts = append(opts, fmt.Sprintf("host=%d", f.Host))
-			}
-		case Leave, Join:
-			if f.Host != topology.None {
-				opts = append(opts, fmt.Sprintf("host=%d", f.Host))
-			}
-		case QueueCap:
-			if f.Cap != 0 {
-				opts = append(opts, fmt.Sprintf("cap=%d", f.Cap))
+		if f.Kind > 0 && int(f.Kind) < len(kinds) {
+			for _, key := range kinds[f.Kind].options {
+				if text := f.renderOption(key); text != "" {
+					opts = append(opts, text)
+				}
 			}
 		}
 		if len(opts) > 0 {
@@ -407,6 +380,28 @@ func (s *Spec) String() string {
 		parts = append(parts, b.String())
 	}
 	return strings.Join(parts, ";")
+}
+
+// renderOption renders f's option key, or "" when f holds the option's
+// parse-time zero.
+func (f *Fault) renderOption(key string) string {
+	switch {
+	case key == "host" && f.Host != topology.None:
+		return fmt.Sprintf("host=%d", f.Host)
+	case key == "purge" && f.Purge:
+		return "purge"
+	case key == "link" && f.Link != topology.LinkID(topology.None):
+		return fmt.Sprintf("link=%d", f.Link)
+	case key == "max" && f.Max != 0:
+		return fmt.Sprintf("max=%s", f.Max)
+	case key == "prob" && f.Prob != 0:
+		return fmt.Sprintf("prob=%s", strconv.FormatFloat(f.Prob, 'g', -1, 64))
+	case key == "delay" && f.Delay != 0:
+		return fmt.Sprintf("delay=%s", f.Delay)
+	case key == "cap" && f.Cap != 0:
+		return fmt.Sprintf("cap=%d", f.Cap)
+	}
+	return ""
 }
 
 // ParseSpec parses the compact text format used by cesrm-sim -chaos:
@@ -466,23 +461,6 @@ func specDuration(what, text string) (time.Duration, error) {
 	return d, nil
 }
 
-// faultOptions names the option keys each kind accepts. Rejecting
-// inapplicable keys at parse time (rather than silently ignoring them)
-// keeps the parser a left inverse of String: every accepted fault
-// renders back to text that reparses to the same fault.
-var faultOptions = map[Kind]string{
-	Crash:     "host,purge",
-	Restart:   "host",
-	LinkDown:  "link",
-	LinkUp:    "link",
-	Jitter:    "max",
-	Duplicate: "prob,delay",
-	Starve:    "host",
-	Leave:     "host",
-	Join:      "host",
-	QueueCap:  "cap",
-}
-
 func parseFault(text string) (Fault, error) {
 	f := Fault{Host: topology.None, Link: topology.LinkID(topology.None)}
 	head, opts, hasOpts := strings.Cut(text, ":")
@@ -490,28 +468,12 @@ func parseFault(text string) (Fault, error) {
 	if !ok {
 		return f, fmt.Errorf("missing @instant")
 	}
-	switch kindStr {
-	case "crash":
-		f.Kind = Crash
-	case "restart":
-		f.Kind = Restart
-	case "link-down":
-		f.Kind = LinkDown
-	case "link-up":
-		f.Kind = LinkUp
-	case "jitter":
-		f.Kind = Jitter
-	case "dup":
-		f.Kind = Duplicate
-	case "starve":
-		f.Kind = Starve
-	case "leave":
-		f.Kind = Leave
-	case "join":
-		f.Kind = Join
-	case "qcap":
-		f.Kind = QueueCap
-	default:
+	for k := range kinds {
+		if k > 0 && kinds[k].keyword == kindStr {
+			f.Kind = Kind(k)
+		}
+	}
+	if f.Kind == 0 {
 		return f, fmt.Errorf("unknown fault kind %q", kindStr)
 	}
 	from, to, windowed := strings.Cut(when, "-")
@@ -533,16 +495,15 @@ func parseFault(text string) (Fault, error) {
 	if !hasOpts {
 		return f, nil
 	}
-	allowed := faultOptions[f.Kind]
 	seen := make(map[string]bool, 4)
 	for _, opt := range strings.Split(opts, ",") {
 		key, val, hasVal := strings.Cut(opt, "=")
-		switch key {
-		case "host", "link", "max", "delay", "prob", "purge", "cap":
-			if !optionAllowed(allowed, key) {
-				return f, fmt.Errorf("option %q does not apply to %s faults", key, f.Kind)
+		if !slices.Contains(kinds[f.Kind].options, key) {
+			for _, k := range kinds {
+				if slices.Contains(k.options, key) {
+					return f, fmt.Errorf("option %q does not apply to %s faults", key, f.Kind)
+				}
 			}
-		default:
 			return f, fmt.Errorf("unknown option %q", key)
 		}
 		if seen[key] {
@@ -610,17 +571,6 @@ func parseFault(text string) (Fault, error) {
 		}
 	}
 	return f, nil
-}
-
-// optionAllowed reports whether key appears in the comma-separated
-// allowed list.
-func optionAllowed(allowed, key string) bool {
-	for _, k := range strings.Split(allowed, ",") {
-		if k == key {
-			return true
-		}
-	}
-	return false
 }
 
 // Scenarios builds the deterministic scenario matrix for a topology:
