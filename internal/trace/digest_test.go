@@ -44,32 +44,54 @@ func traceDigests(t *testing.T, traces []*Trace) string {
 }
 
 // TestCatalogTraceDigests pins the generator's output across changes of
-// the in-memory representation: the 14 catalog traces at scale 0.1 and
-// one 512-receiver trace must serialize to the recorded bytes and carry
-// the recorded ground truth. The goldens were recorded from the dense
-// [][]bool / [][]LinkID representation; a drift is a changed trace, not
-// a golden to update.
+// the in-memory representation and of the generator's algorithm: the 14
+// catalog traces at scale 0.1, one 512-receiver trace, the
+// cache_overflow workload's 1,024-receiver trace and a depth-10 tree
+// with every link lossy and one-packet bursts must serialize to the
+// recorded bytes and carry the recorded ground truth. The first 15
+// goldens were recorded from the dense [][]bool / [][]LinkID
+// representation, the last two from the per-receiver path scan; a drift
+// is a changed trace, not a golden to update.
 func TestCatalogTraceDigests(t *testing.T) {
 	traces, err := LoadCatalog(0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide, err := Generate(GenSpec{
+	for _, spec := range []GenSpec{{
 		Name:         "WIDE512",
 		Topology:     topology.GenSpec{Receivers: 512, Depth: 7},
 		NumPackets:   1237,
 		Period:       40 * time.Millisecond,
 		TargetLosses: 512 * 1237 / 20,
 		Seed:         9701,
-	})
-	if err != nil {
-		t.Fatal(err)
+	}, {
+		Name:         "WIDE1024",
+		Topology:     topology.GenSpec{Receivers: 1024, Depth: 7},
+		NumPackets:   250,
+		Period:       40 * time.Millisecond,
+		TargetLosses: 1024 * 250 / 20,
+		Seed:         9702,
+	}, {
+		Name:              "DEEP10",
+		Topology:          topology.GenSpec{Receivers: 300, Depth: 10},
+		NumPackets:        400,
+		Period:            80 * time.Millisecond,
+		TargetLosses:      300 * 400 / 10,
+		MeanBurstLen:      1,
+		LossyLinkFraction: 1,
+		Seed:              9703,
+	}} {
+		tr, err := Generate(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		traces = append(traces, tr)
 	}
 	want, err := os.ReadFile(filepath.Join("testdata", "trace-digests.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := traceDigests(t, append(traces, wide))
+	got := traceDigests(t, traces)
 	if got == string(want) {
 		return
 	}
