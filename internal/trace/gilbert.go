@@ -99,9 +99,8 @@ func Generate(spec GenSpec) (*Trace, error) {
 
 	// Per-link relative loss weights: a minority of links carry most of
 	// the loss, the rest are nearly clean. Indexed by the link's NodeID
-	// (dense slices, not maps, so 10k-receiver trees generate in seconds;
-	// the draw order over links is unchanged, keeping every existing
-	// catalog trace byte-identical).
+	// (dense slices, not maps; the draw order over links is unchanged,
+	// keeping every existing catalog trace byte-identical).
 	links := tree.Links()
 	weight := make([]float64, tree.NumNodes())
 	for _, l := range links {
@@ -112,29 +111,50 @@ func Generate(spec GenSpec) (*Trace, error) {
 		}
 	}
 
+	// The flood order lays every subtree out as one contiguous span of
+	// entries, so the receivers below a link are one contiguous run of
+	// rows: rows lists the Loss row indices in flood order, and
+	// rowsBefore[i] counts the receivers among the first i entries.
+	// Receivers are in ascending ID order, which is the Loss row order.
+	order := tree.FloodOrder()
+	entries := order.Entries[:tree.NumNodes()]
+	receivers := tree.Receivers()
+	rows := make([]int32, 0, len(receivers))
+	rowsBefore := make([]int32, len(entries)+1)
+	for i, e := range entries {
+		rowsBefore[i] = int32(len(rows))
+		if ri, ok := slices.BinarySearch(receivers, topology.NodeID(e.Node)); ok {
+			rows = append(rows, int32(ri))
+		}
+	}
+	rowsBefore[len(entries)] = int32(len(rows))
+	rowsBelow := func(l topology.LinkID) []int32 {
+		p := order.Pos[l]
+		return rows[rowsBefore[p]:rowsBefore[p+entries[p].Span]]
+	}
+
 	// Calibrate the global scale alpha so the expected aggregate loss
 	// count matches the target:
 	//   E[losses] = sum_r N * (1 - prod_{l in path(s,r)} (1 - alpha*w_l))
-	// which is monotone increasing in alpha. Solve by bisection.
-	receivers := tree.Receivers()
-	paths := make([][]topology.LinkID, len(receivers))
-	for i, r := range receivers {
-		paths[i] = tree.PathLinks(tree.Root(), r)
-	}
+	// which is monotone increasing in alpha. Solve by bisection. Each
+	// evaluation is one pass over the flood order, parents before
+	// children, so every receiver's product is taken root first, link by
+	// link, exactly as a walk down its path would.
 	maxW := 0.0
 	for _, w := range weight {
 		if w > maxW {
 			maxW = w
 		}
 	}
+	keep := make([]float64, tree.NumNodes())
+	keep[tree.Root()] = 1
 	expected := func(alpha float64) float64 {
+		for _, e := range entries[1:] {
+			keep[e.Node] = keep[tree.Parent(topology.NodeID(e.Node))] * (1 - alpha*weight[e.Node])
+		}
 		total := 0.0
-		for _, path := range paths {
-			keep := 1.0
-			for _, l := range path {
-				keep *= 1 - alpha*weight[l]
-			}
-			total += 1 - keep
+		for _, r := range receivers {
+			total += 1 - keep[r]
 		}
 		return total * float64(spec.NumPackets)
 	}
@@ -157,10 +177,14 @@ func Generate(spec GenSpec) (*Trace, error) {
 	// overwrites into with the loss bitsets and ground-truth rows,
 	// returning the realized loss count. The chain RNG seed is fixed per
 	// attempt index so the calibration loop below converges smoothly
-	// rather than chasing fresh noise each pass.
+	// rather than chasing fresh noise each pass. A packet dies on its
+	// minimal bad links, those whose upstream path is clean; their
+	// subtrees are disjoint and together hold every receiver that lost
+	// it, so each loss is marked and counted once.
+	chains := make([]gilbertChain, tree.NumNodes())
+	var bad, drops []topology.LinkID
 	realize := func(alpha float64, seed int64, into *Trace) int {
 		crng := sim.NewRNG(seed)
-		chains := make([]gilbertChain, tree.NumNodes())
 		for _, l := range links {
 			rate := alpha * weight[l]
 			if rate > 0.97 {
@@ -176,43 +200,36 @@ func Generate(spec GenSpec) (*Trace, error) {
 		d := into.TrueDrops
 		d.Seqs, d.Offs, d.Links = d.Seqs[:0], d.Offs[:0], d.Links[:0]
 		total := 0
-		badNow := make([]bool, tree.NumNodes())
-		var drops []topology.LinkID
 		for pkt := 0; pkt < spec.NumPackets; pkt++ {
-			anyBad := false
+			bad = bad[:0]
 			for _, l := range links {
-				badNow[l] = chains[l].step(crng)
-				anyBad = anyBad || badNow[l]
+				if chains[l].step(crng) {
+					bad = append(bad, l)
+				}
 			}
-			if !anyBad {
+			if len(bad) == 0 {
 				continue
 			}
-			for ri, path := range paths {
-				for _, l := range path {
-					if badNow[l] {
-						into.Loss[ri][pkt>>6] |= 1 << (pkt & 63)
-						total++
-						break
-					}
-				}
-			}
-			// Minimal dropping links: bad links whose upstream path is
-			// clean (the packet actually reached and died on them).
 			drops = drops[:0]
-			for _, l := range links {
-				if !badNow[l] {
-					continue
-				}
+			word, bit := pkt>>6, uint64(1)<<(pkt&63)
+			for _, l := range bad {
+				// chains[p].bad is p's state for this packet.
 				clean := true
 				for p := tree.Parent(l); p != tree.Root() && p != topology.None; p = tree.Parent(p) {
-					if badNow[p] {
+					if chains[p].bad {
 						clean = false
 						break
 					}
 				}
-				if clean {
-					drops = append(drops, l)
+				if !clean {
+					continue
 				}
+				drops = append(drops, l)
+				below := rowsBelow(l)
+				for _, ri := range below {
+					into.Loss[ri][word] |= bit
+				}
+				total += len(below)
 			}
 			d.add(pkt, drops)
 		}

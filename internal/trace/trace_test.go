@@ -339,20 +339,51 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// BenchmarkGenerate times the generator on the catalog's scale and on
+// the wide ones: a 10-receiver stream, one catalog entry at its full
+// Table 1 volume, the specs of the benchmark's wide_group and
+// cache_overflow workloads, and 4,096 receivers on a depth-10 tree.
 func BenchmarkGenerate(b *testing.B) {
-	spec := GenSpec{
-		Name:         "bench",
-		Topology:     topology.GenSpec{Receivers: 10, Depth: 4},
-		NumPackets:   10000,
-		Period:       80 * time.Millisecond,
-		TargetLosses: 3000,
-		Seed:         1,
+	wrn, ok := ByName("WRN951216")
+	if !ok {
+		b.Fatal("WRN951216 not in the catalog")
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Generate(spec); err != nil {
-			b.Fatal(err)
+	catalog, err := wrn.Spec(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	group := func(name string, receivers, depth, packets int, seed int64) GenSpec {
+		return GenSpec{
+			Name:         name,
+			Topology:     topology.GenSpec{Receivers: receivers, Depth: depth},
+			NumPackets:   packets,
+			Period:       40 * time.Millisecond,
+			TargetLosses: receivers * packets / 20,
+			Seed:         seed,
 		}
+	}
+	for _, spec := range []GenSpec{
+		{
+			Name:         "R10",
+			Topology:     topology.GenSpec{Receivers: 10, Depth: 4},
+			NumPackets:   10000,
+			Period:       80 * time.Millisecond,
+			TargetLosses: 3000,
+			Seed:         1,
+		},
+		catalog,
+		group("WIDE512", 512, 7, 1200, 9701),
+		group("WIDE1024", 1024, 7, 250, 9702),
+		group("R4096D10", 4096, 10, 250, 9704),
+	} {
+		b.Run(spec.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Generate(spec); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
