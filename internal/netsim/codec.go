@@ -204,46 +204,70 @@ func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
 // Uvarint reads an unsigned varint. Non-minimal encodings (a final
 // zero continuation group, e.g. 0x80 0x00 for 0) are rejected so that
 // decoding stays the exact inverse of encoding.
-func (d *Decoder) Uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 || (n > 1 && d.buf[d.off+n-1] == 0) {
-		d.Fail("netsim: truncated or non-minimal uvarint at offset %d", d.off)
-		return 0
-	}
-	d.off += n
-	return v
-}
+func (d *Decoder) Uvarint() uint64 { return d.uvarint("truncated or non-minimal uvarint") }
 
 // Varint reads a signed (zig-zag) varint, rejecting non-minimal
 // encodings like Uvarint.
 func (d *Decoder) Varint() int64 {
-	if d.err != nil {
-		return 0
+	u := d.uvarint("truncated or non-minimal varint")
+	return int64(u>>1) ^ -int64(u&1)
+}
+
+// uvarint is what Uvarint and Varint call: a one-byte fast path, then
+// the one minimal-varint loop. It accepts exactly what binary.Uvarint
+// does, less the encodings whose last byte is a zero continuation
+// group; what describes a failure in the error. It does not inline, so
+// Uvarint and Varint, a call to it each, inline at every field read.
+func (d *Decoder) uvarint(what string) uint64 {
+	if d.err == nil && d.off < len(d.buf) {
+		buf := d.buf[d.off:]
+		if b := buf[0]; b < 0x80 {
+			d.off++
+			return uint64(b)
+		}
+		// The bound on i keeps every shift below 64, so the compiler
+		// emits no shift-overflow check; byte 0 is a continuation byte.
+		var v uint64
+		for i := 0; i < len(buf) && i < binary.MaxVarintLen64; i++ {
+			b := buf[i]
+			v |= uint64(b&0x7f) << (7 * i)
+			if b < 0x80 {
+				if b == 0 || i == binary.MaxVarintLen64-1 && b > 1 {
+					break // not minimal, or past 64 bits
+				}
+				d.off += i + 1
+				return v
+			}
+		}
 	}
-	v, n := binary.Varint(d.buf[d.off:])
-	if n <= 0 || (n > 1 && d.buf[d.off+n-1] == 0) {
-		d.Fail("netsim: truncated or non-minimal varint at offset %d", d.off)
-		return 0
+	if d.err == nil {
+		d.err = &readError{what: what, off: d.off}
 	}
-	d.off += n
-	return v
+	return 0
 }
 
 // Byte reads one raw byte.
 func (d *Decoder) Byte() byte {
-	if d.err != nil {
-		return 0
+	if d.off < len(d.buf) && d.err == nil {
+		b := d.buf[d.off]
+		d.off++
+		return b
 	}
-	if d.off >= len(d.buf) {
-		d.Fail("netsim: truncated input at offset %d", d.off)
-		return 0
+	if d.err == nil {
+		d.err = &readError{what: "truncated input", off: d.off}
 	}
-	b := d.buf[d.off]
-	d.off++
-	return b
+	return 0
+}
+
+// readError is a failed primitive read. Its text is formatted only when
+// read, so recording one makes no call and Byte stays inlinable.
+type readError struct {
+	what string
+	off  int
+}
+
+func (e *readError) Error() string {
+	return fmt.Sprintf("netsim: %s at offset %d", e.what, e.off)
 }
 
 // Bool reads a bool, rejecting anything but 0 or 1 so that decoding is

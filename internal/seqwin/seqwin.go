@@ -38,13 +38,16 @@ func (w *Window[T]) Base() int { return w.base }
 func (w *Window[T]) Len() int { return len(w.cells) - w.off }
 
 // Cells returns the retained cells; cell i belongs to sequence number
-// Base()+i. The slice aliases the window.
-func (w *Window[T]) Cells() []T { return w.cells[w.off:] }
+// Base()+i. The slice aliases the window, capped at its last cell so an
+// append cannot write past len.
+func (w *Window[T]) Cells() []T { return w.cells[w.off:len(w.cells):len(w.cells)] }
 
 // Below returns the retained cells for the sequence numbers below n:
-// what ReleaseThrough(n) would discard. The slice aliases the window.
+// what ReleaseThrough(n) would discard. The slice aliases the window
+// and is capped like Cells.
 func (w *Window[T]) Below(n int) []T {
-	return w.cells[w.off : w.off+min(max(n-w.base, 0), w.Len())]
+	end := w.off + min(max(n-w.base, 0), w.Len())
+	return w.cells[w.off:end:end]
 }
 
 // Get returns the cell for seq, or nil when seq was released or lies
@@ -73,6 +76,35 @@ func (w *Window[T]) At(seq int) T {
 // resurrects freed state. The pointer is valid until the window next
 // changes.
 func (w *Window[T]) Ensure(seq int) *T {
+	if c := w.reslice(seq); c != nil {
+		return c
+	}
+	return w.grow(seq)
+}
+
+// reslice is Ensure's fast path, small enough to inline where it is
+// called (scripts/check_inlining.sh holds it there): the cell for seq
+// when it lies inside the backing array's capacity, or nil when seq
+// needs grow. A cell beyond len is reached by reslicing, which is sound
+// because every cell between len and cap is zero. A per-packet caller
+// (Prefix.Mark) composes reslice and grow itself, so the common case
+// costs it no call.
+func (w *Window[T]) reslice(seq int) *T {
+	i := seq - w.base + w.off
+	if seq < w.base || i >= cap(w.cells) {
+		return nil
+	}
+	if i >= len(w.cells) {
+		w.cells = w.cells[:i+1]
+	}
+	return &w.cells[i]
+}
+
+// grow is Ensure's slow path: the scratch cell of a released
+// coordinate, the move of the live cells to the front when growing
+// would otherwise reallocate, and growth one zero cell at a time past
+// cap.
+func (w *Window[T]) grow(seq int) *T {
 	idx := seq - w.base
 	if idx < 0 {
 		var zero T
@@ -148,7 +180,11 @@ func (p *Prefix) Has(seq int) bool {
 
 // Mark records receipt of seq and advances the held prefix.
 func (p *Prefix) Mark(seq int) {
-	*p.win.Ensure(seq) = true
+	c := p.win.reslice(seq)
+	if c == nil {
+		c = p.win.grow(seq)
+	}
+	*c = true
 	cells := p.win.cells
 	for i := p.held - p.win.base + p.win.off; i < len(cells) && cells[i]; i++ {
 		p.held++

@@ -350,3 +350,23 @@ func TestRowsFirstArrayHoldsMinCells(t *testing.T) {
 		t.Fatalf("filling %d one-column rows allocates %.1f objects, want 1", minCells, avg)
 	}
 }
+
+// BenchmarkPrefixMark is an agent's per-delivery reception step: probe
+// with Has, then Mark and advance the held prefix. Packets arrive
+// reversed in blocks of four (3, 2, 1, 0, 7, 6, ...), so three marks in
+// four leave a gap and the fourth advances the prefix past the block;
+// every 256 packets the window releases all but the last 64 held
+// flags, as the experiment layer's watermark does, so the backing
+// array cycles through compaction without allocating.
+func BenchmarkPrefixMark(b *testing.B) {
+	var p Prefix
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if seq := i ^ 3; !p.Has(seq) {
+			p.Mark(seq)
+		}
+		if i%256 == 255 {
+			p.ReleaseThrough(p.Held() - 64)
+		}
+	}
+}

@@ -33,6 +33,15 @@ type GenSpec struct {
 	TargetLosses int
 	// MeanBurstLen is the mean number of consecutive packets a link
 	// drops once it enters the bad state. Zero selects the default of 8.
+	//
+	// 1 is not Bernoulli loss. The chain leaves the bad state with
+	// probability 1/MeanBurstLen, so at 1 a dropped packet is always
+	// followed by a delivered one and a link never drops two packets in
+	// a row. The chain enters the bad state with probability
+	// rate/((1−rate)·MeanBurstLen), which is clamped at 1, so no link
+	// realises a loss rate above MeanBurstLen/(MeanBurstLen+1): one half
+	// at 1, 8/9 at the default. The calibration assumes per-link rates
+	// up to 0.95.
 	MeanBurstLen float64
 	// LossyLinkFraction is the probability a link is drawn from the
 	// high-loss weight band (zero selects the default of 0.35); the MBone

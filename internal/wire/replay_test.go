@@ -235,3 +235,28 @@ func TestReplayHostilePacketCount(t *testing.T) {
 		t.Errorf("reading and replaying a two-line capture allocated %d bytes", grew)
 	}
 }
+
+// BenchmarkReplay replays the three committed captures, each a node's
+// whole lossy run: per arrival the hex decode, the packet decode, the
+// driver's one-packet discipline and the agent, and per send the encode
+// and the conformance check. The captures are read once, outside the
+// timer.
+func BenchmarkReplay(b *testing.B) {
+	var captures []*Capture
+	for _, id := range members(testTree(b)) {
+		captures = append(captures, loadFixture(b, id))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, c := range captures {
+			report, err := Replay(c)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !report.OK() {
+				b.Fatalf("node %d: %s", report.Node, report.Divergences[0])
+			}
+		}
+	}
+}

@@ -14,7 +14,7 @@ import (
 // testTree is the smoke topology: root 0 feeding two interior routers,
 // each with one receiver leaf. Members are 0, 3, 4; the interior nodes
 // exercise hop-count distances and subtree (subcast) delivery sets.
-func testTree(t *testing.T) *topology.Tree {
+func testTree(t testing.TB) *topology.Tree {
 	t.Helper()
 	tree, err := topology.New([]topology.NodeID{topology.None, 0, 0, 1, 2})
 	if err != nil {
