@@ -227,6 +227,10 @@ type RunResult struct {
 	// largest (stats.Validator.PeakCells): the whole run's losses with
 	// release off, about the in-flight window with it on.
 	AuditCells int
+	// PeakOutstanding is the most detected-but-unrecovered losses one
+	// host held at once (the agents' PeakOutstanding, maximised over
+	// hosts): the largest loss backlog the run needed.
+	PeakOutstanding int
 	// Abandoned counts losses receivers gave up on after the
 	// bounded-retry limit (Params.MaxRequestRounds), summed over hosts.
 	// Stage 5 reconciles each receiver's missing packets against its
@@ -308,6 +312,7 @@ type endpoint interface {
 	Transmit(seq int)
 	ClassifiedThrough(source topology.NodeID) int
 	Outstanding() int
+	PeakOutstanding() int
 	MissingIn(source topology.NodeID, n int) int
 	AbandonedIn(source topology.NodeID) int
 	HeldWindow(source topology.NodeID) (base, held int, open bool)
@@ -325,6 +330,15 @@ func repliesArmed(hosts []topology.NodeID, members []endpoint) uint64 {
 		}
 	}
 	return n
+}
+
+// peakOutstanding is the largest loss backlog any host held.
+func peakOutstanding(hosts []topology.NodeID, members []endpoint) int {
+	peak := 0
+	for _, id := range hosts {
+		peak = max(peak, members[id].PeakOutstanding())
+	}
+	return peak
 }
 
 // expFallbackBound is invariant 7's request-round budget: a loss chased
@@ -689,6 +703,7 @@ func run(cfg RunConfig, inferred *lossinfer.Result) (*RunResult, error) {
 			WatermarkCells:        rel.scanned,
 			RepliesArmed:          repliesArmed(hosts, members),
 			AuditCells:            validator.PeakCells(),
+			PeakOutstanding:       peakOutstanding(hosts, members),
 			Abandoned:             collector.TotalAbandoned(),
 		}
 	}

@@ -268,18 +268,19 @@ func RenderFingerprints(w io.Writer, results []SuiteResult) {
 // host deliveries through hop cohorts and through every other path; the
 // session and reply cohort deliveries the member group served inline;
 // the per-packet cells the release scans read; the reply timers
-// requests armed; and the validator's audit cells at their peak.
+// requests armed; the validator's audit cells at their peak; plans the
+// cache evicted; and the most losses one host held unrecovered at once.
 func RenderCosts(w io.Writer, results []SuiteResult) {
 	fmt.Fprintln(w, "Costs: exact work counts per run")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "#\tTrace\tProto\tevents\trecords\tcascades\tfloods\tdata\tsession\tpay-mc\tpay-uc\tpay-sc\tctl-mc\tctl-uc\tctl-sc\thits\tmisses\trefused\tqdrops\tcohort\tperhost\tinline\tinline-reply\trelease-cells\treply-armed\taudit-cells")
+	fmt.Fprintln(tw, "#\tTrace\tProto\tevents\trecords\tcascades\tfloods\tdata\tsession\tpay-mc\tpay-uc\tpay-sc\tctl-mc\tctl-uc\tctl-sc\thits\tmisses\trefused\tqdrops\tcohort\tperhost\tinline\tinline-reply\trelease-cells\treply-armed\taudit-cells\tevictions\tpeak-out")
 	for _, r := range results {
 		for _, run := range []*RunResult{r.Pair.SRM, r.Pair.CESRM} {
 			e, c, p := run.Engine, run.Crossings, run.PlanStats
-			fmt.Fprintf(tw, "%d\t%s\t%v\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\n",
+			fmt.Fprintf(tw, "%d\t%s\t%v\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\n",
 				r.Entry.Index, r.Entry.Name, run.Config.Protocol, e.Executed, e.Allocated, e.Cascaded, run.FloodEvents,
 				c.Data, c.Session, c.PayloadMulticast, c.PayloadUnicast, c.PayloadSubcast, c.ControlMulticast, c.ControlUnicast, c.ControlSubcast,
-				p.Hits, p.Misses, p.Refused, run.QueueDrops, run.Deliveries.Cohort, run.Deliveries.PerHost, run.Inline, run.InlineReply, run.WatermarkCells, run.RepliesArmed, run.AuditCells)
+				p.Hits, p.Misses, p.Refused, run.QueueDrops, run.Deliveries.Cohort, run.Deliveries.PerHost, run.Inline, run.InlineReply, run.WatermarkCells, run.RepliesArmed, run.AuditCells, p.Evictions, run.PeakOutstanding)
 		}
 	}
 	tw.Flush()

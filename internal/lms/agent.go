@@ -80,8 +80,9 @@ type Agent struct {
 	// parks the NAKs this host could not serve yet.
 	rx srm.Stream[*lossState, []pendingNAK]
 	// outstanding counts detected-but-unrecovered losses, keeping the
-	// monitor's per-period Outstanding polls O(1).
-	outstanding int
+	// monitor's per-period Outstanding polls O(1), and peakOutstanding
+	// is its high-water over the agent's life.
+	outstanding, peakOutstanding int
 
 	stopped bool
 	crashed bool
@@ -321,6 +322,10 @@ func (a *Agent) ClassifiedThrough(source topology.NodeID) int { return a.rx.Curs
 // Outstanding returns the number of unrecovered detected losses.
 func (a *Agent) Outstanding() int { return a.outstanding }
 
+// PeakOutstanding returns the most detected losses this host held
+// unrecovered at once over the whole run.
+func (a *Agent) PeakOutstanding() int { return a.peakOutstanding }
+
 // Deliver implements netsim.Host.
 func (a *Agent) Deliver(now sim.Time, p *netsim.Packet) {
 	if a.crashed || a.absent {
@@ -406,6 +411,7 @@ func (a *Agent) detectLoss(now sim.Time, seq int) {
 	// never trails the release watermark.
 	*losses.Ensure(seq) = ls
 	a.outstanding++
+	a.peakOutstanding = max(a.peakOutstanding, a.outstanding)
 	a.obs.LossDetected(a.id, a.source, seq, now)
 	a.sendNAK(now, seq, ls)
 }
