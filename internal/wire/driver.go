@@ -58,20 +58,18 @@ func (a *arrival[T]) Fire(now sim.Time) { a.deliver(now, a.v) }
 
 // foldIn folds one arrival into eng's event stream at instant at, which
 // must not be before eng.Now(), per the discipline described on Driver.
-// It reports false, having delivered nothing, once the engine has
-// stopped.
-func (a *arrival[T]) foldIn(eng *sim.Engine, at sim.Time, v T) bool {
+// It delivers nothing once the engine has stopped.
+func (a *arrival[T]) foldIn(eng *sim.Engine, at sim.Time, v T) {
 	if eng.Stopped() {
-		return false
+		return
 	}
 	eng.RunUntil(at)
 	if eng.Stopped() {
-		return false
+		return
 	}
 	a.v = v
 	eng.ScheduleHandlerAt(at, a)
 	eng.RunUntil(at)
-	return true
 }
 
 // NewDriver wraps eng. deliver is invoked from inside engine events.

@@ -64,20 +64,6 @@ func Replay(c *Capture) (*Report, error) {
 		return nil, err
 	}
 	report := &Report{Node: int(cfg.ID)}
-	for i := range c.Records {
-		switch rec := &c.Records[i]; rec.Kind {
-		case recKindSend:
-			report.Sends++
-		case recKindObs:
-			report.Events++
-			if rec.Event != nil && rec.Event.Kind == stats.EventRecovered {
-				report.Recoveries++
-				if rec.Event.Expedited {
-					report.Expedited++
-				}
-			}
-		}
-	}
 
 	// Rebuild the node: same engine semantics, same endpoint behavior,
 	// but sends go nowhere — they are checked against the capture instead.
@@ -92,36 +78,45 @@ func Replay(c *Capture) (*Report, error) {
 		return nil, err
 	}
 
-	// Feed the arrival stream. The hex buffer and the decoder's packet are
-	// reused from one arrival to the next: each is delivered, and done
-	// with, before the next is read.
+	// Feed the arrival stream until the engine stops, and count the
+	// capture's sends, events and recoveries on the way: the counts
+	// describe the capture, so they cover every record. The hex buffer and
+	// the decoder's packet are reused from one arrival to the next: each
+	// is delivered, and done with, before the next is read.
 	var (
 		raw []byte
 		dec netsim.PacketDecoder
 		arr = arrival[*netsim.Packet]{deliver: net.Host().Deliver}
 	)
 	for i := range c.Records {
-		rec := &c.Records[i]
-		if rec.Kind != recKindRecv {
-			continue
-		}
-		raw = append(raw[:0], rec.Data...)
-		n, err := hex.Decode(raw, raw)
-		if err != nil {
-			return nil, fmt.Errorf("wire: capture recv %d: %w", i, err)
-		}
-		p, err := dec.Decode(raw[:n])
-		if err != nil {
-			return nil, fmt.Errorf("wire: capture recv %d: %w", i, err)
-		}
-		at := sim.Time(rec.AtNS)
-		if at.Before(eng.Now()) {
-			// The live driver clamps arrivals to the engine clock, so a
-			// regressing instant means the capture is inconsistent.
-			return nil, fmt.Errorf("wire: capture recv %d at %v regresses before %v", i, at, eng.Now())
-		}
-		if !arr.foldIn(eng, at, p) {
-			break
+		switch rec := &c.Records[i]; {
+		case rec.Kind == recKindSend:
+			report.Sends++
+		case rec.Kind == recKindObs:
+			report.Events++
+			if rec.Event != nil && rec.Event.Kind == stats.EventRecovered {
+				report.Recoveries++
+				if rec.Event.Expedited {
+					report.Expedited++
+				}
+			}
+		case rec.Kind == recKindRecv && !eng.Stopped():
+			raw = append(raw[:0], rec.Data...)
+			n, err := hex.Decode(raw, raw)
+			if err != nil {
+				return nil, fmt.Errorf("wire: capture recv %d: %w", i, err)
+			}
+			p, err := dec.Decode(raw[:n])
+			if err != nil {
+				return nil, fmt.Errorf("wire: capture recv %d: %w", i, err)
+			}
+			at := sim.Time(rec.AtNS)
+			if at.Before(eng.Now()) {
+				// The live driver clamps arrivals to the engine clock, so a
+				// regressing instant means the capture is inconsistent.
+				return nil, fmt.Errorf("wire: capture recv %d at %v regresses before %v", i, at, eng.Now())
+			}
+			arr.foldIn(eng, at, p)
 		}
 	}
 	if !eng.Stopped() {
