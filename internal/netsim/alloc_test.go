@@ -51,10 +51,10 @@ func TestHopArrivalInPlaceQueueMatchesSliceModel(t *testing.T) {
 	for _, qcap := range []int{2, 5} {
 		cfg := DefaultConfig()
 		cfg.Queuing = true
-		cfg.QueueCap = qcap
 		eng := sim.NewEngine()
 		tree := topology.MustNew([]topology.NodeID{topology.None, 0, 1})
 		net := MustNew(eng, tree, cfg)
+		net.SetQueueCap(qcap)
 		model := &sliceQueue{cap: qcap, tx: net.txPayload, delay: cfg.LinkDelay}
 		payload, control := &Packet{Class: Payload}, &Packet{Class: Control}
 
@@ -120,12 +120,13 @@ func TestHopArrivalInPlaceQueueMatchesSliceModel(t *testing.T) {
 func TestUnicastAllocationFree(t *testing.T) {
 	for _, queuing := range []bool{false, true} {
 		cfg := DefaultConfig()
-		if queuing {
-			cfg.Queuing, cfg.QueueCap = true, 2
-		}
+		cfg.Queuing = queuing
 		eng := sim.NewEngine()
 		tree := topology.MustGenerate(sim.NewRNG(1), topology.GenSpec{Receivers: 64, Depth: 7})
 		net := MustNew(eng, tree, cfg)
+		if queuing {
+			net.SetQueueCap(2)
+		}
 		var from, to topology.NodeID
 		hops := 0
 		for _, a := range tree.Receivers() {

@@ -241,13 +241,6 @@ type Config struct {
 	// run far below capacity, so the default (false) models each hop as
 	// an independent store-and-forward pipe.
 	Queuing bool
-	// QueueCap bounds each link direction's FIFO to this many
-	// queued-or-transmitting payload packets; arrivals past the bound
-	// are tail-dropped deterministically and counted in QueueDrops.
-	// Zero-serialization control packets occupy no buffer and are never
-	// queue-dropped. Zero means unbounded. Requires Queuing; the chaos
-	// harness can also engage a cap mid-run via SetQueueCap.
-	QueueCap int
 }
 
 // DefaultConfig returns the configuration used throughout the paper's
@@ -279,12 +272,6 @@ func (c Config) Validate() error {
 	}
 	if c.ControlBytes < 0 {
 		return &ConfigError{"ControlBytes", fmt.Sprintf("must be non-negative, got %d", c.ControlBytes)}
-	}
-	if c.QueueCap < 0 {
-		return &ConfigError{"QueueCap", fmt.Sprintf("must be non-negative, got %d", c.QueueCap)}
-	}
-	if c.QueueCap > 0 && !c.Queuing {
-		return &ConfigError{"QueueCap", "requires Queuing (a cap on an unserialized link is meaningless)"}
 	}
 	return nil
 }
@@ -382,8 +369,8 @@ type Network struct {
 	busyUntil [2][]sim.Time
 
 	// queueCap bounds each link direction's FIFO to this many
-	// queued-or-transmitting payload packets (0 = unbounded), set
-	// statically by Config.QueueCap or dynamically by SetQueueCap.
+	// queued-or-transmitting payload packets (0 = unbounded), set by
+	// SetQueueCap.
 	// queued holds the pending transmission finish times per direction
 	// per link (monotone non-decreasing; pruned lazily against the
 	// arrival instant, in place, so a link's slice stops growing once it
@@ -463,9 +450,6 @@ func New(eng *sim.Engine, tree *topology.Tree, cfg Config) (*Network, error) {
 		n.busyUntil[0] = make([]sim.Time, tree.NumNodes())
 		n.busyUntil[1] = make([]sim.Time, tree.NumNodes())
 	}
-	if cfg.QueueCap > 0 {
-		n.SetQueueCap(cfg.QueueCap)
-	}
 	return n, nil
 }
 
@@ -497,7 +481,7 @@ func (n *Network) AttachHost(id topology.NodeID, h Host) {
 		panic("netsim: AttachHost with nil host")
 	}
 	n.hostAt[id] = h
-	n.plans.shrink(0)
+	n.plans.purge()
 }
 
 // SetCohortHost installs the host that is offered the hop cohorts of
@@ -539,12 +523,12 @@ func (n *Network) SetLinkUp(link topology.LinkID, up bool) {
 }
 
 // SetQueueCap engages (cap ≥ 1) or lifts (cap = 0) the finite
-// link-queue bound at runtime — the chaos harness's qcap windows. While
-// a cap is active every flood takes the event-per-hop queuing path even
-// if the network was built without Queuing, so FIFO occupancy is
-// actually modelled; lifting the cap restores plan replay. Engaging
-// lazily allocates the serialization state, so cap-free runs pay
-// nothing.
+// link-queue bound: payload packets past it are tail-dropped, control
+// packets occupy no buffer. While a cap is active every flood takes the
+// event-per-hop queuing path even if the network was built without
+// Queuing, so FIFO occupancy is actually modelled; lifting the cap
+// restores plan replay. Engaging lazily allocates the serialization
+// state, so cap-free runs pay nothing.
 func (n *Network) SetQueueCap(cap int) {
 	if cap < 0 {
 		cap = 0

@@ -2,10 +2,13 @@
 // not per origin — the tree has one flood order (topology.FloodOrder) and
 // replayPlan scans a flood from any origin straight out of it. What is
 // per origin, and cached, is the flood's unobstructed outcome: the
-// hosting nodes bucketed by hop distance, compiled on first use and held
-// in an LRU keyed by (origin, downOnly) and capped in stored int32s, so
-// cache heap is bounded whatever the tree size or origin diversity. An
-// origin the cache refuses compiles nothing and scans. DESIGN.md §14.
+// hosting nodes bucketed by hop distance, compiled on first use and kept
+// in an append-only table keyed by (origin, downOnly) and capped in
+// stored int32s, so cache heap is bounded whatever the tree size or
+// origin diversity. A miss compiles only while the plan-size bound still
+// fits the budget; otherwise it is refused, compiles nothing and scans.
+// The tree is static (§4.3), so nothing is evicted: a plan stays until
+// AttachHost or a budget cut purges every plan. DESIGN.md §14.
 package netsim
 
 import (
@@ -23,53 +26,45 @@ const DefaultFloodPlanEntries = 1 << 23
 // PlanStats is a snapshot of the flood plan cache counters.
 type PlanStats struct {
 	// Hits counts floods that found their plan cached, Misses those that
-	// did not; a miss compiles and caches the plan when the budget and
-	// admission policy allow.
+	// did not; a miss compiles and keeps the plan while the budget has
+	// room for the largest plan of the tree.
 	Hits, Misses uint64
-	// Refused counts the misses they did not allow: floods served by the
+	// Refused counts the misses without that room: floods served by the
 	// scan with nothing compiled. A subset of Misses.
 	Refused uint64
-	// Evictions counts plans removed to make room (plus plans discarded
-	// by a cache invalidation, e.g. a post-setup AttachHost).
+	// Evictions counts plans discarded by a purge: a post-setup
+	// AttachHost or a budget cut. Nothing else removes a plan.
 	Evictions uint64
 }
 
 // floodPlan is one plan key's slot in the cache.
 type floodPlan struct {
 	// buf is the flood's outcome when nothing obstructs it, nil while the
-	// plan is not resident: buf[:hosts] is the hosting nodes bucketed by
+	// plan is not compiled: buf[:hosts] is the hosting nodes bucketed by
 	// hop distance, pop order within a hop, and buf[hosts:] each hop's end
 	// offset in it (hop 0's is 0: the origin is never delivered to). Host
 	// flags are baked in, hence AttachHost's purge. In-flight floods point
-	// into buf: it is never rewritten, eviction drops the reference.
+	// into buf: it is never rewritten, a purge drops the reference.
 	buf   []int32
 	hosts int32
-	// prev and next link the resident plans into the LRU ring. lastMiss
-	// is the miss tick at which the key last missed under pressure.
-	prev, next int32
-	lastMiss   int64
 }
 
-// planCache is the size-capped LRU of compiled flood plans.
+// planCache is the append-only, size-capped table of compiled flood
+// plans.
 type planCache struct {
-	// slots is dense on planKey, plus one: the last slot is the root of
-	// the ring of resident plans, most recently used at its next.
+	// slots is dense on planKey.
 	slots []floodPlan
 	// budget and used count stored int32s, the unit that bounds heap, and
 	// bound is the most one plan of this tree can store (every node
-	// hosting, deepest leaf to deepest leaf). resident counts plans held,
-	// tick misses.
-	budget, used, bound, resident int
-	tick                          int64
-	stats                         PlanStats
+	// hosting, deepest leaf to deepest leaf). Every plan stores at least
+	// one, so used is 0 exactly when no plan is held.
+	budget, used, bound int
+	stats               PlanStats
 }
 
 // newPlanCache returns an empty cache at the default budget.
 func newPlanCache(tree *topology.Tree) planCache {
-	root := int32(2 * tree.NumNodes())
-	slots := make([]floodPlan, root+1)
-	slots[root].prev, slots[root].next = root, root
-	return planCache{slots: slots, budget: DefaultFloodPlanEntries, bound: tree.NumNodes() + 2*tree.MaxDepth()}
+	return planCache{slots: make([]floodPlan, 2*tree.NumNodes()), budget: DefaultFloodPlanEntries, bound: tree.NumNodes() + 2*tree.MaxDepth()}
 }
 
 // planKey encodes (origin, downOnly): full floods and subcasts from the
@@ -82,85 +77,56 @@ func planKey(origin topology.NodeID, downOnly bool) int32 {
 }
 
 // EnableFloodPlans sets the plan cache's budget in stored int32s (<= 0
-// selects DefaultFloodPlanEntries, New's default), evicting down to it.
-// The budget only decides how many floods find their cohorts compiled,
-// so fingerprints are byte-identical at any value.
+// selects DefaultFloodPlanEntries, New's default); a cut purges every
+// plan. The budget only decides how many floods find their cohorts
+// compiled, so fingerprints are byte-identical at any value.
 func (n *Network) EnableFloodPlans(budgetEntries int) {
 	if budgetEntries <= 0 {
 		budgetEntries = DefaultFloodPlanEntries
 	}
+	if budgetEntries < n.plans.budget {
+		n.plans.purge()
+	}
 	n.plans.budget = budgetEntries
-	n.plans.shrink(budgetEntries)
 }
 
 // PlanStats returns a snapshot of the plan cache counters.
 func (n *Network) PlanStats() PlanStats { return n.plans.stats }
 
-// unlink takes a resident plan out of the LRU ring.
-func (c *planCache) unlink(key int32) {
-	pl := &c.slots[key]
-	c.slots[pl.prev].next, c.slots[pl.next].prev = pl.next, pl.prev
-}
-
-// pushFront links a plan in as the most recently used.
-func (c *planCache) pushFront(key int32) {
-	root := int32(len(c.slots) - 1)
-	pl := &c.slots[key]
-	pl.prev, pl.next = root, c.slots[root].next
-	c.slots[pl.next].prev, c.slots[root].next = key, key
-}
-
-// shrink evicts least recently used plans until at most limit int32s
-// are stored; every plan stores at least one.
-func (c *planCache) shrink(limit int) {
-	for c.used > limit {
-		key := c.slots[len(c.slots)-1].prev
-		c.unlink(key)
-		c.used -= len(c.slots[key].buf)
-		c.slots[key].buf = nil
-		c.resident--
-		c.stats.Evictions++
+// purge drops every plan, each counted as an eviction.
+func (c *planCache) purge() {
+	if c.used == 0 {
+		return
 	}
+	for i := range c.slots {
+		if c.slots[i].buf != nil {
+			c.slots[i] = floodPlan{}
+			c.stats.Evictions++
+		}
+	}
+	c.used = 0
 }
 
 // cohortsFor returns the compiled cohorts for (origin, downOnly) and their
-// host count: cached, or on a miss freshly compiled when budget and
-// admission policy allow, otherwise nil — the flood takes the scan.
+// host count: cached, or on a miss freshly compiled and kept when the
+// budget has room, otherwise nil — the flood takes the scan.
 func (n *Network) cohortsFor(origin topology.NodeID, downOnly bool) ([]int32, int32) {
 	c := &n.plans
-	key := planKey(origin, downOnly)
-	pl := &c.slots[key]
+	pl := &c.slots[planKey(origin, downOnly)]
 	if pl.buf != nil {
 		c.stats.Hits++
-		c.unlink(key)
-		c.pushFront(key)
 		return pl.buf, pl.hosts
 	}
 	c.stats.Misses++
-	c.tick++
 	// Admission is decided before compiling, on the plan-size bound, so a
-	// refused origin never allocates. A plan that could exceed the whole
-	// budget is never cached. One that may evict residents must have
-	// missed before, within the recency window: a one-shot sweep over
-	// many origins (session round-robin on a huge tree) never displaces
-	// the hot set. The window scales with the resident plan count so a
-	// hot set slightly larger than the cache still rotates in.
-	last := pl.lastMiss
-	pressed := c.used+c.bound > c.budget
-	if pressed {
-		pl.lastMiss = c.tick
-	}
-	if c.bound > c.budget || pressed && (last == 0 || c.tick-last > int64(4*c.resident)+64) {
+	// refused origin never allocates and used never passes the budget.
+	if c.used+c.bound > c.budget {
 		c.stats.Refused++
 		return nil, 0
 	}
-	buf, hosts := n.compileCohorts(origin, downOnly)
-	c.shrink(c.budget - len(buf))
-	pl.buf, pl.hosts = buf, hosts
-	c.pushFront(key)
-	c.used += len(buf)
-	c.resident++
-	return buf, hosts
+	pl.buf, pl.hosts = n.compileCohorts(origin, downOnly)
+	c.used += len(pl.buf)
+	return pl.buf, pl.hosts
 }
 
 // compileCohorts bakes the unobstructed outcome of a flood into one

@@ -393,11 +393,12 @@ func (r queuingVerdictRun) diff(o queuingVerdictRun) string {
 // leave out the first lost link of every send.
 func playQueuingVerdicts(tree *topology.Tree, seed int64, capWindow, withVerdict, omitOne bool) queuingVerdictRun {
 	cfg := DefaultConfig()
-	if !capWindow {
-		cfg.Queuing, cfg.QueueCap = true, 2
-	}
+	cfg.Queuing = !capWindow
 	eng := sim.NewEngine()
 	net := MustNew(eng, tree, cfg)
+	if !capWindow {
+		net.SetQueueCap(2)
+	}
 	log := &orderLog{}
 	for id := 0; id < tree.NumNodes(); id++ {
 		if node := topology.NodeID(id); tree.IsReceiver(node) || id%3 == 0 {
