@@ -2,8 +2,13 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"flag"
+	"fmt"
 	"io"
 	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -147,5 +152,37 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
 			t.Fatalf("%v: err = %v, want an unknown-flag error", args, err)
 		}
+	}
+}
+
+// TestFlagSurface pins what -h prints: every flag's name, type, default
+// and usage, as the flag package lists them. A usage may be reworded; a
+// changed name, type or default breaks the scripts that pass it. The
+// -parallel default is the host's CPU count, so it is recorded as
+// NumCPU.
+func TestFlagSurface(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "flags.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := os.Stderr
+	os.Stderr = f
+	err = run([]string{"-h"}, io.Discard)
+	os.Stderr = saved
+	if !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("-h returned %v", err)
+	}
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := strings.Replace(string(out), fmt.Sprintf("(1 = serial) (default %d)", runtime.NumCPU()), "(1 = serial) (default NumCPU)", 1)
+	if got != string(want) {
+		t.Errorf("-h printed\n%s\nwant\n%s", got, want)
 	}
 }

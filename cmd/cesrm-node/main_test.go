@@ -119,3 +119,20 @@ func TestRunRefusesBadInvocations(t *testing.T) {
 		}
 	}
 }
+
+// TestFlagSurface pins what -h prints: every flag's name, type, default
+// and usage, as the flag package lists them. A usage may be reworded; a
+// changed name, type or default breaks the scripts that pass it.
+func TestFlagSurface(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "flags.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out, errb bytes.Buffer
+	if code := run([]string{"-h"}, &out, &errb); code != 2 || out.Len() != 0 {
+		t.Fatalf("-h exited %d and printed %q to stdout", code, out.String())
+	}
+	if errb.String() != string(want) {
+		t.Errorf("-h printed\n%s\nwant\n%s", errb.String(), want)
+	}
+}

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"flag"
 	"io"
 	"os"
 	"path/filepath"
@@ -200,5 +202,34 @@ func TestDiffGolden(t *testing.T) {
 		if err := run(bad, io.Discard); err == nil {
 			t.Errorf("%v accepted", bad)
 		}
+	}
+}
+
+// TestFlagSurface pins what -h prints: every flag's name, type, default
+// and usage, as the flag package lists them. A usage may be reworded; a
+// changed name, type or default breaks the scripts that pass it.
+func TestFlagSurface(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "flags.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := os.Stderr
+	os.Stderr = f
+	err = run([]string{"-h"}, io.Discard)
+	os.Stderr = saved
+	if !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("-h returned %v", err)
+	}
+	got, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("-h printed\n%s\nwant\n%s", got, want)
 	}
 }

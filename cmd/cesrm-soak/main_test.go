@@ -3,8 +3,14 @@ package main
 import (
 	"bytes"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"cesrm/internal/chaos"
+	"cesrm/internal/experiment"
+	"cesrm/internal/soak"
+	"cesrm/internal/trace"
 )
 
 // TestSoakOutputIsBitReproducible is the CLI acceptance criterion:
@@ -85,5 +91,64 @@ func TestBadFlagsExitTwo(t *testing.T) {
 	}
 	if code := run([]string{"-traces", "nope"}, &out, &errb); code != 2 {
 		t.Fatalf("bad trace list exited %d, want 2", code)
+	}
+}
+
+// TestFlagSurface pins what -h prints: every flag's name, type, default
+// and usage, as the flag package lists them. A usage may be reworded; a
+// changed name, type or default breaks the scripts that pass it.
+func TestFlagSurface(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "flags.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out, errb bytes.Buffer
+	if code := run([]string{"-h"}, &out, &errb); code != 2 || out.Len() != 0 {
+		t.Fatalf("-h exited %d and printed %q to stdout", code, out.String())
+	}
+	if errb.String() != string(want) {
+		t.Errorf("-h printed\n%s\nwant\n%s", errb.String(), want)
+	}
+}
+
+// TestWriteCorpusRoundTrips: a failure written as a corpus entry reads
+// back, through soak.ReadEntry, to the entry that was written, byte for
+// byte once marshalled again, with the minimized spec in place of the
+// trial's.
+func TestWriteCorpusRoundTrips(t *testing.T) {
+	spec, err := chaos.ParseSpec("crash@17s:host=4;restart@30s:host=4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	minimized, err := chaos.ParseSpec("crash@17s:host=4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := &soak.Failure{
+		Trial:     soak.Trial{TraceIndex: 4, Protocol: experiment.CESRM, Scale: 0.01, Seed: 42, Spec: spec},
+		Class:     "invariant:crash-silence",
+		Detail:    "host 4 sent after its crash",
+		Minimized: minimized,
+	}
+	dir := t.TempDir()
+	var out bytes.Buffer
+	if err := writeCorpus(dir, 7, []*soak.Failure{f}, &out); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "soak-7-0-invariant-crash-silence.spec")
+	if out.String() != "corpus: wrote "+path+"\n" {
+		t.Fatalf("writeCorpus printed %q", out.String())
+	}
+	got, err := soak.ReadEntry(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := &soak.Entry{
+		Trace: trace.Catalog[3].Name, Protocol: experiment.CESRM, Scale: 0.01, Seed: 42,
+		Spec: minimized, Class: f.Class,
+		Note: []string{"captured by cesrm-soak -seed 7", f.Detail},
+	}
+	if !bytes.Equal(got.Marshal(), want.Marshal()) {
+		t.Errorf("read back\n%s\nwant\n%s", got.Marshal(), want.Marshal())
 	}
 }

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"errors"
+	"flag"
 	"os"
 	"path/filepath"
 	"testing"
@@ -64,5 +66,37 @@ func TestCatalogSubcommand(t *testing.T) {
 func TestLocalityCatalog(t *testing.T) {
 	if err := run([]string{"locality", "-scale", "0.005"}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFlagSurface pins what each subcommand's -h prints: every flag's
+// name, type, default and usage, as the flag package lists them. A
+// usage may be reworded; a changed name, type or default breaks the
+// scripts that pass it. info and infer take a file and no flags.
+func TestFlagSurface(t *testing.T) {
+	for _, sub := range []string{"catalog", "gen", "locality"} {
+		want, err := os.ReadFile(filepath.Join("testdata", "flags-"+sub+".txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		saved := os.Stderr
+		os.Stderr = f
+		err = run([]string{sub, "-h"})
+		os.Stderr = saved
+		f.Close()
+		if !errors.Is(err, flag.ErrHelp) {
+			t.Fatalf("%s -h returned %v", sub, err)
+		}
+		got, err := os.ReadFile(f.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("%s -h printed\n%s\nwant\n%s", sub, got, want)
+		}
 	}
 }
