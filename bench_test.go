@@ -628,8 +628,7 @@ func BenchmarkRobustnessReplierCrash(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lmsRes, err := experiment.Run(experiment.RunConfig{
-			Trace: tr, Protocol: experiment.LMS, Chaos: crash,
-			LMSRefresh: 8 * time.Second, Seed: 3,
+			Trace: tr, Protocol: experiment.LMS, Chaos: crash, Seed: 3,
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -48,7 +48,6 @@ import (
 	"cesrm/internal/chaos"
 	"cesrm/internal/core"
 	"cesrm/internal/experiment"
-	"cesrm/internal/netsim"
 	"cesrm/internal/srm"
 	"cesrm/internal/trace"
 )
@@ -60,13 +59,13 @@ import (
 // so a scenario that violates the fail-stop model fails the sweep. The
 // printed fingerprints are reproducible: same seed, same spec, same
 // digest.
-func runChaosMatrix(stdout io.Writer, indices []int, scale float64, seed int64, netCfg netsim.Config, cesrmCfg core.Config, lossy bool) error {
+func runChaosMatrix(stdout io.Writer, indices []int, scale float64, base experiment.RunConfig) error {
 	if indices == nil {
 		for _, e := range trace.Catalog {
 			indices = append(indices, e.Index)
 		}
 	}
-	fmt.Fprintf(stdout, "cesrm-bench: chaos scenario matrix, scale=%v seed=%d\n\n", scale, seed)
+	fmt.Fprintf(stdout, "cesrm-bench: chaos scenario matrix, scale=%v seed=%d\n\n", scale, base.Seed)
 	tw := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "#\tTrace\tScenario\tProto\tFinishedAt\tFingerprint")
 	warmup := 3 * srm.DefaultParams().SessionPeriod
@@ -82,18 +81,13 @@ func runChaosMatrix(stdout io.Writer, indices []int, scale float64, seed int64, 
 		horizon := warmup + time.Duration(tr.NumPackets())*tr.Period
 		for _, spec := range chaos.Scenarios(tr.Tree, horizon) {
 			for _, proto := range []experiment.Protocol{experiment.SRM, experiment.CESRM} {
-				res, err := experiment.Run(experiment.RunConfig{
-					Trace:         tr,
-					Protocol:      proto,
-					Net:           netCfg,
-					CESRM:         cesrmCfg,
-					LossyRecovery: lossy,
-					Seed:          seed + int64(idx),
-					Chaos:         spec,
-					// As Suite runs; release is inert, so the fingerprints
-					// printed are the retained run's.
-					ReleaseRecovered: true,
-				})
+				cfg := base
+				cfg.Trace, cfg.Protocol, cfg.Chaos = tr, proto, spec
+				cfg.Seed += int64(idx)
+				// As Suite runs; release is inert, so the fingerprints
+				// printed are the retained run's.
+				cfg.ReleaseRecovered = true
+				res, err := experiment.Run(cfg)
 				if err != nil {
 					return fmt.Errorf("trace %s scenario %s/%s: %w", entry.Name, spec.Name, proto, err)
 				}
@@ -118,15 +112,16 @@ func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("cesrm-bench", flag.ContinueOnError)
 	var scales cli.Scales
 	fs.Var(&scales, "scale", "trace volume scale (> 0); 1 = full Table 1 volumes, 5 = a 5x extrapolation; repeatable (or comma-separated) to sweep")
-	seed := fs.Int64("seed", 1, "base random seed")
+	base := cli.AddRun(fs)
 	traces := fs.String("traces", "", "comma-separated 1-based trace indices (default: all 14)")
 	var traceNames cli.Names
 	fs.Var(&traceNames, "trace", "trace name filter (case-insensitive substring); repeatable, unioned with -traces")
-	section := fs.String("section", "all", "output section: all, table1, sec42, summary, fig1, fig2, fig3, fig4, fig5, fig1bars, fig5bars, compare, fingerprints, costs")
-	delay := fs.Duration("delay", 20*time.Millisecond, "per-link one-way delay")
-	lossy := fs.Bool("lossy", false, "drop recovery traffic with estimated link loss rates")
+	sections := []string{"all"}
+	for _, s := range experiment.Sections {
+		sections = append(sections, s.Name)
+	}
+	sectionName := fs.String("section", "all", "output section: "+strings.Join(sections, ", "))
 	policy := fs.String("policy", "most-recent", "CESRM expedition policy: most-recent or most-frequent")
-	routerAssist := fs.Bool("router-assist", false, "enable the router-assisted CESRM variant (§3.3)")
 	parallel := fs.Int("parallel", runtime.NumCPU(), "max traces simulating concurrently (1 = serial)")
 	chaosMatrix := fs.Bool("chaos-matrix", false, "run the deterministic fault-injection scenario matrix per selected trace (instead of the figure suite) and report per-scenario fingerprints")
 	profiles := cli.AddProfiles(fs, "the suite run(s)")
@@ -141,18 +136,17 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-
-	netCfg := netsim.DefaultConfig()
-	netCfg.LinkDelay = *delay
-
-	cesrmCfg := core.Config{RouterAssist: *routerAssist}
 	switch *policy {
 	case "most-recent":
-		cesrmCfg.Policy = core.MostRecentLoss{}
+		base.CESRM.Policy = core.MostRecentLoss{}
 	case "most-frequent":
-		cesrmCfg.Policy = core.MostFrequentLoss{}
+		base.CESRM.Policy = core.MostFrequentLoss{}
 	default:
 		return fmt.Errorf("unknown policy %q", *policy)
+	}
+	section, ok := experiment.FindSection(*sectionName)
+	if !ok && !*chaosMatrix {
+		return fmt.Errorf("unknown section %q", *sectionName)
 	}
 
 	stopCPU, err := profiles.StartCPU()
@@ -165,64 +159,22 @@ func run(args []string, stdout io.Writer) error {
 		if len(scales) > 1 {
 			return fmt.Errorf("-chaos-matrix takes a single -scale")
 		}
-		return runChaosMatrix(stdout, indices, scales[0], *seed, netCfg, cesrmCfg, *lossy)
+		return runChaosMatrix(stdout, indices, scales[0], *base)
 	}
 
 	for si, scale := range scales {
-		suite := experiment.Suite{
-			Scale:    scale,
-			Seed:     *seed,
-			Traces:   indices,
-			Parallel: *parallel,
-			Base: experiment.RunConfig{
-				Net:           netCfg,
-				CESRM:         cesrmCfg,
-				LossyRecovery: *lossy,
-			},
-		}
+		suite := experiment.Suite{Scale: scale, Seed: base.Seed, Traces: indices, Parallel: *parallel, Base: *base}
 		if si > 0 {
 			fmt.Fprintln(stdout, strings.Repeat("=", 72))
 		}
 		fmt.Fprintf(stdout, "cesrm-bench: scale=%v seed=%d delay=%v lossy=%v policy=%s router-assist=%v\n\n",
-			scale, *seed, *delay, *lossy, *policy, *routerAssist)
+			scale, base.Seed, base.Net.LinkDelay, base.LossyRecovery, *policy, base.CESRM.RouterAssist)
 
 		results, err := suite.Run()
 		if err != nil {
 			return err
 		}
-
-		switch *section {
-		case "all":
-			experiment.RenderAll(stdout, results)
-		case "table1":
-			experiment.RenderTable1(stdout, results)
-		case "sec42":
-			experiment.RenderSec42(stdout, results)
-		case "summary":
-			experiment.RenderSummary(stdout, results)
-		case "fig1":
-			experiment.RenderFigure1(stdout, results)
-		case "fig2":
-			experiment.RenderFigure2(stdout, results)
-		case "fig3":
-			experiment.RenderFigure3(stdout, results)
-		case "fig4":
-			experiment.RenderFigure4(stdout, results)
-		case "fig5":
-			experiment.RenderFigure5(stdout, results)
-		case "fig1bars":
-			experiment.RenderFigure1Bars(stdout, results)
-		case "fig5bars":
-			experiment.RenderFigure5Bars(stdout, results)
-		case "compare":
-			experiment.RenderComparison(stdout, results, *seed)
-		case "fingerprints":
-			experiment.RenderFingerprints(stdout, results)
-		case "costs":
-			experiment.RenderCosts(stdout, results)
-		default:
-			return fmt.Errorf("unknown section %q", *section)
-		}
+		section.Render(stdout, results, base.Seed)
 	}
 
 	return profiles.WriteMem()

@@ -34,13 +34,10 @@ import (
 	"io"
 	"os"
 	"text/tabwriter"
-	"time"
 
 	"cesrm/cmd/internal/cli"
 	"cesrm/internal/chaos"
-	"cesrm/internal/core"
 	"cesrm/internal/experiment"
-	"cesrm/internal/netsim"
 	"cesrm/internal/stats"
 	"cesrm/internal/topology"
 	"cesrm/internal/trace"
@@ -59,10 +56,7 @@ func run(args []string, stdout io.Writer) error {
 	file := fs.String("file", "", "trace file (overrides -trace)")
 	scale := fs.Float64("scale", 0.1, "catalog trace volume scale (> 0); 1 = full Table 1 volumes")
 	protoName := fs.String("protocol", "cesrm", "protocol: srm, cesrm or lms")
-	seed := fs.Int64("seed", 1, "random seed")
-	delay := fs.Duration("delay", 20*time.Millisecond, "per-link one-way delay")
-	lossy := fs.Bool("lossy", false, "drop recovery traffic with estimated link rates")
-	routerAssist := fs.Bool("router-assist", false, "enable router-assisted CESRM (§3.3)")
+	cfg := cli.AddRun(fs)
 	chaosSpec := fs.String("chaos", "", `fault-injection spec, e.g. "crash@40s:host=3;restart@70s:host=3" (kinds: crash, restart, link-down, link-up, jitter, dup, starve, leave, join, qcap)`)
 	verifyDet := fs.Int("verify-determinism", 0, "rerun the config N extra times and fail on fingerprint divergence")
 	eventsFile := fs.String("events", "", "write the ordered protocol-event stream as NDJSON to this file")
@@ -93,66 +87,34 @@ func run(args []string, stdout io.Writer) error {
 	}
 	defer stopCPU()
 
-	var tr *trace.Trace
-	if *file != "" {
-		f, err := os.Open(*file)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		tr, err = trace.Unmarshal(f)
-		if err != nil {
-			return err
-		}
-	} else {
-		entry, ok := trace.ByName(*name)
-		if !ok {
-			return fmt.Errorf("unknown catalog trace %q", *name)
-		}
-		tr, err = entry.Load(*scale)
-		if err != nil {
-			return err
-		}
+	tr, err := cli.LoadTrace(*file, *name, *scale)
+	if err != nil {
+		return err
 	}
-
 	proto, err := experiment.ParseProtocol(*protoName)
 	if err != nil {
 		return err
 	}
-
-	netCfg := netsim.DefaultConfig()
-	netCfg.LinkDelay = *delay
-	cfg := experiment.RunConfig{
-		Trace:         tr,
-		Protocol:      proto,
-		Net:           netCfg,
-		CESRM:         core.Config{RouterAssist: *routerAssist},
-		LossyRecovery: *lossy,
-		Seed:          *seed,
-		// The event stream is materialized only when the timeline dump or
-		// -explain asked for it; every other invocation runs stream-only.
-		KeepEvents: *eventsFile != "" || *explain != "",
-	}
+	cfg.Trace, cfg.Protocol = tr, proto
+	// The event stream is materialized only when the timeline dump or
+	// -explain asked for it; every other invocation runs stream-only.
+	cfg.KeepEvents = *eventsFile != "" || *explain != ""
 	if *chaosSpec != "" {
-		spec, err := chaos.ParseSpec(*chaosSpec)
-		if err != nil {
+		// The run checks the spec against the trace's tree.
+		if cfg.Chaos, err = chaos.ParseSpec(*chaosSpec); err != nil {
 			return err
 		}
-		if err := spec.Validate(tr.Tree); err != nil {
-			return err
-		}
-		cfg.Chaos = spec
 	}
 
 	var res *experiment.RunResult
 	if *verifyDet > 0 {
-		res, err = experiment.VerifyDeterminism(cfg, *verifyDet)
+		res, err = experiment.VerifyDeterminism(*cfg, *verifyDet)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "determinism audit: %d reruns, all fingerprints match\n", *verifyDet)
 	} else {
-		res, err = experiment.Run(cfg)
+		res, err = experiment.Run(*cfg)
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,6 @@
-// Package cli holds the flag plumbing the commands share: pprof
-// profiles, the repeatable -scale list and catalog trace selection by
-// index list or name.
+// Package cli holds the flag plumbing the commands share: the run
+// knobs, pprof profiles, the repeatable -scale list, catalog trace
+// selection by index list or name, and trace loading.
 package cli
 
 import (
@@ -12,8 +12,41 @@ import (
 	"strconv"
 	"strings"
 
+	"cesrm/internal/experiment"
+	"cesrm/internal/netsim"
 	"cesrm/internal/trace"
 )
+
+// AddRun registers the run knobs of the paper's setup on fs: -seed,
+// -delay (§4.3's 20 ms links), -lossy and -router-assist (§3.3). The
+// returned configuration, which parsing fills in, is the base every
+// run of the command starts from.
+func AddRun(fs *flag.FlagSet) *experiment.RunConfig {
+	cfg := &experiment.RunConfig{Net: netsim.DefaultConfig()}
+	fs.Int64Var(&cfg.Seed, "seed", 1, "random seed; suite runs add each trace's catalog index")
+	fs.DurationVar(&cfg.Net.LinkDelay, "delay", cfg.Net.LinkDelay, "per-link one-way delay")
+	fs.BoolVar(&cfg.LossyRecovery, "lossy", false, "drop recovery traffic with estimated link loss rates")
+	fs.BoolVar(&cfg.CESRM.RouterAssist, "router-assist", false, "enable the router-assisted CESRM variant (§3.3)")
+	return cfg
+}
+
+// LoadTrace reads the trace file at path or, when path is empty,
+// generates the named catalog trace at scale.
+func LoadTrace(path, name string, scale float64) (*trace.Trace, error) {
+	if path == "" {
+		entry, ok := trace.ByName(name)
+		if !ok {
+			return nil, fmt.Errorf("unknown catalog trace %q", name)
+		}
+		return entry.Load(scale)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return trace.Unmarshal(f)
+}
 
 // Profiles holds the -cpuprofile and -memprofile flags.
 type Profiles struct{ cpu, mem string }

@@ -1,8 +1,13 @@
 package cli
 
 import (
+	"flag"
 	"reflect"
 	"testing"
+	"time"
+
+	"cesrm/internal/experiment"
+	"cesrm/internal/netsim"
 )
 
 func TestScalesSet(t *testing.T) {
@@ -94,5 +99,32 @@ func TestSelectTraces(t *testing.T) {
 	}
 	if _, err := SelectTraces("x", nil); err == nil {
 		t.Error("a bad index list accepted")
+	}
+}
+
+func TestAddRun(t *testing.T) {
+	base := experiment.RunConfig{Net: netsim.DefaultConfig(), Seed: 1}
+	set := base
+	set.Net.LinkDelay = 30 * time.Millisecond
+	set.LossyRecovery = true
+	set.CESRM.RouterAssist = true
+	for _, c := range []struct {
+		args []string
+		want experiment.RunConfig
+	}{
+		{nil, base},
+		{[]string{"-delay", "30ms", "-lossy", "-router-assist"}, set},
+	} {
+		fs := flag.NewFlagSet("run", flag.ContinueOnError)
+		got := AddRun(fs)
+		if err := fs.Parse(c.args); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(*got, c.want) {
+			t.Errorf("%v: RunConfig = %+v, want %+v", c.args, *got, c.want)
+		}
+	}
+	if base.Net.LinkDelay != 20*time.Millisecond {
+		t.Errorf("default link delay %v, want the paper's 20ms", base.Net.LinkDelay)
 	}
 }

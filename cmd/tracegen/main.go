@@ -16,6 +16,7 @@ import (
 	"text/tabwriter"
 	"time"
 
+	"cesrm/cmd/internal/cli"
 	"cesrm/internal/lossinfer"
 	"cesrm/internal/topology"
 	"cesrm/internal/trace"
@@ -68,7 +69,7 @@ func locality(args []string) error {
 			same, 100*s.PatternRepeat)
 	}
 	if fs.NArg() == 1 {
-		tr, err := loadFile(fs.Arg(0))
+		tr, err := cli.LoadTrace(fs.Arg(0), "", 0)
 		if err != nil {
 			return err
 		}
@@ -87,7 +88,7 @@ func locality(args []string) error {
 
 func catalog(args []string) error {
 	fs := flag.NewFlagSet("catalog", flag.ContinueOnError)
-	scale := fs.Float64("scale", 0.1, "volume scale in (0,1]")
+	scale := fs.Float64("scale", 0.1, "volume scale (> 0); 1 = full Table 1 volumes")
 	extended := fs.Bool("extended", false, "include the extended stress entries (SYN10K et al.)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -154,20 +155,11 @@ func gen(args []string) error {
 	return nil
 }
 
-func loadFile(path string) (*trace.Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return trace.Unmarshal(f)
-}
-
 func info(args []string) error {
 	if len(args) != 1 {
 		return fmt.Errorf("usage: tracegen info <file>")
 	}
-	tr, err := loadFile(args[0])
+	tr, err := cli.LoadTrace(args[0], "", 0)
 	if err != nil {
 		return err
 	}
@@ -188,7 +180,7 @@ func infer(args []string) error {
 	if len(args) != 1 {
 		return fmt.Errorf("usage: tracegen infer <file>")
 	}
-	tr, err := loadFile(args[0])
+	tr, err := cli.LoadTrace(args[0], "", 0)
 	if err != nil {
 		return err
 	}

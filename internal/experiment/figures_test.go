@@ -267,7 +267,7 @@ func TestSuiteSubsetAndRendering(t *testing.T) {
 		t.Fatal("wrong traces selected")
 	}
 	var buf bytes.Buffer
-	RenderAll(&buf, results)
+	RenderAll(&buf, results, s.Seed)
 	out := buf.String()
 	for _, want := range []string{"Table 1", "§4.2", "Figure 1", "Figure 2",
 		"Figure 3", "Figure 4", "Figure 5", "Summary", "WRN950919", "WRN951216"} {
@@ -510,10 +510,9 @@ func TestCrashRobustnessCESRMvsLMS(t *testing.T) {
 	// LMS designates the lowest-ID receiver as replier nearly everywhere.
 	victim := tr.Tree.Receivers()[0]
 	crash := crashSpec(victim, 20*time.Second)
-	refresh := 8 * time.Second
 
 	lmsRes, err := Run(RunConfig{
-		Trace: tr, Protocol: LMS, Chaos: crash, LMSRefresh: refresh, Seed: 5,
+		Trace: tr, Protocol: LMS, Chaos: crash, Seed: 5,
 	})
 	if err != nil {
 		t.Fatal(err)

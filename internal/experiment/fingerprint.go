@@ -48,14 +48,6 @@ func (f *fpHasher) i64(v int64)            { f.u64(uint64(v)) }
 func (f *fpHasher) f64(v float64)          { f.u64(math.Float64bits(v)) }
 func (f *fpHasher) node(n topology.NodeID) { f.i64(int64(n)) }
 
-func (f *fpHasher) boolean(b bool) {
-	if b {
-		f.u64(1)
-	} else {
-		f.u64(0)
-	}
-}
-
 func (f *fpHasher) sum() string {
 	return fmt.Sprintf("v%d:%x", FingerprintVersion, f.h.Sum(nil)[:16])
 }

@@ -296,7 +296,7 @@ func TestRenderersSurviveDepartedReceivers(t *testing.T) {
 	}
 	results := []SuiteResult{{Entry: trace.CatalogEntry{Index: 1, Name: "churn-test"}, Pair: pair}}
 	var buf bytes.Buffer
-	RenderAll(&buf, results)
+	RenderAll(&buf, results, 9)
 	RenderFigure1Bars(&buf, results)
 	RenderFigure5Bars(&buf, results)
 	RenderComparison(&buf, results, 9)

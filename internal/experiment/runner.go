@@ -73,9 +73,6 @@ type RunConfig struct {
 	// CESRM holds CESRM-specific settings; its SRM field is overwritten
 	// by the run's SRM parameters.
 	CESRM core.Config
-	// LMSRefresh is the router replier-state staleness window after a
-	// crash report; zero selects 5 s.
-	LMSRefresh time.Duration
 	// Adaptive enables SRM's adaptive timer adjustment on every host
 	// (Floyd et al. ToN 1997 §VI); the paper's evaluation uses fixed
 	// parameters.
@@ -158,6 +155,10 @@ const warmupPeriods = 3
 // maxTail bounds the virtual time a run may spend recovering after the
 // last data packet. Exceeding it fails the run with a QuiesceError.
 const maxTail = 10 * time.Minute
+
+// lmsRefresh is the LMS routers' replier-state staleness window after a
+// crash report.
+const lmsRefresh = 5 * time.Second
 
 // RunResult carries a completed run's metrics.
 type RunResult struct {
@@ -510,11 +511,7 @@ func run(cfg RunConfig, inferred *lossinfer.Result) (*RunResult, error) {
 	members := make([]endpoint, tree.NumNodes())
 	var fabric *lms.Fabric
 	if cfg.Protocol == LMS {
-		refresh := cfg.LMSRefresh
-		if refresh == 0 {
-			refresh = 5 * time.Second
-		}
-		fabric = lms.NewFabric(eng, tree, refresh)
+		fabric = lms.NewFabric(eng, tree, lmsRefresh)
 		if cfg.Adaptive.Enabled {
 			return nil, fmt.Errorf("experiment: adaptive timers are an SRM mechanism, not applicable to LMS")
 		}

@@ -286,17 +286,59 @@ func RenderCosts(w io.Writer, results []SuiteResult) {
 	tw.Flush()
 }
 
-// RenderAll writes every table and figure to w.
-func RenderAll(w io.Writer, results []SuiteResult) {
-	sections := []func(io.Writer, []SuiteResult){
-		RenderTable1, RenderSec42, RenderSummary, RenderFigure1,
-		RenderFigure2, RenderFigure3, RenderFigure4, RenderFigure5,
-		RenderFingerprints,
+// A Section is one block of the suite's text output: a table, a
+// figure, the fingerprints or the cost ledger.
+type Section struct {
+	Name string
+	// Render writes the block. seed is the suite's; only compare, which
+	// runs schemes of its own, reads it.
+	Render func(w io.Writer, results []SuiteResult, seed int64)
+	// InAll marks the blocks RenderAll prints.
+	InAll bool
+}
+
+// Sections lists every block in output order.
+var Sections = []Section{
+	{"table1", seedless(RenderTable1), true},
+	{"sec42", seedless(RenderSec42), true},
+	{"summary", seedless(RenderSummary), true},
+	{"fig1", seedless(RenderFigure1), true},
+	{"fig2", seedless(RenderFigure2), true},
+	{"fig3", seedless(RenderFigure3), true},
+	{"fig4", seedless(RenderFigure4), true},
+	{"fig5", seedless(RenderFigure5), true},
+	{"fig1bars", seedless(RenderFigure1Bars), false},
+	{"fig5bars", seedless(RenderFigure5Bars), false},
+	{"compare", RenderComparison, false},
+	{"fingerprints", seedless(RenderFingerprints), true},
+	{"costs", seedless(RenderCosts), false},
+}
+
+func seedless(render func(io.Writer, []SuiteResult)) func(io.Writer, []SuiteResult, int64) {
+	return func(w io.Writer, results []SuiteResult, _ int64) { render(w, results) }
+}
+
+// FindSection returns the named section; "all" is RenderAll's.
+func FindSection(name string) (Section, bool) {
+	if name == "all" {
+		return Section{Name: name, Render: RenderAll}, true
 	}
-	for i, f := range sections {
-		if i > 0 {
-			fmt.Fprintln(w, strings.Repeat("-", 72))
+	for _, s := range Sections {
+		if s.Name == name {
+			return s, true
 		}
-		f(w, results)
+	}
+	return Section{}, false
+}
+
+// RenderAll writes every InAll section to w, ruled apart.
+func RenderAll(w io.Writer, results []SuiteResult, seed int64) {
+	rule := ""
+	for _, s := range Sections {
+		if s.InAll {
+			fmt.Fprint(w, rule)
+			s.Render(w, results, seed)
+			rule = strings.Repeat("-", 72) + "\n"
+		}
 	}
 }

@@ -252,15 +252,6 @@ func (c *Collector) RequestAbandoned(host, source topology.NodeID, seq int, roun
 	c.abandons[host]++
 }
 
-// Abandoned returns the number of losses host gave up on after the
-// bounded-retry limit.
-func (c *Collector) Abandoned(host topology.NodeID) int {
-	if int(host) >= len(c.abandons) {
-		return 0
-	}
-	return c.abandons[host]
-}
-
 // TotalAbandoned sums abandoned losses over all hosts.
 func (c *Collector) TotalAbandoned() int {
 	total := 0
