@@ -297,25 +297,23 @@ type Section struct {
 	InAll bool
 }
 
-// Sections lists every block in output order.
+// Sections lists every block in output order. Its entries are static
+// (no call builds them), so a program that never reads the table links
+// none of the renderers.
 var Sections = []Section{
-	{"table1", seedless(RenderTable1), true},
-	{"sec42", seedless(RenderSec42), true},
-	{"summary", seedless(RenderSummary), true},
-	{"fig1", seedless(RenderFigure1), true},
-	{"fig2", seedless(RenderFigure2), true},
-	{"fig3", seedless(RenderFigure3), true},
-	{"fig4", seedless(RenderFigure4), true},
-	{"fig5", seedless(RenderFigure5), true},
-	{"fig1bars", seedless(RenderFigure1Bars), false},
-	{"fig5bars", seedless(RenderFigure5Bars), false},
+	{"table1", func(w io.Writer, r []SuiteResult, _ int64) { RenderTable1(w, r) }, true},
+	{"sec42", func(w io.Writer, r []SuiteResult, _ int64) { RenderSec42(w, r) }, true},
+	{"summary", func(w io.Writer, r []SuiteResult, _ int64) { RenderSummary(w, r) }, true},
+	{"fig1", func(w io.Writer, r []SuiteResult, _ int64) { RenderFigure1(w, r) }, true},
+	{"fig2", func(w io.Writer, r []SuiteResult, _ int64) { RenderFigure2(w, r) }, true},
+	{"fig3", func(w io.Writer, r []SuiteResult, _ int64) { RenderFigure3(w, r) }, true},
+	{"fig4", func(w io.Writer, r []SuiteResult, _ int64) { RenderFigure4(w, r) }, true},
+	{"fig5", func(w io.Writer, r []SuiteResult, _ int64) { RenderFigure5(w, r) }, true},
+	{"fig1bars", func(w io.Writer, r []SuiteResult, _ int64) { RenderFigure1Bars(w, r) }, false},
+	{"fig5bars", func(w io.Writer, r []SuiteResult, _ int64) { RenderFigure5Bars(w, r) }, false},
 	{"compare", RenderComparison, false},
-	{"fingerprints", seedless(RenderFingerprints), true},
-	{"costs", seedless(RenderCosts), false},
-}
-
-func seedless(render func(io.Writer, []SuiteResult)) func(io.Writer, []SuiteResult, int64) {
-	return func(w io.Writer, results []SuiteResult, _ int64) { render(w, results) }
+	{"fingerprints", func(w io.Writer, r []SuiteResult, _ int64) { RenderFingerprints(w, r) }, true},
+	{"costs", func(w io.Writer, r []SuiteResult, _ int64) { RenderCosts(w, r) }, false},
 }
 
 // FindSection returns the named section; "all" is RenderAll's.
