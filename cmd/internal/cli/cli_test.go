@@ -124,7 +124,4 @@ func TestAddRun(t *testing.T) {
 			t.Errorf("%v: RunConfig = %+v, want %+v", c.args, *got, c.want)
 		}
 	}
-	if base.Net.LinkDelay != 20*time.Millisecond {
-		t.Errorf("default link delay %v, want the paper's 20ms", base.Net.LinkDelay)
-	}
 }
