@@ -66,9 +66,11 @@ func TestLocalityRatioHighOnGilbertTraces(t *testing.T) {
 }
 
 func TestLocalityLowWithoutBursts(t *testing.T) {
-	// MeanBurstLen 1 degenerates the Gilbert chains to near-Bernoulli:
-	// the locality ratio should collapse toward the spatial-only
-	// correlation (same link, independent packets).
+	// MeanBurstLen 1.01 is not near-Bernoulli: a link leaves the bad
+	// state after almost every drop, so it almost never drops two
+	// packets in a row (GenSpec.MeanBurstLen). With bursts that short
+	// both the mean burst length and the locality ratio must fall
+	// below the bursty trace's.
 	bursty := MustGenerate(GenSpec{
 		Name:         "bursty",
 		Topology:     topology.GenSpec{Receivers: 8, Depth: 3},

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Inlining guard for the per-packet fast paths. Each primitive below runs
-# once or more per delivered or decoded packet, and a change that pushes
-# one past the compiler's inlining budget (cost 80) turns it into a call
-# at every site without failing any test. This script asks the compiler
+# once or more per delivered, decoded or synthesised packet, and a change
+# that pushes one past the compiler's inlining budget (cost 80) turns it
+# into a call at every site without failing any test. This script asks the compiler
 # (go build -gcflags=-m=2) and fails unless it reports "can inline" for
 # every name in WANT, and unless Prefix.Mark inlines the window's fast
 # path. It prints the Go version first: inlining costs can move between
@@ -16,10 +16,13 @@ WANT=(
     '(*Decoder).Byte'                  # netsim: the wire decoder's reads
     '(*Decoder).Uvarint'
     '(*Decoder).Varint'
+    '(*RNG).Float64'                   # sim: one per link per synthesised packet
+    '(*RNG).Int63'
+    '(*RNG).UniformDuration'           # sim: every protocol timer's draw
 )
 
 go version
-out="$(go build -gcflags=-m=2 ./internal/seqwin ./internal/netsim 2>&1)"
+out="$(go build -gcflags=-m=2 ./internal/seqwin ./internal/netsim ./internal/sim 2>&1)"
 
 status=0
 for fn in "${WANT[@]}"; do
